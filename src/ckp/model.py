@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import PreconditionError, ValidationError
 
+_F0 = Fraction(0)
+
 
 class VarRef(NamedTuple):
     group: int
@@ -150,7 +152,7 @@ class LinearInequality:
             raise ValidationError("duplicate variable in inequality")
 
     def coeff(self, ref: VarRef) -> Fraction:
-        return self._by_ref.get(ref, Fraction(0))
+        return self._by_ref.get(ref, _F0)
 
     def support(self):
         return tuple(ref for ref, _ in self.terms)
@@ -190,7 +192,7 @@ class Point:
             raise ValidationError("duplicate variable in point")
 
     def value(self, ref: VarRef) -> Fraction:
-        return self._by_ref.get(ref, Fraction(0))
+        return self._by_ref.get(ref, _F0)
 
     def support(self):
         return tuple(ref for ref, _ in self.entries)

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, Point, VarRef, evaluate
+from .simplex import fill_knapsack
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
@@ -98,10 +99,9 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     """Exact maximum of a linear objective over S, with a maximizing point.
 
-    Per support pattern this is a fractional knapsack: drop nonpositive
-    coefficients, take weight-zero items outright, then fill by ratio
-    (ties by variable order).  Across patterns, ties keep the
-    lexicographically smallest pattern.
+    Per support pattern this is a fractional knapsack, filled by
+    :func:`ckp.simplex.fill_knapsack` (ties by variable order).  Across
+    patterns, ties keep the lexicographically smallest pattern.
     """
     check_enum_limit(instance, limit)
     coeffs = {}
@@ -111,41 +111,14 @@ def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
         instance.check_ref(ref)
         coeffs[ref] = Fraction(value) if not isinstance(value, Fraction) else value
     b = instance.capacity
-    weights = [g.weights for g in instance.groups]
-    get = coeffs.get
+    table = [[(VarRef(i, j), a, coeffs.get(VarRef(i, j), _F0))
+              for j, a in enumerate(g.weights, start=1)]
+             for i, g in enumerate(instance.groups, start=1)]
     best_value = None
     best_entries = None
     for pattern in iter_patterns(instance):
-        value = _F0
-        entries = []
-        pool = []
-        for i, j in enumerate(pattern, start=1):
-            if not j:
-                continue
-            ref = VarRef(i, j)
-            c = get(ref, _F0)
-            if c <= 0:
-                continue
-            a = weights[i - 1][j - 1]
-            if a == 0:
-                value += c
-                entries.append((ref, _F1))
-            else:
-                pool.append((c / a, ref, a, c))
-        pool.sort(key=lambda item: (-item[0], item[1]))
-        remaining = b
-        for _, ref, a, c in pool:
-            if remaining <= 0:
-                break
-            if a <= remaining:
-                entries.append((ref, _F1))
-                value += c
-                remaining -= a
-            else:
-                frac = remaining / a
-                entries.append((ref, frac))
-                value += c * frac
-                break
+        value, entries, _ = fill_knapsack(
+            [slots[j - 1] for slots, j in zip(table, pattern) if j], b)
         if best_value is None or value > best_value:
             best_value = value
             best_entries = entries

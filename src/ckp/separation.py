@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from . import cuts as cuts_mod
 from .cuts import FAMILIES, GeneratedCut, ItemSet
-from .errors import PreconditionError, ValidationError
+from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, weight_of
 from .oracle import check_enum_limit, iter_patterns
 
@@ -255,5 +255,6 @@ def build_partition_reduction(partition, beta: Optional[int] = None):
     for j in range(2, beta + 2):
         entries.append((VarRef(k + 1, j), Fraction(1, 3)))
     point = Point(entries)
-    assert weight_of(instance, point) == instance.capacity
+    if weight_of(instance, point) != instance.capacity:
+        raise CkpError("reduction point does not make the knapsack row tight")
     return instance, point

@@ -1,29 +1,48 @@
-"""Dense exact-rational simplex for the LP relaxation.
+"""Exact-rational node LP: Dantzig's closed form and a bounded-variable simplex.
 
-Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}.  The
-upper bounds are expanded into explicit rows, so the feasible region is
-always a polytope and the method never meets an unbounded ray.  Bland's
-rule (smallest eligible index, both for entering and leaving) guarantees
-termination; a second phase with artificial variables handles rows with
-negative right-hand sides so infeasibility is detected rather than
-mis-reported.
+Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}, where the
+rows are the instance's knapsack row plus any cut rows and the variables
+forced to zero are left out.  The bounds x <= 1 are never written as rows.
 
-The returned dual multipliers y (one per row, bound rows included) certify
-optimality exactly: y >= 0, y A >= c on the active columns, and
-y . rhs = c . x*.
+* **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
+  by Dantzig's ratio rule (:func:`fill_knapsack`): nonpositive profits are
+  dropped, weight-zero items are taken outright, and the rest are taken
+  whole by ratio c/a, descending, until one item fills the capacity
+  fractionally.  Equal ratios are taken in variable order.  The duals are
+  closed-form: the knapsack multiplier is the critical ratio (that of the
+  first item not taken whole), or 0 when every item fits, and the bound
+  multiplier of x_j is max(0, c_j - ratio * a_j).
+* **With cut rows.**  A bounded-variable simplex runs on a tableau that
+  holds the problem rows only.  Upper bounds are handled by bound flips: a
+  variable at its upper bound is complemented (x' = 1 - x), so every
+  nonbasic variable sits at zero.  Bland's rule (smallest eligible index,
+  both for entering and leaving, the entering variable's own bound flip
+  included) guarantees termination; a first phase with artificial
+  variables handles rows with negative right-hand sides, so infeasibility
+  is detected rather than mis-reported.  The bound multipliers are the
+  positive reduced costs.
+
+The duals hold one multiplier y_r per problem row, in order, then one
+bound multiplier u_j per variable not forced to zero, in
+``Instance.refs()`` order.  They certify optimality exactly: y, u >= 0,
+y A_j + u_j >= c_j for every such variable, and y . rhs + sum(u) = c . x*.
+``pivots`` counts the simplex's basis changes; bound flips are not
+pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import CkpError, ValidationError
-from .model import Instance, LinearInequality, Point, knapsack_row
+from .model import Instance, Point, knapsack_row
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_ratio_key = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +82,7 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     value: Optional[Fraction]
     point: Optional[Point]
-    duals: tuple  # per row of the expanded system: problem rows, then bounds
+    duals: tuple  # problem rows, then one bound per unforced variable
     pivots: int
 
     @property
@@ -71,116 +90,209 @@ class LpSolution:
         return self.status == "optimal"
 
 
-class _Tableau:
-    """Row-echelon simplex tableau over Fractions with Bland's rule."""
+def fill_knapsack(items, capacity):
+    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
 
-    def __init__(self, matrix, basis):
-        self.matrix = matrix      # list of rows, last column = rhs
-        self.basis = basis        # basic column index per row
+    ``items`` are ``(ref, a, c)`` triples with a >= 0, in variable order.
+    Returns ``(value, entries, ratio)``: the optimum, the positive
+    ``(ref, x)`` entries of the filled point, and the critical ratio c/a of
+    the first item not taken whole, or None when every item with a
+    positive profit was taken whole.  A capacity that is not positive takes
+    only the weight-zero items.
+    """
+    value = _F0
+    entries = []
+    pool = []
+    for ref, a, c in items:
+        if c <= 0:
+            continue
+        if a == 0:
+            value += c
+            entries.append((ref, _F1))
+        else:
+            pool.append((c / a, ref, a, c))
+    # A stable sort keeps equal ratios in variable order.
+    pool.sort(key=_ratio_key, reverse=True)
+    remaining = capacity
+    for ratio, ref, a, c in pool:
+        if a <= remaining:
+            entries.append((ref, _F1))
+            value += c
+            remaining -= a
+        else:
+            if remaining > 0:
+                frac = remaining / a
+                entries.append((ref, frac))
+                value += c * frac
+            return value, entries, ratio
+    return value, entries, None
+
+
+def _solve_knapsack(problem: LpProblem, refs) -> Optional[LpSolution]:
+    """The closed form for a knapsack row alone; None if a weight or the
+    capacity is negative, where the ratio rule does not apply."""
+    instance = problem.instance
+    capacity = instance.capacity
+    if capacity < 0:
+        return None
+    objective = problem.objective_map()
+    items = []
+    for ref in refs:
+        a = instance.groups[ref.group - 1].weights[ref.slot - 1]
+        if a < 0:
+            return None
+        items.append((ref, a, objective.get(ref, _F0)))
+    value, entries, ratio = fill_knapsack(items, capacity)
+    y = _F0 if ratio is None else ratio
+    whole = {ref for ref, x in entries if x == 1}
+    bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
+    return LpSolution("optimal", value, Point(entries), (y,) + bounds, 0)
+
+
+class _BoundedTableau:
+    """Simplex tableau over Fractions with implicit bounds 0 <= x_j <= 1 on
+    the first ``nbounded`` columns and Bland's rule.
+
+    Each row reads ``basic + sum(T[c] * x_c) = rhs`` (rhs in the last
+    column), ``zrow`` holds the reduced costs, and ``flipped[c]`` records
+    that column c stands for 1 - x_c.
+    """
+
+    def __init__(self, matrix, basis, nbounded):
+        self.matrix = matrix
+        self.basis = basis
+        self.nbounded = nbounded
+        self.flipped = [False] * nbounded
+        self.zrow = None
         self.pivots = 0
+
+    def price(self, cost):
+        """Reduced costs of ``cost`` (per column, in the flipped variables)."""
+        zrow = list(cost) + [_F0]
+        for bcol, line in zip(self.basis, self.matrix):
+            cb = cost[bcol]
+            if cb:
+                zrow = [z - cb * t if t else z for z, t in zip(zrow, line)]
+        self.zrow = zrow
 
     def pivot(self, row, col):
         m = self.matrix
         prow = m[row]
         inv = prow[col]
         if inv != 1:
-            m[row] = prow = [entry / inv for entry in prow]
+            m[row] = prow = [entry / inv if entry else entry for entry in prow]
         for r, other in enumerate(m):
-            if r != row and other[col] != 0:
-                factor = other[col]
-                m[r] = [entry - factor * p for entry, p in zip(other, prow)]
+            factor = other[col]
+            if r != row and factor:
+                m[r] = [entry - factor * p if p else entry
+                        for entry, p in zip(other, prow)]
+        factor = self.zrow[col]
+        if factor:
+            self.zrow = [z - factor * p if p else z
+                         for z, p in zip(self.zrow, prow)]
         self.basis[row] = col
         self.pivots += 1
 
-    def run(self, cost):
-        """Maximize: iterate Bland pivots until no reduced cost is positive.
+    def flip_column(self, col):
+        """Complement nonbasic x_col, moving it to the bound it was not at."""
+        for line in self.matrix:
+            t = line[col]
+            if t:
+                line[-1] -= t
+                line[col] = -t
+        self.zrow[col] = -self.zrow[col]
+        self.flipped[col] = not self.flipped[col]
 
-        ``cost`` is the objective coefficient per column (rhs column 0).
-        Returns the final z-row (cost of basis combination minus cost).
-        """
+    def flip_row(self, row):
+        """Complement the basic variable of ``row``."""
+        bcol = self.basis[row]
+        line = [-t if t else t for t in self.matrix[row]]
+        line[bcol] = _F1
+        line[-1] += 1
+        self.matrix[row] = line
+        self.flipped[bcol] = not self.flipped[bcol]
+
+    def run(self):
+        """Maximize: Bland iterations until no reduced cost is positive."""
         m = self.matrix
-        ncols = len(m[0])
+        basis = self.basis
+        nbounded = self.nbounded
+        ncols = len(self.zrow) - 1
         while True:
-            zrow = list(cost)
-            for r, bcol in enumerate(self.basis):
-                cb = cost[bcol]
-                if cb != 0:
-                    rowr = m[r]
-                    for c in range(ncols):
-                        if rowr[c]:
-                            zrow[c] -= cb * rowr[c]
-            entering = None
-            for c in range(ncols - 1):
-                if zrow[c] > 0:
-                    entering = c
-                    break
+            zrow = self.zrow
+            entering = next((c for c in range(ncols) if zrow[c] > 0), None)
             if entering is None:
-                return zrow
-            leaving = None
-            best = None
-            for r, rowr in enumerate(m):
-                a = rowr[entering]
+                return
+            # Candidates: the entering variable's own bound (step 1), a
+            # basic variable falling to 0 or a bounded one rising to 1.
+            if entering < nbounded:
+                best, leaving, leaving_col = _F1, None, entering
+            else:
+                best = leaving = leaving_col = None
+            for r, line in enumerate(m):
+                a = line[entering]
                 if a > 0:
-                    ratio = rowr[-1] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[r] < self.basis[leaving]):
-                        best = ratio
-                        leaving = r
+                    step = line[-1] / a
+                elif a < 0 and basis[r] < nbounded:
+                    step = (line[-1] - 1) / a
+                else:
+                    continue
+                if best is None or step < best or (
+                        step == best and basis[r] < leaving_col):
+                    best, leaving, leaving_col = step, r, basis[r]
+            if best is None:
+                raise CkpError("LP is unbounded")
             if leaving is None:
-                raise CkpError("LP is unbounded; bounds rows missing")
+                self.flip_column(entering)
+                continue
+            if m[leaving][entering] < 0:
+                self.flip_row(leaving)
             self.pivot(leaving, entering)
 
 
-def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
-    """Exact optimum of the boxed LP, minus any forced-to-zero variables."""
-    refs = [r for r in problem.instance.refs() if r not in forced_zero]
+def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
+    """Two-phase bounded-variable simplex over the problem rows."""
     col_of = {ref: idx for idx, ref in enumerate(refs)}
     nvars = len(refs)
-    rows = list(problem.rows) + [
-        LinearInequality({ref: _F1}, _F1) for ref in refs]
+    rows = problem.rows
     nrows = len(rows)
-    # columns: structural vars, slacks, [artificials], rhs
-    need_artificial = [row.rhs < 0 for row in rows]
-    nart = sum(need_artificial)
-    ncols = nvars + nrows + nart + 1
+    # columns: structural vars, slacks, artificials, rhs
+    ncols = nvars + nrows + sum(1 for row in rows if row.rhs < 0)
     matrix = []
     basis = []
-    art_col = nvars + nrows
     art_cols = []
     for r, row in enumerate(rows):
-        line = [_F0] * ncols
+        line = [_F0] * (ncols + 1)
         for ref, coeff in row.terms:
             c = col_of.get(ref)
             if c is not None:
                 line[c] = coeff
         line[nvars + r] = _F1
         line[-1] = row.rhs
-        if need_artificial[r]:
-            for c in range(ncols):
-                if line[c]:
-                    line[c] = -line[c]
-            line[art_col] = _F1
-            basis.append(art_col)
-            art_cols.append(art_col)
-            art_col += 1
+        if row.rhs < 0:
+            line = [-t for t in line]
+            col = nvars + nrows + len(art_cols)
+            line[col] = _F1
+            art_cols.append(col)
+            basis.append(col)
         else:
             basis.append(nvars + r)
         matrix.append(line)
-    tab = _Tableau(matrix, basis)
+    tab = _BoundedTableau(matrix, basis, nvars)
 
-    if nart:
+    if art_cols:
         phase1 = [_F0] * ncols
         for c in art_cols:
             phase1[c] = Fraction(-1)  # maximize -(sum of artificials)
-        tab.run(phase1)
+        tab.price(phase1)
+        tab.run()
         art_set = set(art_cols)
-        infeasibility = _F0
-        for r, bcol in enumerate(tab.basis):
-            if bcol in art_set:
-                infeasibility += tab.matrix[r][-1]
+        infeasibility = sum((tab.matrix[r][-1] for r, bcol in enumerate(tab.basis)
+                             if bcol in art_set), _F0)
         if infeasibility > 0:
             return LpSolution("infeasible", None, None, (), tab.pivots)
-        # Drive any degenerate artificial out of the basis if possible.
+        # Drive any degenerate artificial out of the basis if possible; its
+        # row has rhs 0, so the entering variable keeps its bound value.
         for r, bcol in enumerate(list(tab.basis)):
             if bcol in art_set:
                 for c in range(nvars + nrows):
@@ -194,53 +306,85 @@ def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
 
     objective = problem.objective_map()
     cost = [_F0] * ncols
-    for ref, coeff in objective.items():
-        c = col_of.get(ref)
-        if c is not None:
-            cost[c] = coeff
-    zrow = tab.run(cost)
+    for c, ref in enumerate(refs):
+        coeff = objective.get(ref, _F0)
+        cost[c] = -coeff if tab.flipped[c] else coeff
+    tab.price(cost)
+    tab.run()
 
-    values = {}
+    xs = [_F0] * nvars
     for r, bcol in enumerate(tab.basis):
         if bcol < nvars:
-            values[refs[bcol]] = tab.matrix[r][-1]
-    point = Point({ref: v for ref, v in values.items() if v != 0})
+            xs[bcol] = tab.matrix[r][-1]
+    zrow = tab.zrow
     value = _F0
-    for ref, coeff in objective.items():
-        x = point.value(ref)
-        if x:
-            value += coeff * x
+    bounds = []
+    for c, ref in enumerate(refs):
+        reduced = zrow[c]
+        if tab.flipped[c]:
+            xs[c] = 1 - xs[c]
+            reduced = -reduced
+        bounds.append(reduced if reduced > 0 else _F0)
+        if xs[c]:
+            value += objective.get(ref, _F0) * xs[c]
+    point = Point(zip(refs, xs))
     # Multiplier of row r is the negated reduced cost of its slack; the sign
     # works out the same for rows that were negated for phase 1.
-    duals = tuple(-zrow[nvars + r] for r in range(nrows))
+    duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
     return LpSolution("optimal", value, point, duals, tab.pivots)
+
+
+def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
+    """Exact optimum of the boxed LP, minus any forced-to-zero variables."""
+    refs = [r for r in problem.instance.refs() if r not in forced_zero]
+    if len(problem.rows) == 1:
+        solution = _solve_knapsack(problem, refs)
+        if solution is not None:
+            return solution
+    return _solve_bounded(problem, refs)
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution,
                        forced_zero=frozenset()) -> bool:
-    """Exact optimality check: primal feasible, dual feasible, values equal."""
+    """Exact optimality check from the problem and the solution alone:
+    primal feasible, dual feasible, and primal value = dual value = the
+    reported value."""
     if not solution.optimal:
         return False
-    refs = [r for r in problem.instance.refs() if r not in forced_zero]
-    rows = list(problem.rows) + [LinearInequality({ref: _F1}, _F1) for ref in refs]
-    point = solution.point
-    for ref, _ in point.entries:
-        if ref in forced_zero:
-            return False
-    for row in rows:
-        lhs = sum((coeff * point.value(ref) for ref, coeff in row.terms), _F0)
-        if lhs > row.rhs:
-            return False
+    instance = problem.instance
+    refs = [r for r in instance.refs() if r not in forced_zero]
+    rows = problem.rows
     duals = solution.duals
-    if len(duals) != len(rows):
+    if len(duals) != len(rows) + len(refs):
         return False
     if any(y < 0 for y in duals):
         return False
-    objective = problem.objective_map()
-    for ref in refs:
-        reduced = sum((duals[i] * row.coeff(ref) for i, row in enumerate(rows)
-                       if row.coeff(ref)), _F0)
-        if reduced < objective.get(ref, _F0):
+    entries = solution.point.entries
+    for ref, x in entries:
+        if ref in forced_zero or not instance.contains(ref) or x > 1:
             return False
-    dual_value = sum((y * row.rhs for y, row in zip(duals, rows)), _F0)
-    return dual_value == solution.value
+    objective = problem.objective_map()
+    primal_value = sum((objective.get(ref, _F0) * x for ref, x in entries), _F0)
+    dual_value = _F0
+    y_a = {}
+    for y, row in zip(duals, rows):
+        lhs = _F0
+        for ref, x in entries:
+            coeff = row.coeff(ref)
+            if coeff:
+                lhs += coeff * x
+        if lhs > row.rhs:
+            return False
+        if y:
+            dual_value += y * row.rhs
+            for ref, coeff in row.terms:
+                term = y * coeff
+                y_a[ref] = y_a[ref] + term if ref in y_a else term
+    for ref, u in zip(refs, duals[len(rows):]):
+        priced = y_a.get(ref, _F0)
+        if u:
+            priced += u
+            dual_value += u
+        if priced < objective.get(ref, _F0):
+            return False
+    return primal_value == solution.value == dual_value

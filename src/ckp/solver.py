@@ -23,7 +23,6 @@ from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -67,37 +66,16 @@ class SolveReport:
     cut_pool: tuple = field(default=(), repr=False)
 
 
-def _fractional_knapsack(instance: Instance):
-    """Exact LP optimum when complementarity is vacuous (all singletons)."""
-    items = []
-    for ref in instance.refs():
-        c = instance.profit(ref)
-        if c <= 0:
-            continue
-        a = instance.weight(ref)
-        items.append((ref, a, c))
-    value = _F0
-    entries = []
-    remaining = instance.capacity
-    zero_weight = [(ref, c) for ref, a, c in items if a == 0]
-    for ref, c in zero_weight:
-        entries.append((ref, _F1))
-        value += c
-    rest = sorted(((c / a, ref, a, c) for ref, a, c in items if a != 0),
-                  key=lambda t: (-t[0], t[1]))
-    for _, ref, a, c in rest:
-        if remaining <= 0:
-            break
-        if a <= remaining:
-            entries.append((ref, _F1))
-            value += c
-            remaining -= a
-        else:
-            frac = remaining / a
-            entries.append((ref, frac))
-            value += c * frac
-            break
-    return value, Point(entries)
+def _check_certificate(problem: LpProblem, solution, forced_zero) -> None:
+    if not verify_certificate(problem, solution, forced_zero):
+        raise CkpError("node LP solution fails its optimality certificate")
+
+
+def _check_incumbent(instance: Instance, point: Point, value: Fraction) -> None:
+    if not is_feasible(instance, point):
+        raise CkpError("incumbent point is not feasible")
+    if profit_of(instance, point) != value:
+        raise CkpError("incumbent profit differs from the reported value")
 
 
 def _branch_group(instance: Instance, point: Point, violated) -> int:
@@ -131,15 +109,17 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     if not report.assumption2:
         return SolveReport(report.trivial_value, report.trivial_point, 0,
                            cuts_per_family, 0, True, report.trivial_value)
-    if not report.assumption1:
-        value, point = _fractional_knapsack(instance)
-        return SolveReport(value, point, 0, cuts_per_family, 0, True, value)
-
     objective = {ref: instance.profit(ref) for ref in instance.refs()}
-    pool = []            # GeneratedCut, in addition order
-    pool_rows = set()    # LinearInequality dedup, seeded with the knapsack row
     problem = LpProblem.build(instance, objective)
-    pool_rows.add(problem.rows[0])
+    if not report.assumption1:
+        solution = solve_lp(problem)
+        _check_certificate(problem, solution, frozenset())
+        _check_incumbent(instance, solution.point, solution.value)
+        return SolveReport(solution.value, solution.point, 0, cuts_per_family,
+                           solution.pivots, True, solution.value)
+
+    pool = []            # GeneratedCut, in addition order
+    pool_rows = {problem.rows[0]}  # LinearInequality dedup
 
     incumbent_value = _F0
     incumbent_point = Point()
@@ -171,7 +151,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
         pivots += solution.pivots
         if not solution.optimal:
             continue
-        assert verify_certificate(problem, solution, node.forced_zero)
+        _check_certificate(problem, solution, node.forced_zero)
         value, point = solution.value, solution.point
 
         added_here = 0
@@ -195,7 +175,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             pivots += solution.pivots
             if not solution.optimal:
                 raise CkpError("LP became infeasible after adding a valid cut")
-            assert verify_certificate(problem, solution, node.forced_zero)
+            _check_certificate(problem, solution, node.forced_zero)
             value, point = solution.value, solution.point
 
         if value <= incumbent_value:
@@ -223,8 +203,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     else:
         best_bound = incumbent_value
         proven = True
-    assert is_feasible(instance, incumbent_point)
-    assert profit_of(instance, incumbent_point) == incumbent_value
+    _check_incumbent(instance, incumbent_point, incumbent_value)
     return SolveReport(incumbent_value, incumbent_point, nodes,
                        cuts_per_family, pivots, proven, best_bound,
                        tuple(pool))

@@ -179,7 +179,7 @@ def test_solve(files, capsys):
     code, out = run(capsys, "solve", files["ex_b.ckp"])
     assert code == 0
     assert out == ("status: optimal\nvalue: 22\nbest-bound: 22\nnodes: 2\n"
-                   "lp-pivots: 10\n"
+                   "lp-pivots: 3\n"
                    "cuts-added: pack1=0 pack2=1 pack3=0 lcover1=0 lcover2=0\n"
                    "point:\nval 1 1 1\nval 2 2 1\nval 3 1 10/13\n")
 

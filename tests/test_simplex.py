@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from ckp.errors import ValidationError
+from ckp import cuts, simplex
+from ckp.errors import PreconditionError, ValidationError
 from ckp.model import (
     Instance,
     LinearInequality,
@@ -125,3 +128,148 @@ def test_certificate_rejects_tampering(ex_a):
     sol = solve_lp(problem)
     forged = LpSolution(sol.status, sol.value + 1, sol.point, sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged)
+
+
+# --- differential checks against brute force, and certificate forgeries ----
+
+def _random_lp_instance(rng):
+    """Small instance with rational and zero weights and repeated ratios."""
+    groups = []
+    for _ in range(rng.randint(2, 4)):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice((Fraction(0), Fraction(rng.randint(1, 12)),
+                            Fraction(rng.randint(1, 30), rng.randint(2, 5))))
+            c = (a * rng.choice((1, 2)) if rng.random() < 0.4
+                 else Fraction(rng.randint(0, 20), rng.randint(1, 3)))
+            pairs.append((a, c))
+        pairs.sort(key=lambda t: (-t[0], -t[1]))
+        groups.append((tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
+    heaviest = sum(max(g[0]) for g in groups)
+    capacity = heaviest * Fraction(rng.randint(0, 12), 12)
+    return Instance.build(groups, capacity)
+
+
+def _builder_cuts(inst):
+    """Every pack1 and lcover1 cut the builders give on the instance."""
+    found = []
+    for pack in cuts.enumerate_maximal_switching_packs(inst):
+        found.append(cuts.pack_inequality_1(inst, pack).inequality)
+    for refs in product(*([VarRef(i, j) for j in range(1, g.size + 1)]
+                          for i, g in enumerate(inst.groups, start=1))):
+        try:
+            cut = cuts.lifted_cover_inequality_1(inst, cuts.ItemSet.of(refs))
+        except PreconditionError:
+            continue
+        found.append(cut.inequality)
+    return sorted(set(found), key=repr)
+
+
+def _box_lp_optimum(inst, objective, forced):
+    """Max of the objective over the box, the knapsack row and x_forced = 0,
+    by enumerating the box vertices that can be optimal: every 0/1 point
+    that fits, and every 0/1 point with one fractional entry filling the
+    capacity."""
+    refs = [r for r in inst.refs() if r not in forced]
+    b = inst.capacity
+    best = None
+    for bits in product((0, 1), repeat=len(refs)):
+        weight = sum((inst.weight(r) for r, x in zip(refs, bits) if x), Fraction(0))
+        value = sum((objective.get(r, 0) for r, x in zip(refs, bits) if x), Fraction(0))
+        candidates = [value] if weight <= b else []
+        for r, x in zip(refs, bits):
+            a = inst.weight(r)
+            if x == 0 and a > 0 and 0 < b - weight < a:
+                candidates.append(value + objective.get(r, 0) * (b - weight) / a)
+        for v in candidates:
+            if best is None or v > best:
+                best = v
+    return best
+
+
+def test_differential_against_brute_force():
+    rng = random.Random(31337)
+    one_row = with_cuts = 0
+    for _ in range(150):
+        inst = _random_lp_instance(rng)
+        objective = {r: inst.profit(r) for r in inst.refs()}
+        for r in inst.refs():
+            if rng.random() < 0.15:
+                objective[r] = -objective[r] - 1
+        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        pool = _builder_cuts(inst)
+        rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
+        problem = LpProblem.build(inst, objective, rows)
+        sol = solve_lp(problem, forced)
+        assert sol.optimal
+        assert verify_certificate(problem, sol, forced)
+        assert not set(sol.point.support()) & forced
+        box = _box_lp_optimum(inst, objective, forced)
+        if rows:
+            with_cuts += 1
+            # Valid cuts keep every point of S: the LP lies between the
+            # maximum over S (forced variables priced out) and the box LP.
+            priced = {r: (-1 if r in forced else c) for r, c in objective.items()}
+            best, _ = oracle.maximize_over_S(inst, priced)
+            assert best <= sol.value <= box
+        else:
+            one_row += 1
+            assert sol.value == box
+            assert sol.pivots == 0
+            refs = [r for r in inst.refs() if r not in forced]
+            tableau = simplex._solve_bounded(problem, refs)
+            assert tableau.value == sol.value
+            assert verify_certificate(problem, tableau, forced)
+    assert one_row >= 20 and with_cuts >= 20
+
+
+def test_negative_weight_row_uses_the_simplex():
+    # The ratio rule assumes nonnegative weights; a negative one frees
+    # capacity, so x11 = x21 = 1 is optimal here.
+    inst = Instance.build([((-2,), (1,)), ((3,), (1,))], 1)
+    problem = lp_for(inst)
+    sol = solve_lp(problem)
+    assert sol.value == 2
+    assert verify_certificate(problem, sol)
+
+
+def _forgery_problem():
+    # ratios 3, 2, 1/2 and a weightless, profitless x41; capacity 1, so the
+    # closed form takes x11 whole, the critical ratio is 2, and the bound
+    # multipliers are (1, 0, 0, 0).
+    inst = Instance.build([((1,), (3,)), ((1,), (2,)), ((2,), (1,)),
+                           ((0,), (0,))], 1)
+    return lp_for(inst)
+
+
+def test_closed_form_duals():
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    assert sol.value == 3
+    assert sol.duals == (2, 1, 0, 0, 0)
+    assert verify_certificate(problem, sol)
+
+
+@pytest.mark.parametrize("duals, why", [
+    ((2, 2, 0, -1, 0), "negative bound multiplier, all else balanced"),
+    ((2, 1, 0, 0), "duals tuple one bound short"),
+    ((2, 0, 0, 1, 0), "bound multiplier of x11 lowered, sum kept"),
+])
+def test_certificate_rejects_forged_duals(duals, why):
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    forged = LpSolution(sol.status, sol.value, sol.point,
+                        tuple(Fraction(y) for y in duals), sol.pivots)
+    assert not verify_certificate(problem, forged), why
+
+
+def test_certificate_rejects_point_on_forced_variable():
+    problem = _forgery_problem()
+    forced = frozenset({VarRef(4, 1)})
+    sol = solve_lp(problem, forced)
+    assert verify_certificate(problem, sol, forced)
+    # x41 weighs and earns nothing, so only the forced set rules it out
+    entries = sol.point.entries + ((VarRef(4, 1), Fraction(1)),)
+    forged = LpSolution(sol.status, sol.value, Point(entries), sol.duals,
+                        sol.pivots)
+    assert not verify_certificate(problem, forged, forced)

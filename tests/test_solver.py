@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ckp.errors import PreconditionError, ValidationError
+import ckp
+from ckp import simplex, solver
+from ckp.errors import CkpError, PreconditionError, ValidationError
 from ckp.model import (
     Instance,
     VarRef,
@@ -144,3 +150,65 @@ def test_bounds_monotone_under_families(ex_c):
                      ("lcover1", "lcover2")):
         values.add(branch_and_cut(ex_c, SolveConfig(families=families)).value)
     assert values == {36}
+
+
+def _forged_solve_lp(problem, forced_zero=frozenset()):
+    """The true node LP with its value raised by one."""
+    sol = simplex.solve_lp(problem, forced_zero)
+    return simplex.LpSolution(sol.status, sol.value + 1, sol.point, sol.duals,
+                              sol.pivots)
+
+
+def test_forged_lp_solution_is_rejected(monkeypatch, ex_b):
+    monkeypatch.setattr(solver, "solve_lp", _forged_solve_lp)
+    with pytest.raises(CkpError, match="certificate"):
+        branch_and_cut(ex_b)
+
+
+def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
+    # With the certificate check bypassed, the forged value reaches the
+    # incumbent and the final profit check must catch it.
+    monkeypatch.setattr(solver, "solve_lp", _forged_solve_lp)
+    monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
+    with pytest.raises(CkpError, match="incumbent"):
+        branch_and_cut(ex_b)
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from ckp import simplex, solver
+from ckp.errors import CkpError
+from ckp.model import Instance
+
+def forged(problem, forced_zero=frozenset()):
+    sol = simplex.solve_lp(problem, forced_zero)
+    return simplex.LpSolution(sol.status, sol.value + 1, sol.point,
+                              sol.duals, sol.pivots)
+
+solver.solve_lp = forged
+ex_b = Instance.build([((2,), (2,)), ((14, 10), (14, 10)),
+                       ((13, 9), (13, 9)), ((9, 6), (9, 6))], 22)
+for bypass in (False, True):
+    if bypass:
+        solver.verify_certificate = lambda *args: True
+    try:
+        solver.branch_and_cut(ex_b)
+        print("accepted")
+    except CkpError as exc:
+        print("rejected:", exc)
+print("optimize:", sys.flags.optimize)
+"""
+
+
+def test_checks_survive_python_O():
+    package_root = str(Path(ckp.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: node LP solution fails its optimality certificate",
+        "rejected: incumbent profit differs from the reported value",
+        "optimize: 1"], proc.stderr
