@@ -3,10 +3,10 @@
 Submodules:
 
 * ``model``      — instances, points, inequalities, assumptions
-* ``numeric``    — rational parsing/printing, exact linear algebra
+* ``numeric``    — rational parsing/printing, exact affine rank
 * ``fileio``     — the three text formats
 * ``oracle``     — candidate vertices, exact optimization, validity, face dims
-* ``cuts``       — covers/packs and the five cut families
+* ``cuts``       — covers/packs, the five cut families, members per item set
 * ``separation`` — exact and greedy separation, partition reduction
 * ``simplex``    — exact rational LP
 * ``solver``     — branch-and-cut with SOS1 branching

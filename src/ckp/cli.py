@@ -19,8 +19,7 @@ from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
 from .errors import (CkpError, FormatError, PreconditionError,
                      ResourceLimitError, ValidationError)
-from .model import (Instance, Point, VarRef, evaluate, normalize,
-                    validate_assumptions)
+from .model import Instance, Point, VarRef, normalize, validate_assumptions
 from .numeric import format_rational
 
 
@@ -112,46 +111,20 @@ def _cmd_verify(args, out) -> int:
 
 def _iter_family_cuts(instance, family, limit):
     """All theorem-backed cuts of one family, deterministic order."""
-    m0 = instance.singleton_groups()
+    families = (family,)
     if family.startswith("pack"):
-        packs = cuts_mod.enumerate_maximal_switching_packs(instance, limit)
-        for pack in packs:
-            if family == "pack1":
-                yield cuts_mod.pack_inequality_1(instance, pack)
-                continue
-            free = [ref for ref in pack if ref.group not in m0]
-            if len(free) < 2:
-                continue
-            for pivot in free:
-                if family == "pack2":
-                    yield cuts_mod.pack_inequality_2(instance, pack, pivot)
-                else:
-                    for tilt in sorted(set(pack.groups()) & m0):
-                        yield cuts_mod.pack_inequality_3(instance, pack, pivot, tilt)
-    else:
-        oracle.check_enum_limit(instance, limit)
-        b = instance.capacity
-        for pattern in oracle.iter_patterns(instance):
-            refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
-            if not refs:
-                continue
-            itemset = cuts_mod.ItemSet(tuple(refs))
-            if itemset.weight(instance) <= b:
-                continue
-            if family == "lcover1":
-                try:
-                    yield cuts_mod.lifted_cover_inequality_1(instance, itemset)
-                except PreconditionError:
-                    continue
-            else:
-                for special in itemset:
-                    if special.slot >= instance.slots(special.group):
-                        continue
-                    try:
-                        yield cuts_mod.lifted_cover_inequality_2(
-                            instance, itemset, special)
-                    except PreconditionError:
-                        continue
+        for pack in cuts_mod.enumerate_maximal_switching_packs(instance, limit):
+            yield from cuts_mod.family_cuts(instance, pack, families)
+        return
+    oracle.check_enum_limit(instance, limit)
+    b = instance.capacity
+    for pattern in oracle.iter_patterns(instance):
+        refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
+        if not refs:
+            continue
+        itemset = cuts_mod.ItemSet(tuple(refs))
+        if itemset.weight(instance) > b:
+            yield from cuts_mod.family_cuts(instance, itemset, families)
 
 
 def _cmd_cuts(args, out) -> int:

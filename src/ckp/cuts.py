@@ -16,9 +16,16 @@ Families (short names used everywhere, including the CLI):
 * ``pack2``  — pack cut pivoting on one non-singleton last-slot item,
 * ``pack3``  — the pack2 cut tilted toward one singleton pack item.
 
+The three pack families are one inequality: ``pack2`` is ``pack1``
+pivoted on one item and ``pack3`` is ``pack2`` tilted toward one singleton,
+so all three are built by one routine.  ``tilt_pack_inequality`` re-derives
+``pack3`` from ``pack2`` step by step, as an independent check.
+
 Each generator checks its mathematical preconditions and raises
 PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
 the relevant theorem's sufficient condition holds on the instance.
+:func:`family_cuts` lists the members of chosen families that one item set
+gives; exact separation and the ``ckp cuts`` command both walk it.
 """
 
 from __future__ import annotations
@@ -28,10 +35,9 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, VarRef
 from .oracle import resolve_enum_limit
-from .errors import ResourceLimitError
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
@@ -159,9 +165,21 @@ def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     return True
 
 
-def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
-    """Pack cut: weights on all variables of pack groups, extra (b-s) on
-    non-singleton pack items."""
+def _as_ref(ref) -> VarRef:
+    return ref if isinstance(ref, VarRef) else VarRef(*ref)
+
+
+def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
+              tilt_group: Optional[int] = None) -> LinearInequality:
+    """The pack cut, optionally pivoted (pack2) and then tilted (pack3).
+
+    Every pack group's variables start at their weights.  A pivot's group
+    gets a_pivot * max(1, a / (a_pivot + slack)); a tilt shrinks the
+    singleton's coefficient to a_pivot * a_tilt / (a_pivot + slack) and
+    scales the slack by 1 + a_tilt / (a_pivot + slack).  The scaled slack
+    goes to each non-singleton pack item outside the pivot group (the
+    *receivers*), and the rhs is b + (receivers - 1) * scaled slack.
+    """
     _checked(instance, pack)
     b = instance.capacity
     s = pack.weight(instance)
@@ -170,72 +188,64 @@ def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
     m0 = instance.singleton_groups()
     free = [i for i in pack.groups() if i not in m0]  # M_P - M_0
     slack = b - s
+    grown = slack
+    if pivot is not None:
+        if len(free) < 2:
+            raise PreconditionError(
+                "need at least two non-singleton pack groups, have %d" % len(free))
+        if pivot not in pack:
+            raise PreconditionError("pivot %s is not a pack item" % (pivot,))
+        if pivot.group in m0:
+            raise PreconditionError("pivot group %d is a singleton" % pivot.group)
+        if pivot.slot != instance.slots(pivot.group):
+            raise PreconditionError(
+                "pivot %s is not its group's last slot" % (pivot,))
+        a_pivot = instance.weight(pivot)
+        denom = a_pivot + slack
+        if tilt_group is not None:
+            if tilt_group not in m0 or tilt_group not in set(pack.groups()):
+                raise PreconditionError(
+                    "tilt group %d is not a singleton pack group" % tilt_group)
+            grown = slack * (1 + instance.weight(VarRef(tilt_group, 1)) / denom)
     coeffs = {}
     for i in pack.groups():
-        g = instance.group(i)
-        for j in range(1, g.size + 1):
-            coeffs[VarRef(i, j)] = g.weights[j - 1]
+        weights = instance.group(i).weights
+        if pivot is not None and i == pivot.group:
+            # a_pivot * max(1, a / denom), as denom > 0 for nonnegative weights
+            weights = [a_pivot * a / denom if a > denom else a_pivot
+                       for a in weights]
+        elif i == tilt_group:
+            weights = [a_pivot * weights[0] / denom]
+        for j, a in enumerate(weights, start=1):
+            coeffs[VarRef(i, j)] = a
+    receivers = [i for i in free if pivot is None or i != pivot.group]
     for ref in pack:
-        if ref.group not in m0:
-            coeffs[ref] += slack
-    rhs = b + (len(free) - 1) * slack
+        if ref.group in receivers:
+            coeffs[ref] += grown
+    return LinearInequality(coeffs, b + (len(receivers) - 1) * grown)
+
+
+def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
+    """Pack cut: weights on all variables of pack groups, extra (b-s) on
+    non-singleton pack items."""
+    inequality = _pack_cut(instance, pack)
     # The theorem's facet statement needs a non-singleton pack group: its
     # point construction breaks down when M_P is all singletons (and the
     # claim is false there for packs of two or more items).
-    facet = (bool(free) and bool(set(pack.groups()) & m0)
-             and is_maximal_switching_pack(instance, pack))
-    return GeneratedCut("pack1", LinearInequality(coeffs, rhs), pack,
-                        facet_guaranteed=facet)
-
-
-def _check_pivot(instance: Instance, pack: ItemSet, pivot: VarRef):
-    """Shared pack2/pack3 preconditions; returns (s, slack, m0, free)."""
-    _checked(instance, pack)
-    b = instance.capacity
-    s = pack.weight(instance)
-    if s >= b:
-        raise PreconditionError("not a pack: weight %s >= capacity %s" % (s, b))
+    groups = set(pack.groups())
     m0 = instance.singleton_groups()
-    free = [i for i in pack.groups() if i not in m0]
-    if len(free) < 2:
-        raise PreconditionError(
-            "need at least two non-singleton pack groups, have %d" % len(free))
-    if pivot not in pack:
-        raise PreconditionError("pivot %s is not a pack item" % (pivot,))
-    if pivot.group in m0:
-        raise PreconditionError("pivot group %d is a singleton" % pivot.group)
-    if pivot.slot != instance.slots(pivot.group):
-        raise PreconditionError("pivot %s is not its group's last slot" % (pivot,))
-    return s, b - s, m0, free
+    facet = (bool(groups - m0) and bool(groups & m0)
+             and is_maximal_switching_pack(instance, pack))
+    return GeneratedCut("pack1", inequality, pack, facet_guaranteed=facet)
 
 
 def pack_inequality_2(instance: Instance, pack: ItemSet, pivot: VarRef) -> GeneratedCut:
     """Pack cut pivoting on a non-singleton last-slot item: the pivot group's
     lighter slots get scaled-up coefficients."""
-    if not isinstance(pivot, VarRef):
-        pivot = VarRef(*pivot)
-    s, slack, m0, free = _check_pivot(instance, pack, pivot)
-    b = instance.capacity
-    a_pivot = instance.weight(pivot)
-    denom = a_pivot + slack
-    coeffs = {}
-    for i in pack.groups():
-        g = instance.group(i)
-        if i == pivot.group:
-            for j in range(1, g.size + 1):
-                if j == pivot.slot:
-                    coeffs[VarRef(i, j)] = a_pivot
-                else:
-                    coeffs[VarRef(i, j)] = a_pivot * max(_F1, g.weights[j - 1] / denom)
-        else:
-            for j in range(1, g.size + 1):
-                coeffs[VarRef(i, j)] = g.weights[j - 1]
-    for ref in pack:
-        if ref.group not in m0 and ref.group != pivot.group:
-            coeffs[ref] += slack
-    rhs = b + (len(free) - 2) * slack
+    pivot = _as_ref(pivot)
+    inequality = _pack_cut(instance, pack, pivot)
     facet = is_maximal_switching_pack(instance, pack)
-    return GeneratedCut("pack2", LinearInequality(coeffs, rhs), pack,
+    return GeneratedCut("pack2", inequality, pack,
                         facet_guaranteed=facet, pivot=pivot)
 
 
@@ -244,38 +254,11 @@ def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
     """The pack2 cut tilted toward a singleton pack group: its variable's
     coefficient shrinks while the other non-singleton pack items and the
     right-hand side slack grow by the same factor."""
-    if not isinstance(pivot, VarRef):
-        pivot = VarRef(*pivot)
-    s, slack, m0, free = _check_pivot(instance, pack, pivot)
-    if tilt_group not in m0 or tilt_group not in set(pack.groups()):
-        raise PreconditionError(
-            "tilt group %d is not a singleton pack group" % tilt_group)
-    b = instance.capacity
-    a_pivot = instance.weight(pivot)
-    denom = a_pivot + slack
-    tilt_ref = VarRef(tilt_group, 1)
-    factor = instance.weight(tilt_ref) / denom
-    coeffs = {}
-    for i in pack.groups():
-        g = instance.group(i)
-        if i == pivot.group:
-            for j in range(1, g.size + 1):
-                if j == pivot.slot:
-                    coeffs[VarRef(i, j)] = a_pivot
-                else:
-                    coeffs[VarRef(i, j)] = a_pivot * max(_F1, g.weights[j - 1] / denom)
-        elif i == tilt_group:
-            coeffs[tilt_ref] = a_pivot * instance.weight(tilt_ref) / denom
-        else:
-            for j in range(1, g.size + 1):
-                coeffs[VarRef(i, j)] = g.weights[j - 1]
-    for ref in pack:
-        if ref.group not in m0 and ref.group != pivot.group:
-            coeffs[ref] += slack * (1 + factor)
-    rhs = b + (len(free) - 2) * slack * (1 + factor)
-    remainder = ItemSet.of(ref for ref in pack if ref != tilt_ref)
+    pivot = _as_ref(pivot)
+    inequality = _pack_cut(instance, pack, pivot, tilt_group)
+    remainder = ItemSet.of(ref for ref in pack if ref.group != tilt_group)
     facet = is_maximal_switching_pack(instance, remainder)
-    return GeneratedCut("pack3", LinearInequality(coeffs, rhs), pack,
+    return GeneratedCut("pack3", inequality, pack,
                         facet_guaranteed=facet, pivot=pivot, tilt_group=tilt_group)
 
 
@@ -346,8 +329,7 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
 
     The special item must not sit on its group's last slot; the remaining
     cover items (slots t_i) are lifted within their groups."""
-    if not isinstance(special, VarRef):
-        special = VarRef(*special)
+    special = _as_ref(special)
     _checked(instance, cover)
     b = instance.capacity
     s = cover.weight(instance)
@@ -384,6 +366,51 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
                 for ref in cover if ref.group != special.group)
     return GeneratedCut("lcover2", LinearInequality(coeffs, b), cover,
                         facet_guaranteed=facet, special=special)
+
+
+def family_cuts(instance: Instance, itemset: ItemSet, families):
+    """Every member of ``families`` that one item set gives, in order.
+
+    Pass pack families for a pack and cover families for a cover.  Per
+    family: ``pack1`` once; ``pack2`` once per non-singleton last-slot
+    pivot and ``pack3`` once per such pivot and singleton tilt group, both
+    only when the pack has two non-singleton groups; ``lcover1`` once and
+    ``lcover2`` once per in-cover item above its group's last slot, each
+    skipped when its lifting condition fails.  Builders are looked up by
+    their module names at each call, so a wrapper set on this module (as
+    the benchmark's tracer sets one) sees every build.
+    """
+    if "pack1" in families:
+        yield pack_inequality_1(instance, itemset)
+    if "pack2" in families or "pack3" in families:
+        m0 = instance.singleton_groups()
+        groups = itemset.groups()
+        if len([i for i in groups if i not in m0]) >= 2:
+            singles = sorted(i for i in groups if i in m0)
+            for pivot in itemset:
+                if pivot.group in m0 or pivot.slot != instance.slots(pivot.group):
+                    continue
+                if "pack2" in families:
+                    yield pack_inequality_2(instance, itemset, pivot)
+                if "pack3" in families:
+                    for tilt in singles:
+                        yield pack_inequality_3(instance, itemset, pivot, tilt)
+    if "lcover1" in families:
+        try:
+            cut = lifted_cover_inequality_1(instance, itemset)
+        except PreconditionError:
+            pass
+        else:
+            yield cut
+    if "lcover2" in families:
+        for special in itemset:
+            if special.slot >= instance.slots(special.group):
+                continue
+            try:
+                cut = lifted_cover_inequality_2(instance, itemset, special)
+            except PreconditionError:
+                continue
+            yield cut
 
 
 def enumerate_maximal_switching_packs(instance: Instance,

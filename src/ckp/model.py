@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
 
@@ -229,12 +229,20 @@ def evaluate(instance: Instance, inequality: LinearInequality, point: Point) -> 
     """Exact left-hand side and violation of ``inequality`` at ``point``."""
     _check_refs(instance, inequality.support())
     _check_refs(instance, point.support())
-    lhs = Fraction(0)
+    lhs = lhs_at(inequality, point)
+    return Evaluation(lhs, lhs - inequality.rhs)
+
+
+def lhs_at(inequality: LinearInequality, point: Point) -> Fraction:
+    """Exact left-hand side of ``inequality`` at ``point``, references
+    unchecked (see :func:`evaluate` for the checked form)."""
+    lhs = _F0
+    value = point.value
     for ref, coefficient in inequality.terms:
-        x = point.value(ref)
+        x = value(ref)
         if x:
             lhs += coefficient * x
-    return Evaluation(lhs, lhs - inequality.rhs)
+    return lhs
 
 
 def knapsack_row(instance: Instance) -> LinearInequality:

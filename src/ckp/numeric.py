@@ -1,15 +1,17 @@
-"""Exact rational scalars and small exact linear algebra helpers.
+"""Exact rational scalars and the exact affine rank.
 
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` with an optional leading minus sign and q > 0; parsing
-canonicalizes (lowest terms, sign on the numerator).
+canonicalizes (lowest terms, sign on the numerator).  :func:`affine_rank`
+is the one rank routine; ``oracle.face_dimension`` streams its tight
+candidate vertices into it with a cap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError
 
@@ -39,45 +41,30 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix via Gaussian elimination."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = prow[col]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col]
-            if factor == 0:
-                continue
-            row = work[r]
-            scale = factor / inv
-            for c in range(col, ncols):
-                row[c] -= scale * prow[c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def affine_rank(vectors: Iterable[Sequence[Fraction]],
+                cap: Optional[int] = None) -> int:
+    """Dimension of the affine hull of ``vectors`` (-1 for none).
 
-
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of ``points`` (-1 for the empty set).
-
-    Points are dense coordinate vectors of equal length.
+    Vectors are equal-length sequences of Fractions, consumed one at a time
+    by incremental Gaussian elimination against the first.  With ``cap``
+    the scan stops as soon as the rank reaches it, pulling no further
+    vector, and the result is ``min(rank, cap)``.
     """
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(diffs)
+    base = None
+    basis = []  # insertion-ordered echelon rows, pivot normalized to 1
+    for vec in vectors:
+        if base is None:
+            base = vec
+        else:
+            row = [x - y for x, y in zip(vec, base)]
+            for pivot_col, basis_row in basis:
+                factor = row[pivot_col]
+                if factor:
+                    row = [x - factor * y for x, y in zip(row, basis_row)]
+            for col, x in enumerate(row):
+                if x != 0:
+                    basis.append((col, [entry / x for entry in row]))
+                    break
+        if cap is not None and len(basis) >= cap:
+            break
+    return -1 if base is None else len(basis)

@@ -20,7 +20,8 @@ from itertools import product
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .model import Instance, LinearInequality, Point, VarRef, evaluate
+from .model import Instance, LinearInequality, Point, VarRef, lhs_at
+from .numeric import affine_rank
 from .simplex import fill_knapsack
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
@@ -144,32 +145,6 @@ def check_validity(instance: Instance, inequality: LinearInequality,
     return ValidityResult(False, value, argmax)
 
 
-def _streaming_affine_rank(vectors, cap: int) -> int:
-    """Affine rank of an iterable of equal-length tuples, stopping at cap."""
-    base = None
-    basis = []  # insertion-ordered echelon rows, pivot normalized to 1
-    rank = 0
-    for vec in vectors:
-        if base is None:
-            base = vec
-            continue
-        if rank >= cap:
-            break
-        row = [x - y for x, y in zip(vec, base)]
-        for pivot_col, basis_row in basis:
-            factor = row[pivot_col]
-            if factor:
-                row = [x - factor * y for x, y in zip(row, basis_row)]
-        for col, x in enumerate(row):
-            if x != 0:
-                basis.append((col, [entry / x for entry in row]))
-                rank += 1
-                break
-    if base is None:
-        return -1
-    return rank
-
-
 def face_dimension(instance: Instance, inequality: LinearInequality,
                    limit: Optional[int] = None) -> int:
     """Dimension of the face the (valid) inequality induces; -1 if empty.
@@ -186,11 +161,8 @@ def face_dimension(instance: Instance, inequality: LinearInequality,
             witness=result.witness)
     candidates = enumerate_candidate_vertices(instance, limit).points
     rhs = inequality.rhs
-    tight = [p for p in candidates
-             if evaluate(instance, inequality, p).lhs == rhs]
-    if not tight:
-        return -1
+    tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
     refs = instance.refs()
     cap = instance.dimension - 1 if inequality.terms else instance.dimension
     vectors = (tuple(p.value(r) for r in refs) for p in tight)
-    return _streaming_affine_rank(vectors, cap)
+    return affine_rank(vectors, cap)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import cuts as cuts_mod
-from .cuts import FAMILIES, GeneratedCut, ItemSet
+from .cuts import (FAMILIES, GeneratedCut, ItemSet, family_cuts,
+                   is_maximal_switching_pack)
 from .errors import CkpError, PreconditionError, ValidationError
-from .model import Instance, Point, VarRef, weight_of
+from .model import Instance, Point, VarRef, lhs_at, weight_of
 from .oracle import check_enum_limit, iter_patterns
 
 _F0 = Fraction(0)
@@ -55,21 +55,15 @@ def _resolve_families(family: Union[str, Sequence[str], None]):
     return out
 
 
+def _pack_families(families):
+    return tuple(f for f in families if f.startswith("pack"))
+
+
 def _require_lp_feasible(instance: Instance, point: Point) -> None:
     for ref, _ in point.entries:
         instance.check_ref(ref)
     if weight_of(instance, point) > instance.capacity:
         raise PreconditionError("point violates the knapsack row")
-
-
-def _violation(cut: GeneratedCut, point: Point) -> Fraction:
-    lhs = _F0
-    value = point.value
-    for ref, coefficient in cut.inequality.terms:
-        x = value(ref)
-        if x:
-            lhs += coefficient * x
-    return lhs - cut.inequality.rhs
 
 
 class _Best:
@@ -84,7 +78,7 @@ class _Best:
 
     def offer(self, cut: GeneratedCut, point: Point) -> None:
         self.examined += 1
-        violation = _violation(cut, point)
+        violation = lhs_at(cut.inequality, point) - cut.inequality.rhs
         if violation <= 0:
             return
         if (self.violation is None or violation > self.violation
@@ -98,48 +92,6 @@ class _Best:
         return SeparationResult(self.cut, self.violation, stats)
 
 
-def _pack_cuts_for(instance, itemset, m0, families, best, point):
-    """Offer every admissible pack-family cut derived from one pack."""
-    if "pack1" in families:
-        best.offer(cuts_mod.pack_inequality_1(instance, itemset), point)
-    if "pack2" not in families and "pack3" not in families:
-        return
-    group_set = itemset.groups()
-    free = [i for i in group_set if i not in m0]
-    if len(free) < 2:
-        return
-    singles = sorted(i for i in group_set if i in m0)
-    for pivot in itemset:
-        if pivot.group in m0 or pivot.slot != instance.slots(pivot.group):
-            continue
-        if "pack2" in families:
-            best.offer(cuts_mod.pack_inequality_2(instance, itemset, pivot), point)
-        if "pack3" in families:
-            for tilt in singles:
-                best.offer(
-                    cuts_mod.pack_inequality_3(instance, itemset, pivot, tilt),
-                    point)
-
-
-def _cover_cuts_for(instance, itemset, families, best, point):
-    """Offer every admissible lifted-cover cut derived from one cover."""
-    if "lcover1" in families:
-        try:
-            best.offer(cuts_mod.lifted_cover_inequality_1(instance, itemset), point)
-        except PreconditionError:
-            pass
-    if "lcover2" in families:
-        for special in itemset:
-            if special.slot >= instance.slots(special.group):
-                continue
-            try:
-                best.offer(
-                    cuts_mod.lifted_cover_inequality_2(instance, itemset, special),
-                    point)
-            except PreconditionError:
-                pass
-
-
 def separate_exact(instance: Instance, point: Point,
                    family: Union[str, Sequence[str], None] = "all",
                    limit: Optional[int] = None) -> SeparationResult:
@@ -148,10 +100,9 @@ def separate_exact(instance: Instance, point: Point,
     families = _resolve_families(family)
     _require_lp_feasible(instance, point)
     check_enum_limit(instance, limit)
-    want_packs = any(f.startswith("pack") for f in families)
-    want_covers = any(f.startswith("lcover") for f in families)
+    packs = _pack_families(families)
+    covers = tuple(f for f in families if f not in packs)
     b = instance.capacity
-    m0 = instance.singleton_groups()
     weights = [g.weights for g in instance.groups]
     best = _Best()
     for pattern in iter_patterns(instance):
@@ -159,10 +110,10 @@ def separate_exact(instance: Instance, point: Point,
         if not refs:
             continue
         s = sum((weights[ref.group - 1][ref.slot - 1] for ref in refs), _F0)
-        if s < b and want_packs:
-            _pack_cuts_for(instance, ItemSet(tuple(refs)), m0, families, best, point)
-        elif s > b and want_covers:
-            _cover_cuts_for(instance, ItemSet(tuple(refs)), families, best, point)
+        chosen = packs if s < b else covers if s > b else ()
+        if chosen:
+            for cut in family_cuts(instance, ItemSet(tuple(refs)), chosen):
+                best.offer(cut, point)
     return best.result(started)
 
 
@@ -196,15 +147,16 @@ def separate_greedy(instance: Instance, point: Point,
     if not chosen:
         return best.result(started)
     pack = ItemSet.of(chosen)
-    if not cuts_mod.is_maximal_switching_pack(instance, pack):
+    if not is_maximal_switching_pack(instance, pack):
         return best.result(started)
-    m0 = instance.singleton_groups()
     packs = [pack]
     if len(pack) >= 2:
-        for i in sorted(set(pack.groups()) & m0):
+        for i in sorted(set(pack.groups()) & instance.singleton_groups()):
             packs.append(ItemSet.of(r for r in pack if r.group != i))
+    families = _pack_families(families)
     for itemset in packs:
-        _pack_cuts_for(instance, itemset, m0, families, best, point)
+        for cut in family_cuts(instance, itemset, families):
+            best.offer(cut, point)
     return best.result(started)
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures: the worked examples used throughout the docs plus corpus helpers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ckp import cuts
 from ckp.model import Instance
 
 
@@ -75,3 +77,25 @@ def rng():
 def small_corpus(rng):
     """A couple dozen random instances for cheap property checks."""
     return [random_instance(rng) for _ in range(25)]
+
+
+CUT_BUILDERS = ("pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
+                "lifted_cover_inequality_1", "lifted_cover_inequality_2")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Successful calls per cut builder, counted through ``ckp.cuts``' module
+    names (where the benchmark's tracer wraps them as ``cuts.build``)."""
+    counts = Counter()
+
+    def counting(name, builder):
+        def wrapper(*args, **kwargs):
+            cut = builder(*args, **kwargs)
+            counts[name] += 1
+            return cut
+        return wrapper
+
+    for name in CUT_BUILDERS:
+        monkeypatch.setattr(cuts, name, counting(name, getattr(cuts, name)))
+    return counts

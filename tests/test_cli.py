@@ -138,6 +138,23 @@ def test_cuts_verify_flag_resolves_unknown(files, capsys):
     assert "# facet: no" in out  # the two-group pack really is not a facet
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_cuts_all_families_golden(files, capsys):
+    """Family-major listing of every cut of ex_c, frozen byte for byte."""
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
+    assert code == 0
+    assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
+
+
+def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built):
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
+    assert code == 0
+    assert sum(built.values()) == out.count("# family:") == 36
+    assert built["pack_inequality_3"] == out.count("# family: pack3") > 0
+
+
 def test_cuts_lcover_count(files, capsys):
     code, out = run(capsys, "cuts", files["ex_b.ckp"], "--family", "lcover1")
     assert code == 0

@@ -5,6 +5,7 @@ on paper from the instance data and confirmed valid/facet by the enumeration
 oracle before being frozen here.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from ckp.fileio import serialize_inequality
 from ckp.model import VarRef, knapsack_row
 from ckp import cuts, oracle
 
-from conftest import make_instance
+from conftest import make_instance, random_instance
 
 
 def refs(*pairs):
@@ -237,6 +238,28 @@ def test_tilting_identity(ex_c):
             for i in tiltable:
                 direct = cuts.pack_inequality_3(ex_c, pack, VarRef(*pivot), i)
                 assert cuts.tilt_pack_inequality(ex_c, base, i) == direct.inequality
+
+
+def test_tilting_identity_random():
+    """The same identity over every maximal switching pack, admissible pivot
+    and singleton tilt group of seeded random instances."""
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(150):
+        inst = random_instance(rng, max_groups=7, max_slots=3)
+        m0 = inst.singleton_groups()
+        for pack in cuts.enumerate_maximal_switching_packs(inst):
+            pivots = [ref for ref in pack if ref.group not in m0]
+            if len(pivots) < 2:
+                continue
+            for pivot in pivots:
+                base = cuts.pack_inequality_2(inst, pack, pivot)
+                for i in sorted(set(pack.groups()) & m0):
+                    direct = cuts.pack_inequality_3(inst, pack, pivot, i)
+                    assert (cuts.tilt_pack_inequality(inst, base, i)
+                            == direct.inequality)
+                    checked += 1
+    assert checked >= 200
 
 
 def test_pack3_preconditions(ex_c):

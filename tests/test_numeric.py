@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ckp.errors import FormatError
-from ckp.numeric import affine_rank, format_rational, matrix_rank, parse_rational
+from ckp.numeric import affine_rank, format_rational, parse_rational
 
 
 class TestParseRational:
@@ -34,23 +34,42 @@ def test_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
-def test_matrix_rank_small():
+def test_affine_rank_small():
+    # the rank of rows r is the affine rank of the points {0} and r
     one = Fraction(1)
     zero = Fraction(0)
-    assert matrix_rank([]) == 0
-    assert matrix_rank([[zero, zero]]) == 0
-    assert matrix_rank([[one, zero], [zero, one]]) == 2
+    origin = [zero, zero]
+    assert affine_rank([origin]) == 0
+    assert affine_rank([origin, [zero, zero]]) == 0
+    assert affine_rank([origin, [one, zero], [zero, one]]) == 2
     # second row is a multiple of the first
-    assert matrix_rank([[one, Fraction(2)], [Fraction(3), Fraction(6)]]) == 1
+    assert affine_rank([origin, [one, Fraction(2)],
+                        [Fraction(3), Fraction(6)]]) == 1
 
 
-def test_matrix_rank_rectangular():
+def test_affine_rank_rectangular():
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    assert matrix_rank(rows) == 2
+    assert affine_rank([[Fraction(0)] * 3] + rows) == 2
+
+
+def test_affine_rank_cap_stops_pulling():
+    """The scan stops at the vector that brings the rank to the cap."""
+    pulled = []
+
+    def vectors():
+        for k in range(6):
+            pulled.append(k)
+            if len(pulled) > 4:  # one past the vector that reaches cap 2
+                raise AssertionError("pulled a vector past the cap")
+            yield [Fraction(k), Fraction(k * k)]
+
+    assert affine_rank(vectors(), cap=2) == 2
+    assert affine_rank(iter([[Fraction(1)]]), cap=0) == 0
+    assert affine_rank(iter([]), cap=3) == -1
 
 
 def test_affine_rank_basics():

@@ -61,6 +61,15 @@ def test_exact_single_family(ex_c, frac_point):
     assert r.cut.items.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2))
 
 
+@pytest.mark.parametrize("family, examined", [("all", 245), ("pack2", 75)])
+def test_examined_counts_every_built_cut(ex_c, frac_point, built, family,
+                                         examined):
+    # every cut is built through the public builder names, once per offer
+    r = separate_exact(ex_c, frac_point, family)
+    assert r.stats.examined == examined
+    assert sum(built.values()) == examined
+
+
 def test_exact_family_list(ex_c, frac_point):
     r = separate_exact(ex_c, frac_point, ("pack1", "pack2"))
     assert r.found and r.cut.family in ("pack1", "pack2")
