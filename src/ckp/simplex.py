@@ -4,6 +4,12 @@ Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}, where the
 rows are the instance's knapsack row plus any cut rows and the variables
 forced to zero are left out.  The bounds x <= 1 are never written as rows.
 
+Every weight and every row's right-hand side must be nonnegative
+(:class:`LpProblem` checks this), so x = 0 is feasible.  Every LP the solver
+builds meets this: normalized instances have nonnegative weights and
+capacity, and the origin lies in S, so every inequality valid for S has a
+nonnegative right-hand side.
+
 * **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
   by Dantzig's ratio rule (:func:`fill_knapsack`): nonpositive profits are
   dropped, weight-zero items are taken outright, and the rest are taken
@@ -13,14 +19,12 @@ forced to zero are left out.  The bounds x <= 1 are never written as rows.
   first item not taken whole), or 0 when every item fits, and the bound
   multiplier of x_j is max(0, c_j - ratio * a_j).
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
-  holds the problem rows only.  Upper bounds are handled by bound flips: a
-  variable at its upper bound is complemented (x' = 1 - x), so every
-  nonbasic variable sits at zero.  Bland's rule (smallest eligible index,
-  both for entering and leaving, the entering variable's own bound flip
-  included) guarantees termination; a first phase with artificial
-  variables handles rows with negative right-hand sides, so infeasibility
-  is detected rather than mis-reported.  The bound multipliers are the
-  positive reduced costs.
+  holds the problem rows only, starting from the slack basis (x = 0).
+  Upper bounds are handled by bound flips: a variable at its upper bound is
+  complemented (x' = 1 - x), so every nonbasic variable sits at zero.
+  Bland's rule (smallest eligible index, both for entering and leaving, the
+  entering variable's own bound flip included) guarantees termination.  The
+  bound multipliers are the positive reduced costs.
 
 The duals hold one multiplier y_r per problem row, in order, then one
 bound multiplier u_j per variable not forced to zero, in
@@ -35,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
 
 from .errors import CkpError, ValidationError
 from .model import Instance, Point, knapsack_row
@@ -49,8 +52,10 @@ _ratio_key = itemgetter(0)
 class LpProblem:
     """LP relaxation data: instance variables, rows (knapsack first), objective.
 
-    ``rows`` must contain the instance's knapsack row exactly once; bounds
-    0 <= x <= 1 are implicit and handled by the solver.
+    ``rows`` must contain the instance's knapsack row exactly once, and
+    every weight and every row's right-hand side must be nonnegative, so
+    that x = 0 is feasible; bounds 0 <= x <= 1 are implicit and handled by
+    the solver.
     """
 
     instance: Instance
@@ -61,6 +66,10 @@ class LpProblem:
         knap = knapsack_row(self.instance)
         if sum(1 for row in self.rows if row == knap) != 1:
             raise ValidationError("rows must include the knapsack row exactly once")
+        if (any(a < 0 for _, a in knap.terms)
+                or any(row.rhs < 0 for row in self.rows)):
+            raise ValidationError(
+                "LP needs nonnegative weights and right-hand sides")
 
     @classmethod
     def build(cls, instance: Instance, objective, extra_rows=()) -> "LpProblem":
@@ -79,15 +88,10 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible"
-    value: Optional[Fraction]
-    point: Optional[Point]
+    value: Fraction
+    point: Point
     duals: tuple  # problem rows, then one bound per unforced variable
     pivots: int
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 def fill_knapsack(items, capacity):
@@ -128,25 +132,19 @@ def fill_knapsack(items, capacity):
     return value, entries, None
 
 
-def _solve_knapsack(problem: LpProblem, refs) -> Optional[LpSolution]:
-    """The closed form for a knapsack row alone; None if a weight or the
-    capacity is negative, where the ratio rule does not apply."""
+def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
+    """The closed form for a knapsack row alone."""
     instance = problem.instance
-    capacity = instance.capacity
-    if capacity < 0:
-        return None
     objective = problem.objective_map()
     items = []
     for ref in refs:
         a = instance.groups[ref.group - 1].weights[ref.slot - 1]
-        if a < 0:
-            return None
         items.append((ref, a, objective.get(ref, _F0)))
-    value, entries, ratio = fill_knapsack(items, capacity)
+    value, entries, ratio = fill_knapsack(items, instance.capacity)
     y = _F0 if ratio is None else ratio
     whole = {ref for ref, x in entries if x == 1}
     bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
-    return LpSolution("optimal", value, Point(entries), (y,) + bounds, 0)
+    return LpSolution(value, Point(entries), (y,) + bounds, 0)
 
 
 class _BoundedTableau:
@@ -155,25 +153,18 @@ class _BoundedTableau:
 
     Each row reads ``basic + sum(T[c] * x_c) = rhs`` (rhs in the last
     column), ``zrow`` holds the reduced costs, and ``flipped[c]`` records
-    that column c stands for 1 - x_c.
+    that column c stands for 1 - x_c.  The start is the slack basis: the
+    slack of row r is column ``nbounded + r``, and the slacks cost nothing,
+    so the reduced costs start as the costs.
     """
 
-    def __init__(self, matrix, basis, nbounded):
+    def __init__(self, matrix, cost, nbounded):
         self.matrix = matrix
-        self.basis = basis
+        self.basis = list(range(nbounded, nbounded + len(matrix)))
         self.nbounded = nbounded
         self.flipped = [False] * nbounded
-        self.zrow = None
+        self.zrow = list(cost) + [_F0]
         self.pivots = 0
-
-    def price(self, cost):
-        """Reduced costs of ``cost`` (per column, in the flipped variables)."""
-        zrow = list(cost) + [_F0]
-        for bcol, line in zip(self.basis, self.matrix):
-            cb = cost[bcol]
-            if cb:
-                zrow = [z - cb * t if t else z for z, t in zip(zrow, line)]
-        self.zrow = zrow
 
     def pivot(self, row, col):
         m = self.matrix
@@ -251,65 +242,25 @@ class _BoundedTableau:
 
 
 def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
-    """Two-phase bounded-variable simplex over the problem rows."""
+    """Bounded-variable simplex over the problem rows, from the slack basis."""
     col_of = {ref: idx for idx, ref in enumerate(refs)}
     nvars = len(refs)
     rows = problem.rows
     nrows = len(rows)
-    # columns: structural vars, slacks, artificials, rhs
-    ncols = nvars + nrows + sum(1 for row in rows if row.rhs < 0)
+    # columns: structural vars, slacks, rhs
     matrix = []
-    basis = []
-    art_cols = []
     for r, row in enumerate(rows):
-        line = [_F0] * (ncols + 1)
+        line = [_F0] * (nvars + nrows + 1)
         for ref, coeff in row.terms:
             c = col_of.get(ref)
             if c is not None:
                 line[c] = coeff
         line[nvars + r] = _F1
         line[-1] = row.rhs
-        if row.rhs < 0:
-            line = [-t for t in line]
-            col = nvars + nrows + len(art_cols)
-            line[col] = _F1
-            art_cols.append(col)
-            basis.append(col)
-        else:
-            basis.append(nvars + r)
         matrix.append(line)
-    tab = _BoundedTableau(matrix, basis, nvars)
-
-    if art_cols:
-        phase1 = [_F0] * ncols
-        for c in art_cols:
-            phase1[c] = Fraction(-1)  # maximize -(sum of artificials)
-        tab.price(phase1)
-        tab.run()
-        art_set = set(art_cols)
-        infeasibility = sum((tab.matrix[r][-1] for r, bcol in enumerate(tab.basis)
-                             if bcol in art_set), _F0)
-        if infeasibility > 0:
-            return LpSolution("infeasible", None, None, (), tab.pivots)
-        # Drive any degenerate artificial out of the basis if possible; its
-        # row has rhs 0, so the entering variable keeps its bound value.
-        for r, bcol in enumerate(list(tab.basis)):
-            if bcol in art_set:
-                for c in range(nvars + nrows):
-                    if tab.matrix[r][c] != 0:
-                        tab.pivot(r, c)
-                        break
-        # Blank out artificial columns so phase 2 never re-enters them.
-        for line in tab.matrix:
-            for c in art_cols:
-                line[c] = _F0
-
     objective = problem.objective_map()
-    cost = [_F0] * ncols
-    for c, ref in enumerate(refs):
-        coeff = objective.get(ref, _F0)
-        cost[c] = -coeff if tab.flipped[c] else coeff
-    tab.price(cost)
+    cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
+    tab = _BoundedTableau(matrix, cost, nvars)
     tab.run()
 
     xs = [_F0] * nvars
@@ -328,19 +279,16 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
         if xs[c]:
             value += objective.get(ref, _F0) * xs[c]
     point = Point(zip(refs, xs))
-    # Multiplier of row r is the negated reduced cost of its slack; the sign
-    # works out the same for rows that were negated for phase 1.
+    # Multiplier of row r is the negated reduced cost of its slack.
     duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
-    return LpSolution("optimal", value, point, duals, tab.pivots)
+    return LpSolution(value, point, duals, tab.pivots)
 
 
 def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
     """Exact optimum of the boxed LP, minus any forced-to-zero variables."""
     refs = [r for r in problem.instance.refs() if r not in forced_zero]
     if len(problem.rows) == 1:
-        solution = _solve_knapsack(problem, refs)
-        if solution is not None:
-            return solution
+        return _solve_knapsack(problem, refs)
     return _solve_bounded(problem, refs)
 
 
@@ -349,8 +297,6 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
     """Exact optimality check from the problem and the solution alone:
     primal feasible, dual feasible, and primal value = dual value = the
     reported value."""
-    if not solution.optimal:
-        return False
     instance = problem.instance
     refs = [r for r in instance.refs() if r not in forced_zero]
     rows = problem.rows

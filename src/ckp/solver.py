@@ -132,10 +132,6 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     heap = [(float("-inf"), counter, BranchNode(frozenset(), None))]
     limit_hit = False
 
-    def rebuild_problem():
-        return LpProblem.build(instance, objective,
-                               tuple(cut.inequality for cut in pool))
-
     while heap:
         neg_bound, _, node = heapq.heappop(heap)
         bound = node.parent_bound
@@ -149,8 +145,6 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
         nodes += 1
         solution = solve_lp(problem, node.forced_zero)
         pivots += solution.pivots
-        if not solution.optimal:
-            continue
         _check_certificate(problem, solution, node.forced_zero)
         value, point = solution.value, solution.point
 
@@ -170,11 +164,10 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             pool_rows.add(sep.cut.inequality)
             cuts_per_family[sep.cut.family] += 1
             added_here += 1
-            problem = rebuild_problem()
+            problem = LpProblem(instance, problem.rows + (sep.cut.inequality,),
+                                problem.objective)
             solution = solve_lp(problem, node.forced_zero)
             pivots += solution.pivots
-            if not solution.optimal:
-                raise CkpError("LP became infeasible after adding a valid cut")
             _check_certificate(problem, solution, node.forced_zero)
             value, point = solution.value, solution.point
 

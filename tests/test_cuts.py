@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from ckp.errors import PreconditionError, ValidationError
 from ckp.fileio import serialize_inequality
-from ckp.model import VarRef, knapsack_row
+from ckp.model import VarRef
 from ckp import cuts, oracle
 
 from conftest import make_instance, random_instance

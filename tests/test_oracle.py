@@ -11,7 +11,6 @@ import pytest
 
 from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.model import (
-    Instance,
     LinearInequality,
     Point,
     VarRef,
@@ -22,7 +21,7 @@ from ckp.model import (
 )
 from ckp import oracle
 
-from conftest import make_instance, random_instance
+from conftest import make_instance
 
 
 # --- independent enumeration (recursion instead of itertools, own dedup) ---

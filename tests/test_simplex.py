@@ -17,7 +17,7 @@ from ckp.model import (
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
-from conftest import make_instance, random_instance
+from conftest import make_instance
 
 
 def lp_for(inst, extra_rows=()):
@@ -27,7 +27,6 @@ def lp_for(inst, extra_rows=()):
 def test_single_variable_bound_binds():
     inst = make_instance([(2,)], 21)
     sol = solve_lp(LpProblem.build(inst, {VarRef(1, 1): Fraction(1)}))
-    assert sol.optimal
     assert sol.value == 1
     assert sol.point.value(VarRef(1, 1)) == 1
 
@@ -35,7 +34,7 @@ def test_single_variable_bound_binds():
 def test_zero_capacity():
     inst = make_instance([(2,)], 0)
     sol = solve_lp(lp_for(inst))
-    assert sol.optimal and sol.value == 0
+    assert sol.value == 0
     assert sol.point.entries == ()
 
 
@@ -48,7 +47,7 @@ def test_fractional_optimum():
 
 def test_zero_objective(ex_a):
     sol = solve_lp(LpProblem.build(ex_a, {}))
-    assert sol.optimal and sol.value == 0
+    assert sol.value == 0
 
 
 def test_example_relaxation(ex_a):
@@ -60,30 +59,24 @@ def test_example_relaxation(ex_a):
     assert all(y >= 0 for y in sol.duals)
 
 
-def test_infeasible_detected(ex_a):
-    # x11 >= 2 contradicts the upper bound x11 <= 1
-    force = LinearInequality([(VarRef(1, 1), Fraction(-1))], Fraction(-2))
-    sol = solve_lp(lp_for(ex_a, extra_rows=(force,)))
-    assert sol.status == "infeasible"
-    assert not sol.optimal
-    assert sol.value is None and sol.point is None
-
-
-def test_feasible_negative_rhs_row(ex_a):
-    # x11 >= 1/2 is satisfiable; phase one must drive the artificial out
-    force = LinearInequality([(VarRef(1, 1), Fraction(-1))], Fraction(-1, 2))
-    problem = lp_for(ex_a, extra_rows=(force,))
-    sol = solve_lp(problem)
-    assert sol.optimal
-    assert sol.point.value(VarRef(1, 1)) >= Fraction(1, 2)
-    assert verify_certificate(problem, sol)
+@pytest.mark.parametrize("groups, capacity, extra_rows", [
+    # x11 >= 1/2: a cut row with a negative right-hand side, which no
+    # inequality valid for S has, since 0 is in S
+    ([((2,), (2,)), ((3,), (3,))], 4,
+     (LinearInequality([(VarRef(1, 1), -1)], Fraction(-1, 2)),)),
+    ([((2,), (2,)), ((3,), (3,))], -1, ()),   # negative capacity
+    ([((-2,), (1,)), ((3,), (1,))], 1, ()),   # negative weight
+], ids=["negative-rhs-cut", "negative-capacity", "negative-weight"])
+def test_lp_requires_the_origin_feasible(groups, capacity, extra_rows):
+    inst = Instance.build(groups, capacity)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        lp_for(inst, extra_rows)
 
 
 def test_forced_zero_columns(ex_a):
     problem = lp_for(ex_a)
     banned = frozenset({VarRef(3, 1), VarRef(4, 1), VarRef(5, 1)})
     sol = solve_lp(problem, forced_zero=banned)
-    assert sol.optimal
     for ref in banned:
         assert sol.point.value(ref) == 0
     assert verify_certificate(problem, sol, forced_zero=banned)
@@ -108,7 +101,6 @@ def test_relaxation_bounds_the_oracle(small_corpus):
     for inst in small_corpus:
         problem = lp_for(inst)
         sol = solve_lp(problem)
-        assert sol.optimal
         assert verify_certificate(problem, sol)
         assert is_lp_feasible(inst, sol.point)
         best, _ = oracle.maximize_over_S(inst, problem.objective_map())
@@ -126,7 +118,7 @@ def test_duals_price_the_optimum(small_corpus):
 def test_certificate_rejects_tampering(ex_a):
     problem = lp_for(ex_a)
     sol = solve_lp(problem)
-    forged = LpSolution(sol.status, sol.value + 1, sol.point, sol.duals, sol.pivots)
+    forged = LpSolution(sol.value + 1, sol.point, sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged)
 
 
@@ -201,7 +193,6 @@ def test_differential_against_brute_force():
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
         problem = LpProblem.build(inst, objective, rows)
         sol = solve_lp(problem, forced)
-        assert sol.optimal
         assert verify_certificate(problem, sol, forced)
         assert not set(sol.point.support()) & forced
         box = _box_lp_optimum(inst, objective, forced)
@@ -221,16 +212,6 @@ def test_differential_against_brute_force():
             assert tableau.value == sol.value
             assert verify_certificate(problem, tableau, forced)
     assert one_row >= 20 and with_cuts >= 20
-
-
-def test_negative_weight_row_uses_the_simplex():
-    # The ratio rule assumes nonnegative weights; a negative one frees
-    # capacity, so x11 = x21 = 1 is optimal here.
-    inst = Instance.build([((-2,), (1,)), ((3,), (1,))], 1)
-    problem = lp_for(inst)
-    sol = solve_lp(problem)
-    assert sol.value == 2
-    assert verify_certificate(problem, sol)
 
 
 def _forgery_problem():
@@ -258,7 +239,7 @@ def test_closed_form_duals():
 def test_certificate_rejects_forged_duals(duals, why):
     problem = _forgery_problem()
     sol = solve_lp(problem)
-    forged = LpSolution(sol.status, sol.value, sol.point,
+    forged = LpSolution(sol.value, sol.point,
                         tuple(Fraction(y) for y in duals), sol.pivots)
     assert not verify_certificate(problem, forged), why
 
@@ -270,6 +251,5 @@ def test_certificate_rejects_point_on_forced_variable():
     assert verify_certificate(problem, sol, forced)
     # x41 weighs and earns nothing, so only the forced set rules it out
     entries = sol.point.entries + ((VarRef(4, 1), Fraction(1)),)
-    forged = LpSolution(sol.status, sol.value, Point(entries), sol.duals,
-                        sol.pivots)
+    forged = LpSolution(sol.value, Point(entries), sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged, forced)

@@ -11,12 +11,11 @@ from ckp import simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
 from ckp.model import (
     Instance,
-    VarRef,
     is_feasible,
     profit_of,
     validate_assumptions,
 )
-from ckp.solver import SolveConfig, SolveReport, branch_and_cut
+from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
 from conftest import make_instance, random_instance
@@ -94,6 +93,14 @@ def test_rejects_unnormalized():
         branch_and_cut(inst)
 
 
+def test_rejects_negative_capacity():
+    # Normalized and past the assumption checks, so the node LP must reject
+    # it rather than the final incumbent check.
+    inst = Instance.build([((3, 2), (3, 2)), ((4,), (4,))], -1)
+    with pytest.raises(ValidationError):
+        branch_and_cut(inst)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         SolveConfig(families=("bogus",))
@@ -155,8 +162,7 @@ def test_bounds_monotone_under_families(ex_c):
 def _forged_solve_lp(problem, forced_zero=frozenset()):
     """The true node LP with its value raised by one."""
     sol = simplex.solve_lp(problem, forced_zero)
-    return simplex.LpSolution(sol.status, sol.value + 1, sol.point, sol.duals,
-                              sol.pivots)
+    return simplex.LpSolution(sol.value + 1, sol.point, sol.duals, sol.pivots)
 
 
 def test_forged_lp_solution_is_rejected(monkeypatch, ex_b):
@@ -182,8 +188,8 @@ from ckp.model import Instance
 
 def forged(problem, forced_zero=frozenset()):
     sol = simplex.solve_lp(problem, forced_zero)
-    return simplex.LpSolution(sol.status, sol.value + 1, sol.point,
-                              sol.duals, sol.pivots)
+    return simplex.LpSolution(sol.value + 1, sol.point, sol.duals,
+                              sol.pivots)
 
 solver.solve_lp = forged
 ex_b = Instance.build([((2,), (2,)), ((14, 10), (14, 10)),
