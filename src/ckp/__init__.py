@@ -18,13 +18,13 @@ from .errors import (CkpError, FormatError, PreconditionError,
 from .model import (AssumptionReport, Group, Instance, LinearInequality,
                     Point, VarRef, evaluate, knapsack_row, normalize,
                     validate_assumptions)
-from .numeric import Rational, format_rational, parse_rational
+from .numeric import format_rational, parse_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionReport", "CkpError", "FormatError", "Group", "Instance",
-    "LinearInequality", "Point", "PreconditionError", "Rational",
+    "LinearInequality", "Point", "PreconditionError",
     "ResourceLimitError", "ValidationError", "VarRef", "evaluate",
     "format_rational", "knapsack_row", "normalize", "parse_rational",
     "validate_assumptions", "__version__",

@@ -18,14 +18,20 @@ Families (short names used everywhere, including the CLI):
 
 The three pack families are one inequality: ``pack2`` is ``pack1``
 pivoted on one item and ``pack3`` is ``pack2`` tilted toward one singleton,
-so all three are built by one routine.  ``tilt_pack_inequality`` re-derives
-``pack3`` from ``pack2`` step by step, as an independent check.
+so all three are built by one routine.
 
 Each generator checks its mathematical preconditions and raises
 PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
 the relevant theorem's sufficient condition holds on the instance.
-:func:`family_cuts` lists the members of chosen families that one item set
-gives; exact separation and the ``ckp cuts`` command both walk it.
+:func:`family_cuts` builds the members of chosen families that one item set
+gives; the ``ckp cuts`` command and greedy separation walk it.
+
+Next to each builder sits its closed form: the member's violation at one
+point, computed from the point's per-group support (:class:`PointSupport`)
+without building the cut.  :func:`family_scores` lists the same members as
+:func:`family_cuts`, scored that way, and :func:`build_member` builds one
+member from its provenance key; exact separation scores every member and
+builds only the winner.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -42,6 +49,7 @@ from .oracle import resolve_enum_limit
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 
+_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -165,6 +173,42 @@ def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     return True
 
 
+class PointSupport:
+    """One point's positive entries, grouped for the closed-form violations,
+    and the instance's weights in integer units for the preconditions.
+
+    Per group i (list index i - 1): ``weights``; ``entries`` as
+    ``(slot, weight, value)`` for the point's positive variables; ``mass``
+    W_i = sum_j a_ij x_ij; ``units``, the weights times ``scale``, the least
+    common denominator of the weights and the capacity, so that an item
+    set's weight and every precondition compare exact integers; and
+    ``lighter[r - 1]``, in units, how far the weight falls when the chosen
+    slot r moves to its lightest later slot (for r below the last slot).
+    """
+
+    __slots__ = ("b", "m0", "weights", "entries", "mass", "value", "scale",
+                 "units", "capacity_units", "lighter")
+
+    def __init__(self, instance: Instance, point):
+        self.b = instance.capacity
+        self.m0 = instance.singleton_groups()
+        self.weights = [g.weights for g in instance.groups]
+        entries = [[] for _ in instance.groups]
+        for ref, x in point.entries:
+            entries[ref.group - 1].append((ref.slot, instance.weight(ref), x))
+        self.entries = [tuple(e) for e in entries]
+        self.mass = [sum((a * x for _, a, x in e), _F0) for e in entries]
+        self.value = point.value
+        scale = lcm(self.b.denominator,
+                    *(a.denominator for w in self.weights for a in w))
+        self.scale = scale
+        self.units = [tuple(a.numerator * (scale // a.denominator) for a in w)
+                      for w in self.weights]
+        self.capacity_units = self.b.numerator * (scale // self.b.denominator)
+        self.lighter = [tuple(u[r - 1] - min(u[r:]) for r in range(1, len(u)))
+                        for u in self.units]
+
+
 def _as_ref(ref) -> VarRef:
     return ref if isinstance(ref, VarRef) else VarRef(*ref)
 
@@ -225,6 +269,64 @@ def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
     return LinearInequality(coeffs, b + (len(receivers) - 1) * grown)
 
 
+def _pack_scores(sup: PointSupport, pack, slack, families):
+    """``(violation, provenance key)`` of each member of the pack
+    ``families`` that ``pack`` (slack b - s > 0) gives, in the order of
+    :func:`family_cuts`: the closed form of :func:`_pack_cut` at the point.
+
+    Each violation is  sum_{i in P} W_i - b + grown * (X - r + 1)  with X
+    the summed values of the r receivers, after the pivot group's and the
+    tilt variable's masses are taken under their replaced coefficients.
+    pack2 and pack3 need two non-singleton pack groups and a last-slot
+    pivot; the shared sums are formed once per pack.
+    """
+    rank = FAMILY_RANK
+    lhs = -sup.b  # sum of the pack groups' masses, less b
+    free = []
+    singles = []
+    received = _F0
+    for ref in pack:
+        mass = sup.mass[ref.group - 1]
+        if mass:
+            lhs += mass
+        if ref.group in sup.m0:
+            singles.append(ref)
+        else:
+            free.append(ref)
+            x = sup.value(ref)
+            if x:
+                received += x
+    if "pack1" in families:
+        yield (lhs + slack * (received - len(free) + 1),
+               (pack, rank["pack1"], ()))
+    if len(free) < 2 or ("pack2" not in families and "pack3" not in families):
+        return
+    for pivot in free:
+        weights = sup.weights[pivot.group - 1]
+        if pivot.slot != len(weights):
+            continue
+        a_pivot = weights[-1]
+        denom = a_pivot + slack
+        pivoted = lhs - sup.mass[pivot.group - 1]
+        for _, a, x in sup.entries[pivot.group - 1]:
+            pivoted += (a_pivot * a / denom if a > denom else a_pivot) * x
+        # X - r + 1 over the receivers, which exclude the pivot's group
+        spread = received - sup.value(pivot) - len(free) + 2
+        if "pack2" in families:
+            yield (pivoted + slack * spread,
+                   (pack, rank["pack2"], (pivot.group,)))
+        if "pack3" not in families:
+            continue
+        for tilt in singles:
+            a_tilt = sup.weights[tilt.group - 1][0]
+            grown = slack * (1 + a_tilt / denom)
+            tilted = pivoted + grown * spread
+            x = sup.value(tilt)
+            if x:  # a_tilt * x becomes a_pivot * a_tilt / denom * x
+                tilted += (a_pivot / denom - 1) * a_tilt * x
+            yield tilted, (pack, rank["pack3"], (pivot.group, tilt.group))
+
+
 def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
     """Pack cut: weights on all variables of pack groups, extra (b-s) on
     non-singleton pack items."""
@@ -262,33 +364,6 @@ def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
                         facet_guaranteed=facet, pivot=pivot, tilt_group=tilt_group)
 
 
-def tilt_pack_inequality(instance: Instance, cut: GeneratedCut,
-                         tilt_group: int) -> LinearInequality:
-    """Apply the tilting steps to a pack2 cut, independent of the pack3
-    closed form: shrink the singleton's coefficient, grow the other
-    non-singleton pack items, scale the rhs slack."""
-    if cut.family != "pack2":
-        raise PreconditionError("tilting starts from a pack2 cut")
-    m0 = instance.singleton_groups()
-    if tilt_group not in m0 or tilt_group not in set(cut.items.groups()):
-        raise PreconditionError(
-            "tilt group %d is not a singleton pack group" % tilt_group)
-    b = instance.capacity
-    s = cut.items.weight(instance)
-    slack = b - s
-    denom = instance.weight(cut.pivot) + slack
-    tilt_ref = VarRef(tilt_group, 1)
-    factor = instance.weight(tilt_ref) / denom
-    coeffs = dict(cut.inequality.terms)
-    coeffs[tilt_ref] = coeffs.get(tilt_ref, Fraction(0)) - slack * factor
-    for ref in cut.items:
-        if ref.group not in m0 and ref.group != cut.pivot.group:
-            coeffs[ref] += slack * factor
-    free = [i for i in cut.items.groups() if i not in m0]
-    rhs = cut.inequality.rhs + (len(free) - 2) * slack * factor
-    return LinearInequality(coeffs, rhs)
-
-
 def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
     _checked(instance, cover)
@@ -321,6 +396,18 @@ def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCu
     facet = all(ref.slot == 1 for ref in cover.items)
     return GeneratedCut("lcover1", LinearInequality(coeffs, b), cover,
                         facet_guaranteed=facet, witness=witness)
+
+
+def _lcover1_violation(sup: PointSupport, cover, excess):
+    """The lcover1 cut's violation at the point, for a cover with excess
+    s - b that meets the lifting condition."""
+    lhs = _F0
+    for ref in cover:
+        a_r = sup.weights[ref.group - 1][ref.slot - 1]
+        floor = a_r - excess  # b minus the other chosen items' weight
+        for j, a, x in sup.entries[ref.group - 1]:
+            lhs += (a_r if j < ref.slot else max(a, floor)) * x
+    return lhs - sup.b
 
 
 def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
@@ -368,6 +455,27 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
                         facet_guaranteed=facet, special=special)
 
 
+def _lcover2_violation(sup: PointSupport, cover, excess, special):
+    """The lcover2 cut's violation at the point, for a cover with excess
+    s - b whose special item meets the lifting condition.  With rest the
+    weight of the other cover items, b - rest = a_special - excess."""
+    weights = sup.weights[special.group - 1]
+    a_last = weights[-1]
+    floor = weights[special.slot - 1] - excess  # b - rest
+    lhs = _F0
+    for ref in cover:
+        entries = sup.entries[ref.group - 1]
+        if ref.group == special.group:
+            for _, a, x in entries:
+                lhs += max(a, floor) * x
+            continue
+        a_t = sup.weights[ref.group - 1][ref.slot - 1]
+        denom = floor + a_t - a_last  # b - (rest - a_t) - a_last
+        for j, a, x in entries:
+            lhs += (a_t * max(_F1, a / denom) if j <= ref.slot else a) * x
+    return lhs - sup.b
+
+
 def family_cuts(instance: Instance, itemset: ItemSet, families):
     """Every member of ``families`` that one item set gives, in order.
 
@@ -411,6 +519,61 @@ def family_cuts(instance: Instance, itemset: ItemSet, families):
             except PreconditionError:
                 continue
             yield cut
+
+
+def family_scores(sup: PointSupport, items, units, families):
+    """``(violation, provenance key)`` of every member of ``families`` that
+    the item set ``items`` (a sorted tuple of VarRefs whose weight is
+    ``units`` / ``sup.scale``) gives, each scored in closed form at the
+    point ``sup`` was built from.
+
+    The members and their order are those of :func:`family_cuts`.  Pack
+    families need s < b and cover families s > b, both tested in integer
+    units; :func:`_pack_scores` tests the pack2 and pack3 conditions, and
+    this function those of lcover1 (some chosen item whose move to a later
+    slot brings the weight under b) and lcover2 (a special item above its
+    group's last slot with rest + a_last < b), also in integer units.
+    """
+    over = units - sup.capacity_units
+    if over < 0:
+        if "pack1" in families or "pack2" in families or "pack3" in families:
+            slack = Fraction(-over, sup.scale)
+            yield from _pack_scores(sup, items, slack, families)
+    elif over > 0:
+        excess = None  # s - b, made a Fraction once a member qualifies
+        if "lcover1" in families:
+            for ref in items:
+                lighter = sup.lighter[ref.group - 1]
+                if ref.slot <= len(lighter) and lighter[ref.slot - 1] > over:
+                    excess = Fraction(over, sup.scale)
+                    yield (_lcover1_violation(sup, items, excess),
+                           (items, FAMILY_RANK["lcover1"], ()))
+                    break
+        if "lcover2" in families:
+            for special in items:
+                u = sup.units[special.group - 1]
+                # rest + a_last < b, as a_special - a_last > s - b
+                if special.slot < len(u) and u[special.slot - 1] - u[-1] > over:
+                    if excess is None:
+                        excess = Fraction(over, sup.scale)
+                    yield (_lcover2_violation(sup, items, excess, special),
+                           (items, FAMILY_RANK["lcover2"], (special.group,)))
+
+
+BUILDERS = dict(zip(FAMILIES, (
+    "pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
+    "lifted_cover_inequality_1", "lifted_cover_inequality_2")))
+
+
+def build_member(instance: Instance, key) -> GeneratedCut:
+    """The cut whose provenance key is ``key``, built by its family's public
+    builder (looked up by name at the call, like :func:`family_cuts`)."""
+    items, rank, aux = key
+    itemset = ItemSet(items)
+    args = ()
+    if aux:  # the pivot or special item's group, then any tilt group
+        args = (VarRef(aux[0], itemset.slot(aux[0])),) + aux[1:]
+    return globals()[BUILDERS[FAMILIES[rank]]](instance, itemset, *args)
 
 
 def enumerate_maximal_switching_packs(instance: Instance,

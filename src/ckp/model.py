@@ -197,10 +197,6 @@ class Point:
     def support(self):
         return tuple(ref for ref, _ in self.entries)
 
-    def dense(self, instance: Instance):
-        """Coordinates in instance.refs() order."""
-        return tuple(self.value(ref) for ref in instance.refs())
-
     def __eq__(self, other):
         return isinstance(other, Point) and self.entries == other.entries
 

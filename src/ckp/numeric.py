@@ -15,8 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 

@@ -1,11 +1,20 @@
 """Separation: exact enumeration per family, a deterministic greedy
 heuristic, and the partition-problem reduction builder.
 
-Exact separation walks every one-slot-per-group pattern (the same space the
-oracle enumerates), builds each family member whose preconditions hold, and
-returns a maximum-violation cut; ties break toward the lexicographically
-smallest provenance (item set, then family, then auxiliary indices).  The
-greedy heuristic builds one pack from last-slot items ordered by the
+Exact separation has three steps:
+
+* walk: every non-empty one-slot-per-group pattern (the space the oracle
+  enumerates), depth first, carrying the item tuple and its weight sum in
+  exact integer units;
+* score: each family member whose precondition holds gets its violation
+  in closed form from the point's per-group support
+  (:func:`cuts.family_scores`), with nothing built;
+* build one: the winner, the maximum violation with ties broken toward the
+  lexicographically smallest provenance key (item set, then family, then
+  auxiliary indices), is built by its public builder, and its built
+  violation must equal its score.
+
+The greedy heuristic builds one pack from last-slot items ordered by the
 point's per-group weight mass and only proposes cuts from that pack and its
 drop-one-singleton subsets.
 """
@@ -17,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cuts import (FAMILIES, GeneratedCut, ItemSet, family_cuts,
-                   is_maximal_switching_pack)
+from .cuts import (FAMILIES, GeneratedCut, ItemSet, PointSupport, build_member,
+                   family_cuts, family_scores, is_maximal_switching_pack)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
-from .oracle import check_enum_limit, iter_patterns
+from .oracle import check_enum_limit
 
 _F0 = Fraction(0)
 
@@ -29,6 +38,7 @@ _F0 = Fraction(0)
 @dataclass(frozen=True)
 class SeparationStats:
     examined: int     # candidate cuts evaluated
+    patterns: int     # non-empty patterns walked (exact), packs tried (greedy)
     elapsed: float    # wall seconds
 
 
@@ -55,10 +65,6 @@ def _resolve_families(family: Union[str, Sequence[str], None]):
     return out
 
 
-def _pack_families(families):
-    return tuple(f for f in families if f.startswith("pack"))
-
-
 def _require_lp_feasible(instance: Instance, point: Point) -> None:
     for ref, _ in point.entries:
         instance.check_ref(ref)
@@ -67,53 +73,83 @@ def _require_lp_feasible(instance: Instance, point: Point) -> None:
 
 
 class _Best:
-    """Tracks the most violated cut with the deterministic tie-break."""
+    """Tracks the most violated candidate with the deterministic tie-break:
+    the higher violation wins, then the smaller provenance key."""
 
-    __slots__ = ("cut", "violation", "examined")
+    __slots__ = ("violation", "key", "cut", "examined", "patterns")
 
     def __init__(self):
-        self.cut = None
         self.violation = None
+        self.key = None
+        self.cut = None
         self.examined = 0
+        self.patterns = 0
 
-    def offer(self, cut: GeneratedCut, point: Point) -> None:
+    def offer(self, violation, key, cut=None) -> None:
         self.examined += 1
-        violation = lhs_at(cut.inequality, point) - cut.inequality.rhs
         if violation <= 0:
             return
         if (self.violation is None or violation > self.violation
-                or (violation == self.violation
-                    and cut.provenance_key() < self.cut.provenance_key())):
-            self.cut = cut
+                or (violation == self.violation and key < self.key)):
             self.violation = violation
+            self.key = key
+            self.cut = cut
+
+    def offer_cut(self, cut: GeneratedCut, point: Point) -> None:
+        self.offer(lhs_at(cut.inequality, point) - cut.inequality.rhs,
+                   cut.provenance_key(), cut)
 
     def result(self, started: float) -> SeparationResult:
-        stats = SeparationStats(self.examined, time.monotonic() - started)
+        stats = SeparationStats(self.examined, self.patterns,
+                                time.monotonic() - started)
         return SeparationResult(self.cut, self.violation, stats)
+
+
+def _walk(sup: PointSupport):
+    """Every non-empty pattern as ``(items, units)``, its item tuple and its
+    weight in ``sup``'s integer units, depth first in the oracle's pattern
+    order; each step extends its parent's tuple and sum instead of
+    re-summing."""
+    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
+              for i, row in enumerate(sup.units, start=1)]
+    m = len(levels)
+    stack = [(0, (), 0)]
+    while stack:
+        i, items, units = stack.pop()
+        if i == m:
+            if items:
+                yield items, units
+            continue
+        for ref, u in reversed(levels[i]):
+            stack.append((i + 1, items + (ref,), units + u))
+        stack.append((i + 1, items, units))
 
 
 def separate_exact(instance: Instance, point: Point,
                    family: Union[str, Sequence[str], None] = "all",
                    limit: Optional[int] = None) -> SeparationResult:
-    """Exhaustive separation over all one-slot-per-group item sets."""
+    """Exhaustive separation over all one-slot-per-group item sets.
+
+    Every family member whose precondition holds is scored in closed form
+    and counted in ``examined``; only the winner is built.
+    """
     started = time.monotonic()
     families = _resolve_families(family)
     _require_lp_feasible(instance, point)
     check_enum_limit(instance, limit)
-    packs = _pack_families(families)
-    covers = tuple(f for f in families if f not in packs)
-    b = instance.capacity
-    weights = [g.weights for g in instance.groups]
+    support = PointSupport(instance, point)
     best = _Best()
-    for pattern in iter_patterns(instance):
-        refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
-        if not refs:
-            continue
-        s = sum((weights[ref.group - 1][ref.slot - 1] for ref in refs), _F0)
-        chosen = packs if s < b else covers if s > b else ()
-        if chosen:
-            for cut in family_cuts(instance, ItemSet(tuple(refs)), chosen):
-                best.offer(cut, point)
+    for items, units in _walk(support):
+        best.patterns += 1
+        for violation, key in family_scores(support, items, units, families):
+            best.offer(violation, key)
+    if best.key is not None:
+        cut = build_member(instance, best.key)
+        built = lhs_at(cut.inequality, point) - cut.inequality.rhs
+        if built != best.violation or cut.provenance_key() != best.key:
+            raise CkpError("built %s cut has violation %s, scored %s"
+                           % (cut.family, built, best.violation))
+        best.cut = cut
     return best.result(started)
 
 
@@ -153,10 +189,11 @@ def separate_greedy(instance: Instance, point: Point,
     if len(pack) >= 2:
         for i in sorted(set(pack.groups()) & instance.singleton_groups()):
             packs.append(ItemSet.of(r for r in pack if r.group != i))
-    families = _pack_families(families)
+    families = tuple(f for f in families if f.startswith("pack"))
     for itemset in packs:
+        best.patterns += 1
         for cut in family_cuts(instance, itemset, families):
-            best.offer(cut, point)
+            best.offer_cut(cut, point)
     return best.result(started)
 
 

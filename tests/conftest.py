@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ckp import cuts
-from ckp.model import Instance
+from ckp.errors import PreconditionError
+from ckp.model import Instance, LinearInequality, VarRef
 
 
 def make_instance(weights_by_group, capacity):
@@ -66,6 +67,51 @@ def random_instance(rng, max_groups=5, max_slots=3, max_weight=20, profits="weig
         b = rng.randint(1, heaviest - 1)
         inst = Instance.build(groups, Fraction(b))
         return inst
+
+
+def rational_instance(rng):
+    """Small instance with rational and zero weights and repeated ratios."""
+    groups = []
+    for _ in range(rng.randint(2, 4)):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice((Fraction(0), Fraction(rng.randint(1, 12)),
+                            Fraction(rng.randint(1, 30), rng.randint(2, 5))))
+            c = (a * rng.choice((1, 2)) if rng.random() < 0.4
+                 else Fraction(rng.randint(0, 20), rng.randint(1, 3)))
+            pairs.append((a, c))
+        pairs.sort(key=lambda t: (-t[0], -t[1]))
+        groups.append((tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
+    heaviest = sum(max(g[0]) for g in groups)
+    capacity = heaviest * Fraction(rng.randint(0, 12), 12)
+    return Instance.build(groups, capacity)
+
+
+def tilt_pack_inequality(instance, cut, tilt_group):
+    """Apply the tilting steps to a pack2 cut, independent of the library's
+    pack3 closed form: shrink the singleton's coefficient, grow the other
+    non-singleton pack items, scale the rhs slack.  The reference that
+    ``pack_inequality_3`` is checked against."""
+    if cut.family != "pack2":
+        raise PreconditionError("tilting starts from a pack2 cut")
+    m0 = instance.singleton_groups()
+    if tilt_group not in m0 or tilt_group not in set(cut.items.groups()):
+        raise PreconditionError(
+            "tilt group %d is not a singleton pack group" % tilt_group)
+    b = instance.capacity
+    s = cut.items.weight(instance)
+    slack = b - s
+    denom = instance.weight(cut.pivot) + slack
+    tilt_ref = VarRef(tilt_group, 1)
+    factor = instance.weight(tilt_ref) / denom
+    coeffs = dict(cut.inequality.terms)
+    coeffs[tilt_ref] = coeffs.get(tilt_ref, Fraction(0)) - slack * factor
+    for ref in cut.items:
+        if ref.group not in m0 and ref.group != cut.pivot.group:
+            coeffs[ref] += slack * factor
+    free = [i for i in cut.items.groups() if i not in m0]
+    rhs = cut.inequality.rhs + (len(free) - 2) * slack * factor
+    return LinearInequality(coeffs, rhs)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from ckp.separation import build_partition_reduction, separate_exact
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import cuts, oracle
 
-from conftest import random_instance
+from conftest import random_instance, tilt_pack_inequality
 
 CORPUS_SEED = 20240819   # criteria 6, 7, 9: 200 instances
 SOLVE_SEED = 20240820    # criterion 8: 100 instances
@@ -218,7 +218,7 @@ def test_criterion_4(ex_c):
         ok = ok and text_of(tilted) == expected
         ok = ok and oracle.face_dimension(ex_c, tilted.inequality) == 7
         base = cuts.pack_inequality_2(ex_c, p1, VarRef(*pivot))
-        ok = ok and cuts.tilt_pack_inequality(ex_c, base, 1) == tilted.inequality
+        ok = ok and tilt_pack_inequality(ex_c, base, 1) == tilted.inequality
     rhs = {text.split("\n")[1] for text in PACK3_EXPECTED.values()}
     ok = ok and rhs == {"rhs 229/6", "rhs 420/11", "rhs 191/5"}
     ok = ok and Fraction(420, 11) == 38 + Fraction(2, 11)

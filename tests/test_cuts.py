@@ -16,7 +16,7 @@ from ckp.fileio import serialize_inequality
 from ckp.model import VarRef
 from ckp import cuts, oracle
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, tilt_pack_inequality
 
 
 def refs(*pairs):
@@ -237,7 +237,7 @@ def test_tilting_identity(ex_c):
             base = cuts.pack_inequality_2(ex_c, pack, VarRef(*pivot))
             for i in tiltable:
                 direct = cuts.pack_inequality_3(ex_c, pack, VarRef(*pivot), i)
-                assert cuts.tilt_pack_inequality(ex_c, base, i) == direct.inequality
+                assert tilt_pack_inequality(ex_c, base, i) == direct.inequality
 
 
 def test_tilting_identity_random():
@@ -256,7 +256,7 @@ def test_tilting_identity_random():
                 base = cuts.pack_inequality_2(inst, pack, pivot)
                 for i in sorted(set(pack.groups()) & m0):
                     direct = cuts.pack_inequality_3(inst, pack, pivot, i)
-                    assert (cuts.tilt_pack_inequality(inst, base, i)
+                    assert (tilt_pack_inequality(inst, base, i)
                             == direct.inequality)
                     checked += 1
     assert checked >= 200
@@ -270,7 +270,7 @@ def test_pack3_preconditions(ex_c):
         cuts.pack_inequality_3(ex_c, ex_c_packs()["P2"], VarRef(3, 2), tilt_group=1)
     base = cuts.pack_inequality_1(ex_c, p1)
     with pytest.raises(PreconditionError):  # tilting starts from a pivot cut
-        cuts.tilt_pack_inequality(ex_c, base, 1)
+        tilt_pack_inequality(ex_c, base, 1)
 
 
 # --- lifted cover cuts ---

@@ -56,7 +56,7 @@ def test_group_shape_validation():
         Instance.build([], 5)
 
 
-def test_point_validation(ex_a):
+def test_point_validation():
     with pytest.raises(ValidationError):
         Point([(VarRef(1, 1), Fraction(3, 2))])
     with pytest.raises(ValidationError):
@@ -64,7 +64,6 @@ def test_point_validation(ex_a):
     p = Point([(VarRef(1, 1), Fraction(1, 2)), (VarRef(4, 2), 1)])
     assert p.value(VarRef(1, 1)) == Fraction(1, 2)
     assert p.value(VarRef(2, 1)) == 0
-    assert p.dense(ex_a) == (Fraction(1, 2), 0, 0, 0, 1, 0, 0)
 
 
 def test_zero_point():

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
+from ckp.errors import (CkpError, PreconditionError, ResourceLimitError,
+                        ValidationError)
 from ckp.model import (
     Point,
     VarRef,
     complementarity_violations,
     is_lp_feasible,
+    lhs_at,
     weight_of,
 )
 from ckp.separation import (
@@ -17,7 +20,9 @@ from ckp.separation import (
     separate_greedy,
 )
 from ckp.simplex import LpProblem, solve_lp
-from ckp import oracle
+from ckp import cuts, oracle
+
+from conftest import rational_instance
 
 
 @pytest.fixture
@@ -61,10 +66,26 @@ def test_exact_single_family(ex_c, frac_point):
 @pytest.mark.parametrize("family, examined", [("all", 245), ("pack2", 75)])
 def test_examined_counts_every_built_cut(ex_c, frac_point, built, family,
                                          examined):
-    # every cut is built through the public builder names, once per offer
+    # every member is scored and counted; only the winner is built, once,
+    # through the public builder names
     r = separate_exact(ex_c, frac_point, family)
     assert r.stats.examined == examined
-    assert sum(built.values()) == examined
+    assert built == {cuts.BUILDERS[r.cut.family]: 1}
+
+
+def test_nothing_built_when_nothing_is_violated(ex_a, built):
+    r = separate_exact(ex_a, Point([]))
+    assert not r.found and r.stats.examined > 0
+    assert sum(built.values()) == 0
+
+
+def test_patterns_counted(ex_c, frac_point):
+    # ex_c has group sizes 1, 1, 2, 2, 2: 2*2*3*3*3 patterns, one empty
+    assert separate_exact(ex_c, frac_point).stats.patterns == 107
+    # greedy tries its pack of all five last slots and the two packs that
+    # drop one singleton
+    assert separate_greedy(ex_c, frac_point).stats.patterns == 3
+    assert separate_greedy(ex_c, Point([])).stats.patterns == 3
 
 
 def test_exact_family_list(ex_c, frac_point):
@@ -210,3 +231,130 @@ def test_reduction_accepts_partition_input():
     inst_a, x_a = build_partition_reduction(PartitionInput((1, 1, 2), 2))
     inst_b, x_b = build_partition_reduction((1, 1, 2), 2)
     assert inst_a == inst_b and x_a == x_b
+
+
+# --- differential: closed-form scoring against building every member ---
+
+def reference_separate(instance, point, families):
+    """The build-every-member walk that exact separation replaced: build
+    each member of every pattern, evaluate it with ``lhs_at`` and keep the
+    most violated, ties to the smallest provenance key.  Returns the cut,
+    its violation and the number of members built."""
+    packs = tuple(f for f in families if f.startswith("pack"))
+    covers = tuple(f for f in families if f not in packs)
+    b = instance.capacity
+    best = None
+    examined = 0
+    for pattern in oracle.iter_patterns(instance):
+        refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
+        if not refs:
+            continue
+        s = sum((instance.weight(ref) for ref in refs), Fraction(0))
+        chosen = packs if s < b else covers if s > b else ()
+        for cut in cuts.family_cuts(instance, cuts.ItemSet(tuple(refs)), chosen):
+            examined += 1
+            violation = lhs_at(cut.inequality, point) - cut.inequality.rhs
+            if violation > 0 and (
+                    best is None or violation > best[1]
+                    or (violation == best[1]
+                        and cut.provenance_key() < best[0].provenance_key())):
+                best = (cut, violation)
+    cut, violation = best or (None, None)
+    return cut, violation, examined
+
+
+def _points(rng, instance):
+    """An LP optimum with some variables forced to zero, and a random point
+    scaled into the knapsack row."""
+    objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.refs()}
+    forced = frozenset(r for r in instance.refs() if rng.random() < 0.2)
+    yield solve_lp(LpProblem.build(instance, objective), forced).point
+    values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.refs()}
+    weight = sum((instance.weight(r) * x for r, x in values.items()), Fraction(0))
+    if weight > instance.capacity:
+        values = {r: x * instance.capacity / weight for r, x in values.items()}
+    yield Point(values)
+
+
+def _agree(instance, point, family):
+    families = cuts.FAMILIES if family == "all" else (family,)
+    cut, violation, examined = reference_separate(instance, point, families)
+    r = separate_exact(instance, point, family)
+    assert r.cut == cut and r.violation == violation
+    assert r.stats.examined == examined
+    assert r.stats.patterns == oracle.pattern_count(instance) - 1
+    return r
+
+
+def test_exact_matches_building_every_member():
+    rng = random.Random(6021)
+    won = set()
+    for _ in range(30):
+        instance = rational_instance(rng)
+        for point in _points(rng, instance):
+            for family in cuts.FAMILIES + ("all",):
+                r = _agree(instance, point, family)
+                if r.found:
+                    won.add(r.cut.family)
+    assert won == set(cuts.FAMILIES)
+
+
+def test_exact_matches_building_every_member_on_reductions():
+    rng = random.Random(6022)
+    found = 0
+    for _ in range(12):
+        alphas = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+        if sum(alphas) % 2:
+            alphas[0] += 1
+        if sum(alphas) < 4:
+            alphas[0] += 4
+        instance, point = build_partition_reduction(tuple(alphas),
+                                                    sum(alphas) // 2)
+        for family in ("lcover1", "lcover2", "all"):
+            found += _agree(instance, point, family).found
+    assert found >= 5
+
+
+def test_scores_equal_built_violations():
+    """Every member family_scores lists is the member family_cuts builds,
+    in the same order, with the built cut's violation."""
+    rng = random.Random(6023)
+    members = 0
+    for _ in range(40):
+        instance = rational_instance(rng)
+        b = instance.capacity
+        for point in _points(rng, instance):
+            support = cuts.PointSupport(instance, point)
+            for pattern in oracle.iter_patterns(instance):
+                refs = tuple(VarRef(i, j)
+                             for i, j in enumerate(pattern, start=1) if j)
+                if not refs:
+                    continue
+                s = sum((instance.weight(ref) for ref in refs), Fraction(0))
+                packs = tuple(f for f in cuts.FAMILIES if f.startswith("pack"))
+                covers = tuple(f for f in cuts.FAMILIES if f not in packs)
+                chosen = packs if s < b else covers if s > b else ()
+                built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
+                          c.provenance_key())
+                         for c in cuts.family_cuts(instance, cuts.ItemSet(refs),
+                                                   chosen)]
+                units = s * support.scale
+                assert units.denominator == 1
+                scored = list(cuts.family_scores(support, refs, int(units),
+                                                 cuts.FAMILIES))
+                assert scored == built
+                members += len(built)
+    assert members > 5000
+
+
+def test_winner_checked_against_its_score(ex_c, frac_point, monkeypatch):
+    # a closed form that disagrees with the builder is caught at the build
+    real = cuts._pack_scores
+
+    def skewed(*args):
+        for violation, key in real(*args):
+            yield violation + Fraction(1, 7), key
+
+    monkeypatch.setattr(cuts, "_pack_scores", skewed)
+    with pytest.raises(CkpError, match="scored"):
+        separate_exact(ex_c, frac_point, "pack1")

@@ -17,7 +17,7 @@ from ckp.model import (
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
-from conftest import make_instance
+from conftest import make_instance, rational_instance
 
 
 def lp_for(inst, extra_rows=()):
@@ -124,24 +124,6 @@ def test_certificate_rejects_tampering(ex_a):
 
 # --- differential checks against brute force, and certificate forgeries ----
 
-def _random_lp_instance(rng):
-    """Small instance with rational and zero weights and repeated ratios."""
-    groups = []
-    for _ in range(rng.randint(2, 4)):
-        pairs = []
-        for _ in range(rng.randint(1, 3)):
-            a = rng.choice((Fraction(0), Fraction(rng.randint(1, 12)),
-                            Fraction(rng.randint(1, 30), rng.randint(2, 5))))
-            c = (a * rng.choice((1, 2)) if rng.random() < 0.4
-                 else Fraction(rng.randint(0, 20), rng.randint(1, 3)))
-            pairs.append((a, c))
-        pairs.sort(key=lambda t: (-t[0], -t[1]))
-        groups.append((tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
-    heaviest = sum(max(g[0]) for g in groups)
-    capacity = heaviest * Fraction(rng.randint(0, 12), 12)
-    return Instance.build(groups, capacity)
-
-
 def _builder_cuts(inst):
     """Every pack1 and lcover1 cut the builders give on the instance."""
     found = []
@@ -183,7 +165,7 @@ def test_differential_against_brute_force():
     rng = random.Random(31337)
     one_row = with_cuts = 0
     for _ in range(150):
-        inst = _random_lp_instance(rng)
+        inst = rational_instance(rng)
         objective = {r: inst.profit(r) for r in inst.refs()}
         for r in inst.refs():
             if rng.random() < 0.15:
