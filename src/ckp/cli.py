@@ -19,7 +19,7 @@ from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
 from .errors import (CkpError, FormatError, PreconditionError,
                      ResourceLimitError, ValidationError)
-from .model import Instance, Point, VarRef, normalize, validate_assumptions
+from .model import Instance, Point, normalize, validate_assumptions
 from .numeric import format_rational
 
 
@@ -110,21 +110,21 @@ def _cmd_verify(args, out) -> int:
 
 
 def _iter_family_cuts(instance, family, limit):
-    """All theorem-backed cuts of one family, deterministic order."""
+    """All theorem-backed cuts of one family, deterministic order: packs
+    come from the maximal switching packs, covers from every pattern.  The
+    members are those ``cuts.family_scores`` lists, scored at the origin
+    (which lies in S; only their keys are used), each built once."""
     families = (family,)
+    support = cuts_mod.PointSupport(instance, Point())
     if family.startswith("pack"):
-        for pack in cuts_mod.enumerate_maximal_switching_packs(instance, limit):
-            yield from cuts_mod.family_cuts(instance, pack, families)
-        return
-    oracle.check_enum_limit(instance, limit)
-    b = instance.capacity
-    for pattern in oracle.iter_patterns(instance):
-        refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
-        if not refs:
-            continue
-        itemset = cuts_mod.ItemSet(tuple(refs))
-        if itemset.weight(instance) > b:
-            yield from cuts_mod.family_cuts(instance, itemset, families)
+        packs = cuts_mod.enumerate_maximal_switching_packs(instance, limit)
+        itemsets = ((p.items, support.units_of(p.items)) for p in packs)
+    else:
+        oracle.check_enum_limit(instance, limit)
+        itemsets = cuts_mod.walk_patterns(support)
+    for items, units in itemsets:
+        for _, key in cuts_mod.family_scores(support, items, units, families):
+            yield cuts_mod.build_member(instance, key)
 
 
 def _cmd_cuts(args, out) -> int:

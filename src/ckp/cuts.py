@@ -23,15 +23,15 @@ so all three are built by one routine.
 Each generator checks its mathematical preconditions and raises
 PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
 the relevant theorem's sufficient condition holds on the instance.
-:func:`family_cuts` builds the members of chosen families that one item set
-gives; the ``ckp cuts`` command and greedy separation walk it.
 
 Next to each builder sits its closed form: the member's violation at one
 point, computed from the point's per-group support (:class:`PointSupport`)
-without building the cut.  :func:`family_scores` lists the same members as
-:func:`family_cuts`, scored that way, and :func:`build_member` builds one
-member from its provenance key; exact separation scores every member and
-builds only the winner.
+without building the cut.  :func:`family_scores` defines which members an
+item set gives, tests their preconditions in integer units and scores
+each; :func:`build_member` builds one member from its provenance key.
+Exact and greedy separation score every member and build only the winner;
+``ckp cuts`` lists the members and builds each.  :func:`walk_patterns`
+walks every item set with its weight in integer units.
 """
 
 from __future__ import annotations
@@ -208,6 +208,10 @@ class PointSupport:
         self.lighter = [tuple(u[r - 1] - min(u[r:]) for r in range(1, len(u)))
                         for u in self.units]
 
+    def units_of(self, items) -> int:
+        """The weight of an item tuple, in integer units."""
+        return sum(self.units[ref.group - 1][ref.slot - 1] for ref in items)
+
 
 def _as_ref(ref) -> VarRef:
     return ref if isinstance(ref, VarRef) else VarRef(*ref)
@@ -272,7 +276,7 @@ def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
 def _pack_scores(sup: PointSupport, pack, slack, families):
     """``(violation, provenance key)`` of each member of the pack
     ``families`` that ``pack`` (slack b - s > 0) gives, in the order of
-    :func:`family_cuts`: the closed form of :func:`_pack_cut` at the point.
+    :func:`family_scores`: the closed form of :func:`_pack_cut` at the point.
 
     Each violation is  sum_{i in P} W_i - b + grown * (X - r + 1)  with X
     the summed values of the r receivers, after the pivot group's and the
@@ -476,63 +480,23 @@ def _lcover2_violation(sup: PointSupport, cover, excess, special):
     return lhs - sup.b
 
 
-def family_cuts(instance: Instance, itemset: ItemSet, families):
-    """Every member of ``families`` that one item set gives, in order.
-
-    Pass pack families for a pack and cover families for a cover.  Per
-    family: ``pack1`` once; ``pack2`` once per non-singleton last-slot
-    pivot and ``pack3`` once per such pivot and singleton tilt group, both
-    only when the pack has two non-singleton groups; ``lcover1`` once and
-    ``lcover2`` once per in-cover item above its group's last slot, each
-    skipped when its lifting condition fails.  Builders are looked up by
-    their module names at each call, so a wrapper set on this module (as
-    the benchmark's tracer sets one) sees every build.
-    """
-    if "pack1" in families:
-        yield pack_inequality_1(instance, itemset)
-    if "pack2" in families or "pack3" in families:
-        m0 = instance.singleton_groups()
-        groups = itemset.groups()
-        if len([i for i in groups if i not in m0]) >= 2:
-            singles = sorted(i for i in groups if i in m0)
-            for pivot in itemset:
-                if pivot.group in m0 or pivot.slot != instance.slots(pivot.group):
-                    continue
-                if "pack2" in families:
-                    yield pack_inequality_2(instance, itemset, pivot)
-                if "pack3" in families:
-                    for tilt in singles:
-                        yield pack_inequality_3(instance, itemset, pivot, tilt)
-    if "lcover1" in families:
-        try:
-            cut = lifted_cover_inequality_1(instance, itemset)
-        except PreconditionError:
-            pass
-        else:
-            yield cut
-    if "lcover2" in families:
-        for special in itemset:
-            if special.slot >= instance.slots(special.group):
-                continue
-            try:
-                cut = lifted_cover_inequality_2(instance, itemset, special)
-            except PreconditionError:
-                continue
-            yield cut
-
-
 def family_scores(sup: PointSupport, items, units, families):
     """``(violation, provenance key)`` of every member of ``families`` that
     the item set ``items`` (a sorted tuple of VarRefs whose weight is
     ``units`` / ``sup.scale``) gives, each scored in closed form at the
     point ``sup`` was built from.
 
-    The members and their order are those of :func:`family_cuts`.  Pack
-    families need s < b and cover families s > b, both tested in integer
-    units; :func:`_pack_scores` tests the pack2 and pack3 conditions, and
-    this function those of lcover1 (some chosen item whose move to a later
-    slot brings the weight under b) and lcover2 (a special item above its
-    group's last slot with rest + a_last < b), also in integer units.
+    This is the library's one list of members.  In order: ``pack1`` once;
+    ``pack2`` once per non-singleton last-slot pivot and ``pack3`` once
+    per such pivot and singleton tilt group, both only when the pack has
+    two non-singleton groups; ``lcover1`` once; ``lcover2`` once per
+    in-cover item above its group's last slot.  Pack families need s < b
+    and cover families s > b, both tested in integer units.
+    :func:`_pack_scores` tests the pack2 and pack3 conditions, and this
+    function the lifting conditions of lcover1 (some chosen item whose
+    move to a later slot brings the weight under b) and lcover2 (rest +
+    a_last < b), also in integer units; a member whose condition fails is
+    not listed, so each listed member's builder succeeds.
     """
     over = units - sup.capacity_units
     if over < 0:
@@ -560,6 +524,26 @@ def family_scores(sup: PointSupport, items, units, families):
                            (items, FAMILY_RANK["lcover2"], (special.group,)))
 
 
+def walk_patterns(sup: PointSupport):
+    """Every non-empty pattern as ``(items, units)``, its item tuple and its
+    weight in ``sup``'s integer units, depth first in the oracle's pattern
+    order; each step extends its parent's tuple and sum instead of
+    re-summing."""
+    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
+              for i, row in enumerate(sup.units, start=1)]
+    m = len(levels)
+    stack = [(0, (), 0)]
+    while stack:
+        i, items, units = stack.pop()
+        if i == m:
+            if items:
+                yield items, units
+            continue
+        for ref, u in reversed(levels[i]):
+            stack.append((i + 1, items + (ref,), units + u))
+        stack.append((i + 1, items, units))
+
+
 BUILDERS = dict(zip(FAMILIES, (
     "pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
     "lifted_cover_inequality_1", "lifted_cover_inequality_2")))
@@ -567,7 +551,9 @@ BUILDERS = dict(zip(FAMILIES, (
 
 def build_member(instance: Instance, key) -> GeneratedCut:
     """The cut whose provenance key is ``key``, built by its family's public
-    builder (looked up by name at the call, like :func:`family_cuts`)."""
+    builder.  The builder is looked up by its module name at each call, so
+    a wrapper set on this module (as the benchmark's tracer sets one) sees
+    every build."""
     items, rank, aux = key
     itemset = ItemSet(items)
     args = ()

@@ -32,20 +32,22 @@ _F1 = Fraction(1)
 
 
 def resolve_enum_limit(limit: Optional[int] = None) -> int:
-    """Explicit argument, else CKP_ENUM_LIMIT, else the default 10^6."""
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if not env:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValidationError(
-            "%s must be an integer, got %r" % (ENUM_LIMIT_ENV, env)) from None
-    if value < 1:
-        raise ValidationError("%s must be positive" % ENUM_LIMIT_ENV)
-    return value
+    """Explicit argument, else CKP_ENUM_LIMIT, else the default 10^6.
+    A limit below 1 is rejected, wherever it comes from."""
+    source = "enumeration limit"
+    if limit is None:
+        env = os.environ.get(ENUM_LIMIT_ENV)
+        if not env:
+            return DEFAULT_ENUM_LIMIT
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ValidationError(
+                "%s must be an integer, got %r" % (ENUM_LIMIT_ENV, env)) from None
+        source = ENUM_LIMIT_ENV
+    if limit < 1:
+        raise ValidationError("%s must be positive, got %d" % (source, limit))
+    return limit
 
 
 def pattern_count(instance: Instance) -> int:

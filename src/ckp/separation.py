@@ -1,11 +1,9 @@
 """Separation: exact enumeration per family, a deterministic greedy
 heuristic, and the partition-problem reduction builder.
 
-Exact separation has three steps:
+Both separators share one select routine over item sets, each given
+with its weight in exact integer units:
 
-* walk: every non-empty one-slot-per-group pattern (the space the oracle
-  enumerates), depth first, carrying the item tuple and its weight sum in
-  exact integer units;
 * score: each family member whose precondition holds gets its violation
   in closed form from the point's per-group support
   (:func:`cuts.family_scores`), with nothing built;
@@ -14,9 +12,11 @@ Exact separation has three steps:
   auxiliary indices), is built by its public builder, and its built
   violation must equal its score.
 
-The greedy heuristic builds one pack from last-slot items ordered by the
-point's per-group weight mass and only proposes cuts from that pack and its
-drop-one-singleton subsets.
+Exact separation gives it every non-empty one-slot-per-group pattern (the
+space the oracle enumerates), walked depth first by
+:func:`cuts.walk_patterns`.  The greedy heuristic builds one pack from
+last-slot items ordered by the point's per-group weight mass and gives it
+only that pack and its drop-one-singleton subsets.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cuts import (FAMILIES, GeneratedCut, ItemSet, PointSupport, build_member,
-                   family_cuts, family_scores, is_maximal_switching_pack)
+                   family_scores, is_maximal_switching_pack, walk_patterns)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
 from .oracle import check_enum_limit
@@ -72,57 +72,29 @@ def _require_lp_feasible(instance: Instance, point: Point) -> None:
         raise PreconditionError("point violates the knapsack row")
 
 
-class _Best:
-    """Tracks the most violated candidate with the deterministic tie-break:
-    the higher violation wins, then the smaller provenance key."""
-
-    __slots__ = ("violation", "key", "cut", "examined", "patterns")
-
-    def __init__(self):
-        self.violation = None
-        self.key = None
-        self.cut = None
-        self.examined = 0
-        self.patterns = 0
-
-    def offer(self, violation, key, cut=None) -> None:
-        self.examined += 1
-        if violation <= 0:
-            return
-        if (self.violation is None or violation > self.violation
-                or (violation == self.violation and key < self.key)):
-            self.violation = violation
-            self.key = key
-            self.cut = cut
-
-    def offer_cut(self, cut: GeneratedCut, point: Point) -> None:
-        self.offer(lhs_at(cut.inequality, point) - cut.inequality.rhs,
-                   cut.provenance_key(), cut)
-
-    def result(self, started: float) -> SeparationResult:
-        stats = SeparationStats(self.examined, self.patterns,
-                                time.monotonic() - started)
-        return SeparationResult(self.cut, self.violation, stats)
-
-
-def _walk(sup: PointSupport):
-    """Every non-empty pattern as ``(items, units)``, its item tuple and its
-    weight in ``sup``'s integer units, depth first in the oracle's pattern
-    order; each step extends its parent's tuple and sum instead of
-    re-summing."""
-    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
-              for i, row in enumerate(sup.units, start=1)]
-    m = len(levels)
-    stack = [(0, (), 0)]
-    while stack:
-        i, items, units = stack.pop()
-        if i == m:
-            if items:
-                yield items, units
-            continue
-        for ref, u in reversed(levels[i]):
-            stack.append((i + 1, items + (ref,), units + u))
-        stack.append((i + 1, items, units))
+def _select(instance: Instance, point: Point, support, itemsets,
+            families, started: float) -> SeparationResult:
+    """Score every member of ``families`` that each ``(items, units)`` of
+    ``itemsets`` gives and build only the winner: the highest violation,
+    ties to the smallest provenance key.  Its built violation and key must
+    equal the scored ones."""
+    violation = key = cut = None
+    examined = patterns = 0
+    for items, units in itemsets:
+        patterns += 1
+        for v, k in family_scores(support, items, units, families):
+            examined += 1
+            if v > 0 and (key is None or v > violation
+                          or (v == violation and k < key)):
+                violation, key = v, k
+    if key is not None:
+        cut = build_member(instance, key)
+        built = lhs_at(cut.inequality, point) - cut.inequality.rhs
+        if built != violation or cut.provenance_key() != key:
+            raise CkpError("built %s cut has violation %s, scored %s"
+                           % (cut.family, built, violation))
+    stats = SeparationStats(examined, patterns, time.monotonic() - started)
+    return SeparationResult(cut, violation, stats)
 
 
 def separate_exact(instance: Instance, point: Point,
@@ -138,19 +110,8 @@ def separate_exact(instance: Instance, point: Point,
     _require_lp_feasible(instance, point)
     check_enum_limit(instance, limit)
     support = PointSupport(instance, point)
-    best = _Best()
-    for items, units in _walk(support):
-        best.patterns += 1
-        for violation, key in family_scores(support, items, units, families):
-            best.offer(violation, key)
-    if best.key is not None:
-        cut = build_member(instance, best.key)
-        built = lhs_at(cut.inequality, point) - cut.inequality.rhs
-        if built != best.violation or cut.provenance_key() != best.key:
-            raise CkpError("built %s cut has violation %s, scored %s"
-                           % (cut.family, built, best.violation))
-        best.cut = cut
-    return best.result(started)
+    return _select(instance, point, support, walk_patterns(support),
+                   families, started)
 
 
 def separate_greedy(instance: Instance, point: Point,
@@ -160,13 +121,14 @@ def separate_greedy(instance: Instance, point: Point,
     Groups are visited by descending weight mass at the point (ties by
     index); each group's last-slot item joins the pack when it keeps the
     running weight strictly under the capacity.  Only a maximal switching
-    pack is used.  Sound but not complete.
+    pack is used, with the packs that drop one of its singletons; their
+    members are scored and only the winner is built, as in exact
+    separation.  Sound but not complete.
     """
     started = time.monotonic()
     families = _resolve_families(families)
     _require_lp_feasible(instance, point)
     b = instance.capacity
-    best = _Best()
     mass = {}
     for ref, x in point.entries:
         mass[ref.group] = mass.get(ref.group, _F0) + instance.weight(ref) * x
@@ -180,21 +142,18 @@ def separate_greedy(instance: Instance, point: Point,
         if total + a < b:
             chosen.append(last)
             total += a
-    if not chosen:
-        return best.result(started)
-    pack = ItemSet.of(chosen)
-    if not is_maximal_switching_pack(instance, pack):
-        return best.result(started)
-    packs = [pack]
+    pack = ItemSet.of(chosen) if chosen else None
+    if pack is None or not is_maximal_switching_pack(instance, pack):
+        return _select(instance, point, None, (), families, started)
+    packs = [pack.items]
     if len(pack) >= 2:
-        for i in sorted(set(pack.groups()) & instance.singleton_groups()):
-            packs.append(ItemSet.of(r for r in pack if r.group != i))
-    families = tuple(f for f in families if f.startswith("pack"))
-    for itemset in packs:
-        best.patterns += 1
-        for cut in family_cuts(instance, itemset, families):
-            best.offer_cut(cut, point)
-    return best.result(started)
+        m0 = instance.singleton_groups()
+        packs += [tuple(r for r in pack if r != single)
+                  for single in pack if single.group in m0]
+    support = PointSupport(instance, point)
+    return _select(instance, point, support,
+                   ((items, support.units_of(items)) for items in packs),
+                   families, started)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,10 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             if not sep.found:
                 break
             if sep.cut.inequality in pool_rows:
-                break  # exact arithmetic should make this unreachable
+                # The certified node LP satisfies every pooled row, so a
+                # separator that calls one violated is at fault.
+                raise CkpError("separated %s cut is already in the pool"
+                               % sep.cut.family)
             pool.append(sep.cut)
             pool_rows.add(sep.cut.inequality)
             cuts_per_family[sep.cut.family] += 1

@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 
 from ckp import cuts
+from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
+                      lifted_cover_inequality_2, pack_inequality_1,
+                      pack_inequality_2, pack_inequality_3)
 from ckp.errors import PreconditionError
 from ckp.model import Instance, LinearInequality, VarRef
 
@@ -114,6 +117,51 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     return LinearInequality(coeffs, rhs)
 
 
+def family_cuts(instance: Instance, itemset: ItemSet, families):
+    """Every member of ``families`` that one item set gives, in order.
+
+    Pass pack families for a pack and cover families for a cover.  Per
+    family: ``pack1`` once; ``pack2`` once per non-singleton last-slot
+    pivot and ``pack3`` once per such pivot and singleton tilt group, both
+    only when the pack has two non-singleton groups; ``lcover1`` once and
+    ``lcover2`` once per in-cover item above its group's last slot, each
+    skipped when its lifting condition fails.  The build-every-member
+    reference that ``cuts.family_scores``, the library's member list, is
+    checked against.
+    """
+    if "pack1" in families:
+        yield pack_inequality_1(instance, itemset)
+    if "pack2" in families or "pack3" in families:
+        m0 = instance.singleton_groups()
+        groups = itemset.groups()
+        if len([i for i in groups if i not in m0]) >= 2:
+            singles = sorted(i for i in groups if i in m0)
+            for pivot in itemset:
+                if pivot.group in m0 or pivot.slot != instance.slots(pivot.group):
+                    continue
+                if "pack2" in families:
+                    yield pack_inequality_2(instance, itemset, pivot)
+                if "pack3" in families:
+                    for tilt in singles:
+                        yield pack_inequality_3(instance, itemset, pivot, tilt)
+    if "lcover1" in families:
+        try:
+            cut = lifted_cover_inequality_1(instance, itemset)
+        except PreconditionError:
+            pass
+        else:
+            yield cut
+    if "lcover2" in families:
+        for special in itemset:
+            if special.slot >= instance.slots(special.group):
+                continue
+            try:
+                cut = lifted_cover_inequality_2(instance, itemset, special)
+            except PreconditionError:
+                continue
+            yield cut
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
@@ -132,12 +180,18 @@ CUT_BUILDERS = ("pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
 @pytest.fixture
 def built(monkeypatch):
     """Successful calls per cut builder, counted through ``ckp.cuts``' module
-    names (where the benchmark's tracer wraps them as ``cuts.build``)."""
+    names (where the benchmark's tracer wraps them as ``cuts.build``); the
+    calls that raised are counted per builder in ``built.raised``."""
     counts = Counter()
+    counts.raised = Counter()
 
     def counting(name, builder):
         def wrapper(*args, **kwargs):
-            cut = builder(*args, **kwargs)
+            try:
+                cut = builder(*args, **kwargs)
+            except Exception:
+                counts.raised[name] += 1
+                raise
             counts[name] += 1
             return cut
         return wrapper

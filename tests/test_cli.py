@@ -6,6 +6,7 @@ installed ``ckp`` script when it is on PATH.
 """
 
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 import ckp
 from ckp.cli import main
+from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
 from ckp.fileio import (
     parse_instance,
     parse_point,
@@ -23,9 +25,10 @@ from ckp.fileio import (
     serialize_instance,
     serialize_point,
 )
-from ckp.model import Instance, LinearInequality, Point, VarRef
+from ckp.model import Instance, LinearInequality, Point, VarRef, normalize
+from ckp.oracle import iter_patterns
 
-from conftest import make_instance
+from conftest import family_cuts, make_instance, random_instance
 
 
 @pytest.fixture
@@ -153,6 +156,30 @@ def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built):
     assert code == 0
     assert sum(built.values()) == out.count("# family:") == 36
     assert built["pack_inequality_3"] == out.count("# family: pack3") > 0
+    assert built.raised == {}  # no member is tried and then skipped
+
+
+def test_cuts_listing_matches_building_every_member(tmp_path, capsys):
+    # every member of each maximal switching pack and of each cover, in
+    # order, on instances that also have single-item covers
+    rng = random.Random(7071)
+    path = tmp_path / "random.ckp"
+    for _ in range(20):
+        path.write_text(serialize_instance(random_instance(rng, max_groups=4)))
+        inst, _ = normalize(parse_instance(path.read_text()))
+        covers = [ItemSet(refs) for refs in (
+            tuple(VarRef(i, j) for i, j in enumerate(p, start=1) if j)
+            for p in iter_patterns(inst)) if refs]
+        covers = [c for c in covers if c.weight(inst) > inst.capacity]
+        for family in FAMILIES:
+            itemsets = (enumerate_maximal_switching_packs(inst)
+                        if family.startswith("pack") else covers)
+            expected = ["# " + cut.describe() for itemset in itemsets
+                        for cut in family_cuts(inst, itemset, (family,))]
+            code, out = run(capsys, "cuts", str(path), "--family", family)
+            assert code == 0
+            assert [line for line in out.splitlines()
+                    if line.startswith("# family:")] == expected
 
 
 def test_cuts_lcover_count(files, capsys):
@@ -276,6 +303,15 @@ def test_exit_code_resource_limit(files, capsys):
                     "--enumerate-limit", "5")
     assert code == 3
     assert "exceeds enumeration limit" in out
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_exit_code_nonpositive_enumeration_limit(files, capsys, limit):
+    # a limit below 1 is an invalid value, not a resource overrun
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "lcover1",
+                    "--enumerate-limit", limit)
+    assert code == 2
+    assert "enumeration limit must be positive" in out
 
 
 def test_console_script(files):

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "ckp").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "ckp").glob("*.py"))
+SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,3 +41,19 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source):
+    """Lines of ``assert`` statements, which ``python -O`` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_detector_flags_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'msg'\n") == [3]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_checks_survive_optimization(path):
+    # a check in the library must raise, not assert
+    assert assert_lines(path.read_text()) == []

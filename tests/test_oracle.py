@@ -220,6 +220,17 @@ def test_enum_limit_env_override(ex_a, monkeypatch):
     oracle.enumerate_candidate_vertices(ex_a)  # fits again
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_enum_limit_must_be_positive(ex_a, monkeypatch, limit):
+    with pytest.raises(ValidationError, match="must be positive"):
+        oracle.resolve_enum_limit(limit)
+    with pytest.raises(ValidationError):
+        oracle.enumerate_candidate_vertices(ex_a, limit=limit)
+    monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, str(limit))
+    with pytest.raises(ValidationError, match=oracle.ENUM_LIMIT_ENV):
+        oracle.resolve_enum_limit(None)
+
+
 def test_enum_limit_bad_env_value(monkeypatch):
     monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, "not-a-number")
     with pytest.raises(ValidationError):

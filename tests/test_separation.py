@@ -22,7 +22,7 @@ from ckp.separation import (
 from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle
 
-from conftest import rational_instance
+from conftest import family_cuts, random_instance, rational_instance
 
 
 @pytest.fixture
@@ -235,32 +235,71 @@ def test_reduction_accepts_partition_input():
 
 # --- differential: closed-form scoring against building every member ---
 
-def reference_separate(instance, point, families):
-    """The build-every-member walk that exact separation replaced: build
-    each member of every pattern, evaluate it with ``lhs_at`` and keep the
+def build_every_member(point, members):
+    """Evaluate each built cut of ``members`` with ``lhs_at`` and keep the
     most violated, ties to the smallest provenance key.  Returns the cut,
     its violation and the number of members built."""
+    best = None
+    examined = 0
+    for cut in members:
+        examined += 1
+        violation = lhs_at(cut.inequality, point) - cut.inequality.rhs
+        if violation > 0 and (
+                best is None or violation > best[1]
+                or (violation == best[1]
+                    and cut.provenance_key() < best[0].provenance_key())):
+            best = (cut, violation)
+    cut, violation = best or (None, None)
+    return cut, violation, examined
+
+
+def reference_separate(instance, point, families):
+    """The build-every-member walk that exact separation replaced: build
+    each member of every pattern and keep the most violated."""
     packs = tuple(f for f in families if f.startswith("pack"))
     covers = tuple(f for f in families if f not in packs)
     b = instance.capacity
-    best = None
-    examined = 0
-    for pattern in oracle.iter_patterns(instance):
-        refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
-        if not refs:
-            continue
-        s = sum((instance.weight(ref) for ref in refs), Fraction(0))
-        chosen = packs if s < b else covers if s > b else ()
-        for cut in cuts.family_cuts(instance, cuts.ItemSet(tuple(refs)), chosen):
-            examined += 1
-            violation = lhs_at(cut.inequality, point) - cut.inequality.rhs
-            if violation > 0 and (
-                    best is None or violation > best[1]
-                    or (violation == best[1]
-                        and cut.provenance_key() < best[0].provenance_key())):
-                best = (cut, violation)
-    cut, violation = best or (None, None)
-    return cut, violation, examined
+
+    def members():
+        for pattern in oracle.iter_patterns(instance):
+            refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
+            if not refs:
+                continue
+            s = sum((instance.weight(ref) for ref in refs), Fraction(0))
+            chosen = packs if s < b else covers if s > b else ()
+            yield from family_cuts(instance, cuts.ItemSet(tuple(refs)), chosen)
+    return build_every_member(point, members())
+
+
+def reference_greedy(instance, point, families):
+    """The greedy loop that builds every pack-family member of its packs
+    and keeps the most violated.  Returns the cut, its violation, the
+    number of members built and the number of packs tried."""
+    b = instance.capacity
+    mass = {}
+    for ref, x in point.entries:
+        mass[ref.group] = (mass.get(ref.group, Fraction(0))
+                           + instance.weight(ref) * x)
+    order = sorted(range(1, instance.m + 1),
+                   key=lambda i: (-(mass.get(i, Fraction(0))), i))
+    total = Fraction(0)
+    chosen = []
+    for i in order:
+        last = VarRef(i, instance.slots(i))
+        if total + instance.weight(last) < b:
+            chosen.append(last)
+            total += instance.weight(last)
+    packs = []
+    pack = cuts.ItemSet.of(chosen) if chosen else None
+    if pack is not None and cuts.is_maximal_switching_pack(instance, pack):
+        packs.append(pack)
+        if len(pack) >= 2:
+            for i in sorted(set(pack.groups()) & instance.singleton_groups()):
+                packs.append(cuts.ItemSet.of(r for r in pack if r.group != i))
+    families = tuple(f for f in families if f.startswith("pack"))
+    members = (cut for itemset in packs
+               for cut in family_cuts(instance, itemset, families))
+    return build_every_member(point, members) + (len(packs),)
 
 
 def _points(rng, instance):
@@ -315,6 +354,26 @@ def test_exact_matches_building_every_member_on_reductions():
     assert found >= 5
 
 
+def test_greedy_matches_building_every_member():
+    """Greedy separation scores its packs' members and builds only the
+    winner; cut, violation, members and packs equal those of building
+    every member."""
+    rng = random.Random(6024)
+    won = set()
+    for n in range(200):
+        instance = rational_instance(rng) if n % 2 else random_instance(rng)
+        for point in _points(rng, instance):
+            for family in cuts.FAMILIES + ("all",):
+                families = cuts.FAMILIES if family == "all" else (family,)
+                r = separate_greedy(instance, point, family)
+                assert (r.cut, r.violation, r.stats.examined,
+                        r.stats.patterns) == reference_greedy(instance, point,
+                                                              families)
+                if r.found:
+                    won.add(r.cut.family)
+    assert won == {"pack1", "pack2", "pack3"}
+
+
 def test_scores_equal_built_violations():
     """Every member family_scores lists is the member family_cuts builds,
     in the same order, with the built cut's violation."""
@@ -336,8 +395,8 @@ def test_scores_equal_built_violations():
                 chosen = packs if s < b else covers if s > b else ()
                 built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
                           c.provenance_key())
-                         for c in cuts.family_cuts(instance, cuts.ItemSet(refs),
-                                                   chosen)]
+                         for c in family_cuts(instance, cuts.ItemSet(refs),
+                                              chosen)]
                 units = s * support.scale
                 assert units.denominator == 1
                 scored = list(cuts.family_scores(support, refs, int(units),

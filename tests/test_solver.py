@@ -9,12 +9,15 @@ import pytest
 import ckp
 from ckp import simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
+from ckp.cuts import GeneratedCut, ItemSet
 from ckp.model import (
     Instance,
     is_feasible,
+    knapsack_row,
     profit_of,
     validate_assumptions,
 )
+from ckp.separation import SeparationResult, SeparationStats
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
@@ -177,6 +180,20 @@ def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
     monkeypatch.setattr(solver, "solve_lp", _forged_solve_lp)
     monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
     with pytest.raises(CkpError, match="incumbent"):
+        branch_and_cut(ex_b)
+
+
+def test_pooled_cut_separated_again_is_rejected(monkeypatch, ex_b):
+    # Every pooled row holds at the certified node LP point, so a separator
+    # that returns one as violated is at fault and must not end the loop
+    # quietly.  The knapsack row is pooled from the start.
+    def forged(instance, point, families):
+        cut = GeneratedCut("pack1", knapsack_row(instance),
+                           ItemSet.of(instance.refs()[:1]))
+        return SeparationResult(cut, Fraction(1), SeparationStats(1, 1, 0.0))
+
+    monkeypatch.setattr(solver, "separate_greedy", forged)
+    with pytest.raises(CkpError, match="already in the pool"):
         branch_and_cut(ex_b)
 
 
