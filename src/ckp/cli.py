@@ -51,11 +51,13 @@ def _print_cut(cut, out, facet_text: str) -> None:
     out.write(fileio.serialize_inequality(cut.inequality))
 
 
-def _facet_text(instance, cut, verify: bool, limit) -> str:
-    if not verify:
+def _facet_text(cut, vertices) -> str:
+    """The builder's facet flag, or with candidate ``vertices`` the oracle's
+    verdict."""
+    if vertices is None:
         return "yes" if cut.facet_guaranteed else "unknown"
-    dim = oracle.face_dimension(instance, cut.inequality, limit)
-    return "yes" if dim == instance.dimension - 1 else "no"
+    dim = vertices.face_dimension(cut.inequality)
+    return "yes" if dim == vertices.instance.dimension - 1 else "no"
 
 
 def _cmd_check(args, out) -> int:
@@ -130,15 +132,17 @@ def _iter_family_cuts(instance, family, limit):
 def _cmd_cuts(args, out) -> int:
     instance = _load_instance(args.instance)
     families = cuts_mod.FAMILIES if args.family == "all" else (args.family,)
+    vertices = None  # enumerated once, at the first cut to verify
     first = True
     for family in families:
         for cut in _iter_family_cuts(instance, family, args.enumerate_limit):
             if not first:
                 print(file=out)
             first = False
-            _print_cut(cut, out,
-                       _facet_text(instance, cut, args.verify,
-                                   args.enumerate_limit))
+            if args.verify and vertices is None:
+                vertices = oracle.enumerate_candidate_vertices(
+                    instance, args.enumerate_limit)
+            _print_cut(cut, out, _facet_text(cut, vertices))
     if first:
         print("# no cuts", file=out)
     return 0

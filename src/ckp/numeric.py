@@ -3,14 +3,16 @@
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` with an optional leading minus sign and q > 0; parsing
 canonicalizes (lowest terms, sign on the numerator).  :func:`affine_rank`
-is the one rank routine; ``oracle.face_dimension`` streams its tight
-candidate vertices into it with a cap.
+is the one rank routine, and it eliminates in integers, not Fractions;
+``oracle.VertexSet.face_dimension`` streams its tight candidate vertices
+into it with a cap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError
@@ -43,25 +45,37 @@ def affine_rank(vectors: Iterable[Sequence[Fraction]],
                 cap: Optional[int] = None) -> int:
     """Dimension of the affine hull of ``vectors`` (-1 for none).
 
-    Vectors are equal-length sequences of Fractions, consumed one at a time
-    by incremental Gaussian elimination against the first.  With ``cap``
-    the scan stops as soon as the rank reaches it, pulling no further
-    vector, and the result is ``min(rank, cap)``.
+    Vectors are equal-length sequences of Fractions (or ints), consumed one
+    at a time by incremental elimination against the first.  The elimination
+    is fraction-free: each vector is scaled to integers by the LCM of its
+    denominators, so its difference from the first, times both scales, is
+    an integer row that spans the same line as the difference.  That row is
+    reduced against the echelon rows by integer cross-multiplication, each
+    step divided by the row's gcd.  With ``cap`` the scan stops as soon as the
+    rank reaches it, pulling no further vector, and the result is
+    ``min(rank, cap)``.
     """
     base = None
-    basis = []  # insertion-ordered echelon rows, pivot normalized to 1
+    basis = []  # insertion-ordered echelon rows of ints, with pivot columns
     for vec in vectors:
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (scale // x.denominator) for x in vec]
         if base is None:
-            base = vec
+            base, base_scale = ints, scale
         else:
-            row = [x - y for x, y in zip(vec, base)]
+            row = [x * base_scale - y * scale for x, y in zip(ints, base)]
             for pivot_col, basis_row in basis:
                 factor = row[pivot_col]
                 if factor:
-                    row = [x - factor * y for x, y in zip(row, basis_row)]
+                    pivot = basis_row[pivot_col]
+                    row = [pivot * x - factor * y
+                           for x, y in zip(row, basis_row)]
+                    divisor = gcd(*row)
+                    if divisor > 1:
+                        row = [x // divisor for x in row]
             for col, x in enumerate(row):
-                if x != 0:
-                    basis.append((col, [entry / x for entry in row]))
+                if x:
+                    basis.append((col, row))
                     break
         if cap is not None and len(basis) >= cap:
             break

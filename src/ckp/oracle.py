@@ -7,8 +7,12 @@ has exactly one fractional component and makes the knapsack row tight, so
 for each pattern it suffices to consider the all-ones assignment plus the
 assignments with a single designated fractional variable completing the
 capacity.  The resulting candidate set is a superset of the vertices and a
-subset of the feasible set S, hence its convex hull equals the polytope —
-good enough for validity and affine-dimension queries.
+subset of the feasible set S, hence its convex hull equals the polytope.
+So the maximum of a linear function over the candidates is its maximum
+over S, and a :class:`VertexSet` answers validity and face-dimension
+queries for any number of inequalities from one enumeration.
+``maximize_over_S`` solves one fractional knapsack per pattern instead; it
+keeps the pattern-order tie-break of ``ckp oracle`` and ``ckp verify``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -71,9 +76,54 @@ def iter_patterns(instance: Instance):
     return product(*(range(g.size + 1) for g in instance.groups))
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    points: tuple
+    """The sorted candidate vertices of one instance (see the module
+    docstring), kept dense for the rank and scaled to integers for the lhs."""
+
+    __slots__ = ("instance", "points", "_rows", "_scaled")
+
+    def __init__(self, instance: Instance, points: tuple):
+        self.instance = instance
+        self.points = points
+        refs = instance.refs()
+        self._rows = [tuple(p.value(r) for r in refs) for p in points]
+        # (den, entries times den), den the LCM of the entry denominators
+        self._scaled = []
+        for p in points:
+            den = lcm(*(x.denominator for _, x in p.entries))
+            self._scaled.append((den, tuple(
+                (r, x.numerator * (den // x.denominator)) for r, x in p.entries)))
+
+    def face_dimension(self, inequality: LinearInequality) -> int:
+        """Dimension of the face the (valid) inequality induces; -1 if empty.
+
+        Each candidate's lhs is compared with the rhs once, in integers
+        (both sides times the candidate's and the inequality's common
+        denominators).  The maximum over the candidates is the maximum over
+        S, since conv(candidates) = conv(S); above the rhs this raises with
+        a maximizing candidate as witness.  Otherwise the result is the
+        affine rank of the tight candidates.
+        """
+        instance = self.instance
+        terms, rhs = inequality.terms, inequality.rhs
+        scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+        coeffs = {}
+        for ref, c in terms:
+            instance.check_ref(ref)
+            coeffs[ref] = c.numerator * (scale // c.denominator)
+        top = rhs.numerator * (scale // rhs.denominator)
+        get = coeffs.get
+        excess = [sum(get(r, 0) * k for r, k in entries) - top * den
+                  for den, entries in self._scaled]
+        if max(excess, default=0) > 0:
+            values = [lhs_at(inequality, p) for p in self.points]
+            best = max(values)
+            raise PreconditionError(
+                "inequality is not valid (max %s > rhs %s)" % (best, rhs),
+                witness=self.points[values.index(best)])
+        cap = instance.dimension - 1 if terms else instance.dimension
+        return affine_rank((row for row, e in zip(self._rows, excess) if not e),
+                           cap)
 
 
 def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None) -> VertexSet:
@@ -96,7 +146,8 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
             if _F0 < frac < _F1:
                 seen.add(tuple((r, frac if idx == k else _F1)
                                for idx, (r, _) in enumerate(chosen)))
-    return VertexSet(tuple(Point(entries) for entries in sorted(seen)))
+    return VertexSet(instance,
+                     tuple(Point(entries) for entries in sorted(seen)))
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
@@ -149,22 +200,5 @@ def check_validity(instance: Instance, inequality: LinearInequality,
 
 def face_dimension(instance: Instance, inequality: LinearInequality,
                    limit: Optional[int] = None) -> int:
-    """Dimension of the face the (valid) inequality induces; -1 if empty.
-
-    Computed as the affine rank of the candidate vertices that satisfy the
-    inequality with equality.  Raises with the maximizing point as witness
-    when the inequality is not valid.
-    """
-    result = check_validity(instance, inequality, limit)
-    if not result.valid:
-        raise PreconditionError(
-            "inequality is not valid (max %s > rhs %s)"
-            % (result.max_value, inequality.rhs),
-            witness=result.witness)
-    candidates = enumerate_candidate_vertices(instance, limit).points
-    rhs = inequality.rhs
-    tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
-    refs = instance.refs()
-    cap = instance.dimension - 1 if inequality.terms else instance.dimension
-    vectors = (tuple(p.value(r) for r in refs) for p in tight)
-    return affine_rank(vectors, cap)
+    """:meth:`VertexSet.face_dimension` over a fresh enumeration."""
+    return enumerate_candidate_vertices(instance, limit).face_dimension(inequality)

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from ckp import cuts
+from ckp import cuts, oracle
 from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
                       lifted_cover_inequality_2, pack_inequality_1,
                       pack_inequality_2, pack_inequality_3)
 from ckp.errors import PreconditionError
-from ckp.model import Instance, LinearInequality, VarRef
+from ckp.model import Instance, LinearInequality, VarRef, lhs_at
+from ckp.numeric import affine_rank
 
 
 def make_instance(weights_by_group, capacity):
@@ -160,6 +161,26 @@ def family_cuts(instance: Instance, itemset: ItemSet, families):
             except PreconditionError:
                 continue
             yield cut
+
+
+def reference_face_dimension(instance, inequality, limit=None):
+    """Face dimension by one maximization over S and one enumeration per
+    inequality: validity from ``oracle.check_validity``, then the affine
+    rank of the tight candidates as Fraction vectors.  The reference that
+    ``oracle.VertexSet.face_dimension`` is checked against."""
+    result = oracle.check_validity(instance, inequality, limit)
+    if not result.valid:
+        raise PreconditionError(
+            "inequality is not valid (max %s > rhs %s)"
+            % (result.max_value, inequality.rhs),
+            witness=result.witness)
+    candidates = oracle.enumerate_candidate_vertices(instance, limit).points
+    rhs = inequality.rhs
+    tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
+    refs = instance.refs()
+    cap = instance.dimension - 1 if inequality.terms else instance.dimension
+    vectors = (tuple(p.value(r) for r in refs) for p in tight)
+    return affine_rank(vectors, cap)
 
 
 @pytest.fixture

@@ -305,6 +305,7 @@ def test_criterion_7(corpus_cuts):
     for instance, cut_list in corpus_cuts:
         d = instance.dimension
         singles = instance.singleton_groups()
+        vertices = oracle.enumerate_candidate_vertices(instance)
         for cut in cut_list:
             needs_flag = cut.facet_guaranteed
             multi = [g for g in cut.items.groups() if g not in singles]
@@ -315,7 +316,7 @@ def test_criterion_7(corpus_cuts):
                            and cuts.is_maximal_switching_pack(instance, cut.items))
             if not (needs_flag or needs_bound):
                 continue
-            dim = oracle.face_dimension(instance, cut.inequality)
+            dim = vertices.face_dimension(cut.inequality)
             if needs_flag:
                 flagged += 1
                 if dim != d - 1:

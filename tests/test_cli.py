@@ -10,12 +10,14 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ckp
+from ckp import oracle
 from ckp.cli import main
 from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
 from ckp.fileio import (
@@ -149,6 +151,62 @@ def test_cuts_all_families_golden(files, capsys):
     code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
     assert code == 0
     assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
+
+
+def test_cuts_all_families_verify_golden(files, capsys):
+    """The same listing with every facet status decided by the oracle."""
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all",
+                    "--verify")
+    assert code == 0
+    assert out == (GOLDEN / "cuts_ex_c_all_verify.txt").read_text()
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Calls of the oracle's enumeration and exact maximization, counted
+    through ``ckp.oracle``'s module names (where the CLI and the oracle's
+    own functions look them up)."""
+    counts = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("enumerate_candidate_vertices", "maximize_over_S"):
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    return counts
+
+
+def test_cuts_verify_enumerates_candidates_once(files, capsys, oracle_calls):
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all",
+                    "--verify")
+    assert code == 0
+    assert out.count("# facet: ") == 36
+    assert oracle_calls == {"enumerate_candidate_vertices": 1}
+
+
+def test_verify_maximizes_once(files, capsys, oracle_calls):
+    code, out = run(capsys, "verify", files["ex_b.ckp"], files["p2b.ineq"])
+    assert code == 0
+    assert out == "valid: yes\nface-dim: 5\nfacet: no\n"
+    assert oracle_calls == {"maximize_over_S": 1,
+                            "enumerate_candidate_vertices": 1}
+
+
+def test_cuts_verify_without_cuts_enumerates_nothing(tmp_path, capsys):
+    # every swap fits, so there is no maximal switching pack: the 2^2
+    # subsets fit the limit, the 9 patterns of the candidate enumeration do
+    # not, and no cut needs them
+    path = tmp_path / "roomy.ckp"
+    path.write_text(serialize_instance(make_instance([(3, 1), (4, 2)], 20)))
+    code, out = run(capsys, "cuts", str(path), "--family", "pack1",
+                    "--verify", "--enumerate-limit", "5")
+    assert code == 0
+    assert out == "# no cuts\n"
+    code, out = run(capsys, "oracle", str(path), "--enumerate-limit", "5")
+    assert code == 3  # the enumeration itself would overrun
 
 
 def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built):

@@ -90,3 +90,51 @@ def test_affine_rank_translation_invariant(pts):
     pts = [[Fraction(x) for x in p] for p in pts]
     shifted = [[x + 17 for x in p] for p in pts]
     assert affine_rank(pts) == affine_rank(shifted)
+
+
+def fraction_affine_rank(vectors, cap=None):
+    """Plain Gaussian elimination in Fractions on the differences from the
+    first vector: the reference the integer elimination is checked against."""
+    vectors = list(vectors)
+    if not vectors:
+        return -1
+    rows = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
+    rank = 0
+    for col in range(len(vectors[0])):
+        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for k in range(rank + 1, len(rows)):
+            factor = rows[k][col] / pivot[col]
+            rows[k] = [x - factor * y for x, y in zip(rows[k], pivot)]
+        rank += 1
+    return rank if cap is None else min(rank, cap)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 9))
+
+
+@st.composite
+def _low_rank_points(draw):
+    """Points on a random rational affine subspace, so that ranks below the
+    dimension occur, with non-integer coordinates."""
+    n = draw(st.integers(1, 5))
+    base = draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    directions = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n),
+                               max_size=n))
+    points = []
+    for weights in draw(st.lists(st.lists(_RATIONALS, min_size=len(directions),
+                                          max_size=len(directions)),
+                                 max_size=8)):
+        point = list(base)
+        for t, direction in zip(weights, directions):
+            point = [x + t * y for x, y in zip(point, direction)]
+        points.append(point)
+    return points
+
+
+@given(_low_rank_points(), st.one_of(st.none(), st.integers(0, 5)))
+def test_affine_rank_matches_fraction_elimination(points, cap):
+    assert affine_rank(points, cap) == fraction_affine_rank(points, cap)

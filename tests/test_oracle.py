@@ -5,6 +5,7 @@ gets an independent re-implementation here (recursive, with its own dedup) and
 the two are required to agree on the fixed examples and a random corpus.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,15 @@ from ckp.model import (
     VarRef,
     is_feasible,
     knapsack_row,
+    lhs_at,
     profit_of,
     weight_of,
 )
 from ckp import oracle
+from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
 
-from conftest import make_instance
+from conftest import (family_cuts, make_instance, random_instance,
+                      rational_instance, reference_face_dimension)
 
 
 # --- independent enumeration (recursion instead of itertools, own dedup) ---
@@ -198,6 +202,65 @@ def test_face_never_full_dimensional_for_real_inequalities(small_corpus):
     for inst in small_corpus:
         dim = oracle.face_dimension(inst, knapsack_row(inst))
         assert -1 <= dim <= inst.dimension - 1
+
+
+def _cuts_of(inst):
+    """Every family's cuts: packs from the maximal switching packs, covers
+    from the patterns heavier than the capacity."""
+    packs = tuple(f for f in FAMILIES if f.startswith("pack"))
+    covers = tuple(f for f in FAMILIES if f not in packs)
+    itemsets = [(pack, packs) for pack in enumerate_maximal_switching_packs(inst)]
+    for pattern in oracle.iter_patterns(inst):
+        cover = ItemSet(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
+        if cover.weight(inst) > inst.capacity:
+            itemsets.append((cover, covers))
+    for itemset, families in itemsets:
+        try:
+            yield from (cut.inequality for cut in family_cuts(inst, itemset, families))
+        except PreconditionError:
+            continue
+
+
+def _around_the_maximum(rng, inst):
+    """Random rational objectives, each with the rhs at its maximum over S
+    (a valid inequality with a non-empty face), above it, and below it."""
+    refs = inst.refs()
+    for _ in range(4):
+        coeffs = {r: Fraction(rng.randint(-6, 12), rng.randint(1, 4))
+                  for r in rng.sample(refs, rng.randint(1, len(refs)))}
+        top, _ = oracle.maximize_over_S(inst, coeffs)
+        for delta in (0, Fraction(1, 3), Fraction(-1, 5)):
+            yield LinearInequality(coeffs, top + delta)
+
+
+def test_face_dimension_matches_reference_on_seeded_corpora():
+    # rational and zero weights and equal ratios, next to integer corpora;
+    # every inequality is answered from one enumeration per instance
+    rng = random.Random(8080)
+    faces = set()
+    invalid = 0
+    for n in range(24):
+        inst = rational_instance(rng) if n % 2 else random_instance(rng, max_groups=4)
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        inequalities = [knapsack_row(inst), LinearInequality([], 0)]
+        inequalities += list(_cuts_of(inst)) + list(_around_the_maximum(rng, inst))
+        for inequality in inequalities:
+            try:
+                expected = reference_face_dimension(inst, inequality)
+            except PreconditionError as reference_error:
+                with pytest.raises(PreconditionError) as err:
+                    vertices.face_dimension(inequality)
+                assert str(err.value) == str(reference_error)  # same maximum
+                witness = err.value.witness
+                assert is_feasible(inst, witness)
+                assert lhs_at(inequality, witness) > inequality.rhs
+                invalid += 1
+                continue
+            assert vertices.face_dimension(inequality) == expected
+            faces.add(max(expected - inst.dimension, -2) if expected >= 0
+                      else "empty")
+    assert invalid > 0
+    assert {0, -1, -2, "empty"} <= faces  # full, facets, lower faces, empty
 
 
 # --- enumeration guard ---
