@@ -111,22 +111,27 @@ def _cmd_verify(args, out) -> int:
     return 0
 
 
-def _iter_family_cuts(instance, family, limit):
-    """All theorem-backed cuts of one family, deterministic order: packs
-    come from the maximal switching packs, covers from every pattern.  The
-    members are those ``cuts.family_scores`` lists, scored at the origin
-    (which lies in S; only their keys are used), each built once."""
-    families = (family,)
+def _iter_family_cuts(instance, families, limit):
+    """All theorem-backed cuts of each family in turn, deterministic order:
+    packs come from the maximal switching packs, enumerated once, at the
+    first pack family; covers from every pattern.  The members are those
+    ``cuts.family_scores`` lists, scored at the origin (which lies in S;
+    only their keys are used), each built once."""
     support = cuts_mod.PointSupport(instance, Point())
-    if family.startswith("pack"):
-        packs = cuts_mod.enumerate_maximal_switching_packs(instance, limit)
-        itemsets = ((p.items, support.units_of(p.items)) for p in packs)
-    else:
-        oracle.check_enum_limit(instance, limit)
-        itemsets = cuts_mod.walk_patterns(support)
-    for items, units in itemsets:
-        for _, key in cuts_mod.family_scores(support, items, units, families):
-            yield cuts_mod.build_member(instance, key)
+    packs = None
+    for family in families:
+        if family.startswith("pack"):
+            if packs is None:
+                packs = [(p.items, support.units_of(p.items)) for p in
+                         cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
+            itemsets = packs
+        else:
+            oracle.check_enum_limit(instance, limit)
+            itemsets = cuts_mod.walk_patterns(support)
+        for items, units in itemsets:
+            for _, key in cuts_mod.family_scores(support, items, units,
+                                                 (family,)):
+                yield cuts_mod.build_member(instance, key)
 
 
 def _cmd_cuts(args, out) -> int:
@@ -134,15 +139,14 @@ def _cmd_cuts(args, out) -> int:
     families = cuts_mod.FAMILIES if args.family == "all" else (args.family,)
     vertices = None  # enumerated once, at the first cut to verify
     first = True
-    for family in families:
-        for cut in _iter_family_cuts(instance, family, args.enumerate_limit):
-            if not first:
-                print(file=out)
-            first = False
-            if args.verify and vertices is None:
-                vertices = oracle.enumerate_candidate_vertices(
-                    instance, args.enumerate_limit)
-            _print_cut(cut, out, _facet_text(cut, vertices))
+    for cut in _iter_family_cuts(instance, families, args.enumerate_limit):
+        if not first:
+            print(file=out)
+        first = False
+        if args.verify and vertices is None:
+            vertices = oracle.enumerate_candidate_vertices(
+                instance, args.enumerate_limit)
+        _print_cut(cut, out, _facet_text(cut, vertices))
     if first:
         print("# no cuts", file=out)
     return 0

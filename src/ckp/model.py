@@ -31,7 +31,8 @@ class VarRef(NamedTuple):
 
 
 def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
+    # The exact type test first: isinstance on an ABC-registered class is slow.
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -181,9 +182,10 @@ class Point:
             if not isinstance(ref, VarRef):
                 ref = VarRef(*ref)
             value = _frac(value)
-            if value < 0 or value > 1:
+            num = value.numerator  # the denominator is positive
+            if num < 0 or num > value.denominator:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
-            if value != 0:
+            if num:
                 cleaned.append((ref, value))
         cleaned.sort()
         self.entries = tuple(cleaned)

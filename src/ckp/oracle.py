@@ -11,7 +11,8 @@ subset of the feasible set S, hence its convex hull equals the polytope.
 So the maximum of a linear function over the candidates is its maximum
 over S, and a :class:`VertexSet` answers validity and face-dimension
 queries for any number of inequalities from one enumeration.
-``maximize_over_S`` solves one fractional knapsack per pattern instead; it
+``maximize_over_S`` solves one fractional knapsack per pattern instead, in
+integers, each a scan of one Dantzig order fixed for the objective; it
 keeps the pattern-order tie-break of ``ckp oracle`` and ``ckp verify``.
 """
 
@@ -27,7 +28,7 @@ from typing import Optional
 from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, Point, VarRef, lhs_at
 from .numeric import affine_rank
-from .simplex import fill_knapsack
+from .simplex import LpProblem, fill_knapsack
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
@@ -153,9 +154,13 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     """Exact maximum of a linear objective over S, with a maximizing point.
 
-    Per support pattern this is a fractional knapsack, filled by
-    :func:`ckp.simplex.fill_knapsack` (ties by variable order).  Across
-    patterns, ties keep the lexicographically smallest pattern.
+    Per support pattern this is a fractional knapsack.  The objective's
+    :class:`ckp.simplex.LpProblem` scales the data to integers and fixes
+    Dantzig's order once, and each pattern fills its own slots in that
+    order with :func:`ckp.simplex.fill_knapsack`, so ties within a pattern
+    go by variable order.  Pattern values compare by cross-multiplication;
+    ties keep the lexicographically smallest pattern.  Weights and
+    capacity must be nonnegative (``ValidationError`` otherwise).
     """
     check_enum_limit(instance, limit)
     coeffs = {}
@@ -164,19 +169,21 @@ def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
             ref = VarRef(*ref)
         instance.check_ref(ref)
         coeffs[ref] = Fraction(value) if not isinstance(value, Fraction) else value
-    b = instance.capacity
-    table = [[(VarRef(i, j), a, coeffs.get(VarRef(i, j), _F0))
-              for j, a in enumerate(g.weights, start=1)]
-             for i, g in enumerate(instance.groups, start=1)]
-    best_value = None
-    best_entries = None
+    problem = LpProblem.build(instance, coeffs)
+    capacity = problem.scaled_rows[problem.knapsack][1]
+    best = None
     for pattern in iter_patterns(instance):
-        value, entries, _ = fill_knapsack(
-            [slots[j - 1] for slots, j in zip(table, pattern) if j], b)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_entries = entries
-    return best_value, Point(best_entries)
+        total, whole, (ref, a, c), room = fill_knapsack(
+            (t for t in problem.order if pattern[t[0].group - 1] == t[0].slot),
+            capacity)
+        value = total * a + c * room  # the pattern's optimum times a
+        if best is None or value * best[1] > best[0] * a:
+            best = (value, a, whole, ref, room)
+    num, den, whole, ref, room = best
+    entries = [(r, _F1) for r in whole]
+    if room > 0:
+        entries.append((ref, Fraction(room, den)))
+    return Fraction(num, den * problem.cost_scale), Point(entries)
 
 
 @dataclass(frozen=True)

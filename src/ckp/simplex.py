@@ -1,4 +1,5 @@
-"""Exact-rational node LP: Dantzig's closed form and a bounded-variable simplex.
+"""Exact node LP on integer-scaled data: Dantzig's closed form and a
+fraction-free bounded-variable simplex.
 
 Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}, where the
 rows are the instance's knapsack row plus any cut rows and the variables
@@ -10,66 +11,150 @@ builds meets this: normalized instances have nonnegative weights and
 capacity, and the origin lies in S, so every inequality valid for S has a
 nonnegative right-hand side.
 
+:class:`LpProblem` scales its data to integers once, when it is built: each
+row times the LCM of its own denominators, and the objective times the LCM
+of its own.  The solver and the certificate check work on these integers;
+only :class:`LpSolution` holds Fractions.
+
 * **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
-  by Dantzig's ratio rule (:func:`fill_knapsack`): nonpositive profits are
-  dropped, weight-zero items are taken outright, and the rest are taken
-  whole by ratio c/a, descending, until one item fills the capacity
-  fractionally.  Equal ratios are taken in variable order.  The duals are
-  closed-form: the knapsack multiplier is the critical ratio (that of the
-  first item not taken whole), or 0 when every item fits, and the bound
-  multiplier of x_j is max(0, c_j - ratio * a_j).
+  by Dantzig's ratio rule (:func:`fill_knapsack`).  The objective never
+  changes and a node only forces variables to zero, so the problem fixes
+  the ratio order once, and a node scans it once, skipping its forced
+  variables.  The duals are closed-form: the knapsack multiplier is the
+  critical ratio (that of the first item not taken whole), or 0 when
+  every item fits, and the bound multiplier of x_j is
+  max(0, c_j - ratio * a_j).
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
-  holds the problem rows only, starting from the slack basis (x = 0).
-  Upper bounds are handled by bound flips: a variable at its upper bound is
-  complemented (x' = 1 - x), so every nonbasic variable sits at zero.
-  Bland's rule (smallest eligible index, both for entering and leaving, the
-  entering variable's own bound flip included) guarantees termination.  The
-  bound multipliers are the positive reduced costs.
+  holds the problem rows only, starting from the slack basis (x = 0).  The
+  tableau is fraction-free: each row is a list of integers whose
+  denominator is its basic variable's entry, and after a pivot every
+  changed row is divided by its gcd.  Upper bounds are handled by bound
+  flips: a variable at its upper bound is complemented (x' = 1 - x), so
+  every nonbasic variable sits at zero.  Bland's rule (smallest eligible
+  index, both for entering and leaving, the entering variable's own bound
+  flip included) guarantees termination; ratio tests compare by
+  cross-multiplication.  The bound multipliers are the positive reduced
+  costs.
 
 The duals hold one multiplier y_r per problem row, in order, then one
 bound multiplier u_j per variable not forced to zero, in
 ``Instance.refs()`` order.  They certify optimality exactly: y, u >= 0,
 y A_j + u_j >= c_j for every such variable, and y . rhs + sum(u) = c . x*.
-``pivots`` counts the simplex's basis changes; bound flips are not
-pivots, and the closed form reports 0.
+:func:`verify_certificate` checks this in integers from the problem's
+scaled data and the solution alone.  ``pivots`` counts the simplex's basis
+changes; bound flips are not pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import cmp_to_key
+from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
 from .model import Instance, Point, knapsack_row
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_ratio_key = itemgetter(0)
 
 
-@dataclass(frozen=True)
+def _scale_row(row, col, n):
+    """``(coefficients, rhs, scale)``: the row times ``scale``, the LCM of
+    its denominators, as integers, dense over the ``n`` variables of
+    ``col``.  Terms on other variables are left out."""
+    rhs = row.rhs
+    scale = lcm(rhs.denominator, *(c.denominator for _, c in row.terms))
+    dense = [0] * n
+    for ref, c in row.terms:
+        j = col.get(ref)
+        if j is not None:
+            dense[j] = c.numerator * (scale // c.denominator)
+    return dense, rhs.numerator * (scale // rhs.denominator), scale
+
+
+def _ratio_cmp(s, t):
+    # Negative when c_s/a_s > c_t/a_t; a weight of zero ranks as infinite.
+    return t[2] * s[1] - s[2] * t[1]
+
+
+_ALL_FIT = (None, 1, 0)  # the critical item when every item fits: ratio 0
+
+
+def fill_knapsack(order, capacity):
+    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
+
+    ``order`` yields ``(key, a, c)`` integer triples in Dantzig's order
+    (see :class:`LpProblem`), and ``capacity`` is a nonnegative integer.
+    Returns ``(total, whole, critical, room)``: the profit of the items
+    taken whole, their keys, the first item ``(k, a_k, c_k)`` not taken
+    whole and the capacity left for it.  The optimum takes x_k = room / a_k
+    and is ``(total * a_k + c_k * room) / a_k``; c_k / a_k is the critical
+    ratio.  When every item fits, the critical item is ``(None, 1, 0)``
+    with no room.
+    """
+    total = 0
+    whole = []
+    for item in order:
+        a = item[1]
+        if a > capacity:
+            return total, whole, item, capacity
+        whole.append(item[0])
+        total += item[2]
+        capacity -= a
+    return total, whole, _ALL_FIT, 0
+
+
 class LpProblem:
-    """LP relaxation data: instance variables, rows (knapsack first), objective.
+    """LP relaxation data: instance variables, rows, objective, and their
+    integer scaling.
 
     ``rows`` must contain the instance's knapsack row exactly once, and
     every weight and every row's right-hand side must be nonnegative, so
     that x = 0 is feasible; bounds 0 <= x <= 1 are implicit and handled by
-    the solver.
+    the solver.  ``objective`` is a sorted ``((VarRef, Fraction), ...)``.
+
+    Built once per problem: ``refs`` and the column index ``col``,
+    ``costs`` (the objective times ``cost_scale``), ``scaled_rows`` (one
+    ``(coefficients, rhs, scale)`` per row, see :func:`_scale_row`), the
+    index of the knapsack row, ``scale`` (the LCM of all these scales) and
+    Dantzig's ``order``: the ``(ref, weight, cost)`` triples with a
+    positive cost, by ratio cost/weight descending.  Ratios compare by
+    integer cross-multiplication, so weight 0 ranks first, and the stable
+    sort keeps equal ratios in variable order.
     """
 
-    instance: Instance
-    rows: tuple
-    objective: tuple  # sorted ((VarRef, Fraction), ...)
+    __slots__ = ("instance", "rows", "objective", "refs", "col", "costs",
+                 "cost_scale", "scaled_rows", "knapsack", "scale", "order")
 
-    def __post_init__(self):
-        knap = knapsack_row(self.instance)
-        if sum(1 for row in self.rows if row == knap) != 1:
+    def __init__(self, instance: Instance, rows, objective):
+        knap = knapsack_row(instance)
+        rows = tuple(rows)
+        if sum(1 for row in rows if row == knap) != 1:
             raise ValidationError("rows must include the knapsack row exactly once")
         if (any(a < 0 for _, a in knap.terms)
-                or any(row.rhs < 0 for row in self.rows)):
+                or any(row.rhs < 0 for row in rows)):
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
+        self.instance = instance
+        self.rows = rows
+        self.objective = objective = tuple(objective)
+        self.refs = refs = tuple(instance.refs())
+        self.col = col = {ref: j for j, ref in enumerate(refs)}
+        n = len(refs)
+        self.cost_scale = cost_scale = lcm(*(c.denominator for _, c in objective))
+        self.costs = costs = [0] * n
+        for ref, c in objective:
+            j = col.get(ref)
+            if j is not None:
+                costs[j] = c.numerator * (cost_scale // c.denominator)
+        self.scaled_rows = [_scale_row(row, col, n) for row in rows]
+        self.knapsack = rows.index(knap)
+        self.scale = lcm(cost_scale, *(s for _, _, s in self.scaled_rows))
+        weights = self.scaled_rows[self.knapsack][0]
+        self.order = sorted((t for t in zip(refs, weights, costs) if t[2] > 0),
+                            key=cmp_to_key(_ratio_cmp))
 
     @classmethod
     def build(cls, instance: Instance, objective, extra_rows=()) -> "LpProblem":
@@ -81,6 +166,21 @@ class LpProblem:
         cleaned.sort()
         return cls(instance, (knapsack_row(instance),) + tuple(extra_rows),
                    tuple(cleaned))
+
+    def with_row(self, row) -> "LpProblem":
+        """This problem plus the cut row ``row``: the scaled data is shared
+        and only the new row is scaled."""
+        if row.rhs < 0:
+            raise ValidationError(
+                "LP needs nonnegative weights and right-hand sides")
+        if row == self.rows[self.knapsack]:
+            raise ValidationError("rows must include the knapsack row exactly once")
+        new = copy(self)
+        scaled = _scale_row(row, self.col, len(self.refs))
+        new.rows = self.rows + (row,)
+        new.scaled_rows = self.scaled_rows + [scaled]
+        new.scale = lcm(self.scale, scaled[2])
+        return new
 
     def objective_map(self):
         return dict(self.objective)
@@ -94,93 +194,74 @@ class LpSolution:
     pivots: int
 
 
-def fill_knapsack(items, capacity):
-    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
-
-    ``items`` are ``(ref, a, c)`` triples with a >= 0, in variable order.
-    Returns ``(value, entries, ratio)``: the optimum, the positive
-    ``(ref, x)`` entries of the filled point, and the critical ratio c/a of
-    the first item not taken whole, or None when every item with a
-    positive profit was taken whole.  A capacity that is not positive takes
-    only the weight-zero items.
-    """
-    value = _F0
-    entries = []
-    pool = []
-    for ref, a, c in items:
-        if c <= 0:
-            continue
-        if a == 0:
-            value += c
-            entries.append((ref, _F1))
-        else:
-            pool.append((c / a, ref, a, c))
-    # A stable sort keeps equal ratios in variable order.
-    pool.sort(key=_ratio_key, reverse=True)
-    remaining = capacity
-    for ratio, ref, a, c in pool:
-        if a <= remaining:
-            entries.append((ref, _F1))
-            value += c
-            remaining -= a
-        else:
-            if remaining > 0:
-                frac = remaining / a
-                entries.append((ref, frac))
-                value += c * frac
-            return value, entries, ratio
-    return value, entries, None
-
-
-def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
+def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
     """The closed form for a knapsack row alone."""
-    instance = problem.instance
-    objective = problem.objective_map()
-    items = []
-    for ref in refs:
-        a = instance.groups[ref.group - 1].weights[ref.slot - 1]
-        items.append((ref, a, objective.get(ref, _F0)))
-    value, entries, ratio = fill_knapsack(items, instance.capacity)
-    y = _F0 if ratio is None else ratio
-    whole = {ref for ref, x in entries if x == 1}
-    bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
-    return LpSolution(value, Point(entries), (y,) + bounds, 0)
+    order = problem.order
+    if forced_zero:
+        order = (t for t in order if t[0] not in forced_zero)
+    weights, capacity, weight_scale = problem.scaled_rows[problem.knapsack]
+    total, whole, (k, a, c), room = fill_knapsack(order, capacity)
+    den = a * problem.cost_scale
+    entries = [(ref, _F1) for ref in whole]
+    if room > 0:
+        entries.append((k, Fraction(room, a)))
+    col, costs = problem.col, problem.costs
+    bounds = [_F0] * len(col)
+    for ref in whole:
+        j = col[ref]
+        bounds[j] = Fraction(costs[j] * a - c * weights[j], den)
+    duals = (Fraction(c * weight_scale, den),) + tuple(bounds[j] for j in free)
+    return LpSolution(Fraction(total * a + c * room, den), Point(entries),
+                      duals, 0)
+
+
+def _reduced(line):
+    """The integer list divided by the gcd of its entries."""
+    divisor = gcd(*line)
+    return [x // divisor for x in line] if divisor > 1 else line
 
 
 class _BoundedTableau:
-    """Simplex tableau over Fractions with implicit bounds 0 <= x_j <= 1 on
+    """Fraction-free simplex tableau with implicit bounds 0 <= x_j <= 1 on
     the first ``nbounded`` columns and Bland's rule.
 
-    Each row reads ``basic + sum(T[c] * x_c) = rhs`` (rhs in the last
-    column), ``zrow`` holds the reduced costs, and ``flipped[c]`` records
-    that column c stands for 1 - x_c.  The start is the slack basis: the
-    slack of row r is column ``nbounded + r``, and the slacks cost nothing,
-    so the reduced costs start as the costs.
+    Row r is a list of integers N whose positive denominator is the entry
+    of its basic variable b: it reads ``x_b + sum(N[c] / N[b] * x_c) =
+    N[-1] / N[b]``.  The reduced costs are ``zrow[c] / zden`` with zden > 0.
+    ``flipped[c]`` records that column c stands for 1 - x_c.  The start is
+    the slack basis: the slack of row r is column ``nbounded + r``, and the
+    slacks cost nothing, so the reduced costs start as the costs.
     """
 
-    def __init__(self, matrix, cost, nbounded):
+    def __init__(self, matrix, cost, cost_scale, nbounded):
         self.matrix = matrix
         self.basis = list(range(nbounded, nbounded + len(matrix)))
         self.nbounded = nbounded
         self.flipped = [False] * nbounded
-        self.zrow = list(cost) + [_F0]
+        self.zrow = list(cost) + [0]
+        self.zden = cost_scale
         self.pivots = 0
 
     def pivot(self, row, col):
+        """Make ``col`` basic in ``row``; its entry there must be positive.
+
+        The pivot row keeps its integers (its new denominator is the
+        entry at ``col``); every other row with an entry at ``col`` is
+        cross-multiplied with it and divided by its gcd.
+        """
         m = self.matrix
         prow = m[row]
-        inv = prow[col]
-        if inv != 1:
-            m[row] = prow = [entry / inv if entry else entry for entry in prow]
+        p = prow[col]
         for r, other in enumerate(m):
             factor = other[col]
             if r != row and factor:
-                m[r] = [entry - factor * p if p else entry
-                        for entry, p in zip(other, prow)]
+                m[r] = _reduced([x * p - factor * y
+                                 for x, y in zip(other, prow)])
         factor = self.zrow[col]
         if factor:
-            self.zrow = [z - factor * p if p else z
-                         for z, p in zip(self.zrow, prow)]
+            *self.zrow, self.zden = _reduced(
+                [x * p - factor * y for x, y in zip(self.zrow, prow)]
+                + [self.zden * p])
         self.basis[row] = col
         self.pivots += 1
 
@@ -197,9 +278,10 @@ class _BoundedTableau:
     def flip_row(self, row):
         """Complement the basic variable of ``row``."""
         bcol = self.basis[row]
-        line = [-t if t else t for t in self.matrix[row]]
-        line[bcol] = _F1
-        line[-1] += 1
+        den = self.matrix[row][bcol]
+        line = [-t for t in self.matrix[row]]
+        line[bcol] = den
+        line[-1] += den
         self.matrix[row] = line
         self.flipped[bcol] = not self.flipped[bcol]
 
@@ -216,22 +298,25 @@ class _BoundedTableau:
                 return
             # Candidates: the entering variable's own bound (step 1), a
             # basic variable falling to 0 or a bounded one rising to 1.
+            # A step is num / den with den > 0.
             if entering < nbounded:
-                best, leaving, leaving_col = _F1, None, entering
+                num, den, leaving, leaving_col = 1, 1, None, entering
             else:
-                best = leaving = leaving_col = None
+                num = den = leaving = leaving_col = None
             for r, line in enumerate(m):
                 a = line[entering]
                 if a > 0:
-                    step = line[-1] / a
+                    step_num, step_den = line[-1], a
                 elif a < 0 and basis[r] < nbounded:
-                    step = (line[-1] - 1) / a
+                    step_num, step_den = line[basis[r]] - line[-1], -a
                 else:
                     continue
-                if best is None or step < best or (
-                        step == best and basis[r] < leaving_col):
-                    best, leaving, leaving_col = step, r, basis[r]
-            if best is None:
+                if num is None or step_num * den < num * step_den or (
+                        step_num * den == num * step_den
+                        and basis[r] < leaving_col):
+                    num, den, leaving, leaving_col = (step_num, step_den, r,
+                                                      basis[r])
+            if num is None:
                 raise CkpError("LP is unbounded")
             if leaving is None:
                 self.flip_column(entering)
@@ -241,96 +326,113 @@ class _BoundedTableau:
             self.pivot(leaving, entering)
 
 
-def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
-    """Bounded-variable simplex over the problem rows, from the slack basis."""
-    col_of = {ref: idx for idx, ref in enumerate(refs)}
-    nvars = len(refs)
-    rows = problem.rows
-    nrows = len(rows)
-    # columns: structural vars, slacks, rhs
+def _solve_bounded(problem: LpProblem, free) -> LpSolution:
+    """Bounded-variable simplex over the problem rows, from the slack basis,
+    on the columns ``free`` (indices into ``problem.refs``)."""
+    nvars = len(free)
+    nrows = len(problem.rows)
+    # columns: structural vars, slacks, rhs; the slack of row r carries the
+    # row's scale, so the row's denominator sits at its basic column
     matrix = []
-    for r, row in enumerate(rows):
-        line = [_F0] * (nvars + nrows + 1)
-        for ref, coeff in row.terms:
-            c = col_of.get(ref)
-            if c is not None:
-                line[c] = coeff
-        line[nvars + r] = _F1
-        line[-1] = row.rhs
+    for r, (dense, rhs, scale) in enumerate(problem.scaled_rows):
+        line = [dense[j] for j in free] + [0] * nrows + [rhs]
+        line[nvars + r] = scale
         matrix.append(line)
-    objective = problem.objective_map()
-    cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
-    tab = _BoundedTableau(matrix, cost, nvars)
+    costs = [problem.costs[j] for j in free]
+    tab = _BoundedTableau(matrix, costs + [0] * nrows, problem.cost_scale,
+                          nvars)
     tab.run()
 
     xs = [_F0] * nvars
-    for r, bcol in enumerate(tab.basis):
+    for line, bcol in zip(tab.matrix, tab.basis):
         if bcol < nvars:
-            xs[bcol] = tab.matrix[r][-1]
-    zrow = tab.zrow
-    value = _F0
+            xs[bcol] = Fraction(line[-1], line[bcol])
+    zrow, zden = tab.zrow, tab.zden
+    total = _F0
     bounds = []
-    for c, ref in enumerate(refs):
+    for c in range(nvars):
         reduced = zrow[c]
         if tab.flipped[c]:
             xs[c] = 1 - xs[c]
             reduced = -reduced
-        bounds.append(reduced if reduced > 0 else _F0)
+        bounds.append(Fraction(reduced, zden) if reduced > 0 else _F0)
         if xs[c]:
-            value += objective.get(ref, _F0) * xs[c]
-    point = Point(zip(refs, xs))
+            total += costs[c] * xs[c]
+    refs = problem.refs
+    point = Point(zip([refs[j] for j in free], xs))
     # Multiplier of row r is the negated reduced cost of its slack.
-    duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
-    return LpSolution(value, point, duals, tab.pivots)
+    duals = (tuple(Fraction(-zrow[nvars + r], zden) for r in range(nrows))
+             + tuple(bounds))
+    return LpSolution(total / problem.cost_scale, point, duals, tab.pivots)
+
+
+def _free_columns(problem: LpProblem, forced_zero):
+    """Indices into ``problem.refs`` of the variables not forced to zero."""
+    if not forced_zero:
+        return range(len(problem.refs))
+    return [j for j, ref in enumerate(problem.refs) if ref not in forced_zero]
 
 
 def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
     """Exact optimum of the boxed LP, minus any forced-to-zero variables."""
-    refs = [r for r in problem.instance.refs() if r not in forced_zero]
+    free = _free_columns(problem, forced_zero)
     if len(problem.rows) == 1:
-        return _solve_knapsack(problem, refs)
-    return _solve_bounded(problem, refs)
+        return _solve_knapsack(problem, free, forced_zero)
+    return _solve_bounded(problem, free)
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution,
                        forced_zero=frozenset()) -> bool:
     """Exact optimality check from the problem and the solution alone:
     primal feasible, dual feasible, and primal value = dual value = the
-    reported value."""
-    instance = problem.instance
-    refs = [r for r in instance.refs() if r not in forced_zero]
-    rows = problem.rows
+    reported value.
+
+    The check runs in integers: the duals times Y, the LCM of their
+    denominators; the point's entries times Q, the LCM of theirs; and each
+    row and the objective times the problem's ``scale`` L, through their
+    scaled data.  So y A_j + u_j >= c_j becomes an integer inequality
+    times Y L, row feasibility one times Q, and the values compare by
+    cross-multiplication.
+    """
+    free = _free_columns(problem, forced_zero)
+    scaled_rows = problem.scaled_rows
+    nrows = len(scaled_rows)
     duals = solution.duals
-    if len(duals) != len(rows) + len(refs):
+    if len(duals) != nrows + len(free):
         return False
-    if any(y < 0 for y in duals):
+    ratios = [y.as_integer_ratio() for y in duals]
+    dual_scale = lcm(*[q for _, q in ratios])
+    ys = [p * (dual_scale // q) for p, q in ratios]
+    if min(ys) < 0:
         return False
-    entries = solution.point.entries
-    for ref, x in entries:
-        if ref in forced_zero or not instance.contains(ref) or x > 1:
+    entries = [(ref, x.as_integer_ratio()) for ref, x in solution.point.entries]
+    point_scale = lcm(*[q for _, (_, q) in entries])
+    col = problem.col
+    xs = []
+    for ref, (p, q) in entries:
+        j = col.get(ref)
+        if j is None or ref in forced_zero or p > q:
             return False
-    objective = problem.objective_map()
-    primal_value = sum((objective.get(ref, _F0) * x for ref, x in entries), _F0)
-    dual_value = _F0
-    y_a = {}
-    for y, row in zip(duals, rows):
-        lhs = _F0
-        for ref, x in entries:
-            coeff = row.coeff(ref)
-            if coeff:
-                lhs += coeff * x
-        if lhs > row.rhs:
+        xs.append((j, p * (point_scale // q)))
+    scale = problem.scale
+    priced = [0] * len(problem.refs)  # (y A_j) * Y * L
+    dual_value = 0                    # (y . rhs + sum(u)) * Y * L
+    for (dense, rhs, row_scale), y in zip(scaled_rows, ys):
+        if sum(dense[j] * x for j, x in xs) > rhs * point_scale:
             return False
         if y:
-            dual_value += y * row.rhs
-            for ref, coeff in row.terms:
-                term = y * coeff
-                y_a[ref] = y_a[ref] + term if ref in y_a else term
-    for ref, u in zip(refs, duals[len(rows):]):
-        priced = y_a.get(ref, _F0)
+            y *= scale // row_scale
+            dual_value += y * rhs
+            priced = [p + y * a for p, a in zip(priced, dense)]
+    costs = problem.costs
+    cost_factor = scale // problem.cost_scale * dual_scale
+    for j, u in zip(free, ys[nrows:]):
         if u:
-            priced += u
+            u *= scale
             dual_value += u
-        if priced < objective.get(ref, _F0):
+        if priced[j] + u < costs[j] * cost_factor:
             return False
-    return primal_value == solution.value == dual_value
+    primal_value = sum(costs[j] * x for j, x in xs)
+    num, den = solution.value.as_integer_ratio()
+    return (primal_value * den == num * problem.cost_scale * point_scale
+            and dual_value * den == num * dual_scale * scale)

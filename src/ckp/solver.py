@@ -167,8 +167,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             pool_rows.add(sep.cut.inequality)
             cuts_per_family[sep.cut.family] += 1
             added_here += 1
-            problem = LpProblem(instance, problem.rows + (sep.cut.inequality,),
-                                problem.objective)
+            problem = problem.with_row(sep.cut.inequality)
             solution = solve_lp(problem, node.forced_zero)
             pivots += solution.pivots
             _check_certificate(problem, solution, node.forced_zero)

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -10,9 +11,11 @@ from ckp import cuts, oracle
 from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
                       lifted_cover_inequality_2, pack_inequality_1,
                       pack_inequality_2, pack_inequality_3)
-from ckp.errors import PreconditionError
-from ckp.model import Instance, LinearInequality, VarRef, lhs_at
+from ckp.errors import CkpError, PreconditionError
+from ckp.model import Instance, LinearInequality, Point, VarRef, lhs_at
 from ckp.numeric import affine_rank
+from ckp.oracle import check_enum_limit, iter_patterns
+from ckp.simplex import LpProblem, LpSolution
 
 
 def make_instance(weights_by_group, capacity):
@@ -181,6 +184,246 @@ def reference_face_dimension(instance, inequality, limit=None):
     cap = instance.dimension - 1 if inequality.terms else instance.dimension
     vectors = (tuple(p.value(r) for r in refs) for p in tight)
     return affine_rank(vectors, cap)
+
+
+# --- the Fraction node LP and oracle fill ------------------------------------
+# The library's node LP, its certificate check and the oracle's per-pattern
+# fill work on integer-scaled data.  Below are the Fraction versions they
+# replaced, with their bodies unchanged, as references for them.
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+_ratio_key = itemgetter(0)
+
+
+def fill_knapsack(items, capacity):
+    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
+
+    ``items`` are ``(ref, a, c)`` triples with a >= 0, in variable order.
+    Returns ``(value, entries, ratio)``: the optimum, the positive
+    ``(ref, x)`` entries of the filled point, and the critical ratio c/a of
+    the first item not taken whole, or None when every item with a
+    positive profit was taken whole.  A capacity that is not positive takes
+    only the weight-zero items.
+    """
+    value = _F0
+    entries = []
+    pool = []
+    for ref, a, c in items:
+        if c <= 0:
+            continue
+        if a == 0:
+            value += c
+            entries.append((ref, _F1))
+        else:
+            pool.append((c / a, ref, a, c))
+    # A stable sort keeps equal ratios in variable order.
+    pool.sort(key=_ratio_key, reverse=True)
+    remaining = capacity
+    for ratio, ref, a, c in pool:
+        if a <= remaining:
+            entries.append((ref, _F1))
+            value += c
+            remaining -= a
+        else:
+            if remaining > 0:
+                frac = remaining / a
+                entries.append((ref, frac))
+                value += c * frac
+            return value, entries, ratio
+    return value, entries, None
+
+
+def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
+    """The closed form for a knapsack row alone."""
+    instance = problem.instance
+    objective = problem.objective_map()
+    items = []
+    for ref in refs:
+        a = instance.groups[ref.group - 1].weights[ref.slot - 1]
+        items.append((ref, a, objective.get(ref, _F0)))
+    value, entries, ratio = fill_knapsack(items, instance.capacity)
+    y = _F0 if ratio is None else ratio
+    whole = {ref for ref, x in entries if x == 1}
+    bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
+    return LpSolution(value, Point(entries), (y,) + bounds, 0)
+
+
+class _BoundedTableau:
+    """Simplex tableau over Fractions with implicit bounds 0 <= x_j <= 1 on
+    the first ``nbounded`` columns and Bland's rule.
+
+    Each row reads ``basic + sum(T[c] * x_c) = rhs`` (rhs in the last
+    column), ``zrow`` holds the reduced costs, and ``flipped[c]`` records
+    that column c stands for 1 - x_c.  The start is the slack basis: the
+    slack of row r is column ``nbounded + r``, and the slacks cost nothing,
+    so the reduced costs start as the costs.
+    """
+
+    def __init__(self, matrix, cost, nbounded):
+        self.matrix = matrix
+        self.basis = list(range(nbounded, nbounded + len(matrix)))
+        self.nbounded = nbounded
+        self.flipped = [False] * nbounded
+        self.zrow = list(cost) + [_F0]
+        self.pivots = 0
+
+    def pivot(self, row, col):
+        m = self.matrix
+        prow = m[row]
+        inv = prow[col]
+        if inv != 1:
+            m[row] = prow = [entry / inv if entry else entry for entry in prow]
+        for r, other in enumerate(m):
+            factor = other[col]
+            if r != row and factor:
+                m[r] = [entry - factor * p if p else entry
+                        for entry, p in zip(other, prow)]
+        factor = self.zrow[col]
+        if factor:
+            self.zrow = [z - factor * p if p else z
+                         for z, p in zip(self.zrow, prow)]
+        self.basis[row] = col
+        self.pivots += 1
+
+    def flip_column(self, col):
+        """Complement nonbasic x_col, moving it to the bound it was not at."""
+        for line in self.matrix:
+            t = line[col]
+            if t:
+                line[-1] -= t
+                line[col] = -t
+        self.zrow[col] = -self.zrow[col]
+        self.flipped[col] = not self.flipped[col]
+
+    def flip_row(self, row):
+        """Complement the basic variable of ``row``."""
+        bcol = self.basis[row]
+        line = [-t if t else t for t in self.matrix[row]]
+        line[bcol] = _F1
+        line[-1] += 1
+        self.matrix[row] = line
+        self.flipped[bcol] = not self.flipped[bcol]
+
+    def run(self):
+        """Maximize: Bland iterations until no reduced cost is positive."""
+        m = self.matrix
+        basis = self.basis
+        nbounded = self.nbounded
+        ncols = len(self.zrow) - 1
+        while True:
+            zrow = self.zrow
+            entering = next((c for c in range(ncols) if zrow[c] > 0), None)
+            if entering is None:
+                return
+            # Candidates: the entering variable's own bound (step 1), a
+            # basic variable falling to 0 or a bounded one rising to 1.
+            if entering < nbounded:
+                best, leaving, leaving_col = _F1, None, entering
+            else:
+                best = leaving = leaving_col = None
+            for r, line in enumerate(m):
+                a = line[entering]
+                if a > 0:
+                    step = line[-1] / a
+                elif a < 0 and basis[r] < nbounded:
+                    step = (line[-1] - 1) / a
+                else:
+                    continue
+                if best is None or step < best or (
+                        step == best and basis[r] < leaving_col):
+                    best, leaving, leaving_col = step, r, basis[r]
+            if best is None:
+                raise CkpError("LP is unbounded")
+            if leaving is None:
+                self.flip_column(entering)
+                continue
+            if m[leaving][entering] < 0:
+                self.flip_row(leaving)
+            self.pivot(leaving, entering)
+
+
+def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
+    """Bounded-variable simplex over the problem rows, from the slack basis."""
+    col_of = {ref: idx for idx, ref in enumerate(refs)}
+    nvars = len(refs)
+    rows = problem.rows
+    nrows = len(rows)
+    # columns: structural vars, slacks, rhs
+    matrix = []
+    for r, row in enumerate(rows):
+        line = [_F0] * (nvars + nrows + 1)
+        for ref, coeff in row.terms:
+            c = col_of.get(ref)
+            if c is not None:
+                line[c] = coeff
+        line[nvars + r] = _F1
+        line[-1] = row.rhs
+        matrix.append(line)
+    objective = problem.objective_map()
+    cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
+    tab = _BoundedTableau(matrix, cost, nvars)
+    tab.run()
+
+    xs = [_F0] * nvars
+    for r, bcol in enumerate(tab.basis):
+        if bcol < nvars:
+            xs[bcol] = tab.matrix[r][-1]
+    zrow = tab.zrow
+    value = _F0
+    bounds = []
+    for c, ref in enumerate(refs):
+        reduced = zrow[c]
+        if tab.flipped[c]:
+            xs[c] = 1 - xs[c]
+            reduced = -reduced
+        bounds.append(reduced if reduced > 0 else _F0)
+        if xs[c]:
+            value += objective.get(ref, _F0) * xs[c]
+    point = Point(zip(refs, xs))
+    # Multiplier of row r is the negated reduced cost of its slack.
+    duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
+    return LpSolution(value, point, duals, tab.pivots)
+
+
+def reference_solve_lp(problem, forced_zero=frozenset()):
+    """Exact optimum of the boxed LP, minus any forced-to-zero variables, in
+    Fractions.  The reference that ``simplex.solve_lp`` is checked against:
+    the same value, point, duals and pivots."""
+    refs = [r for r in problem.instance.refs() if r not in forced_zero]
+    if len(problem.rows) == 1:
+        return _solve_knapsack(problem, refs)
+    return _solve_bounded(problem, refs)
+
+
+def reference_maximize_over_S(instance, objective, limit=None):
+    """Exact maximum of a linear objective over S, with a maximizing point.
+
+    Per support pattern this is a fractional knapsack, filled by the
+    Fraction :func:`fill_knapsack` above (ties by variable order).  Across
+    patterns, ties keep the lexicographically smallest pattern.  The
+    reference that ``oracle.maximize_over_S`` is checked against.
+    """
+    check_enum_limit(instance, limit)
+    coeffs = {}
+    for ref, value in (objective.items() if hasattr(objective, "items") else objective):
+        if not isinstance(ref, VarRef):
+            ref = VarRef(*ref)
+        instance.check_ref(ref)
+        coeffs[ref] = Fraction(value) if not isinstance(value, Fraction) else value
+    b = instance.capacity
+    table = [[(VarRef(i, j), a, coeffs.get(VarRef(i, j), _F0))
+              for j, a in enumerate(g.weights, start=1)]
+             for i, g in enumerate(instance.groups, start=1)]
+    best_value = None
+    best_entries = None
+    for pattern in iter_patterns(instance):
+        value, entries, _ = fill_knapsack(
+            [slots[j - 1] for slots, j in zip(table, pattern) if j], b)
+        if best_value is None or value > best_value:
+            best_value = value
+            best_entries = entries
+    return best_value, Point(best_entries)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ckp
-from ckp import oracle
+from ckp import cuts, oracle
 from ckp.cli import main
 from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
 from ckp.fileio import (
@@ -207,6 +207,25 @@ def test_cuts_verify_without_cuts_enumerates_nothing(tmp_path, capsys):
     assert out == "# no cuts\n"
     code, out = run(capsys, "oracle", str(path), "--enumerate-limit", "5")
     assert code == 3  # the enumeration itself would overrun
+
+
+@pytest.mark.parametrize("family, calls", [("all", 1), ("pack2", 1),
+                                           ("lcover1", 0)])
+def test_cuts_enumerates_packs_once(files, capsys, monkeypatch, family, calls):
+    # the three pack families share one enumeration, made only when a pack
+    # family is listed
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return enumerate_maximal_switching_packs(*args, **kwargs)
+
+    monkeypatch.setattr(cuts, "enumerate_maximal_switching_packs", counting)
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", family)
+    assert code == 0
+    assert len(counted) == calls
+    if family == "all":
+        assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
 
 
 def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built):

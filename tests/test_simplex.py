@@ -17,7 +17,9 @@ from ckp.model import (
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
-from conftest import make_instance, rational_instance
+from conftest import (_solve_bounded as reference_solve_bounded,
+                      make_instance, random_instance, rational_instance,
+                      reference_maximize_over_S, reference_solve_lp)
 
 
 def lp_for(inst, extra_rows=()):
@@ -89,6 +91,22 @@ def test_rows_must_include_knapsack(ex_a):
         LpProblem(ex_a, (), ())
     with pytest.raises(ValidationError):
         LpProblem(ex_a, (knapsack_row(ex_a), knapsack_row(ex_a)), ())
+
+
+def test_with_row_matches_building_the_rows(ex_b):
+    # the solver's add-a-cut step: the same LP as building all rows at
+    # once, and the same checks on the new row
+    cut = cuts.pack_inequality_1(
+        ex_b, cuts.enumerate_maximal_switching_packs(ex_b)[0]).inequality
+    grown = lp_for(ex_b).with_row(cut)
+    built = lp_for(ex_b, (cut,))
+    assert grown.rows == built.rows
+    assert solve_lp(grown) == solve_lp(built)
+    assert verify_certificate(grown, solve_lp(built))
+    with pytest.raises(ValidationError, match="exactly once"):
+        grown.with_row(knapsack_row(ex_b))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        grown.with_row(LinearInequality([(VarRef(1, 1), -1)], Fraction(-1, 2)))
 
 
 def test_objective_refs_checked(ex_a):
@@ -189,8 +207,8 @@ def test_differential_against_brute_force():
             one_row += 1
             assert sol.value == box
             assert sol.pivots == 0
-            refs = [r for r in inst.refs() if r not in forced]
-            tableau = simplex._solve_bounded(problem, refs)
+            free = [j for j, r in enumerate(problem.refs) if r not in forced]
+            tableau = simplex._solve_bounded(problem, free)
             assert tableau.value == sol.value
             assert verify_certificate(problem, tableau, forced)
     assert one_row >= 20 and with_cuts >= 20
@@ -235,3 +253,107 @@ def test_certificate_rejects_point_on_forced_variable():
     entries = sol.point.entries + ((VarRef(4, 1), Fraction(1)),)
     forged = LpSolution(sol.value, Point(entries), sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged, forced)
+
+
+def _unchecked_point(entries):
+    """A Point holding ``entries`` as given, past the constructor's [0, 1]
+    check, as a forged solution might."""
+    point = object.__new__(Point)
+    point.entries = tuple(entries)
+    point._by_ref = dict(entries)
+    return point
+
+
+_LARGE_PRIME = 2 ** 61 - 1
+
+
+def test_certificate_handles_dual_denominators_foreign_to_the_data():
+    # The data are integers (every scale is 1), and the duals carry a
+    # denominator coprime to all of them.  Lowering y below the critical
+    # ratio and raising u11 to keep the sum leaves x21 underpriced; the
+    # shift the other way is a valid, degenerate certificate.
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    eps = Fraction(1, _LARGE_PRIME)
+    forged = LpSolution(sol.value, sol.point,
+                        tuple(map(Fraction, (2 - eps, 1 + eps, 0, 0, 0))),
+                        sol.pivots)
+    assert not verify_certificate(problem, forged)
+    shifted = LpSolution(sol.value, sol.point,
+                         tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
+                         sol.pivots)
+    assert verify_certificate(problem, shifted)
+
+
+def test_certificate_rejects_entry_just_above_one():
+    # x41 weighs and earns nothing, so only the bound x <= 1 rules it out
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    entries = sol.point.entries + (
+        (VarRef(4, 1), 1 + Fraction(1, _LARGE_PRIME)),)
+    forged = LpSolution(sol.value, _unchecked_point(entries), sol.duals,
+                        sol.pivots)
+    assert not verify_certificate(problem, forged)
+
+
+def test_certificate_rejects_value_off_by_a_tiny_fraction():
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    for off in (Fraction(1, _LARGE_PRIME), -Fraction(1, _LARGE_PRIME)):
+        forged = LpSolution(sol.value + off, sol.point, sol.duals, sol.pivots)
+        assert not verify_certificate(problem, forged)
+
+
+def test_integer_node_lp_matches_fraction_reference():
+    """Value, point, duals and pivots equal those of the Fraction node LP,
+    on rational and zero weights, equal ratios, 0-3 builder cut rows and
+    forced sets; the tableau alone matches its reference on one-row LPs
+    too."""
+    rng = random.Random(90210)
+    seen = {"cuts": 0, "pivots": 0, "forced": 0, "zero weight": 0,
+            "tied ratio": 0}
+    for _ in range(150):
+        inst = rational_instance(rng)
+        objective = {r: inst.profit(r) for r in inst.refs()}
+        for r in inst.refs():
+            if rng.random() < 0.15:
+                objective[r] = -objective[r] - 1
+        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        pool = _builder_cuts(inst)
+        rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
+        problem = LpProblem.build(inst, objective, rows)
+        got = solve_lp(problem, forced)
+        want = reference_solve_lp(problem, forced)
+        assert (got.value, got.point, got.duals, got.pivots) == (
+            want.value, want.point, want.duals, want.pivots)
+        assert verify_certificate(problem, got, forced)
+        free = [j for j, r in enumerate(problem.refs) if r not in forced]
+        got = simplex._solve_bounded(problem, free)
+        want = reference_solve_bounded(
+            problem, [r for r in inst.refs() if r not in forced])
+        assert (got.value, got.point, got.duals, got.pivots) == (
+            want.value, want.point, want.duals, want.pivots)
+        ratios = [objective[r] / inst.weight(r) for r in inst.refs()
+                  if inst.weight(r) and objective[r] > 0]
+        seen["cuts"] += bool(rows)
+        seen["pivots"] += got.pivots > 0
+        seen["forced"] += bool(forced)
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["tied ratio"] += len(set(ratios)) < len(ratios)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_maximize_over_S_matches_fraction_fill():
+    rng = random.Random(1729)
+    for n in range(120):
+        inst = (rational_instance(rng) if n % 3 else
+                random_instance(rng, max_groups=4, profits="random"))
+        objective = {r: inst.profit(r) for r in inst.refs()}
+        for r in inst.refs():
+            roll = rng.random()
+            if roll < 0.1:
+                objective[r] = -objective[r]
+            elif roll < 0.2:
+                objective[r] = inst.weight(r) * 2  # ties the ratio at 2
+        assert (oracle.maximize_over_S(inst, objective)
+                == reference_maximize_over_S(inst, objective))

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from ckp.separation import SeparationResult, SeparationStats
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, rational_instance
 
 
 def oracle_value(inst):
@@ -160,6 +161,27 @@ def test_bounds_monotone_under_families(ex_c):
                      ("lcover1", "lcover2")):
         values.add(branch_and_cut(ex_c, SolveConfig(families=families)).value)
     assert values == {36}
+
+
+@pytest.mark.parametrize("config", [SolveConfig(),
+                                    SolveConfig(exact_fallback=True)],
+                         ids=["default", "exact-fallback"])
+def test_fuzz_against_the_oracle(config):
+    """Seeded rational data with zero weights and equal ratios: every solve
+    is proven optimal, its value is the oracle's maximum over S, and its
+    point lies in S and earns that value."""
+    rng = random.Random(8080)
+    branched = cut = 0
+    for _ in range(80):
+        inst = rational_instance(rng)
+        report = branch_and_cut(inst, config)
+        assert report.proven_optimal
+        assert report.value == report.best_bound == oracle_value(inst)
+        assert is_feasible(inst, report.point)
+        assert profit_of(inst, report.point) == report.value
+        branched += report.nodes > 1
+        cut += bool(report.cut_pool)
+    assert branched >= 10 and cut >= 5, (branched, cut)
 
 
 def _forged_solve_lp(problem, forced_zero=frozenset()):
