@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 parse/usage error, 2 violated precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import cuts as cuts_mod
@@ -291,10 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first :func:`main` call (not at import) and
+    reused after; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse signals usage problems (and --help) by exiting; keep the
         # documented return-code contract instead of letting it propagate.

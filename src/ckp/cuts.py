@@ -26,12 +26,15 @@ the relevant theorem's sufficient condition holds on the instance.
 
 Next to each builder sits its closed form: the member's violation at one
 point, computed from the point's per-group support (:class:`PointSupport`)
-without building the cut.  :func:`family_scores` defines which members an
-item set gives, tests their preconditions in integer units and scores
-each; :func:`build_member` builds one member from its provenance key.
-Exact and greedy separation score every member and build only the winner;
-``ckp cuts`` lists the members and builds each.  :func:`walk_patterns`
-walks every item set with its weight in integer units.
+without building the cut.  The support scales the point once, to integers
+X = x * D, and the weights and capacity to integer units, so each closed
+form sums integers and makes one Fraction at the end.  :func:`family_scores`
+defines which members an item set gives, tests their preconditions in
+integer units and scores each; :func:`build_member` builds one member from
+its provenance key.  Exact and greedy separation score every member and
+build only the winner; ``ckp cuts`` lists the members and builds each.
+:func:`walk_patterns` walks every item set with its weight in integer
+units, and :func:`is_switching` is the one maximal-switching test.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .oracle import resolve_enum_limit
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -155,58 +157,73 @@ def is_pack(instance: Instance, itemset: ItemSet) -> bool:
 
 def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     """Last-slot pack whose every non-singleton swap overshoots the capacity."""
-    if not is_pack(instance, itemset):
+    _checked(instance, itemset)
+    if any(ref.slot != instance.slots(ref.group) for ref in itemset):
         return False
-    s = itemset.weight(instance)
-    b = instance.capacity
-    for ref in itemset:
-        n = instance.slots(ref.group)
-        if ref.slot != n:
-            return False
-    for ref in itemset:
-        n = instance.slots(ref.group)
-        if n == 1:
-            continue
-        g = instance.group(ref.group)
-        if s - g.weights[n - 1] + g.weights[n - 2] <= b:
-            return False
-    return True
+    _, tails, capacity = weight_units(
+        instance.capacity, [instance.group(i).weights for i in itemset.groups()])
+    return is_switching(tails, capacity - sum(u[-1] for u in tails))
+
+
+def is_switching(tails, slack) -> bool:
+    """The one maximal-switching test, in integer units: a last-slot pack
+    whose groups' weight rows are ``tails`` and whose slack b - s is
+    ``slack`` is maximal switching when the slack is positive and every
+    non-singleton group's gap between its last two slots exceeds it."""
+    return slack > 0 and all(len(u) == 1 or u[-2] - u[-1] > slack
+                             for u in tails)
+
+
+def weight_units(capacity, weights):
+    """``(scale, units, capacity_units)``: the weight rows ``weights`` and
+    the capacity times ``scale``, the least common denominator of them
+    all, so that every weight comparison is between exact integers."""
+    scale = lcm(capacity.denominator,
+                *(a.denominator for row in weights for a in row))
+    units = [tuple(a.numerator * (scale // a.denominator) for a in row)
+             for row in weights]
+    return scale, units, capacity.numerator * (scale // capacity.denominator)
 
 
 class PointSupport:
     """One point's positive entries, grouped for the closed-form violations,
-    and the instance's weights in integer units for the preconditions.
+    and the instance's weights, all in integer units.
 
-    Per group i (list index i - 1): ``weights``; ``entries`` as
-    ``(slot, weight, value)`` for the point's positive variables; ``mass``
-    W_i = sum_j a_ij x_ij; ``units``, the weights times ``scale``, the least
-    common denominator of the weights and the capacity, so that an item
-    set's weight and every precondition compare exact integers; and
-    ``lighter[r - 1]``, in units, how far the weight falls when the chosen
-    slot r moves to its lightest later slot (for r below the last slot).
+    Weights and the capacity are scaled by ``scale`` (see
+    :func:`weight_units`) into ``units`` and ``capacity_units``, so that an
+    item set's weight and every precondition compare exact integers; the
+    point's entries are scaled by ``point_scale``, D, the least common
+    denominator of the entries, so that each x is the integer X = x * D
+    (``x`` maps each positive variable to its X).  Per group i (list index
+    i - 1): ``entries`` as ``(slot, U, X)`` for the point's positive
+    variables; ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij times
+    scale * D; and ``lighter[r - 1]``, in units, how far the weight falls
+    when the chosen slot r moves to its lightest later slot (for r below
+    the last slot).  Every reference of the point is checked, as the
+    integer lists are indexed by it.
     """
 
-    __slots__ = ("b", "m0", "weights", "entries", "mass", "value", "scale",
-                 "units", "capacity_units", "lighter")
+    __slots__ = ("m0", "scale", "units", "capacity_units", "lighter",
+                 "point_scale", "entries", "mass", "x")
 
     def __init__(self, instance: Instance, point):
-        self.b = instance.capacity
         self.m0 = instance.singleton_groups()
-        self.weights = [g.weights for g in instance.groups]
-        entries = [[] for _ in instance.groups]
-        for ref, x in point.entries:
-            entries[ref.group - 1].append((ref.slot, instance.weight(ref), x))
-        self.entries = [tuple(e) for e in entries]
-        self.mass = [sum((a * x for _, a, x in e), _F0) for e in entries]
-        self.value = point.value
-        scale = lcm(self.b.denominator,
-                    *(a.denominator for w in self.weights for a in w))
-        self.scale = scale
-        self.units = [tuple(a.numerator * (scale // a.denominator) for a in w)
-                      for w in self.weights]
-        self.capacity_units = self.b.numerator * (scale // self.b.denominator)
+        self.scale, self.units, self.capacity_units = weight_units(
+            instance.capacity, [g.weights for g in instance.groups])
         self.lighter = [tuple(u[r - 1] - min(u[r:]) for r in range(1, len(u)))
                         for u in self.units]
+        d = lcm(*(x.denominator for _, x in point.entries))
+        self.point_scale = d
+        entries = [[] for _ in instance.groups]
+        self.x = {}
+        for ref, x in point.entries:
+            instance.check_ref(ref)
+            scaled = x.numerator * (d // x.denominator)
+            self.x[ref] = scaled
+            entries[ref.group - 1].append(
+                (ref.slot, self.units[ref.group - 1][ref.slot - 1], scaled))
+        self.entries = [tuple(e) for e in entries]
+        self.mass = [sum(u * x for _, u, x in e) for e in entries]
 
     def units_of(self, items) -> int:
         """The weight of an item tuple, in integer units."""
@@ -275,60 +292,64 @@ def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
 
 def _pack_scores(sup: PointSupport, pack, slack, families):
     """``(violation, provenance key)`` of each member of the pack
-    ``families`` that ``pack`` (slack b - s > 0) gives, in the order of
-    :func:`family_scores`: the closed form of :func:`_pack_cut` at the point.
+    ``families`` that ``pack`` (slack b - s > 0, in units) gives, in the
+    order of :func:`family_scores`: the closed form of :func:`_pack_cut` at
+    the point.
 
     Each violation is  sum_{i in P} W_i - b + grown * (X - r + 1)  with X
     the summed values of the r receivers, after the pivot group's and the
     tilt variable's masses are taken under their replaced coefficients.
+    It is summed in integers, times scale * D (see :class:`PointSupport`),
+    and pack2 and pack3 also times den = a_pivot + slack in units, the
+    denominator of the pivot group's coefficients a_pivot * max(a, den) /
+    den and of the tilt's factor; each violation is then one Fraction.
     pack2 and pack3 need two non-singleton pack groups and a last-slot
     pivot; the shared sums are formed once per pack.
     """
     rank = FAMILY_RANK
-    lhs = -sup.b  # sum of the pack groups' masses, less b
+    d = sup.point_scale
+    x = sup.x
+    unit = sup.scale * d
+    lhs = -sup.capacity_units * d  # the pack groups' masses, less b
     free = []
     singles = []
-    received = _F0
+    received = 0
     for ref in pack:
-        mass = sup.mass[ref.group - 1]
-        if mass:
-            lhs += mass
+        lhs += sup.mass[ref.group - 1]
         if ref.group in sup.m0:
             singles.append(ref)
         else:
             free.append(ref)
-            x = sup.value(ref)
-            if x:
-                received += x
+            received += x.get(ref, 0)
     if "pack1" in families:
-        yield (lhs + slack * (received - len(free) + 1),
+        yield (Fraction(lhs + slack * (received - (len(free) - 1) * d), unit),
                (pack, rank["pack1"], ()))
     if len(free) < 2 or ("pack2" not in families and "pack3" not in families):
         return
     for pivot in free:
-        weights = sup.weights[pivot.group - 1]
-        if pivot.slot != len(weights):
+        units = sup.units[pivot.group - 1]
+        if pivot.slot != len(units):
             continue
-        a_pivot = weights[-1]
-        denom = a_pivot + slack
-        pivoted = lhs - sup.mass[pivot.group - 1]
-        for _, a, x in sup.entries[pivot.group - 1]:
-            pivoted += (a_pivot * a / denom if a > denom else a_pivot) * x
+        a_pivot = units[-1]
+        den = a_pivot + slack
+        pivoted = ((lhs - sup.mass[pivot.group - 1]) * den
+                   + a_pivot * sum(max(a, den) * xa for _, a, xa
+                                   in sup.entries[pivot.group - 1]))
         # X - r + 1 over the receivers, which exclude the pivot's group
-        spread = received - sup.value(pivot) - len(free) + 2
+        spread = received - x.get(pivot, 0) - (len(free) - 2) * d
         if "pack2" in families:
-            yield (pivoted + slack * spread,
+            yield (Fraction(pivoted + slack * den * spread, unit * den),
                    (pack, rank["pack2"], (pivot.group,)))
         if "pack3" not in families:
             continue
         for tilt in singles:
-            a_tilt = sup.weights[tilt.group - 1][0]
-            grown = slack * (1 + a_tilt / denom)
-            tilted = pivoted + grown * spread
-            x = sup.value(tilt)
-            if x:  # a_tilt * x becomes a_pivot * a_tilt / denom * x
-                tilted += (a_pivot / denom - 1) * a_tilt * x
-            yield tilted, (pack, rank["pack3"], (pivot.group, tilt.group))
+            # grown = slack * (den + a_tilt) / den, and a_tilt * x becomes
+            # a_pivot * a_tilt / den * x, which is slack * a_tilt / den less
+            a_tilt = sup.units[tilt.group - 1][0]
+            tilted = pivoted + slack * ((den + a_tilt) * spread
+                                        - a_tilt * x.get(tilt, 0))
+            yield (Fraction(tilted, unit * den),
+                   (pack, rank["pack3"], (pivot.group, tilt.group)))
 
 
 def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
@@ -404,14 +425,15 @@ def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCu
 
 def _lcover1_violation(sup: PointSupport, cover, excess):
     """The lcover1 cut's violation at the point, for a cover with excess
-    s - b that meets the lifting condition."""
-    lhs = _F0
+    s - b (in units) that meets the lifting condition; summed in integers
+    times scale * D."""
+    lhs = -sup.capacity_units * sup.point_scale
     for ref in cover:
-        a_r = sup.weights[ref.group - 1][ref.slot - 1]
+        a_r = sup.units[ref.group - 1][ref.slot - 1]
         floor = a_r - excess  # b minus the other chosen items' weight
         for j, a, x in sup.entries[ref.group - 1]:
             lhs += (a_r if j < ref.slot else max(a, floor)) * x
-    return lhs - sup.b
+    return Fraction(lhs, sup.scale * sup.point_scale)
 
 
 def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
@@ -461,23 +483,37 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
 
 def _lcover2_violation(sup: PointSupport, cover, excess, special):
     """The lcover2 cut's violation at the point, for a cover with excess
-    s - b whose special item meets the lifting condition.  With rest the
-    weight of the other cover items, b - rest = a_special - excess."""
-    weights = sup.weights[special.group - 1]
-    a_last = weights[-1]
-    floor = weights[special.slot - 1] - excess  # b - rest
-    lhs = _F0
+    s - b (in units) whose special item meets the lifting condition.  With
+    rest the weight of the other cover items, b - rest = a_special - excess.
+
+    Summed in integers times scale * D: the lifted slots j <= t of each
+    other cover group have coefficients a_t * max(a, den) / den, with
+    den = b - (rest - a_t) - a_last, so their part is kept as one fraction
+    ``lifted / dens`` over the product of the groups' dens.
+    """
+    units = sup.units[special.group - 1]
+    a_last = units[-1]
+    floor = units[special.slot - 1] - excess  # b - rest
+    whole = -sup.capacity_units * sup.point_scale
+    lifted, dens = 0, 1
     for ref in cover:
         entries = sup.entries[ref.group - 1]
         if ref.group == special.group:
             for _, a, x in entries:
-                lhs += max(a, floor) * x
+                whole += max(a, floor) * x
             continue
-        a_t = sup.weights[ref.group - 1][ref.slot - 1]
-        denom = floor + a_t - a_last  # b - (rest - a_t) - a_last
+        a_t = sup.units[ref.group - 1][ref.slot - 1]
+        den = floor + a_t - a_last  # b - (rest - a_t) - a_last
+        part = 0
         for j, a, x in entries:
-            lhs += (a_t * max(_F1, a / denom) if j <= ref.slot else a) * x
-    return lhs - sup.b
+            if j <= ref.slot:
+                part += max(a, den) * x
+            else:
+                whole += a * x
+        if part:
+            lifted = lifted * den + a_t * part * dens
+            dens *= den
+    return Fraction(lifted + whole * dens, sup.scale * sup.point_scale * dens)
 
 
 def family_scores(sup: PointSupport, items, units, families):
@@ -501,16 +537,13 @@ def family_scores(sup: PointSupport, items, units, families):
     over = units - sup.capacity_units
     if over < 0:
         if "pack1" in families or "pack2" in families or "pack3" in families:
-            slack = Fraction(-over, sup.scale)
-            yield from _pack_scores(sup, items, slack, families)
+            yield from _pack_scores(sup, items, -over, families)
     elif over > 0:
-        excess = None  # s - b, made a Fraction once a member qualifies
         if "lcover1" in families:
             for ref in items:
                 lighter = sup.lighter[ref.group - 1]
                 if ref.slot <= len(lighter) and lighter[ref.slot - 1] > over:
-                    excess = Fraction(over, sup.scale)
-                    yield (_lcover1_violation(sup, items, excess),
+                    yield (_lcover1_violation(sup, items, over),
                            (items, FAMILY_RANK["lcover1"], ()))
                     break
         if "lcover2" in families:
@@ -518,9 +551,7 @@ def family_scores(sup: PointSupport, items, units, families):
                 u = sup.units[special.group - 1]
                 # rest + a_last < b, as a_special - a_last > s - b
                 if special.slot < len(u) and u[special.slot - 1] - u[-1] > over:
-                    if excess is None:
-                        excess = Fraction(over, sup.scale)
-                    yield (_lcover2_violation(sup, items, excess, special),
+                    yield (_lcover2_violation(sup, items, over, special),
                            (items, FAMILY_RANK["lcover2"], (special.group,)))
 
 
@@ -574,9 +605,12 @@ def enumerate_maximal_switching_packs(instance: Instance,
     groups = range(1, instance.m + 1)
     subsets = sorted(chain.from_iterable(
         combinations(groups, k) for k in range(1, instance.m + 1)))
+    _, units, capacity = weight_units(instance.capacity,
+                                      [g.weights for g in instance.groups])
     out = []
     for subset in subsets:
-        itemset = ItemSet.of(VarRef(i, instance.slots(i)) for i in subset)
-        if is_maximal_switching_pack(instance, itemset):
-            out.append(itemset)
+        tails = [units[i - 1] for i in subset]
+        if is_switching(tails, capacity - sum(u[-1] for u in tails)):
+            out.append(ItemSet(tuple(VarRef(i, len(u))
+                                     for i, u in zip(subset, tails))))
     return out

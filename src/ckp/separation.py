@@ -1,11 +1,14 @@
 """Separation: exact enumeration per family, a deterministic greedy
 heuristic, and the partition-problem reduction builder.
 
-Both separators share one select routine over item sets, each given
-with its weight in exact integer units:
+Both separators first check the point's references and its knapsack row
+on its support in integer units (:class:`cuts.PointSupport`: the point
+scaled once by the LCM D of its denominators, the weights and capacity by
+theirs), then share one select routine over item sets, each given with
+its weight in integer units:
 
 * score: each family member whose precondition holds gets its violation
-  in closed form from the point's per-group support
+  in closed form, summed in integers over the support
   (:func:`cuts.family_scores`), with nothing built;
 * build one: the winner, the maximum violation with ties broken toward the
   lexicographically smallest provenance key (item set, then family, then
@@ -15,8 +18,10 @@ with its weight in exact integer units:
 Exact separation gives it every non-empty one-slot-per-group pattern (the
 space the oracle enumerates), walked depth first by
 :func:`cuts.walk_patterns`.  The greedy heuristic builds one pack from
-last-slot items ordered by the point's per-group weight mass and gives it
-only that pack and its drop-one-singleton subsets.
+last-slot items ordered by the point's per-group weight mass, both in
+integer units, keeps it only when it passes the integer maximal-switching
+test (:func:`cuts.is_switching`), and gives only that pack and its
+drop-one-singleton subsets.
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cuts import (FAMILIES, GeneratedCut, ItemSet, PointSupport, build_member,
-                   family_scores, is_maximal_switching_pack, walk_patterns)
+from .cuts import (FAMILIES, GeneratedCut, PointSupport, build_member,
+                   family_scores, is_switching, walk_patterns)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
 from .oracle import check_enum_limit
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,13 @@ def _resolve_families(family: Union[str, Sequence[str], None]):
     return out
 
 
-def _require_lp_feasible(instance: Instance, point: Point) -> None:
-    for ref, _ in point.entries:
-        instance.check_ref(ref)
-    if weight_of(instance, point) > instance.capacity:
+def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
+    """The point's support in integer units (building it checks every
+    reference), once the point is known to satisfy the knapsack row."""
+    support = PointSupport(instance, point)
+    if sum(support.mass) > support.capacity_units * support.point_scale:
         raise PreconditionError("point violates the knapsack row")
+    return support
 
 
 def _select(instance: Instance, point: Point, support, itemsets,
@@ -84,8 +89,9 @@ def _select(instance: Instance, point: Point, support, itemsets,
         patterns += 1
         for v, k in family_scores(support, items, units, families):
             examined += 1
-            if v > 0 and (key is None or v > violation
-                          or (v == violation and k < key)):
+            # a Fraction's sign is its numerator's
+            if v.numerator > 0 and (key is None or v > violation
+                                    or (v == violation and k < key)):
                 violation, key = v, k
     if key is not None:
         cut = build_member(instance, key)
@@ -107,9 +113,8 @@ def separate_exact(instance: Instance, point: Point,
     """
     started = time.monotonic()
     families = _resolve_families(family)
-    _require_lp_feasible(instance, point)
+    support = _require_lp_feasible(instance, point)
     check_enum_limit(instance, limit)
-    support = PointSupport(instance, point)
     return _select(instance, point, support, walk_patterns(support),
                    families, started)
 
@@ -127,30 +132,23 @@ def separate_greedy(instance: Instance, point: Point,
     """
     started = time.monotonic()
     families = _resolve_families(families)
-    _require_lp_feasible(instance, point)
-    b = instance.capacity
-    mass = {}
-    for ref, x in point.entries:
-        mass[ref.group] = mass.get(ref.group, _F0) + instance.weight(ref) * x
-    order = sorted(range(1, instance.m + 1),
-                   key=lambda i: (-(mass.get(i, _F0)), i))
-    total = _F0
+    support = _require_lp_feasible(instance, point)
+    mass = support.mass
+    units = support.units
+    slack = support.capacity_units  # b less the pack's weight, in units
     chosen = []
-    for i in order:
-        last = VarRef(i, instance.slots(i))
-        a = instance.weight(last)
-        if total + a < b:
-            chosen.append(last)
-            total += a
-    pack = ItemSet.of(chosen) if chosen else None
-    if pack is None or not is_maximal_switching_pack(instance, pack):
-        return _select(instance, point, None, (), families, started)
-    packs = [pack.items]
+    for i in sorted(range(instance.m), key=lambda i: (-mass[i], i)):
+        if units[i][-1] < slack:
+            chosen.append(i)
+            slack -= units[i][-1]
+    chosen.sort()
+    if not chosen or not is_switching([units[i] for i in chosen], slack):
+        return _select(instance, point, support, (), families, started)
+    pack = tuple(VarRef(i + 1, len(units[i])) for i in chosen)
+    packs = [pack]
     if len(pack) >= 2:
-        m0 = instance.singleton_groups()
         packs += [tuple(r for r in pack if r != single)
-                  for single in pack if single.group in m0]
-    support = PointSupport(instance, point)
+                  for single in pack if single.group in support.m0]
     return _select(instance, point, support,
                    ((items, support.units_of(items)) for items in packs),
                    families, started)

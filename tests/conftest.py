@@ -121,6 +121,23 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     return LinearInequality(coeffs, rhs)
 
 
+def reference_is_maximal_switching_pack(instance, itemset):
+    """The maximal-switching test in Fractions, independent of the
+    library's integer one: a pack (s < b) of last-slot items where moving
+    any non-singleton item to its next-heavier slot gives s' > b."""
+    b = instance.capacity
+    s = itemset.weight(instance)
+    if s >= b:
+        return False
+    for ref in itemset:
+        weights = instance.group(ref.group).weights
+        if ref.slot != len(weights):
+            return False
+        if len(weights) > 1 and s - weights[-1] + weights[-2] <= b:
+            return False
+    return True
+
+
 def family_cuts(instance: Instance, itemset: ItemSet, families):
     """Every member of ``families`` that one item set gives, in order.
 

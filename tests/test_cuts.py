@@ -16,7 +16,8 @@ from ckp.fileio import serialize_inequality
 from ckp.model import VarRef
 from ckp import cuts, oracle
 
-from conftest import make_instance, random_instance, tilt_pack_inequality
+from conftest import (make_instance, random_instance, rational_instance,
+                      reference_is_maximal_switching_pack, tilt_pack_inequality)
 
 
 def refs(*pairs):
@@ -88,6 +89,32 @@ def test_enumerate_msps(ex_a, ex_b):
         assert cuts.is_maximal_switching_pack(ex_a, s)
     # output is sorted, duplicate-free, and in lexicographic subset order
     assert [s.items for s in all_a] == sorted({s.items for s in all_a})
+
+
+def test_msp_test_matches_fractions():
+    """The integer slack-versus-gap test agrees with the Fraction test on
+    every last-slot subset and every one-slot-per-group item set, on
+    rational and zero weights, and the enumeration keeps exactly the
+    subsets the Fraction test accepts."""
+    rng = random.Random(6031)
+    accepted = rejected = 0
+    for n in range(60):
+        inst = rational_instance(rng) if n % 2 else random_instance(rng)
+        packs = []
+        for pattern in oracle.iter_patterns(inst):
+            chosen = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
+            if not chosen:
+                continue
+            itemset = cuts.ItemSet.of(chosen)
+            expected = reference_is_maximal_switching_pack(inst, itemset)
+            assert cuts.is_maximal_switching_pack(inst, itemset) == expected
+            if expected:
+                packs.append(itemset.items)
+            accepted += expected
+            rejected += not expected
+        got = [p.items for p in cuts.enumerate_maximal_switching_packs(inst)]
+        assert got == sorted(packs, key=lambda p: tuple(r.group for r in p))
+    assert accepted > 50 and rejected > 500
 
 
 # --- first pack family ---

@@ -1,0 +1,75 @@
+"""The oldest supported interpreter (``requires-python >= 3.10``) gives the
+same results as the one running the suite.
+
+The script below runs in a ``python3.10`` subprocess and in one of the
+current interpreter, both importing ``ckp`` from this checkout's ``src``;
+their standard outputs must be equal.  The subprocess needs no test
+dependencies.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import os
+import sys
+from fractions import Fraction
+
+from ckp import cli, separation, solver
+from ckp.fileio import serialize_instance
+from ckp.model import Instance, Point, VarRef
+
+def same(*rows):
+    return [(row, row) for row in rows]
+
+instance = Instance.build([((3,), (5,)), ((17, 11, 4), (19, 12, 6)),
+                           ((13, 9), (14, 9)), ((12, 8, 5), (13, 7, 6)),
+                           ((9, 2), (4, 3))], 33)
+report = solver.branch_and_cut(instance, solver.SolveConfig(exact_fallback=True))
+print(report.value, report.best_bound, report.nodes, report.lp_pivots,
+      sorted(report.cuts_per_family.items()), report.point)
+
+ex_c = Instance.build(same((1,), (6,), (14, 10), (13, 9), (12, 8)), 36)
+point = Point([(VarRef(1, 1), 1), (VarRef(2, 1), 1),
+               (VarRef(3, 1), Fraction(1, 7)), (VarRef(3, 2), 1),
+               (VarRef(4, 2), 1), (VarRef(5, 2), 1)])
+for result in (separation.separate_greedy(ex_c, point),
+               separation.separate_exact(ex_c, point)):
+    print(result.violation, result.stats.examined, result.stats.patterns,
+          result.cut.describe(), result.cut.inequality)
+
+path = os.path.join(sys.argv[1], "ex_c.ckp")
+with open(path, "w", encoding="utf-8") as handle:
+    handle.write(serialize_instance(ex_c))
+print("exit", cli.main(["cuts", path, "--family", "all", "--verify"]))
+"""
+
+
+def run(python, *args):
+    """Standard output of ``python -c`` with ``args``, importing ``ckp``
+    from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # a pyenv shim runs only the selected version's command: select 3.10
+    env["PYENV_VERSION"] = "3.10"
+    proc = subprocess.run([python, "-c", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_python310_matches_current_interpreter(tmp_path):
+    python310 = shutil.which("python3.10")
+    if python310 is None:
+        pytest.skip("python3.10 is not on PATH")
+    version = run(python310, "import sys; print(sys.version_info[:2])")
+    assert version == "(3, 10)\n"
+    expected = run(sys.executable, SCRIPT, str(tmp_path))
+    assert "exit 0" in expected and "family: lcover1" in expected
+    assert run(python310, SCRIPT, str(tmp_path)) == expected

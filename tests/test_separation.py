@@ -22,7 +22,8 @@ from ckp.separation import (
 from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle
 
-from conftest import family_cuts, random_instance, rational_instance
+from conftest import (family_cuts, random_instance, rational_instance,
+                      reference_is_maximal_switching_pack)
 
 
 @pytest.fixture
@@ -102,6 +103,38 @@ def test_exact_rejects_knapsack_violation(ex_c):
     heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
     with pytest.raises(PreconditionError):
         separate_exact(ex_c, heavy)
+
+
+@pytest.mark.parametrize("separate", [separate_exact, separate_greedy])
+@pytest.mark.parametrize("ref", [VarRef(1, 0), VarRef(1, -1), VarRef(0, 1),
+                                 VarRef(6, 1)], ids=str)
+def test_out_of_range_references_rejected(ex_c, separate, ref):
+    # slot and group indices are checked before any integer list is indexed
+    # by them: slot - 1 = -1 or group - 1 = -1 would silently wrap around
+    point = Point([(VarRef(3, 1), Fraction(1, 2)), (ref, Fraction(1, 3))])
+    with pytest.raises(ValidationError, match="variable out of range"):
+        separate(ex_c, point)
+
+
+def test_greedy_rejects_knapsack_violation(ex_c):
+    heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
+    with pytest.raises(PreconditionError):
+        separate_greedy(ex_c, heavy)
+
+
+@pytest.mark.parametrize("separate", [separate_exact, separate_greedy])
+def test_tight_knapsack_row_accepted(ex_c, separate):
+    # 14 + 13 + 12 * 3/4 = 36 = b exactly; one part in 2^31 - 1 more is over
+    tight = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1),
+                   (VarRef(5, 1), Fraction(3, 4))])
+    assert weight_of(ex_c, tight) == ex_c.capacity
+    separate(ex_c, tight)
+    over = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1),
+                  (VarRef(5, 1), Fraction(3, 4) + Fraction(1, 2 ** 31 - 1))])
+    with pytest.raises(PreconditionError):
+        separate(ex_c, over)
+    inst, x = build_partition_reduction((1, 1, 2), 2)  # tight by construction
+    separate(inst, x)
 
 
 def test_exact_honors_enum_limit(ex_c, frac_point):
@@ -291,7 +324,7 @@ def reference_greedy(instance, point, families):
             total += instance.weight(last)
     packs = []
     pack = cuts.ItemSet.of(chosen) if chosen else None
-    if pack is not None and cuts.is_maximal_switching_pack(instance, pack):
+    if pack is not None and reference_is_maximal_switching_pack(instance, pack):
         packs.append(pack)
         if len(pack) >= 2:
             for i in sorted(set(pack.groups()) & instance.singleton_groups()):
@@ -374,6 +407,33 @@ def test_greedy_matches_building_every_member():
     assert won == {"pack1", "pack2", "pack3"}
 
 
+def scores_equal_builds(instance, point):
+    """Assert that every member family_scores lists at ``point`` is the
+    member family_cuts builds, in the same order, with the built cut's
+    violation; returns the number of members."""
+    b = instance.capacity
+    support = cuts.PointSupport(instance, point)
+    packs = tuple(f for f in cuts.FAMILIES if f.startswith("pack"))
+    covers = tuple(f for f in cuts.FAMILIES if f not in packs)
+    members = 0
+    for pattern in oracle.iter_patterns(instance):
+        refs = tuple(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
+        if not refs:
+            continue
+        s = sum((instance.weight(ref) for ref in refs), Fraction(0))
+        chosen = packs if s < b else covers if s > b else ()
+        built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
+                  c.provenance_key())
+                 for c in family_cuts(instance, cuts.ItemSet(refs), chosen)]
+        units = s * support.scale
+        assert units.denominator == 1
+        scored = list(cuts.family_scores(support, refs, int(units),
+                                         cuts.FAMILIES))
+        assert scored == built
+        members += len(built)
+    return members
+
+
 def test_scores_equal_built_violations():
     """Every member family_scores lists is the member family_cuts builds,
     in the same order, with the built cut's violation."""
@@ -381,29 +441,67 @@ def test_scores_equal_built_violations():
     members = 0
     for _ in range(40):
         instance = rational_instance(rng)
-        b = instance.capacity
         for point in _points(rng, instance):
-            support = cuts.PointSupport(instance, point)
-            for pattern in oracle.iter_patterns(instance):
-                refs = tuple(VarRef(i, j)
-                             for i, j in enumerate(pattern, start=1) if j)
-                if not refs:
-                    continue
-                s = sum((instance.weight(ref) for ref in refs), Fraction(0))
-                packs = tuple(f for f in cuts.FAMILIES if f.startswith("pack"))
-                covers = tuple(f for f in cuts.FAMILIES if f not in packs)
-                chosen = packs if s < b else covers if s > b else ()
-                built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
-                          c.provenance_key())
-                         for c in family_cuts(instance, cuts.ItemSet(refs),
-                                              chosen)]
-                units = s * support.scale
-                assert units.denominator == 1
-                scored = list(cuts.family_scores(support, refs, int(units),
-                                                 cuts.FAMILIES))
-                assert scored == built
-                members += len(built)
+            members += scores_equal_builds(instance, point)
     assert members > 5000
+
+
+COPRIME = (2 ** 31 - 1, 3, 7, 11, 13, 2 ** 61 - 1, 5, 17)
+
+
+def _coprime_point(rng, instance):
+    """A point whose entries have pairwise coprime denominators, one prime
+    per variable; entries are dropped, never rescaled, until the point
+    meets the knapsack row."""
+    entries = [(ref, Fraction(rng.randint(1, q - 1), q))
+               for ref, q in zip(instance.refs(), COPRIME)]
+    rng.shuffle(entries)
+    while sum(instance.weight(r) * x for r, x in entries) > instance.capacity:
+        entries.pop()
+    return Point(entries)
+
+
+def _node_points(rng, instance):
+    """LP optima of node LPs with one to three builder cut rows: each row
+    is the most violated member at the previous optimum."""
+    objective = {r: instance.profit(r) + rng.randint(0, 3)
+                 for r in instance.refs()}
+    problem = LpProblem.build(instance, objective)
+    point = solve_lp(problem).point
+    for _ in range(3):
+        cut = separate_exact(instance, point).cut
+        if cut is None:
+            return
+        problem = problem.with_row(cut.inequality)
+        point = solve_lp(problem).point
+        yield point
+
+
+def test_large_coprime_denominators_match_building_every_member():
+    """On node-LP points with cut rows and on points with large pairwise
+    coprime denominators, every score equals the built violation, and
+    both separators equal their build-every-member references in cut,
+    violation, examined and patterns."""
+    rng = random.Random(6025)
+    rows = coprime = found = 0
+    largest = 1
+    for n in range(30):
+        instance = (rational_instance(rng) if n % 2
+                    else random_instance(rng, max_groups=4))
+        points = list(_node_points(rng, instance))
+        rows += len(points)
+        points.append(_coprime_point(rng, instance))
+        coprime += len(points[-1].entries) >= 3
+        for point in points:
+            largest = max([largest] + [x.denominator for _, x in point.entries])
+            scores_equal_builds(instance, point)
+            found += _agree(instance, point, "all").found
+            r = separate_greedy(instance, point)
+            assert (r.cut, r.violation, r.stats.examined,
+                    r.stats.patterns) == reference_greedy(instance, point,
+                                                          cuts.FAMILIES)
+    assert rows >= 40 and coprime >= 15 and found >= 35
+    assert largest >= 2 ** 61 - 1
 
 
 def test_winner_checked_against_its_score(ex_c, frac_point, monkeypatch):
