@@ -20,7 +20,8 @@ The three pack families are one inequality: ``pack2`` is ``pack1``
 pivoted on one item and ``pack3`` is ``pack2`` tilted toward one singleton,
 so all three are built by one routine.
 
-Each generator checks its mathematical preconditions and raises
+Each generator checks its mathematical preconditions, among them that
+every group keeps its slots by non-increasing weight, and raises
 PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
 the relevant theorem's sufficient condition holds on the instance.
 
@@ -160,8 +161,8 @@ def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     _checked(instance, itemset)
     if any(ref.slot != instance.slots(ref.group) for ref in itemset):
         return False
-    _, tails, capacity = weight_units(
-        instance.capacity, [instance.group(i).weights for i in itemset.groups()])
+    _, units, capacity = instance.units
+    tails = [units[i - 1] for i in itemset.groups()]
     return is_switching(tails, capacity - sum(u[-1] for u in tails))
 
 
@@ -174,44 +175,40 @@ def is_switching(tails, slack) -> bool:
                              for u in tails)
 
 
-def weight_units(capacity, weights):
-    """``(scale, units, capacity_units)``: the weight rows ``weights`` and
-    the capacity times ``scale``, the least common denominator of them
-    all, so that every weight comparison is between exact integers."""
-    scale = lcm(capacity.denominator,
-                *(a.denominator for row in weights for a in row))
-    units = [tuple(a.numerator * (scale // a.denominator) for a in row)
-             for row in weights]
-    return scale, units, capacity.numerator * (scale // capacity.denominator)
+def _sorted_units(instance: Instance):
+    """The instance's integer units (:attr:`Instance.units`), once every
+    group is known to keep its slots by non-increasing weight: the five
+    families are valid only then."""
+    units = instance.units
+    for row in units[1]:
+        for a, b in zip(row, row[1:]):
+            if a < b:
+                raise PreconditionError("instance is not normalized")
+    return units
 
 
 class PointSupport:
     """One point's positive entries, grouped for the closed-form violations,
     and the instance's weights, all in integer units.
 
-    Weights and the capacity are scaled by ``scale`` (see
-    :func:`weight_units`) into ``units`` and ``capacity_units``, so that an
+    Weights and the capacity come scaled by ``scale`` (see
+    :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
     item set's weight and every precondition compare exact integers; the
     point's entries are scaled by ``point_scale``, D, the least common
     denominator of the entries, so that each x is the integer X = x * D
     (``x`` maps each positive variable to its X).  Per group i (list index
     i - 1): ``entries`` as ``(slot, U, X)`` for the point's positive
-    variables; ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij times
-    scale * D; and ``lighter[r - 1]``, in units, how far the weight falls
-    when the chosen slot r moves to its lightest later slot (for r below
-    the last slot).  Every reference of the point is checked, as the
-    integer lists are indexed by it.
+    variables; and ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij
+    times scale * D.  The instance must be normalized; every reference of
+    the point is checked, as the integer lists are indexed by it.
     """
 
-    __slots__ = ("m0", "scale", "units", "capacity_units", "lighter",
-                 "point_scale", "entries", "mass", "x")
+    __slots__ = ("m0", "scale", "units", "capacity_units", "point_scale",
+                 "entries", "mass", "x")
 
     def __init__(self, instance: Instance, point):
         self.m0 = instance.singleton_groups()
-        self.scale, self.units, self.capacity_units = weight_units(
-            instance.capacity, [g.weights for g in instance.groups])
-        self.lighter = [tuple(u[r - 1] - min(u[r:]) for r in range(1, len(u)))
-                        for u in self.units]
+        self.scale, self.units, self.capacity_units = _sorted_units(instance)
         d = lcm(*(x.denominator for _, x in point.entries))
         self.point_scale = d
         entries = [[] for _ in instance.groups]
@@ -246,6 +243,7 @@ def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
     *receivers*), and the rhs is b + (receivers - 1) * scaled slack.
     """
     _checked(instance, pack)
+    _sorted_units(instance)
     b = instance.capacity
     s = pack.weight(instance)
     if s >= b:
@@ -392,6 +390,7 @@ def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
 def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
     _checked(instance, cover)
+    _sorted_units(instance)
     b = instance.capacity
     s = cover.weight(instance)
     if s <= b:
@@ -444,6 +443,7 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
     cover items (slots t_i) are lifted within their groups."""
     special = _as_ref(special)
     _checked(instance, cover)
+    _sorted_units(instance)
     b = instance.capacity
     s = cover.weight(instance)
     if s <= b:
@@ -529,30 +529,30 @@ def family_scores(sup: PointSupport, items, units, families):
     in-cover item above its group's last slot.  Pack families need s < b
     and cover families s > b, both tested in integer units.
     :func:`_pack_scores` tests the pack2 and pack3 conditions, and this
-    function the lifting conditions of lcover1 (some chosen item whose
-    move to a later slot brings the weight under b) and lcover2 (rest +
-    a_last < b), also in integer units; a member whose condition fails is
-    not listed, so each listed member's builder succeeds.
+    function the one lifting test of both cover families, also in integer
+    units: a chosen item r above its group's last slot with a_r - a_last >
+    s - b.  It is lcover2's condition on the special item (rest + a_last <
+    b) and, on sorted groups, lcover1's (some chosen item whose move to a
+    later slot brings the weight under b).  A member whose condition fails
+    is not listed, so each listed member's builder succeeds.
     """
     over = units - sup.capacity_units
     if over < 0:
         if "pack1" in families or "pack2" in families or "pack3" in families:
             yield from _pack_scores(sup, items, -over, families)
-    elif over > 0:
-        if "lcover1" in families:
-            for ref in items:
-                lighter = sup.lighter[ref.group - 1]
-                if ref.slot <= len(lighter) and lighter[ref.slot - 1] > over:
-                    yield (_lcover1_violation(sup, items, over),
-                           (items, FAMILY_RANK["lcover1"], ()))
-                    break
+    elif over > 0 and ("lcover1" in families or "lcover2" in families):
+        specials = []
+        for ref in items:
+            u = sup.units[ref.group - 1]
+            if ref.slot < len(u) and u[ref.slot - 1] - u[-1] > over:
+                specials.append(ref)
+        if specials and "lcover1" in families:
+            yield (_lcover1_violation(sup, items, over),
+                   (items, FAMILY_RANK["lcover1"], ()))
         if "lcover2" in families:
-            for special in items:
-                u = sup.units[special.group - 1]
-                # rest + a_last < b, as a_special - a_last > s - b
-                if special.slot < len(u) and u[special.slot - 1] - u[-1] > over:
-                    yield (_lcover2_violation(sup, items, over, special),
-                           (items, FAMILY_RANK["lcover2"], (special.group,)))
+            for special in specials:
+                yield (_lcover2_violation(sup, items, over, special),
+                       (items, FAMILY_RANK["lcover2"], (special.group,)))
 
 
 def walk_patterns(sup: PointSupport):
@@ -605,8 +605,7 @@ def enumerate_maximal_switching_packs(instance: Instance,
     groups = range(1, instance.m + 1)
     subsets = sorted(chain.from_iterable(
         combinations(groups, k) for k in range(1, instance.m + 1)))
-    _, units, capacity = weight_units(instance.capacity,
-                                      [g.weights for g in instance.groups])
+    _, units, capacity = instance.units
     out = []
     for subset in subsets:
         tails = [units[i - 1] for i in subset]

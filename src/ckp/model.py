@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
@@ -121,6 +123,19 @@ class Instance:
     def singleton_groups(self) -> frozenset:
         """M_0: indices of groups with exactly one slot."""
         return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
+
+    @cached_property
+    def units(self):
+        """``(scale, rows, capacity_units)``: each group's weights as a row
+        and the capacity, times ``scale``, the least common denominator of
+        them all, so that every weight comparison is between exact
+        integers.  Computed on first use."""
+        capacity = self.capacity
+        scale = lcm(capacity.denominator,
+                    *(a.denominator for g in self.groups for a in g.weights))
+        rows = tuple(tuple(a.numerator * (scale // a.denominator)
+                           for a in g.weights) for g in self.groups)
+        return scale, rows, capacity.numerator * (scale // capacity.denominator)
 
     def is_normalized(self) -> bool:
         """Weights non-increasing within every group."""

@@ -163,14 +163,8 @@ def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     capacity must be nonnegative (``ValidationError`` otherwise).
     """
     check_enum_limit(instance, limit)
-    coeffs = {}
-    for ref, value in (objective.items() if hasattr(objective, "items") else objective):
-        if not isinstance(ref, VarRef):
-            ref = VarRef(*ref)
-        instance.check_ref(ref)
-        coeffs[ref] = Fraction(value) if not isinstance(value, Fraction) else value
-    problem = LpProblem.build(instance, coeffs)
-    capacity = problem.scaled_rows[problem.knapsack][1]
+    problem = LpProblem(instance, objective)
+    capacity = problem.scaled_rows[0][1]
     best = None
     for pattern in iter_patterns(instance):
         total, whole, (ref, a, c), room = fill_knapsack(

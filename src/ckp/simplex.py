@@ -54,7 +54,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
-from .model import Instance, Point, knapsack_row
+from .model import Instance, Point, VarRef, knapsack_row
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -110,80 +110,73 @@ class LpProblem:
     """LP relaxation data: instance variables, rows, objective, and their
     integer scaling.
 
-    ``rows`` must contain the instance's knapsack row exactly once, and
-    every weight and every row's right-hand side must be nonnegative, so
+    ``objective`` (a mapping or pairs; refs may be ``(group, slot)``) is
+    checked and kept as a sorted ``((VarRef, Fraction), ...)``.  ``rows``
+    is the knapsack row, then ``extra_rows``, each added as by
+    :meth:`with_row`.  Weights and right-hand sides must be nonnegative, so
     that x = 0 is feasible; bounds 0 <= x <= 1 are implicit and handled by
-    the solver.  ``objective`` is a sorted ``((VarRef, Fraction), ...)``.
+    the solver.
 
     Built once per problem: ``refs`` and the column index ``col``,
     ``costs`` (the objective times ``cost_scale``), ``scaled_rows`` (one
-    ``(coefficients, rhs, scale)`` per row, see :func:`_scale_row`), the
-    index of the knapsack row, ``scale`` (the LCM of all these scales) and
-    Dantzig's ``order``: the ``(ref, weight, cost)`` triples with a
-    positive cost, by ratio cost/weight descending.  Ratios compare by
-    integer cross-multiplication, so weight 0 ranks first, and the stable
-    sort keeps equal ratios in variable order.
+    ``(coefficients, rhs, scale)`` per row, see :func:`_scale_row`),
+    ``scale`` (the LCM of all these scales) and Dantzig's ``order``: the
+    ``(ref, weight, cost)`` triples with a positive cost, by ratio
+    cost/weight descending.  Ratios compare by integer cross-multiplication,
+    so weight 0 ranks first, and the stable sort keeps equal ratios in
+    variable order.
     """
 
     __slots__ = ("instance", "rows", "objective", "refs", "col", "costs",
-                 "cost_scale", "scaled_rows", "knapsack", "scale", "order")
+                 "cost_scale", "scaled_rows", "scale", "order")
 
-    def __init__(self, instance: Instance, rows, objective):
+    def __init__(self, instance: Instance, objective, extra_rows=()):
+        cleaned = {}
+        for ref, value in (objective.items() if hasattr(objective, "items")
+                           else objective):
+            if not isinstance(ref, VarRef):
+                ref = VarRef(*ref)
+            instance.check_ref(ref)
+            cleaned[ref] = value if isinstance(value, Fraction) else Fraction(value)
         knap = knapsack_row(instance)
-        rows = tuple(rows)
-        if sum(1 for row in rows if row == knap) != 1:
-            raise ValidationError("rows must include the knapsack row exactly once")
-        if (any(a < 0 for _, a in knap.terms)
-                or any(row.rhs < 0 for row in rows)):
+        if any(a < 0 for _, a in knap.terms) or knap.rhs < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
-        self.rows = rows
-        self.objective = objective = tuple(objective)
+        self.rows = (knap,)
+        self.objective = objective = tuple(sorted(cleaned.items()))
         self.refs = refs = tuple(instance.refs())
         self.col = col = {ref: j for j, ref in enumerate(refs)}
         n = len(refs)
         self.cost_scale = cost_scale = lcm(*(c.denominator for _, c in objective))
         self.costs = costs = [0] * n
         for ref, c in objective:
-            j = col.get(ref)
-            if j is not None:
-                costs[j] = c.numerator * (cost_scale // c.denominator)
-        self.scaled_rows = [_scale_row(row, col, n) for row in rows]
-        self.knapsack = rows.index(knap)
-        self.scale = lcm(cost_scale, *(s for _, _, s in self.scaled_rows))
-        weights = self.scaled_rows[self.knapsack][0]
+            costs[col[ref]] = c.numerator * (cost_scale // c.denominator)
+        weights, _, weight_scale = scaled = _scale_row(knap, col, n)
+        self.scaled_rows = [scaled]
+        self.scale = lcm(cost_scale, weight_scale)
         self.order = sorted((t for t in zip(refs, weights, costs) if t[2] > 0),
                             key=cmp_to_key(_ratio_cmp))
+        for row in extra_rows:
+            self._add_row(row)
 
-    @classmethod
-    def build(cls, instance: Instance, objective, extra_rows=()) -> "LpProblem":
-        items = objective.items() if hasattr(objective, "items") else objective
-        cleaned = []
-        for ref, value in items:
-            instance.check_ref(ref)
-            cleaned.append((ref, Fraction(value) if not isinstance(value, Fraction) else value))
-        cleaned.sort()
-        return cls(instance, (knapsack_row(instance),) + tuple(extra_rows),
-                   tuple(cleaned))
+    def _add_row(self, row) -> None:
+        if row.rhs < 0:
+            raise ValidationError(
+                "LP needs nonnegative weights and right-hand sides")
+        if row == self.rows[0]:
+            raise ValidationError("rows must include the knapsack row exactly once")
+        scaled = _scale_row(row, self.col, len(self.refs))
+        self.rows += (row,)
+        self.scaled_rows = self.scaled_rows + [scaled]
+        self.scale = lcm(self.scale, scaled[2])
 
     def with_row(self, row) -> "LpProblem":
         """This problem plus the cut row ``row``: the scaled data is shared
         and only the new row is scaled."""
-        if row.rhs < 0:
-            raise ValidationError(
-                "LP needs nonnegative weights and right-hand sides")
-        if row == self.rows[self.knapsack]:
-            raise ValidationError("rows must include the knapsack row exactly once")
         new = copy(self)
-        scaled = _scale_row(row, self.col, len(self.refs))
-        new.rows = self.rows + (row,)
-        new.scaled_rows = self.scaled_rows + [scaled]
-        new.scale = lcm(self.scale, scaled[2])
+        new._add_row(row)
         return new
-
-    def objective_map(self):
-        return dict(self.objective)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
     order = problem.order
     if forced_zero:
         order = (t for t in order if t[0] not in forced_zero)
-    weights, capacity, weight_scale = problem.scaled_rows[problem.knapsack]
+    weights, capacity, weight_scale = problem.scaled_rows[0]
     total, whole, (k, a, c), room = fill_knapsack(order, capacity)
     den = a * problem.cost_scale
     entries = [(ref, _F1) for ref in whole]

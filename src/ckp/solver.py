@@ -2,10 +2,13 @@
 
 The tree branches on SOS1 groups: a node whose LP point keeps two or more
 slots of some group positive splits that group's slot range in two, forcing
-one half to zero on each child.  Nodes are explored best-bound-first with
-FIFO tie-breaking, cuts live in one global deduplicated pool (all five
-families are valid for S itself, not just a subtree), and every LP is
-solved exactly, so the final bound/incumbent equality is a proof.
+one half to zero on each child.  Nodes (forced-zero sets) are explored
+best-bound-first by their parent's bound, FIFO on ties, while that bound
+beats the incumbent and the node limit allows; each node solves, certifies
+and separates in one loop.  Cuts live in one global deduplicated pool (all
+five families are valid for S itself, not just a subtree), and every LP is
+solved exactly, so a best bound (the incumbent or an open node's bound)
+equal to the incumbent is a proof.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cuts import FAMILIES
-from .errors import CkpError, PreconditionError, ValidationError
+from .errors import CkpError, ValidationError
 from .model import (Instance, Point, VarRef, complementarity_violations,
                     is_feasible, profit_of, validate_assumptions)
 from .separation import separate_exact, separate_greedy
@@ -46,12 +49,6 @@ class SolveConfig:
         # reported best bound baseless.
         if self.node_limit < 1:
             raise ValidationError("node_limit must be at least 1")
-
-
-@dataclass(frozen=True)
-class BranchNode:
-    forced_zero: frozenset
-    parent_bound: Optional[Fraction]  # None at the root (no bound yet)
 
 
 @dataclass(frozen=True)
@@ -102,15 +99,13 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     """
     if config is None:
         config = SolveConfig()
-    if not instance.is_normalized():
-        raise PreconditionError("instance is not normalized")
-    report = validate_assumptions(instance)
+    report = validate_assumptions(instance)  # raises unless normalized
     cuts_per_family = {name: 0 for name in FAMILIES}
     if not report.assumption2:
         return SolveReport(report.trivial_value, report.trivial_point, 0,
                            cuts_per_family, 0, True, report.trivial_value)
     objective = {ref: instance.profit(ref) for ref in instance.refs()}
-    problem = LpProblem.build(instance, objective)
+    problem = LpProblem(instance, objective)
     if not report.assumption1:
         solution = solve_lp(problem)
         _check_certificate(problem, solution, frozenset())
@@ -126,32 +121,23 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     nodes = 0
     pivots = 0
     counter = 0
-    # Heap entries: (negated parent bound, insertion order, node).  The root
-    # has no bound yet; -inf sorts it first, and exact Fractions compare
-    # correctly against it.
-    heap = [(float("-inf"), counter, BranchNode(frozenset(), None))]
-    limit_hit = False
-
-    while heap:
-        neg_bound, _, node = heapq.heappop(heap)
-        bound = node.parent_bound
-        if bound is not None and bound <= incumbent_value:
-            # Best-bound order: nothing left can beat the incumbent.
-            break
-        if nodes >= config.node_limit:
-            heapq.heappush(heap, (neg_bound, counter + 1, node))
-            limit_hit = True
-            break
+    # Heap entries: (negated parent bound, insertion order, forced-zero
+    # set).  The root has no bound yet; -inf sorts it first, and exact
+    # Fractions compare correctly against it.
+    heap = [(float("-inf"), counter, frozenset())]
+    while heap and -heap[0][0] > incumbent_value and nodes < config.node_limit:
+        _, _, forced_zero = heapq.heappop(heap)
         nodes += 1
-        solution = solve_lp(problem, node.forced_zero)
-        pivots += solution.pivots
-        _check_certificate(problem, solution, node.forced_zero)
-        value, point = solution.value, solution.point
-
         added_here = 0
-        while (value > incumbent_value and config.families
-               and added_here < config.max_cuts_per_node
-               and complementarity_violations(instance, point)):
+        while True:
+            solution = solve_lp(problem, forced_zero)
+            pivots += solution.pivots
+            _check_certificate(problem, solution, forced_zero)
+            value, point = solution.value, solution.point
+            if not (value > incumbent_value and config.families
+                    and added_here < config.max_cuts_per_node
+                    and complementarity_violations(instance, point)):
+                break
             sep = separate_greedy(instance, point, config.families)
             if not sep.found and config.exact_fallback:
                 sep = separate_exact(instance, point, config.families,
@@ -168,10 +154,6 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             cuts_per_family[sep.cut.family] += 1
             added_here += 1
             problem = problem.with_row(sep.cut.inequality)
-            solution = solve_lp(problem, node.forced_zero)
-            pivots += solution.pivots
-            _check_certificate(problem, solution, node.forced_zero)
-            value, point = solution.value, solution.point
 
         if value <= incumbent_value:
             continue
@@ -186,19 +168,13 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
         n = instance.slots(group)
         low = frozenset(VarRef(group, j) for j in range(1, split + 1))
         high = frozenset(VarRef(group, j) for j in range(split + 1, n + 1))
-        for forced in (node.forced_zero | low, node.forced_zero | high):
+        for forced in (forced_zero | low, forced_zero | high):
             counter += 1
-            heapq.heappush(heap, (-value, counter, BranchNode(forced, value)))
+            heapq.heappush(heap, (-value, counter, forced))
 
-    if limit_hit:
-        open_bounds = [entry[2].parent_bound for entry in heap
-                       if entry[2].parent_bound is not None]
-        best_bound = max([incumbent_value] + open_bounds)
-        proven = best_bound == incumbent_value
-    else:
-        best_bound = incumbent_value
-        proven = True
+    # Open nodes left by the node limit may still beat the incumbent.
+    best_bound = max([incumbent_value] + [-entry[0] for entry in heap])
     _check_incumbent(instance, incumbent_point, incumbent_value)
     return SolveReport(incumbent_value, incumbent_point, nodes,
-                       cuts_per_family, pivots, proven, best_bound,
-                       tuple(pool))
+                       cuts_per_family, pivots, best_bound == incumbent_value,
+                       best_bound, tuple(pool))

@@ -254,7 +254,7 @@ def fill_knapsack(items, capacity):
 def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
     """The closed form for a knapsack row alone."""
     instance = problem.instance
-    objective = problem.objective_map()
+    objective = dict(problem.objective)
     items = []
     for ref in refs:
         a = instance.groups[ref.group - 1].weights[ref.slot - 1]
@@ -377,7 +377,7 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
         line[nvars + r] = _F1
         line[-1] = row.rhs
         matrix.append(line)
-    objective = problem.objective_map()
+    objective = dict(problem.objective)
     cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
     tab = _BoundedTableau(matrix, cost, nvars)
     tab.run()

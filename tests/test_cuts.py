@@ -355,6 +355,28 @@ def test_lcover2_preconditions(ex_a):
     assert "lifting condition" in str(err.value)
 
 
+# --- every builder needs sorted groups ---
+
+def test_unsorted_groups_rejected():
+    # the cuts are valid only on slots by non-increasing weight: here the
+    # lcover1 cut of this cover would read <= 20, yet x11 = x23 = 1,
+    # x32 = 13/15 lies in S and gives its lhs 29
+    inst = make_instance([(4, 9), (11, 4, 3), (4, 15, 7)], 20)
+    cover = refs((1, 2), (2, 1), (3, 1))
+    pack = refs((1, 2), (2, 3), (3, 3))
+    assert cuts.is_cover(inst, cover) and cuts.is_pack(inst, pack)
+    builds = [
+        lambda: cuts.lifted_cover_inequality_1(inst, cover),
+        lambda: cuts.lifted_cover_inequality_2(inst, cover, VarRef(2, 1)),
+        lambda: cuts.pack_inequality_1(inst, pack),
+        lambda: cuts.pack_inequality_2(inst, pack, VarRef(2, 3)),
+        lambda: cuts.pack_inequality_3(inst, pack, VarRef(2, 3), 1),
+    ]
+    for build in builds:
+        with pytest.raises(PreconditionError, match="instance is not normalized"):
+            build()
+
+
 # --- bookkeeping ---
 
 def test_describe(ex_c):

@@ -1,6 +1,7 @@
 """Static checks on the package and test sources."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,16 @@ def test_detector_flags_an_assert():
 def test_library_checks_survive_optimization(path):
     # a check in the library must raise, not assert
     assert assert_lines(path.read_text()) == []
+
+
+def test_bench_tracer_sites_exist():
+    # the benchmark's tracer wraps these (module, attribute) sites by name,
+    # so each must stay a module attribute of ckp
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr, _, _ in tracing.PATCHES
+               if not hasattr(importlib.import_module("ckp." + module), attr)]
+    assert len(tracing.PATCHES) >= 22
+    assert missing == []

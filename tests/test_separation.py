@@ -22,8 +22,8 @@ from ckp.separation import (
 from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle
 
-from conftest import (family_cuts, random_instance, rational_instance,
-                      reference_is_maximal_switching_pack)
+from conftest import (family_cuts, make_instance, random_instance,
+                      rational_instance, reference_is_maximal_switching_pack)
 
 
 @pytest.fixture
@@ -116,6 +116,16 @@ def test_out_of_range_references_rejected(ex_c, separate, ref):
         separate(ex_c, point)
 
 
+@pytest.mark.parametrize("separate", [separate_exact, separate_greedy])
+def test_unsorted_groups_rejected(separate):
+    # the cuts are valid only on slots by non-increasing weight
+    inst = make_instance([(4, 9), (11, 4, 3), (4, 15, 7)], 20)
+    point = Point([(VarRef(1, 1), 1), (VarRef(1, 2), 1),
+                   (VarRef(2, 1), Fraction(7, 11))])  # the LP optimum
+    with pytest.raises(PreconditionError, match="instance is not normalized"):
+        separate(inst, point)
+
+
 def test_greedy_rejects_knapsack_violation(ex_c):
     heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
     with pytest.raises(PreconditionError):
@@ -167,7 +177,7 @@ def test_feasible_points_never_separated(small_corpus):
 def test_greedy_dominated_by_exact(small_corpus):
     """Whatever the heuristic separates, exhaustive separation matches or beats."""
     for inst in small_corpus:
-        problem = LpProblem.build(inst, {r: inst.profit(r) for r in inst.refs()})
+        problem = LpProblem(inst, {r: inst.profit(r) for r in inst.refs()})
         sol = solve_lp(problem)
         g = separate_greedy(inst, sol.point)
         if g.found:
@@ -340,7 +350,7 @@ def _points(rng, instance):
     scaled into the knapsack row."""
     objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.refs()}
     forced = frozenset(r for r in instance.refs() if rng.random() < 0.2)
-    yield solve_lp(LpProblem.build(instance, objective), forced).point
+    yield solve_lp(LpProblem(instance, objective), forced).point
     values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.refs()}
     weight = sum((instance.weight(r) * x for r, x in values.items()), Fraction(0))
     if weight > instance.capacity:
@@ -466,7 +476,7 @@ def _node_points(rng, instance):
     is the most violated member at the previous optimum."""
     objective = {r: instance.profit(r) + rng.randint(0, 3)
                  for r in instance.refs()}
-    problem = LpProblem.build(instance, objective)
+    problem = LpProblem(instance, objective)
     point = solve_lp(problem).point
     for _ in range(3):
         cut = separate_exact(instance, point).cut

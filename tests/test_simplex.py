@@ -23,12 +23,12 @@ from conftest import (_solve_bounded as reference_solve_bounded,
 
 
 def lp_for(inst, extra_rows=()):
-    return LpProblem.build(inst, {r: inst.profit(r) for r in inst.refs()}, extra_rows)
+    return LpProblem(inst, {r: inst.profit(r) for r in inst.refs()}, extra_rows)
 
 
 def test_single_variable_bound_binds():
     inst = make_instance([(2,)], 21)
-    sol = solve_lp(LpProblem.build(inst, {VarRef(1, 1): Fraction(1)}))
+    sol = solve_lp(LpProblem(inst, {VarRef(1, 1): Fraction(1)}))
     assert sol.value == 1
     assert sol.point.value(VarRef(1, 1)) == 1
 
@@ -42,13 +42,13 @@ def test_zero_capacity():
 
 def test_fractional_optimum():
     inst = Instance.build([((2,), (3,))], 1)
-    sol = solve_lp(LpProblem.build(inst, {VarRef(1, 1): Fraction(3)}))
+    sol = solve_lp(LpProblem(inst, {VarRef(1, 1): Fraction(3)}))
     assert sol.value == Fraction(3, 2)
     assert sol.point.value(VarRef(1, 1)) == Fraction(1, 2)
 
 
 def test_zero_objective(ex_a):
-    sol = solve_lp(LpProblem.build(ex_a, {}))
+    sol = solve_lp(LpProblem(ex_a, {}))
     assert sol.value == 0
 
 
@@ -87,10 +87,11 @@ def test_forced_zero_columns(ex_a):
 
 
 def test_rows_must_include_knapsack(ex_a):
-    with pytest.raises(ValidationError):
-        LpProblem(ex_a, (), ())
-    with pytest.raises(ValidationError):
-        LpProblem(ex_a, (knapsack_row(ex_a), knapsack_row(ex_a)), ())
+    # the knapsack row always comes first, and only once
+    problem = LpProblem(ex_a, ())
+    assert problem.rows == (knapsack_row(ex_a),)
+    with pytest.raises(ValidationError, match="exactly once"):
+        LpProblem(ex_a, (), (knapsack_row(ex_a),))
 
 
 def test_with_row_matches_building_the_rows(ex_b):
@@ -111,7 +112,7 @@ def test_with_row_matches_building_the_rows(ex_b):
 
 def test_objective_refs_checked(ex_a):
     with pytest.raises(ValidationError):
-        LpProblem.build(ex_a, {VarRef(6, 1): Fraction(1)})
+        LpProblem(ex_a, {VarRef(6, 1): Fraction(1)})
 
 
 def test_relaxation_bounds_the_oracle(small_corpus):
@@ -121,7 +122,7 @@ def test_relaxation_bounds_the_oracle(small_corpus):
         sol = solve_lp(problem)
         assert verify_certificate(problem, sol)
         assert is_lp_feasible(inst, sol.point)
-        best, _ = oracle.maximize_over_S(inst, problem.objective_map())
+        best, _ = oracle.maximize_over_S(inst, dict(problem.objective))
         assert sol.value >= best
 
 
@@ -191,7 +192,7 @@ def test_differential_against_brute_force():
         forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = LpProblem.build(inst, objective, rows)
+        problem = LpProblem(inst, objective, rows)
         sol = solve_lp(problem, forced)
         assert verify_certificate(problem, sol, forced)
         assert not set(sol.point.support()) & forced
@@ -321,7 +322,7 @@ def test_integer_node_lp_matches_fraction_reference():
         forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = LpProblem.build(inst, objective, rows)
+        problem = LpProblem(inst, objective, rows)
         got = solve_lp(problem, forced)
         want = reference_solve_lp(problem, forced)
         assert (got.value, got.point, got.duals, got.pivots) == (
