@@ -127,8 +127,7 @@ def _iter_family_cuts(instance, families, limit):
                          cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
             itemsets = packs
         else:
-            oracle.check_enum_limit(instance, limit)
-            itemsets = cuts_mod.walk_patterns(support)
+            itemsets = oracle.walk_patterns(instance, limit)
         for items, units in itemsets:
             for _, key in cuts_mod.family_scores(support, items, units,
                                                  (family,)):

@@ -34,8 +34,10 @@ defines which members an item set gives, tests their preconditions in
 integer units and scores each; :func:`build_member` builds one member from
 its provenance key.  Exact and greedy separation score every member and
 build only the winner; ``ckp cuts`` lists the members and builds each.
-:func:`walk_patterns` walks every item set with its weight in integer
-units, and :func:`is_switching` is the one maximal-switching test.
+Both take their item sets from :func:`ckp.oracle.walk_patterns`, each
+with its weight in the instance's integer units, which are the units of
+:class:`PointSupport`.  :func:`is_switching` is the one maximal-switching
+test.
 """
 
 from __future__ import annotations
@@ -148,14 +150,6 @@ def _checked(instance: Instance, itemset: ItemSet) -> ItemSet:
     return itemset
 
 
-def is_cover(instance: Instance, itemset: ItemSet) -> bool:
-    return _checked(instance, itemset).weight(instance) > instance.capacity
-
-
-def is_pack(instance: Instance, itemset: ItemSet) -> bool:
-    return _checked(instance, itemset).weight(instance) < instance.capacity
-
-
 def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     """Last-slot pack whose every non-singleton swap overshoots the capacity."""
     _checked(instance, itemset)
@@ -179,12 +173,9 @@ def _sorted_units(instance: Instance):
     """The instance's integer units (:attr:`Instance.units`), once every
     group is known to keep its slots by non-increasing weight: the five
     families are valid only then."""
-    units = instance.units
-    for row in units[1]:
-        for a, b in zip(row, row[1:]):
-            if a < b:
-                raise PreconditionError("instance is not normalized")
-    return units
+    if not instance.is_normalized():
+        raise PreconditionError("instance is not normalized")
+    return instance.units
 
 
 class PointSupport:
@@ -553,26 +544,6 @@ def family_scores(sup: PointSupport, items, units, families):
             for special in specials:
                 yield (_lcover2_violation(sup, items, over, special),
                        (items, FAMILY_RANK["lcover2"], (special.group,)))
-
-
-def walk_patterns(sup: PointSupport):
-    """Every non-empty pattern as ``(items, units)``, its item tuple and its
-    weight in ``sup``'s integer units, depth first in the oracle's pattern
-    order; each step extends its parent's tuple and sum instead of
-    re-summing."""
-    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
-              for i, row in enumerate(sup.units, start=1)]
-    m = len(levels)
-    stack = [(0, (), 0)]
-    while stack:
-        i, items, units = stack.pop()
-        if i == m:
-            if items:
-                yield items, units
-            continue
-        for ref, u in reversed(levels[i]):
-            stack.append((i + 1, items + (ref,), units + u))
-        stack.append((i + 1, items, units))
 
 
 BUILDERS = dict(zip(FAMILIES, (

@@ -138,12 +138,10 @@ class Instance:
         return scale, rows, capacity.numerator * (scale // capacity.denominator)
 
     def is_normalized(self) -> bool:
-        """Weights non-increasing within every group."""
-        for g in self.groups:
-            for a, b in zip(g.weights, g.weights[1:]):
-                if a < b:
-                    return False
-        return True
+        """Weights non-increasing within every group, tested on
+        :attr:`units`."""
+        return all(a >= b for row in self.units[1]
+                   for a, b in zip(row, row[1:]))
 
 
 class LinearInequality:
@@ -223,9 +221,6 @@ class Point:
     def __repr__(self):
         body = ", ".join("%s=%s" % (r, v) for r, v in self.entries) or "0"
         return "<point %s>" % body
-
-
-ZERO_POINT = Point()
 
 
 class Evaluation(NamedTuple):

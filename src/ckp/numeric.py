@@ -3,17 +3,18 @@
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` with an optional leading minus sign and q > 0; parsing
 canonicalizes (lowest terms, sign on the numerator).  :func:`affine_rank`
-is the one rank routine, and it eliminates in integers, not Fractions;
-``oracle.VertexSet.face_dimension`` streams its tight candidate vertices
-into it with a cap.
+is the one rank routine.  It takes each vector in integer form, a
+denominator and an integer row, and eliminates in integers, not Fractions;
+``oracle.VertexSet.face_dimension`` streams the integer forms of its tight
+candidate vertices into it with a cap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import FormatError
 
@@ -41,29 +42,27 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def affine_rank(vectors: Iterable[Sequence[Fraction]],
+def affine_rank(vectors: Iterable[Tuple[int, Sequence[int]]],
                 cap: Optional[int] = None) -> int:
     """Dimension of the affine hull of ``vectors`` (-1 for none).
 
-    Vectors are equal-length sequences of Fractions (or ints), consumed one
-    at a time by incremental elimination against the first.  The elimination
-    is fraction-free: each vector is scaled to integers by the LCM of its
-    denominators, so its difference from the first, times both scales, is
-    an integer row that spans the same line as the difference.  That row is
-    reduced against the echelon rows by integer cross-multiplication, each
-    step divided by the row's gcd.  With ``cap`` the scan stops as soon as the
-    rank reaches it, pulling no further vector, and the result is
-    ``min(rank, cap)``.
+    Each vector comes in integer form, as a pair ``(den, row)`` with den a
+    positive int and ``row`` an equal-length sequence of ints: the vector
+    is row / den.  The vectors are consumed one at a time by incremental
+    elimination against the first, fraction-free: a vector's difference
+    from the first, times both dens, is an integer row that spans the same
+    line as the difference.  That row is reduced against the echelon rows
+    by integer cross-multiplication, each step divided by the row's gcd.
+    With ``cap`` the scan stops as soon as the rank reaches it, pulling no
+    further vector, and the result is ``min(rank, cap)``.
     """
     base = None
     basis = []  # insertion-ordered echelon rows of ints, with pivot columns
-    for vec in vectors:
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (scale // x.denominator) for x in vec]
+    for den, ints in vectors:
         if base is None:
-            base, base_scale = ints, scale
+            base, base_den = ints, den
         else:
-            row = [x * base_scale - y * scale for x, y in zip(ints, base)]
+            row = [x * base_den - y * den for x, y in zip(ints, base)]
             for pivot_col, basis_row in basis:
                 factor = row[pivot_col]
                 if factor:

@@ -2,18 +2,25 @@
 validity checking, and face dimensions.
 
 Everything here enumerates support patterns (one choice of "which slot may
-be positive" per group, or none).  A non-integral vertex of the polytope
-has exactly one fractional component and makes the knapsack row tight, so
-for each pattern it suffices to consider the all-ones assignment plus the
-assignments with a single designated fractional variable completing the
-capacity.  The resulting candidate set is a superset of the vertices and a
-subset of the feasible set S, hence its convex hull equals the polytope.
-So the maximum of a linear function over the candidates is its maximum
-over S, and a :class:`VertexSet` answers validity and face-dimension
-queries for any number of inequalities from one enumeration.
-``maximize_over_S`` solves one fractional knapsack per pattern instead, in
-integers, each a scan of one Dantzig order fixed for the objective; it
-keeps the pattern-order tie-break of ``ckp oracle`` and ``ckp verify``.
+be positive" per group, or none).  :func:`walk_patterns` is the library's
+one pattern walk, for the oracle, exact separation and ``ckp cuts``: it
+applies the enumeration guard before the first pattern and gives each
+pattern's weight in the instance's integer units.
+
+A non-integral vertex of the polytope has exactly one fractional component
+and makes the knapsack row tight, so for each pattern it suffices to
+consider the all-ones assignment plus the assignments with a single
+designated fractional variable completing the capacity.  The resulting
+candidate set is a superset of the vertices and a subset of the feasible
+set S, hence its convex hull equals the polytope.  So the maximum of a
+linear function over the candidates is its maximum over S, and a
+:class:`VertexSet` answers validity and face-dimension queries for any
+number of inequalities from one enumeration; each candidate is found in
+integer units and kept also as an integer row, which the lhs test and the
+affine rank share.  ``maximize_over_S`` solves one fractional knapsack per
+pattern instead, in integers, each a scan of one Dantzig order fixed for
+the objective; it keeps the pattern-order tie-break of ``ckp oracle`` and
+``ckp verify``.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -33,7 +40,6 @@ from .simplex import LpProblem, fill_knapsack
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -63,37 +69,50 @@ def pattern_count(instance: Instance) -> int:
     return count
 
 
-def check_enum_limit(instance: Instance, limit: Optional[int] = None) -> None:
+def walk_patterns(instance: Instance, limit: Optional[int] = None):
+    """Every non-empty support pattern as ``(items, units)``, its sorted
+    VarRef tuple and its weight in :attr:`Instance.units`, in product order
+    (per group "none" first, the last group fastest).  A pattern space
+    (:func:`pattern_count`) above the limit raises ``ResourceLimitError``
+    at the call, before the first pattern.  The walk is depth first; each
+    step extends its parent's tuple and sum instead of re-summing."""
     estimate = pattern_count(instance)
     allowed = resolve_enum_limit(limit)
     if estimate > allowed:
         raise ResourceLimitError(
             "pattern space %d exceeds enumeration limit %d" % (estimate, allowed),
             estimate=estimate)
+    return _walk(instance.units[1])
 
 
-def iter_patterns(instance: Instance):
-    """All support patterns, lexicographically, 0 meaning 'no slot chosen'."""
-    return product(*(range(g.size + 1) for g in instance.groups))
+def _walk(rows):
+    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
+              for i, row in enumerate(rows, start=1)]
+    m = len(levels)
+    stack = [(0, (), 0)]
+    while stack:
+        i, items, units = stack.pop()
+        if i == m:
+            if items:
+                yield items, units
+            continue
+        for ref, u in reversed(levels[i]):
+            stack.append((i + 1, items + (ref,), units + u))
+        stack.append((i + 1, items, units))
 
 
 class VertexSet:
     """The sorted candidate vertices of one instance (see the module
-    docstring), kept dense for the rank and scaled to integers for the lhs."""
+    docstring), each also kept in one integer form ``(den, row)``: the
+    point is ``row / den``, with ``row`` dense over ``Instance.refs()``.
+    The form serves both the lhs test and the rank."""
 
-    __slots__ = ("instance", "points", "_rows", "_scaled")
+    __slots__ = ("instance", "points", "forms")
 
-    def __init__(self, instance: Instance, points: tuple):
+    def __init__(self, instance: Instance, points: tuple, forms: tuple):
         self.instance = instance
         self.points = points
-        refs = instance.refs()
-        self._rows = [tuple(p.value(r) for r in refs) for p in points]
-        # (den, entries times den), den the LCM of the entry denominators
-        self._scaled = []
-        for p in points:
-            den = lcm(*(x.denominator for _, x in p.entries))
-            self._scaled.append((den, tuple(
-                (r, x.numerator * (den // x.denominator)) for r, x in p.entries)))
+        self.forms = forms
 
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
@@ -108,14 +127,14 @@ class VertexSet:
         instance = self.instance
         terms, rhs = inequality.terms, inequality.rhs
         scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        coeffs = {}
+        coeffs = [0] * instance.dimension
+        col = {ref: j for j, ref in enumerate(instance.refs())}
         for ref, c in terms:
             instance.check_ref(ref)
-            coeffs[ref] = c.numerator * (scale // c.denominator)
+            coeffs[col[ref]] = c.numerator * (scale // c.denominator)
         top = rhs.numerator * (scale // rhs.denominator)
-        get = coeffs.get
-        excess = [sum(get(r, 0) * k for r, k in entries) - top * den
-                  for den, entries in self._scaled]
+        excess = [sum(map(mul, coeffs, row)) - top * den
+                  for den, row in self.forms]
         if max(excess, default=0) > 0:
             values = [lhs_at(inequality, p) for p in self.points]
             best = max(values)
@@ -123,32 +142,42 @@ class VertexSet:
                 "inequality is not valid (max %s > rhs %s)" % (best, rhs),
                 witness=self.points[values.index(best)])
         cap = instance.dimension - 1 if terms else instance.dimension
-        return affine_rank((row for row, e in zip(self._rows, excess) if not e),
-                           cap)
+        return affine_rank((form for form, e in zip(self.forms, excess)
+                            if not e), cap)
 
 
 def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None) -> VertexSet:
-    """Deduplicated candidate vertices of the polytope (see module docstring)."""
-    check_enum_limit(instance, limit)
-    b = instance.capacity
-    weights = [g.weights for g in instance.groups]
-    seen = set()
-    for pattern in iter_patterns(instance):
-        chosen = [(VarRef(i, j), weights[i - 1][j - 1])
-                  for i, j in enumerate(pattern, start=1) if j]
-        total = sum((w for _, w in chosen), _F0)
-        if total <= b:
-            seen.add(tuple((ref, _F1) for ref, _ in chosen))
-        for k, (ref, a) in enumerate(chosen):
-            if a == 0:
-                continue
-            rest = total - a
-            frac = (b - rest) / a
-            if _F0 < frac < _F1:
-                seen.add(tuple((r, frac if idx == k else _F1)
-                               for idx, (r, _) in enumerate(chosen)))
-    return VertexSet(instance,
-                     tuple(Point(entries) for entries in sorted(seen)))
+    """The candidate vertices of the polytope (see module docstring), sorted.
+
+    Per pattern, in integer units: the all-ones point when the pattern's
+    weight fits the capacity, and each point whose one fractional entry
+    room / a (0 < room < a) fills the capacity exactly.  Every candidate's
+    support is its pattern, so no candidate repeats.
+    """
+    _, rows, capacity = instance.units
+    col = {ref: j for j, ref in enumerate(instance.refs())}
+    found = []
+    if capacity >= 0:  # the origin, the empty pattern's one candidate
+        found.append(((), (1, [0] * len(col))))
+    for items, total in walk_patterns(instance, limit):
+        ones = [0] * len(col)
+        for ref in items:
+            ones[col[ref]] = 1
+        if total <= capacity:
+            found.append((tuple((ref, _F1) for ref in items), (1, ones)))
+        for k, ref in enumerate(items):
+            a = rows[ref.group - 1][ref.slot - 1]
+            room = capacity - total + a
+            if 0 < room < a or a < room < 0:  # room / a strictly inside (0, 1)
+                frac = Fraction(room, a)
+                row = [x * frac.denominator for x in ones]
+                row[col[ref]] = frac.numerator
+                entries = [(r, _F1) for r in items]
+                entries[k] = (ref, frac)
+                found.append((tuple(entries), (frac.denominator, row)))
+    found.sort(key=itemgetter(0))
+    return VertexSet(instance, tuple(Point(e) for e, _ in found),
+                     tuple(form for _, form in found))
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
@@ -162,16 +191,18 @@ def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     ties keep the lexicographically smallest pattern.  Weights and
     capacity must be nonnegative (``ValidationError`` otherwise).
     """
-    check_enum_limit(instance, limit)
+    patterns = walk_patterns(instance, limit)
     problem = LpProblem(instance, objective)
     capacity = problem.scaled_rows[0][1]
-    best = None
-    for pattern in iter_patterns(instance):
+    order = problem.order
+    rank = {t[0]: k for k, t in enumerate(order)}
+    best = (0, 1, [], None, 0)  # the empty pattern's: it takes nothing
+    for items, _ in patterns:
         total, whole, (ref, a, c), room = fill_knapsack(
-            (t for t in problem.order if pattern[t[0].group - 1] == t[0].slot),
+            [order[k] for k in sorted(rank[r] for r in items if r in rank)],
             capacity)
         value = total * a + c * room  # the pattern's optimum times a
-        if best is None or value * best[1] > best[0] * a:
+        if value * best[1] > best[0] * a:
             best = (value, a, whole, ref, room)
     num, den, whole, ref, room = best
     entries = [(r, _F1) for r in whole]

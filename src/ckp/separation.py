@@ -15,13 +15,12 @@ its weight in integer units:
   auxiliary indices), is built by its public builder, and its built
   violation must equal its score.
 
-Exact separation gives it every non-empty one-slot-per-group pattern (the
-space the oracle enumerates), walked depth first by
-:func:`cuts.walk_patterns`.  The greedy heuristic builds one pack from
-last-slot items ordered by the point's per-group weight mass, both in
-integer units, keeps it only when it passes the integer maximal-switching
-test (:func:`cuts.is_switching`), and gives only that pack and its
-drop-one-singleton subsets.
+Exact separation gives it every non-empty one-slot-per-group pattern from
+the oracle's guarded walk (:func:`oracle.walk_patterns`).  The greedy
+heuristic builds one pack from last-slot items ordered by the point's
+per-group weight mass, both in integer units, keeps it only when it passes
+the integer maximal-switching test (:func:`cuts.is_switching`), and gives
+only that pack and its drop-one-singleton subsets.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cuts import (FAMILIES, GeneratedCut, PointSupport, build_member,
-                   family_scores, is_switching, walk_patterns)
+                   family_scores, is_switching)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
-from .oracle import check_enum_limit
+from .oracle import walk_patterns
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def separate_exact(instance: Instance, point: Point,
     started = time.monotonic()
     families = _resolve_families(family)
     support = _require_lp_feasible(instance, point)
-    check_enum_limit(instance, limit)
-    return _select(instance, point, support, walk_patterns(support),
+    return _select(instance, point, support, walk_patterns(instance, limit),
                    families, started)
 
 

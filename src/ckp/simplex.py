@@ -63,14 +63,12 @@ _F1 = Fraction(1)
 def _scale_row(row, col, n):
     """``(coefficients, rhs, scale)``: the row times ``scale``, the LCM of
     its denominators, as integers, dense over the ``n`` variables of
-    ``col``.  Terms on other variables are left out."""
+    ``col``, which must hold every variable of the row."""
     rhs = row.rhs
     scale = lcm(rhs.denominator, *(c.denominator for _, c in row.terms))
     dense = [0] * n
     for ref, c in row.terms:
-        j = col.get(ref)
-        if j is not None:
-            dense[j] = c.numerator * (scale // c.denominator)
+        dense[col[ref]] = c.numerator * (scale // c.denominator)
     return dense, rhs.numerator * (scale // rhs.denominator), scale
 
 
@@ -113,9 +111,10 @@ class LpProblem:
     ``objective`` (a mapping or pairs; refs may be ``(group, slot)``) is
     checked and kept as a sorted ``((VarRef, Fraction), ...)``.  ``rows``
     is the knapsack row, then ``extra_rows``, each added as by
-    :meth:`with_row`.  Weights and right-hand sides must be nonnegative, so
-    that x = 0 is feasible; bounds 0 <= x <= 1 are implicit and handled by
-    the solver.
+    :meth:`with_row`, which checks every reference of the row
+    (``ValidationError`` on one outside the instance).  Weights and
+    right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
+    0 <= x <= 1 are implicit and handled by the solver.
 
     Built once per problem: ``refs`` and the column index ``col``,
     ``costs`` (the objective times ``cost_scale``), ``scaled_rows`` (one
@@ -166,6 +165,8 @@ class LpProblem:
                 "LP needs nonnegative weights and right-hand sides")
         if row == self.rows[0]:
             raise ValidationError("rows must include the knapsack row exactly once")
+        for ref, _ in row.terms:
+            self.instance.check_ref(ref)
         scaled = _scale_row(row, self.col, len(self.refs))
         self.rows += (row,)
         self.scaled_rows = self.scaled_rows + [scaled]

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -11,10 +12,8 @@ from ckp import cuts, oracle
 from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
                       lifted_cover_inequality_2, pack_inequality_1,
                       pack_inequality_2, pack_inequality_3)
-from ckp.errors import CkpError, PreconditionError
+from ckp.errors import CkpError, PreconditionError, ResourceLimitError
 from ckp.model import Instance, LinearInequality, Point, VarRef, lhs_at
-from ckp.numeric import affine_rank
-from ckp.oracle import check_enum_limit, iter_patterns
 from ckp.simplex import LpProblem, LpSolution
 
 
@@ -183,24 +182,105 @@ def family_cuts(instance: Instance, itemset: ItemSet, families):
             yield cut
 
 
+def is_cover(instance, itemset):
+    """s > b, the item set's references checked."""
+    for ref in itemset:
+        instance.check_ref(ref)
+    return itemset.weight(instance) > instance.capacity
+
+
+def is_pack(instance, itemset):
+    """s < b, the item set's references checked."""
+    for ref in itemset:
+        instance.check_ref(ref)
+    return itemset.weight(instance) < instance.capacity
+
+
+# --- the Fraction oracle ------------------------------------------------------
+# The library's oracle walks the patterns in integer units and ranks integer
+# rows.  Below are Fraction versions, independent of it, as references.
+
+def check_enum_limit(instance, limit=None):
+    """The enumeration guard's rule: a pattern space above the limit raises."""
+    estimate = oracle.pattern_count(instance)
+    allowed = oracle.resolve_enum_limit(limit)
+    if estimate > allowed:
+        raise ResourceLimitError(
+            "pattern space %d exceeds enumeration limit %d" % (estimate, allowed),
+            estimate=estimate)
+
+
+def iter_patterns(instance):
+    """All support patterns, lexicographically, 0 meaning 'no slot chosen':
+    the order of ``oracle.walk_patterns``, which leaves out the first, empty,
+    pattern."""
+    return product(*(range(g.size + 1) for g in instance.groups))
+
+
+def reference_candidate_vertices(instance, limit=None):
+    """Deduplicated candidate vertices, summed in Fractions per pattern and
+    sorted.  The reference that ``oracle.enumerate_candidate_vertices`` is
+    checked against."""
+    check_enum_limit(instance, limit)
+    b = instance.capacity
+    weights = [g.weights for g in instance.groups]
+    seen = set()
+    for pattern in iter_patterns(instance):
+        chosen = [(VarRef(i, j), weights[i - 1][j - 1])
+                  for i, j in enumerate(pattern, start=1) if j]
+        total = sum((w for _, w in chosen), Fraction(0))
+        if total <= b:
+            seen.add(tuple((ref, Fraction(1)) for ref, _ in chosen))
+        for k, (ref, a) in enumerate(chosen):
+            if a == 0:
+                continue
+            frac = (b - (total - a)) / a
+            if 0 < frac < 1:
+                seen.add(tuple((r, frac if idx == k else Fraction(1))
+                               for idx, (r, _) in enumerate(chosen)))
+    return tuple(Point(entries) for entries in sorted(seen))
+
+
+def fraction_affine_rank(vectors, cap=None):
+    """Plain Gaussian elimination in Fractions on the differences from the
+    first vector: the reference the integer elimination is checked against."""
+    vectors = list(vectors)
+    if not vectors:
+        return -1
+    rows = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
+    rank = 0
+    for col in range(len(vectors[0])):
+        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for k in range(rank + 1, len(rows)):
+            factor = rows[k][col] / pivot[col]
+            rows[k] = [x - factor * y for x, y in zip(rows[k], pivot)]
+        rank += 1
+    return rank if cap is None else min(rank, cap)
+
+
 def reference_face_dimension(instance, inequality, limit=None):
     """Face dimension by one maximization over S and one enumeration per
     inequality: validity from ``oracle.check_validity``, then the affine
-    rank of the tight candidates as Fraction vectors.  The reference that
-    ``oracle.VertexSet.face_dimension`` is checked against."""
+    rank of the tight reference candidates as Fraction vectors, by Fraction
+    elimination.  The reference that ``oracle.VertexSet.face_dimension`` is
+    checked against."""
     result = oracle.check_validity(instance, inequality, limit)
     if not result.valid:
         raise PreconditionError(
             "inequality is not valid (max %s > rhs %s)"
             % (result.max_value, inequality.rhs),
             witness=result.witness)
-    candidates = oracle.enumerate_candidate_vertices(instance, limit).points
+    candidates = reference_candidate_vertices(instance, limit)
     rhs = inequality.rhs
     tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
     refs = instance.refs()
     cap = instance.dimension - 1 if inequality.terms else instance.dimension
     vectors = (tuple(p.value(r) for r in refs) for p in tight)
-    return affine_rank(vectors, cap)
+    return fraction_affine_rank(vectors, cap)
 
 
 # --- the Fraction node LP and oracle fill ------------------------------------

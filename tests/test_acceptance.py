@@ -19,7 +19,7 @@ from ckp.separation import build_partition_reduction, separate_exact
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import cuts, oracle
 
-from conftest import random_instance, tilt_pack_inequality
+from conftest import is_cover, is_pack, random_instance, tilt_pack_inequality
 
 CORPUS_SEED = 20240819   # criteria 6, 7, 9: 200 instances
 SOLVE_SEED = 20240820    # criterion 8: 100 instances
@@ -92,13 +92,13 @@ def _generate_cuts(instance):
     covers with every choice of special item.  Builders whose
     preconditions fail are skipped; everything produced is kept.
     """
-    packs = _lex_item_sets(instance, lambda s: cuts.is_pack(instance, s), SET_CAP)
+    packs = _lex_item_sets(instance, lambda s: is_pack(instance, s), SET_CAP)
     seen = {p.items for p in packs}
     for msp in cuts.enumerate_maximal_switching_packs(instance):
         if msp.items not in seen:
             seen.add(msp.items)
             packs.append(msp)
-    covers = _lex_item_sets(instance, lambda s: cuts.is_cover(instance, s), SET_CAP)
+    covers = _lex_item_sets(instance, lambda s: is_cover(instance, s), SET_CAP)
 
     made = []
     for pack in packs:

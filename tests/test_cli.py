@@ -28,9 +28,8 @@ from ckp.fileio import (
     serialize_point,
 )
 from ckp.model import Instance, LinearInequality, Point, VarRef, normalize
-from ckp.oracle import iter_patterns
 
-from conftest import family_cuts, make_instance, random_instance
+from conftest import family_cuts, iter_patterns, make_instance, random_instance
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from ckp.fileio import serialize_inequality
 from ckp.model import VarRef
 from ckp import cuts, oracle
 
-from conftest import (make_instance, random_instance, rational_instance,
+from conftest import (is_cover, is_pack, iter_patterns, make_instance,
+                      random_instance, rational_instance,
                       reference_is_maximal_switching_pack, tilt_pack_inequality)
 
 
@@ -42,12 +43,12 @@ def test_itemset_sorted_and_validated():
 
 
 def test_pack_cover_strict(ex_a):
-    assert cuts.is_pack(ex_a, refs((1, 1), (3, 1)))
-    assert cuts.is_cover(ex_a, refs((3, 1), (4, 1), (5, 1)))
+    assert is_pack(ex_a, refs((1, 1), (3, 1)))
+    assert is_cover(ex_a, refs((3, 1), (4, 1), (5, 1)))
     inst = make_instance([(2,), (19, 5)], 21)
     exact = refs((1, 1), (2, 1))  # 2+19 == 21 == b: neither pack nor cover
-    assert not cuts.is_pack(inst, exact)
-    assert not cuts.is_cover(inst, exact)
+    assert not is_pack(inst, exact)
+    assert not is_cover(inst, exact)
 
 
 @given(st.sets(st.integers(1, 5), min_size=1))
@@ -55,8 +56,8 @@ def test_pack_cover_trichotomy(groups):
     inst = make_instance([(3,), (5,), (7,), (11, 2), (13, 2)], 17)
     s = refs(*((i, 1) for i in sorted(groups)))
     w = s.weight(inst)
-    assert cuts.is_pack(inst, s) == (w < 17)
-    assert cuts.is_cover(inst, s) == (w > 17)
+    assert is_pack(inst, s) == (w < 17)
+    assert is_cover(inst, s) == (w > 17)
 
 
 # --- maximal switching packs ---
@@ -101,7 +102,7 @@ def test_msp_test_matches_fractions():
     for n in range(60):
         inst = rational_instance(rng) if n % 2 else random_instance(rng)
         packs = []
-        for pattern in oracle.iter_patterns(inst):
+        for pattern in iter_patterns(inst):
             chosen = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
             if not chosen:
                 continue
@@ -364,7 +365,7 @@ def test_unsorted_groups_rejected():
     inst = make_instance([(4, 9), (11, 4, 3), (4, 15, 7)], 20)
     cover = refs((1, 2), (2, 1), (3, 1))
     pack = refs((1, 2), (2, 3), (3, 3))
-    assert cuts.is_cover(inst, cover) and cuts.is_pack(inst, pack)
+    assert is_cover(inst, cover) and is_pack(inst, pack)
     builds = [
         lambda: cuts.lifted_cover_inequality_1(inst, cover),
         lambda: cuts.lifted_cover_inequality_2(inst, cover, VarRef(2, 1)),

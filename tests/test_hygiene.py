@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "ckp").glob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -71,3 +73,53 @@ def test_bench_tracer_sites_exist():
                if not hasattr(importlib.import_module("ckp." + module), attr)]
     assert len(tracing.PATCHES) >= 22
     assert missing == []
+
+
+def unread_library_names(library, readers, readme):
+    """Top-level public functions, classes and constants of the ``library``
+    sources that no ``ast.Load`` name or attribute in the ``readers``
+    sources reads and that ``readme`` does not mention.  A name listed in
+    an ``__all__`` of the library counts as read, since it is exported, and
+    so does a name spelled out as a string, which a lookup by name (such
+    as ``cuts.build_member``'s or the benchmark tracer's) reads."""
+    defined = []
+    read = set()
+    for source in library:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined += names
+                if "__all__" in names:
+                    read.update(elt.value for elt in node.value.elts)
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)  # a lookup by name, as getattr makes
+    return sorted(name for name in set(defined)
+                  if not name.startswith("_") and name not in read
+                  and not re.search(r"\b%s\b" % re.escape(name), readme))
+
+
+def test_detector_flags_a_test_only_name():
+    library = ["def used(): pass\ndef unread(): pass\nclass Told: pass\n"
+               "LIMIT = 3\nSPARE: int = 4\n_private = 1\nclass Exported: pass\n"
+               "class Named: pass\n",
+               "__all__ = ['Exported']\n"]
+    readers = library + ["used()\nx.LIMIT\nSPARE = 5\ngetattr(x, 'Named')\n"]
+    assert unread_library_names(library, readers, "see `Told`") == [
+        "SPARE", "unread"]
+
+
+def test_no_test_only_library_names():
+    # library code that only the tests call is deleted, not kept for them
+    library = [path.read_text() for path in LIBRARY]
+    readers = library + [path.read_text() for path in BENCH]
+    readme = (ROOT / "README.md").read_text()
+    assert unread_library_names(library, readers, readme) == []

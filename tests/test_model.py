@@ -8,7 +8,6 @@ from ckp.model import (
     LinearInequality,
     Point,
     VarRef,
-    ZERO_POINT,
     complementarity_violations,
     evaluate,
     is_feasible,
@@ -67,8 +66,8 @@ def test_point_validation():
 
 
 def test_zero_point():
-    assert ZERO_POINT.support() == ()
-    assert profit_of(make_instance([(3,)], 2), ZERO_POINT) == 0
+    assert Point().support() == ()
+    assert profit_of(make_instance([(3,)], 2), Point()) == 0
 
 
 def test_inequality_drops_zero_terms():

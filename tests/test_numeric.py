@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ckp.errors import FormatError
 from ckp.numeric import affine_rank, format_rational, parse_rational
+
+from conftest import fraction_affine_rank
 
 
 class TestParseRational:
@@ -34,17 +37,25 @@ def test_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+def forms(vectors):
+    """Each Fraction vector in the integer form ``affine_rank`` takes:
+    ``(den, row)``, den the LCM of its denominators, pulled lazily."""
+    for vec in vectors:
+        den = lcm(*(x.denominator for x in vec))
+        yield den, [x.numerator * (den // x.denominator) for x in vec]
+
+
 def test_affine_rank_small():
     # the rank of rows r is the affine rank of the points {0} and r
     one = Fraction(1)
     zero = Fraction(0)
     origin = [zero, zero]
-    assert affine_rank([origin]) == 0
-    assert affine_rank([origin, [zero, zero]]) == 0
-    assert affine_rank([origin, [one, zero], [zero, one]]) == 2
+    assert affine_rank(forms([origin])) == 0
+    assert affine_rank(forms([origin, [zero, zero]])) == 0
+    assert affine_rank(forms([origin, [one, zero], [zero, one]])) == 2
     # second row is a multiple of the first
-    assert affine_rank([origin, [one, Fraction(2)],
-                        [Fraction(3), Fraction(6)]]) == 1
+    assert affine_rank(forms([origin, [one, Fraction(2)],
+                              [Fraction(3), Fraction(6)]])) == 1
 
 
 def test_affine_rank_rectangular():
@@ -53,7 +64,7 @@ def test_affine_rank_rectangular():
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    assert affine_rank([[Fraction(0)] * 3] + rows) == 2
+    assert affine_rank(forms([[Fraction(0)] * 3] + rows)) == 2
 
 
 def test_affine_rank_cap_stops_pulling():
@@ -67,50 +78,29 @@ def test_affine_rank_cap_stops_pulling():
                 raise AssertionError("pulled a vector past the cap")
             yield [Fraction(k), Fraction(k * k)]
 
-    assert affine_rank(vectors(), cap=2) == 2
-    assert affine_rank(iter([[Fraction(1)]]), cap=0) == 0
-    assert affine_rank(iter([]), cap=3) == -1
+    assert affine_rank(forms(vectors()), cap=2) == 2
+    assert affine_rank(forms(iter([[Fraction(1)]])), cap=0) == 0
+    assert affine_rank(forms(iter([])), cap=3) == -1
 
 
 def test_affine_rank_basics():
-    assert affine_rank([]) == -1
+    assert affine_rank(forms([])) == -1
     p = [Fraction(1), Fraction(2)]
-    assert affine_rank([p]) == 0
+    assert affine_rank(forms([p])) == 0
     q = [Fraction(3), Fraction(2)]
-    assert affine_rank([p, q]) == 1
+    assert affine_rank(forms([p, q])) == 1
     # three collinear points still span a line
     r = [Fraction(5), Fraction(2)]
-    assert affine_rank([p, q, r]) == 1
+    assert affine_rank(forms([p, q, r])) == 1
     s = [Fraction(1), Fraction(7)]
-    assert affine_rank([p, q, s]) == 2
+    assert affine_rank(forms([p, q, s])) == 2
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_affine_rank_translation_invariant(pts):
     pts = [[Fraction(x) for x in p] for p in pts]
     shifted = [[x + 17 for x in p] for p in pts]
-    assert affine_rank(pts) == affine_rank(shifted)
-
-
-def fraction_affine_rank(vectors, cap=None):
-    """Plain Gaussian elimination in Fractions on the differences from the
-    first vector: the reference the integer elimination is checked against."""
-    vectors = list(vectors)
-    if not vectors:
-        return -1
-    rows = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
-    rank = 0
-    for col in range(len(vectors[0])):
-        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows.insert(rank, pivot)
-        for k in range(rank + 1, len(rows)):
-            factor = rows[k][col] / pivot[col]
-            rows[k] = [x - factor * y for x, y in zip(rows[k], pivot)]
-        rank += 1
-    return rank if cap is None else min(rank, cap)
+    assert affine_rank(forms(pts)) == affine_rank(forms(shifted))
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 9))
@@ -137,4 +127,4 @@ def _low_rank_points(draw):
 
 @given(_low_rank_points(), st.one_of(st.none(), st.integers(0, 5)))
 def test_affine_rank_matches_fraction_elimination(points, cap):
-    assert affine_rank(points, cap) == fraction_affine_rank(points, cap)
+    assert affine_rank(forms(points), cap) == fraction_affine_rank(points, cap)

@@ -22,10 +22,15 @@ from ckp.model import (
     weight_of,
 )
 from ckp import oracle
+from ckp.cli import main
 from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
+from ckp.fileio import serialize_instance
+from ckp.separation import separate_exact
 
-from conftest import (family_cuts, make_instance, random_instance,
-                      rational_instance, reference_face_dimension)
+from conftest import (family_cuts, iter_patterns, make_instance,
+                      random_instance, rational_instance,
+                      reference_candidate_vertices, reference_face_dimension,
+                      reference_maximize_over_S)
 
 
 # --- independent enumeration (recursion instead of itertools, own dedup) ---
@@ -100,6 +105,92 @@ def test_candidates_sorted_and_unique(ex_a):
     pts = oracle.enumerate_candidate_vertices(ex_a).points
     assert len(set(pts)) == len(pts)
     assert list(pts) == sorted(pts, key=lambda p: p.entries)
+
+
+# --- the integer walk against the Fraction references ---
+
+def _seeded_instances(count, seed):
+    """Rational instances, which carry zero weights and equal ratios, next
+    to integer ones and hand-made zero-weight and tied-ratio ones."""
+    rng = random.Random(seed)
+    out = [make_instance([(0,), (4, 0), (6, 3)], 5),
+           make_instance([(4, 2), (6, 3), (2,)], 7)]
+    for n in range(count):
+        out.append(rational_instance(rng) if n % 3 else
+                   random_instance(rng, max_groups=4, profits="random"))
+    return out
+
+
+def test_walk_matches_product_order():
+    for inst in _seeded_instances(60, 4242):
+        scale, _, _ = inst.units
+        expected = []
+        for pattern in iter_patterns(inst):
+            items = tuple(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
+            if items:
+                expected.append((items, sum(inst.weight(r) for r in items) * scale))
+        assert list(oracle.walk_patterns(inst)) == expected
+
+
+def test_integer_oracle_matches_fraction_references():
+    rng = random.Random(5150)
+    seen = {"zero weight": 0, "tied ratio": 0, "fractional": 0}
+    for inst in _seeded_instances(150, 9090):
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        assert vertices.points == reference_candidate_vertices(inst)
+        refs = inst.refs()
+        for point, (den, row) in zip(vertices.points, vertices.forms):
+            assert [Fraction(k, den) for k in row] == [point.value(r) for r in refs]
+        objective = {r: inst.profit(r) for r in refs}
+        for r in refs:
+            roll = rng.random()
+            if roll < 0.1:
+                objective[r] = -objective[r]
+            elif roll < 0.3:
+                objective[r] = inst.weight(r) * 3  # ties the ratio at 3
+        assert (oracle.maximize_over_S(inst, objective)
+                == reference_maximize_over_S(inst, objective))
+        weights = [inst.weight(r) for r in refs]
+        ratios = [objective[r] / a for r, a in zip(refs, weights) if a]
+        seen["zero weight"] += 0 in weights
+        seen["tied ratio"] += len(set(ratios)) < len(ratios)
+        seen["fractional"] += any(a.denominator > 1 for a in weights)
+    assert min(seen.values()) >= 20, seen
+
+
+def _cuts_lcover1(inst, limit, tmp_path):
+    path = tmp_path / "inst.ckp"
+    path.write_text(serialize_instance(inst))
+    code = main(["cuts", str(path), "--family", "lcover1",
+                 "--enumerate-limit", str(limit)])
+    if code == 3:
+        raise ResourceLimitError("exit code 3")
+    assert code == 0
+
+
+WALK_CONSUMERS = {
+    "enumerate_candidate_vertices": lambda inst, limit, _:
+        oracle.enumerate_candidate_vertices(inst, limit),
+    "maximize_over_S": lambda inst, limit, _: oracle.maximize_over_S(
+        inst, {r: inst.profit(r) for r in inst.refs()}, limit),
+    "separate_exact": lambda inst, limit, _: separate_exact(
+        inst, Point(), "all", limit),
+    "ckp cuts --family lcover1": _cuts_lcover1,
+}
+
+
+@pytest.mark.parametrize("consumer", list(WALK_CONSUMERS))
+def test_walk_consumers_guard_the_pattern_space(ex_c, tmp_path, capsys, consumer):
+    # the pattern space counts the empty pattern, which the walk leaves out
+    run = WALK_CONSUMERS[consumer]
+    count = oracle.pattern_count(ex_c)
+    assert count == 2 * 2 * 3 * 3 * 3
+    with pytest.raises(ResourceLimitError):
+        run(ex_c, count - 1, tmp_path)
+    run(ex_c, count, tmp_path)
+    if consumer.startswith("ckp"):
+        assert ("pattern space %d exceeds enumeration limit %d" % (count, count - 1)
+                in capsys.readouterr().err)
 
 
 # --- the structural fact that makes enumeration finite ---
@@ -210,7 +301,7 @@ def _cuts_of(inst):
     packs = tuple(f for f in FAMILIES if f.startswith("pack"))
     covers = tuple(f for f in FAMILIES if f not in packs)
     itemsets = [(pack, packs) for pack in enumerate_maximal_switching_packs(inst)]
-    for pattern in oracle.iter_patterns(inst):
+    for pattern in iter_patterns(inst):
         cover = ItemSet(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
         if cover.weight(inst) > inst.capacity:
             itemsets.append((cover, covers))

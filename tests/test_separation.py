@@ -22,8 +22,9 @@ from ckp.separation import (
 from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle
 
-from conftest import (family_cuts, make_instance, random_instance,
-                      rational_instance, reference_is_maximal_switching_pack)
+from conftest import (family_cuts, iter_patterns, make_instance,
+                      random_instance, rational_instance,
+                      reference_is_maximal_switching_pack)
 
 
 @pytest.fixture
@@ -304,7 +305,7 @@ def reference_separate(instance, point, families):
     b = instance.capacity
 
     def members():
-        for pattern in oracle.iter_patterns(instance):
+        for pattern in iter_patterns(instance):
             refs = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
             if not refs:
                 continue
@@ -426,7 +427,7 @@ def scores_equal_builds(instance, point):
     packs = tuple(f for f in cuts.FAMILIES if f.startswith("pack"))
     covers = tuple(f for f in cuts.FAMILIES if f not in packs)
     members = 0
-    for pattern in oracle.iter_patterns(instance):
+    for pattern in iter_patterns(instance):
         refs = tuple(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
         if not refs:
             continue

@@ -115,6 +115,18 @@ def test_objective_refs_checked(ex_a):
         LpProblem(ex_a, {VarRef(6, 1): Fraction(1)})
 
 
+def test_row_refs_checked():
+    # a row's term on a variable outside the instance is refused, not
+    # dropped: dropping (9,9) would solve x(1,1) <= 0 instead
+    inst = make_instance([(4, 2), (3,)], 5)
+    objective = {r: inst.profit(r) for r in inst.refs()}
+    row = LinearInequality({(1, 1): 1, (9, 9): 7}, 0)
+    with pytest.raises(ValidationError, match=r"x\(9,9\)"):
+        LpProblem(inst, objective, [row])
+    with pytest.raises(ValidationError, match=r"x\(9,9\)"):
+        LpProblem(inst, objective).with_row(row)
+
+
 def test_relaxation_bounds_the_oracle(small_corpus):
     """LP value >= best value over S, with equality iff the LP point is in S."""
     for inst in small_corpus:
