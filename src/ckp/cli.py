@@ -18,8 +18,8 @@ import sys
 
 from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
-from .errors import (CkpError, FormatError, PreconditionError,
-                     ResourceLimitError, ValidationError)
+from .errors import (CkpError, FormatError, ResourceLimitError,
+                     ValidationError)
 from .model import Instance, Point, normalize, validate_assumptions
 from .numeric import format_rational
 
@@ -316,9 +316,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (ValidationError, PreconditionError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except CkpError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -28,16 +28,16 @@ the relevant theorem's sufficient condition holds on the instance.
 Next to each builder sits its closed form: the member's violation at one
 point, computed from the point's per-group support (:class:`PointSupport`)
 without building the cut.  The support scales the point once, to integers
-X = x * D, and the weights and capacity to integer units, so each closed
-form sums integers and makes one Fraction at the end.  :func:`family_scores`
-defines which members an item set gives, tests their preconditions in
-integer units and scores each; :func:`build_member` builds one member from
-its provenance key.  Exact and greedy separation score every member and
-build only the winner; ``ckp cuts`` lists the members and builds each.
-Both take their item sets from :func:`ckp.oracle.walk_patterns`, each
-with its weight in the instance's integer units, which are the units of
-:class:`PointSupport`.  :func:`is_switching` is the one maximal-switching
-test.
+X = x * D (``numeric.integer_form``), next to the instance's integer units
+of the weights and capacity, so each closed form sums integers and makes
+one Fraction at the end.  :func:`family_scores` defines which members an
+item set gives, tests their preconditions in integer units and scores
+each; :func:`build_member` builds one member from its provenance key.
+Exact and greedy separation score every member and build only the winner;
+``ckp cuts`` lists the members and builds each.  Both take their item sets
+from :func:`ckp.oracle.walk_patterns`, each with its weight in the
+instance's integer units, which are the units of :class:`PointSupport`.
+:func:`is_switching` is the one maximal-switching test.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, VarRef
+from .numeric import integer_form
 from .oracle import resolve_enum_limit
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
@@ -186,12 +186,13 @@ class PointSupport:
     :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
     item set's weight and every precondition compare exact integers; the
     point's entries are scaled by ``point_scale``, D, the least common
-    denominator of the entries, so that each x is the integer X = x * D
-    (``x`` maps each positive variable to its X).  Per group i (list index
-    i - 1): ``entries`` as ``(slot, U, X)`` for the point's positive
-    variables; and ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij
-    times scale * D.  The instance must be normalized; every reference of
-    the point is checked, as the integer lists are indexed by it.
+    denominator of the entries (``numeric.integer_form``), so that each x
+    is the integer X = x * D (``x`` maps each positive variable to its X).
+    Per group i (list index i - 1): ``entries`` as ``(slot, U, X)`` for
+    the point's positive variables; and ``mass``, sum U * X, which is W_i =
+    sum_j a_ij x_ij times scale * D.  The instance must be normalized;
+    every reference of the point is checked, as the integer lists are
+    indexed by it.
     """
 
     __slots__ = ("m0", "scale", "units", "capacity_units", "point_scale",
@@ -200,13 +201,11 @@ class PointSupport:
     def __init__(self, instance: Instance, point):
         self.m0 = instance.singleton_groups()
         self.scale, self.units, self.capacity_units = _sorted_units(instance)
-        d = lcm(*(x.denominator for _, x in point.entries))
-        self.point_scale = d
+        self.point_scale, xs = integer_form(x for _, x in point.entries)
         entries = [[] for _ in instance.groups]
         self.x = {}
-        for ref, x in point.entries:
+        for (ref, _), scaled in zip(point.entries, xs):
             instance.check_ref(ref)
-            scaled = x.numerator * (d // x.denominator)
             self.x[ref] = scaled
             entries[ref.group - 1].append(
                 (ref.slot, self.units[ref.group - 1][ref.slot - 1], scaled))

@@ -5,7 +5,8 @@ Conventions used everywhere:
 * groups and slots are 1-based; ``VarRef(i, j)`` is variable x_ij,
 * every group keeps its slots sorted by non-increasing weight (the
   canonical order produced by :func:`normalize`),
-* all numbers are exact ``Fraction`` values.
+* all numbers are exact ``Fraction`` values; sparse ones come in through
+  :func:`clean_terms`, and an :class:`Instance` scales them to integers.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -16,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
+from .numeric import integer_form
 
 _F0 = Fraction(0)
 
@@ -41,6 +43,30 @@ def _frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ValidationError("not a rational value: %r" % (value,))
+
+
+def clean_terms(items, instance=None):
+    """The one cleaner of sparse rational terms: ``items`` (a mapping or
+    ``(ref, value)`` pairs; a ref may be a ``(group, slot)`` pair) as sorted
+    ``(VarRef, Fraction)`` terms, zeros dropped, and a dict of them.  A
+    value that is not an int, str or Fraction, a variable given twice and,
+    with ``instance``, any reference outside it (zero-valued ones included)
+    raise ``ValidationError``."""
+    cleaned = []
+    for ref, value in (items.items() if isinstance(items, Mapping) else items):
+        if not isinstance(ref, VarRef):
+            ref = VarRef(*ref)
+        if instance is not None:
+            instance.check_ref(ref)
+        if type(value) is not Fraction:  # the hot case needs no call
+            value = _frac(value)
+        if value:
+            cleaned.append((ref, value))
+    cleaned.sort()
+    by_ref = dict(cleaned)
+    if len(by_ref) != len(cleaned):
+        raise ValidationError("a variable is given twice")
+    return tuple(cleaned), by_ref
 
 
 @dataclass(frozen=True)
@@ -114,28 +140,47 @@ class Instance:
 
     def refs(self):
         """All variable references in (group, slot) order."""
-        out = []
-        for i, g in enumerate(self.groups, start=1):
-            for j in range(1, g.size + 1):
-                out.append(VarRef(i, j))
-        return out
+        return list(self.columns)
 
     def singleton_groups(self) -> frozenset:
         """M_0: indices of groups with exactly one slot."""
         return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
 
     @cached_property
+    def columns(self):
+        """``{VarRef: column}`` in (group, slot) order, the package's one
+        column index.  Computed on first use."""
+        refs = (VarRef(i, j) for i, g in enumerate(self.groups, start=1)
+                for j in range(1, g.size + 1))
+        return {ref: k for k, ref in enumerate(refs)}
+
+    @cached_property
     def units(self):
         """``(scale, rows, capacity_units)``: each group's weights as a row
         and the capacity, times ``scale``, the least common denominator of
-        them all, so that every weight comparison is between exact
-        integers.  Computed on first use."""
-        capacity = self.capacity
-        scale = lcm(capacity.denominator,
-                    *(a.denominator for g in self.groups for a in g.weights))
-        rows = tuple(tuple(a.numerator * (scale // a.denominator)
-                           for a in g.weights) for g in self.groups)
-        return scale, rows, capacity.numerator * (scale // capacity.denominator)
+        them all (:func:`numeric.integer_form`), so that every weight
+        comparison is between exact integers.  Computed on first use."""
+        scale, (capacity, *weights) = integer_form(
+            chain((self.capacity,), *(g.weights for g in self.groups)))
+        weights = iter(weights)
+        rows = tuple(tuple(islice(weights, g.size)) for g in self.groups)
+        return scale, rows, capacity
+
+    def integer_row(self, terms, rhs=_F0):
+        """``(coefficients, rhs, scale)``: cleaned ``terms`` and ``rhs``
+        times ``scale``, the LCM of their denominators, as integers
+        (:func:`numeric.integer_form`), the coefficients dense over
+        :attr:`columns`; a reference outside the instance raises."""
+        scale, (rhs, *ints) = integer_form(
+            chain((rhs,), (c for _, c in terms)))
+        columns = self.columns
+        dense = [0] * len(columns)
+        for (ref, _), a in zip(terms, ints):
+            j = columns.get(ref)
+            if j is None:
+                raise ValidationError("variable out of range: %s" % (ref,))
+            dense[j] = a
+        return dense, rhs, scale
 
     def is_normalized(self) -> bool:
         """Weights non-increasing within every group, tested on
@@ -150,20 +195,8 @@ class LinearInequality:
     __slots__ = ("terms", "rhs", "_by_ref")
 
     def __init__(self, coeffs, rhs):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned = []
-        for ref, value in items:
-            if not isinstance(ref, VarRef):
-                ref = VarRef(*ref)
-            value = _frac(value)
-            if value != 0:
-                cleaned.append((ref, value))
-        cleaned.sort()
-        self.terms = tuple(cleaned)
+        self.terms, self._by_ref = clean_terms(coeffs)
         self.rhs = _frac(rhs)
-        self._by_ref = dict(cleaned)
-        if len(self._by_ref) != len(cleaned):
-            raise ValidationError("duplicate variable in inequality")
 
     def coeff(self, ref: VarRef) -> Fraction:
         return self._by_ref.get(ref, _F0)
@@ -189,22 +222,11 @@ class Point:
     __slots__ = ("entries", "_by_ref")
 
     def __init__(self, values=()):
-        items = values.items() if isinstance(values, Mapping) else values
-        cleaned = []
-        for ref, value in items:
-            if not isinstance(ref, VarRef):
-                ref = VarRef(*ref)
-            value = _frac(value)
-            num = value.numerator  # the denominator is positive
-            if num < 0 or num > value.denominator:
+        self.entries, self._by_ref = clean_terms(values)
+        for ref, value in self.entries:
+            num, den = value.as_integer_ratio()  # den > 0
+            if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
-            if num:
-                cleaned.append((ref, value))
-        cleaned.sort()
-        self.entries = tuple(cleaned)
-        self._by_ref = dict(cleaned)
-        if len(self._by_ref) != len(cleaned):
-            raise ValidationError("duplicate variable in point")
 
     def value(self, ref: VarRef) -> Fraction:
         return self._by_ref.get(ref, _F0)

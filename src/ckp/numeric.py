@@ -1,19 +1,20 @@
-"""Exact rational scalars and the exact affine rank.
+"""Exact rational scalars, their integer form, and the exact affine rank.
 
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` with an optional leading minus sign and q > 0; parsing
-canonicalizes (lowest terms, sign on the numerator).  :func:`affine_rank`
-is the one rank routine.  It takes each vector in integer form, a
-denominator and an integer row, and eliminates in integers, not Fractions;
-``oracle.VertexSet.face_dimension`` streams the integer forms of its tight
-candidate vertices into it with a cap.
+canonicalizes (lowest terms, sign on the numerator).  :func:`integer_form`
+is the package's one scaling of rationals to integers, by the LCM of their
+denominators.  :func:`affine_rank` is the one rank routine.  It takes each
+vector in integer form, a denominator and an integer row, and eliminates
+in integers, not Fractions; ``oracle.VertexSet.face_dimension`` streams the
+integer forms of its tight candidate vertices into it with a cap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import FormatError
@@ -40,6 +41,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
+
+
+def integer_form(values) -> Tuple[int, list]:
+    """``(scale, ints)``: the rationals ``values`` times ``scale``, the LCM
+    of their denominators (1 for none), as a list of ints."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[q for _, q in ratios])
+    return scale, [p * (scale // q) for p, q in ratios]
 
 
 def affine_rank(vectors: Iterable[Tuple[int, Sequence[int]]],

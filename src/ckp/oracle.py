@@ -17,7 +17,9 @@ linear function over the candidates is its maximum over S, and a
 :class:`VertexSet` answers validity and face-dimension queries for any
 number of inequalities from one enumeration; each candidate is found in
 integer units and kept also as an integer row, which the lhs test and the
-affine rank share.  ``maximize_over_S`` solves one fractional knapsack per
+affine rank share, and an inequality is scaled by ``Instance.integer_row``;
+the candidates' integer excesses over its rhs test it and name the witness
+of an invalid one.  ``maximize_over_S`` solves one fractional knapsack per
 pattern instead, in integers, each a scan of one Dantzig order fixed for
 the objective; it keeps the pattern-order tie-break of ``ckp oracle`` and
 ``ckp verify``.
@@ -28,12 +30,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .model import Instance, LinearInequality, Point, VarRef, lhs_at
+from .model import Instance, LinearInequality, Point, VarRef
 from .numeric import affine_rank
 from .simplex import LpProblem, fill_knapsack
 
@@ -117,30 +118,29 @@ class VertexSet:
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
-        Each candidate's lhs is compared with the rhs once, in integers
-        (both sides times the candidate's and the inequality's common
-        denominators).  The maximum over the candidates is the maximum over
-        S, since conv(candidates) = conv(S); above the rhs this raises with
-        a maximizing candidate as witness.  Otherwise the result is the
-        affine rank of the tight candidates.
+        Each candidate's lhs is compared with the rhs once, in integers:
+        its excess is the lhs less the rhs, times the candidate's
+        denominator and the inequality's scale.  The maximum over the
+        candidates is the maximum over S, since conv(candidates) = conv(S);
+        above the rhs this raises with the first candidate of largest
+        excess / den as witness.  Otherwise the result is the affine rank
+        of the tight candidates.
         """
-        instance = self.instance
-        terms, rhs = inequality.terms, inequality.rhs
-        scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        coeffs = [0] * instance.dimension
-        col = {ref: j for j, ref in enumerate(instance.refs())}
-        for ref, c in terms:
-            instance.check_ref(ref)
-            coeffs[col[ref]] = c.numerator * (scale // c.denominator)
-        top = rhs.numerator * (scale // rhs.denominator)
+        instance, terms = self.instance, inequality.terms
+        coeffs, top, scale = instance.integer_row(terms, inequality.rhs)
         excess = [sum(map(mul, coeffs, row)) - top * den
                   for den, row in self.forms]
         if max(excess, default=0) > 0:
-            values = [lhs_at(inequality, p) for p in self.points]
-            best = max(values)
+            forms = self.forms
+            best = 0  # the first candidate of largest excess / den
+            for k, (den, _) in enumerate(forms):
+                if excess[k] * forms[best][0] > excess[best] * den:
+                    best = k
+            den = forms[best][0]
+            lhs = Fraction(excess[best] + top * den, den * scale)
             raise PreconditionError(
-                "inequality is not valid (max %s > rhs %s)" % (best, rhs),
-                witness=self.points[values.index(best)])
+                "inequality is not valid (max %s > rhs %s)"
+                % (lhs, inequality.rhs), witness=self.points[best])
         cap = instance.dimension - 1 if terms else instance.dimension
         return affine_rank((form for form, e in zip(self.forms, excess)
                             if not e), cap)
@@ -155,7 +155,7 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
     support is its pattern, so no candidate repeats.
     """
     _, rows, capacity = instance.units
-    col = {ref: j for j, ref in enumerate(instance.refs())}
+    col = instance.columns
     found = []
     if capacity >= 0:  # the origin, the empty pattern's one candidate
         found.append(((), (1, [0] * len(col))))

@@ -25,7 +25,6 @@ only that pack and its drop-one-singleton subsets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -41,7 +40,6 @@ from .oracle import walk_patterns
 class SeparationStats:
     examined: int     # candidate cuts evaluated
     patterns: int     # non-empty patterns walked (exact), packs tried (greedy)
-    elapsed: float    # wall seconds
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
 
 
 def _select(instance: Instance, point: Point, support, itemsets,
-            families, started: float) -> SeparationResult:
+            families) -> SeparationResult:
     """Score every member of ``families`` that each ``(items, units)`` of
     ``itemsets`` gives and build only the winner: the highest violation,
     ties to the smallest provenance key.  Its built violation and key must
@@ -98,8 +96,8 @@ def _select(instance: Instance, point: Point, support, itemsets,
         if built != violation or cut.provenance_key() != key:
             raise CkpError("built %s cut has violation %s, scored %s"
                            % (cut.family, built, violation))
-    stats = SeparationStats(examined, patterns, time.monotonic() - started)
-    return SeparationResult(cut, violation, stats)
+    return SeparationResult(cut, violation,
+                            SeparationStats(examined, patterns))
 
 
 def separate_exact(instance: Instance, point: Point,
@@ -110,11 +108,10 @@ def separate_exact(instance: Instance, point: Point,
     Every family member whose precondition holds is scored in closed form
     and counted in ``examined``; only the winner is built.
     """
-    started = time.monotonic()
     families = _resolve_families(family)
     support = _require_lp_feasible(instance, point)
     return _select(instance, point, support, walk_patterns(instance, limit),
-                   families, started)
+                   families)
 
 
 def separate_greedy(instance: Instance, point: Point,
@@ -128,7 +125,6 @@ def separate_greedy(instance: Instance, point: Point,
     members are scored and only the winner is built, as in exact
     separation.  Sound but not complete.
     """
-    started = time.monotonic()
     families = _resolve_families(families)
     support = _require_lp_feasible(instance, point)
     mass = support.mass
@@ -141,7 +137,7 @@ def separate_greedy(instance: Instance, point: Point,
             slack -= units[i][-1]
     chosen.sort()
     if not chosen or not is_switching([units[i] for i in chosen], slack):
-        return _select(instance, point, support, (), families, started)
+        return _select(instance, point, support, (), families)
     pack = tuple(VarRef(i + 1, len(units[i])) for i in chosen)
     packs = [pack]
     if len(pack) >= 2:
@@ -149,7 +145,7 @@ def separate_greedy(instance: Instance, point: Point,
                   for single in pack if single.group in support.m0]
     return _select(instance, point, support,
                    ((items, support.units_of(items)) for items in packs),
-                   families, started)
+                   families)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ builds meets this: normalized instances have nonnegative weights and
 capacity, and the origin lies in S, so every inequality valid for S has a
 nonnegative right-hand side.
 
-:class:`LpProblem` scales its data to integers once, when it is built: each
-row times the LCM of its own denominators, and the objective times the LCM
-of its own.  The solver and the certificate check work on these integers;
-only :class:`LpSolution` holds Fractions.
+:class:`LpProblem` scales its data to integers once, when it is built:
+the knapsack row is ``Instance.units``, and each cut row and the objective
+go through ``Instance.integer_row``, each times the LCM of its own
+denominators.  The solver and the certificate check work on these
+integers; only :class:`LpSolution` holds Fractions.
 
 * **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
   by Dantzig's ratio rule (:func:`fill_knapsack`).  The objective never
@@ -54,22 +55,11 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
-from .model import Instance, Point, VarRef, knapsack_row
+from .model import Instance, Point, clean_terms, knapsack_row
+from .numeric import integer_form
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _scale_row(row, col, n):
-    """``(coefficients, rhs, scale)``: the row times ``scale``, the LCM of
-    its denominators, as integers, dense over the ``n`` variables of
-    ``col``, which must hold every variable of the row."""
-    rhs = row.rhs
-    scale = lcm(rhs.denominator, *(c.denominator for _, c in row.terms))
-    dense = [0] * n
-    for ref, c in row.terms:
-        dense[col[ref]] = c.numerator * (scale // c.denominator)
-    return dense, rhs.numerator * (scale // rhs.denominator), scale
 
 
 def _ratio_cmp(s, t):
@@ -108,54 +98,42 @@ class LpProblem:
     """LP relaxation data: instance variables, rows, objective, and their
     integer scaling.
 
-    ``objective`` (a mapping or pairs; refs may be ``(group, slot)``) is
-    checked and kept as a sorted ``((VarRef, Fraction), ...)``.  ``rows``
-    is the knapsack row, then ``extra_rows``, each added as by
+    ``objective`` is cleaned by ``model.clean_terms``, every reference
+    checked, and kept as its sorted ``((VarRef, Fraction), ...)`` terms.
+    ``rows`` is the knapsack row, then ``extra_rows``, each added as by
     :meth:`with_row`, which checks every reference of the row
     (``ValidationError`` on one outside the instance).  Weights and
     right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
     0 <= x <= 1 are implicit and handled by the solver.
 
-    Built once per problem: ``refs`` and the column index ``col``,
-    ``costs`` (the objective times ``cost_scale``), ``scaled_rows`` (one
-    ``(coefficients, rhs, scale)`` per row, see :func:`_scale_row`),
-    ``scale`` (the LCM of all these scales) and Dantzig's ``order``: the
-    ``(ref, weight, cost)`` triples with a positive cost, by ratio
-    cost/weight descending.  Ratios compare by integer cross-multiplication,
-    so weight 0 ranks first, and the stable sort keeps equal ratios in
-    variable order.
+    Built once per problem: ``refs`` (the columns), ``costs`` (the
+    objective times ``cost_scale``), ``scaled_rows`` (one ``(coefficients,
+    rhs, scale)`` per row, see ``Instance.integer_row``), ``scale`` (the
+    LCM of all these scales) and Dantzig's ``order``: the ``(ref, weight,
+    cost)`` triples with a positive cost, by ratio cost/weight descending.
+    Ratios compare by integer cross-multiplication, so weight 0 ranks
+    first, and the stable sort keeps equal ratios in variable order.
     """
 
-    __slots__ = ("instance", "rows", "objective", "refs", "col", "costs",
+    __slots__ = ("instance", "rows", "objective", "refs", "costs",
                  "cost_scale", "scaled_rows", "scale", "order")
 
     def __init__(self, instance: Instance, objective, extra_rows=()):
-        cleaned = {}
-        for ref, value in (objective.items() if hasattr(objective, "items")
-                           else objective):
-            if not isinstance(ref, VarRef):
-                ref = VarRef(*ref)
-            instance.check_ref(ref)
-            cleaned[ref] = value if isinstance(value, Fraction) else Fraction(value)
-        knap = knapsack_row(instance)
-        if any(a < 0 for _, a in knap.terms) or knap.rhs < 0:
+        self.objective, _ = clean_terms(objective, instance)
+        weight_scale, units, capacity = instance.units
+        weights = [a for row in units for a in row]
+        if min(weights) < 0 or capacity < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
-        self.rows = (knap,)
-        self.objective = objective = tuple(sorted(cleaned.items()))
+        self.rows = (knapsack_row(instance),)
         self.refs = refs = tuple(instance.refs())
-        self.col = col = {ref: j for j, ref in enumerate(refs)}
-        n = len(refs)
-        self.cost_scale = cost_scale = lcm(*(c.denominator for _, c in objective))
-        self.costs = costs = [0] * n
-        for ref, c in objective:
-            costs[col[ref]] = c.numerator * (cost_scale // c.denominator)
-        weights, _, weight_scale = scaled = _scale_row(knap, col, n)
-        self.scaled_rows = [scaled]
-        self.scale = lcm(cost_scale, weight_scale)
-        self.order = sorted((t for t in zip(refs, weights, costs) if t[2] > 0),
-                            key=cmp_to_key(_ratio_cmp))
+        self.costs, _, self.cost_scale = instance.integer_row(self.objective)
+        self.scaled_rows = [(weights, capacity, weight_scale)]
+        self.scale = lcm(self.cost_scale, weight_scale)
+        self.order = sorted(
+            (t for t in zip(refs, weights, self.costs) if t[2] > 0),
+            key=cmp_to_key(_ratio_cmp))
         for row in extra_rows:
             self._add_row(row)
 
@@ -165,9 +143,7 @@ class LpProblem:
                 "LP needs nonnegative weights and right-hand sides")
         if row == self.rows[0]:
             raise ValidationError("rows must include the knapsack row exactly once")
-        for ref, _ in row.terms:
-            self.instance.check_ref(ref)
-        scaled = _scale_row(row, self.col, len(self.refs))
+        scaled = self.instance.integer_row(row.terms, row.rhs)
         self.rows += (row,)
         self.scaled_rows = self.scaled_rows + [scaled]
         self.scale = lcm(self.scale, scaled[2])
@@ -199,7 +175,7 @@ def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
     entries = [(ref, _F1) for ref in whole]
     if room > 0:
         entries.append((k, Fraction(room, a)))
-    col, costs = problem.col, problem.costs
+    col, costs = problem.instance.columns, problem.costs
     bounds = [_F0] * len(col)
     for ref in whole:
         j = col[ref]
@@ -381,8 +357,8 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
     primal feasible, dual feasible, and primal value = dual value = the
     reported value.
 
-    The check runs in integers: the duals times Y, the LCM of their
-    denominators; the point's entries times Q, the LCM of theirs; and each
+    The check runs in integers (``numeric.integer_form``): the duals times
+    Y, the LCM of their denominators; the point's entries times Q; and each
     row and the objective times the problem's ``scale`` L, through their
     scaled data.  So y A_j + u_j >= c_j becomes an integer inequality
     times Y L, row feasibility one times Q, and the values compare by
@@ -394,20 +370,18 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
     duals = solution.duals
     if len(duals) != nrows + len(free):
         return False
-    ratios = [y.as_integer_ratio() for y in duals]
-    dual_scale = lcm(*[q for _, q in ratios])
-    ys = [p * (dual_scale // q) for p, q in ratios]
+    dual_scale, ys = integer_form(duals)
     if min(ys) < 0:
         return False
-    entries = [(ref, x.as_integer_ratio()) for ref, x in solution.point.entries]
-    point_scale = lcm(*[q for _, (_, q) in entries])
-    col = problem.col
+    entries = solution.point.entries
+    point_scale, scaled = integer_form(x for _, x in entries)
+    col = problem.instance.columns
     xs = []
-    for ref, (p, q) in entries:
+    for (ref, _), x in zip(entries, scaled):
         j = col.get(ref)
-        if j is None or ref in forced_zero or p > q:
+        if j is None or ref in forced_zero or x > point_scale:
             return False
-        xs.append((j, p * (point_scale // q)))
+        xs.append((j, x))
     scale = problem.scale
     priced = [0] * len(problem.refs)  # (y A_j) * Y * L
     dual_value = 0                    # (y . rhs + sum(u)) * Y * L

@@ -523,6 +523,59 @@ def reference_maximize_over_S(instance, objective, limit=None):
     return best_value, Point(best_entries)
 
 
+# --- integer forms ------------------------------------------------------------
+# The library scales rationals to integers in one routine,
+# ``numeric.integer_form``.  Below is the same scaling in Fractions, as the
+# reference for it, for ``Instance.integer_row`` and for LpProblem's data.
+
+LARGE_PRIMES = (7919, 104729, 999983, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def reference_integer_form(values):
+    """The least positive L that makes every value an integer, grown one
+    value at a time by the denominator of value * L, and the values times
+    L."""
+    values = [Fraction(v) for v in values]
+    scale = 1
+    for v in values:
+        scale *= (v * scale).denominator
+    return scale, [int(v * scale) for v in values]
+
+
+def reference_integer_row(instance, terms, rhs=0):
+    """``(coefficients, rhs, scale)`` of a sparse row: its Fraction
+    coefficients, dense over ``instance.refs()``, and its rhs, scaled by
+    :func:`reference_integer_form`."""
+    coeffs = dict(terms)
+    scale, ints = reference_integer_form(
+        [coeffs.get(ref, _F0) for ref in instance.refs()] + [rhs])
+    return ints[:-1], ints[-1], scale
+
+
+def reference_lp_data(instance, objective, rows=()):
+    """``(costs, cost_scale, scaled_rows, scale, order)`` of
+    ``LpProblem(instance, objective, rows)``, scaled in Fractions: the
+    knapsack row first, the scale the LCM of every row's and the costs'
+    scales, and Dantzig's order by Fraction ratio, weight 0 first and ties
+    in variable order."""
+    refs = instance.refs()
+    costs, _, cost_scale = reference_integer_row(instance, objective.items())
+    knapsack = [(ref, instance.weight(ref)) for ref in refs]
+    sparse = [(knapsack, instance.capacity)] + [(r.terms, r.rhs) for r in rows]
+    scaled_rows = [reference_integer_row(instance, terms, rhs)
+                   for terms, rhs in sparse]
+    # the LCM of the scales is the least L making every 1 / scale * L whole
+    scale, _ = reference_integer_form(
+        [Fraction(1, s) for s in [cost_scale] + [r[2] for r in scaled_rows]])
+    weights = scaled_rows[0][0]
+    ratios = {ref: (0, 0) if not a else (1, -objective[ref] / a)
+              for ref, a in knapsack if objective.get(ref, 0) > 0}
+    order = [(ref, weights[j], costs[j]) for j, ref in enumerate(refs)
+             if ref in ratios]
+    order.sort(key=lambda t: ratios[t[0]])  # stable: ties in variable order
+    return costs, cost_scale, scaled_rows, scale, order
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -62,6 +62,39 @@ def test_library_checks_survive_optimization(path):
     assert assert_lines(path.read_text()) == []
 
 
+def denominator_scalings(source):
+    """Lines of ``lcm`` calls with a starred or comprehension argument:
+    scalings by the LCM of a collection of denominators.  An ``lcm`` of
+    named scales is not one."""
+    collections = (ast.Starred, ast.ListComp, ast.GeneratorExp, ast.SetComp)
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "lcm" and any(isinstance(arg, collections)
+                                 for arg in node.args):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_flags_a_denominator_scaling():
+    source = ("import math\nfrom math import lcm\n"
+              "a = lcm(b.denominator, *(c.denominator for c in cs))\n"
+              "d = math.lcm(*[q for _, q in ratios])\n"
+              "e = lcm(f, g)\n"
+              "h = lcm(x.denominator for x in xs)\n")
+    assert denominator_scalings(source) == [3, 4, 6]
+
+
+def test_one_integer_scaling():
+    # numeric.integer_form is the library's one scaling by an LCM of
+    # denominators; every other module calls it
+    found = {path.name: denominator_scalings(path.read_text())
+             for path in LIBRARY if path.name != "numeric.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp

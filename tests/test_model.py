@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from ckp.model import (
     weight_of,
 )
 
-from conftest import make_instance
+from conftest import (LARGE_PRIMES, make_instance, rational_instance,
+                      reference_integer_form, reference_integer_row)
 
 
 def test_build_and_lookups(ex_a):
@@ -63,6 +65,31 @@ def test_point_validation():
     p = Point([(VarRef(1, 1), Fraction(1, 2)), (VarRef(4, 2), 1)])
     assert p.value(VarRef(1, 1)) == Fraction(1, 2)
     assert p.value(VarRef(2, 1)) == 0
+
+
+def test_integer_forms_match_fraction_reference():
+    """``Instance.units`` and ``Instance.integer_row`` equal the Fraction
+    scaling, on rational and zero weights and rows with large coprime
+    denominators; a row reference outside the instance raises."""
+    rng = random.Random(5077)
+    for _ in range(200):
+        inst = rational_instance(rng)
+        scale, ints = reference_integer_form(
+            [inst.capacity] + [a for g in inst.groups for a in g.weights])
+        rows, flat = [], iter(ints[1:])
+        for g in inst.groups:
+            rows.append(tuple(next(flat) for _ in range(g.size)))
+        assert inst.units == (scale, tuple(rows), ints[0])
+        coeffs = {r: Fraction(rng.randint(-50, 50), rng.choice(LARGE_PRIMES))
+                  for r in inst.refs() if rng.random() < 0.6}
+        row = LinearInequality(coeffs, Fraction(rng.randint(-9, 9),
+                                                rng.choice(LARGE_PRIMES)))
+        assert (inst.integer_row(row.terms, row.rhs)
+                == reference_integer_row(inst, row.terms, row.rhs))
+        assert (inst.integer_row(row.terms)
+                == reference_integer_row(inst, row.terms))
+    with pytest.raises(ValidationError, match=r"x\(9,9\)"):
+        inst.integer_row(LinearInequality({(9, 9): 1}, 0).terms)
 
 
 def test_zero_point():

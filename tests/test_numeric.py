@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ckp.errors import FormatError
-from ckp.numeric import affine_rank, format_rational, parse_rational
+from ckp.numeric import (affine_rank, format_rational, integer_form,
+                         parse_rational)
 
-from conftest import fraction_affine_rank
+from conftest import (LARGE_PRIMES, fraction_affine_rank,
+                      reference_integer_form)
 
 
 class TestParseRational:
@@ -43,6 +46,22 @@ def forms(vectors):
     for vec in vectors:
         den = lcm(*(x.denominator for x in vec))
         yield den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+def test_integer_form_matches_fraction_reference():
+    """Scale and integers equal the Fraction reference's, for lists with
+    zeros, negatives, integers and large coprime denominators, and none."""
+    rng = random.Random(6151)
+    assert integer_form([]) == (1, [])
+    for _ in range(300):
+        values = [rng.choice((Fraction(0), Fraction(rng.randint(-9, 9)),
+                              Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                       rng.choice(LARGE_PRIMES)),
+                              Fraction(rng.randint(-30, 30),
+                                       rng.randint(1, 12))))
+                  for _ in range(rng.randint(0, 8))]
+        assert integer_form(values) == reference_integer_form(values)
+        assert integer_form(iter(values)) == reference_integer_form(values)
 
 
 def test_affine_rank_small():

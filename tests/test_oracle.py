@@ -354,6 +354,33 @@ def test_face_dimension_matches_reference_on_seeded_corpora():
     assert {0, -1, -2, "empty"} <= faces  # full, facets, lower faces, empty
 
 
+def test_invalid_witness_is_the_first_largest_candidate():
+    """The witness is the first candidate (in sorted order) of largest
+    lhs, and the message names that lhs: the lhs of every candidate,
+    summed in Fractions, is the reference.  An empty inequality with a
+    negative rhs ties every candidate at lhs 0."""
+    rng = random.Random(9091)
+    for n in range(40):
+        inst = rational_instance(rng) if n % 2 else random_instance(rng, max_groups=4)
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        refs = inst.refs()
+        inequalities = [LinearInequality([], -1)]
+        for _ in range(3):
+            coeffs = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for r in refs if rng.random() < 0.6}
+            inequalities.append(LinearInequality(coeffs, Fraction(-1, 7)))
+        for inequality in inequalities:
+            values = [lhs_at(inequality, p) for p in vertices.points]
+            best = max(values)
+            if best <= inequality.rhs:
+                continue
+            with pytest.raises(PreconditionError) as err:
+                vertices.face_dimension(inequality)
+            assert err.value.witness == vertices.points[values.index(best)]
+            assert str(err.value) == ("inequality is not valid (max %s > rhs %s)"
+                                      % (best, inequality.rhs))
+
+
 # --- enumeration guard ---
 
 def test_pattern_count(ex_a):

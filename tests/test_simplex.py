@@ -17,9 +17,10 @@ from ckp.model import (
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
-from conftest import (_solve_bounded as reference_solve_bounded,
+from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
                       make_instance, random_instance, rational_instance,
-                      reference_maximize_over_S, reference_solve_lp)
+                      reference_lp_data, reference_maximize_over_S,
+                      reference_solve_lp)
 
 
 def lp_for(inst, extra_rows=()):
@@ -113,6 +114,21 @@ def test_with_row_matches_building_the_rows(ex_b):
 def test_objective_refs_checked(ex_a):
     with pytest.raises(ValidationError):
         LpProblem(ex_a, {VarRef(6, 1): Fraction(1)})
+
+
+def test_objective_is_exact_and_given_once(ex_a):
+    # cleaned as LinearInequality and Point terms are: a float would be
+    # taken at its binary value (0.1 as 3602879701896397/2^55), and a
+    # repeated variable would keep only its last value
+    for objective in ({(1, 1): 0.1}, [((1, 1), 5), ((1, 1), 1)]):
+        for build in (lambda t: LinearInequality(t, 1),
+                      lambda t: LpProblem(ex_a, t),
+                      lambda t: oracle.maximize_over_S(ex_a, t)):
+            with pytest.raises(ValidationError):
+                build(objective)
+    # a zero-valued term is dropped, but its reference is still checked
+    with pytest.raises(ValidationError, match=r"x\(6,1\)"):
+        LpProblem(ex_a, {VarRef(1, 1): 1, VarRef(6, 1): 0})
 
 
 def test_row_refs_checked():
@@ -353,6 +369,32 @@ def test_integer_node_lp_matches_fraction_reference():
         seen["forced"] += bool(forced)
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
         seen["tied ratio"] += len(set(ratios)) < len(ratios)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_scaled_data_matches_fraction_reference():
+    """costs, cost_scale, scaled_rows, scale and order equal the data scaled
+    in Fractions, on rational and zero weights, negative objective values,
+    large coprime objective denominators and 0-3 builder cut rows."""
+    rng = random.Random(7411)
+    seen = {"cuts": 0, "negative": 0, "zero weight": 0, "large": 0}
+    for _ in range(150):
+        inst = rational_instance(rng)
+        objective = {}
+        for r in inst.refs():
+            q = rng.choice(LARGE_PRIMES) if rng.random() < 0.3 else 1
+            objective[r] = (Fraction(rng.randint(-3 * q, 5 * q), q)
+                            if rng.random() < 0.6 else inst.profit(r))
+        pool = _builder_cuts(inst)
+        rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
+        problem = LpProblem(inst, objective, rows)
+        assert (problem.costs, problem.cost_scale, problem.scaled_rows,
+                problem.scale, problem.order) == reference_lp_data(
+                    inst, objective, rows)
+        seen["cuts"] += bool(rows)
+        seen["negative"] += any(c < 0 for c in objective.values())
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["large"] += problem.cost_scale > 7000
     assert min(seen.values()) >= 20, seen
 
 

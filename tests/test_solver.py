@@ -212,7 +212,7 @@ def test_pooled_cut_separated_again_is_rejected(monkeypatch, ex_b):
     def forged(instance, point, families):
         cut = GeneratedCut("pack1", knapsack_row(instance),
                            ItemSet.of(instance.refs()[:1]))
-        return SeparationResult(cut, Fraction(1), SeparationStats(1, 1, 0.0))
+        return SeparationResult(cut, Fraction(1), SeparationStats(1, 1))
 
     monkeypatch.setattr(solver, "separate_greedy", forged)
     with pytest.raises(CkpError, match="already in the pool"):
