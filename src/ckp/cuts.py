@@ -27,10 +27,11 @@ the relevant theorem's sufficient condition holds on the instance.
 
 Next to each builder sits its closed form: the member's violation at one
 point, computed from the point's per-group support (:class:`PointSupport`)
-without building the cut.  The support scales the point once, to integers
-X = x * D (``numeric.integer_form``), next to the instance's integer units
-of the weights and capacity, so each closed form sums integers and makes
-one Fraction at the end.  :func:`family_scores` defines which members an
+without building the cut.  The support reads the point in its integer
+form, X = x * D (``Point.scaled``, or the node LP's ``LpSolution.scaled``
+as the simplex made it), next to the instance's integer units of the
+weights and capacity, so each closed form sums integers and makes one
+Fraction at the end.  :func:`family_scores` defines which members an
 item set gives, tests their preconditions in integer units and scores
 each; :func:`build_member` builds one member from its provenance key.
 Exact and greedy separation score every member and build only the winner;
@@ -49,7 +50,6 @@ from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, VarRef
-from .numeric import integer_form
 from .oracle import resolve_enum_limit
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
@@ -184,15 +184,17 @@ class PointSupport:
 
     Weights and the capacity come scaled by ``scale`` (see
     :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
-    item set's weight and every precondition compare exact integers; the
-    point's entries are scaled by ``point_scale``, D, the least common
-    denominator of the entries (``numeric.integer_form``), so that each x
-    is the integer X = x * D (``x`` maps each positive variable to its X).
-    Per group i (list index i - 1): ``entries`` as ``(slot, U, X)`` for
-    the point's positive variables; and ``mass``, sum U * X, which is W_i =
-    sum_j a_ij x_ij times scale * D.  The instance must be normalized;
-    every reference of the point is checked, as the integer lists are
-    indexed by it.
+    item set's weight and every precondition compare exact integers.  The
+    point is read in its integer form ``point.scaled = (D, ((ref, X),
+    ...))`` (a ``model.Point`` or a ``simplex.LpSolution``), with D as
+    ``point_scale``, so each x is the integer X = x * D (``x`` maps each
+    positive variable to its X).  Per group i (list index i - 1):
+    ``entries`` as ``(slot, U, X)`` for the point's positive variables; and
+    ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij times scale * D.
+    The instance must be normalized; every reference of the point is
+    looked up in ``Instance.columns``, as the integer lists are indexed by
+    it.  M_0 and the normalized flag are cached on the instance, so only
+    the point's own work is done per support.
     """
 
     __slots__ = ("m0", "scale", "units", "capacity_units", "point_scale",
@@ -201,14 +203,16 @@ class PointSupport:
     def __init__(self, instance: Instance, point):
         self.m0 = instance.singleton_groups()
         self.scale, self.units, self.capacity_units = _sorted_units(instance)
-        self.point_scale, xs = integer_form(x for _, x in point.entries)
-        entries = [[] for _ in instance.groups]
-        self.x = {}
-        for (ref, _), scaled in zip(point.entries, xs):
-            instance.check_ref(ref)
-            self.x[ref] = scaled
+        units = self.units
+        self.point_scale, scaled = point.scaled
+        columns = instance.columns
+        entries = [[] for _ in units]
+        for ref, x in scaled:
+            if ref not in columns:
+                raise ValidationError("variable out of range: %s" % (ref,))
             entries[ref.group - 1].append(
-                (ref.slot, self.units[ref.group - 1][ref.slot - 1], scaled))
+                (ref.slot, units[ref.group - 1][ref.slot - 1], x))
+        self.x = dict(scaled)
         self.entries = [tuple(e) for e in entries]
         self.mass = [sum(u * x for _, u, x in e) for e in entries]
 

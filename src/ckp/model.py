@@ -6,7 +6,12 @@ Conventions used everywhere:
 * every group keeps its slots sorted by non-increasing weight (the
   canonical order produced by :func:`normalize`),
 * all numbers are exact ``Fraction`` values; sparse ones come in through
-  :func:`clean_terms`, and an :class:`Instance` scales them to integers.
+  :func:`clean_terms`, and an :class:`Instance` scales them to integers,
+* a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
+  sorted and unique, each X > 0, and x = X / D.  :class:`Point` computes
+  it once; ``simplex.LpSolution`` is built in it.  :func:`lhs_at` and
+  :func:`complementarity_violations` read only this form, so either kind
+  of point may be passed.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -144,6 +149,10 @@ class Instance:
 
     def singleton_groups(self) -> frozenset:
         """M_0: indices of groups with exactly one slot."""
+        return self._singletons
+
+    @cached_property
+    def _singletons(self) -> frozenset:
         return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
 
     @cached_property
@@ -185,8 +194,18 @@ class Instance:
     def is_normalized(self) -> bool:
         """Weights non-increasing within every group, tested on
         :attr:`units`."""
+        return self._normalized
+
+    @cached_property
+    def _normalized(self) -> bool:
         return all(a >= b for row in self.units[1]
                    for a, b in zip(row, row[1:]))
+
+    @cached_property
+    def knapsack(self) -> "LinearInequality":
+        """The knapsack row (:func:`knapsack_row`), built on first use and
+        shared by every ``simplex.LpProblem`` on the instance."""
+        return knapsack_row(self)
 
 
 class LinearInequality:
@@ -219,7 +238,7 @@ class LinearInequality:
 class Point:
     """Sparse point with entries in [0, 1] (zeros dropped)."""
 
-    __slots__ = ("entries", "_by_ref")
+    __slots__ = ("entries", "_by_ref", "_scaled")
 
     def __init__(self, values=()):
         self.entries, self._by_ref = clean_terms(values)
@@ -233,6 +252,18 @@ class Point:
 
     def support(self):
         return tuple(ref for ref, _ in self.entries)
+
+    @property
+    def scaled(self):
+        """The integer form ``(D, ((VarRef, X), ...))``: each entry times D,
+        the LCM of the entries' denominators (:func:`numeric.integer_form`).
+        Computed on first use."""
+        try:
+            return self._scaled
+        except AttributeError:
+            scale, xs = integer_form(x for _, x in self.entries)
+            self._scaled = (scale, tuple(zip(self.support(), xs)))
+            return self._scaled
 
     def __eq__(self, other):
         return isinstance(other, Point) and self.entries == other.entries
@@ -263,25 +294,24 @@ def evaluate(instance: Instance, inequality: LinearInequality, point: Point) -> 
     return Evaluation(lhs, lhs - inequality.rhs)
 
 
-def lhs_at(inequality: LinearInequality, point: Point) -> Fraction:
-    """Exact left-hand side of ``inequality`` at ``point``, references
-    unchecked (see :func:`evaluate` for the checked form)."""
+def lhs_at(inequality: LinearInequality, point) -> Fraction:
+    """Exact left-hand side of ``inequality`` at ``point`` (anything with
+    an integer form ``scaled``), references unchecked (see :func:`evaluate`
+    for the checked form)."""
+    scale, entries = point.scaled
     lhs = _F0
-    value = point.value
-    for ref, coefficient in inequality.terms:
-        x = value(ref)
-        if x:
-            lhs += coefficient * x
-    return lhs
+    for ref, x in entries:
+        c = inequality.coeff(ref)
+        if c:
+            lhs += c * x
+    return lhs / scale
 
 
 def knapsack_row(instance: Instance) -> LinearInequality:
-    """The defining constraint  sum a_ij x_ij <= b."""
-    coeffs = {}
-    for i, g in enumerate(instance.groups, start=1):
-        for j, a in enumerate(g.weights, start=1):
-            coeffs[VarRef(i, j)] = a
-    return LinearInequality(coeffs, instance.capacity)
+    """The defining constraint  sum a_ij x_ij <= b, on the references of
+    ``Instance.columns``."""
+    weights = chain.from_iterable(g.weights for g in instance.groups)
+    return LinearInequality(zip(instance.columns, weights), instance.capacity)
 
 
 def weight_of(instance: Instance, point: Point) -> Fraction:
@@ -298,10 +328,11 @@ def profit_of(instance: Instance, point: Point) -> Fraction:
     return total
 
 
-def complementarity_violations(instance: Instance, point: Point):
-    """Groups carrying two or more positive variables, ascending."""
+def complementarity_violations(instance: Instance, point):
+    """Groups carrying two or more positive variables, ascending, at
+    ``point`` (anything with an integer form ``scaled``)."""
     seen = {}
-    for ref, _ in point.entries:
+    for ref, _ in point.scaled[1]:
         seen[ref.group] = seen.get(ref.group, 0) + 1
     return [i for i in sorted(seen) if seen[i] >= 2]
 

@@ -1,11 +1,12 @@
 """Separation: exact enumeration per family, a deterministic greedy
 heuristic, and the partition-problem reduction builder.
 
-Both separators first check the point's references and its knapsack row
-on its support in integer units (:class:`cuts.PointSupport`: the point
-scaled once by the LCM D of its denominators, the weights and capacity by
-theirs), then share one select routine over item sets, each given with
-its weight in integer units:
+Both separators take a point in integer form: a ``model.Point`` or a node
+LP's ``simplex.LpSolution``, read only through ``scaled = (D, ((ref, X),
+...))``.  They first check the point's references and its knapsack row on
+its support in integer units (:class:`cuts.PointSupport`: X = x * D, the
+weights and capacity scaled by their own LCM), then share one select
+routine over item sets, each given with its weight in integer units:
 
 * score: each family member whose precondition holds gets its violation
   in closed form, summed in integers over the support
@@ -13,7 +14,8 @@ its weight in integer units:
 * build one: the winner, the maximum violation with ties broken toward the
   lexicographically smallest provenance key (item set, then family, then
   auxiliary indices), is built by its public builder, and its built
-  violation must equal its score.
+  violation at the same point (``model.lhs_at`` on the integer form) must
+  equal its score.
 
 Exact separation gives it every non-empty one-slot-per-group pattern from
 the oracle's guarded walk (:func:`oracle.walk_patterns`).  The greedy

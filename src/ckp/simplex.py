@@ -15,7 +15,11 @@ nonnegative right-hand side.
 the knapsack row is ``Instance.units``, and each cut row and the objective
 go through ``Instance.integer_row``, each times the LCM of its own
 denominators.  The solver and the certificate check work on these
-integers; only :class:`LpSolution` holds Fractions.
+integers, and so does the solution: :class:`LpSolution` holds the point as
+``(D, ((VarRef, X), ...))`` and the duals as ``(Y, ints)``, which the
+certificate check, the separators and the branch-and-cut loop read as they
+are.  Only its value is a Fraction; its ``point`` and ``duals`` are made
+in Fractions on first read, for a caller that shows them.
 
 * **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
   by Dantzig's ratio rule (:func:`fill_knapsack`).  The objective never
@@ -42,24 +46,22 @@ bound multiplier u_j per variable not forced to zero, in
 ``Instance.refs()`` order.  They certify optimality exactly: y, u >= 0,
 y A_j + u_j >= c_j for every such variable, and y . rhs + sum(u) = c . x*.
 :func:`verify_certificate` checks this in integers from the problem's
-scaled data and the solution alone.  ``pivots`` counts the simplex's basis
+scaled data and the solution's integer form alone, and checks that form
+too (refs sorted, unique, in the instance and not forced to zero, each X
+in (0, D]).  ``pivots`` counts the simplex's basis
 changes; bound flips are not pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
-from .model import Instance, Point, clean_terms, knapsack_row
+from .model import Instance, Point, clean_terms
 from .numeric import integer_form
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _ratio_cmp(s, t):
@@ -100,7 +102,8 @@ class LpProblem:
 
     ``objective`` is cleaned by ``model.clean_terms``, every reference
     checked, and kept as its sorted ``((VarRef, Fraction), ...)`` terms.
-    ``rows`` is the knapsack row, then ``extra_rows``, each added as by
+    ``rows`` is the knapsack row (``Instance.knapsack``, built once per
+    instance and shared), then ``extra_rows``, each added as by
     :meth:`with_row`, which checks every reference of the row
     (``ValidationError`` on one outside the instance).  Weights and
     right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
@@ -126,7 +129,7 @@ class LpProblem:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
-        self.rows = (knapsack_row(instance),)
+        self.rows = (instance.knapsack,)
         self.refs = refs = tuple(instance.refs())
         self.costs, _, self.cost_scale = instance.integer_row(self.objective)
         self.scaled_rows = [(weights, capacity, weight_scale)]
@@ -156,12 +159,56 @@ class LpProblem:
         return new
 
 
-@dataclass(frozen=True)
 class LpSolution:
-    value: Fraction
-    point: Point
-    duals: tuple  # problem rows, then one bound per unforced variable
-    pivots: int
+    """An exact node LP optimum, in integer form.
+
+    ``scaled`` is the point as ``(D, ((VarRef, X), ...))``: refs sorted and
+    unique, each X > 0, and x = X / D.  ``scaled_duals`` is ``(Y, ints)``:
+    y = ints / Y, one multiplier per problem row, then one bound multiplier
+    per variable not forced to zero.  ``value`` is the optimal value and
+    ``pivots`` the simplex's basis changes.  ``point`` (a
+    :class:`model.Point`, built through its checks) and ``duals``
+    (Fractions) are made on first read; equality compares value, point,
+    duals and pivots.
+    """
+
+    __slots__ = ("value", "scaled", "scaled_duals", "pivots", "_point",
+                 "_duals")
+
+    def __init__(self, value: Fraction, scaled, scaled_duals, pivots: int):
+        self.value = value
+        self.scaled = scaled
+        self.scaled_duals = scaled_duals
+        self.pivots = pivots
+        self._point = self._duals = None
+
+    @property
+    def point(self) -> Point:
+        if self._point is None:
+            scale, entries = self.scaled
+            self._point = Point([(ref, Fraction(x, scale))
+                                 for ref, x in entries])
+        return self._point
+
+    @property
+    def duals(self) -> tuple:
+        if self._duals is None:
+            scale, ints = self.scaled_duals
+            self._duals = tuple(Fraction(y, scale) for y in ints)
+        return self._duals
+
+    def _key(self):
+        return self.value, self.point, self.duals, self.pivots
+
+    def __eq__(self, other):
+        return isinstance(other, LpSolution) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("LpSolution(value=%r, point=%r, duals=%r, pivots=%r)"
+                % self._key())
 
 
 def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
@@ -171,18 +218,22 @@ def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
         order = (t for t in order if t[0] not in forced_zero)
     weights, capacity, weight_scale = problem.scaled_rows[0]
     total, whole, (k, a, c), room = fill_knapsack(order, capacity)
-    den = a * problem.cost_scale
-    entries = [(ref, _F1) for ref in whole]
+    # x = 1 on the whole items and room / a on item k: times D = a / g
+    g = gcd(a, room)
+    scale = a // g
+    entries = [(ref, scale) for ref in whole]
     if room > 0:
-        entries.append((k, Fraction(room, a)))
+        entries.append((k, room // g))
+    entries.sort()
     col, costs = problem.instance.columns, problem.costs
-    bounds = [_F0] * len(col)
+    bounds = [0] * len(col)
     for ref in whole:
         j = col[ref]
-        bounds[j] = Fraction(costs[j] * a - c * weights[j], den)
-    duals = (Fraction(c * weight_scale, den),) + tuple(bounds[j] for j in free)
-    return LpSolution(Fraction(total * a + c * room, den), Point(entries),
-                      duals, 0)
+        bounds[j] = costs[j] * a - c * weights[j]
+    den = a * problem.cost_scale
+    duals = [c * weight_scale] + [bounds[j] for j in free]
+    return LpSolution(Fraction(total * a + c * room, den),
+                      (scale, tuple(entries)), (den, duals), 0)
 
 
 def _reduced(line):
@@ -313,27 +364,28 @@ def _solve_bounded(problem: LpProblem, free) -> LpSolution:
                           nvars)
     tab.run()
 
-    xs = [_F0] * nvars
+    # x_c is 1 when column c is flipped and nonbasic, and a basic column's
+    # value is its row's rhs over its entry, complemented when flipped
+    xs = [int(f) for f in tab.flipped]
     for line, bcol in zip(tab.matrix, tab.basis):
         if bcol < nvars:
-            xs[bcol] = Fraction(line[-1], line[bcol])
-    zrow, zden = tab.zrow, tab.zden
-    total = _F0
-    bounds = []
-    for c in range(nvars):
-        reduced = zrow[c]
-        if tab.flipped[c]:
-            xs[c] = 1 - xs[c]
-            reduced = -reduced
-        bounds.append(Fraction(reduced, zden) if reduced > 0 else _F0)
-        if xs[c]:
-            total += costs[c] * xs[c]
+            num, den = line[-1], line[bcol]
+            if tab.flipped[bcol]:
+                num = den - num
+            xs[bcol] = Fraction(num, den)
+    scale, ints = integer_form(xs)
     refs = problem.refs
-    point = Point(zip([refs[j] for j in free], xs))
-    # Multiplier of row r is the negated reduced cost of its slack.
-    duals = (tuple(Fraction(-zrow[nvars + r], zden) for r in range(nrows))
-             + tuple(bounds))
-    return LpSolution(total / problem.cost_scale, point, duals, tab.pivots)
+    entries = tuple((refs[j], x) for j, x in zip(free, ints) if x)
+    zrow, zden = tab.zrow, tab.zden
+    # Multiplier of row r is the negated reduced cost of its slack; the
+    # bound multipliers are the positive reduced costs.
+    duals = [-zrow[nvars + r] for r in range(nrows)]
+    for c in range(nvars):
+        reduced = -zrow[c] if tab.flipped[c] else zrow[c]
+        duals.append(max(reduced, 0))
+    total = sum(costs[c] * x for c, x in enumerate(ints) if x)
+    return LpSolution(Fraction(total, scale * problem.cost_scale),
+                      (scale, entries), (zden, duals), tab.pivots)
 
 
 def _free_columns(problem: LpProblem, forced_zero):
@@ -353,35 +405,39 @@ def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
 
 def verify_certificate(problem: LpProblem, solution: LpSolution,
                        forced_zero=frozenset()) -> bool:
-    """Exact optimality check from the problem and the solution alone:
-    primal feasible, dual feasible, and primal value = dual value = the
-    reported value.
+    """Exact optimality check from the problem and the solution's integer
+    form alone: a well-formed point, primal feasible, dual feasible, and
+    primal value = dual value = the reported value.
 
-    The check runs in integers (``numeric.integer_form``): the duals times
-    Y, the LCM of their denominators; the point's entries times Q; and each
-    row and the objective times the problem's ``scale`` L, through their
-    scaled data.  So y A_j + u_j >= c_j becomes an integer inequality
-    times Y L, row feasibility one times Q, and the values compare by
-    cross-multiplication.
+    The point must be ``(D, ((ref, X), ...))`` with D >= 1, its refs
+    strictly increasing in the instance's column order (so sorted and
+    unique), none outside the instance or forced to zero, and each X in
+    (0, D].  The duals must be ``(Y, ints)`` with Y >= 1, the right count
+    and no negative int.  The check runs in integers: the duals times Y,
+    the point times D, and each row and the objective times the problem's
+    ``scale`` L, through their scaled data.  So y A_j + u_j >= c_j becomes
+    an integer inequality times Y L, row feasibility one times D, and the
+    values compare by cross-multiplication.
     """
     free = _free_columns(problem, forced_zero)
     scaled_rows = problem.scaled_rows
     nrows = len(scaled_rows)
-    duals = solution.duals
-    if len(duals) != nrows + len(free):
+    dual_scale, ys = solution.scaled_duals
+    if dual_scale < 1 or len(ys) != nrows + len(free) or min(ys) < 0:
         return False
-    dual_scale, ys = integer_form(duals)
-    if min(ys) < 0:
+    point_scale, entries = solution.scaled
+    if point_scale < 1:
         return False
-    entries = solution.point.entries
-    point_scale, scaled = integer_form(x for _, x in entries)
     col = problem.instance.columns
     xs = []
-    for (ref, _), x in zip(entries, scaled):
+    last = -1
+    for ref, x in entries:
         j = col.get(ref)
-        if j is None or ref in forced_zero or x > point_scale:
+        if (j is None or j <= last or ref in forced_zero
+                or not 0 < x <= point_scale):
             return False
         xs.append((j, x))
+        last = j
     scale = problem.scale
     priced = [0] * len(problem.refs)  # (y A_j) * Y * L
     dual_value = 0                    # (y . rhs + sum(u)) * Y * L

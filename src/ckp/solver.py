@@ -9,6 +9,12 @@ and separates in one loop.  Cuts live in one global deduplicated pool (all
 five families are valid for S itself, not just a subtree), and every LP is
 solved exactly, so a best bound (the incumbent or an open node's bound)
 equal to the incumbent is a proof.
+
+Each node LP solution stays in the simplex's integer form
+(``LpSolution.scaled``): its certificate check, the separators, the one
+complementarity test per solution and the branching masses (sums of the
+integers X) all read it.  A :class:`model.Point` is made only for a new
+incumbent, which is checked feasible, and for the report.
 """
 
 from __future__ import annotations
@@ -75,18 +81,14 @@ def _check_incumbent(instance: Instance, point: Point, value: Fraction) -> None:
         raise CkpError("incumbent profit differs from the reported value")
 
 
-def _branch_group(instance: Instance, point: Point, violated) -> int:
-    """Group with >= 2 positive slots maximizing its value mass, tie: index."""
-    best = None
-    best_mass = None
-    for i in violated:
-        mass = _F0
-        for ref, x in point.entries:
-            if ref.group == i:
-                mass += x
-        if best is None or mass > best_mass:
-            best, best_mass = i, mass
-    return best
+def _branch_group(solution, violated):
+    """Group with >= 2 positive slots maximizing its value mass, tie: index;
+    the masses are sums of the LP point's integers X, over one D."""
+    mass = dict.fromkeys(violated, 0)
+    for ref, x in solution.scaled[1]:
+        if ref.group in mass:
+            mass[ref.group] += x
+    return max(violated, key=lambda i: (mass[i], -i))
 
 
 def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> SolveReport:
@@ -133,14 +135,16 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             solution = solve_lp(problem, forced_zero)
             pivots += solution.pivots
             _check_certificate(problem, solution, forced_zero)
-            value, point = solution.value, solution.point
-            if not (value > incumbent_value and config.families
-                    and added_here < config.max_cuts_per_node
-                    and complementarity_violations(instance, point)):
+            value = solution.value
+            if value <= incumbent_value:
                 break
-            sep = separate_greedy(instance, point, config.families)
+            violated = complementarity_violations(instance, solution)
+            if not (violated and config.families
+                    and added_here < config.max_cuts_per_node):
+                break
+            sep = separate_greedy(instance, solution, config.families)
             if not sep.found and config.exact_fallback:
-                sep = separate_exact(instance, point, config.families,
+                sep = separate_exact(instance, solution, config.families,
                                      config.enum_limit)
             if not sep.found:
                 break
@@ -157,14 +161,14 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
 
         if value <= incumbent_value:
             continue
-        violated = complementarity_violations(instance, point)
         if not violated:
             incumbent_value = value
-            incumbent_point = point
+            incumbent_point = solution.point
             continue
-        group = _branch_group(instance, point, violated)
-        slots = sorted(ref.slot for ref, _ in point.entries if ref.group == group)
-        split = slots[0]
+        group = _branch_group(solution, violated)
+        # the entries are sorted, so the group's first is its lowest slot
+        split = next(ref.slot for ref, _ in solution.scaled[1]
+                     if ref.group == group)
         n = instance.slots(group)
         low = frozenset(VarRef(group, j) for j in range(1, split + 1))
         high = frozenset(VarRef(group, j) for j in range(split + 1, n + 1))

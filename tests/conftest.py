@@ -14,6 +14,7 @@ from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
                       pack_inequality_2, pack_inequality_3)
 from ckp.errors import CkpError, PreconditionError, ResourceLimitError
 from ckp.model import Instance, LinearInequality, Point, VarRef, lhs_at
+from ckp.numeric import integer_form
 from ckp.simplex import LpProblem, LpSolution
 
 
@@ -293,6 +294,18 @@ _F1 = Fraction(1)
 _ratio_key = itemgetter(0)
 
 
+def lp_solution(value, point, duals, pivots):
+    """The ``LpSolution`` of a Fraction ``value``, a ``point`` (its
+    ``entries`` read as they are, unchecked) and Fraction ``duals``: the
+    point and the duals each put in integer form by
+    ``numeric.integer_form``.  The one way tests make a solution from
+    Fractions, as the references below and the forged solutions do."""
+    scale, xs = integer_form(x for _, x in point.entries)
+    refs = [ref for ref, _ in point.entries]
+    return LpSolution(value, (scale, tuple(zip(refs, xs))),
+                      integer_form(duals), pivots)
+
+
 def fill_knapsack(items, capacity):
     """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
 
@@ -343,7 +356,7 @@ def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
     y = _F0 if ratio is None else ratio
     whole = {ref for ref, x in entries if x == 1}
     bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
-    return LpSolution(value, Point(entries), (y,) + bounds, 0)
+    return lp_solution(value, Point(entries), (y,) + bounds, 0)
 
 
 class _BoundedTableau:
@@ -480,7 +493,7 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
     point = Point(zip(refs, xs))
     # Multiplier of row r is the negated reduced cost of its slack.
     duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
-    return LpSolution(value, point, duals, tab.pivots)
+    return lp_solution(value, point, duals, tab.pivots)
 
 
 def reference_solve_lp(problem, forced_zero=frozenset()):

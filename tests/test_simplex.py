@@ -18,9 +18,9 @@ from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
-                      make_instance, random_instance, rational_instance,
-                      reference_lp_data, reference_maximize_over_S,
-                      reference_solve_lp)
+                      lp_solution, make_instance, random_instance,
+                      rational_instance, reference_lp_data,
+                      reference_maximize_over_S, reference_solve_lp)
 
 
 def lp_for(inst, extra_rows=()):
@@ -95,6 +95,16 @@ def test_rows_must_include_knapsack(ex_a):
         LpProblem(ex_a, (), (knapsack_row(ex_a),))
 
 
+def test_knapsack_row_built_once_per_instance(ex_a):
+    # every LP on one instance shares its knapsack row, the pool's first
+    # member in the solver; it is the row knapsack_row builds
+    first, second = LpProblem(ex_a, {}), lp_for(ex_a)
+    assert first.rows[0] is second.rows[0]
+    assert first.with_row(LinearInequality({}, 1)).rows[0] is first.rows[0]
+    fresh = knapsack_row(ex_a)
+    assert fresh is not first.rows[0] and fresh == first.rows[0]
+
+
 def test_with_row_matches_building_the_rows(ex_b):
     # the solver's add-a-cut step: the same LP as building all rows at
     # once, and the same checks on the new row
@@ -165,7 +175,7 @@ def test_duals_price_the_optimum(small_corpus):
 def test_certificate_rejects_tampering(ex_a):
     problem = lp_for(ex_a)
     sol = solve_lp(problem)
-    forged = LpSolution(sol.value + 1, sol.point, sol.duals, sol.pivots)
+    forged = lp_solution(sol.value + 1, sol.point, sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged)
 
 
@@ -268,8 +278,8 @@ def test_closed_form_duals():
 def test_certificate_rejects_forged_duals(duals, why):
     problem = _forgery_problem()
     sol = solve_lp(problem)
-    forged = LpSolution(sol.value, sol.point,
-                        tuple(Fraction(y) for y in duals), sol.pivots)
+    forged = lp_solution(sol.value, sol.point,
+                         tuple(Fraction(y) for y in duals), sol.pivots)
     assert not verify_certificate(problem, forged), why
 
 
@@ -280,7 +290,7 @@ def test_certificate_rejects_point_on_forced_variable():
     assert verify_certificate(problem, sol, forced)
     # x41 weighs and earns nothing, so only the forced set rules it out
     entries = sol.point.entries + ((VarRef(4, 1), Fraction(1)),)
-    forged = LpSolution(sol.value, Point(entries), sol.duals, sol.pivots)
+    forged = lp_solution(sol.value, Point(entries), sol.duals, sol.pivots)
     assert not verify_certificate(problem, forged, forced)
 
 
@@ -304,13 +314,13 @@ def test_certificate_handles_dual_denominators_foreign_to_the_data():
     problem = _forgery_problem()
     sol = solve_lp(problem)
     eps = Fraction(1, _LARGE_PRIME)
-    forged = LpSolution(sol.value, sol.point,
-                        tuple(map(Fraction, (2 - eps, 1 + eps, 0, 0, 0))),
-                        sol.pivots)
-    assert not verify_certificate(problem, forged)
-    shifted = LpSolution(sol.value, sol.point,
-                         tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
+    forged = lp_solution(sol.value, sol.point,
+                         tuple(map(Fraction, (2 - eps, 1 + eps, 0, 0, 0))),
                          sol.pivots)
+    assert not verify_certificate(problem, forged)
+    shifted = lp_solution(sol.value, sol.point,
+                          tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
+                          sol.pivots)
     assert verify_certificate(problem, shifted)
 
 
@@ -320,8 +330,8 @@ def test_certificate_rejects_entry_just_above_one():
     sol = solve_lp(problem)
     entries = sol.point.entries + (
         (VarRef(4, 1), 1 + Fraction(1, _LARGE_PRIME)),)
-    forged = LpSolution(sol.value, _unchecked_point(entries), sol.duals,
-                        sol.pivots)
+    forged = lp_solution(sol.value, _unchecked_point(entries), sol.duals,
+                         sol.pivots)
     assert not verify_certificate(problem, forged)
 
 
@@ -329,8 +339,48 @@ def test_certificate_rejects_value_off_by_a_tiny_fraction():
     problem = _forgery_problem()
     sol = solve_lp(problem)
     for off in (Fraction(1, _LARGE_PRIME), -Fraction(1, _LARGE_PRIME)):
-        forged = LpSolution(sol.value + off, sol.point, sol.duals, sol.pivots)
+        forged = lp_solution(sol.value + off, sol.point, sol.duals, sol.pivots)
         assert not verify_certificate(problem, forged)
+
+
+_X11, _X41 = VarRef(1, 1), VarRef(4, 1)
+
+
+@pytest.mark.parametrize("value, point, duals, forced, why", [
+    (3, (1, ((_X11, 1), (_X41, 0))), None, (), "X = 0"),
+    (3, (1, ((_X11, 1), (_X41, -1))), None, (), "X < 0"),
+    (3, (2, ((_X11, 2), (_X41, 3))), None, (), "X > D"),
+    (3, (1, ((_X11, 1), (_X41, 1), (_X41, 1))), None, (), "ref repeated"),
+    (3, (1, ((_X41, 1), (_X11, 1))), None, (), "refs out of order"),
+    (3, (1, ((_X11, 1), (VarRef(4, 2), 1))), None, (), "ref outside"),
+    (3, (1, ((_X11, 1), (VarRef(5, 1), 1))), None, (), "group outside"),
+    (3, (1, ((_X11, 1), (_X41, 1))), (1, [2, 1, 0, 0]), (_X41,),
+     "ref forced to zero"),
+    (3, (0, ()), None, (), "D = 0"),
+    (3, None, (1, [2, 2, 0, -1, 0]), (), "negative y"),
+    (3, None, (1, [2, 1, 0, 0]), (), "dual count one short"),
+    (3, None, (1, [2, 1, 0, 0, 0, 0]), (), "dual count one over"),
+    (3, None, (0, [0, 0, 0, 0, 0]), (), "Y = 0"),
+    (0, (1, ()), (-1, [0, 0, 0, 0, 0]), (), "Y < 0, claiming 0"),
+    (3, (1, ()), None, (), "point short of the value"),
+    (3, None, (1, [2, 2, 0, 0, 0]), (), "duals above the value"),
+    (3 + Fraction(1, _LARGE_PRIME), None, None, (), "value a hair high"),
+    (3 - Fraction(1, _LARGE_PRIME), None, None, (), "value a hair low"),
+    (4, None, None, (), "value one high"),
+    (2, None, None, (), "value one low"),
+])
+def test_certificate_rejects_forged_integer_forms(value, point, duals,
+                                                  forced, why):
+    # x41 weighs and earns nothing, so only the form's own checks see an
+    # entry on it; the true optimum is x11 = 1, value 3, duals (2, 1, 0, 0,
+    # 0), and each forgery replaces one part of it
+    problem = _forgery_problem()
+    true = LpSolution(Fraction(3), (1, ((_X11, 1),)), (1, [2, 1, 0, 0, 0]), 0)
+    assert verify_certificate(problem, true)
+    assert true == solve_lp(problem)
+    forged = LpSolution(Fraction(value), point or true.scaled,
+                        duals or true.scaled_duals, 0)
+    assert not verify_certificate(problem, forged, frozenset(forced)), why
 
 
 def test_integer_node_lp_matches_fraction_reference():

@@ -10,9 +10,10 @@ import pytest
 import ckp
 from ckp import simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
-from ckp.cuts import GeneratedCut, ItemSet
+from ckp.cuts import FAMILIES, GeneratedCut, ItemSet
 from ckp.model import (
     Instance,
+    Point,
     is_feasible,
     knapsack_row,
     profit_of,
@@ -22,7 +23,8 @@ from ckp.separation import SeparationResult, SeparationStats
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
-from conftest import make_instance, random_instance, rational_instance
+from conftest import (lp_solution, make_instance, random_instance,
+                      rational_instance)
 
 
 def oracle_value(inst):
@@ -184,10 +186,50 @@ def test_fuzz_against_the_oracle(config):
     assert branched >= 10 and cut >= 5, (branched, cut)
 
 
+@pytest.mark.parametrize("families", [(), FAMILIES], ids=["none", "default"])
+def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
+    """The node LP's solution stays in integer form: a Point is made once
+    per incumbent update and once for the report (the empty start
+    incumbent, or the answer of an instance that needs no search), plus
+    at most one per separated cut.  An incumbent update is a node LP
+    solution found complementarity-free."""
+    made = []
+    init = Point.__init__
+
+    def counting_init(self, values=()):
+        made.append(1)
+        init(self, values)
+
+    tested = []  # (point or solution, violated groups); kept alive for id
+    violations = solver.complementarity_violations
+
+    def recording(instance, point):
+        violated = violations(instance, point)
+        tested.append((point, violated))
+        return violated
+
+    monkeypatch.setattr(Point, "__init__", counting_init)
+    monkeypatch.setattr(solver, "complementarity_violations", recording)
+    rng = random.Random(8080)
+    updated = 0
+    for _ in range(80):
+        inst = rational_instance(rng)
+        del made[:], tested[:]
+        report = branch_and_cut(inst, SolveConfig(families=families))
+        updates = len({id(p) for p, violated in tested if not violated})
+        cuts = sum(report.cuts_per_family.values())
+        if families:
+            assert len(made) <= updates + 1 + cuts
+        else:
+            assert len(made) == updates + 1
+        updated += updates >= 2
+    assert updated >= 5
+
+
 def _forged_solve_lp(problem, forced_zero=frozenset()):
     """The true node LP with its value raised by one."""
     sol = simplex.solve_lp(problem, forced_zero)
-    return simplex.LpSolution(sol.value + 1, sol.point, sol.duals, sol.pivots)
+    return lp_solution(sol.value + 1, sol.point, sol.duals, sol.pivots)
 
 
 def test_forged_lp_solution_is_rejected(monkeypatch, ex_b):
@@ -227,7 +269,7 @@ from ckp.model import Instance
 
 def forged(problem, forced_zero=frozenset()):
     sol = simplex.solve_lp(problem, forced_zero)
-    return simplex.LpSolution(sol.value + 1, sol.point, sol.duals,
+    return simplex.LpSolution(sol.value + 1, sol.scaled, sol.scaled_duals,
                               sol.pivots)
 
 solver.solve_lp = forged
