@@ -115,7 +115,8 @@ def _cmd_verify(args, out) -> int:
 def _iter_family_cuts(instance, families, limit):
     """All theorem-backed cuts of each family in turn, deterministic order:
     packs come from the maximal switching packs, enumerated once, at the
-    first pack family; covers from every pattern.  The members are those
+    first pack family; covers from the pattern walk, which skips the
+    subtrees that hold no member.  The members are those
     ``cuts.family_scores`` lists, scored at the origin (which lies in S;
     only their keys are used), each built once."""
     support = cuts_mod.PointSupport(instance, Point())
@@ -127,7 +128,7 @@ def _iter_family_cuts(instance, families, limit):
                          cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
             itemsets = packs
         else:
-            itemsets = oracle.walk_patterns(instance, limit)
+            itemsets = oracle.walk_patterns(instance, limit, (family,))
         for items, units in itemsets:
             for _, key in cuts_mod.family_scores(support, items, units,
                                                  (family,)):

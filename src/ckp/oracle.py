@@ -5,7 +5,10 @@ Everything here enumerates support patterns (one choice of "which slot may
 be positive" per group, or none).  :func:`walk_patterns` is the library's
 one pattern walk, for the oracle, exact separation and ``ckp cuts``: it
 applies the enumeration guard before the first pattern and gives each
-pattern's weight in the instance's integer units.
+pattern's weight in the instance's integer units.  Exact separation and
+``ckp cuts`` pass it their cut families, and it skips the subtrees in
+which no member of them can meet its precondition; the oracle's own walks
+visit every pattern.
 
 A non-integral vertex of the polytope has exactly one fractional component
 and makes the knapsack row tight, so for each pattern it suffices to
@@ -70,36 +73,91 @@ def pattern_count(instance: Instance) -> int:
     return count
 
 
-def walk_patterns(instance: Instance, limit: Optional[int] = None):
+def walk_patterns(instance: Instance, limit: Optional[int] = None,
+                  families=None):
     """Every non-empty support pattern as ``(items, units)``, its sorted
     VarRef tuple and its weight in :attr:`Instance.units`, in product order
     (per group "none" first, the last group fastest).  A pattern space
     (:func:`pattern_count`) above the limit raises ``ResourceLimitError``
     at the call, before the first pattern.  The walk is depth first; each
-    step extends its parent's tuple and sum instead of re-summing."""
+    step extends its parent's tuple and sum instead of re-summing.
+
+    With cut ``families`` (names from ``cuts.FAMILIES``) on nonnegative
+    weights, the walk skips each subtree in which no member of those
+    families meets its precondition, and adds its patterns to the walk's
+    ``pruned``.  At a prefix of weight s, over = s - b never falls along
+    the subtree, and an item added once over >= 0 has u - u_last <= over,
+    so no pattern below is a pack or has a lifted-cover special item when
+    over >= 0 and no chosen item's u - u_last (its group's last slot)
+    exceeds over; with no pack family, none is a cover either when over
+    plus the heaviest weights of the undecided groups is <= 0.  A pattern
+    itself is given only when it is a pack and a pack family is asked
+    for, or a cover with a special item and a cover family is."""
     estimate = pattern_count(instance)
     allowed = resolve_enum_limit(limit)
     if estimate > allowed:
         raise ResourceLimitError(
             "pattern space %d exceeds enumeration limit %d" % (estimate, allowed),
             estimate=estimate)
-    return _walk(instance.units[1])
+    return PatternWalk(instance, families)
 
 
-def _walk(rows):
-    levels = [tuple((VarRef(i, j), u) for j, u in enumerate(row, start=1))
-              for i, row in enumerate(rows, start=1)]
-    m = len(levels)
-    stack = [(0, (), 0)]
-    while stack:
-        i, items, units = stack.pop()
-        if i == m:
-            if items:
-                yield items, units
-            continue
-        for ref, u in reversed(levels[i]):
-            stack.append((i + 1, items + (ref,), units + u))
-        stack.append((i + 1, items, units))
+class PatternWalk:
+    """The patterns of :func:`walk_patterns`; ``pruned`` counts the
+    patterns skipped so far."""
+
+    __slots__ = ("rows", "prune", "pruned")
+
+    def __init__(self, instance: Instance, families):
+        _, self.rows, capacity = instance.units
+        self.prune = None
+        if families is not None and min(map(min, self.rows)) >= 0:
+            self.prune = (capacity,
+                          any(f.startswith("pack") for f in families),
+                          any(f.startswith("lcover") for f in families))
+        self.pruned = 0
+
+    def __iter__(self):
+        rows = self.rows
+        # per group, its options: "none", then each slot as (ref,), u and
+        # u - u_last
+        levels = [(((), 0, 0),) + tuple(((VarRef(i, j),), u, u - row[-1])
+                                        for j, u in enumerate(row, start=1))
+                  for i, row in enumerate(rows, start=1)]
+        m = len(levels)
+        size = [1] * (m + 1)  # the patterns of a subtree at each depth
+        reach = [0] * (m + 1)  # the heaviest weights of the undecided groups
+        for i in range(m - 1, -1, -1):
+            size[i] = size[i + 1] * (len(rows[i]) + 1)
+            reach[i] = reach[i + 1] + max(rows[i])
+        prune = self.prune
+        if prune:
+            capacity, packs, covers = prune
+        stack = [(0, (), 0, 0)]  # depth, items, units, largest u - u_last
+        while stack:
+            i, items, units, margin = stack.pop()
+            if prune:
+                over = units - capacity
+                if ((over >= 0 and (not covers or margin <= over))
+                        or (not packs and over + reach[i] <= 0)):
+                    self.pruned += size[i] - (not items)
+                    continue
+            if i + 1 < m:
+                for ext, u, gap in reversed(levels[i]):
+                    stack.append((i + 1, items + ext, units + u,
+                                  gap if gap > margin else margin))
+                continue
+            # the last group completes each pattern, given as it is made: a
+            # pack when a pack family is asked for, a cover with a special
+            # item when a cover family is
+            for ext, u, gap in (levels[i] if items else levels[i][1:]):
+                if prune:
+                    over = units + u - capacity
+                    if not (over < 0 and packs or over > 0 and covers
+                            and max(margin, gap) > over):
+                        self.pruned += 1
+                        continue
+                yield items + ext, units + u
 
 
 class VertexSet:

@@ -17,12 +17,15 @@ routine over item sets, each given with its weight in integer units:
   violation at the same point (``model.lhs_at`` on the integer form) must
   equal its score.
 
-Exact separation gives it every non-empty one-slot-per-group pattern from
-the oracle's guarded walk (:func:`oracle.walk_patterns`).  The greedy
-heuristic builds one pack from last-slot items ordered by the point's
-per-group weight mass, both in integer units, keeps it only when it passes
-the integer maximal-switching test (:func:`cuts.is_switching`), and gives
-only that pack and its drop-one-singleton subsets.
+Exact separation gives it the non-empty one-slot-per-group patterns of
+the oracle's guarded walk (:func:`oracle.walk_patterns`), which skips each
+subtree where no member of the requested families meets its precondition;
+``stats.patterns`` counts the skipped patterns too, and ``stats.pruned``
+those alone.  The greedy heuristic builds one pack from last-slot items
+ordered by the point's per-group weight mass, both in integer units, keeps
+it only when it passes the integer maximal-switching test
+(:func:`cuts.is_switching`), and gives only that pack and its
+drop-one-singleton subsets.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .oracle import walk_patterns
 class SeparationStats:
     examined: int     # candidate cuts evaluated
     patterns: int     # non-empty patterns walked (exact), packs tried (greedy)
+    pruned: int = 0   # of the patterns, those skipped without scoring
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ def _select(instance: Instance, point: Point, support, itemsets,
     """Score every member of ``families`` that each ``(items, units)`` of
     ``itemsets`` gives and build only the winner: the highest violation,
     ties to the smallest provenance key.  Its built violation and key must
-    equal the scored ones."""
+    equal the scored ones.  The patterns a pruned walk skipped (its
+    ``pruned``) count as patterns too."""
     violation = key = cut = None
     examined = patterns = 0
     for items, units in itemsets:
@@ -98,8 +103,9 @@ def _select(instance: Instance, point: Point, support, itemsets,
         if built != violation or cut.provenance_key() != key:
             raise CkpError("built %s cut has violation %s, scored %s"
                            % (cut.family, built, violation))
+    pruned = getattr(itemsets, "pruned", 0)
     return SeparationResult(cut, violation,
-                            SeparationStats(examined, patterns))
+                            SeparationStats(examined, patterns + pruned, pruned))
 
 
 def separate_exact(instance: Instance, point: Point,
@@ -108,12 +114,13 @@ def separate_exact(instance: Instance, point: Point,
     """Exhaustive separation over all one-slot-per-group item sets.
 
     Every family member whose precondition holds is scored in closed form
-    and counted in ``examined``; only the winner is built.
+    and counted in ``examined``; only the winner is built.  The walk skips
+    the subtrees where no member of ``family`` meets its precondition.
     """
     families = _resolve_families(family)
     support = _require_lp_feasible(instance, point)
-    return _select(instance, point, support, walk_patterns(instance, limit),
-                   families)
+    return _select(instance, point, support,
+                   walk_patterns(instance, limit, families), families)
 
 
 def separate_greedy(instance: Instance, point: Point,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .cuts import FAMILIES
@@ -106,8 +107,8 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     if not report.assumption2:
         return SolveReport(report.trivial_value, report.trivial_point, 0,
                            cuts_per_family, 0, True, report.trivial_value)
-    objective = {ref: instance.profit(ref) for ref in instance.refs()}
-    problem = LpProblem(instance, objective)
+    problem = LpProblem(instance, zip(instance.columns, chain.from_iterable(
+        g.profits for g in instance.groups)))
     if not report.assumption1:
         solution = solve_lp(problem)
         _check_certificate(problem, solution, frozenset())

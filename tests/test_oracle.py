@@ -7,6 +7,7 @@ the two are required to agree on the fixed examples and a random corpus.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +24,8 @@ from ckp.model import (
 )
 from ckp import oracle
 from ckp.cli import main
-from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
+from ckp.cuts import (FAMILIES, ItemSet, PointSupport,
+                      enumerate_maximal_switching_packs, family_scores)
 from ckp.fileio import serialize_instance
 from ckp.separation import separate_exact
 
@@ -130,6 +132,53 @@ def test_walk_matches_product_order():
             if items:
                 expected.append((items, sum(inst.weight(r) for r in items) * scale))
         assert list(oracle.walk_patterns(inst)) == expected
+
+
+def test_pruned_walk_keeps_every_item_set_with_a_member():
+    """For every non-empty family subset, the walk for those families is
+    an ordered sub-list of the full walk (same items, same units) that
+    keeps each item set ``family_scores`` lists a member of, and its
+    walked plus pruned patterns are the whole non-empty pattern space."""
+    subsets = [s for k in range(1, len(FAMILIES) + 1)
+               for s in combinations(FAMILIES, k)]
+    pruned = {"packs only": 0, "covers only": 0, "both": 0}
+    instances = _seeded_instances(45, 7117)
+    for inst in instances:
+        support = PointSupport(inst, Point())
+        full = list(oracle.walk_patterns(inst))
+        listed = {items: {FAMILIES[key[1]] for _, key in
+                          family_scores(support, items, units, FAMILIES)}
+                  for items, units in full}
+        for families in subsets:
+            walk = oracle.walk_patterns(inst, families=families)
+            walked = list(walk)
+            rest = iter(full)
+            assert all(pattern in rest for pattern in walked)
+            assert ([p for p in walked if listed[p[0]] & set(families)]
+                    == [p for p in full if listed[p[0]] & set(families)])
+            assert len(walked) + walk.pruned == oracle.pattern_count(inst) - 1
+            packs = any(f.startswith("pack") for f in families)
+            covers = any(f.startswith("lcover") for f in families)
+            # each pattern given is a pack or a cover that a family asks for
+            b = inst.units[2]
+            assert all(u < b and packs or u > b and covers for _, u in walked)
+            kind = ("both" if packs and covers else
+                    "packs only" if packs else "covers only")
+            pruned[kind] += walk.pruned
+    assert min(pruned.values()) > 0, pruned
+    # rational and zero weights and singleton groups are all in the corpus
+    assert any(a == 0 for inst in instances for g in inst.groups for a in g.weights)
+    assert any(a.denominator > 1 for inst in instances for g in inst.groups
+               for a in g.weights)
+    assert any(inst.singleton_groups() for inst in instances)
+
+
+def test_walk_prunes_nothing_on_negative_weights():
+    # the prune rules need weights that never lower a prefix's sum
+    inst = make_instance([(5, -1), (3,), (2, 1)], 4)
+    walk = oracle.walk_patterns(inst, families=("lcover1",))
+    assert list(walk) == list(oracle.walk_patterns(inst))
+    assert walk.pruned == 0
 
 
 def test_integer_oracle_matches_fraction_references():

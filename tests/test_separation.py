@@ -20,7 +20,7 @@ from ckp.separation import (
     separate_greedy,
 )
 from ckp.simplex import LpProblem, solve_lp
-from ckp import cuts, oracle
+from ckp import cuts, oracle, separation
 
 from conftest import (family_cuts, iter_patterns, make_instance,
                       random_instance, rational_instance,
@@ -383,19 +383,42 @@ def test_exact_matches_building_every_member():
 
 
 def test_exact_matches_building_every_member_on_reductions():
+    """Yes and no partition answers: the walk skips patterns, and exact
+    separation still gives the cut, violation, members and patterns of
+    building every member."""
     rng = random.Random(6022)
     found = 0
+    answers = set()
     for _ in range(12):
         alphas = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
         if sum(alphas) % 2:
             alphas[0] += 1
         if sum(alphas) < 4:
             alphas[0] += 4
-        instance, point = build_partition_reduction(tuple(alphas),
-                                                    sum(alphas) // 2)
+        beta = sum(alphas) // 2
+        instance, point = build_partition_reduction(tuple(alphas), beta)
+        answer = has_balanced_subset(alphas, beta)
+        answers.add(answer)
         for family in ("lcover1", "lcover2", "all"):
-            found += _agree(instance, point, family).found
-    assert found >= 5
+            r = _agree(instance, point, family)
+            assert r.stats.pruned > 0
+            if family == "lcover1":
+                assert r.found == answer
+            found += r.found
+    assert found >= 5 and answers == {True, False}
+
+
+def test_reduction_guard_raises_before_the_first_pattern(monkeypatch):
+    instance, point = build_partition_reduction((2, 3, 5, 4), 7)
+    count = oracle.pattern_count(instance)
+    scored = []
+    monkeypatch.setattr(separation, "family_scores",
+                        lambda *args: scored.append(args) or ())
+    with pytest.raises(ResourceLimitError) as err:
+        separate_exact(instance, point, ("lcover1", "lcover2"), count - 1)
+    assert err.value.estimate == count and not scored
+    separate_exact(instance, point, ("lcover1", "lcover2"), count)
+    assert scored
 
 
 def test_greedy_matches_building_every_member():
