@@ -195,6 +195,9 @@ def _cmd_solve(args, out) -> int:
     print("cuts-added: %s" % " ".join(
         "%s=%d" % (name, report.cuts_per_family[name])
         for name in cuts_mod.FAMILIES), file=out)
+    if report.exact_sep_stopped:
+        print("exact-sep: stopped, pattern space over the enumeration limit",
+              file=out)
     print("point:", file=out)
     _print_point(report.point, out)
     return 0 if report.proven_optimal else 3

@@ -1,9 +1,13 @@
-"""Exact node LP on integer-scaled data: Dantzig's closed form and a
-fraction-free bounded-variable simplex.
+"""Exact node LP on integer-scaled data: the multiple-choice knapsack closed
+form and a fraction-free bounded-variable simplex.
 
 Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}, where the
-rows are the instance's knapsack row plus any cut rows and the variables
-forced to zero are left out.  The bounds x <= 1 are never written as rows.
+rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
+group of two or more slots, and any cut rows, and the variables forced to
+zero are left out.  The group rows hold on all of S, since a point of S
+keeps at most one slot per group positive, each at most 1.  The bounds
+x <= 1 are never written as rows, nor are group rows for one-slot groups,
+whose bound is their row.
 
 Every weight and every row's right-hand side must be nonnegative
 (:class:`LpProblem` checks this), so x = 0 is feasible.  Every LP the solver
@@ -12,44 +16,50 @@ capacity, and the origin lies in S, so every inequality valid for S has a
 nonnegative right-hand side.
 
 :class:`LpProblem` scales its data to integers once, when it is built:
-the knapsack row is ``Instance.units``, and each cut row and the objective
-go through ``Instance.integer_row``, each times the LCM of its own
-denominators.  The solver and the certificate check work on these
-integers, and so does the solution: :class:`LpSolution` holds the point as
-``(D, ((VarRef, X), ...))`` and the duals as ``(Y, ints)``, which the
-certificate check, the separators and the branch-and-cut loop read as they
-are.  Only its value is a Fraction; its ``point`` and ``duals`` are made
-in Fractions on first read, for a caller that shows them.
+the knapsack row is ``Instance.units``, a group row is 0/1, and each cut
+row and the objective go through ``Instance.integer_row``, each times the
+LCM of its own denominators.  The solver and the certificate check work on
+these integers, and so does the solution: :class:`LpSolution` holds the
+point as ``(D, ((VarRef, X), ...))`` and the duals as ``(Y, ints)``, which
+the certificate check, the separators and the branch-and-cut loop read as
+they are.  Only its value is a Fraction; its ``point`` and ``duals`` are
+made in Fractions on first read, for a caller that shows them.
 
-* **Knapsack row alone.**  The LP is a fractional knapsack, solved exactly
-  by Dantzig's ratio rule (:func:`fill_knapsack`).  The objective never
-  changes and a node only forces variables to zero, so the problem fixes
-  the ratio order once, and a node scans it once, skipping its forced
-  variables.  The duals are closed-form: the knapsack multiplier is the
-  critical ratio (that of the first item not taken whole), or 0 when
-  every item fits, and the bound multiplier of x_j is
-  max(0, c_j - ratio * a_j).
+* **No cut rows.**  The LP is the relaxation of the multiple-choice
+  knapsack problem, solved greedily (Sinha and Zoltners, Operations
+  Research 1979; Kellerer, Pferschy and Pisinger, *Knapsack Problems*,
+  2004, ch. 11).  Per group, the upper concave hull of the origin and the
+  free slots with a positive cost gives increments (weight step, cost
+  step) of falling efficiency; all groups' increments, in Dantzig's ratio
+  order, go to :func:`fill_knapsack`.  A group of one slot is its own
+  increment, so with every group a singleton this is Dantzig's rule.  The
+  duals are closed-form: the knapsack multiplier is the critical
+  efficiency (that of the first increment not taken whole), or 0 when
+  everything fits; a group row's multiplier is max(0, max_j c_j - ratio *
+  a_j) over the group's free slots, and the bound multipliers are 0,
+  except on one-slot groups, whose bound multiplier is that same maximum.
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
-  holds the problem rows only, starting from the slack basis (x = 0).  The
-  tableau is fraction-free: each row is a list of integers whose
-  denominator is its basic variable's entry, and after a pivot every
-  changed row is divided by its gcd.  Upper bounds are handled by bound
-  flips: a variable at its upper bound is complemented (x' = 1 - x), so
-  every nonbasic variable sits at zero.  Bland's rule (smallest eligible
-  index, both for entering and leaving, the entering variable's own bound
-  flip included) guarantees termination; ratio tests compare by
-  cross-multiplication.  The bound multipliers are the positive reduced
-  costs.
+  holds the problem rows, group rows included, starting from the slack
+  basis (x = 0).  The tableau is fraction-free: each row is a list of
+  integers whose denominator is its basic variable's entry, and after a
+  pivot every changed row is divided by its gcd.  Upper bounds are
+  handled by bound flips: a variable at its upper bound is complemented
+  (x' = 1 - x), so every nonbasic variable sits at zero.  Bland's rule
+  (smallest eligible index, both for entering and leaving, the entering
+  variable's own bound flip included) guarantees termination; ratio tests
+  compare by cross-multiplication.  The bound multipliers are the
+  positive reduced costs.
 
-The duals hold one multiplier y_r per problem row, in order, then one
-bound multiplier u_j per variable not forced to zero, in
-``Instance.refs()`` order.  They certify optimality exactly: y, u >= 0,
-y A_j + u_j >= c_j for every such variable, and y . rhs + sum(u) = c . x*.
+The duals hold one multiplier y_r per row of ``LpProblem.scaled_rows``, in
+order (the knapsack row, the group rows, the cut rows), then one bound
+multiplier u_j per variable not forced to zero, in ``Instance.refs()``
+order.  They certify optimality exactly: y, u >= 0, y A_j + u_j >= c_j for
+every such variable, and y . rhs + sum(u) = c . x*.
 :func:`verify_certificate` checks this in integers from the problem's
 scaled data and the solution's integer form alone, and checks that form
 too (refs sorted, unique, in the instance and not forced to zero, each X
-in (0, D]).  ``pivots`` counts the simplex's basis
-changes; bound flips are not pivots, and the closed form reports 0.
+in (0, D]).  ``pivots`` counts the simplex's basis changes; bound flips
+are not pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
@@ -73,7 +83,9 @@ _ALL_FIT = (None, 1, 0)  # the critical item when every item fits: ratio 0
 
 
 def fill_knapsack(order, capacity):
-    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1.
+    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1,
+    the package's one fill: over single slots for the oracle's patterns,
+    over hull increments for the node LP.
 
     ``order`` yields ``(key, a, c)`` integer triples in Dantzig's order
     (see :class:`LpProblem`), and ``capacity`` is a nonnegative integer.
@@ -111,11 +123,14 @@ class LpProblem:
 
     Built once per problem: ``refs`` (the columns), ``costs`` (the
     objective times ``cost_scale``), ``scaled_rows`` (one ``(coefficients,
-    rhs, scale)`` per row, see ``Instance.integer_row``), ``scale`` (the
-    LCM of all these scales) and Dantzig's ``order``: the ``(ref, weight,
-    cost)`` triples with a positive cost, by ratio cost/weight descending.
-    Ratios compare by integer cross-multiplication, so weight 0 ranks
-    first, and the stable sort keeps equal ratios in variable order.
+    rhs, scale)`` per row, see ``Instance.integer_row``: the knapsack row,
+    then a dense 0/1 group row with rhs 1 and scale 1 for each group of
+    two or more slots, which ``rows`` leaves out, then the cut rows),
+    ``scale`` (the LCM of all these scales) and Dantzig's ``order``: the
+    ``(ref, weight, cost)`` triples with a positive cost, by ratio
+    cost/weight descending.  Ratios compare by integer cross-multiplication,
+    so weight 0 ranks first, and the stable sort keeps equal ratios in
+    variable order.
     """
 
     __slots__ = ("instance", "rows", "objective", "refs", "costs",
@@ -133,6 +148,14 @@ class LpProblem:
         self.refs = refs = tuple(instance.refs())
         self.costs, _, self.cost_scale = instance.integer_row(self.objective)
         self.scaled_rows = [(weights, capacity, weight_scale)]
+        n = len(refs)
+        start = 0
+        for row in units:
+            size = len(row)
+            if size > 1:
+                self.scaled_rows.append(
+                    ([0] * start + [1] * size + [0] * (n - start - size), 1, 1))
+            start += size
         self.scale = lcm(self.cost_scale, weight_scale)
         self.order = sorted(
             (t for t in zip(refs, weights, self.costs) if t[2] > 0),
@@ -211,29 +234,67 @@ class LpSolution:
                 % self._key())
 
 
-def _solve_knapsack(problem: LpProblem, free, forced_zero) -> LpSolution:
-    """The closed form for a knapsack row alone."""
-    order = problem.order
-    if forced_zero:
-        order = (t for t in order if t[0] not in forced_zero)
+def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
+    """The closed form without cut rows: the multiple-choice knapsack LP."""
     weights, capacity, weight_scale = problem.scaled_rows[0]
-    total, whole, (k, a, c), room = fill_knapsack(order, capacity)
-    # x = 1 on the whole items and room / a on item k: times D = a / g
+    costs, refs = problem.costs, problem.refs
+    spans = []        # (first column, end column) per group
+    increments = []   # (column, weight step, cost step) along each hull
+    end = 0
+    for row in problem.instance.units[1]:
+        start, end = end, end + len(row)
+        spans.append((start, end))
+        # the upper concave hull of the origin and the free slots with a
+        # positive cost, lightest slot first: a slot no dearer than the
+        # hull's last point is dominated, and a point on or below the
+        # segment from its predecessor to the new slot is dropped
+        hull = [(None, 0, 0)]
+        for j in range(end - 1, start - 1, -1):
+            c = costs[j]
+            if c <= hull[-1][2] or refs[j] in forced_zero:
+                continue
+            a = weights[j]
+            while len(hull) > 1:
+                _, a1, c1 = hull[-1]
+                _, a0, c0 = hull[-2]
+                if (c1 - c0) * (a - a1) > (c - c1) * (a1 - a0):
+                    break
+                hull.pop()
+            hull.append((j, a, c))
+        increments += [(j, a1 - a0, c1 - c0) for (_, a0, c0), (j, a1, c1)
+                       in zip(hull, hull[1:])]
+    increments.sort(key=cmp_to_key(_ratio_cmp))
+    total, whole, (k, a, c), room = fill_knapsack(increments, capacity)
+    # Each group sits at the end of its last whole increment, x = 1; the
+    # critical increment moves its group room / a of the way on, times D.
+    at = {refs[j].group: j for j in whole}
     g = gcd(a, room)
     scale = a // g
-    entries = [(ref, scale) for ref in whole]
+    xs = dict.fromkeys(at.values(), scale)
     if room > 0:
-        entries.append((k, room // g))
-    entries.sort()
-    col, costs = problem.instance.columns, problem.costs
-    bounds = [0] * len(col)
-    for ref in whole:
-        j = col[ref]
-        bounds[j] = costs[j] * a - c * weights[j]
+        part = room // g
+        j = at.get(refs[k].group)
+        if j is not None:
+            xs[j] = scale - part
+        xs[k] = part
+    entries = tuple((refs[j], xs[j]) for j in sorted(xs))
+    # Times the dual scale: the knapsack multiplier is the critical
+    # efficiency c / a, a group row's multiplier the most any free slot
+    # earns past the knapsack's price of its weight, and a one-slot group's
+    # bound multiplier takes that role, its group having no row.
     den = a * problem.cost_scale
-    duals = [c * weight_scale] + [bounds[j] for j in free]
+    duals = [c * weight_scale]
+    bounds = [0] * len(refs)
+    for start, end in spans:
+        best = max([costs[j] * a - c * weights[j] for j in range(start, end)
+                    if refs[j] not in forced_zero] + [0])
+        if end - start > 1:
+            duals.append(best)
+        else:
+            bounds[start] = best
+    duals += [bounds[j] for j in free]
     return LpSolution(Fraction(total * a + c * room, den),
-                      (scale, tuple(entries)), (den, duals), 0)
+                      (scale, entries), (den, duals), 0)
 
 
 def _reduced(line):
@@ -348,10 +409,11 @@ class _BoundedTableau:
 
 
 def _solve_bounded(problem: LpProblem, free) -> LpSolution:
-    """Bounded-variable simplex over the problem rows, from the slack basis,
-    on the columns ``free`` (indices into ``problem.refs``)."""
+    """Bounded-variable simplex over all of ``problem.scaled_rows``, group
+    rows included, from the slack basis, on the columns ``free`` (indices
+    into ``problem.refs``)."""
     nvars = len(free)
-    nrows = len(problem.rows)
+    nrows = len(problem.scaled_rows)
     # columns: structural vars, slacks, rhs; the slack of row r carries the
     # row's scale, so the row's denominator sits at its basic column
     matrix = []
@@ -396,10 +458,12 @@ def _free_columns(problem: LpProblem, forced_zero):
 
 
 def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
-    """Exact optimum of the boxed LP, minus any forced-to-zero variables."""
+    """Exact optimum of the boxed LP with its group rows, minus any
+    forced-to-zero variables: the closed form without cut rows, the
+    simplex with them."""
     free = _free_columns(problem, forced_zero)
     if len(problem.rows) == 1:
-        return _solve_knapsack(problem, free, forced_zero)
+        return _solve_groups(problem, free, forced_zero)
     return _solve_bounded(problem, free)
 
 

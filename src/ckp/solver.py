@@ -1,14 +1,17 @@
 """Exact branch-and-cut over the complementarity feasible set S.
 
-The tree branches on SOS1 groups: a node whose LP point keeps two or more
-slots of some group positive splits that group's slot range in two, forcing
-one half to zero on each child.  Nodes (forced-zero sets) are explored
-best-bound-first by their parent's bound, FIFO on ties, while that bound
-beats the incumbent and the node limit allows; each node solves, certifies
-and separates in one loop.  Cuts live in one global deduplicated pool (all
-five families are valid for S itself, not just a subtree), and every LP is
-solved exactly, so a best bound (the incumbent or an open node's bound)
-equal to the incumbent is a proof.
+The node LP is the multiple-choice knapsack relaxation: the knapsack row,
+one row sum_j x_ij <= 1 per group of two or more slots, the box, and the
+pooled cuts (see :mod:`ckp.simplex`).  The tree branches on SOS1 groups: a
+node whose LP point keeps two or more slots of some group positive splits
+that group's slot range in two, forcing one half to zero on each child.
+Nodes (forced-zero sets) are explored best-bound-first by their parent's
+bound, FIFO on ties, while that bound beats the incumbent and the node
+limit allows; each node solves, certifies and separates in one loop.
+Cuts live in one global deduplicated pool (all five families are valid
+for S itself, not just a subtree), and every LP is solved exactly, so a
+best bound (the incumbent or an open node's bound) equal to the incumbent
+is a proof.
 
 Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): its certificate check, the separators, the one
@@ -26,9 +29,10 @@ from itertools import chain
 from typing import Optional
 
 from .cuts import FAMILIES
-from .errors import CkpError, ValidationError
+from .errors import (CkpError, PreconditionError, ResourceLimitError,
+                     ValidationError)
 from .model import (Instance, Point, VarRef, complementarity_violations,
-                    is_feasible, profit_of, validate_assumptions)
+                    is_feasible, profit_of)
 from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
@@ -68,6 +72,7 @@ class SolveReport:
     proven_optimal: bool
     best_bound: Fraction
     cut_pool: tuple = field(default=(), repr=False)
+    exact_sep_stopped: bool = False  # exact separation hit the enum limit
 
 
 def _check_certificate(problem: LpProblem, solution, forced_zero) -> None:
@@ -95,26 +100,25 @@ def _branch_group(solution, violated):
 def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> SolveReport:
     """Exact maximum of the instance's profit over S, with proof.
 
-    Degenerate instances short-circuit: when the capacity admits every
-    group's heaviest slot simultaneously the all-best-slots point is
-    optimal, and when every group is a singleton the LP relaxation already
-    solves the problem; both answer with zero nodes.
+    Every instance goes through the node loop, the degenerate ones too:
+    when the capacity admits every group's heaviest slot, or every group is
+    a singleton, the root LP point already lies in S and the solve ends after
+    one node.
+
+    With ``exact_fallback``, exact separation stops for the rest of the
+    solve the first time its pattern space exceeds the enumeration limit
+    (the count is the instance's, so every later call would refuse too);
+    greedy separation and branching go on, and the report's
+    ``exact_sep_stopped`` says so.
     """
     if config is None:
         config = SolveConfig()
-    report = validate_assumptions(instance)  # raises unless normalized
+    if not instance.is_normalized():
+        raise PreconditionError("instance is not normalized")
     cuts_per_family = {name: 0 for name in FAMILIES}
-    if not report.assumption2:
-        return SolveReport(report.trivial_value, report.trivial_point, 0,
-                           cuts_per_family, 0, True, report.trivial_value)
     problem = LpProblem(instance, zip(instance.columns, chain.from_iterable(
         g.profits for g in instance.groups)))
-    if not report.assumption1:
-        solution = solve_lp(problem)
-        _check_certificate(problem, solution, frozenset())
-        _check_incumbent(instance, solution.point, solution.value)
-        return SolveReport(solution.value, solution.point, 0, cuts_per_family,
-                           solution.pivots, True, solution.value)
+    exact = config.exact_fallback
 
     pool = []            # GeneratedCut, in addition order
     pool_rows = {problem.rows[0]}  # LinearInequality dedup
@@ -144,9 +148,12 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
                     and added_here < config.max_cuts_per_node):
                 break
             sep = separate_greedy(instance, solution, config.families)
-            if not sep.found and config.exact_fallback:
-                sep = separate_exact(instance, solution, config.families,
-                                     config.enum_limit)
+            if not sep.found and exact:
+                try:
+                    sep = separate_exact(instance, solution, config.families,
+                                         config.enum_limit)
+                except ResourceLimitError:
+                    exact = False
             if not sep.found:
                 break
             if sep.cut.inequality in pool_rows:
@@ -182,4 +189,5 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     _check_incumbent(instance, incumbent_point, incumbent_value)
     return SolveReport(incumbent_value, incumbent_point, nodes,
                        cuts_per_family, pivots, best_bound == incumbent_value,
-                       best_bound, tuple(pool))
+                       best_bound, tuple(pool),
+                       exact_sep_stopped=config.exact_fallback and not exact)

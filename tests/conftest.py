@@ -94,6 +94,25 @@ def rational_instance(rng):
     return Instance.build(groups, capacity)
 
 
+def correlated_instance(rng):
+    """Small strongly correlated instance (profit = weight + k, one k per
+    instance; Pisinger 2005) with rational and zero weights and two or
+    three slots per group.  Every group's hull steps after the first earn
+    one per unit of weight, so the LP relaxation with group rows still
+    leaves groups split between two slots, and branch-and-cut still
+    branches."""
+    k = Fraction(rng.randint(1, 10), rng.randint(1, 3))
+    groups = []
+    for _ in range(rng.randint(2, 4)):
+        weights = sorted((rng.choice((Fraction(0), Fraction(rng.randint(1, 20)),
+                                      Fraction(rng.randint(1, 40), rng.randint(2, 5))))
+                          for _ in range(rng.randint(2, 3))), reverse=True)
+        groups.append((tuple(weights), tuple(a + k for a in weights)))
+    heaviest = sum(g[0][0] for g in groups)
+    capacity = heaviest * Fraction(rng.randint(1, 11), 12)
+    return Instance.build(groups, capacity)
+
+
 def tilt_pack_inequality(instance, cut, tilt_group):
     """Apply the tilting steps to a pack2 cut, independent of the library's
     pack3 closed form: shrink the singleton's coefficient, grow the other
@@ -286,8 +305,8 @@ def reference_face_dimension(instance, inequality, limit=None):
 
 # --- the Fraction node LP and oracle fill ------------------------------------
 # The library's node LP, its certificate check and the oracle's per-pattern
-# fill work on integer-scaled data.  Below are the Fraction versions they
-# replaced, with their bodies unchanged, as references for them.
+# fill work on integer-scaled data.  Below are Fraction versions of each, as
+# references for them.
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -344,19 +363,68 @@ def fill_knapsack(items, capacity):
     return value, entries, None
 
 
-def _solve_knapsack(problem: LpProblem, refs) -> LpSolution:
-    """The closed form for a knapsack row alone."""
+def group_rows(instance):
+    """The rows sum_j x_ij <= 1 of the groups with two or more slots, in
+    group order, as ``(terms, rhs)``."""
+    return [([(VarRef(i, j), _F1) for j in range(1, g.size + 1)], _F1)
+            for i, g in enumerate(instance.groups, start=1) if g.size > 1]
+
+
+def _above(p, q, r):
+    """Whether hull point q lies strictly above the segment from p to r,
+    each a ``(ref, a, c)`` triple with a_p <= a_q <= a_r."""
+    (_, a0, c0), (_, a1, c1), (_, a2, c2) = p, q, r
+    if a2 == a0:
+        return False
+    return c1 > c0 + (c2 - c0) * (a1 - a0) / (a2 - a0)
+
+
+def _solve_groups(problem: LpProblem, refs) -> LpSolution:
+    """The closed form without cut rows, the multiple-choice knapsack LP,
+    in Fractions: per group, the upper concave hull of the origin and the
+    free slots with a positive profit, lightest first; the hull steps,
+    group by group, filled by :func:`fill_knapsack` above; the critical
+    ratio prices the knapsack row, and each group row (or a one-slot
+    group's bound) the most any free slot earns past that price."""
     instance = problem.instance
     objective = dict(problem.objective)
-    items = []
-    for ref in refs:
-        a = instance.groups[ref.group - 1].weights[ref.slot - 1]
-        items.append((ref, a, objective.get(ref, _F0)))
-    value, entries, ratio = fill_knapsack(items, instance.capacity)
+    free = set(refs)
+    steps = []
+    for i, g in enumerate(instance.groups, start=1):
+        hull = [(None, _F0, _F0)]
+        for j in range(g.size, 0, -1):
+            ref = VarRef(i, j)
+            point = (ref, g.weights[j - 1], objective.get(ref, _F0))
+            if ref not in free or point[2] <= hull[-1][2]:
+                continue
+            while len(hull) > 1 and not _above(hull[-2], hull[-1], point):
+                hull.pop()
+            hull.append(point)
+        steps += [((p[0], q[0]), q[1] - p[1], q[2] - p[2])
+                  for p, q in zip(hull, hull[1:])]
+    value, filled, ratio = fill_knapsack(steps, instance.capacity)
+    x = {}
+    for (start, end), t in filled:
+        if t == 1:
+            x.pop(start, None)
+            x[end] = _F1
+        else:
+            if start is not None:
+                x[start] = 1 - t
+            x[end] = t
     y = _F0 if ratio is None else ratio
-    whole = {ref for ref, x in entries if x == 1}
-    bounds = tuple(c - y * a if ref in whole else _F0 for ref, a, c in items)
-    return lp_solution(value, Point(entries), (y,) + bounds, 0)
+    rows, bounds = [], []
+    for i, g in enumerate(instance.groups, start=1):
+        earned = [objective.get(VarRef(i, j), _F0) - y * a
+                  for j, a in enumerate(g.weights, start=1)
+                  if VarRef(i, j) in free]
+        best = max(earned + [_F0])
+        if g.size > 1:
+            rows.append(best)
+            bounds += [_F0] * len(earned)
+        else:
+            bounds += [best] * len(earned)
+    return lp_solution(value, Point(x), (y, *rows, *bounds), 0)
 
 
 class _BoundedTableau:
@@ -454,21 +522,24 @@ class _BoundedTableau:
 
 
 def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
-    """Bounded-variable simplex over the problem rows, from the slack basis."""
+    """Bounded-variable simplex over the knapsack row, the group rows and
+    the cut rows, from the slack basis."""
     col_of = {ref: idx for idx, ref in enumerate(refs)}
     nvars = len(refs)
-    rows = problem.rows
+    knapsack, *cuts = problem.rows
+    rows = ([(knapsack.terms, knapsack.rhs)] + group_rows(problem.instance)
+            + [(row.terms, row.rhs) for row in cuts])
     nrows = len(rows)
     # columns: structural vars, slacks, rhs
     matrix = []
-    for r, row in enumerate(rows):
+    for r, (terms, rhs) in enumerate(rows):
         line = [_F0] * (nvars + nrows + 1)
-        for ref, coeff in row.terms:
+        for ref, coeff in terms:
             c = col_of.get(ref)
             if c is not None:
                 line[c] = coeff
         line[nvars + r] = _F1
-        line[-1] = row.rhs
+        line[-1] = rhs
         matrix.append(line)
     objective = dict(problem.objective)
     cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
@@ -502,7 +573,7 @@ def reference_solve_lp(problem, forced_zero=frozenset()):
     the same value, point, duals and pivots."""
     refs = [r for r in problem.instance.refs() if r not in forced_zero]
     if len(problem.rows) == 1:
-        return _solve_knapsack(problem, refs)
+        return _solve_groups(problem, refs)
     return _solve_bounded(problem, refs)
 
 
@@ -568,13 +639,14 @@ def reference_integer_row(instance, terms, rhs=0):
 def reference_lp_data(instance, objective, rows=()):
     """``(costs, cost_scale, scaled_rows, scale, order)`` of
     ``LpProblem(instance, objective, rows)``, scaled in Fractions: the
-    knapsack row first, the scale the LCM of every row's and the costs'
-    scales, and Dantzig's order by Fraction ratio, weight 0 first and ties
-    in variable order."""
+    knapsack row first, then the group rows and the cut rows, the scale
+    the LCM of every row's and the costs' scales, and Dantzig's order by
+    Fraction ratio, weight 0 first and ties in variable order."""
     refs = instance.refs()
     costs, _, cost_scale = reference_integer_row(instance, objective.items())
     knapsack = [(ref, instance.weight(ref)) for ref in refs]
-    sparse = [(knapsack, instance.capacity)] + [(r.terms, r.rhs) for r in rows]
+    sparse = ([(knapsack, instance.capacity)] + group_rows(instance)
+              + [(r.terms, r.rhs) for r in rows])
     scaled_rows = [reference_integer_row(instance, terms, rhs)
                    for terms, rhs in sparse]
     # the LCM of the scales is the least L making every 1 / scale * L whole

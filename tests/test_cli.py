@@ -49,6 +49,10 @@ def files(tmp_path):
     save("ex_c.ckp", serialize_instance(
         make_instance([(1,), (6,), (14, 10), (13, 9), (12, 8)], 36)))
     save("loose.ckp", serialize_instance(make_instance([(2,), (3, 1)], 10)))
+    # strongly correlated (profit = weight + 5): the root LP splits a group
+    # and greedy separation finds no cut there
+    save("corr.ckp", serialize_instance(Instance.build(
+        [((9, 4), (14, 9)), ((5, 1), (10, 6)), ((2, 1), (7, 6))], 8)))
     save("sing.ckp", serialize_instance(
         Instance.build([((2,), (5,)), ((3,), (4,))], 4)))
     save("p1b.ineq", serialize_inequality(LinearInequality(
@@ -298,10 +302,10 @@ def test_separate_none(files, capsys):
 def test_solve(files, capsys):
     code, out = run(capsys, "solve", files["ex_b.ckp"])
     assert code == 0
-    assert out == ("status: optimal\nvalue: 22\nbest-bound: 22\nnodes: 2\n"
-                   "lp-pivots: 3\n"
-                   "cuts-added: pack1=0 pack2=1 pack3=0 lcover1=0 lcover2=0\n"
-                   "point:\nval 1 1 1\nval 2 2 1\nval 3 1 10/13\n")
+    assert out == ("status: optimal\nvalue: 22\nbest-bound: 22\nnodes: 1\n"
+                   "lp-pivots: 0\n"
+                   "cuts-added: pack1=0 pack2=0 pack3=0 lcover1=0 lcover2=0\n"
+                   "point:\nval 1 1 1\nval 2 1 1\nval 3 1 6/13\n")
 
 
 def test_solve_without_cuts(files, capsys):
@@ -315,14 +319,25 @@ def test_solve_rational_output(files, capsys):
     code, out = run(capsys, "solve", files["sing.ckp"])
     assert code == 0
     assert "value: 23/3" in out
-    assert "nodes: 0" in out
+    assert "nodes: 1" in out
 
 
 def test_solve_node_limit_exit_code(files, capsys):
-    code, out = run(capsys, "solve", files["ex_b.ckp"], "--node-limit", "1")
+    code, out = run(capsys, "solve", files["corr.ckp"], "--node-limit", "1")
     assert code == 3
     assert out.startswith("status: node-limit\n")
-    assert "best-bound: 22" in out
+    assert "best-bound: 23" in out
+
+
+def test_solve_exact_sep_stopped_at_the_limit(files, capsys):
+    code, out = run(capsys, "solve", files["corr.ckp"], "--exact-sep",
+                    "--enumerate-limit", "26")
+    assert code == 0
+    assert "value: 22\n" in out
+    assert ("exact-sep: stopped, pattern space over the enumeration limit\n"
+            in out)
+    code, out = run(capsys, "solve", files["corr.ckp"], "--exact-sep")
+    assert code == 0 and "exact-sep" not in out
 
 
 def test_reduce_partition(files, capsys, tmp_path):

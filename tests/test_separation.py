@@ -22,8 +22,8 @@ from ckp.separation import (
 from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle, separation
 
-from conftest import (family_cuts, iter_patterns, make_instance,
-                      random_instance, rational_instance,
+from conftest import (correlated_instance, family_cuts, iter_patterns,
+                      make_instance, random_instance, rational_instance,
                       reference_is_maximal_switching_pack)
 
 
@@ -515,13 +515,14 @@ def test_large_coprime_denominators_match_building_every_member():
     """On node-LP points with cut rows and on points with large pairwise
     coprime denominators, every score equals the built violation, and
     both separators equal their build-every-member references in cut,
-    violation, examined and patterns."""
+    violation, examined and patterns.  Every other instance is strongly
+    correlated, whose node LPs still take cuts under the group rows."""
     rng = random.Random(6025)
     rows = coprime = found = 0
     largest = 1
-    for n in range(30):
+    for n in range(45):
         instance = (rational_instance(rng) if n % 2
-                    else random_instance(rng, max_groups=4))
+                    else correlated_instance(rng))
         points = list(_node_points(rng, instance))
         rows += len(points)
         points.append(_coprime_point(rng, instance))

@@ -58,7 +58,9 @@ def test_example_relaxation(ex_a):
     sol = solve_lp(problem)
     assert sol.value == 21
     assert verify_certificate(problem, sol)
-    assert len(sol.duals) == len(problem.rows) + ex_a.dimension
+    # the knapsack row, the rows of groups 4 and 5, then the bounds
+    assert len(problem.scaled_rows) == 3
+    assert len(sol.duals) == len(problem.scaled_rows) + ex_a.dimension
     assert all(y >= 0 for y in sol.duals)
 
 
@@ -168,7 +170,9 @@ def test_duals_price_the_optimum(small_corpus):
     for inst in small_corpus[:8]:
         problem = lp_for(inst)
         sol = solve_lp(problem)
-        rhs = [problem.rows[0].rhs] + [Fraction(1)] * inst.dimension
+        # the knapsack row's rhs, then 1 for each group row and bound
+        rhs = [problem.rows[0].rhs] + [Fraction(1)] * (len(sol.duals) - 1)
+        assert len(sol.duals) == len(problem.scaled_rows) + inst.dimension
         assert sum(y * r for y, r in zip(sol.duals, rhs)) == sol.value
 
 
@@ -196,22 +200,35 @@ def _builder_cuts(inst):
     return sorted(set(found), key=repr)
 
 
-def _box_lp_optimum(inst, objective, forced):
-    """Max of the objective over the box, the knapsack row and x_forced = 0,
-    by enumerating the box vertices that can be optimal: every 0/1 point
-    that fits, and every 0/1 point with one fractional entry filling the
-    capacity."""
-    refs = [r for r in inst.refs() if r not in forced]
+def _group_lp_optimum(inst, objective, forced):
+    """Max of the objective over the knapsack row, the group rows, the box
+    and x_forced = 0, by enumerating the vertices that can be optimal.  The
+    box and group rows make a product of simplices, one per group, whose
+    vertices put each group at zero or at one free slot whole; the knapsack
+    row adds the points where one group moves along an edge of its simplex
+    until the row binds."""
     b = inst.capacity
+    choices = [[None] + [VarRef(i, j) for j in range(1, g.size + 1)
+                         if VarRef(i, j) not in forced]
+               for i, g in enumerate(inst.groups, start=1)]
+
+    def weight(ref):
+        return inst.weight(ref) if ref else Fraction(0)
+
+    def value(ref):
+        return objective.get(ref, 0) if ref else Fraction(0)
+
     best = None
-    for bits in product((0, 1), repeat=len(refs)):
-        weight = sum((inst.weight(r) for r, x in zip(refs, bits) if x), Fraction(0))
-        value = sum((objective.get(r, 0) for r, x in zip(refs, bits) if x), Fraction(0))
-        candidates = [value] if weight <= b else []
-        for r, x in zip(refs, bits):
-            a = inst.weight(r)
-            if x == 0 and a > 0 and 0 < b - weight < a:
-                candidates.append(value + objective.get(r, 0) * (b - weight) / a)
+    for pattern in product(*choices):
+        w = sum(map(weight, pattern), Fraction(0))
+        v = sum(map(value, pattern), Fraction(0))
+        candidates = [v] if w <= b else []
+        for ref, group in zip(pattern, choices):
+            for other in group:
+                step = weight(other) - weight(ref)
+                if step and 0 < (b - w) / step < 1:
+                    candidates.append(
+                        v + (value(other) - value(ref)) * (b - w) / step)
         for v in candidates:
             if best is None or v > best:
                 best = v
@@ -234,23 +251,87 @@ def test_differential_against_brute_force():
         sol = solve_lp(problem, forced)
         assert verify_certificate(problem, sol, forced)
         assert not set(sol.point.support()) & forced
-        box = _box_lp_optimum(inst, objective, forced)
+        no_cuts = _group_lp_optimum(inst, objective, forced)
         if rows:
             with_cuts += 1
             # Valid cuts keep every point of S: the LP lies between the
-            # maximum over S (forced variables priced out) and the box LP.
+            # maximum over S (forced variables priced out) and the LP
+            # without cut rows.
             priced = {r: (-1 if r in forced else c) for r, c in objective.items()}
             best, _ = oracle.maximize_over_S(inst, priced)
-            assert best <= sol.value <= box
+            assert best <= sol.value <= no_cuts
         else:
             one_row += 1
-            assert sol.value == box
+            assert sol.value == no_cuts
             assert sol.pivots == 0
-            free = [j for j, r in enumerate(problem.refs) if r not in forced]
-            tableau = simplex._solve_bounded(problem, free)
-            assert tableau.value == sol.value
-            assert verify_certificate(problem, tableau, forced)
     assert one_row >= 20 and with_cuts >= 20
+
+
+def test_closed_form_matches_the_tableau_with_group_rows():
+    """Without cut rows, the closed form and the bounded simplex, which
+    takes the group rows as tableau rows, give the same value, and both
+    certificates verify: on rational and random data with zero weights,
+    tied ratios, singleton groups, negative costs and forced sets."""
+    rng = random.Random(4242)
+    seen = {"zero weight": 0, "tied ratio": 0, "singleton": 0, "forced": 0,
+            "pivots": 0}
+    for n in range(200):
+        inst = (rational_instance(rng) if n % 2 else
+                random_instance(rng, max_groups=4, profits="random"))
+        objective = {r: inst.profit(r) for r in inst.refs()}
+        for r in inst.refs():
+            roll = rng.random()
+            if roll < 0.1:
+                objective[r] = -objective[r] - 1
+            elif roll < 0.2:
+                objective[r] = inst.weight(r) * 2  # ties the ratio at 2
+        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        problem = LpProblem(inst, objective)
+        closed = solve_lp(problem, forced)
+        free = [j for j, r in enumerate(problem.refs) if r not in forced]
+        tableau = simplex._solve_bounded(problem, free)
+        assert closed.value == tableau.value
+        assert verify_certificate(problem, closed, forced)
+        assert verify_certificate(problem, tableau, forced)
+        ratios = [objective[r] / inst.weight(r) for r in inst.refs()
+                  if inst.weight(r) and objective[r] > 0]
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["tied ratio"] += len(set(ratios)) < len(ratios)
+        seen["singleton"] += bool(inst.singleton_groups())
+        seen["forced"] += bool(forced)
+        seen["pivots"] += tableau.pivots > 0
+    assert min(seen.values()) >= 30, seen
+
+
+def test_group_row_facets():
+    """The face of sum_j x_ij <= 1 has dimension n - 1 exactly when every
+    slot of group i weighs at most b and either its lightest slot weighs
+    less than b or every variable outside the group weighs nothing (then
+    each e_ij + e_kl stays in S)."""
+    rng = random.Random(5150)
+    # the lightest slot weighs b: a facet only while x21 weighs nothing
+    corpus = [Instance.build([((2, 2), (1, 1)), ((a,), (1,))], 2)
+              for a in (0, 1)]
+    corpus += [rational_instance(rng) if n % 2 else random_instance(rng)
+               for n in range(160)]
+    facets = others = zero_rescue = 0
+    for inst in corpus:
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        b = inst.capacity
+        for i, g in enumerate(inst.groups, start=1):
+            if g.size < 2:
+                continue
+            row = LinearInequality(
+                {VarRef(i, j): 1 for j in range(1, g.size + 1)}, 1)
+            weightless = not any(a for k, h in enumerate(inst.groups, start=1)
+                                 if k != i for a in h.weights)
+            facet = max(g.weights) <= b and (min(g.weights) < b or weightless)
+            assert (vertices.face_dimension(row) == inst.dimension - 1) == facet
+            facets += facet
+            others += not facet
+            zero_rescue += facet and min(g.weights) == b
+    assert facets >= 50 and others >= 50 and zero_rescue >= 1, (
+        facets, others, zero_rescue)
 
 
 def _forgery_problem():

@@ -23,8 +23,8 @@ from ckp.separation import SeparationResult, SeparationStats
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
-from conftest import (lp_solution, make_instance, random_instance,
-                      rational_instance)
+from conftest import (correlated_instance, lp_solution, make_instance,
+                      random_instance, rational_instance)
 
 
 def oracle_value(inst):
@@ -77,10 +77,11 @@ def test_deterministic(rng):
 
 
 def test_trivial_when_capacity_is_loose():
-    # heaviest picks weigh 5 <= 10, so the best-profit-per-group point wins
+    # heaviest picks weigh 5 <= 10, so the best-profit-per-group point wins;
+    # it is the root LP's point, so one node proves it
     inst = make_instance([(2,), (3, 1)], 10)
     rep = branch_and_cut(inst)
-    assert rep.value == 5 and rep.nodes == 0 and rep.proven_optimal
+    assert rep.value == 5 and rep.nodes == 1 and rep.proven_optimal
     assert not validate_assumptions(inst).assumption2
 
 
@@ -89,8 +90,36 @@ def test_fractional_knapsack_when_all_singletons():
     rep = branch_and_cut(inst)
     # continuous knapsack: item 1 whole (profit 5), 2/3 of item 2
     assert rep.value == Fraction(23, 3)
-    assert rep.nodes == 0 and rep.proven_optimal
+    assert rep.nodes == 1 and rep.proven_optimal
     assert is_feasible(inst, rep.point)
+
+
+def test_degenerate_instances_close_at_the_root():
+    """Seeded rational data with zero weights: when the capacity admits
+    every group's heaviest slot the root LP point is optimal with the
+    value of the all-best-slots point, and when every group is a singleton
+    the root LP is the problem; either way one node proves it."""
+    rng = random.Random(6061)
+    loose = singletons = 0
+    for n in range(200):
+        inst = rational_instance(rng)
+        groups = [(g.weights, g.profits) for g in inst.groups]
+        if n % 2:
+            heaviest = sum(max(g.weights) for g in inst.groups)
+            inst = Instance.build(groups, heaviest + rng.randint(0, 3))
+        else:
+            inst = Instance.build([((a,), (c,)) for ws, cs in groups
+                                   for a, c in zip(ws, cs)], inst.capacity)
+        rep = branch_and_cut(inst)
+        assert rep.nodes == 1 and rep.proven_optimal
+        assert rep.value == oracle_value(inst)
+        assert is_feasible(inst, rep.point)
+        report = validate_assumptions(inst)
+        if not report.assumption2:
+            loose += 1
+            assert rep.value == report.trivial_value
+        singletons += not report.assumption1
+    assert loose >= 100 and singletons >= 50, (loose, singletons)
 
 
 def test_rejects_unnormalized():
@@ -114,6 +143,35 @@ def test_config_validation():
         SolveConfig(node_limit=0)
     with pytest.raises(ValidationError):
         SolveConfig(max_cuts_per_node=-1)
+
+
+def test_exact_separation_stops_at_the_enumeration_limit(monkeypatch):
+    """A pattern space over the enumeration limit stops exact separation
+    for the rest of the solve at its first refusal, and the report says
+    so; greedy separation and branching still prove the optimum."""
+    # strongly correlated (profit = weight + 5): greedy finds no cut at the
+    # root, and the pattern space is 3^3 = 27
+    inst = Instance.build([((9, 4), (14, 9)), ((5, 1), (10, 6)),
+                           ((2, 1), (7, 6))], 8)
+    calls = []
+    real = solver.separate_exact
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "separate_exact", counting)
+    limited = branch_and_cut(inst, SolveConfig(exact_fallback=True,
+                                               enum_limit=26))
+    assert len(calls) == 1
+    assert limited.exact_sep_stopped and limited.proven_optimal
+    assert limited.nodes > 1
+    del calls[:]
+    full = branch_and_cut(inst, SolveConfig(exact_fallback=True,
+                                            enum_limit=27))
+    assert calls and not full.exact_sep_stopped
+    assert full.value == limited.value == 22
+    assert not branch_and_cut(inst).exact_sep_stopped
 
 
 def find_branching_instance(rng, config=None):
@@ -169,13 +227,14 @@ def test_bounds_monotone_under_families(ex_c):
                                     SolveConfig(exact_fallback=True)],
                          ids=["default", "exact-fallback"])
 def test_fuzz_against_the_oracle(config):
-    """Seeded rational data with zero weights and equal ratios: every solve
-    is proven optimal, its value is the oracle's maximum over S, and its
-    point lies in S and earns that value."""
+    """Seeded rational data with zero weights and equal ratios, every other
+    instance strongly correlated so that the tree still branches: every
+    solve is proven optimal, its value is the oracle's maximum over S, and
+    its point lies in S and earns that value."""
     rng = random.Random(8080)
     branched = cut = 0
-    for _ in range(80):
-        inst = rational_instance(rng)
+    for n in range(80):
+        inst = rational_instance(rng) if n % 2 else correlated_instance(rng)
         report = branch_and_cut(inst, config)
         assert report.proven_optimal
         assert report.value == report.best_bound == oracle_value(inst)
@@ -247,10 +306,13 @@ def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
         branch_and_cut(ex_b)
 
 
-def test_pooled_cut_separated_again_is_rejected(monkeypatch, ex_b):
+def test_pooled_cut_separated_again_is_rejected(monkeypatch):
     # Every pooled row holds at the certified node LP point, so a separator
     # that returns one as violated is at fault and must not end the loop
-    # quietly.  The knapsack row is pooled from the start.
+    # quietly.  The knapsack row is pooled from the start.  The instance is
+    # strongly correlated (profit = weight + 5), so its root LP point splits
+    # group 1 and the separator runs.
+    inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
     def forged(instance, point, families):
         cut = GeneratedCut("pack1", knapsack_row(instance),
                            ItemSet.of(instance.refs()[:1]))
@@ -258,7 +320,7 @@ def test_pooled_cut_separated_again_is_rejected(monkeypatch, ex_b):
 
     monkeypatch.setattr(solver, "separate_greedy", forged)
     with pytest.raises(CkpError, match="already in the pool"):
-        branch_and_cut(ex_b)
+        branch_and_cut(inst)
 
 
 _OPTIMIZED_SCRIPT = """
