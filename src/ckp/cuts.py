@@ -107,9 +107,8 @@ class GeneratedCut:
     """A cut plus where it came from.
 
     ``pivot`` is the distinguished last-slot item (pack2/pack3),
-    ``tilt_group`` the singleton group a pack3 cut was tilted toward,
-    ``special`` the in-cover item lifted over its group (lcover2), and
-    ``witness`` the recorded slot pair certifying the lcover1 hypothesis.
+    ``tilt_group`` the singleton group a pack3 cut was tilted toward, and
+    ``special`` the in-cover item lifted over its group (lcover2).
     """
 
     family: str
@@ -119,7 +118,6 @@ class GeneratedCut:
     pivot: Optional[VarRef] = None
     tilt_group: Optional[int] = None
     special: Optional[VarRef] = None
-    witness: Optional[VarRef] = None
 
     def provenance_key(self):
         """Deterministic sort key: item set, family, auxiliary indices."""
@@ -153,9 +151,9 @@ def _checked(instance: Instance, itemset: ItemSet) -> ItemSet:
 def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     """Last-slot pack whose every non-singleton swap overshoots the capacity."""
     _checked(instance, itemset)
+    _, units, capacity = _sorted_units(instance)
     if any(ref.slot != instance.slots(ref.group) for ref in itemset):
         return False
-    _, units, capacity = instance.units
     tails = [units[i - 1] for i in itemset.groups()]
     return is_switching(tails, capacity - sum(u[-1] for u in tails))
 
@@ -384,21 +382,13 @@ def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
 def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
     _checked(instance, cover)
-    _sorted_units(instance)
+    _, units, capacity = _sorted_units(instance)
     b = instance.capacity
     s = cover.weight(instance)
     if s <= b:
         raise PreconditionError("not a cover: weight %s <= capacity %s" % (s, b))
-    witness = None
-    for ref in cover.items:
-        g = instance.group(ref.group)
-        for j in range(ref.slot + 1, g.size + 1):
-            if s - g.weights[ref.slot - 1] + g.weights[j - 1] < b:
-                witness = VarRef(ref.group, j)
-                break
-        if witness is not None:
-            break
-    if witness is None:
+    over = sum(units[ref.group - 1][ref.slot - 1] for ref in cover) - capacity
+    if not any(_lifts(units[ref.group - 1], ref.slot, over) for ref in cover):
         raise PreconditionError("lifting condition violated: no slot below any "
                                 "chosen item keeps the rest under capacity")
     coeffs = {}
@@ -413,7 +403,7 @@ def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCu
                 coeffs[VarRef(ref.group, j)] = max(g.weights[j - 1], floor)
     facet = all(ref.slot == 1 for ref in cover.items)
     return GeneratedCut("lcover1", LinearInequality(coeffs, b), cover,
-                        facet_guaranteed=facet, witness=witness)
+                        facet_guaranteed=facet)
 
 
 def _lcover1_violation(sup: PointSupport, cover, excess):
@@ -510,6 +500,12 @@ def _lcover2_violation(sup: PointSupport, cover, excess, special):
     return Fraction(lifted + whole * dens, sup.scale * sup.point_scale * dens)
 
 
+def _lifts(row, slot, over) -> bool:
+    """The lifting test (see :func:`family_scores`) on one chosen ``slot``
+    of a group with weights ``row``, for a cover with excess ``over``."""
+    return slot < len(row) and row[slot - 1] - row[-1] > over
+
+
 def family_scores(sup: PointSupport, items, units, families):
     """``(violation, provenance key)`` of every member of ``families`` that
     the item set ``items`` (a sorted tuple of VarRefs whose weight is
@@ -522,24 +518,21 @@ def family_scores(sup: PointSupport, items, units, families):
     two non-singleton groups; ``lcover1`` once; ``lcover2`` once per
     in-cover item above its group's last slot.  Pack families need s < b
     and cover families s > b, both tested in integer units.
-    :func:`_pack_scores` tests the pack2 and pack3 conditions, and this
-    function the one lifting test of both cover families, also in integer
+    :func:`_pack_scores` tests the pack2 and pack3 conditions, and
+    :func:`_lifts` the one lifting test of both cover families, in integer
     units: a chosen item r above its group's last slot with a_r - a_last >
     s - b.  It is lcover2's condition on the special item (rest + a_last <
-    b) and, on sorted groups, lcover1's (some chosen item whose move to a
-    later slot brings the weight under b).  A member whose condition fails
-    is not listed, so each listed member's builder succeeds.
+    b) and, on sorted groups, lcover1's, which its builder tests too.  A
+    member whose condition fails is not listed, so each listed member's
+    builder succeeds.
     """
     over = units - sup.capacity_units
     if over < 0:
         if "pack1" in families or "pack2" in families or "pack3" in families:
             yield from _pack_scores(sup, items, -over, families)
     elif over > 0 and ("lcover1" in families or "lcover2" in families):
-        specials = []
-        for ref in items:
-            u = sup.units[ref.group - 1]
-            if ref.slot < len(u) and u[ref.slot - 1] - u[-1] > over:
-                specials.append(ref)
+        specials = [ref for ref in items
+                    if _lifts(sup.units[ref.group - 1], ref.slot, over)]
         if specials and "lcover1" in families:
             yield (_lcover1_violation(sup, items, over),
                    (items, FAMILY_RANK["lcover1"], ()))
@@ -576,10 +569,10 @@ def enumerate_maximal_switching_packs(instance: Instance,
         raise ResourceLimitError(
             "subset space 2^%d exceeds enumeration limit %d" % (instance.m, allowed),
             estimate=2 ** instance.m)
+    _, units, capacity = _sorted_units(instance)
     groups = range(1, instance.m + 1)
     subsets = sorted(chain.from_iterable(
         combinations(groups, k) for k in range(1, instance.m + 1)))
-    _, units, capacity = instance.units
     out = []
     for subset in subsets:
         tails = [units[i - 1] for i in subset]

@@ -5,8 +5,11 @@ Conventions used everywhere:
 * groups and slots are 1-based; ``VarRef(i, j)`` is variable x_ij,
 * every group keeps its slots sorted by non-increasing weight (the
   canonical order produced by :func:`normalize`),
-* all numbers are exact ``Fraction`` values; sparse ones come in through
-  :func:`clean_terms`, and an :class:`Instance` scales them to integers,
+* all numbers are exact ``Fraction`` values, taken in only from ints,
+  Fractions and ``numeric.parse_rational`` strings: a :class:`Group` and
+  an :class:`Instance` coerce theirs, sparse ones come in through
+  :func:`clean_terms` and are stored once, as sorted terms, and an
+  :class:`Instance` scales its data to integers,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
   sorted and unique, each X > 0, and x = X / D.  :class:`Point` computes
   it once; ``simplex.LpSolution`` is built in it.  :func:`lhs_at` and
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .errors import PreconditionError, ValidationError
-from .numeric import integer_form
+from .errors import FormatError, PreconditionError, ValidationError
+from .numeric import integer_form, parse_rational
 
 _F0 = Fraction(0)
 
@@ -40,23 +43,29 @@ class VarRef(NamedTuple):
 
 
 def _frac(value) -> Fraction:
-    # The exact type test first: isinstance on an ABC-registered class is slow.
-    if type(value) is Fraction or isinstance(value, Fraction):
+    # Exact type and int tests first: isinstance on Fraction, an ABC, is slow.
+    if type(value) is Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return parse_rational(value)
+        except FormatError as exc:
+            raise ValidationError(str(exc)) from None
     raise ValidationError("not a rational value: %r" % (value,))
 
 
 def clean_terms(items, instance=None):
     """The one cleaner of sparse rational terms: ``items`` (a mapping or
     ``(ref, value)`` pairs; a ref may be a ``(group, slot)`` pair) as sorted
-    ``(VarRef, Fraction)`` terms, zeros dropped, and a dict of them.  A
-    value that is not an int, str or Fraction, a variable given twice and,
-    with ``instance``, any reference outside it (zero-valued ones included)
-    raise ``ValidationError``."""
+    ``(VarRef, Fraction)`` terms, zeros dropped.  A value that is not an
+    int, Fraction or ``parse_rational`` string, a variable given twice
+    (even at zero) and, with ``instance``, any reference outside it
+    (zero-valued ones included) raise ``ValidationError``."""
+    refs = []
     cleaned = []
     for ref, value in (items.items() if isinstance(items, Mapping) else items):
         if not isinstance(ref, VarRef):
@@ -65,13 +74,13 @@ def clean_terms(items, instance=None):
             instance.check_ref(ref)
         if type(value) is not Fraction:  # the hot case needs no call
             value = _frac(value)
+        refs.append(ref)
         if value:
             cleaned.append((ref, value))
-    cleaned.sort()
-    by_ref = dict(cleaned)
-    if len(by_ref) != len(cleaned):
+    if len(set(refs)) != len(refs):
         raise ValidationError("a variable is given twice")
-    return tuple(cleaned), by_ref
+    cleaned.sort()
+    return tuple(cleaned)
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,8 @@ class Group:
     profits: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(map(_frac, self.weights)))
+        object.__setattr__(self, "profits", tuple(map(_frac, self.profits)))
         if len(self.weights) != len(self.profits):
             raise ValidationError("group weight/profit lengths differ")
         if not self.weights:
@@ -100,17 +111,14 @@ class Instance:
     capacity: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "capacity", _frac(self.capacity))
         if not self.groups:
             raise ValidationError("instance must contain at least one group")
 
     @classmethod
     def build(cls, groups, capacity) -> "Instance":
-        """Coerce nested int/str/Fraction data into an Instance."""
-        built = []
-        for weights, profits in groups:
-            built.append(Group(tuple(_frac(a) for a in weights),
-                               tuple(_frac(c) for c in profits)))
-        return cls(tuple(built), _frac(capacity))
+        """An Instance from nested ``(weights, profits)`` data."""
+        return cls(tuple(Group(*g) for g in groups), capacity)
 
     @property
     def m(self) -> int:
@@ -201,24 +209,18 @@ class Instance:
         return all(a >= b for row in self.units[1]
                    for a, b in zip(row, row[1:]))
 
-    @cached_property
-    def knapsack(self) -> "LinearInequality":
-        """The knapsack row (:func:`knapsack_row`), built on first use and
-        shared by every ``simplex.LpProblem`` on the instance."""
-        return knapsack_row(self)
-
 
 class LinearInequality:
     """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped)."""
 
-    __slots__ = ("terms", "rhs", "_by_ref")
+    __slots__ = ("terms", "rhs")
 
     def __init__(self, coeffs, rhs):
-        self.terms, self._by_ref = clean_terms(coeffs)
+        self.terms = clean_terms(coeffs)
         self.rhs = _frac(rhs)
 
     def coeff(self, ref: VarRef) -> Fraction:
-        return self._by_ref.get(ref, _F0)
+        return next((c for r, c in self.terms if r == ref), _F0)
 
     def support(self):
         return tuple(ref for ref, _ in self.terms)
@@ -238,17 +240,17 @@ class LinearInequality:
 class Point:
     """Sparse point with entries in [0, 1] (zeros dropped)."""
 
-    __slots__ = ("entries", "_by_ref", "_scaled")
+    __slots__ = ("entries", "_scaled")
 
     def __init__(self, values=()):
-        self.entries, self._by_ref = clean_terms(values)
+        self.entries = clean_terms(values)
         for ref, value in self.entries:
             num, den = value.as_integer_ratio()  # den > 0
             if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
 
     def value(self, ref: VarRef) -> Fraction:
-        return self._by_ref.get(ref, _F0)
+        return next((x for r, x in self.entries if r == ref), _F0)
 
     def support(self):
         return tuple(ref for ref, _ in self.entries)
@@ -281,15 +283,10 @@ class Evaluation(NamedTuple):
     violation: Fraction  # lhs - rhs; positive means the inequality is violated
 
 
-def _check_refs(instance: Instance, refs: Iterable[VarRef]) -> None:
-    for ref in refs:
-        instance.check_ref(ref)
-
-
 def evaluate(instance: Instance, inequality: LinearInequality, point: Point) -> Evaluation:
     """Exact left-hand side and violation of ``inequality`` at ``point``."""
-    _check_refs(instance, inequality.support())
-    _check_refs(instance, point.support())
+    for ref in inequality.support() + point.support():
+        instance.check_ref(ref)
     lhs = lhs_at(inequality, point)
     return Evaluation(lhs, lhs - inequality.rhs)
 
@@ -298,10 +295,11 @@ def lhs_at(inequality: LinearInequality, point) -> Fraction:
     """Exact left-hand side of ``inequality`` at ``point`` (anything with
     an integer form ``scaled``), references unchecked (see :func:`evaluate`
     for the checked form)."""
+    coeffs = dict(inequality.terms)
     scale, entries = point.scaled
     lhs = _F0
     for ref, x in entries:
-        c = inequality.coeff(ref)
+        c = coeffs.get(ref)
         if c:
             lhs += c * x
     return lhs / scale
@@ -314,11 +312,16 @@ def knapsack_row(instance: Instance) -> LinearInequality:
     return LinearInequality(zip(instance.columns, weights), instance.capacity)
 
 
-def weight_of(instance: Instance, point: Point) -> Fraction:
-    total = Fraction(0)
-    for ref, x in point.entries:
-        total += instance.weight(ref) * x
-    return total
+def weight_of(instance: Instance, point) -> Fraction:
+    """Exact weight of ``point`` (anything with an integer form ``scaled``),
+    summed in :attr:`Instance.units`, every reference checked."""
+    scale, rows, _ = instance.units
+    point_scale, entries = point.scaled
+    total = 0
+    for ref, x in entries:
+        instance.check_ref(ref)
+        total += rows[ref.group - 1][ref.slot - 1] * x
+    return Fraction(total, scale * point_scale)
 
 
 def profit_of(instance: Instance, point: Point) -> Fraction:
@@ -339,7 +342,6 @@ def complementarity_violations(instance: Instance, point):
 
 def is_lp_feasible(instance: Instance, point: Point) -> bool:
     """Bounds hold by construction; checks refs and the knapsack row."""
-    _check_refs(instance, point.support())
     return weight_of(instance, point) <= instance.capacity
 
 

@@ -70,7 +70,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
-from .model import Instance, Point, clean_terms
+from .model import Instance, Point, clean_terms, knapsack_row
 from .numeric import integer_form
 
 
@@ -114,10 +114,10 @@ class LpProblem:
 
     ``objective`` is cleaned by ``model.clean_terms``, every reference
     checked, and kept as its sorted ``((VarRef, Fraction), ...)`` terms.
-    ``rows`` is the knapsack row (``Instance.knapsack``, built once per
-    instance and shared), then ``extra_rows``, each added as by
-    :meth:`with_row`, which checks every reference of the row
-    (``ValidationError`` on one outside the instance).  Weights and
+    ``rows`` is the knapsack row (``model.knapsack_row``, built once per
+    problem and shared by its :meth:`with_row` copies), then ``extra_rows``,
+    each added as by :meth:`with_row`, which checks every reference of the
+    row (``ValidationError`` on one outside the instance).  Weights and
     right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
     0 <= x <= 1 are implicit and handled by the solver.
 
@@ -137,14 +137,14 @@ class LpProblem:
                  "cost_scale", "scaled_rows", "scale", "order")
 
     def __init__(self, instance: Instance, objective, extra_rows=()):
-        self.objective, _ = clean_terms(objective, instance)
+        self.objective = clean_terms(objective, instance)
         weight_scale, units, capacity = instance.units
         weights = [a for row in units for a in row]
         if min(weights) < 0 or capacity < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
-        self.rows = (instance.knapsack,)
+        self.rows = (knapsack_row(instance),)
         self.refs = refs = tuple(instance.refs())
         self.costs, _, self.cost_scale = instance.integer_row(self.objective)
         self.scaled_rows = [(weights, capacity, weight_scale)]

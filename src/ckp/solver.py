@@ -16,8 +16,9 @@ is a proof.
 Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): its certificate check, the separators, the one
 complementarity test per solution and the branching masses (sums of the
-integers X) all read it.  A :class:`model.Point` is made only for a new
-incumbent, which is checked feasible, and for the report.
+integers X) all read it.  The incumbent is kept as its node LP solution,
+and one :class:`model.Point` is made per solve, when the loop ends: it is
+checked feasible and goes into the report.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     pool_rows = {problem.rows[0]}  # LinearInequality dedup
 
     incumbent_value = _F0
-    incumbent_point = Point()
+    incumbent = None  # the LpSolution of the incumbent; None is the origin
     nodes = 0
     pivots = 0
     counter = 0
@@ -171,7 +172,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             continue
         if not violated:
             incumbent_value = value
-            incumbent_point = solution.point
+            incumbent = solution
             continue
         group = _branch_group(solution, violated)
         # the entries are sorted, so the group's first is its lowest slot
@@ -186,8 +187,9 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
 
     # Open nodes left by the node limit may still beat the incumbent.
     best_bound = max([incumbent_value] + [-entry[0] for entry in heap])
-    _check_incumbent(instance, incumbent_point, incumbent_value)
-    return SolveReport(incumbent_value, incumbent_point, nodes,
+    point = Point() if incumbent is None else incumbent.point
+    _check_incumbent(instance, point, incumbent_value)
+    return SolveReport(incumbent_value, point, nodes,
                        cuts_per_family, pivots, best_bound == incumbent_value,
                        best_bound, tuple(pool),
                        exact_sep_stopped=config.exact_fallback and not exact)

@@ -382,6 +382,21 @@ def test_exit_code_precondition(files, tmp_path, capsys):
     assert "error:" in out
 
 
+def test_repeated_lines_are_refused(files, tmp_path, capsys):
+    # a variable given twice is refused even when one of its lines is 0;
+    # keeping the nonzero line would verify 5*x(1,1) <= 3 instead
+    ineq = tmp_path / "twice.ineq"
+    ineq.write_text("ineq 1\nrhs 3\nterm 1 1 0\nterm 1 1 5\n")
+    point = tmp_path / "twice.point"
+    point.write_text("point 1\nval 3 1 1/7\nval 3 1 0\n")
+    for argv in (("verify", files["ex_a.ckp"], str(ineq)),
+                 ("separate", files["ex_c.ckp"], str(point), "--exact",
+                  "--family", "all")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "given twice" in out
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     broken = tmp_path / "broken.ckp"
     broken.write_text("ckp 2\n")

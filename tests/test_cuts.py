@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from ckp.errors import PreconditionError, ValidationError
 from ckp.fileio import serialize_inequality
-from ckp.model import VarRef
+from ckp.model import Instance, VarRef
 from ckp import cuts, oracle
 
 from conftest import (is_cover, is_pack, iter_patterns, make_instance,
@@ -309,7 +309,6 @@ def test_lcover1_frozen(ex_a):
     assert text_of(cut) == ("ineq 1\nrhs 21\nterm 2 1 4\nterm 4 1 10\n"
                             "term 4 2 9\nterm 5 1 8\nterm 5 2 7\n")
     assert cut.facet_guaranteed  # every chosen slot is the first one
-    assert cut.witness == VarRef(4, 2)
     assert oracle.face_dimension(ex_a, cut.inequality) == 6
 
 
@@ -376,6 +375,16 @@ def test_unsorted_groups_rejected():
     for build in builds:
         with pytest.raises(PreconditionError, match="instance is not normalized"):
             build()
+
+
+def test_switching_packs_need_sorted_groups():
+    # read as given, group 1's last gap is 9 - 3 = 6 > the slack 5, so
+    # {(1,3), (2,1)} would pass as maximal switching; sorted, it is 5 - 3
+    inst = Instance.build([((5, 9, 3), (1, 1, 1)), ((4,), (1,))], 12)
+    with pytest.raises(PreconditionError, match="instance is not normalized"):
+        cuts.is_maximal_switching_pack(inst, refs((1, 3), (2, 1)))
+    with pytest.raises(PreconditionError, match="instance is not normalized"):
+        cuts.enumerate_maximal_switching_packs(inst)
 
 
 # --- bookkeeping ---

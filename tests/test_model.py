@@ -5,6 +5,7 @@ import pytest
 
 from ckp.errors import PreconditionError, ValidationError
 from ckp.model import (
+    Group,
     Instance,
     LinearInequality,
     Point,
@@ -38,6 +39,43 @@ def test_build_coerces_strings():
     inst = Instance.build([(("7/2", 1), ("3", 1))], "5")
     assert inst.weight(VarRef(1, 1)) == Fraction(7, 2)
     assert inst.capacity == 5
+
+
+def test_strings_follow_the_file_grammar():
+    # the one string grammar is numeric.parse_rational's: no decimals,
+    # exponents or plus signs, and a bad string is a ValidationError
+    for text in ("0.5", "1e3", "+2", "abc", "1/0"):
+        for build in (lambda t: Instance.build([((t,), (1,))], 5),
+                      lambda t: Instance.build([((1,), (1,))], t),
+                      lambda t: LinearInequality({(1, 1): t}, 1),
+                      lambda t: LinearInequality({}, t),
+                      lambda t: Point({(1, 1): t})):
+            with pytest.raises(ValidationError):
+                build(text)
+
+
+def test_instance_values_are_exact():
+    # a float would be taken at its binary value, and 0.1 and 0.05 would
+    # give Instance.units a scale of 2^56
+    with pytest.raises(ValidationError):
+        Instance((Group((0.1, 0.05), (1, 2)),), Fraction(7, 20))
+    with pytest.raises(ValidationError):
+        Instance((Group((1,), (2,)),), 0.35)
+    with pytest.raises(ValidationError):
+        Group((1,), (0.5,))
+    group = Group([2, "1/2"], (3, Fraction(1, 3)))
+    assert group.weights == (Fraction(2), Fraction(1, 2))
+    assert Instance((group,), "7/2").capacity == Fraction(7, 2)
+
+
+def test_a_variable_is_given_once():
+    # refused even when one of its values is 0, which would be dropped and
+    # leave the other standing
+    for terms in ([((1, 1), 0), ((1, 1), 5)], [((1, 1), 5), (VarRef(1, 1), 0)]):
+        with pytest.raises(ValidationError, match="twice"):
+            LinearInequality(terms, 3)
+    with pytest.raises(ValidationError, match="twice"):
+        Point([((1, 1), 0), ((1, 1), Fraction(1, 2))])
 
 
 def test_ref_checks(ex_a):

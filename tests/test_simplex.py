@@ -98,10 +98,11 @@ def test_rows_must_include_knapsack(ex_a):
 
 
 def test_knapsack_row_built_once_per_instance(ex_a):
-    # every LP on one instance shares its knapsack row, the pool's first
-    # member in the solver; it is the row knapsack_row builds
+    # every LP on one instance has the same knapsack row, the pool's first
+    # member in the solver, and a problem's cut rows share it; it is the
+    # row knapsack_row builds
     first, second = LpProblem(ex_a, {}), lp_for(ex_a)
-    assert first.rows[0] is second.rows[0]
+    assert first.rows[0] == second.rows[0]
     assert first.with_row(LinearInequality({}, 1)).rows[0] is first.rows[0]
     fresh = knapsack_row(ex_a)
     assert fresh is not first.rows[0] and fresh == first.rows[0]
@@ -130,9 +131,11 @@ def test_objective_refs_checked(ex_a):
 
 def test_objective_is_exact_and_given_once(ex_a):
     # cleaned as LinearInequality and Point terms are: a float would be
-    # taken at its binary value (0.1 as 3602879701896397/2^55), and a
-    # repeated variable would keep only its last value
-    for objective in ({(1, 1): 0.1}, [((1, 1), 5), ((1, 1), 1)]):
+    # taken at its binary value (0.1 as 3602879701896397/2^55), a decimal
+    # string is outside the file grammar, and a repeated variable would
+    # keep only its last nonzero value
+    for objective in ({(1, 1): 0.1}, {(1, 1): "0.5"},
+                      [((1, 1), 5), ((1, 1), 1)], [((1, 1), 0), ((1, 1), 5)]):
         for build in (lambda t: LinearInequality(t, 1),
                       lambda t: LpProblem(ex_a, t),
                       lambda t: oracle.maximize_over_S(ex_a, t)):
@@ -380,7 +383,6 @@ def _unchecked_point(entries):
     check, as a forged solution might."""
     point = object.__new__(Point)
     point.entries = tuple(entries)
-    point._by_ref = dict(entries)
     return point
 
 
