@@ -43,10 +43,7 @@ def parse_instance(text: str) -> Instance:
             _fail(lineno, "expected a 'group' line")
         if len(tokens) < 2:
             _fail(lineno, "missing group size")
-        try:
-            n = int(tokens[1])
-        except ValueError:
-            _fail(lineno, "group size is not an integer: %r" % tokens[1])
+        n = _integer_at(lineno, tokens[1], "group size")
         if n < 1:
             _fail(lineno, "group size must be >= 1")
         expected = 2 + 1 + n + 1 + n  # 'group n' + 'a' weights + 'c' profits
@@ -58,6 +55,13 @@ def parse_instance(text: str) -> Instance:
     if not groups:
         raise FormatError("instance has no groups")
     return Instance(tuple(groups), capacity)
+
+
+def _integer_at(lineno, token, what):
+    """``token`` as an int: a rational of the one grammar, without ``/q``."""
+    if "/" in token:
+        _fail(lineno, "%s is not an integer: %r" % (what, token))
+    return int(_rational_at(lineno, token))
 
 
 def _rational_at(lineno, token):
@@ -91,10 +95,7 @@ def parse_inequality(text: str) -> LinearInequality:
     if len(tokens) != 2 or tokens[0] != "rhs":
         _fail(lineno, "expected 'rhs <rational>'")
     rhs = _rational_at(lineno, tokens[1])
-    coeffs = []
-    for lineno, tokens in lines[2:]:
-        coeffs.append(_indexed_entry(lineno, tokens, "term"))
-    return LinearInequality(coeffs, rhs)
+    return LinearInequality(_entries(lines[2:], "term"), rhs)
 
 
 def serialize_inequality(q: LinearInequality) -> str:
@@ -111,10 +112,7 @@ def parse_point(text: str) -> Point:
     lineno, tokens = lines[0]
     if tokens != ["point", "1"]:
         _fail(lineno, "expected header 'point 1'")
-    entries = []
-    for lineno, tokens in lines[1:]:
-        entries.append(_indexed_entry(lineno, tokens, "val"))
-    return Point(entries)
+    return Point(_entries(lines[1:], "val"))
 
 
 def serialize_point(point: Point) -> str:
@@ -124,13 +122,22 @@ def serialize_point(point: Point) -> str:
     return "\n".join(out) + "\n"
 
 
-def _indexed_entry(lineno, tokens, keyword):
-    if len(tokens) != 4 or tokens[0] != keyword:
-        _fail(lineno, "expected '%s <i> <j> <rational>'" % keyword)
-    try:
-        i, j = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        _fail(lineno, "indices must be integers")
-    if i < 1 or j < 1:
-        _fail(lineno, "indices are 1-based")
-    return (VarRef(i, j), _rational_at(lineno, tokens[3]))
+def _entries(lines, keyword):
+    """``{VarRef: value}`` from ``<keyword> <i> <j> <rational>`` lines.  A
+    variable given twice, or a ``val`` outside [0, 1], fails on its own
+    line, as every other malformed line does."""
+    entries = {}
+    for lineno, tokens in lines:
+        if len(tokens) != 4 or tokens[0] != keyword:
+            _fail(lineno, "expected '%s <i> <j> <rational>'" % keyword)
+        ref = VarRef(_integer_at(lineno, tokens[1], "index"),
+                     _integer_at(lineno, tokens[2], "index"))
+        if ref.group < 1 or ref.slot < 1:
+            _fail(lineno, "indices are 1-based")
+        value = _rational_at(lineno, tokens[3])
+        if ref in entries:
+            _fail(lineno, "%s is given twice" % (ref,))
+        if keyword == "val" and not 0 <= value <= 1:
+            _fail(lineno, "point entry out of [0,1]: %s=%s" % (ref, value))
+        entries[ref] = value
+    return entries

@@ -5,9 +5,10 @@ Conventions used everywhere:
 * groups and slots are 1-based; ``VarRef(i, j)`` is variable x_ij,
 * every group keeps its slots sorted by non-increasing weight (the
   canonical order produced by :func:`normalize`),
-* all numbers are exact ``Fraction`` values, taken in only from ints,
-  Fractions and ``numeric.parse_rational`` strings: a :class:`Group` and
-  an :class:`Instance` coerce theirs, sparse ones come in through
+* all numbers are exact ``Fraction`` values, taken in only from ints
+  (not bools, most likely comparisons passed by mistake), Fractions and
+  ``numeric.parse_rational`` strings: a :class:`Group` and an
+  :class:`Instance` coerce theirs, sparse ones come in through
   :func:`clean_terms` and are stored once, as sorted terms, and an
   :class:`Instance` scales its data to integers,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
@@ -46,7 +47,7 @@ def _frac(value) -> Fraction:
     # Exact type and int tests first: isinstance on Fraction, an ABC, is slow.
     if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value

@@ -1,13 +1,14 @@
 """Exact rational scalars, their integer form, and the exact affine rank.
 
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
-is ``p`` or ``p/q`` with an optional leading minus sign and q > 0; parsing
-canonicalizes (lowest terms, sign on the numerator).  :func:`integer_form`
-is the package's one scaling of rationals to integers, by the LCM of their
-denominators.  :func:`affine_rank` is the one rank routine.  It takes each
-vector in integer form, a denominator and an integer row, and eliminates
-in integers, not Fractions; ``oracle.VertexSet.face_dimension`` streams the
-integer forms of its tight candidate vertices into it with a cap.
+is ``p`` or ``p/q`` in ASCII digits, p with an optional minus and q > 0;
+parsing canonicalizes (lowest terms, sign on the numerator).
+:func:`integer_form` is the package's one scaling of rationals to
+integers, by the LCM of their denominators.  :func:`affine_rank` is the
+one rank routine.  It takes each vector in integer form, a denominator
+and an integer row, and eliminates in integers, not Fractions;
+``oracle.VertexSet.face_dimension`` streams the integer forms of its
+tight candidate vertices into it with a cap.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import FormatError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (q > 0).  Raises FormatError on anything else."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise FormatError("not a rational: %r" % (text,))
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than int() converts
+        raise FormatError("too many digits (%d characters)" % len(text)) from None
     if den == 0:
         raise FormatError("zero denominator: %r" % (text,))
     return Fraction(num, den)

@@ -22,10 +22,10 @@ number of inequalities from one enumeration; each candidate is found in
 integer units and kept also as an integer row, which the lhs test and the
 affine rank share, and an inequality is scaled by ``Instance.integer_row``;
 the candidates' integer excesses over its rhs test it and name the witness
-of an invalid one.  ``maximize_over_S`` solves one fractional knapsack per
-pattern instead, in integers, each a scan of one Dantzig order fixed for
-the objective; it keeps the pattern-order tie-break of ``ckp oracle`` and
-``ckp verify``.
+of an invalid one.  ``maximize_over_S`` scores each pattern's candidates
+as the walk gives them instead, in integers, keeping none; its tie-break
+(first pattern, then last item) is that of ``ckp oracle`` and
+``ckp verify``.  The oracle shares no code with the node LP it checks.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .model import Instance, LinearInequality, Point, VarRef
+from .model import Instance, LinearInequality, Point, VarRef, clean_terms
 from .numeric import affine_rank
-from .simplex import LpProblem, fill_knapsack
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
@@ -241,32 +240,44 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     """Exact maximum of a linear objective over S, with a maximizing point.
 
-    Per support pattern this is a fractional knapsack.  The objective's
-    :class:`ckp.simplex.LpProblem` scales the data to integers and fixes
-    Dantzig's order once, and each pattern fills its own slots in that
-    order with :func:`ckp.simplex.fill_knapsack`, so ties within a pattern
-    go by variable order.  Pattern values compare by cross-multiplication;
-    ties keep the lexicographically smallest pattern.  Weights and
-    capacity must be nonnegative (``ValidationError`` otherwise).
+    The best candidate vertex (see the module docstring), scored in
+    integers as :func:`walk_patterns` gives each pattern: with its cost sum
+    C and weight W in ``Instance.units``, the all-ones point is worth C if
+    W <= b, and the point whose item k takes room / a_k, room = b - W + a_k
+    in (0, a_k), is worth C - c_k + c_k * room / a_k.  Scores compare by
+    cross-multiplication, strictly, from the origin's 0, each pattern's
+    items last to first: the first pattern in walk order wins, and in it
+    the last tied item, the point Dantzig's ratio fill of it gives.  Weights
+    and capacity must be nonnegative, so that the origin is in S
+    (``ValidationError``, checked after the enumeration guard).
     """
     patterns = walk_patterns(instance, limit)
-    problem = LpProblem(instance, objective)
-    capacity = problem.scaled_rows[0][1]
-    order = problem.order
-    rank = {t[0]: k for k, t in enumerate(order)}
-    best = (0, 1, [], None, 0)  # the empty pattern's: it takes nothing
-    for items, _ in patterns:
-        total, whole, (ref, a, c), room = fill_knapsack(
-            [order[k] for k in sorted(rank[r] for r in items if r in rank)],
-            capacity)
-        value = total * a + c * room  # the pattern's optimum times a
-        if value * best[1] > best[0] * a:
-            best = (value, a, whole, ref, room)
-    num, den, whole, ref, room = best
-    entries = [(r, _F1) for r in whole]
-    if room > 0:
-        entries.append((ref, Fraction(room, den)))
-    return Fraction(num, den * problem.cost_scale), Point(entries)
+    _, rows, capacity = instance.units
+    if capacity < 0 or min(map(min, rows)) < 0:
+        raise ValidationError("the oracle needs nonnegative weights and capacity")
+    costs, _, cost_scale = instance.integer_row(clean_terms(objective, instance))
+    data = dict(zip(instance.columns,
+                    zip((a for row in rows for a in row), costs)))
+    best = (0, 1, (), None, 0)  # the origin's: value, den, items, k, room
+    for items, total in patterns:
+        pairs = [data[ref] for ref in items]
+        whole = sum(c for _, c in pairs)
+        if total <= capacity:
+            if whole * best[1] > best[0]:
+                best = (whole, 1, items, None, 0)
+            continue
+        for k in range(len(pairs) - 1, -1, -1):
+            a, c = pairs[k]
+            room = capacity - total + a
+            if 0 < room < a:
+                value = (whole - c) * a + c * room
+                if value * best[1] > best[0] * a:
+                    best = (value, a, items, k, room)
+    num, den, items, k, room = best
+    entries = [(ref, _F1) for ref in items]
+    if k is not None:
+        entries[k] = (items[k], Fraction(room, den))
+    return Fraction(num, den * cost_scale), Point(entries)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ made in Fractions on first read, for a caller that shows them.
   Research 1979; Kellerer, Pferschy and Pisinger, *Knapsack Problems*,
   2004, ch. 11).  Per group, the upper concave hull of the origin and the
   free slots with a positive cost gives increments (weight step, cost
-  step) of falling efficiency; all groups' increments, in Dantzig's ratio
-  order, go to :func:`fill_knapsack`.  A group of one slot is its own
-  increment, so with every group a singleton this is Dantzig's rule.  The
+  step) of falling efficiency; all groups' increments are taken by
+  Dantzig's ratio rule, whole while they fit, then one part of the first
+  that does not.  A group of one slot is its own increment, so with every
+  group a singleton this is Dantzig's rule on the slots.  The
   duals are closed-form: the knapsack multiplier is the critical
   efficiency (that of the first increment not taken whole), or 0 when
   everything fits; a group row's multiplier is max(0, max_j c_j - ratio *
@@ -79,35 +80,6 @@ def _ratio_cmp(s, t):
     return t[2] * s[1] - s[2] * t[1]
 
 
-_ALL_FIT = (None, 1, 0)  # the critical item when every item fits: ratio 0
-
-
-def fill_knapsack(order, capacity):
-    """Dantzig's ratio rule for max c.x s.t. a.x <= capacity, 0 <= x <= 1,
-    the package's one fill: over single slots for the oracle's patterns,
-    over hull increments for the node LP.
-
-    ``order`` yields ``(key, a, c)`` integer triples in Dantzig's order
-    (see :class:`LpProblem`), and ``capacity`` is a nonnegative integer.
-    Returns ``(total, whole, critical, room)``: the profit of the items
-    taken whole, their keys, the first item ``(k, a_k, c_k)`` not taken
-    whole and the capacity left for it.  The optimum takes x_k = room / a_k
-    and is ``(total * a_k + c_k * room) / a_k``; c_k / a_k is the critical
-    ratio.  When every item fits, the critical item is ``(None, 1, 0)``
-    with no room.
-    """
-    total = 0
-    whole = []
-    for item in order:
-        a = item[1]
-        if a > capacity:
-            return total, whole, item, capacity
-        whole.append(item[0])
-        total += item[2]
-        capacity -= a
-    return total, whole, _ALL_FIT, 0
-
-
 class LpProblem:
     """LP relaxation data: instance variables, rows, objective, and their
     integer scaling.
@@ -126,15 +98,11 @@ class LpProblem:
     rhs, scale)`` per row, see ``Instance.integer_row``: the knapsack row,
     then a dense 0/1 group row with rhs 1 and scale 1 for each group of
     two or more slots, which ``rows`` leaves out, then the cut rows),
-    ``scale`` (the LCM of all these scales) and Dantzig's ``order``: the
-    ``(ref, weight, cost)`` triples with a positive cost, by ratio
-    cost/weight descending.  Ratios compare by integer cross-multiplication,
-    so weight 0 ranks first, and the stable sort keeps equal ratios in
-    variable order.
+    and ``scale``, the LCM of all these scales.
     """
 
     __slots__ = ("instance", "rows", "objective", "refs", "costs",
-                 "cost_scale", "scaled_rows", "scale", "order")
+                 "cost_scale", "scaled_rows", "scale")
 
     def __init__(self, instance: Instance, objective, extra_rows=()):
         self.objective = clean_terms(objective, instance)
@@ -157,9 +125,6 @@ class LpProblem:
                     ([0] * start + [1] * size + [0] * (n - start - size), 1, 1))
             start += size
         self.scale = lcm(self.cost_scale, weight_scale)
-        self.order = sorted(
-            (t for t in zip(refs, weights, self.costs) if t[2] > 0),
-            key=cmp_to_key(_ratio_cmp))
         for row in extra_rows:
             self._add_row(row)
 
@@ -263,8 +228,21 @@ def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
             hull.append((j, a, c))
         increments += [(j, a1 - a0, c1 - c0) for (_, a0, c0), (j, a1, c1)
                        in zip(hull, hull[1:])]
+    # Dantzig's ratio rule: take the increments whole, by efficiency, while
+    # they fit; the first that does not is the critical one, (k, a, c), and
+    # gets the room left.  When all fit, it is (None, 1, 0) with no room.
     increments.sort(key=cmp_to_key(_ratio_cmp))
-    total, whole, (k, a, c), room = fill_knapsack(increments, capacity)
+    total, whole, room = 0, [], capacity
+    k, a, c = None, 1, 0
+    for j, step, gain in increments:
+        if step > room:
+            k, a, c = j, step, gain
+            break
+        whole.append(j)
+        total += gain
+        room -= step
+    else:
+        room = 0
     # Each group sits at the end of its last whole increment, x = 1; the
     # critical increment moves its group room / a of the way on, times D.
     at = {refs[j].group: j for j in whole}

@@ -637,11 +637,10 @@ def reference_integer_row(instance, terms, rhs=0):
 
 
 def reference_lp_data(instance, objective, rows=()):
-    """``(costs, cost_scale, scaled_rows, scale, order)`` of
+    """``(costs, cost_scale, scaled_rows, scale)`` of
     ``LpProblem(instance, objective, rows)``, scaled in Fractions: the
-    knapsack row first, then the group rows and the cut rows, the scale
-    the LCM of every row's and the costs' scales, and Dantzig's order by
-    Fraction ratio, weight 0 first and ties in variable order."""
+    knapsack row first, then the group rows and the cut rows, and the scale
+    the LCM of every row's and the costs' scales."""
     refs = instance.refs()
     costs, _, cost_scale = reference_integer_row(instance, objective.items())
     knapsack = [(ref, instance.weight(ref)) for ref in refs]
@@ -652,13 +651,7 @@ def reference_lp_data(instance, objective, rows=()):
     # the LCM of the scales is the least L making every 1 / scale * L whole
     scale, _ = reference_integer_form(
         [Fraction(1, s) for s in [cost_scale] + [r[2] for r in scaled_rows]])
-    weights = scaled_rows[0][0]
-    ratios = {ref: (0, 0) if not a else (1, -objective[ref] / a)
-              for ref, a in knapsack if objective.get(ref, 0) > 0}
-    order = [(ref, weights[j], costs[j]) for j, ref in enumerate(refs)
-             if ref in ratios]
-    order.sort(key=lambda t: ratios[t[0]])  # stable: ties in variable order
-    return costs, cost_scale, scaled_rows, scale, order
+    return costs, cost_scale, scaled_rows, scale
 
 
 @pytest.fixture

@@ -389,12 +389,12 @@ def test_repeated_lines_are_refused(files, tmp_path, capsys):
     ineq.write_text("ineq 1\nrhs 3\nterm 1 1 0\nterm 1 1 5\n")
     point = tmp_path / "twice.point"
     point.write_text("point 1\nval 3 1 1/7\nval 3 1 0\n")
-    for argv in (("verify", files["ex_a.ckp"], str(ineq)),
-                 ("separate", files["ex_c.ckp"], str(point), "--exact",
-                  "--family", "all")):
+    for argv, line in ((("verify", files["ex_a.ckp"], str(ineq)), 4),
+                       (("separate", files["ex_c.ckp"], str(point), "--exact",
+                         "--family", "all"), 3)):
         code, out = run(capsys, *argv)
-        assert code == 2
-        assert "given twice" in out
+        assert code == 1
+        assert "line %d: " % line in out and "given twice" in out
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -58,6 +58,16 @@ def test_big_integer_capacity_survives(cap):
         ("ckp 1\nb 1\ngrp 1 a 1 c 1\n", "line 3"),
         ("ckp 1\nb 1\ngroup 2 a 1 c 1\n", "line 3"),
         ("ckp 1\nb 1\ngroup 0 a c\n", "line 3"),
+        # numbers are ASCII 0-9: int() and \d would take these as 10, 3, 2
+        ("ckp 1\nb ١٠\ngroup 1 a 1 c 1\n", "line 2"),
+        ("ckp 1\nb 5\ngroup 1 a ３ c 1\n", "line 3"),
+        ("ckp 1\nb 5\ngroup ２ a 2 1 c 1 1\n", "line 3"),
+        ("ckp 1\nb 5\ngroup +2 a 2 1 c 1 1\n", "line 3"),
+        ("ckp 1\nb 5\ngroup 0_2 a 2 1 c 1 1\n", "line 3"),
+        ("ckp 1\nb 5\ngroup 2/1 a 2 1 c 1 1\n", "line 3"),
+        # past int()'s digit limit, which raises ValueError
+        pytest.param("ckp 1\nb %s\ngroup 1 a 1 c 1\n" % ("1" * 5000), "line 2",
+                     id="5000-digit capacity"),
         ("ckp 1\nb 1\n", "no groups"),
     ],
 )
@@ -99,6 +109,28 @@ def test_point_header_error():
     with pytest.raises(FormatError) as err:
         parse_point("pt 1\n")
     assert "point 1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parse,text,line",
+    [
+        # indices are ASCII 0-9 too, as in instance files
+        (parse_inequality, "ineq 1\nrhs 5\nterm 1_0 1 5\n", 3),
+        (parse_inequality, "ineq 1\nrhs 5\nterm 1 +1 5\n", 3),
+        (parse_point, "point 1\nval 1 ١ 1\n", 2),
+        pytest.param(parse_inequality,
+                     "ineq 1\nrhs 5\nterm %s 1 5\n" % ("1" * 5000), 3,
+                     id="5000-digit index"),
+        # a variable given twice, or a value outside [0, 1], names its line
+        (parse_inequality, "ineq 1\nrhs 3\nterm 1 1 0\nterm 1 1 5\n", 4),
+        (parse_point, "point 1\nval 3 1 1/7\n\nval 3 1 0\n", 4),
+        (parse_point, "point 1\nval 1 1 1\nval 2 1 3/2\n", 3),
+        (parse_point, "point 1\nval 1 1 -1/2\n", 2),
+    ],
+)
+def test_bad_lines_name_their_line(parse, text, line):
+    with pytest.raises(FormatError, match="^line %d: " % line):
+        parse(text)
 
 
 def test_serialization_is_stable(rng):

@@ -95,6 +95,35 @@ def test_one_integer_scaling():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def simplex_imports(source):
+    """Lines of imports from the ``simplex`` module, relative or absolute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.rpartition(".")[2] == "simplex" for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_flags_a_simplex_import():
+    source = ("from .simplex import LpProblem\nfrom . import simplex\n"
+              "import ckp.simplex\nfrom ckp.simplex import solve_lp\n"
+              "from .model import Point\nimport simplicity\n")
+    assert simplex_imports(source) == [1, 2, 3, 4]
+
+
+def test_oracle_shares_no_code_with_the_lp():
+    # the oracle is the ground truth the node LP is checked against, so it
+    # computes its maxima without the LP's code
+    source = (ROOT / "src" / "ckp" / "oracle.py").read_text()
+    assert simplex_imports(source) == []
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp

@@ -68,6 +68,20 @@ def test_instance_values_are_exact():
     assert Instance((group,), "7/2").capacity == Fraction(7, 2)
 
 
+def test_bools_are_not_rationals():
+    # bool is an int subclass, so True would be taken as 1: a caller that
+    # passes one has most likely passed a comparison by mistake
+    for value in (True, False):
+        for build in (lambda v: Instance.build([((v, 2), (1, 1))], 3),
+                      lambda v: Instance.build([((2,), (v,))], 3),
+                      lambda v: Instance.build([((2,), (1,))], v),
+                      lambda v: LinearInequality({(1, 1): v}, 1),
+                      lambda v: LinearInequality({(1, 1): 1}, v),
+                      lambda v: Point({(1, 1): v})):
+            with pytest.raises(ValidationError, match="not a rational"):
+                build(value)
+
+
 def test_a_variable_is_given_once():
     # refused even when one of its values is 0, which would be dropped and
     # leave the other standing

@@ -23,7 +23,13 @@ class TestParseRational:
         assert parse_rational("7/2") == Fraction(7, 2)
         assert parse_rational("-10/4") == Fraction(-5, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "a/b", "3 / 4", "++1"])
+    # the grammar's digits are ASCII 0-9, which int() would also take as
+    # Unicode digits; and int() refuses more than 4300 with a ValueError
+    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "a/b", "3 / 4", "++1",
+                                     "\u0661\u0660", "\uff13", "1/\uff12",
+                                     "-\u0663",
+                                     pytest.param("1" * 5000, id="long p"),
+                                     pytest.param("1/" + "7" * 5000, id="long q")])
     def test_rejects_garbage(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)

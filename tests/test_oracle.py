@@ -313,6 +313,23 @@ def test_validity_rejects_unknown_refs(ex_a):
         oracle.check_validity(ex_a, LinearInequality([(VarRef(8, 1), 1)], 0))
 
 
+@pytest.mark.parametrize("weights,capacity", [([(3, -1), (2,)], 4),
+                                              ([(3, 1), (2,)], -1)],
+                         ids=["negative weight", "negative capacity"])
+@pytest.mark.parametrize("query", [
+    lambda inst, limit: oracle.maximize_over_S(inst, {VarRef(1, 1): 1}, limit),
+    lambda inst, limit: oracle.check_validity(
+        inst, LinearInequality([(VarRef(1, 1), 1)], 1), limit),
+], ids=["maximize_over_S", "check_validity"])
+def test_oracle_needs_nonnegative_data(weights, capacity, query):
+    # the origin must lie in S; the enumeration guard still comes first
+    inst = make_instance(weights, capacity)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        query(inst, None)
+    with pytest.raises(ResourceLimitError):
+        query(inst, oracle.pattern_count(inst) - 1)
+
+
 # --- face dimensions ---
 
 def test_knapsack_row_is_a_facet_here(ex_a, ex_b, ex_c):

@@ -506,8 +506,8 @@ def test_integer_node_lp_matches_fraction_reference():
 
 
 def test_scaled_data_matches_fraction_reference():
-    """costs, cost_scale, scaled_rows, scale and order equal the data scaled
-    in Fractions, on rational and zero weights, negative objective values,
+    """costs, cost_scale, scaled_rows and scale equal the data scaled in
+    Fractions, on rational and zero weights, negative objective values,
     large coprime objective denominators and 0-3 builder cut rows."""
     rng = random.Random(7411)
     seen = {"cuts": 0, "negative": 0, "zero weight": 0, "large": 0}
@@ -522,8 +522,7 @@ def test_scaled_data_matches_fraction_reference():
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
         problem = LpProblem(inst, objective, rows)
         assert (problem.costs, problem.cost_scale, problem.scaled_rows,
-                problem.scale, problem.order) == reference_lp_data(
-                    inst, objective, rows)
+                problem.scale) == reference_lp_data(inst, objective, rows)
         seen["cuts"] += bool(rows)
         seen["negative"] += any(c < 0 for c in objective.values())
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
