@@ -18,26 +18,31 @@ Families (short names used everywhere, including the CLI):
 
 The three pack families are one inequality: ``pack2`` is ``pack1``
 pivoted on one item and ``pack3`` is ``pack2`` tilted toward one singleton,
-so all three are built by one routine.
+so all three have one integer form.
 
 Each generator checks its mathematical preconditions, among them that
 every group keeps its slots by non-increasing weight, and raises
 PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
 the relevant theorem's sufficient condition holds on the instance.
 
-Next to each builder sits its closed form: the member's violation at one
-point, computed from the point's per-group support (:class:`PointSupport`)
-without building the cut.  The support reads the point in its integer
-form, X = x * D (``Point.scaled``, or the node LP's ``LpSolution.scaled``
-as the simplex made it), next to the instance's integer units of the
-weights and capacity, so each closed form sums integers and makes one
-Fraction at the end.  :func:`family_scores` defines which members an
-item set gives, tests their preconditions in integer units and scores
-each; :func:`build_member` builds one member from its provenance key.
-Exact and greedy separation score every member and build only the winner;
-``ckp cuts`` lists the members and builds each.  Both take their item sets
-from :func:`ckp.oracle.walk_patterns`, each with its weight in the
-instance's integer units, which are the units of :class:`PointSupport`.
+Each family's inequality is written once, as an integer form ``(den,
+rhs, rows)`` over the instance's integer units of the weights and
+capacity (:attr:`Instance.units`): ``rows`` maps each group i of the item
+set to its coefficients by slot, and the coefficients and ``rhs`` are the
+cut's times scale * den.  There is one form for the three pack families,
+one for ``lcover1`` and one for ``lcover2``.  A builder tests its
+preconditions in those units and turns the form into its
+LinearInequality.  :func:`family_scores` defines which members an item
+set gives, tests their preconditions in integer units and scores each
+member's form at one point, from the point's per-group support
+(:class:`PointSupport`) in its integer form X = x * D (``Point.scaled``,
+or the node LP's ``LpSolution.scaled`` as the simplex made it), as an
+integer pair ``(num, den)``; :func:`build_member` builds one member from
+its provenance key.  Exact and greedy separation score every member and build
+only the winner; ``ckp cuts`` lists the members and builds each.  Both
+take their item sets from :func:`ckp.oracle.walk_patterns`, each with its
+weight in the instance's integer units, which are the units of
+:class:`PointSupport`.
 :func:`is_switching` is the one maximal-switching test.
 """
 
@@ -46,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import prod
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -54,8 +60,6 @@ from .oracle import resolve_enum_limit
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
-
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -142,20 +146,12 @@ class GeneratedCut:
         return "; ".join(parts)
 
 
-def _checked(instance: Instance, itemset: ItemSet) -> ItemSet:
-    for ref in itemset:
-        instance.check_ref(ref)
-    return itemset
-
-
 def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
     """Last-slot pack whose every non-singleton swap overshoots the capacity."""
-    _checked(instance, itemset)
-    _, units, capacity = _sorted_units(instance)
-    if any(ref.slot != instance.slots(ref.group) for ref in itemset):
+    _, rows, capacity, s = _weighed(instance, itemset)
+    if any(j != len(rows[i - 1]) for i, j in itemset):
         return False
-    tails = [units[i - 1] for i in itemset.groups()]
-    return is_switching(tails, capacity - sum(u[-1] for u in tails))
+    return is_switching([rows[i - 1] for i in itemset.groups()], capacity - s)
 
 
 def is_switching(tails, slack) -> bool:
@@ -176,8 +172,18 @@ def _sorted_units(instance: Instance):
     return instance.units
 
 
+def _weighed(instance: Instance, itemset: ItemSet):
+    """``(scale, rows, capacity, s)``: the instance's integer units and the
+    item set's weight s in them, once its references are checked and the
+    instance is known to be normalized."""
+    for ref in itemset:
+        instance.check_ref(ref)
+    scale, rows, capacity = _sorted_units(instance)
+    return scale, rows, capacity, sum(rows[i - 1][j - 1] for i, j in itemset)
+
+
 class PointSupport:
-    """One point's positive entries, grouped for the closed-form violations,
+    """One point's positive entries, grouped for scoring the integer forms,
     and the instance's weights, all in integer units.
 
     Weights and the capacity come scaled by ``scale`` (see
@@ -185,18 +191,18 @@ class PointSupport:
     item set's weight and every precondition compare exact integers.  The
     point is read in its integer form ``point.scaled = (D, ((ref, X),
     ...))`` (a ``model.Point`` or a ``simplex.LpSolution``), with D as
-    ``point_scale``, so each x is the integer X = x * D (``x`` maps each
-    positive variable to its X).  Per group i (list index i - 1):
-    ``entries`` as ``(slot, U, X)`` for the point's positive variables; and
-    ``mass``, sum U * X, which is W_i = sum_j a_ij x_ij times scale * D.
-    The instance must be normalized; every reference of the point is
-    looked up in ``Instance.columns``, as the integer lists are indexed by
-    it.  M_0 and the normalized flag are cached on the instance, so only
-    the point's own work is done per support.
+    ``point_scale``, so each x is the integer X = x * D.  Per group i (list
+    index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
+    variables; and ``mass``, sum U * X over them with U the slot's weight
+    in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
+    must be normalized; every reference of the point is looked up in
+    ``Instance.columns``, as the integer lists are indexed by it.  M_0 and
+    the normalized flag are cached on the instance, so only the point's
+    own work is done per support.
     """
 
     __slots__ = ("m0", "scale", "units", "capacity_units", "point_scale",
-                 "entries", "mass", "x")
+                 "entries", "mass")
 
     def __init__(self, instance: Instance, point):
         self.m0 = instance.singleton_groups()
@@ -205,14 +211,15 @@ class PointSupport:
         self.point_scale, scaled = point.scaled
         columns = instance.columns
         entries = [[] for _ in units]
+        mass = [0] * len(units)
         for ref, x in scaled:
             if ref not in columns:
                 raise ValidationError("variable out of range: %s" % (ref,))
-            entries[ref.group - 1].append(
-                (ref.slot, units[ref.group - 1][ref.slot - 1], x))
-        self.x = dict(scaled)
+            i = ref.group - 1
+            entries[i].append((ref.slot, x))
+            mass[i] += units[i][ref.slot - 1] * x
         self.entries = [tuple(e) for e in entries]
-        self.mass = [sum(u * x for _, u, x in e) for e in entries]
+        self.mass = mass
 
     def units_of(self, items) -> int:
         """The weight of an item tuple, in integer units."""
@@ -223,123 +230,165 @@ def _as_ref(ref) -> VarRef:
     return ref if isinstance(ref, VarRef) else VarRef(*ref)
 
 
-def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
-              tilt_group: Optional[int] = None) -> LinearInequality:
-    """The pack cut, optionally pivoted (pack2) and then tilted (pack3).
+def _pack_form(rows, capacity, pack, slack, pivot=None, tilt_group=None):
+    """The pack cut, optionally pivoted (pack2) and then tilted (pack3),
+    for a pack whose slack b - s > 0 is ``slack``, as an integer form (see
+    the module docstring).
 
     Every pack group's variables start at their weights.  A pivot's group
-    gets a_pivot * max(1, a / (a_pivot + slack)); a tilt shrinks the
-    singleton's coefficient to a_pivot * a_tilt / (a_pivot + slack) and
-    scales the slack by 1 + a_tilt / (a_pivot + slack).  The scaled slack
-    goes to each non-singleton pack item outside the pivot group (the
-    *receivers*), and the rhs is b + (receivers - 1) * scaled slack.
+    gets a_pivot * max(1, a / den), with den = a_pivot + slack; a tilt
+    shrinks the singleton's coefficient to a_pivot * a_tilt / den and
+    scales the slack by 1 + a_tilt / den.  The scaled slack goes to each
+    non-singleton pack item outside the pivot group (the *receivers*), and
+    the rhs is b + (receivers - 1) * scaled slack.  Without a pivot, den
+    is 1.
     """
-    _checked(instance, pack)
-    _sorted_units(instance)
-    b = instance.capacity
-    s = pack.weight(instance)
-    if s >= b:
-        raise PreconditionError("not a pack: weight %s >= capacity %s" % (s, b))
-    m0 = instance.singleton_groups()
-    free = [i for i in pack.groups() if i not in m0]  # M_P - M_0
-    slack = b - s
-    grown = slack
+    den, grown = 1, slack  # grown: the scaled slack, times den
     if pivot is not None:
+        a_pivot = rows[pivot.group - 1][-1]
+        den = a_pivot + slack
+        grown = slack * den
+        if tilt_group is not None:
+            grown += slack * rows[tilt_group - 1][0]
+    coeffs = {}
+    receivers = 0
+    for i, j in pack:
+        row = rows[i - 1]
+        if pivot is not None and i == pivot.group:
+            row = [a_pivot * max(a, den) for a in row]
+        elif i == tilt_group:
+            row = [a_pivot * row[0]]
+        else:
+            row = [a * den for a in row]
+            if len(row) > 1:
+                row[j - 1] += grown
+                receivers += 1
+        coeffs[i] = row
+    return den, capacity * den + (receivers - 1) * grown, coeffs
+
+
+def _lcover1_form(rows, capacity, cover, over):
+    """The lcover1 cut for a cover whose excess s - b > 0 is ``over``:
+    each cover group keeps a_r on the slots above its chosen slot r and
+    max(a, a_r - over) from r on, where a_r - over is b minus the other
+    chosen items' weight."""
+    coeffs = {}
+    for i, r in cover:
+        row = rows[i - 1]
+        a_r = row[r - 1]
+        coeffs[i] = [a_r if j < r else max(a, a_r - over)
+                     for j, a in enumerate(row, start=1)]
+    return 1, capacity, coeffs
+
+
+def _lcover2_form(rows, capacity, cover, over, special):
+    """The lcover2 cut for a cover whose excess s - b > 0 is ``over`` and
+    whose ``special`` item meets the lifting condition.
+
+    With rest the weight of the other cover items, the special group gets
+    max(a, b - rest), where b - rest = a_special - over.  Each other cover
+    group, chosen slot t, gets a_t * max(1, a / d) on its slots j <= t,
+    with d = b - (rest - a_t) - a_last > 0, and its weights after t; den
+    is the product of the groups' d.
+    """
+    a_last = rows[special.group - 1][-1]
+    floor = rows[special.group - 1][special.slot - 1] - over  # b - rest
+    dens = {i: floor + rows[i - 1][t - 1] - a_last
+            for i, t in cover if i != special.group}
+    den = prod(dens.values())
+    coeffs = {}
+    for i, t in cover:
+        row = rows[i - 1]
+        if i == special.group:
+            coeffs[i] = [max(a, floor) * den for a in row]
+            continue
+        d = dens[i]
+        lifted = row[t - 1] * (den // d)  # a_t * den / d
+        coeffs[i] = [lifted * max(a, d) if j <= t else a * den
+                     for j, a in enumerate(row, start=1)]
+    return den, capacity * den, coeffs
+
+
+def _inequality(scale, form) -> LinearInequality:
+    """The LinearInequality of an integer form: the only Fractions a
+    builder makes."""
+    den, rhs, coeffs = form
+    unit = scale * den
+    return LinearInequality(
+        [(VarRef(i, j), Fraction(c, unit)) for i, row in coeffs.items()
+         for j, c in enumerate(row, start=1)],
+        Fraction(rhs, unit))
+
+
+def _score(sup: PointSupport, form):
+    """An integer form's violation at the point ``sup`` was built from, as
+    ``(num, den)`` with den > 0: lhs - rhs = num / den, summed in integers
+    over the point's support."""
+    den, rhs, coeffs = form
+    d = sup.point_scale
+    entries = sup.entries
+    lhs = -rhs * d
+    for i, row in coeffs.items():
+        for j, x in entries[i - 1]:
+            lhs += row[j - 1] * x
+    return lhs, sup.scale * den * d
+
+
+def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
+              tilt_group: Optional[int] = None) -> LinearInequality:
+    """The pack cut of :func:`_pack_form`, its preconditions checked in
+    integer units."""
+    scale, rows, capacity, s = _weighed(instance, pack)
+    if s >= capacity:
+        raise PreconditionError("not a pack: weight %s >= capacity %s"
+                                % (Fraction(s, scale), instance.capacity))
+    if pivot is not None:
+        free = [i for i in pack.groups() if len(rows[i - 1]) > 1]  # M_P - M_0
         if len(free) < 2:
             raise PreconditionError(
                 "need at least two non-singleton pack groups, have %d" % len(free))
         if pivot not in pack:
             raise PreconditionError("pivot %s is not a pack item" % (pivot,))
-        if pivot.group in m0:
+        if pivot.group not in free:
             raise PreconditionError("pivot group %d is a singleton" % pivot.group)
-        if pivot.slot != instance.slots(pivot.group):
+        if pivot.slot != len(rows[pivot.group - 1]):
             raise PreconditionError(
                 "pivot %s is not its group's last slot" % (pivot,))
-        a_pivot = instance.weight(pivot)
-        denom = a_pivot + slack
-        if tilt_group is not None:
-            if tilt_group not in m0 or tilt_group not in set(pack.groups()):
-                raise PreconditionError(
-                    "tilt group %d is not a singleton pack group" % tilt_group)
-            grown = slack * (1 + instance.weight(VarRef(tilt_group, 1)) / denom)
-    coeffs = {}
-    for i in pack.groups():
-        weights = instance.group(i).weights
-        if pivot is not None and i == pivot.group:
-            # a_pivot * max(1, a / denom), as denom > 0 for nonnegative weights
-            weights = [a_pivot * a / denom if a > denom else a_pivot
-                       for a in weights]
-        elif i == tilt_group:
-            weights = [a_pivot * weights[0] / denom]
-        for j, a in enumerate(weights, start=1):
-            coeffs[VarRef(i, j)] = a
-    receivers = [i for i in free if pivot is None or i != pivot.group]
-    for ref in pack:
-        if ref.group in receivers:
-            coeffs[ref] += grown
-    return LinearInequality(coeffs, b + (len(receivers) - 1) * grown)
+        if tilt_group is not None and (tilt_group not in pack.groups()
+                                       or tilt_group in free):
+            raise PreconditionError(
+                "tilt group %d is not a singleton pack group" % tilt_group)
+    form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt_group)
+    return _inequality(scale, form)
 
 
 def _pack_scores(sup: PointSupport, pack, slack, families):
-    """``(violation, provenance key)`` of each member of the pack
+    """``((num, den), provenance key)`` of each member of the pack
     ``families`` that ``pack`` (slack b - s > 0, in units) gives, in the
-    order of :func:`family_scores`: the closed form of :func:`_pack_cut` at
-    the point.
-
-    Each violation is  sum_{i in P} W_i - b + grown * (X - r + 1)  with X
-    the summed values of the r receivers, after the pivot group's and the
-    tilt variable's masses are taken under their replaced coefficients.
-    It is summed in integers, times scale * D (see :class:`PointSupport`),
-    and pack2 and pack3 also times den = a_pivot + slack in units, the
-    denominator of the pivot group's coefficients a_pivot * max(a, den) /
-    den and of the tilt's factor; each violation is then one Fraction.
-    pack2 and pack3 need two non-singleton pack groups and a last-slot
-    pivot; the shared sums are formed once per pack.
-    """
+    order of :func:`family_scores`.  pack2 and pack3 need two non-singleton
+    pack groups and a last-slot pivot."""
+    rows, capacity = sup.units, sup.capacity_units
     rank = FAMILY_RANK
-    d = sup.point_scale
-    x = sup.x
-    unit = sup.scale * d
-    lhs = -sup.capacity_units * d  # the pack groups' masses, less b
-    free = []
-    singles = []
-    received = 0
-    for ref in pack:
-        lhs += sup.mass[ref.group - 1]
-        if ref.group in sup.m0:
-            singles.append(ref)
-        else:
-            free.append(ref)
-            received += x.get(ref, 0)
     if "pack1" in families:
-        yield (Fraction(lhs + slack * (received - (len(free) - 1) * d), unit),
+        yield (_score(sup, _pack_form(rows, capacity, pack, slack)),
                (pack, rank["pack1"], ()))
-    if len(free) < 2 or ("pack2" not in families and "pack3" not in families):
+    if "pack2" not in families and "pack3" not in families:
         return
+    free = [ref for ref in pack if len(rows[ref.group - 1]) > 1]
+    if len(free) < 2:
+        return
+    singles = [ref.group for ref in pack if len(rows[ref.group - 1]) == 1]
     for pivot in free:
-        units = sup.units[pivot.group - 1]
-        if pivot.slot != len(units):
+        if pivot.slot != len(rows[pivot.group - 1]):
             continue
-        a_pivot = units[-1]
-        den = a_pivot + slack
-        pivoted = ((lhs - sup.mass[pivot.group - 1]) * den
-                   + a_pivot * sum(max(a, den) * xa for _, a, xa
-                                   in sup.entries[pivot.group - 1]))
-        # X - r + 1 over the receivers, which exclude the pivot's group
-        spread = received - x.get(pivot, 0) - (len(free) - 2) * d
         if "pack2" in families:
-            yield (Fraction(pivoted + slack * den * spread, unit * den),
-                   (pack, rank["pack2"], (pivot.group,)))
-        if "pack3" not in families:
-            continue
-        for tilt in singles:
-            # grown = slack * (den + a_tilt) / den, and a_tilt * x becomes
-            # a_pivot * a_tilt / den * x, which is slack * a_tilt / den less
-            a_tilt = sup.units[tilt.group - 1][0]
-            tilted = pivoted + slack * ((den + a_tilt) * spread
-                                        - a_tilt * x.get(tilt, 0))
-            yield (Fraction(tilted, unit * den),
-                   (pack, rank["pack3"], (pivot.group, tilt.group)))
+            form = _pack_form(rows, capacity, pack, slack, pivot)
+            yield _score(sup, form), (pack, rank["pack2"], (pivot.group,))
+        if "pack3" in families:
+            for tilt in singles:
+                form = _pack_form(rows, capacity, pack, slack, pivot, tilt)
+                yield (_score(sup, form),
+                       (pack, rank["pack3"], (pivot.group, tilt)))
 
 
 def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
@@ -379,44 +428,26 @@ def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
                         facet_guaranteed=facet, pivot=pivot, tilt_group=tilt_group)
 
 
+def _cover_units(instance: Instance, cover: ItemSet):
+    """``(scale, rows, capacity, over)``, as :func:`_weighed` gives them
+    but with the cover's excess s - b, which must be positive."""
+    scale, rows, capacity, s = _weighed(instance, cover)
+    if s <= capacity:
+        raise PreconditionError("not a cover: weight %s <= capacity %s"
+                                % (Fraction(s, scale), instance.capacity))
+    return scale, rows, capacity, s - capacity
+
+
 def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
-    _checked(instance, cover)
-    _, units, capacity = _sorted_units(instance)
-    b = instance.capacity
-    s = cover.weight(instance)
-    if s <= b:
-        raise PreconditionError("not a cover: weight %s <= capacity %s" % (s, b))
-    over = sum(units[ref.group - 1][ref.slot - 1] for ref in cover) - capacity
-    if not any(_lifts(units[ref.group - 1], ref.slot, over) for ref in cover):
+    scale, rows, capacity, over = _cover_units(instance, cover)
+    if not any(_lifts(rows[i - 1], r, over) for i, r in cover):
         raise PreconditionError("lifting condition violated: no slot below any "
                                 "chosen item keeps the rest under capacity")
-    coeffs = {}
-    for ref in cover.items:
-        g = instance.group(ref.group)
-        a_r = g.weights[ref.slot - 1]
-        floor = b - (s - a_r)  # b minus the other chosen items' weight
-        for j in range(1, g.size + 1):
-            if j < ref.slot:
-                coeffs[VarRef(ref.group, j)] = a_r
-            else:
-                coeffs[VarRef(ref.group, j)] = max(g.weights[j - 1], floor)
-    facet = all(ref.slot == 1 for ref in cover.items)
-    return GeneratedCut("lcover1", LinearInequality(coeffs, b), cover,
+    form = _lcover1_form(rows, capacity, cover, over)
+    facet = all(ref.slot == 1 for ref in cover)
+    return GeneratedCut("lcover1", _inequality(scale, form), cover,
                         facet_guaranteed=facet)
-
-
-def _lcover1_violation(sup: PointSupport, cover, excess):
-    """The lcover1 cut's violation at the point, for a cover with excess
-    s - b (in units) that meets the lifting condition; summed in integers
-    times scale * D."""
-    lhs = -sup.capacity_units * sup.point_scale
-    for ref in cover:
-        a_r = sup.units[ref.group - 1][ref.slot - 1]
-        floor = a_r - excess  # b minus the other chosen items' weight
-        for j, a, x in sup.entries[ref.group - 1]:
-            lhs += (a_r if j < ref.slot else max(a, floor)) * x
-    return Fraction(lhs, sup.scale * sup.point_scale)
 
 
 def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
@@ -426,78 +457,22 @@ def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
     The special item must not sit on its group's last slot; the remaining
     cover items (slots t_i) are lifted within their groups."""
     special = _as_ref(special)
-    _checked(instance, cover)
-    _sorted_units(instance)
-    b = instance.capacity
-    s = cover.weight(instance)
-    if s <= b:
-        raise PreconditionError("not a cover: weight %s <= capacity %s" % (s, b))
+    scale, rows, capacity, over = _cover_units(instance, cover)
     if special not in cover:
         raise PreconditionError("special item %s is not in the cover" % (special,))
-    n_special = instance.slots(special.group)
-    if special.slot >= n_special:
+    row = rows[special.group - 1]
+    if special.slot >= len(row):
         raise PreconditionError("special item must sit above its group's last slot")
-    g_special = instance.group(special.group)
-    a_last = g_special.weights[n_special - 1]
-    rest = sum((instance.weight(ref) for ref in cover if ref.group != special.group),
-               Fraction(0))
-    if rest + a_last >= b:
+    rest = capacity + over - row[special.slot - 1]
+    if rest + row[-1] >= capacity:
         raise PreconditionError(
-            "lifting condition violated: %s + %s >= %s" % (rest, a_last, b))
-    coeffs = {}
-    floor = b - rest
-    for j in range(1, n_special + 1):
-        coeffs[VarRef(special.group, j)] = max(g_special.weights[j - 1], floor)
-    for ref in cover:
-        if ref.group == special.group:
-            continue
-        g = instance.group(ref.group)
-        a_t = g.weights[ref.slot - 1]
-        denom = b - (rest - a_t) - a_last
-        for j in range(1, g.size + 1):
-            if j <= ref.slot:
-                coeffs[VarRef(ref.group, j)] = a_t * max(_F1, g.weights[j - 1] / denom)
-            else:
-                coeffs[VarRef(ref.group, j)] = g.weights[j - 1]
-    facet = all(ref.slot == instance.slots(ref.group)
+            "lifting condition violated: %s + %s >= %s"
+            % (Fraction(rest, scale), Fraction(row[-1], scale), instance.capacity))
+    form = _lcover2_form(rows, capacity, cover, over, special)
+    facet = all(ref.slot == len(rows[ref.group - 1])
                 for ref in cover if ref.group != special.group)
-    return GeneratedCut("lcover2", LinearInequality(coeffs, b), cover,
+    return GeneratedCut("lcover2", _inequality(scale, form), cover,
                         facet_guaranteed=facet, special=special)
-
-
-def _lcover2_violation(sup: PointSupport, cover, excess, special):
-    """The lcover2 cut's violation at the point, for a cover with excess
-    s - b (in units) whose special item meets the lifting condition.  With
-    rest the weight of the other cover items, b - rest = a_special - excess.
-
-    Summed in integers times scale * D: the lifted slots j <= t of each
-    other cover group have coefficients a_t * max(a, den) / den, with
-    den = b - (rest - a_t) - a_last, so their part is kept as one fraction
-    ``lifted / dens`` over the product of the groups' dens.
-    """
-    units = sup.units[special.group - 1]
-    a_last = units[-1]
-    floor = units[special.slot - 1] - excess  # b - rest
-    whole = -sup.capacity_units * sup.point_scale
-    lifted, dens = 0, 1
-    for ref in cover:
-        entries = sup.entries[ref.group - 1]
-        if ref.group == special.group:
-            for _, a, x in entries:
-                whole += max(a, floor) * x
-            continue
-        a_t = sup.units[ref.group - 1][ref.slot - 1]
-        den = floor + a_t - a_last  # b - (rest - a_t) - a_last
-        part = 0
-        for j, a, x in entries:
-            if j <= ref.slot:
-                part += max(a, den) * x
-            else:
-                whole += a * x
-        if part:
-            lifted = lifted * den + a_t * part * dens
-            dens *= den
-    return Fraction(lifted + whole * dens, sup.scale * sup.point_scale * dens)
 
 
 def _lifts(row, slot, over) -> bool:
@@ -507,10 +482,11 @@ def _lifts(row, slot, over) -> bool:
 
 
 def family_scores(sup: PointSupport, items, units, families):
-    """``(violation, provenance key)`` of every member of ``families`` that
-    the item set ``items`` (a sorted tuple of VarRefs whose weight is
-    ``units`` / ``sup.scale``) gives, each scored in closed form at the
-    point ``sup`` was built from.
+    """``((num, den), provenance key)`` of every member of ``families``
+    that the item set ``items`` (a sorted tuple of VarRefs whose weight is
+    ``units`` / ``sup.scale``) gives: the member's violation num / den,
+    den > 0, at the point ``sup`` was built from, scored on the member's
+    integer form with nothing built.
 
     This is the library's one list of members.  In order: ``pack1`` once;
     ``pack2`` once per non-singleton last-slot pivot and ``pack3`` once
@@ -526,19 +502,20 @@ def family_scores(sup: PointSupport, items, units, families):
     member whose condition fails is not listed, so each listed member's
     builder succeeds.
     """
-    over = units - sup.capacity_units
+    rows, capacity = sup.units, sup.capacity_units
+    over = units - capacity
     if over < 0:
-        if "pack1" in families or "pack2" in families or "pack3" in families:
-            yield from _pack_scores(sup, items, -over, families)
+        yield from _pack_scores(sup, items, -over, families)
     elif over > 0 and ("lcover1" in families or "lcover2" in families):
         specials = [ref for ref in items
-                    if _lifts(sup.units[ref.group - 1], ref.slot, over)]
+                    if _lifts(rows[ref.group - 1], ref.slot, over)]
         if specials and "lcover1" in families:
-            yield (_lcover1_violation(sup, items, over),
+            yield (_score(sup, _lcover1_form(rows, capacity, items, over)),
                    (items, FAMILY_RANK["lcover1"], ()))
         if "lcover2" in families:
             for special in specials:
-                yield (_lcover2_violation(sup, items, over, special),
+                form = _lcover2_form(rows, capacity, items, over, special)
+                yield (_score(sup, form),
                        (items, FAMILY_RANK["lcover2"], (special.group,)))
 
 

@@ -13,8 +13,10 @@ from .numeric import format_rational, parse_rational
 
 
 def _logical_lines(text: str):
-    """(line_number, tokens) for every non-blank, non-comment line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line_number, tokens) for every non-blank, non-comment line.  Lines
+    end at ``\n`` alone, as an editor counts them; ``strip`` drops a
+    ``\r`` before it."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()

@@ -9,13 +9,15 @@ weights and capacity scaled by their own LCM), then share one select
 routine over item sets, each given with its weight in integer units:
 
 * score: each family member whose precondition holds gets its violation
-  in closed form, summed in integers over the support
-  (:func:`cuts.family_scores`), with nothing built;
-* build one: the winner, the maximum violation with ties broken toward the
-  lexicographically smallest provenance key (item set, then family, then
-  auxiliary indices), is built by its public builder, and its built
-  violation at the same point (``model.lhs_at`` on the integer form) must
-  equal its score.
+  as an integer pair ``(num, den)``, its integer form summed over the
+  support (:func:`cuts.family_scores`), with nothing built; scores are
+  compared by cross-multiplication;
+* build one: the winner, the maximum positive violation with ties broken
+  toward the lexicographically smallest provenance key (item set, then
+  family, then auxiliary indices), is built by its public builder from
+  the same integer form, and its built violation at the same point
+  (``model.lhs_at`` on the integer form), the one Fraction of the
+  selection, must equal its score.
 
 Exact separation gives it the non-empty one-slot-per-group patterns of
 the oracle's guarded walk (:func:`oracle.walk_patterns`), which skips each
@@ -84,20 +86,23 @@ def _select(instance: Instance, point: Point, support, itemsets,
             families) -> SeparationResult:
     """Score every member of ``families`` that each ``(items, units)`` of
     ``itemsets`` gives and build only the winner: the highest violation,
-    ties to the smallest provenance key.  Its built violation and key must
+    if positive, ties to the smallest provenance key.  Scores are integer
+    pairs ``(num, den)``, den > 0, compared by cross-multiplication; the
+    winner's becomes the one Fraction.  Its built violation and key must
     equal the scored ones.  The patterns a pruned walk skipped (its
     ``pruned``) count as patterns too."""
-    violation = key = cut = None
+    best, best_den = 0, 1  # only a positive score wins
+    key = cut = violation = None
     examined = patterns = 0
     for items, units in itemsets:
         patterns += 1
-        for v, k in family_scores(support, items, units, families):
+        for (num, den), k in family_scores(support, items, units, families):
             examined += 1
-            # a Fraction's sign is its numerator's
-            if v.numerator > 0 and (key is None or v > violation
-                                    or (v == violation and k < key)):
-                violation, key = v, k
+            lead = num * best_den - best * den
+            if lead > 0 or (lead == 0 and key is not None and k < key):
+                best, best_den, key = num, den, k
     if key is not None:
+        violation = Fraction(best, best_den)
         cut = build_member(instance, key)
         built = lhs_at(cut.inequality, point) - cut.inequality.rhs
         if built != violation or cut.provenance_key() != key:

@@ -13,8 +13,9 @@ from hypothesis import given, strategies as st
 
 from ckp.errors import PreconditionError, ValidationError
 from ckp.fileio import serialize_inequality
-from ckp.model import Instance, VarRef
+from ckp.model import Instance, Point, VarRef
 from ckp import cuts, oracle
+from ckp.separation import separate_exact
 
 from conftest import (is_cover, is_pack, iter_patterns, make_instance,
                       random_instance, rational_instance,
@@ -355,6 +356,52 @@ def test_lcover2_preconditions(ex_a):
     assert "lifting condition" in str(err.value)
 
 
+# --- preconditions on rational data, at their boundaries ---
+
+# Scale 12: b = 7/2; group 2 has three slots and group 3 is a singleton.
+RATIONAL = ([(2, Fraction(1, 2)), (3, Fraction(3, 2), Fraction(1, 3)),
+             (Fraction(1, 4),)], Fraction(7, 2))
+TIGHT = ((1, 1), (2, 2))  # 2 + 3/2 == 7/2 == b: neither pack nor cover
+NOT_PACK = "not a pack: weight 7/2 >= capacity 7/2"
+NOT_COVER = "not a cover: weight 7/2 <= capacity 7/2"
+OFF_LAST = "pivot x(1,1) is not its group's last slot"
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda i: cuts.pack_inequality_1(i, refs(*TIGHT)),
+                 NOT_PACK, id="pack1 s=b"),
+    pytest.param(lambda i: cuts.pack_inequality_2(i, refs(*TIGHT),
+                                                  VarRef(2, 2)),
+                 NOT_PACK, id="pack2 s=b"),
+    pytest.param(lambda i: cuts.pack_inequality_3(i, refs(*TIGHT),
+                                                  VarRef(2, 2), 3),
+                 NOT_PACK, id="pack3 s=b"),
+    pytest.param(lambda i: cuts.lifted_cover_inequality_1(i, refs(*TIGHT)),
+                 NOT_COVER, id="lcover1 s=b"),
+    pytest.param(lambda i: cuts.lifted_cover_inequality_2(i, refs(*TIGHT),
+                                                          VarRef(1, 1)),
+                 NOT_COVER, id="lcover2 s=b"),
+    # the cover 2 + 3: rest 3 and the special group's last slot 1/2 make b
+    pytest.param(lambda i: cuts.lifted_cover_inequality_2(
+        i, refs((1, 1), (2, 1)), VarRef(1, 1)),
+        "lifting condition violated: 3 + 1/2 >= 7/2", id="lcover2 rest+last=b"),
+    pytest.param(lambda i: cuts.pack_inequality_2(i, refs((1, 1), (2, 3)),
+                                                  VarRef(1, 1)),
+                 OFF_LAST, id="pack2 pivot off last slot"),
+    pytest.param(lambda i: cuts.pack_inequality_3(
+        i, refs((1, 1), (2, 3), (3, 1)), VarRef(1, 1), 3),
+        OFF_LAST, id="pack3 pivot off last slot"),
+])
+def test_rational_boundaries_keep_their_messages(build, message):
+    # tested in integer units, reported in the instance's Fractions
+    instance = make_instance(*RATIONAL)
+    assert instance.units[0] == 12
+    with pytest.raises(PreconditionError) as err:
+        build(instance)
+    assert type(err.value) is PreconditionError
+    assert str(err.value) == message
+
+
 # --- every builder needs sorted groups ---
 
 def test_unsorted_groups_rejected():
@@ -405,3 +452,39 @@ def test_provenance_keys_order_families(ex_c):
     keys = [c.provenance_key() for c in generated]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+# --- one definition per family ---
+
+FORMS = {"pack1": "_pack_form", "pack2": "_pack_form", "pack3": "_pack_form",
+         "lcover1": "_lcover1_form", "lcover2": "_lcover2_form"}
+BUILDS = {
+    "pack1": lambda i: cuts.pack_inequality_1(i, refs((4, 2), (5, 2))),
+    "pack2": lambda i: cuts.pack_inequality_2(i, refs((4, 2), (5, 2)),
+                                              VarRef(4, 2)),
+    "pack3": lambda i: cuts.pack_inequality_3(i, refs((1, 1), (4, 2), (5, 2)),
+                                              VarRef(4, 2), 1),
+    "lcover1": lambda i: cuts.lifted_cover_inequality_1(
+        i, refs((2, 1), (4, 1), (5, 1))),
+    "lcover2": lambda i: cuts.lifted_cover_inequality_2(
+        i, refs((3, 1), (4, 1), (5, 2)), VarRef(4, 1)),
+}
+
+
+@pytest.mark.parametrize("family", cuts.FAMILIES)
+def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
+    # each family's coefficients are written once, in its integer form: the
+    # public builder and the separator's scores must both come from it
+    calls = []
+    real = getattr(cuts, FORMS[family])
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cuts, FORMS[family], counted)
+    separate_exact(ex_a, Point(), family)  # scores every member, builds none
+    assert calls, "family_scores does not score %s by its form" % family
+    del calls[:]
+    BUILDS[family](ex_a)
+    assert calls, "the %s builder does not build its form" % family

@@ -77,6 +77,18 @@ def test_instance_errors_name_the_line(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+            "\u2029"])
+def test_lines_end_at_newlines_only(sep):
+    # str.splitlines() also breaks at these, which an editor shows inside
+    # a line; a \r before a \n is stripped
+    with pytest.raises(FormatError, match="^line 3: expected 'group 1 a"):
+        parse_instance("ckp 1\r\nb 5\ngroup 1 a 1 c 1%sbad\n" % sep)
+    with pytest.raises(FormatError, match="^line 2: expected 'b <rational>'"):
+        parse_instance("ckp 1\nb 5%sgroup 1 a 1 c 1\nbad\n" % sep)
+
+
 def test_inequality_round_trip():
     q = LinearInequality(
         [(VarRef(1, 1), Fraction(7, 2)), (VarRef(3, 2), Fraction(-1, 3))],

@@ -82,6 +82,16 @@ def test_bools_are_not_rationals():
                 build(value)
 
 
+def test_indices_are_ints_not_bools():
+    # VarRef(1, True) == VarRef(1, 1), so a bool index would pass as x(1,1)
+    for ref in ((True, 1), (1, True), (1, False), (1.0, 1), (1, "1")):
+        for build in (lambda r: LinearInequality({r: 2}, 1),
+                      lambda r: Point({r: Fraction(1, 2)}),
+                      lambda r: Point([(VarRef(*r), 1)])):
+            with pytest.raises(ValidationError, match="not a variable index"):
+                build(ref)
+
+
 def test_a_variable_is_given_once():
     # refused even when one of its values is 0, which would be dropped and
     # leave the other standing

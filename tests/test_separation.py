@@ -461,8 +461,9 @@ def scores_equal_builds(instance, point):
                  for c in family_cuts(instance, cuts.ItemSet(refs), chosen)]
         units = s * support.scale
         assert units.denominator == 1
-        scored = list(cuts.family_scores(support, refs, int(units),
-                                         cuts.FAMILIES))
+        scored = [(Fraction(num, den), key) for (num, den), key
+                  in cuts.family_scores(support, refs, int(units),
+                                        cuts.FAMILIES)]
         assert scored == built
         members += len(built)
     return members
@@ -544,8 +545,8 @@ def test_winner_checked_against_its_score(ex_c, frac_point, monkeypatch):
     real = cuts._pack_scores
 
     def skewed(*args):
-        for violation, key in real(*args):
-            yield violation + Fraction(1, 7), key
+        for (num, den), key in real(*args):
+            yield (7 * num + den, 7 * den), key
 
     monkeypatch.setattr(cuts, "_pack_scores", skewed)
     with pytest.raises(CkpError, match="scored"):
