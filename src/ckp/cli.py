@@ -87,7 +87,7 @@ def _cmd_oracle(args, out) -> int:
     objective = {ref: instance.profit(ref) for ref in instance.refs()}
     value, point = oracle.maximize_over_S(instance, objective,
                                           args.enumerate_limit)
-    print("candidates: %d" % len(vertices.points), file=out)
+    print("candidates: %d" % len(vertices), file=out)
     print("value: %s" % format_rational(value), file=out)
     print("point:", file=out)
     _print_point(point, out)

@@ -90,12 +90,6 @@ class ItemSet:
                 return ref.slot
         raise ValidationError("group %d not in item set" % group)
 
-    def weight(self, instance: Instance) -> Fraction:
-        total = Fraction(0)
-        for ref in self.items:
-            total += instance.weight(ref)
-        return total
-
     def __contains__(self, ref):
         return ref in self.items
 

@@ -7,8 +7,8 @@ parsing canonicalizes (lowest terms, sign on the numerator).
 integers, by the LCM of their denominators.  :func:`affine_rank` is the
 one rank routine.  It takes each vector in integer form, a denominator
 and an integer row, and eliminates in integers, not Fractions;
-``oracle.VertexSet.face_dimension`` streams the integer forms of its
-tight candidate vertices into it with a cap.
+``oracle.VertexSet.face_dimension`` streams the rows of a set of tight
+candidate vertices into it with a cap, once per distinct set.
 """
 
 from __future__ import annotations

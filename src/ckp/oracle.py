@@ -18,14 +18,16 @@ candidate set is a superset of the vertices and a subset of the feasible
 set S, hence its convex hull equals the polytope.  So the maximum of a
 linear function over the candidates is its maximum over S, and a
 :class:`VertexSet` answers validity and face-dimension queries for any
-number of inequalities from one enumeration; each candidate is found in
-integer units and kept also as an integer row, which the lhs test and the
-affine rank share, and an inequality is scaled by ``Instance.integer_row``;
-the candidates' integer excesses over its rhs test it and name the witness
-of an invalid one.  ``maximize_over_S`` scores each pattern's candidates
-as the walk gives them instead, in integers, keeping none; its tie-break
-(first pattern, then last item) is that of ``ckp oracle`` and
-``ckp verify``.  The oracle shares no code with the node LP it checks.
+number of inequalities from one enumeration.  The candidates are found in
+integer units and kept as one integer table, a denominator per candidate
+and a column of ints per variable; an inequality is scaled by
+``Instance.integer_row``, and the candidates' integer excesses over its
+rhs, summed a column at a time, test it and name the witness of an
+invalid one.  Each distinct set of tight candidates is ranked once.
+``maximize_over_S`` scores each pattern's candidates as the walk gives
+them instead, in integers, keeping none; its tie-break (first pattern,
+then last item) is that of ``ckp oracle`` and ``ckp verify``.  The oracle
+shares no code with the node LP it checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -161,46 +164,74 @@ class PatternWalk:
 
 class VertexSet:
     """The sorted candidate vertices of one instance (see the module
-    docstring), each also kept in one integer form ``(den, row)``: the
-    point is ``row / den``, with ``row`` dense over ``Instance.refs()``.
-    The form serves both the lhs test and the rank."""
+    docstring) as one integer table: candidate k is ``column[k] / dens[k]``
+    at each column of ``columns``, one tuple of ints per entry of
+    ``Instance.columns``.  Each affine rank is kept, keyed by the byte
+    mask of its tight candidates and its cap, so a repeated tight set
+    costs one lookup; the ranks go with the set.  Each candidate's sorted
+    ``(VarRef, Fraction)`` entries are kept too; a :class:`Point` is made
+    from them only for a witness, or for every candidate at the first
+    read of :attr:`points`."""
 
-    __slots__ = ("instance", "points", "forms")
+    __slots__ = ("instance", "entries", "dens", "columns", "_points", "_ranks")
 
-    def __init__(self, instance: Instance, points: tuple, forms: tuple):
+    def __init__(self, instance: Instance, entries: tuple, dens: tuple,
+                 columns: tuple):
         self.instance = instance
-        self.points = points
-        self.forms = forms
+        self.entries = entries
+        self.dens = dens
+        self.columns = columns
+        self._ranks = {}
+
+    def __len__(self):
+        return len(self.dens)
+
+    @property
+    def points(self) -> tuple:
+        """Every candidate as a :class:`Point`, made at the first read."""
+        try:
+            return self._points
+        except AttributeError:
+            self._points = tuple(map(Point, self.entries))
+            return self._points
 
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
         Each candidate's lhs is compared with the rhs once, in integers:
         its excess is the lhs less the rhs, times the candidate's
-        denominator and the inequality's scale.  The maximum over the
-        candidates is the maximum over S, since conv(candidates) = conv(S);
-        above the rhs this raises with the first candidate of largest
-        excess / den as witness.  Otherwise the result is the affine rank
-        of the tight candidates.
+        denominator and the inequality's scale, summed a column at a time.
+        The maximum over the candidates is the maximum over S, since
+        conv(candidates) = conv(S); above the rhs this raises with the
+        first candidate of largest excess / den as witness.  Otherwise the
+        result is the affine rank of the tight candidates, whose rows are
+        read off the table only when that tight set is new.
         """
-        instance, terms = self.instance, inequality.terms
+        instance, terms, dens = self.instance, inequality.terms, self.dens
         coeffs, top, scale = instance.integer_row(terms, inequality.rhs)
-        excess = [sum(map(mul, coeffs, row)) - top * den
-                  for den, row in self.forms]
+        excess = [-top * den for den in dens]
+        for c, column in zip(coeffs, self.columns):
+            if c:
+                excess = [e + c * x for e, x in zip(excess, column)]
         if max(excess, default=0) > 0:
-            forms = self.forms
             best = 0  # the first candidate of largest excess / den
-            for k, (den, _) in enumerate(forms):
-                if excess[k] * forms[best][0] > excess[best] * den:
+            for k, den in enumerate(dens):
+                if excess[k] * dens[best] > excess[best] * den:
                     best = k
-            den = forms[best][0]
+            den = dens[best]
             lhs = Fraction(excess[best] + top * den, den * scale)
             raise PreconditionError(
                 "inequality is not valid (max %s > rhs %s)"
-                % (lhs, inequality.rhs), witness=self.points[best])
+                % (lhs, inequality.rhs), witness=Point(self.entries[best]))
         cap = instance.dimension - 1 if terms else instance.dimension
-        return affine_rank((form for form, e in zip(self.forms, excess)
-                            if not e), cap)
+        tight = bytes(map(not_, excess))  # 1 at each tight candidate
+        rank = self._ranks.get((tight, cap))
+        if rank is None:
+            columns = self.columns
+            rank = self._ranks[tight, cap] = affine_rank(
+                ((dens[k], [column[k] for column in columns])
+                 for k in compress(range(len(dens)), tight)), cap)
+        return rank
 
 
 def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None) -> VertexSet:
@@ -215,13 +246,13 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
     col = instance.columns
     found = []
     if capacity >= 0:  # the origin, the empty pattern's one candidate
-        found.append(((), (1, [0] * len(col))))
+        found.append(((), 1, [0] * len(col)))
     for items, total in walk_patterns(instance, limit):
         ones = [0] * len(col)
         for ref in items:
             ones[col[ref]] = 1
         if total <= capacity:
-            found.append((tuple((ref, _F1) for ref in items), (1, ones)))
+            found.append((tuple((ref, _F1) for ref in items), 1, ones))
         for k, ref in enumerate(items):
             a = rows[ref.group - 1][ref.slot - 1]
             room = capacity - total + a
@@ -231,10 +262,12 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
                 row[col[ref]] = frac.numerator
                 entries = [(r, _F1) for r in items]
                 entries[k] = (ref, frac)
-                found.append((tuple(entries), (frac.denominator, row)))
+                found.append((tuple(entries), frac.denominator, row))
+    if not found:  # S is empty
+        return VertexSet(instance, (), (), ((),) * len(col))
     found.sort(key=itemgetter(0))
-    return VertexSet(instance, tuple(Point(e) for e, _ in found),
-                     tuple(form for _, form in found))
+    entries, dens, rows = zip(*found)
+    return VertexSet(instance, entries, dens, tuple(zip(*rows)))
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):

@@ -113,6 +113,12 @@ def correlated_instance(rng):
     return Instance.build(groups, capacity)
 
 
+def itemset_weight(instance, itemset):
+    """The item set's weight s, summed in Fractions: the reference for the
+    integer sums the cut builders weigh their item sets by."""
+    return sum((instance.weight(ref) for ref in itemset), Fraction(0))
+
+
 def tilt_pack_inequality(instance, cut, tilt_group):
     """Apply the tilting steps to a pack2 cut, independent of the library's
     pack3 closed form: shrink the singleton's coefficient, grow the other
@@ -125,7 +131,7 @@ def tilt_pack_inequality(instance, cut, tilt_group):
         raise PreconditionError(
             "tilt group %d is not a singleton pack group" % tilt_group)
     b = instance.capacity
-    s = cut.items.weight(instance)
+    s = itemset_weight(instance, cut.items)
     slack = b - s
     denom = instance.weight(cut.pivot) + slack
     tilt_ref = VarRef(tilt_group, 1)
@@ -145,7 +151,7 @@ def reference_is_maximal_switching_pack(instance, itemset):
     library's integer one: a pack (s < b) of last-slot items where moving
     any non-singleton item to its next-heavier slot gives s' > b."""
     b = instance.capacity
-    s = itemset.weight(instance)
+    s = itemset_weight(instance, itemset)
     if s >= b:
         return False
     for ref in itemset:
@@ -206,14 +212,14 @@ def is_cover(instance, itemset):
     """s > b, the item set's references checked."""
     for ref in itemset:
         instance.check_ref(ref)
-    return itemset.weight(instance) > instance.capacity
+    return itemset_weight(instance, itemset) > instance.capacity
 
 
 def is_pack(instance, itemset):
     """s < b, the item set's references checked."""
     for ref in itemset:
         instance.check_ref(ref)
-    return itemset.weight(instance) < instance.capacity
+    return itemset_weight(instance, itemset) < instance.capacity
 
 
 # --- the Fraction oracle ------------------------------------------------------

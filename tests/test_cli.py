@@ -29,7 +29,8 @@ from ckp.fileio import (
 )
 from ckp.model import Instance, LinearInequality, Point, VarRef, normalize
 
-from conftest import family_cuts, iter_patterns, make_instance, random_instance
+from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
+                      random_instance)
 
 
 @pytest.fixture
@@ -198,6 +199,22 @@ def test_verify_maximizes_once(files, capsys, oracle_calls):
                             "enumerate_candidate_vertices": 1}
 
 
+def test_oracle_counts_candidates_without_points(files, capsys, monkeypatch):
+    # the one Point made is the maximizer's; the count of 105 candidates
+    # is read off the candidate table
+    made = Counter()
+
+    def counting(*args, **kwargs):
+        made["Point"] += 1
+        return Point(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "Point", counting)
+    code, out = run(capsys, "oracle", files["ex_a.ckp"])
+    assert code == 0
+    assert out.startswith("candidates: 105\n")
+    assert made == {"Point": 1}
+
+
 def test_cuts_verify_without_cuts_enumerates_nothing(tmp_path, capsys):
     # every swap fits, so there is no maximal switching pack: the 2^2
     # subsets fit the limit, the 9 patterns of the candidate enumeration do
@@ -250,7 +267,7 @@ def test_cuts_listing_matches_building_every_member(tmp_path, capsys):
         covers = [ItemSet(refs) for refs in (
             tuple(VarRef(i, j) for i, j in enumerate(p, start=1) if j)
             for p in iter_patterns(inst)) if refs]
-        covers = [c for c in covers if c.weight(inst) > inst.capacity]
+        covers = [c for c in covers if itemset_weight(inst, c) > inst.capacity]
         for family in FAMILIES:
             itemsets = (enumerate_maximal_switching_packs(inst)
                         if family.startswith("pack") else covers)

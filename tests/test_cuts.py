@@ -17,8 +17,8 @@ from ckp.model import Instance, Point, VarRef
 from ckp import cuts, oracle
 from ckp.separation import separate_exact
 
-from conftest import (is_cover, is_pack, iter_patterns, make_instance,
-                      random_instance, rational_instance,
+from conftest import (is_cover, is_pack, itemset_weight, iter_patterns,
+                      make_instance, random_instance, rational_instance,
                       reference_is_maximal_switching_pack, tilt_pack_inequality)
 
 
@@ -56,7 +56,7 @@ def test_pack_cover_strict(ex_a):
 def test_pack_cover_trichotomy(groups):
     inst = make_instance([(3,), (5,), (7,), (11, 2), (13, 2)], 17)
     s = refs(*((i, 1) for i in sorted(groups)))
-    w = s.weight(inst)
+    w = itemset_weight(inst, s)
     assert is_pack(inst, s) == (w < 17)
     assert is_cover(inst, s) == (w > 17)
 
@@ -166,7 +166,7 @@ def test_pack1_coefficient_growth(ex_a):
     """In-pack items of multi-slot groups gain exactly the slack b-s."""
     pack = refs((1, 1), (3, 1), (4, 2), (5, 2))
     cut = cuts.pack_inequality_1(ex_a, pack)
-    slack = 21 - pack.weight(ex_a)
+    slack = 21 - itemset_weight(ex_a, pack)
     for ref in ex_a.refs():
         coeff = cut.inequality.coeff(ref)
         if ref.group not in {1, 3, 4, 5}:

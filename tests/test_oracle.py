@@ -6,6 +6,7 @@ the two are required to agree on the fixed examples and a random corpus.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from ckp.cuts import (FAMILIES, ItemSet, PointSupport,
 from ckp.fileio import serialize_instance
 from ckp.separation import separate_exact
 
-from conftest import (family_cuts, iter_patterns, make_instance,
+from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
                       random_instance, rational_instance,
                       reference_candidate_vertices, reference_face_dimension,
                       reference_maximize_over_S)
@@ -188,8 +189,10 @@ def test_integer_oracle_matches_fraction_references():
         vertices = oracle.enumerate_candidate_vertices(inst)
         assert vertices.points == reference_candidate_vertices(inst)
         refs = inst.refs()
-        for point, (den, row) in zip(vertices.points, vertices.forms):
-            assert [Fraction(k, den) for k in row] == [point.value(r) for r in refs]
+        assert len(vertices.columns) == len(refs)
+        for k, (point, den) in enumerate(zip(vertices.points, vertices.dens)):
+            row = [column[k] for column in vertices.columns]
+            assert [Fraction(x, den) for x in row] == [point.value(r) for r in refs]
         objective = {r: inst.profit(r) for r in refs}
         for r in refs:
             roll = rng.random()
@@ -346,6 +349,10 @@ def test_slack_inequality_has_empty_face(ex_a):
 def test_trivial_faces(ex_a):
     assert oracle.face_dimension(ex_a, LinearInequality([], 0)) == ex_a.dimension
     assert oracle.face_dimension(ex_a, LinearInequality([], 1)) == -1
+    # over an empty S every inequality is valid and every face empty
+    empty = oracle.enumerate_candidate_vertices(make_instance([(3, 1), (2,)], -1))
+    assert len(empty) == 0 and empty.points == ()
+    assert empty.face_dimension(LinearInequality([], 0)) == -1
 
 
 def test_face_dimension_requires_validity(ex_a):
@@ -369,7 +376,7 @@ def _cuts_of(inst):
     itemsets = [(pack, packs) for pack in enumerate_maximal_switching_packs(inst)]
     for pattern in iter_patterns(inst):
         cover = ItemSet(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
-        if cover.weight(inst) > inst.capacity:
+        if itemset_weight(inst, cover) > inst.capacity:
             itemsets.append((cover, covers))
     for itemset, families in itemsets:
         try:
@@ -445,6 +452,71 @@ def test_invalid_witness_is_the_first_largest_candidate():
             assert err.value.witness == vertices.points[values.index(best)]
             assert str(err.value) == ("inequality is not valid (max %s > rhs %s)"
                                       % (best, inequality.rhs))
+
+
+def test_kept_ranks_answer_as_a_fresh_enumeration():
+    """One VertexSet per instance, asked twice over in a shuffled order
+    about every family cut, the knapsack row, the two empty inequalities
+    and one invalid inequality, answers each as the reference does from a
+    fresh enumeration.  The invalid one raises with the first candidate of
+    largest lhs as witness and keeps no rank."""
+    rng = random.Random(6363)
+    seen = {"rational": 0, "zero weight": 0}
+    for inst in _seeded_instances(18, 2727):
+        seen["rational"] += inst.units[0] > 1
+        seen["zero weight"] += any(a == 0 for row in inst.units[1] for a in row)
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        profits = {r: inst.profit(r) for r in inst.refs()}
+        top, _ = oracle.maximize_over_S(inst, profits)
+        bad = LinearInequality(profits, top - Fraction(1, 3))
+        queries = [knapsack_row(inst), LinearInequality([], 0),
+                   LinearInequality([], 1)] + list(_cuts_of(inst))
+        expected = [reference_face_dimension(inst, q) for q in queries]
+        order = [k for k in range(len(queries)) for _ in range(2)] + [None] * 2
+        rng.shuffle(order)
+        for k in order:
+            if k is not None:
+                assert vertices.face_dimension(queries[k]) == expected[k]
+                continue
+            kept = dict(vertices._ranks)
+            with pytest.raises(PreconditionError) as err:
+                vertices.face_dimension(bad)
+            assert vertices._ranks == kept
+            values = [lhs_at(bad, p) for p in vertices.points]
+            assert err.value.witness == vertices.points[values.index(max(values))]
+    assert min(seen.values()) > 0, seen
+
+
+def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
+        ex_c, monkeypatch):
+    """Enumerating and answering valid cuts makes no Point; a tight set
+    asked about again is answered without a second affine rank."""
+    made = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("Point", "affine_rank"):
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    vertices = oracle.enumerate_candidate_vertices(ex_c)
+    for inequality in _cuts_of(ex_c):
+        vertices.face_dimension(inequality)
+    assert made["Point"] == 0
+    queries = tight_sets = ranks = 0
+    for inst in _seeded_instances(30, 2727):
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        cuts = list(_cuts_of(inst))
+        made.clear()
+        for inequality in cuts:
+            vertices.face_dimension(inequality)
+        queries += len(cuts)
+        ranks += made["affine_rank"]
+        tight_sets += len({tuple(lhs_at(c, p) == c.rhs for p in vertices.points)
+                           for c in cuts})
+    assert ranks == tight_sets < queries
 
 
 # --- enumeration guard ---
