@@ -16,14 +16,15 @@ capacity, and the origin lies in S, so every inequality valid for S has a
 nonnegative right-hand side.
 
 :class:`LpProblem` scales its data to integers once, when it is built:
-the knapsack row is ``Instance.units``, a group row is 0/1, and each cut
-row and the objective go through ``Instance.integer_row``, each times the
-LCM of its own denominators.  The solver and the certificate check work on
-these integers, and so does the solution: :class:`LpSolution` holds the
-point as ``(D, ((VarRef, X), ...))`` and the duals as ``(Y, ints)``, which
-the certificate check, the separators and the branch-and-cut loop read as
-they are.  Only its value is a Fraction; its ``point`` and ``duals`` are
-made in Fractions on first read, for a caller that shows them.
+the knapsack row is ``Instance.units``, and each cut row and the objective
+go through ``Instance.integer_row``, each times the LCM of its own
+denominators; a group row is its span of columns (``LpProblem.spans``).
+The solver and the certificate check work on these integers, and so does
+the solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
+...))`` and the duals as ``(Y, ints)``, which the certificate check, the
+separators and the branch-and-cut loop read as they are.  Only its value
+is a Fraction; its ``point`` and ``duals`` are made in Fractions on first
+read, for a caller that shows them.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -40,10 +41,10 @@ made in Fractions on first read, for a caller that shows them.
   a_j) over the group's free slots, and the bound multipliers are 0,
   except on one-slot groups, whose bound multiplier is that same maximum.
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
-  holds the problem rows, group rows included, starting from the slack
-  basis (x = 0).  The tableau is fraction-free: each row is a list of
-  integers whose denominator is its basic variable's entry, and after a
-  pivot every changed row is divided by its gcd.  Upper bounds are
+  holds the knapsack row, the group rows and the cut rows, starting from
+  the slack basis (x = 0).  The tableau is fraction-free: each row is a
+  list of integers whose denominator is its basic variable's entry, and
+  after a pivot every changed row is divided by its gcd.  Upper bounds are
   handled by bound flips: a variable at its upper bound is complemented
   (x' = 1 - x), so every nonbasic variable sits at zero.  Bland's rule
   (smallest eligible index, both for entering and leaving, the entering
@@ -51,8 +52,8 @@ made in Fractions on first read, for a caller that shows them.
   compare by cross-multiplication.  The bound multipliers are the
   positive reduced costs.
 
-The duals hold one multiplier y_r per row of ``LpProblem.scaled_rows``, in
-order (the knapsack row, the group rows, the cut rows), then one bound
+The duals hold one multiplier y_r per row, in order (the knapsack row, the
+group rows in ``LpProblem.spans`` order, the cut rows), then one bound
 multiplier u_j per variable not forced to zero, in ``Instance.refs()``
 order.  They certify optimality exactly: y, u >= 0, y A_j + u_j >= c_j for
 every such variable, and y . rhs + sum(u) = c . x*.
@@ -68,6 +69,7 @@ from __future__ import annotations
 from copy import copy
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
@@ -95,14 +97,14 @@ class LpProblem:
 
     Built once per problem: ``refs`` (the columns), ``costs`` (the
     objective times ``cost_scale``), ``scaled_rows`` (one ``(coefficients,
-    rhs, scale)`` per row, see ``Instance.integer_row``: the knapsack row,
-    then a dense 0/1 group row with rhs 1 and scale 1 for each group of
-    two or more slots, which ``rows`` leaves out, then the cut rows),
-    and ``scale``, the LCM of all these scales.
+    rhs, scale)`` per entry of ``rows``, see ``Instance.integer_row``),
+    ``spans`` (each group's ``(start, end)`` columns, whose sum is at most
+    1 when the group has two or more) and ``scale``, the LCM of all these
+    scales.
     """
 
     __slots__ = ("instance", "rows", "objective", "refs", "costs",
-                 "cost_scale", "scaled_rows", "scale")
+                 "cost_scale", "scaled_rows", "spans", "scale")
 
     def __init__(self, instance: Instance, objective, extra_rows=()):
         self.objective = clean_terms(objective, instance)
@@ -113,17 +115,11 @@ class LpProblem:
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
         self.rows = (knapsack_row(instance),)
-        self.refs = refs = tuple(instance.refs())
+        self.refs = tuple(instance.refs())
         self.costs, _, self.cost_scale = instance.integer_row(self.objective)
         self.scaled_rows = [(weights, capacity, weight_scale)]
-        n = len(refs)
-        start = 0
-        for row in units:
-            size = len(row)
-            if size > 1:
-                self.scaled_rows.append(
-                    ([0] * start + [1] * size + [0] * (n - start - size), 1, 1))
-            start += size
+        ends = tuple(accumulate(map(len, units)))
+        self.spans = tuple(zip((0,) + ends, ends))
         self.scale = lcm(self.cost_scale, weight_scale)
         for row in extra_rows:
             self._add_row(row)
@@ -203,12 +199,8 @@ def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
     """The closed form without cut rows: the multiple-choice knapsack LP."""
     weights, capacity, weight_scale = problem.scaled_rows[0]
     costs, refs = problem.costs, problem.refs
-    spans = []        # (first column, end column) per group
     increments = []   # (column, weight step, cost step) along each hull
-    end = 0
-    for row in problem.instance.units[1]:
-        start, end = end, end + len(row)
-        spans.append((start, end))
+    for start, end in problem.spans:
         # the upper concave hull of the origin and the free slots with a
         # positive cost, lightest slot first: a slot no dearer than the
         # hull's last point is dominated, and a point on or below the
@@ -263,7 +255,7 @@ def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
     den = a * problem.cost_scale
     duals = [c * weight_scale]
     bounds = [0] * len(refs)
-    for start, end in spans:
+    for start, end in problem.spans:
         best = max([costs[j] * a - c * weights[j] for j in range(start, end)
                     if refs[j] not in forced_zero] + [0])
         if end - start > 1:
@@ -387,16 +379,20 @@ class _BoundedTableau:
 
 
 def _solve_bounded(problem: LpProblem, free) -> LpSolution:
-    """Bounded-variable simplex over all of ``problem.scaled_rows``, group
-    rows included, from the slack basis, on the columns ``free`` (indices
-    into ``problem.refs``)."""
+    """Bounded-variable simplex over the knapsack row, a 0/1 group row per
+    span of two or more columns and the cut rows, from the slack basis, on
+    the columns ``free`` (indices into ``problem.refs``)."""
     nvars = len(free)
-    nrows = len(problem.scaled_rows)
+    lines = [([dense[j] for j in free], rhs, scale)
+             for dense, rhs, scale in problem.scaled_rows]
+    lines[1:1] = [([int(start <= j < end) for j in free], 1, 1)
+                  for start, end in problem.spans if end - start > 1]
+    nrows = len(lines)
     # columns: structural vars, slacks, rhs; the slack of row r carries the
     # row's scale, so the row's denominator sits at its basic column
     matrix = []
-    for r, (dense, rhs, scale) in enumerate(problem.scaled_rows):
-        line = [dense[j] for j in free] + [0] * nrows + [rhs]
+    for r, (line, rhs, scale) in enumerate(lines):
+        line += [0] * nrows + [rhs]
         line[nvars + r] = scale
         matrix.append(line)
     costs = [problem.costs[j] for j in free]
@@ -436,9 +432,9 @@ def _free_columns(problem: LpProblem, forced_zero):
 
 
 def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
-    """Exact optimum of the boxed LP with its group rows, minus any
-    forced-to-zero variables: the closed form without cut rows, the
-    simplex with them."""
+    """Exact optimum of the boxed LP with its group rows, read from
+    ``problem.spans``, minus any forced-to-zero variables: the closed form
+    without cut rows, the simplex with them."""
     free = _free_columns(problem, forced_zero)
     if len(problem.rows) == 1:
         return _solve_groups(problem, free, forced_zero)
@@ -457,13 +453,13 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
     (0, D].  The duals must be ``(Y, ints)`` with Y >= 1, the right count
     and no negative int.  The check runs in integers: the duals times Y,
     the point times D, and each row and the objective times the problem's
-    ``scale`` L, through their scaled data.  So y A_j + u_j >= c_j becomes
-    an integer inequality times Y L, row feasibility one times D, and the
-    values compare by cross-multiplication.
+    ``scale`` L, through their scaled data or, for a group row, its span.
+    So y A_j + u_j >= c_j becomes an integer inequality times Y L, row
+    feasibility one times D, and the values compare by cross-multiplication.
     """
     free = _free_columns(problem, forced_zero)
-    scaled_rows = problem.scaled_rows
-    nrows = len(scaled_rows)
+    groups = [(start, end) for start, end in problem.spans if end - start > 1]
+    nrows = len(problem.scaled_rows) + len(groups)
     dual_scale, ys = solution.scaled_duals
     if dual_scale < 1 or len(ys) != nrows + len(free) or min(ys) < 0:
         return False
@@ -472,6 +468,7 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
         return False
     col = problem.instance.columns
     xs = []
+    point = [0] * len(problem.refs)   # X per column
     last = -1
     for ref, x in entries:
         j = col.get(ref)
@@ -479,11 +476,19 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
                 or not 0 < x <= point_scale):
             return False
         xs.append((j, x))
+        point[j] = x
         last = j
     scale = problem.scale
     priced = [0] * len(problem.refs)  # (y A_j) * Y * L
     dual_value = 0                    # (y . rhs + sum(u)) * Y * L
-    for (dense, rhs, row_scale), y in zip(scaled_rows, ys):
+    for (start, end), y in zip(groups, ys[1:]):
+        if sum(point[start:end]) > point_scale:
+            return False
+        y *= scale
+        dual_value += y
+        priced[start:end] = [p + y for p in priced[start:end]]
+    for (dense, rhs, row_scale), y in zip(problem.scaled_rows,
+                                          ys[:1] + ys[1 + len(groups):]):
         if sum(dense[j] * x for j, x in xs) > rhs * point_scale:
             return False
         if y:

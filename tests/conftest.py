@@ -645,13 +645,13 @@ def reference_integer_row(instance, terms, rhs=0):
 def reference_lp_data(instance, objective, rows=()):
     """``(costs, cost_scale, scaled_rows, scale)`` of
     ``LpProblem(instance, objective, rows)``, scaled in Fractions: the
-    knapsack row first, then the group rows and the cut rows, and the scale
-    the LCM of every row's and the costs' scales."""
+    knapsack row first, then the cut rows, and the scale the LCM of every
+    row's and the costs' scales.  The group rows are not among them: their
+    scale is 1, and the problem keeps them as spans."""
     refs = instance.refs()
     costs, _, cost_scale = reference_integer_row(instance, objective.items())
     knapsack = [(ref, instance.weight(ref)) for ref in refs]
-    sparse = ([(knapsack, instance.capacity)] + group_rows(instance)
-              + [(r.terms, r.rhs) for r in rows])
+    sparse = [(knapsack, instance.capacity)] + [(r.terms, r.rhs) for r in rows]
     scaled_rows = [reference_integer_row(instance, terms, rhs)
                    for terms, rhs in sparse]
     # the LCM of the scales is the least L making every 1 / scale * L whole

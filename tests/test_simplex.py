@@ -18,7 +18,7 @@ from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
-                      lp_solution, make_instance, random_instance,
+                      group_rows, lp_solution, make_instance, random_instance,
                       rational_instance, reference_lp_data,
                       reference_maximize_over_S, reference_solve_lp)
 
@@ -58,9 +58,11 @@ def test_example_relaxation(ex_a):
     sol = solve_lp(problem)
     assert sol.value == 21
     assert verify_certificate(problem, sol)
-    # the knapsack row, the rows of groups 4 and 5, then the bounds
-    assert len(problem.scaled_rows) == 3
-    assert len(sol.duals) == len(problem.scaled_rows) + ex_a.dimension
+    # the knapsack row is the one stored row; the rows of groups 4 and 5
+    # are their spans; the duals price all three rows, then the bounds
+    assert len(problem.scaled_rows) == len(problem.rows) == 1
+    assert problem.spans == ((0, 1), (1, 2), (2, 3), (3, 5), (5, 7))
+    assert len(sol.duals) == 3 + ex_a.dimension
     assert all(y >= 0 for y in sol.duals)
 
 
@@ -175,7 +177,8 @@ def test_duals_price_the_optimum(small_corpus):
         sol = solve_lp(problem)
         # the knapsack row's rhs, then 1 for each group row and bound
         rhs = [problem.rows[0].rhs] + [Fraction(1)] * (len(sol.duals) - 1)
-        assert len(sol.duals) == len(problem.scaled_rows) + inst.dimension
+        assert len(sol.duals) == (len(problem.scaled_rows)
+                                  + len(group_rows(inst)) + inst.dimension)
         assert sum(y * r for y, r in zip(sol.duals, rhs)) == sol.value
 
 
@@ -466,6 +469,46 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
     assert not verify_certificate(problem, forged, frozenset(forced)), why
 
 
+def _group_forgery_problem():
+    # x11 and x12 weigh nothing and earn 2 and 1, and x21 fills the
+    # capacity, so the closed form takes x11 and x21 whole: the knapsack
+    # multiplier is 0, the group row's is 2 and x21's bound multiplier 1.
+    inst = Instance.build([((0, 0), (2, 1)), ((1,), (1,))], 1)
+    return lp_for(inst)
+
+
+def test_group_row_certificate_is_accepted():
+    problem = _group_forgery_problem()
+    sol = solve_lp(problem)
+    assert sol.value == 3
+    assert sol.duals == (0, 2, 0, 0, 1)
+    assert verify_certificate(problem, sol)
+
+
+def test_certificate_rejects_point_breaking_only_the_group_row():
+    # x11 = x12 = x21 = 1 weighs 1 and earns 4, and the duals, x12's bound
+    # multiplier raised to 1, price it at 4 and stay dual feasible: only
+    # the group row x11 + x12 <= 1 rules it out
+    problem = _group_forgery_problem()
+    forged = LpSolution(Fraction(4), (1, ((VarRef(1, 1), 1), (VarRef(1, 2), 1),
+                                          (VarRef(2, 1), 1))),
+                        (1, [0, 2, 0, 1, 1]), 0)
+    assert not verify_certificate(problem, forged)
+
+
+@pytest.mark.parametrize("duals, why", [
+    ((0, 1, 0, 1, 1), "group multiplier moved to x12's bound: x11 priced 1"),
+    ((0, 3, 0, 0, 0), "x21's bound moved to the group row, which skips x21"),
+])
+def test_certificate_rejects_group_multiplier_moved(duals, why):
+    # each shift keeps the dual value at 3 but leaves one slot underpriced
+    problem = _group_forgery_problem()
+    sol = solve_lp(problem)
+    forged = lp_solution(sol.value, sol.point, tuple(map(Fraction, duals)),
+                         sol.pivots)
+    assert not verify_certificate(problem, forged), why
+
+
 def test_integer_node_lp_matches_fraction_reference():
     """Value, point, duals and pivots equal those of the Fraction node LP,
     on rational and zero weights, equal ratios, 0-3 builder cut rows and
@@ -507,8 +550,10 @@ def test_integer_node_lp_matches_fraction_reference():
 
 def test_scaled_data_matches_fraction_reference():
     """costs, cost_scale, scaled_rows and scale equal the data scaled in
-    Fractions, on rational and zero weights, negative objective values,
-    large coprime objective denominators and 0-3 builder cut rows."""
+    Fractions, and the spans give the Fraction group rows, on rational and
+    zero weights, negative objective values, large coprime objective
+    denominators and 0-3 builder cut rows; the same holds for the rows
+    added one at a time by with_row, whose copies share their spans."""
     rng = random.Random(7411)
     seen = {"cuts": 0, "negative": 0, "zero weight": 0, "large": 0}
     for _ in range(150):
@@ -521,8 +566,24 @@ def test_scaled_data_matches_fraction_reference():
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
         problem = LpProblem(inst, objective, rows)
-        assert (problem.costs, problem.cost_scale, problem.scaled_rows,
-                problem.scale) == reference_lp_data(inst, objective, rows)
+        chained = LpProblem(inst, objective)
+        for row in rows:
+            grown = chained.with_row(row)
+            assert grown.spans is chained.spans
+            chained = grown
+        want = reference_lp_data(inst, objective, rows)
+        for built in (problem, chained):
+            assert (built.costs, built.cost_scale, built.scaled_rows,
+                    built.scale) == want
+            assert len(built.scaled_rows) == len(built.rows)
+        # one span per group, its columns in order, and the spans of two or
+        # more columns are the group rows
+        assert [problem.refs[start:end] for start, end in problem.spans] == [
+            tuple(VarRef(i, j) for j in range(1, g.size + 1))
+            for i, g in enumerate(inst.groups, start=1)]
+        assert [([(ref, 1) for ref in problem.refs[start:end]], 1)
+                for start, end in problem.spans
+                if end - start > 1] == group_rows(inst)
         seen["cuts"] += bool(rows)
         seen["negative"] += any(c < 0 for c in objective.values())
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())

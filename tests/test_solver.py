@@ -357,3 +357,36 @@ def test_checks_survive_python_O():
         "rejected: node LP solution fails its optimality certificate",
         "rejected: incumbent profit differs from the reported value",
         "optimize: 1"], proc.stderr
+
+
+def _correlated_at_scale(seed):
+    """Strongly correlated data at scale (profit = weight + 100, weights
+    1-1000; Pisinger 2005): 16-24 groups of one to four slots, and the
+    capacity half the weight of every group's heaviest slot."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(rng.randint(16, 24)):
+        weights = sorted((rng.randint(1, 1000)
+                          for _ in range(rng.randint(1, 4))), reverse=True)
+        groups.append((tuple(weights), tuple(a + 100 for a in weights)))
+    return Instance.build(groups, max(1, sum(g[0][0] for g in groups) // 2))
+
+
+@pytest.mark.parametrize("seed, plain, default", [
+    # (value, nodes, lp_pivots) without cuts and with the default families
+    (11, (Fraction(2162981, 217), 215, 0), (Fraction(2162981, 217), 215, 0)),
+    (55, (7556, 295, 0), (7556, 295, 0)),
+    (79, (Fraction(275227, 37), 55, 0), (Fraction(275227, 37), 1, 48)),
+    (245, (7993, 59, 0), (7993, 1, 44)),
+])
+def test_solves_at_scale_are_pinned(seed, plain, default):
+    """Solves of 45-51 variables keep their recorded value, nodes and
+    pivots: the closed form over 55-295 nodes without cuts, and the
+    tableau, its group rows written out from their spans, where the
+    default families close the tree at the root with one cut."""
+    inst = _correlated_at_scale(seed)
+    for config, want in ((SolveConfig(families=()), plain),
+                         (SolveConfig(), default)):
+        report = branch_and_cut(inst, config)
+        assert (report.value, report.nodes, report.lp_pivots) == want
+        assert report.proven_optimal
