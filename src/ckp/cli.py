@@ -21,7 +21,7 @@ from . import fileio, oracle, separation, solver
 from .errors import (CkpError, FormatError, ResourceLimitError,
                      ValidationError)
 from .model import Instance, Point, normalize, validate_assumptions
-from .numeric import format_rational
+from .numeric import format_rational, parse_integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +124,7 @@ def _iter_family_cuts(instance, families, limit):
     for family in families:
         if family.startswith("pack"):
             if packs is None:
-                packs = [(p.items, support.units_of(p.items)) for p in
+                packs = [(p, support.units_of(p)) for p in
                          cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
             itemsets = packs
         else:
@@ -205,8 +205,8 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_reduce(args, out) -> int:
     try:
-        alphas = tuple(int(tok) for tok in args.alphas.split(","))
-    except ValueError:
+        alphas = tuple(parse_integer(tok) for tok in args.alphas.split(","))
+    except FormatError:
         raise ValidationError("alphas must be a comma-separated integer list")
     instance, point = separation.build_partition_reduction(alphas, args.beta)
     instance_path = args.out + ".ckp"
@@ -220,8 +220,19 @@ def _cmd_reduce(args, out) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer option (``numeric.parse_integer``).  A bad one raises
+    ``ArgumentTypeError``, a usage error to argparse, which a FormatError
+    would escape."""
+    try:
+        return parse_integer(text)
+    except FormatError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % (text,)) from None
+
+
 def _add_limit(parser) -> None:
-    parser.add_argument("--enumerate-limit", type=int, default=None,
+    parser.add_argument("--enumerate-limit", type=_integer, default=None,
                         metavar="N",
                         help="pattern-count guard (default: CKP_ENUM_LIMIT "
                              "env var or 10^6)")
@@ -280,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-sep", action="store_true",
                    help="fall back to exact separation when greedy finds "
                         "nothing")
-    p.add_argument("--max-cuts-per-node", type=int, default=10, metavar="N")
-    p.add_argument("--node-limit", type=int, default=10 ** 5, metavar="N")
+    p.add_argument("--max-cuts-per-node", type=_integer, default=10, metavar="N")
+    p.add_argument("--node-limit", type=_integer, default=10 ** 5, metavar="N")
     _add_limit(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the partition-problem reduction instance")
     p.add_argument("--alphas", required=True,
                    help="comma-separated positive integers")
-    p.add_argument("--beta", required=True, type=int)
+    p.add_argument("--beta", required=True, type=_integer)
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=_cmd_reduce)
     return parser

@@ -2,9 +2,12 @@
 
 An item set picks at most one slot per group.  With s denoting its total
 weight and b the capacity, a *cover* has s > b and a *pack* has s < b
-(both strict).  A pack of last-slot items is a *maximal switching pack*
-when switching any of its non-singleton items to the next-heavier slot
-would exceed the capacity.
+(both strict).  Its one form is the sorted tuple of its VarRefs, which
+every function here gives and keeps; the builders and
+:func:`is_maximal_switching_pack` take any iterable of refs or ``(group,
+slot)`` pairs and make it once (:func:`_weighed`).  A pack of last-slot
+items is a *maximal switching pack* when switching any of its
+non-singleton items to the next-heavier slot would exceed the capacity.
 
 Families (short names used everywhere, including the CLI):
 
@@ -54,50 +57,12 @@ from itertools import chain, combinations
 from math import prod
 from typing import Optional
 
-from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .model import Instance, LinearInequality, VarRef
-from .oracle import resolve_enum_limit
+from .errors import PreconditionError, ValidationError
+from .model import Instance, LinearInequality, VarRef, var_ref
+from .oracle import guard_enumeration
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
-
-
-@dataclass(frozen=True)
-class ItemSet:
-    """Nonempty set of variables, at most one per group, kept sorted."""
-
-    items: tuple
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValidationError("item set is empty")
-        groups = [ref.group for ref in self.items]
-        if len(set(groups)) != len(groups):
-            raise ValidationError("item set repeats a group")
-
-    @classmethod
-    def of(cls, refs) -> "ItemSet":
-        items = tuple(sorted(ref if isinstance(ref, VarRef) else VarRef(*ref)
-                             for ref in refs))
-        return cls(items)
-
-    def groups(self):
-        return tuple(ref.group for ref in self.items)
-
-    def slot(self, group: int) -> int:
-        for ref in self.items:
-            if ref.group == group:
-                return ref.slot
-        raise ValidationError("group %d not in item set" % group)
-
-    def __contains__(self, ref):
-        return ref in self.items
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -111,7 +76,7 @@ class GeneratedCut:
 
     family: str
     inequality: LinearInequality
-    items: ItemSet
+    items: tuple  # the item set, its sorted VarRef tuple
     facet_guaranteed: bool = False
     pivot: Optional[VarRef] = None
     tilt_group: Optional[int] = None
@@ -126,7 +91,7 @@ class GeneratedCut:
             aux = (self.pivot.group, self.tilt_group)
         elif self.family == "lcover2":
             aux = (self.special.group,)
-        return (self.items.items, FAMILY_RANK[self.family], aux)
+        return (self.items, FAMILY_RANK[self.family], aux)
 
     def describe(self) -> str:
         parts = ["family: %s" % self.family,
@@ -140,12 +105,12 @@ class GeneratedCut:
         return "; ".join(parts)
 
 
-def is_maximal_switching_pack(instance: Instance, itemset: ItemSet) -> bool:
-    """Last-slot pack whose every non-singleton swap overshoots the capacity."""
-    _, rows, capacity, s = _weighed(instance, itemset)
-    if any(j != len(rows[i - 1]) for i, j in itemset):
-        return False
-    return is_switching([rows[i - 1] for i in itemset.groups()], capacity - s)
+def is_maximal_switching_pack(instance: Instance, items) -> bool:
+    """Last-slot pack whose every non-singleton swap overshoots the
+    capacity; ``items`` as the builders take them."""
+    items, _, rows, capacity, s = _weighed(instance, items)
+    return (all(j == len(rows[i - 1]) for i, j in items)
+            and is_switching([rows[i - 1] for i, _ in items], capacity - s))
 
 
 def is_switching(tails, slack) -> bool:
@@ -166,14 +131,21 @@ def _sorted_units(instance: Instance):
     return instance.units
 
 
-def _weighed(instance: Instance, itemset: ItemSet):
-    """``(scale, rows, capacity, s)``: the instance's integer units and the
-    item set's weight s in them, once its references are checked and the
-    instance is known to be normalized."""
-    for ref in itemset:
+def _weighed(instance: Instance, items):
+    """``(items, scale, rows, capacity, s)``: ``items`` as its sorted
+    VarRef tuple, each ref through ``model.var_ref``, then the instance's
+    integer units and the item set's weight s in them.  The set must be
+    nonempty, one item per group and inside the normalized instance."""
+    items = tuple(sorted(map(var_ref, items)))
+    if not items:
+        raise ValidationError("item set is empty")
+    if len({i for i, _ in items}) != len(items):
+        raise ValidationError("item set repeats a group")
+    for ref in items:
         instance.check_ref(ref)
     scale, rows, capacity = _sorted_units(instance)
-    return scale, rows, capacity, sum(rows[i - 1][j - 1] for i, j in itemset)
+    return items, scale, rows, capacity, sum(rows[i - 1][j - 1]
+                                             for i, j in items)
 
 
 class PointSupport:
@@ -218,10 +190,6 @@ class PointSupport:
     def units_of(self, items) -> int:
         """The weight of an item tuple, in integer units."""
         return sum(self.units[ref.group - 1][ref.slot - 1] for ref in items)
-
-
-def _as_ref(ref) -> VarRef:
-    return ref if isinstance(ref, VarRef) else VarRef(*ref)
 
 
 def _pack_form(rows, capacity, pack, slack, pivot=None, tilt_group=None):
@@ -328,16 +296,17 @@ def _score(sup: PointSupport, form):
     return lhs, sup.scale * den * d
 
 
-def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
-              tilt_group: Optional[int] = None) -> LinearInequality:
-    """The pack cut of :func:`_pack_form`, its preconditions checked in
-    integer units."""
-    scale, rows, capacity, s = _weighed(instance, pack)
+def _pack_cut(instance: Instance, pack, pivot: Optional[VarRef] = None,
+              tilt_group: Optional[int] = None):
+    """``(pack, inequality)``: the item set in its one form (see
+    :func:`_weighed`) and its pack cut of :func:`_pack_form`, the
+    preconditions checked in integer units."""
+    pack, scale, rows, capacity, s = _weighed(instance, pack)
     if s >= capacity:
         raise PreconditionError("not a pack: weight %s >= capacity %s"
                                 % (Fraction(s, scale), instance.capacity))
     if pivot is not None:
-        free = [i for i in pack.groups() if len(rows[i - 1]) > 1]  # M_P - M_0
+        free = [i for i, _ in pack if len(rows[i - 1]) > 1]  # M_P - M_0
         if len(free) < 2:
             raise PreconditionError(
                 "need at least two non-singleton pack groups, have %d" % len(free))
@@ -348,12 +317,12 @@ def _pack_cut(instance: Instance, pack: ItemSet, pivot: Optional[VarRef] = None,
         if pivot.slot != len(rows[pivot.group - 1]):
             raise PreconditionError(
                 "pivot %s is not its group's last slot" % (pivot,))
-        if tilt_group is not None and (tilt_group not in pack.groups()
+        if tilt_group is not None and ((tilt_group, 1) not in pack
                                        or tilt_group in free):
             raise PreconditionError(
                 "tilt group %d is not a singleton pack group" % tilt_group)
     form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt_group)
-    return _inequality(scale, form)
+    return pack, _inequality(scale, form)
 
 
 def _pack_scores(sup: PointSupport, pack, slack, families):
@@ -385,56 +354,56 @@ def _pack_scores(sup: PointSupport, pack, slack, families):
                        (pack, rank["pack3"], (pivot.group, tilt)))
 
 
-def pack_inequality_1(instance: Instance, pack: ItemSet) -> GeneratedCut:
+def pack_inequality_1(instance: Instance, pack) -> GeneratedCut:
     """Pack cut: weights on all variables of pack groups, extra (b-s) on
     non-singleton pack items."""
-    inequality = _pack_cut(instance, pack)
+    pack, inequality = _pack_cut(instance, pack)
     # The theorem's facet statement needs a non-singleton pack group: its
     # point construction breaks down when M_P is all singletons (and the
     # claim is false there for packs of two or more items).
-    groups = set(pack.groups())
+    groups = {i for i, _ in pack}
     m0 = instance.singleton_groups()
     facet = (bool(groups - m0) and bool(groups & m0)
              and is_maximal_switching_pack(instance, pack))
     return GeneratedCut("pack1", inequality, pack, facet_guaranteed=facet)
 
 
-def pack_inequality_2(instance: Instance, pack: ItemSet, pivot: VarRef) -> GeneratedCut:
+def pack_inequality_2(instance: Instance, pack, pivot) -> GeneratedCut:
     """Pack cut pivoting on a non-singleton last-slot item: the pivot group's
     lighter slots get scaled-up coefficients."""
-    pivot = _as_ref(pivot)
-    inequality = _pack_cut(instance, pack, pivot)
+    pivot = var_ref(pivot)
+    pack, inequality = _pack_cut(instance, pack, pivot)
     facet = is_maximal_switching_pack(instance, pack)
     return GeneratedCut("pack2", inequality, pack,
                         facet_guaranteed=facet, pivot=pivot)
 
 
-def pack_inequality_3(instance: Instance, pack: ItemSet, pivot: VarRef,
+def pack_inequality_3(instance: Instance, pack, pivot,
                       tilt_group: int) -> GeneratedCut:
     """The pack2 cut tilted toward a singleton pack group: its variable's
     coefficient shrinks while the other non-singleton pack items and the
     right-hand side slack grow by the same factor."""
-    pivot = _as_ref(pivot)
-    inequality = _pack_cut(instance, pack, pivot, tilt_group)
-    remainder = ItemSet.of(ref for ref in pack if ref.group != tilt_group)
+    pivot = var_ref(pivot)
+    pack, inequality = _pack_cut(instance, pack, pivot, tilt_group)
+    remainder = [ref for ref in pack if ref.group != tilt_group]
     facet = is_maximal_switching_pack(instance, remainder)
     return GeneratedCut("pack3", inequality, pack,
                         facet_guaranteed=facet, pivot=pivot, tilt_group=tilt_group)
 
 
-def _cover_units(instance: Instance, cover: ItemSet):
-    """``(scale, rows, capacity, over)``, as :func:`_weighed` gives them
-    but with the cover's excess s - b, which must be positive."""
-    scale, rows, capacity, s = _weighed(instance, cover)
+def _cover_units(instance: Instance, cover):
+    """``(cover, scale, rows, capacity, over)``, as :func:`_weighed` gives
+    them but with the cover's excess s - b, which must be positive."""
+    cover, scale, rows, capacity, s = _weighed(instance, cover)
     if s <= capacity:
         raise PreconditionError("not a cover: weight %s <= capacity %s"
                                 % (Fraction(s, scale), instance.capacity))
-    return scale, rows, capacity, s - capacity
+    return cover, scale, rows, capacity, s - capacity
 
 
-def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCut:
+def lifted_cover_inequality_1(instance: Instance, cover) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
-    scale, rows, capacity, over = _cover_units(instance, cover)
+    cover, scale, rows, capacity, over = _cover_units(instance, cover)
     if not any(_lifts(rows[i - 1], r, over) for i, r in cover):
         raise PreconditionError("lifting condition violated: no slot below any "
                                 "chosen item keeps the rest under capacity")
@@ -444,14 +413,14 @@ def lifted_cover_inequality_1(instance: Instance, cover: ItemSet) -> GeneratedCu
                         facet_guaranteed=facet)
 
 
-def lifted_cover_inequality_2(instance: Instance, cover: ItemSet,
-                              special: VarRef) -> GeneratedCut:
+def lifted_cover_inequality_2(instance: Instance, cover,
+                              special) -> GeneratedCut:
     """Lifted cover cut with one in-cover item lifted over its whole group.
 
     The special item must not sit on its group's last slot; the remaining
     cover items (slots t_i) are lifted within their groups."""
-    special = _as_ref(special)
-    scale, rows, capacity, over = _cover_units(instance, cover)
+    special = var_ref(special)
+    cover, scale, rows, capacity, over = _cover_units(instance, cover)
     if special not in cover:
         raise PreconditionError("special item %s is not in the cover" % (special,))
     row = rows[special.group - 1]
@@ -520,26 +489,21 @@ BUILDERS = dict(zip(FAMILIES, (
 
 def build_member(instance: Instance, key) -> GeneratedCut:
     """The cut whose provenance key is ``key``, built by its family's public
-    builder.  The builder is looked up by its module name at each call, so
-    a wrapper set on this module (as the benchmark's tracer sets one) sees
-    every build."""
+    builder from the key's item tuple.  The builder is looked up by its
+    module name at each call, so a wrapper set on this module (as the
+    benchmark's tracer sets one) sees every build."""
     items, rank, aux = key
-    itemset = ItemSet(items)
     args = ()
-    if aux:  # the pivot or special item's group, then any tilt group
-        args = (VarRef(aux[0], itemset.slot(aux[0])),) + aux[1:]
-    return globals()[BUILDERS[FAMILIES[rank]]](instance, itemset, *args)
+    if aux:  # the pivot or special item, by its group, then any tilt group
+        args = ((aux[0], dict(items).get(aux[0])),) + aux[1:]
+    return globals()[BUILDERS[FAMILIES[rank]]](instance, items, *args)
 
 
 def enumerate_maximal_switching_packs(instance: Instance,
                                       limit: Optional[int] = None):
-    """All maximal switching packs, as last-slot item sets over group
-    subsets, in lexicographic subset order."""
-    allowed = resolve_enum_limit(limit)
-    if 2 ** instance.m > allowed:
-        raise ResourceLimitError(
-            "subset space 2^%d exceeds enumeration limit %d" % (instance.m, allowed),
-            estimate=2 ** instance.m)
+    """All maximal switching packs, as sorted tuples of last-slot items
+    over group subsets, in lexicographic subset order."""
+    guard_enumeration(2 ** instance.m, "subset space 2^%d" % instance.m, limit)
     _, units, capacity = _sorted_units(instance)
     groups = range(1, instance.m + 1)
     subsets = sorted(chain.from_iterable(
@@ -548,6 +512,5 @@ def enumerate_maximal_switching_packs(instance: Instance,
     for subset in subsets:
         tails = [units[i - 1] for i in subset]
         if is_switching(tails, capacity - sum(u[-1] for u in tails)):
-            out.append(ItemSet(tuple(VarRef(i, len(u))
-                                     for i, u in zip(subset, tails))))
+            out.append(tuple(VarRef(i, len(u)) for i, u in zip(subset, tails)))
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .model import Group, Instance, LinearInequality, Point, VarRef
-from .numeric import format_rational, parse_rational
+from .numeric import format_rational, parse_integer, parse_rational
 
 
 def _logical_lines(text: str):
@@ -38,37 +38,31 @@ def parse_instance(text: str) -> Instance:
     lineno, tokens = lines[1]
     if len(tokens) != 2 or tokens[0] != "b":
         _fail(lineno, "expected 'b <rational>'")
-    capacity = _rational_at(lineno, tokens[1])
+    capacity = _value_at(lineno, tokens[1])
     groups = []
     for lineno, tokens in lines[2:]:
         if tokens[0] != "group":
             _fail(lineno, "expected a 'group' line")
         if len(tokens) < 2:
             _fail(lineno, "missing group size")
-        n = _integer_at(lineno, tokens[1], "group size")
+        n = _value_at(lineno, tokens[1], parse_integer)
         if n < 1:
             _fail(lineno, "group size must be >= 1")
         expected = 2 + 1 + n + 1 + n  # 'group n' + 'a' weights + 'c' profits
         if len(tokens) != expected or tokens[2] != "a" or tokens[3 + n] != "c":
             _fail(lineno, "expected 'group %d a <%d rationals> c <%d rationals>'" % (n, n, n))
-        weights = tuple(_rational_at(lineno, t) for t in tokens[3:3 + n])
-        profits = tuple(_rational_at(lineno, t) for t in tokens[4 + n:4 + 2 * n])
+        weights = tuple(_value_at(lineno, t) for t in tokens[3:3 + n])
+        profits = tuple(_value_at(lineno, t) for t in tokens[4 + n:4 + 2 * n])
         groups.append(Group(weights, profits))
     if not groups:
         raise FormatError("instance has no groups")
     return Instance(tuple(groups), capacity)
 
 
-def _integer_at(lineno, token, what):
-    """``token`` as an int: a rational of the one grammar, without ``/q``."""
-    if "/" in token:
-        _fail(lineno, "%s is not an integer: %r" % (what, token))
-    return int(_rational_at(lineno, token))
-
-
-def _rational_at(lineno, token):
+def _value_at(lineno, token, parse=parse_rational):
+    """``token`` read by ``parse``, its error naming the line."""
     try:
-        return parse_rational(token)
+        return parse(token)
     except FormatError as exc:
         _fail(lineno, str(exc))
 
@@ -96,7 +90,7 @@ def parse_inequality(text: str) -> LinearInequality:
     lineno, tokens = lines[1]
     if len(tokens) != 2 or tokens[0] != "rhs":
         _fail(lineno, "expected 'rhs <rational>'")
-    rhs = _rational_at(lineno, tokens[1])
+    rhs = _value_at(lineno, tokens[1])
     return LinearInequality(_entries(lines[2:], "term"), rhs)
 
 
@@ -132,11 +126,11 @@ def _entries(lines, keyword):
     for lineno, tokens in lines:
         if len(tokens) != 4 or tokens[0] != keyword:
             _fail(lineno, "expected '%s <i> <j> <rational>'" % keyword)
-        ref = VarRef(_integer_at(lineno, tokens[1], "index"),
-                     _integer_at(lineno, tokens[2], "index"))
+        ref = VarRef(_value_at(lineno, tokens[1], parse_integer),
+                     _value_at(lineno, tokens[2], parse_integer))
         if ref.group < 1 or ref.slot < 1:
             _fail(lineno, "indices are 1-based")
-        value = _rational_at(lineno, tokens[3])
+        value = _value_at(lineno, tokens[3])
         if ref in entries:
             _fail(lineno, "%s is given twice" % (ref,))
         if keyword == "val" and not 0 <= value <= 1:

@@ -59,24 +59,35 @@ def _frac(value) -> Fraction:
     raise ValidationError("not a rational value: %r" % (value,))
 
 
+def var_ref(ref) -> VarRef:
+    """The one coercion of a reference: ``ref`` (a VarRef or a ``(group,
+    slot)`` pair) as a VarRef.  A group or slot that is not an int or is a
+    bool raises ``ValidationError``; :meth:`Instance.check_ref` checks the
+    range."""
+    if type(ref) is not VarRef:
+        try:
+            ref = VarRef(*ref)
+        except TypeError:
+            raise ValidationError("not a variable: %r" % (ref,)) from None
+    if type(ref.group) is not int or type(ref.slot) is not int:
+        if not all(isinstance(k, int) and not isinstance(k, bool)
+                   for k in ref):
+            raise ValidationError("not a variable index: %r" % (tuple(ref),))
+    return ref
+
+
 def clean_terms(items, instance=None):
     """The one cleaner of sparse rational terms: ``items`` (a mapping or
     ``(ref, value)`` pairs; a ref may be a ``(group, slot)`` pair) as sorted
-    ``(VarRef, Fraction)`` terms, zeros dropped.  A group or slot that is
-    not an int or is a bool, a value that is not an int, Fraction or
+    ``(VarRef, Fraction)`` terms, zeros dropped.  A ref that
+    :func:`var_ref` refuses, a value that is not an int, Fraction or
     ``parse_rational`` string, a variable given twice (even at zero) and,
     with ``instance``, any reference outside it (zero-valued ones
     included) raise ``ValidationError``."""
     refs = []
     cleaned = []
     for ref, value in (items.items() if isinstance(items, Mapping) else items):
-        if not isinstance(ref, VarRef):
-            ref = VarRef(*ref)
-        if type(ref.group) is not int or type(ref.slot) is not int:
-            if not all(isinstance(k, int) and not isinstance(k, bool)
-                       for k in ref):
-                raise ValidationError("not a variable index: %r"
-                                      % (tuple(ref),))
+        ref = var_ref(ref)
         if instance is not None:
             instance.check_ref(ref)
         if type(value) is not Fraction:  # the hot case needs no call

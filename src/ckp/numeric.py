@@ -2,7 +2,8 @@
 
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` in ASCII digits, p with an optional minus and q > 0;
-parsing canonicalizes (lowest terms, sign on the numerator).
+parsing canonicalizes (lowest terms, sign on the numerator).  An integer,
+in a file or an option, is the grammar without ``/q`` (:func:`parse_integer`).
 :func:`integer_form` is the package's one scaling of rationals to
 integers, by the LCM of their denominators.  :func:`affine_rank` is the
 one rank routine.  It takes each vector in integer form, a denominator
@@ -35,6 +36,14 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise FormatError("zero denominator: %r" % (text,))
     return Fraction(num, den)
+
+
+def parse_integer(text: str) -> int:
+    """Parse ``p``: the grammar of :func:`parse_rational` without ``/q``.
+    Raises FormatError on anything else."""
+    if "/" in text:
+        raise FormatError("not an integer: %r" % (text,))
+    return parse_rational(text).numerator
 
 
 def format_rational(value: Fraction) -> str:

@@ -4,11 +4,12 @@ validity checking, and face dimensions.
 Everything here enumerates support patterns (one choice of "which slot may
 be positive" per group, or none).  :func:`walk_patterns` is the library's
 one pattern walk, for the oracle, exact separation and ``ckp cuts``: it
-applies the enumeration guard before the first pattern and gives each
-pattern's weight in the instance's integer units.  Exact separation and
-``ckp cuts`` pass it their cut families, and it skips the subtrees in
-which no member of them can meet its precondition; the oracle's own walks
-visit every pattern.
+applies the enumeration guard (:func:`guard_enumeration`, the one guard,
+also that of ``cuts.enumerate_maximal_switching_packs``) before the first
+pattern and gives each pattern's weight in the instance's integer units.
+Exact separation and ``ckp cuts`` pass it their cut families, and it skips
+the subtrees in which no member of them can meet its precondition; the
+oracle's own walks visit every pattern.
 
 A non-integral vertex of the polytope has exactly one fractional component
 and makes the knapsack row tight, so for each pattern it suffices to
@@ -39,9 +40,10 @@ from itertools import compress
 from operator import itemgetter, not_
 from typing import Optional
 
-from .errors import PreconditionError, ResourceLimitError, ValidationError
+from .errors import (FormatError, PreconditionError, ResourceLimitError,
+                     ValidationError)
 from .model import Instance, LinearInequality, Point, VarRef, clean_terms
-from .numeric import affine_rank
+from .numeric import affine_rank, parse_integer
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
@@ -58,14 +60,25 @@ def resolve_enum_limit(limit: Optional[int] = None) -> int:
         if not env:
             return DEFAULT_ENUM_LIMIT
         try:
-            limit = int(env)
-        except ValueError:
+            limit = parse_integer(env)
+        except FormatError:
             raise ValidationError(
                 "%s must be an integer, got %r" % (ENUM_LIMIT_ENV, env)) from None
         source = ENUM_LIMIT_ENV
     if limit < 1:
         raise ValidationError("%s must be positive, got %d" % (source, limit))
     return limit
+
+
+def guard_enumeration(estimate: int, noun: str,
+                      limit: Optional[int] = None) -> None:
+    """The one enumeration guard: ``ResourceLimitError`` when ``estimate``,
+    the size of the space ``noun`` names, exceeds the limit."""
+    allowed = resolve_enum_limit(limit)
+    if estimate > allowed:
+        raise ResourceLimitError(
+            "%s exceeds enumeration limit %d" % (noun, allowed),
+            estimate=estimate)
 
 
 def pattern_count(instance: Instance) -> int:
@@ -96,11 +109,7 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
     itself is given only when it is a pack and a pack family is asked
     for, or a cover with a special item and a cover family is."""
     estimate = pattern_count(instance)
-    allowed = resolve_enum_limit(limit)
-    if estimate > allowed:
-        raise ResourceLimitError(
-            "pattern space %d exceeds enumeration limit %d" % (estimate, allowed),
-            estimate=estimate)
+    guard_enumeration(estimate, "pattern space %d" % estimate, limit)
     return PatternWalk(instance, families)
 
 

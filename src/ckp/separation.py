@@ -173,9 +173,10 @@ class PartitionInput:
         if not self.alphas:
             raise ValidationError("alphas must be nonempty")
         for a in self.alphas:
-            if not isinstance(a, int) or a <= 0:
+            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
                 raise ValidationError("alphas must be positive integers")
-        if not isinstance(self.beta, int) or self.beta <= 0:
+        if (not isinstance(self.beta, int) or isinstance(self.beta, bool)
+                or self.beta <= 0):
             raise ValidationError("beta must be a positive integer")
         if sum(self.alphas) != 2 * self.beta:
             raise ValidationError(

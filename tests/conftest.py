@@ -9,9 +9,8 @@ from operator import itemgetter
 import pytest
 
 from ckp import cuts, oracle
-from ckp.cuts import (ItemSet, lifted_cover_inequality_1,
-                      lifted_cover_inequality_2, pack_inequality_1,
-                      pack_inequality_2, pack_inequality_3)
+from ckp.cuts import (lifted_cover_inequality_1, lifted_cover_inequality_2,
+                      pack_inequality_1, pack_inequality_2, pack_inequality_3)
 from ckp.errors import CkpError, PreconditionError, ResourceLimitError
 from ckp.model import Instance, LinearInequality, Point, VarRef, lhs_at
 from ckp.numeric import integer_form
@@ -114,8 +113,9 @@ def correlated_instance(rng):
 
 
 def itemset_weight(instance, itemset):
-    """The item set's weight s, summed in Fractions: the reference for the
-    integer sums the cut builders weigh their item sets by."""
+    """The weight s of an item set (any iterable of VarRefs), summed in
+    Fractions: the reference for the integer sums the cut builders weigh
+    their item sets by."""
     return sum((instance.weight(ref) for ref in itemset), Fraction(0))
 
 
@@ -127,7 +127,7 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     if cut.family != "pack2":
         raise PreconditionError("tilting starts from a pack2 cut")
     m0 = instance.singleton_groups()
-    if tilt_group not in m0 or tilt_group not in set(cut.items.groups()):
+    if tilt_group not in m0 or tilt_group not in {r.group for r in cut.items}:
         raise PreconditionError(
             "tilt group %d is not a singleton pack group" % tilt_group)
     b = instance.capacity
@@ -141,7 +141,7 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     for ref in cut.items:
         if ref.group not in m0 and ref.group != cut.pivot.group:
             coeffs[ref] += slack * factor
-    free = [i for i in cut.items.groups() if i not in m0]
+    free = [r.group for r in cut.items if r.group not in m0]
     rhs = cut.inequality.rhs + (len(free) - 2) * slack * factor
     return LinearInequality(coeffs, rhs)
 
@@ -163,8 +163,9 @@ def reference_is_maximal_switching_pack(instance, itemset):
     return True
 
 
-def family_cuts(instance: Instance, itemset: ItemSet, families):
-    """Every member of ``families`` that one item set gives, in order.
+def family_cuts(instance: Instance, itemset, families):
+    """Every member of ``families`` that one item set (a sorted VarRef
+    tuple) gives, in order.
 
     Pass pack families for a pack and cover families for a cover.  Per
     family: ``pack1`` once; ``pack2`` once per non-singleton last-slot
@@ -179,7 +180,7 @@ def family_cuts(instance: Instance, itemset: ItemSet, families):
         yield pack_inequality_1(instance, itemset)
     if "pack2" in families or "pack3" in families:
         m0 = instance.singleton_groups()
-        groups = itemset.groups()
+        groups = [ref.group for ref in itemset]
         if len([i for i in groups if i not in m0]) >= 2:
             singles = sorted(i for i in groups if i in m0)
             for pivot in itemset:

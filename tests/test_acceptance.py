@@ -34,7 +34,8 @@ def _report(num, ok, detail):
 
 
 def refs(*pairs):
-    return cuts.ItemSet.of(VarRef(i, j) for i, j in pairs)
+    """The item set of ``pairs`` in its one form, the sorted VarRef tuple."""
+    return tuple(sorted(VarRef(i, j) for i, j in pairs))
 
 
 def text_of(cut):
@@ -60,7 +61,7 @@ def _lex_item_sets(instance, predicate, cap):
             return
         if group > m:
             if chosen:
-                itemset = cuts.ItemSet.of(list(chosen))
+                itemset = tuple(chosen)
                 if predicate(itemset):
                     found.append(itemset)
             return
@@ -93,24 +94,24 @@ def _generate_cuts(instance):
     preconditions fail are skipped; everything produced is kept.
     """
     packs = _lex_item_sets(instance, lambda s: is_pack(instance, s), SET_CAP)
-    seen = {p.items for p in packs}
+    seen = set(packs)
     for msp in cuts.enumerate_maximal_switching_packs(instance):
-        if msp.items not in seen:
-            seen.add(msp.items)
+        if msp not in seen:
+            seen.add(msp)
             packs.append(msp)
     covers = _lex_item_sets(instance, lambda s: is_cover(instance, s), SET_CAP)
 
     made = []
     for pack in packs:
         _try(made, cuts.pack_inequality_1, instance, pack)
-        for pivot in pack.items:
+        for pivot in pack:
             pivot_cut = _try(made, cuts.pack_inequality_2, instance, pack, pivot)
             if pivot_cut is not None:
-                for group in pack.groups():
+                for group, _ in pack:
                     _try(made, cuts.pack_inequality_3, instance, pack, pivot, group)
     for cover in covers:
         _try(made, cuts.lifted_cover_inequality_1, instance, cover)
-        for special in cover.items:
+        for special in cover:
             _try(made, cuts.lifted_cover_inequality_2, instance, cover, special)
     return made
 
@@ -152,7 +153,7 @@ def test_criterion_2(ex_b):
     p2 = cuts.pack_inequality_1(ex_b, refs((2, 2), (3, 2)))
     ok = ok and text_of(p2) == ("ineq 1\nrhs 25\nterm 2 1 14\nterm 2 2 13\n"
                                 "term 3 1 13\nterm 3 2 12\n")
-    multi = [g for g in p2.items.groups() if g not in ex_b.singleton_groups()]
+    multi = [g for g, _ in p2.items if g not in ex_b.singleton_groups()]
     dim = oracle.face_dimension(ex_b, p2.inequality)
     ok = ok and dim == 5 and ex_b.dimension - len(multi) == 5
     _report(2, ok, "pack1 rhs-23 cut is a facet; rhs-25 cut sits at the rank "
@@ -308,7 +309,7 @@ def test_criterion_7(corpus_cuts):
         vertices = oracle.enumerate_candidate_vertices(instance)
         for cut in cut_list:
             needs_flag = cut.facet_guaranteed
-            multi = [g for g in cut.items.groups() if g not in singles]
+            multi = [g for g, _ in cut.items if g not in singles]
             # The rank bound only constrains packs that use a multi-slot
             # group: with none, d - len(multi) = d exceeds every proper
             # face's dimension.

@@ -19,7 +19,7 @@ import pytest
 import ckp
 from ckp import cuts, oracle
 from ckp.cli import main
-from ckp.cuts import FAMILIES, ItemSet, enumerate_maximal_switching_packs
+from ckp.cuts import FAMILIES, enumerate_maximal_switching_packs
 from ckp.fileio import (
     parse_instance,
     parse_point,
@@ -264,7 +264,7 @@ def test_cuts_listing_matches_building_every_member(tmp_path, capsys):
     for _ in range(20):
         path.write_text(serialize_instance(random_instance(rng, max_groups=4)))
         inst, _ = normalize(parse_instance(path.read_text()))
-        covers = [ItemSet(refs) for refs in (
+        covers = [refs for refs in (
             tuple(VarRef(i, j) for i, j in enumerate(p, start=1) if j)
             for p in iter_patterns(inst)) if refs]
         covers = [c for c in covers if itemset_weight(inst, c) > inst.capacity]
@@ -435,6 +435,51 @@ def test_exit_code_nonpositive_enumeration_limit(files, capsys, limit):
                     "--enumerate-limit", limit)
     assert code == 2
     assert "enumeration limit must be positive" in out
+
+
+ALPHAS_BAD = "alphas must be a comma-separated integer list"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(["--alphas", "1_0,\u0663,1", "--beta", "7"], 2, ALPHAS_BAD,
+                 id="alphas 1_0 and an Arabic-Indic 3"),
+    pytest.param(["--alphas", "+1,1,2", "--beta", "2"], 2, ALPHAS_BAD,
+                 id="alphas +1"),
+    pytest.param(["--alphas", "1,1,2", "--beta", "\u0662"], 1,
+                 "argument --beta: invalid int value: '\u0662'",
+                 id="beta an Arabic-Indic 2"),
+    pytest.param(["--alphas", "1,1,2", "--beta", "+2"], 1,
+                 "argument --beta: invalid int value: '+2'", id="beta +2"),
+    pytest.param(["--alphas", "1,1,2", "--beta", "4/2"], 1,
+                 "argument --beta: invalid int value: '4/2'", id="beta 4/2"),
+])
+def test_reduce_partition_integers_in_one_grammar(tmp_path, capsys, argv,
+                                                  code, message):
+    got, out = run(capsys, "reduce-partition", *argv,
+                   "--out", str(tmp_path / "red"))
+    assert got == code
+    assert message in out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", ["--max-cuts-per-node", "--node-limit",
+                                    "--enumerate-limit"])
+@pytest.mark.parametrize("value", ["1_0", "+10", "\u0661\u0660", "10/1"])
+def test_solve_integer_options_in_one_grammar(files, capsys, option, value):
+    code, out = run(capsys, "solve", files["ex_a.ckp"], option, value)
+    assert code == 1
+    assert "argument %s: invalid int value: %r" % (option, value) in out
+    code, out = run(capsys, "solve", files["ex_a.ckp"], option, "10")
+    assert code == 0
+
+
+@pytest.mark.parametrize("value", ["1_000", "+1000", "\u0661\u0660\u0660\u0660",
+                                   "1000/1"])
+def test_enum_limit_env_in_one_grammar(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("CKP_ENUM_LIMIT", value)
+    code, out = run(capsys, "oracle", files["ex_a.ckp"])
+    assert code == 2
+    assert "CKP_ENUM_LIMIT must be an integer, got %r" % value in out
 
 
 def test_console_script(files):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ckp.errors import PreconditionError, ValidationError
+from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.fileio import serialize_inequality
 from ckp.model import Instance, Point, VarRef
 from ckp import cuts, oracle
@@ -23,7 +23,8 @@ from conftest import (is_cover, is_pack, itemset_weight, iter_patterns,
 
 
 def refs(*pairs):
-    return cuts.ItemSet.of(VarRef(i, j) for i, j in pairs)
+    """The item set of ``pairs`` in its one form, the sorted VarRef tuple."""
+    return tuple(sorted(VarRef(i, j) for i, j in pairs))
 
 
 def text_of(cut):
@@ -32,15 +33,60 @@ def text_of(cut):
 
 # --- item sets ---
 
-def test_itemset_sorted_and_validated():
-    s = refs((4, 2), (1, 1))
-    assert s.items == (VarRef(1, 1), VarRef(4, 2))
-    assert s.slot(4) == 2
-    assert VarRef(1, 1) in s and VarRef(1, 2) not in s
-    with pytest.raises(ValidationError):
-        refs((1, 1), (1, 2))  # two items from one group
-    with pytest.raises(ValidationError):
-        cuts.ItemSet.of([])
+# On ex_a (b = 21): a maximal switching pack of weight 20 and a cover of
+# weight 22 whose (4,1) lifts; each builder's pivot, tilt or special.
+PACK = [(5, 2), (1, 1), (4, 2), (3, 1)]
+COVER = [(4, 1), (2, 1), (3, 1)]
+TAKERS = [
+    pytest.param(cuts.pack_inequality_1, PACK, (), id="pack1"),
+    pytest.param(cuts.pack_inequality_2, PACK, ((4, 2),), id="pack2"),
+    pytest.param(cuts.pack_inequality_3, PACK, ((4, 2), 1), id="pack3"),
+    pytest.param(cuts.lifted_cover_inequality_1, COVER, (), id="lcover1"),
+    pytest.param(cuts.lifted_cover_inequality_2, COVER, ((4, 1),),
+                 id="lcover2"),
+    pytest.param(cuts.is_maximal_switching_pack, PACK, (), id="msp"),
+]
+
+
+@pytest.mark.parametrize("build,pairs,args", TAKERS)
+def test_item_sets_taken_in_any_order(ex_a, build, pairs, args):
+    # unsorted (group, slot) pairs and a pair as pivot or special give what
+    # the sorted VarRef tuple and VarRefs give; a cut keeps the tuple
+    canonical = refs(*pairs)
+    refs_args = tuple(VarRef(*a) if isinstance(a, tuple) else a for a in args)
+    assert canonical != tuple(pairs)
+    got = build(ex_a, pairs, *args)
+    assert got == build(ex_a, canonical, *refs_args)
+    assert got == build(ex_a, iter(reversed(canonical)), *refs_args)
+    if build is cuts.is_maximal_switching_pack:
+        assert got is True
+    else:
+        assert got.items == canonical
+
+
+@pytest.mark.parametrize("build,pairs,args", TAKERS)
+def test_item_sets_validated(ex_a, build, pairs, args):
+    first, rest = pairs[0], pairs[1:]
+    other_slot = 3 - dict(pairs)[4]  # group 4 has two slots
+    bad = [
+        ([], "item set is empty"),
+        (pairs + [(4, other_slot)], "item set repeats a group"),
+        (pairs + [(6, 1)], "out of range"),
+        ([p for p in pairs if p[0] != 4] + [(4, 3)], "out of range"),
+        ([(first[0], True)] + rest, "not a variable index"),
+        ([(True, first[1])] + rest, "not a variable index"),
+        ([(first[0], 1.0)] + rest, "not a variable index"),
+        ([VarRef(first[0], 1.0)] + rest, "not a variable index"),
+        ([first[0]] + rest, "not a variable"),
+    ]
+    for items, message in bad:
+        with pytest.raises(ValidationError, match=message):
+            build(ex_a, items, *args)
+    if args and isinstance(args[0], tuple):  # a pivot or special item
+        group = args[0][0]
+        for ref in ((group, True), (group, 2.0), VarRef(group, True)):
+            with pytest.raises(ValidationError, match="not a variable index"):
+                build(ex_a, pairs, ref, *args[1:])
 
 
 def test_pack_cover_strict(ex_a):
@@ -79,7 +125,7 @@ def test_msp_vacuous_when_all_singletons():
 
 
 def test_enumerate_msps(ex_a, ex_b):
-    got = [s.items for s in cuts.enumerate_maximal_switching_packs(ex_b)]
+    got = cuts.enumerate_maximal_switching_packs(ex_b)
     assert got == [
         (VarRef(1, 1),),
         (VarRef(1, 1), VarRef(2, 2), VarRef(3, 2)),
@@ -90,7 +136,17 @@ def test_enumerate_msps(ex_a, ex_b):
     for s in all_a:
         assert cuts.is_maximal_switching_pack(ex_a, s)
     # output is sorted, duplicate-free, and in lexicographic subset order
-    assert [s.items for s in all_a] == sorted({s.items for s in all_a})
+    assert all(type(s) is tuple for s in all_a)
+    assert all_a == sorted(set(all_a))
+
+
+def test_msp_enumeration_guarded(ex_a):
+    # the subset space 2^m is guarded by the one enumeration guard
+    with pytest.raises(ResourceLimitError) as err:
+        cuts.enumerate_maximal_switching_packs(ex_a, limit=31)
+    assert str(err.value) == "subset space 2^5 exceeds enumeration limit 31"
+    assert err.value.estimate == 32
+    assert len(cuts.enumerate_maximal_switching_packs(ex_a, limit=32)) == 12
 
 
 def test_msp_test_matches_fractions():
@@ -107,14 +163,14 @@ def test_msp_test_matches_fractions():
             chosen = [VarRef(i, j) for i, j in enumerate(pattern, start=1) if j]
             if not chosen:
                 continue
-            itemset = cuts.ItemSet.of(chosen)
+            itemset = tuple(chosen)
             expected = reference_is_maximal_switching_pack(inst, itemset)
             assert cuts.is_maximal_switching_pack(inst, itemset) == expected
             if expected:
-                packs.append(itemset.items)
+                packs.append(itemset)
             accepted += expected
             rejected += not expected
-        got = [p.items for p in cuts.enumerate_maximal_switching_packs(inst)]
+        got = cuts.enumerate_maximal_switching_packs(inst)
         assert got == sorted(packs, key=lambda p: tuple(r.group for r in p))
     assert accepted > 50 and rejected > 500
 
@@ -261,7 +317,8 @@ def test_tilting_identity(ex_c):
     """Tilting a pivot cut must land exactly on the closed-form tilted cut."""
     packs = ex_c_packs()
     for label, pack in packs.items():
-        tiltable = [i for i in pack.groups() if i in ex_c.singleton_groups()]
+        tiltable = [r.group for r in pack
+                    if r.group in ex_c.singleton_groups()]
         for pivot in ((3, 2), (4, 2), (5, 2)):
             base = cuts.pack_inequality_2(ex_c, pack, VarRef(*pivot))
             for i in tiltable:
@@ -283,7 +340,7 @@ def test_tilting_identity_random():
                 continue
             for pivot in pivots:
                 base = cuts.pack_inequality_2(inst, pack, pivot)
-                for i in sorted(set(pack.groups()) & m0):
+                for i in sorted({r.group for r in pack} & m0):
                     direct = cuts.pack_inequality_3(inst, pack, pivot, i)
                     assert (tilt_pack_inequality(inst, base, i)
                             == direct.inequality)

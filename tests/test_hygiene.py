@@ -95,6 +95,41 @@ def test_one_integer_scaling():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def ref_coercions(source):
+    """Lines of ``VarRef(*...)`` calls, coercions of a pair to a reference,
+    outside the body of a function named ``var_ref``."""
+    lines = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside or node.name == "var_ref"
+        elif (isinstance(node, ast.Call) and not inside
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "VarRef"
+              and any(isinstance(arg, ast.Starred) for arg in node.args)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_detector_flags_a_ref_coercion():
+    source = ("def var_ref(ref):\n    return VarRef(*ref)\n"
+              "def other(ref):\n    return VarRef(*ref)\n"
+              "a = model.VarRef(*pair)\n"
+              "b = VarRef(i, j)\n")
+    assert ref_coercions(source) == [4, 5]
+
+
+def test_one_ref_coercion():
+    # model.var_ref is the library's one coercion of a (group, slot) pair to
+    # a VarRef, with its index check; every other module calls it
+    found = {path.name: ref_coercions(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def simplex_imports(source):
     """Lines of imports from the ``simplex`` module, relative or absolute."""
     lines = []

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ckp.errors import FormatError
 from ckp.numeric import (affine_rank, format_rational, integer_form,
-                         parse_rational)
+                         parse_integer, parse_rational)
 
 from conftest import (LARGE_PRIMES, fraction_affine_rank,
                       reference_integer_form)
@@ -33,6 +33,20 @@ class TestParseRational:
     def test_rejects_garbage(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+
+class TestParseInteger:
+    def test_integers(self):
+        assert parse_integer("5") == 5 and type(parse_integer("5")) is int
+        assert parse_integer(" -30 ") == -30
+
+    # the rational grammar without /q: what int() also takes is refused
+    @pytest.mark.parametrize("bad", ["", "7/2", "4/2", "1/1", "+2", "1_0",
+                                     " 1_000", "\u0663", "\u0662", "1.0",
+                                     pytest.param("1" * 5000, id="long")])
+    def test_rejects_garbage(self, bad):
+        with pytest.raises(FormatError):
+            parse_integer(bad)
 
 
 def test_format_rational():

@@ -25,7 +25,7 @@ from ckp.model import (
 )
 from ckp import oracle
 from ckp.cli import main
-from ckp.cuts import (FAMILIES, ItemSet, PointSupport,
+from ckp.cuts import (FAMILIES, PointSupport,
                       enumerate_maximal_switching_packs, family_scores)
 from ckp.fileio import serialize_instance
 from ckp.separation import separate_exact
@@ -375,7 +375,7 @@ def _cuts_of(inst):
     covers = tuple(f for f in FAMILIES if f not in packs)
     itemsets = [(pack, packs) for pack in enumerate_maximal_switching_packs(inst)]
     for pattern in iter_patterns(inst):
-        cover = ItemSet(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
+        cover = tuple(VarRef(i, j) for i, j in enumerate(pattern, start=1) if j)
         if itemset_weight(inst, cover) > inst.capacity:
             itemsets.append((cover, covers))
     for itemset, families in itemsets:

@@ -47,7 +47,7 @@ def test_exact_most_violated_over_all_families(ex_c, frac_point):
     # three families tie at violation 2; the lexicographically smallest
     # item set wins, which is the five-group cover
     assert r.cut.family == "lcover1"
-    assert r.cut.items.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 1),
+    assert r.cut.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 1),
                                  VarRef(4, 2), VarRef(5, 2))
 
 
@@ -56,13 +56,13 @@ def test_exact_single_family(ex_c, frac_point):
     assert r.found and r.violation == 2
     assert r.cut.family == "pack2"
     assert r.cut.pivot == VarRef(4, 2)
-    assert r.cut.items.items == (VarRef(1, 1), VarRef(2, 1),
+    assert r.cut.items == (VarRef(1, 1), VarRef(2, 1),
                                  VarRef(3, 2), VarRef(4, 2))
     assert r.stats.examined == 75
 
     r = separate_exact(ex_c, frac_point, "pack1")
     assert r.violation == 2
-    assert r.cut.items.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2))
+    assert r.cut.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2))
 
 
 @pytest.mark.parametrize("family, examined", [("all", 245), ("pack2", 75)])
@@ -157,7 +157,7 @@ def test_greedy_finds_the_big_pack_cut(ex_c, frac_point):
     r = separate_greedy(ex_c, frac_point)
     assert r.found and r.violation == 2
     assert r.cut.family == "pack1"
-    assert r.cut.items.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2),
+    assert r.cut.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2),
                                  VarRef(4, 2), VarRef(5, 2))
 
 
@@ -213,7 +213,7 @@ def test_reduction_yes_instance_separates():
     inst, x = build_partition_reduction((1, 1, 2), 2)
     r1 = separate_exact(inst, x, "lcover1")
     assert r1.found and r1.violation == Fraction(1, 2)
-    assert r1.cut.items.items == (VarRef(1, 1), VarRef(2, 1), VarRef(4, 1))
+    assert r1.cut.items == (VarRef(1, 1), VarRef(2, 1), VarRef(4, 1))
     r2 = separate_exact(inst, x, "lcover2")
     assert r2.found and r2.violation == Fraction(1, 2)
 
@@ -263,6 +263,11 @@ def test_partition_input_validation():
         PartitionInput((), 2)
     with pytest.raises(ValidationError):
         PartitionInput((1, -1, 4), 2)
+    # a bool is no integer here, though Python counts it as one
+    with pytest.raises(ValidationError, match="alphas must be positive integers"):
+        PartitionInput((True, True, 2), 2)
+    with pytest.raises(ValidationError, match="beta must be a positive integer"):
+        PartitionInput((1, 1), True)
     with pytest.raises(ValidationError):
         PartitionInput((1, 1), 2)  # sums to 2, needs 4
     with pytest.raises(ValidationError):
@@ -311,7 +316,7 @@ def reference_separate(instance, point, families):
                 continue
             s = sum((instance.weight(ref) for ref in refs), Fraction(0))
             chosen = packs if s < b else covers if s > b else ()
-            yield from family_cuts(instance, cuts.ItemSet(tuple(refs)), chosen)
+            yield from family_cuts(instance, tuple(refs), chosen)
     return build_every_member(point, members())
 
 
@@ -334,12 +339,12 @@ def reference_greedy(instance, point, families):
             chosen.append(last)
             total += instance.weight(last)
     packs = []
-    pack = cuts.ItemSet.of(chosen) if chosen else None
+    pack = tuple(sorted(chosen)) if chosen else None
     if pack is not None and reference_is_maximal_switching_pack(instance, pack):
         packs.append(pack)
         if len(pack) >= 2:
-            for i in sorted(set(pack.groups()) & instance.singleton_groups()):
-                packs.append(cuts.ItemSet.of(r for r in pack if r.group != i))
+            for i in sorted({r.group for r in pack} & instance.singleton_groups()):
+                packs.append(tuple(r for r in pack if r.group != i))
     families = tuple(f for f in families if f.startswith("pack"))
     members = (cut for itemset in packs
                for cut in family_cuts(instance, itemset, families))
@@ -458,7 +463,7 @@ def scores_equal_builds(instance, point):
         chosen = packs if s < b else covers if s > b else ()
         built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
                   c.provenance_key())
-                 for c in family_cuts(instance, cuts.ItemSet(refs), chosen)]
+                 for c in family_cuts(instance, tuple(refs), chosen)]
         units = s * support.scale
         assert units.denominator == 1
         scored = [(Fraction(num, den), key) for (num, den), key

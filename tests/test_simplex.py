@@ -199,7 +199,7 @@ def _builder_cuts(inst):
     for refs in product(*([VarRef(i, j) for j in range(1, g.size + 1)]
                           for i, g in enumerate(inst.groups, start=1))):
         try:
-            cut = cuts.lifted_cover_inequality_1(inst, cuts.ItemSet.of(refs))
+            cut = cuts.lifted_cover_inequality_1(inst, refs)
         except PreconditionError:
             continue
         found.append(cut.inequality)

@@ -10,7 +10,7 @@ import pytest
 import ckp
 from ckp import simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
-from ckp.cuts import FAMILIES, GeneratedCut, ItemSet
+from ckp.cuts import FAMILIES, GeneratedCut
 from ckp.model import (
     Instance,
     Point,
@@ -311,7 +311,7 @@ def test_pooled_cut_separated_again_is_rejected(monkeypatch):
     inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
     def forged(instance, point, families):
         cut = GeneratedCut("pack1", knapsack_row(instance),
-                           ItemSet.of(instance.refs()[:1]))
+                           tuple(instance.refs()[:1]))
         return SeparationResult(cut, Fraction(1), SeparationStats(1, 1))
 
     monkeypatch.setattr(solver, "separate_greedy", forged)
