@@ -18,8 +18,8 @@ import sys
 
 from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
-from .errors import (CkpError, FormatError, ResourceLimitError,
-                     ValidationError)
+from .errors import (CkpError, FormatError, PreconditionError,
+                     ResourceLimitError, ValidationError)
 from .model import Instance, Point, normalize, validate_assumptions
 from .numeric import format_rational, parse_integer
 
@@ -98,14 +98,14 @@ def _cmd_verify(args, out) -> int:
     instance = _load_instance(args.instance)
     with open(args.inequality, "r", encoding="utf-8") as handle:
         inequality = fileio.parse_inequality(handle.read())
-    result = oracle.check_validity(instance, inequality, args.enumerate_limit)
-    if not result.valid:
-        print("valid: no", file=out)
-        print("witness:", file=out)
-        _print_point(result.witness, out)
+    vertices = oracle.enumerate_candidate_vertices(instance, args.enumerate_limit)
+    try:
+        dim = vertices.face_dimension(inequality)
+    except PreconditionError as exc:
+        print("valid: no\nwitness:", file=out)
+        _print_point(exc.witness, out)
         return 0
     print("valid: yes", file=out)
-    dim = oracle.face_dimension(instance, inequality, args.enumerate_limit)
     print("face-dim: %d" % dim, file=out)
     print("facet: %s" % ("yes" if dim == instance.dimension - 1 else "no"),
           file=out)

@@ -59,6 +59,7 @@ from typing import Optional
 
 from .errors import PreconditionError, ValidationError
 from .model import Instance, LinearInequality, VarRef, var_ref
+from .numeric import require_integer
 from .oracle import guard_enumeration
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
@@ -384,6 +385,7 @@ def pack_inequality_3(instance: Instance, pack, pivot,
     coefficient shrinks while the other non-singleton pack items and the
     right-hand side slack grow by the same factor."""
     pivot = var_ref(pivot)
+    tilt_group = require_integer(tilt_group, "tilt group")
     pack, inequality = _pack_cut(instance, pack, pivot, tilt_group)
     remainder = [ref for ref in pack if ref.group != tilt_group]
     facet = is_maximal_switching_pack(instance, remainder)

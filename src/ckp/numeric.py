@@ -3,7 +3,8 @@
 Rationals are ``fractions.Fraction`` throughout the package.  The text form
 is ``p`` or ``p/q`` in ASCII digits, p with an optional minus and q > 0;
 parsing canonicalizes (lowest terms, sign on the numerator).  An integer,
-in a file or an option, is the grammar without ``/q`` (:func:`parse_integer`).
+in a file or an option, is the grammar without ``/q`` (:func:`parse_integer`);
+an integer argument is an int and not a bool (:func:`require_integer`).
 :func:`integer_form` is the package's one scaling of rationals to
 integers, by the LCM of their denominators.  :func:`affine_rank` is the
 one rank routine.  It takes each vector in integer form, a denominator
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only
 
@@ -44,6 +45,15 @@ def parse_integer(text: str) -> int:
     if "/" in text:
         raise FormatError("not an integer: %r" % (text,))
     return parse_rational(text).numerator
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` when it is an int and not a bool; else ``ValidationError``
+    naming ``name``.  The one type check of an integer argument: the
+    enumeration and solver limits and a pack3 tilt group."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 def format_rational(value: Fraction) -> str:

@@ -20,15 +20,16 @@ set S, hence its convex hull equals the polytope.  So the maximum of a
 linear function over the candidates is its maximum over S, and a
 :class:`VertexSet` answers validity and face-dimension queries for any
 number of inequalities from one enumeration.  The candidates are found in
-integer units and kept as one integer table, a denominator per candidate
-and a column of ints per variable; an inequality is scaled by
-``Instance.integer_row``, and the candidates' integer excesses over its
-rhs, summed a column at a time, test it and name the witness of an
-invalid one.  Each distinct set of tight candidates is ranked once.
+integer units and kept once, in walk order (the origin, then per pattern
+the all-ones point and the fractional points, last item first), as one
+integer table: a denominator per candidate and a column of ints per
+variable.  An inequality is scaled by ``Instance.integer_row``, and the
+candidates' integer excesses over its rhs, summed a column at a time, test
+it.  Each distinct set of tight candidates is ranked once.
 ``maximize_over_S`` scores each pattern's candidates as the walk gives
-them instead, in integers, keeping none; its tie-break (first pattern,
-then last item) is that of ``ckp oracle`` and ``ckp verify``.  The oracle
-shares no code with the node LP it checks.
+them instead, in integers, keeping none.  Both take the first maximizer in
+walk order, so an invalid inequality has one witness, the one ``ckp
+verify`` prints.  The oracle shares no code with the node LP it checks.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, not_
+from operator import not_
 from typing import Optional
 
 from .errors import (FormatError, PreconditionError, ResourceLimitError,
                      ValidationError)
 from .model import Instance, LinearInequality, Point, VarRef, clean_terms
-from .numeric import affine_rank, parse_integer
+from .numeric import affine_rank, parse_integer, require_integer
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
@@ -53,7 +54,7 @@ _F1 = Fraction(1)
 
 def resolve_enum_limit(limit: Optional[int] = None) -> int:
     """Explicit argument, else CKP_ENUM_LIMIT, else the default 10^6.
-    A limit below 1 is rejected, wherever it comes from."""
+    A limit below 1 or not an int is rejected, wherever it comes from."""
     source = "enumeration limit"
     if limit is None:
         env = os.environ.get(ENUM_LIMIT_ENV)
@@ -65,7 +66,7 @@ def resolve_enum_limit(limit: Optional[int] = None) -> int:
             raise ValidationError(
                 "%s must be an integer, got %r" % (ENUM_LIMIT_ENV, env)) from None
         source = ENUM_LIMIT_ENV
-    if limit < 1:
+    if require_integer(limit, source) < 1:
         raise ValidationError("%s must be positive, got %d" % (source, limit))
     return limit
 
@@ -172,22 +173,18 @@ class PatternWalk:
 
 
 class VertexSet:
-    """The sorted candidate vertices of one instance (see the module
-    docstring) as one integer table: candidate k is ``column[k] / dens[k]``
-    at each column of ``columns``, one tuple of ints per entry of
-    ``Instance.columns``.  Each affine rank is kept, keyed by the byte
-    mask of its tight candidates and its cap, so a repeated tight set
-    costs one lookup; the ranks go with the set.  Each candidate's sorted
-    ``(VarRef, Fraction)`` entries are kept too; a :class:`Point` is made
-    from them only for a witness, or for every candidate at the first
-    read of :attr:`points`."""
+    """The candidate vertices of one instance in walk order (see the module
+    docstring), stored once, as one integer table: candidate k is
+    ``column[k] / dens[k]`` at each column of ``columns``, one tuple of
+    ints per entry of ``Instance.columns``.  A :class:`Point` is made from
+    it only for a witness, or at a read of :attr:`points`.  Each affine
+    rank is kept, keyed by the byte mask of its tight candidates and its
+    cap, so a repeated tight set costs one lookup."""
 
-    __slots__ = ("instance", "entries", "dens", "columns", "_points", "_ranks")
+    __slots__ = ("instance", "dens", "columns", "_ranks")
 
-    def __init__(self, instance: Instance, entries: tuple, dens: tuple,
-                 columns: tuple):
+    def __init__(self, instance: Instance, dens: tuple, columns: tuple):
         self.instance = instance
-        self.entries = entries
         self.dens = dens
         self.columns = columns
         self._ranks = {}
@@ -195,14 +192,15 @@ class VertexSet:
     def __len__(self):
         return len(self.dens)
 
+    def _point(self, k: int) -> Point:
+        den, xs = self.dens[k], [column[k] for column in self.columns]
+        return Point((ref, _F1 if x == den else Fraction(x, den))
+                     for ref, x in zip(self.instance.columns, xs) if x)
+
     @property
     def points(self) -> tuple:
-        """Every candidate as a :class:`Point`, made at the first read."""
-        try:
-            return self._points
-        except AttributeError:
-            self._points = tuple(map(Point, self.entries))
-            return self._points
+        """Every candidate as a :class:`Point`, in walk order."""
+        return tuple(map(self._point, range(len(self.dens))))
 
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
@@ -212,9 +210,10 @@ class VertexSet:
         denominator and the inequality's scale, summed a column at a time.
         The maximum over the candidates is the maximum over S, since
         conv(candidates) = conv(S); above the rhs this raises with the
-        first candidate of largest excess / den as witness.  Otherwise the
-        result is the affine rank of the tight candidates, whose rows are
-        read off the table only when that tight set is new.
+        first candidate of largest excess / den, :func:`maximize_over_S`'s
+        maximizer of the lhs, as witness.  Otherwise the result is the
+        affine rank of the tight candidates, whose rows are read off the
+        table only when that tight set is new.
         """
         instance, terms, dens = self.instance, inequality.terms, self.dens
         coeffs, top, scale = instance.integer_row(terms, inequality.rhs)
@@ -231,7 +230,7 @@ class VertexSet:
             lhs = Fraction(excess[best] + top * den, den * scale)
             raise PreconditionError(
                 "inequality is not valid (max %s > rhs %s)"
-                % (lhs, inequality.rhs), witness=Point(self.entries[best]))
+                % (lhs, inequality.rhs), witness=self._point(best))
         cap = instance.dimension - 1 if terms else instance.dimension
         tight = bytes(map(not_, excess))  # 1 at each tight candidate
         rank = self._ranks.get((tight, cap))
@@ -244,39 +243,38 @@ class VertexSet:
 
 
 def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None) -> VertexSet:
-    """The candidate vertices of the polytope (see module docstring), sorted.
+    """The candidate vertices of the polytope (see module docstring), in
+    walk order.
 
-    Per pattern, in integer units: the all-ones point when the pattern's
-    weight fits the capacity, and each point whose one fractional entry
-    room / a (0 < room < a) fills the capacity exactly.  Every candidate's
-    support is its pattern, so no candidate repeats.
+    The origin when it fits, then per pattern of :func:`walk_patterns`, in
+    integer units: the all-ones point when the pattern's weight fits the
+    capacity, then each point whose one fractional entry room / a
+    (0 < room < a) fills the capacity exactly, last item first.  Every
+    candidate's support is its pattern, so no candidate repeats.
     """
     _, rows, capacity = instance.units
     col = instance.columns
-    found = []
+    found = []  # (den, row) per candidate
     if capacity >= 0:  # the origin, the empty pattern's one candidate
-        found.append(((), 1, [0] * len(col)))
+        found.append((1, [0] * len(col)))
     for items, total in walk_patterns(instance, limit):
         ones = [0] * len(col)
         for ref in items:
             ones[col[ref]] = 1
         if total <= capacity:
-            found.append((tuple((ref, _F1) for ref in items), 1, ones))
-        for k, ref in enumerate(items):
+            found.append((1, ones))
+        for ref in reversed(items):
             a = rows[ref.group - 1][ref.slot - 1]
             room = capacity - total + a
             if 0 < room < a or a < room < 0:  # room / a strictly inside (0, 1)
                 frac = Fraction(room, a)
                 row = [x * frac.denominator for x in ones]
                 row[col[ref]] = frac.numerator
-                entries = [(r, _F1) for r in items]
-                entries[k] = (ref, frac)
-                found.append((tuple(entries), frac.denominator, row))
+                found.append((frac.denominator, row))
     if not found:  # S is empty
-        return VertexSet(instance, (), (), ((),) * len(col))
-    found.sort(key=itemgetter(0))
-    entries, dens, rows = zip(*found)
-    return VertexSet(instance, entries, dens, tuple(zip(*rows)))
+        return VertexSet(instance, (), ((),) * len(col))
+    dens, rows = zip(*found)
+    return VertexSet(instance, dens, tuple(zip(*rows)))
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):

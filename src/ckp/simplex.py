@@ -89,9 +89,9 @@ class LpProblem:
     ``objective`` is cleaned by ``model.clean_terms``, every reference
     checked, and kept as its sorted ``((VarRef, Fraction), ...)`` terms.
     ``rows`` is the knapsack row (``model.knapsack_row``, built once per
-    problem and shared by its :meth:`with_row` copies), then ``extra_rows``,
-    each added as by :meth:`with_row`, which checks every reference of the
-    row (``ValidationError`` on one outside the instance).  Weights and
+    problem and shared by its :meth:`with_row` copies), then the cut rows
+    that :meth:`with_row` adds, checking every reference of the row
+    (``ValidationError`` on one outside the instance).  Weights and
     right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
     0 <= x <= 1 are implicit and handled by the solver.
 
@@ -106,7 +106,7 @@ class LpProblem:
     __slots__ = ("instance", "rows", "objective", "refs", "costs",
                  "cost_scale", "scaled_rows", "spans", "scale")
 
-    def __init__(self, instance: Instance, objective, extra_rows=()):
+    def __init__(self, instance: Instance, objective):
         self.objective = clean_terms(objective, instance)
         weight_scale, units, capacity = instance.units
         weights = [a for row in units for a in row]
@@ -121,25 +121,20 @@ class LpProblem:
         ends = tuple(accumulate(map(len, units)))
         self.spans = tuple(zip((0,) + ends, ends))
         self.scale = lcm(self.cost_scale, weight_scale)
-        for row in extra_rows:
-            self._add_row(row)
 
-    def _add_row(self, row) -> None:
+    def with_row(self, row) -> "LpProblem":
+        """This problem plus the cut row ``row``: the scaled data is shared
+        and only the new row is checked and scaled."""
         if row.rhs < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         if row == self.rows[0]:
             raise ValidationError("rows must include the knapsack row exactly once")
         scaled = self.instance.integer_row(row.terms, row.rhs)
-        self.rows += (row,)
-        self.scaled_rows = self.scaled_rows + [scaled]
-        self.scale = lcm(self.scale, scaled[2])
-
-    def with_row(self, row) -> "LpProblem":
-        """This problem plus the cut row ``row``: the scaled data is shared
-        and only the new row is scaled."""
         new = copy(self)
-        new._add_row(row)
+        new.rows = self.rows + (row,)
+        new.scaled_rows = self.scaled_rows + [scaled]
+        new.scale = lcm(self.scale, scaled[2])
         return new
 
 

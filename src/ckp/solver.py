@@ -34,6 +34,7 @@ from .errors import (CkpError, PreconditionError, ResourceLimitError,
                      ValidationError)
 from .model import (Instance, Point, VarRef, complementarity_violations,
                     is_feasible, profit_of)
+from .numeric import require_integer
 from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
@@ -54,12 +55,12 @@ class SolveConfig:
         for name in self.families:
             if name not in FAMILIES:
                 raise ValidationError("unknown cut family: %r" % (name,))
-        if self.max_cuts_per_node < 0:
+        if require_integer(self.max_cuts_per_node, "max_cuts_per_node") < 0:
             raise ValidationError("max_cuts_per_node must be nonnegative")
         # The root must always be explored: it is the only node without a
         # parent bound, so letting the limit stop it first would leave the
         # reported best bound baseless.
-        if self.node_limit < 1:
+        if require_integer(self.node_limit, "node_limit") < 1:
             raise ValidationError("node_limit must be at least 1")
 
 

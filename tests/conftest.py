@@ -245,27 +245,28 @@ def iter_patterns(instance):
 
 
 def reference_candidate_vertices(instance, limit=None):
-    """Deduplicated candidate vertices, summed in Fractions per pattern and
-    sorted.  The reference that ``oracle.enumerate_candidate_vertices`` is
-    checked against."""
+    """Deduplicated candidate vertices, summed in Fractions per pattern, in
+    walk order: per pattern the all-ones point, then the fractional ones,
+    last item first.  The reference that
+    ``oracle.enumerate_candidate_vertices`` is checked against."""
     check_enum_limit(instance, limit)
     b = instance.capacity
     weights = [g.weights for g in instance.groups]
-    seen = set()
+    seen = {}  # insertion-ordered
     for pattern in iter_patterns(instance):
         chosen = [(VarRef(i, j), weights[i - 1][j - 1])
                   for i, j in enumerate(pattern, start=1) if j]
         total = sum((w for _, w in chosen), Fraction(0))
         if total <= b:
-            seen.add(tuple((ref, Fraction(1)) for ref, _ in chosen))
-        for k, (ref, a) in enumerate(chosen):
+            seen[tuple((ref, Fraction(1)) for ref, _ in chosen)] = None
+        for k, (ref, a) in reversed(list(enumerate(chosen))):
             if a == 0:
                 continue
             frac = (b - (total - a)) / a
             if 0 < frac < 1:
-                seen.add(tuple((r, frac if idx == k else Fraction(1))
-                               for idx, (r, _) in enumerate(chosen)))
-    return tuple(Point(entries) for entries in sorted(seen))
+                seen[tuple((r, frac if idx == k else Fraction(1))
+                           for idx, (r, _) in enumerate(chosen))] = None
+    return tuple(map(Point, seen))
 
 
 def fraction_affine_rank(vectors, cap=None):
@@ -645,9 +646,9 @@ def reference_integer_row(instance, terms, rhs=0):
 
 def reference_lp_data(instance, objective, rows=()):
     """``(costs, cost_scale, scaled_rows, scale)`` of
-    ``LpProblem(instance, objective, rows)``, scaled in Fractions: the
-    knapsack row first, then the cut rows, and the scale the LCM of every
-    row's and the costs' scales.  The group rows are not among them: their
+    ``LpProblem(instance, objective)`` with each of ``rows`` added by
+    ``with_row``, scaled in Fractions: the knapsack row first, then the cut
+    rows, and the scale the LCM of every row's and the costs' scales.  The group rows are not among them: their
     scale is 1, and the problem keeps them as spans."""
     refs = instance.refs()
     costs, _, cost_scale = reference_integer_row(instance, objective.items())

@@ -87,6 +87,10 @@ def test_item_sets_validated(ex_a, build, pairs, args):
         for ref in ((group, True), (group, 2.0), VarRef(group, True)):
             with pytest.raises(ValidationError, match="not a variable index"):
                 build(ex_a, pairs, ref, *args[1:])
+    if build is cuts.pack_inequality_3:  # a tilt group is an int, not a bool
+        for tilt in (True, 1.0):
+            with pytest.raises(ValidationError, match="tilt group must be an integer"):
+                build(ex_a, pairs, *args[:-1], tilt)
 
 
 def test_pack_cover_strict(ex_a):

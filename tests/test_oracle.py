@@ -20,14 +20,16 @@ from ckp.model import (
     is_feasible,
     knapsack_row,
     lhs_at,
+    normalize,
     profit_of,
     weight_of,
 )
 from ckp import oracle
+from ckp.numeric import format_rational
 from ckp.cli import main
 from ckp.cuts import (FAMILIES, PointSupport,
                       enumerate_maximal_switching_packs, family_scores)
-from ckp.fileio import serialize_instance
+from ckp.fileio import serialize_inequality, serialize_instance
 from ckp.separation import separate_exact
 
 from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
@@ -40,7 +42,9 @@ from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
 
 def slow_candidates(inst):
     """All 0/1-per-group points that are either integral-feasible or have one
-    fractional coordinate making the knapsack exactly tight."""
+    fractional coordinate making the knapsack exactly tight, in walk order:
+    per pattern the all-ones point, then the fractional ones, last item
+    first."""
     found = {}
 
     def walk(i, picks):
@@ -55,7 +59,7 @@ def slow_candidates(inst):
         total = sum(inst.weight(r) for r in picks)
         if total <= inst.capacity:
             add({r: Fraction(1) for r in picks})
-        for r in picks:
+        for r in reversed(picks):
             rest = total - inst.weight(r)
             if inst.weight(r) == 0:
                 continue
@@ -70,7 +74,7 @@ def slow_candidates(inst):
         found[key] = Point(vals.items())
 
     walk(1, [])
-    return sorted(found.values(), key=lambda p: p.entries)
+    return list(found.values())
 
 
 def exhaustive_max(inst, objective):
@@ -104,10 +108,18 @@ def test_candidate_counts_frozen(ex_a, ex_b, ex_c):
     assert len(oracle.enumerate_candidate_vertices(ex_c).points) == 149
 
 
-def test_candidates_sorted_and_unique(ex_a):
-    pts = oracle.enumerate_candidate_vertices(ex_a).points
-    assert len(set(pts)) == len(pts)
-    assert list(pts) == sorted(pts, key=lambda p: p.entries)
+def test_candidates_in_walk_order(ex_a, ex_c, small_corpus):
+    # the key of a candidate is its slot per group (0 for none), then its
+    # fractional item, last first (the all-ones point before them all):
+    # walk order, in which the keys increase strictly, so none repeats
+    for inst in [ex_a, ex_c] + small_corpus:
+        keys = []
+        for p in oracle.enumerate_candidate_vertices(inst).points:
+            slots = dict(p.support())
+            fractional = [r.group for r, v in p.entries if v != 1]
+            keys.append((tuple(slots.get(i, 0) for i in range(1, inst.m + 1)),
+                         -fractional[0] if fractional else -inst.m - 1))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # --- the integer walk against the Fraction references ---
@@ -428,7 +440,7 @@ def test_face_dimension_matches_reference_on_seeded_corpora():
 
 
 def test_invalid_witness_is_the_first_largest_candidate():
-    """The witness is the first candidate (in sorted order) of largest
+    """The witness is the first candidate (in walk order) of largest
     lhs, and the message names that lhs: the lhs of every candidate,
     summed in Fractions, is the reference.  An empty inequality with a
     negative rhs ties every candidate at lhs 0."""
@@ -452,6 +464,43 @@ def test_invalid_witness_is_the_first_largest_candidate():
             assert err.value.witness == vertices.points[values.index(best)]
             assert str(err.value) == ("inequality is not valid (max %s > rhs %s)"
                                       % (best, inequality.rhs))
+
+
+def test_one_witness_rule(tmp_path, capsys):
+    """For each invalid inequality, ``VertexSet.face_dimension`` names the
+    witness that ``check_validity`` names and ``ckp verify`` prints: the
+    first maximizer of the lhs in walk order.  Small integer coefficients
+    tie many candidates at the maximum; on ex_a, x41 + x51 <= 1 is broken
+    first by the pattern {x41, x51} alone."""
+    rng = random.Random(4545)
+    ex_a = make_instance([(2,), (4,), (8,), (10, 6), (8, 4)], 21)
+    pinned = LinearInequality({VarRef(4, 1): 1, VarRef(5, 1): 1}, 1)
+    instance_path, inequality_path = tmp_path / "inst.ckp", tmp_path / "bad.ineq"
+    checked = tied = 0
+    for inst in [ex_a] + [normalize(i)[0] for i in _seeded_instances(30, 6161)]:
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        instance_path.write_text(serialize_instance(inst))
+        inequalities = [pinned] if inst is ex_a else []
+        for _ in range(4):
+            coeffs = {r: rng.randint(-1, 2) for r in inst.refs()}
+            top, _ = oracle.maximize_over_S(inst, coeffs)
+            inequalities.append(LinearInequality(coeffs, top - Fraction(1, 2)))
+        for inequality in inequalities:
+            with pytest.raises(PreconditionError) as err:
+                vertices.face_dimension(inequality)
+            witness = oracle.check_validity(inst, inequality).witness
+            assert err.value.witness == witness
+            if inequality is pinned:
+                assert witness == Point({VarRef(4, 1): 1, VarRef(5, 1): 1})
+            inequality_path.write_text(serialize_inequality(inequality))
+            assert main(["verify", str(instance_path), str(inequality_path)]) == 0
+            assert capsys.readouterr().out == "valid: no\nwitness:\n" + "".join(
+                "val %d %d %s\n" % (r.group, r.slot, format_rational(x))
+                for r, x in witness.entries)
+            values = [lhs_at(inequality, p) for p in vertices.points]
+            tied += values.count(max(values)) > 1
+            checked += 1
+    assert checked == 4 * 33 + 1 and tied > checked // 3, (checked, tied)
 
 
 def test_kept_ranks_answer_as_a_fresh_enumeration():
@@ -548,6 +597,14 @@ def test_enum_limit_must_be_positive(ex_a, monkeypatch, limit):
     monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, str(limit))
     with pytest.raises(ValidationError, match=oracle.ENUM_LIMIT_ENV):
         oracle.resolve_enum_limit(None)
+
+
+@pytest.mark.parametrize("limit", [True, 2.5, 1000.5])
+def test_enum_limit_must_be_an_integer(ex_a, limit):
+    with pytest.raises(ValidationError, match="enumeration limit must be an integer"):
+        oracle.resolve_enum_limit(limit)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        oracle.enumerate_candidate_vertices(ex_a, limit=limit)
 
 
 def test_enum_limit_bad_env_value(monkeypatch):

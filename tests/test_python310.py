@@ -22,9 +22,9 @@ import os
 import sys
 from fractions import Fraction
 
-from ckp import cli, separation, solver
-from ckp.fileio import serialize_instance
-from ckp.model import Instance, Point, VarRef
+from ckp import cli, oracle, separation, solver
+from ckp.fileio import serialize_inequality, serialize_instance
+from ckp.model import Instance, LinearInequality, Point, VarRef
 
 def same(*rows):
     return [(row, row) for row in rows]
@@ -49,6 +49,15 @@ path = os.path.join(sys.argv[1], "ex_c.ckp")
 with open(path, "w", encoding="utf-8") as handle:
     handle.write(serialize_instance(ex_c))
 print("exit", cli.main(["cuts", path, "--family", "all", "--verify"]))
+
+# the candidate table in walk order, and the witness it names
+print(oracle.enumerate_candidate_vertices(ex_c).points)
+print("exit", cli.main(["oracle", path]))
+bad = os.path.join(sys.argv[1], "bad.ineq")
+with open(bad, "w", encoding="utf-8") as handle:
+    handle.write(serialize_inequality(
+        LinearInequality({VarRef(4, 1): 1, VarRef(5, 1): 1}, 1)))
+print("exit", cli.main(["verify", path, bad]))
 """
 
 
@@ -72,4 +81,5 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert version == "(3, 10)\n"
     expected = run(sys.executable, SCRIPT, str(tmp_path))
     assert "exit 0" in expected and "family: lcover1" in expected
+    assert "valid: no" in expected and "candidates: 149" in expected
     assert run(python310, SCRIPT, str(tmp_path)) == expected

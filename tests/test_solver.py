@@ -143,6 +143,11 @@ def test_config_validation():
         SolveConfig(node_limit=0)
     with pytest.raises(ValidationError):
         SolveConfig(max_cuts_per_node=-1)
+    for field, value in (("node_limit", 1.5), ("node_limit", True),
+                         ("max_cuts_per_node", 2.5),
+                         ("max_cuts_per_node", False)):
+        with pytest.raises(ValidationError, match="%s must be an integer" % field):
+            SolveConfig(**{field: value})
 
 
 def test_exact_separation_stops_at_the_enumeration_limit(monkeypatch):
