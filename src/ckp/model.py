@@ -13,9 +13,10 @@ Conventions used everywhere:
   :class:`Instance` scales its data to integers,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
   sorted and unique, each X > 0, and x = X / D.  :class:`Point` computes
-  it once; ``simplex.LpSolution`` is built in it.  :func:`lhs_at` and
+  it once; ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
+  :func:`weight_of`, :func:`profit_of` and
   :func:`complementarity_violations` read only this form, so either kind
-  of point may be passed.
+  of point may be passed; the last three sum and count in integers.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -87,7 +88,9 @@ def clean_terms(items, instance=None):
     refs = []
     cleaned = []
     for ref, value in (items.items() if isinstance(items, Mapping) else items):
-        ref = var_ref(ref)
+        if (type(ref) is not VarRef or type(ref.group) is not int
+                or type(ref.slot) is not int):  # the hot case needs no call
+            ref = var_ref(ref)
         if instance is not None:
             instance.check_ref(ref)
         if type(value) is not Fraction:  # the hot case needs no call
@@ -155,10 +158,10 @@ class Instance:
         return self.group(i).size
 
     def contains(self, ref: VarRef) -> bool:
-        return 1 <= ref.group <= self.m and 1 <= ref.slot <= self.groups[ref.group - 1].size
+        return ref in self.columns
 
     def check_ref(self, ref: VarRef) -> None:
-        if not self.contains(ref):
+        if ref not in self.columns:
             raise ValidationError("variable out of range: %s" % (ref,))
 
     def weight(self, ref: VarRef) -> Fraction:
@@ -342,11 +345,15 @@ def weight_of(instance: Instance, point) -> Fraction:
     return Fraction(total, scale * point_scale)
 
 
-def profit_of(instance: Instance, point: Point) -> Fraction:
-    total = Fraction(0)
-    for ref, x in point.entries:
-        total += instance.profit(ref) * x
-    return total
+def profit_of(instance: Instance, point) -> Fraction:
+    """Exact profit of ``point`` (anything with an integer form ``scaled``):
+    the support's own profits times the LCM of their denominators
+    (:func:`numeric.integer_form`), summed against the integers X, every
+    reference checked."""
+    point_scale, entries = point.scaled
+    scale, profits = integer_form(instance.profit(ref) for ref, _ in entries)
+    total = sum(c * x for c, (_, x) in zip(profits, entries))
+    return Fraction(total, scale * point_scale)
 
 
 def complementarity_violations(instance: Instance, point):

@@ -1,8 +1,8 @@
 """Exact node LP on integer-scaled data: the multiple-choice knapsack closed
 form and a fraction-free bounded-variable simplex.
 
-Maximizes a linear objective over {0 <= x <= 1, rows A x <= rhs}, where the
-rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
+Maximizes the instance's profit over {0 <= x <= 1, rows A x <= rhs}, where
+the rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
 group of two or more slots, and any cut rows, and the variables forced to
 zero are left out.  The group rows hold on all of S, since a point of S
 keeps at most one slot per group positive, each at most 1.  The bounds
@@ -15,16 +15,18 @@ builds meets this: normalized instances have nonnegative weights and
 capacity, and the origin lies in S, so every inequality valid for S has a
 nonnegative right-hand side.
 
-:class:`LpProblem` scales its data to integers once, when it is built:
-the knapsack row is ``Instance.units``, and each cut row and the objective
-go through ``Instance.integer_row``, each times the LCM of its own
-denominators; a group row is its span of columns (``LpProblem.spans``).
-The solver and the certificate check work on these integers, and so does
-the solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
-...))`` and the duals as ``(Y, ints)``, which the certificate check, the
-separators and the branch-and-cut loop read as they are.  Only its value
-is a Fraction; its ``point`` and ``duals`` are made in Fractions on first
-read, for a caller that shows them.
+:class:`LpProblem` takes its data in integers, with no Fraction round
+trip: the knapsack row is ``Instance.units``, a group row is its span of
+columns (``LpProblem.spans``), the costs are the instance's profits
+through ``numeric.integer_form``, once per problem, and each cut row goes
+through ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it,
+each times the LCM of its own denominators.  The solver and the
+certificate check work on these integers, and so does the solution:
+:class:`LpSolution` holds the point as ``(D, ((VarRef, X), ...))`` and the
+duals as ``(Y, ints)``, which the certificate check, the separators and
+the branch-and-cut loop read as they are.  Only its value is a Fraction;
+its ``point`` and ``duals`` are made in Fractions on first read, for a
+caller that shows them.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -69,11 +71,11 @@ from __future__ import annotations
 from copy import copy
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
-from .model import Instance, Point, clean_terms, knapsack_row
+from .model import Instance, Point, knapsack_row
 from .numeric import integer_form
 
 
@@ -83,56 +85,71 @@ def _ratio_cmp(s, t):
 
 
 class LpProblem:
-    """LP relaxation data: instance variables, rows, objective, and their
-    integer scaling.
+    """The node LP's data, scaled to integers: the instance's profits as the
+    objective, its knapsack row, its group rows and the cut rows.
 
-    ``objective`` is cleaned by ``model.clean_terms``, every reference
-    checked, and kept as its sorted ``((VarRef, Fraction), ...)`` terms.
-    ``rows`` is the knapsack row (``model.knapsack_row``, built once per
-    problem and shared by its :meth:`with_row` copies), then the cut rows
-    that :meth:`with_row` adds, checking every reference of the row
-    (``ValidationError`` on one outside the instance).  Weights and
-    right-hand sides must be nonnegative, so that x = 0 is feasible; bounds
-    0 <= x <= 1 are implicit and handled by the solver.
+    ``LpProblem(instance)`` is the LP relaxation of the instance itself; its
+    objective is the instance's profits, so the problem takes no terms to
+    clean.  The knapsack row is implicit, as ``Instance.units``, and so are
+    the group rows, as ``spans`` (each group's ``(start, end)`` columns,
+    whose sum is at most 1 when the group has two or more).  The problem
+    stores only the cut rows that :meth:`with_row` adds, as ``cut_rows``;
+    ``rows`` makes the knapsack row (``model.knapsack_row``) on each read
+    and puts it before them, for a caller that shows or counts them.
+    Weights and right-hand sides must be nonnegative, so that x = 0 is
+    feasible; bounds 0 <= x <= 1 are implicit and handled by the solver.
 
-    Built once per problem: ``refs`` (the columns), ``costs`` (the
-    objective times ``cost_scale``), ``scaled_rows`` (one ``(coefficients,
-    rhs, scale)`` per entry of ``rows``, see ``Instance.integer_row``),
-    ``spans`` (each group's ``(start, end)`` columns, whose sum is at most
-    1 when the group has two or more) and ``scale``, the LCM of all these
-    scales.
+    Built once per problem: ``refs`` (the columns, in ``Instance.columns``
+    order), ``costs`` and ``cost_scale`` (the profits in that order through
+    ``numeric.integer_form``), ``scaled_rows`` (``(coefficients, rhs,
+    scale)`` for the knapsack row, from ``Instance.units``, then for each
+    cut row, see ``Instance.integer_row``) and ``scale``, the LCM of all
+    these scales.
     """
 
-    __slots__ = ("instance", "rows", "objective", "refs", "costs",
-                 "cost_scale", "scaled_rows", "spans", "scale")
+    __slots__ = ("instance", "cut_rows", "refs", "costs", "cost_scale",
+                 "scaled_rows", "spans", "scale")
 
-    def __init__(self, instance: Instance, objective):
-        self.objective = clean_terms(objective, instance)
+    def __init__(self, instance: Instance):
         weight_scale, units, capacity = instance.units
         weights = [a for row in units for a in row]
         if min(weights) < 0 or capacity < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
-        self.rows = (knapsack_row(instance),)
-        self.refs = tuple(instance.refs())
-        self.costs, _, self.cost_scale = instance.integer_row(self.objective)
+        self.cut_rows = ()
+        self.refs = tuple(instance.columns)
+        self.cost_scale, self.costs = integer_form(
+            chain.from_iterable(g.profits for g in instance.groups))
         self.scaled_rows = [(weights, capacity, weight_scale)]
         ends = tuple(accumulate(map(len, units)))
         self.spans = tuple(zip((0,) + ends, ends))
         self.scale = lcm(self.cost_scale, weight_scale)
 
+    @property
+    def rows(self) -> tuple:
+        """The knapsack row, made on this read, then the cut rows."""
+        return (knapsack_row(self.instance),) + self.cut_rows
+
+    def has_row(self, row) -> bool:
+        """Whether ``row`` is the knapsack row or one of the cut rows, in
+        any equal form: its integer form (``Instance.integer_row``) is
+        compared with theirs.  A reference outside the instance raises."""
+        return self.instance.integer_row(row.terms, row.rhs) in self.scaled_rows
+
     def with_row(self, row) -> "LpProblem":
         """This problem plus the cut row ``row``: the scaled data is shared
-        and only the new row is checked and scaled."""
+        and only the new row is checked and scaled.  A negative rhs, a
+        reference outside the instance and a row the problem has already
+        (:meth:`has_row`) raise ``ValidationError``."""
         if row.rhs < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
-        if row == self.rows[0]:
-            raise ValidationError("rows must include the knapsack row exactly once")
         scaled = self.instance.integer_row(row.terms, row.rhs)
+        if scaled in self.scaled_rows:
+            raise ValidationError("the LP has this row already")
         new = copy(self)
-        new.rows = self.rows + (row,)
+        new.cut_rows = self.cut_rows + (row,)
         new.scaled_rows = self.scaled_rows + [scaled]
         new.scale = lcm(self.scale, scaled[2])
         return new
@@ -431,7 +448,7 @@ def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
     ``problem.spans``, minus any forced-to-zero variables: the closed form
     without cut rows, the simplex with them."""
     free = _free_columns(problem, forced_zero)
-    if len(problem.rows) == 1:
+    if not problem.cut_rows:
         return _solve_groups(problem, free, forced_zero)
     return _solve_bounded(problem, free)
 

@@ -1,24 +1,27 @@
 """Exact branch-and-cut over the complementarity feasible set S.
 
-The node LP is the multiple-choice knapsack relaxation: the knapsack row,
-one row sum_j x_ij <= 1 per group of two or more slots, the box, and the
-pooled cuts (see :mod:`ckp.simplex`).  The tree branches on SOS1 groups: a
-node whose LP point keeps two or more slots of some group positive splits
-that group's slot range in two, forcing one half to zero on each child.
-Nodes (forced-zero sets) are explored best-bound-first by their parent's
-bound, FIFO on ties, while that bound beats the incumbent and the node
-limit allows; each node solves, certifies and separates in one loop.
-Cuts live in one global deduplicated pool (all five families are valid
-for S itself, not just a subtree), and every LP is solved exactly, so a
-best bound (the incumbent or an open node's bound) equal to the incumbent
-is a proof.
+The node LP is the multiple-choice knapsack relaxation of the instance's
+profit: the knapsack row, one row sum_j x_ij <= 1 per group of two or more
+slots, the box, and the pooled cuts (see :mod:`ckp.simplex`).  The tree
+branches on SOS1 groups: a node whose LP point keeps two or more slots of
+some group positive splits that group's slot range in two, forcing one
+half to zero on each child.  Nodes (forced-zero sets) are explored
+best-bound-first by their parent's bound, FIFO on ties, while that bound
+beats the incumbent and the node limit allows; each node solves,
+certifies and separates in one loop.  Cuts live in one global pool, the
+node LP's cut rows (all five families are valid for S itself, not just a
+subtree), and a cut separated twice is an error.  Every LP is solved
+exactly, so a best bound (the incumbent or an open node's bound) equal to
+the incumbent is a proof.
 
 Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): its certificate check, the separators, the one
 complementarity test per solution and the branching masses (sums of the
 integers X) all read it.  The incumbent is kept as its node LP solution,
-and one :class:`model.Point` is made per solve, when the loop ends: it is
-checked feasible and goes into the report.
+and one :class:`model.Point` is made per solve, when the loop ends.  It is
+checked in integers, from its own integer form and the instance's weights
+and profits, not the LP's data: it must lie in S and earn the reported
+value.  Then it goes into the report.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from .cuts import FAMILIES
@@ -35,6 +37,7 @@ from .errors import (CkpError, PreconditionError, ResourceLimitError,
 from .model import (Instance, Point, VarRef, complementarity_violations,
                     is_feasible, profit_of)
 from .numeric import require_integer
+from .oracle import resolve_enum_limit
 from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
@@ -62,6 +65,11 @@ class SolveConfig:
         # reported best bound baseless.
         if require_integer(self.node_limit, "node_limit") < 1:
             raise ValidationError("node_limit must be at least 1")
+        # Checked here, not at exact separation's first walk: that may come
+        # mid-solve, or never without exact_fallback.  None defers to
+        # CKP_ENUM_LIMIT, read when separation runs.
+        if self.enum_limit is not None:
+            resolve_enum_limit(self.enum_limit)
 
 
 @dataclass(frozen=True)
@@ -118,12 +126,10 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     if not instance.is_normalized():
         raise PreconditionError("instance is not normalized")
     cuts_per_family = {name: 0 for name in FAMILIES}
-    problem = LpProblem(instance, zip(instance.columns, chain.from_iterable(
-        g.profits for g in instance.groups)))
+    problem = LpProblem(instance)  # its cut rows are the pool's, in order
     exact = config.exact_fallback
 
     pool = []            # GeneratedCut, in addition order
-    pool_rows = {problem.rows[0]}  # LinearInequality dedup
 
     incumbent_value = _F0
     incumbent = None  # the LpSolution of the incumbent; None is the origin
@@ -158,13 +164,13 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
                     exact = False
             if not sep.found:
                 break
-            if sep.cut.inequality in pool_rows:
-                # The certified node LP satisfies every pooled row, so a
-                # separator that calls one violated is at fault.
+            if problem.has_row(sep.cut.inequality):
+                # The certified node LP satisfies the knapsack row and every
+                # pooled row, so a separator that calls one violated is at
+                # fault.
                 raise CkpError("separated %s cut is already in the pool"
                                % sep.cut.family)
             pool.append(sep.cut)
-            pool_rows.add(sep.cut.inequality)
             cuts_per_family[sep.cut.family] += 1
             added_here += 1
             problem = problem.with_row(sep.cut.inequality)

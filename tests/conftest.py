@@ -44,6 +44,18 @@ def ex_c():
     return make_instance([(1,), (6,), (14, 10), (13, 9), (12, 8)], 36)
 
 
+def with_profits(instance, objective):
+    """The instance's weights and capacity with ``objective`` (a ``{ref:
+    value}`` mapping; a ref left out earns 0, and negative values are kept)
+    as its profits: the way a test gives ``LpProblem``, which maximizes its
+    instance's profit, an objective of its own."""
+    return Instance.build(
+        [(g.weights, tuple(objective.get(VarRef(i, j), 0)
+                           for j in range(1, g.size + 1)))
+         for i, g in enumerate(instance.groups, start=1)],
+        instance.capacity)
+
+
 def random_instance(rng, max_groups=5, max_slots=3, max_weight=20, profits="weights"):
     """Random normalized instance satisfying the standing assumptions.
 
@@ -371,6 +383,12 @@ def fill_knapsack(items, capacity):
     return value, entries, None
 
 
+def profits(instance):
+    """``{ref: profit}`` over every variable of the instance: the objective
+    of its LP."""
+    return {ref: instance.profit(ref) for ref in instance.refs()}
+
+
 def group_rows(instance):
     """The rows sum_j x_ij <= 1 of the groups with two or more slots, in
     group order, as ``(terms, rhs)``."""
@@ -395,7 +413,7 @@ def _solve_groups(problem: LpProblem, refs) -> LpSolution:
     ratio prices the knapsack row, and each group row (or a one-slot
     group's bound) the most any free slot earns past that price."""
     instance = problem.instance
-    objective = dict(problem.objective)
+    objective = profits(instance)
     free = set(refs)
     steps = []
     for i, g in enumerate(instance.groups, start=1):
@@ -549,8 +567,8 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
         line[nvars + r] = _F1
         line[-1] = rhs
         matrix.append(line)
-    objective = dict(problem.objective)
-    cost = [objective.get(ref, _F0) for ref in refs] + [_F0] * nrows
+    objective = profits(problem.instance)
+    cost = [objective[ref] for ref in refs] + [_F0] * nrows
     tab = _BoundedTableau(matrix, cost, nvars)
     tab.run()
 
@@ -568,7 +586,7 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
             reduced = -reduced
         bounds.append(reduced if reduced > 0 else _F0)
         if xs[c]:
-            value += objective.get(ref, _F0) * xs[c]
+            value += objective[ref] * xs[c]
     point = Point(zip(refs, xs))
     # Multiplier of row r is the negated reduced cost of its slack.
     duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
@@ -580,7 +598,7 @@ def reference_solve_lp(problem, forced_zero=frozenset()):
     Fractions.  The reference that ``simplex.solve_lp`` is checked against:
     the same value, point, duals and pivots."""
     refs = [r for r in problem.instance.refs() if r not in forced_zero]
-    if len(problem.rows) == 1:
+    if not problem.cut_rows:
         return _solve_groups(problem, refs)
     return _solve_bounded(problem, refs)
 
@@ -644,14 +662,16 @@ def reference_integer_row(instance, terms, rhs=0):
     return ints[:-1], ints[-1], scale
 
 
-def reference_lp_data(instance, objective, rows=()):
-    """``(costs, cost_scale, scaled_rows, scale)`` of
-    ``LpProblem(instance, objective)`` with each of ``rows`` added by
-    ``with_row``, scaled in Fractions: the knapsack row first, then the cut
-    rows, and the scale the LCM of every row's and the costs' scales.  The group rows are not among them: their
-    scale is 1, and the problem keeps them as spans."""
+def reference_lp_data(instance, rows=()):
+    """``(costs, cost_scale, scaled_rows, scale)`` of ``LpProblem(instance)``
+    with each of ``rows`` added by ``with_row``, scaled in Fractions: the
+    costs are the instance's profits, the knapsack row comes first, then
+    the cut rows, and the scale is the LCM of every row's and the costs'
+    scales.  The group rows are not among them: their scale is 1, and the
+    problem keeps them as spans."""
     refs = instance.refs()
-    costs, _, cost_scale = reference_integer_row(instance, objective.items())
+    costs, _, cost_scale = reference_integer_row(
+        instance, profits(instance).items())
     knapsack = [(ref, instance.weight(ref)) for ref in refs]
     sparse = [(knapsack, instance.capacity)] + [(r.terms, r.rhs) for r in rows]
     scaled_rows = [reference_integer_row(instance, terms, rhs)

@@ -436,6 +436,20 @@ def test_exit_code_nonpositive_enumeration_limit(files, capsys, limit):
     assert "enumeration limit must be positive" in out
 
 
+@pytest.mark.parametrize("extra", [(), ("--exact-sep",)],
+                         ids=["greedy", "exact-sep"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_solve_refuses_nonpositive_enumeration_limit(files, capsys, extra,
+                                                     limit):
+    # refused when the options are read, whether or not exact separation
+    # would ever walk
+    code, out = run(capsys, "solve", files["corr.ckp"], "--enumerate-limit",
+                    limit, *extra)
+    assert code == 2
+    assert "enumeration limit must be positive, got %s" % limit in out
+    assert "status:" not in out
+
+
 ALPHAS_BAD = "alphas must be a comma-separated integer list"
 
 

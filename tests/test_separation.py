@@ -24,7 +24,7 @@ from ckp import cuts, oracle, separation
 
 from conftest import (correlated_instance, family_cuts, iter_patterns,
                       make_instance, random_instance, rational_instance,
-                      reference_is_maximal_switching_pack)
+                      reference_is_maximal_switching_pack, with_profits)
 
 
 @pytest.fixture
@@ -178,7 +178,7 @@ def test_feasible_points_never_separated(small_corpus):
 def test_greedy_dominated_by_exact(small_corpus):
     """Whatever the heuristic separates, exhaustive separation matches or beats."""
     for inst in small_corpus:
-        problem = LpProblem(inst, {r: inst.profit(r) for r in inst.refs()})
+        problem = LpProblem(inst)
         sol = solve_lp(problem)
         g = separate_greedy(inst, sol.point)
         if g.found:
@@ -356,7 +356,7 @@ def _points(rng, instance):
     scaled into the knapsack row."""
     objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.refs()}
     forced = frozenset(r for r in instance.refs() if rng.random() < 0.2)
-    yield solve_lp(LpProblem(instance, objective), forced).point
+    yield solve_lp(LpProblem(with_profits(instance, objective)), forced).point
     values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.refs()}
     weight = sum((instance.weight(r) * x for r, x in values.items()), Fraction(0))
     if weight > instance.capacity:
@@ -506,7 +506,7 @@ def _node_points(rng, instance):
     is the most violated member at the previous optimum."""
     objective = {r: instance.profit(r) + rng.randint(0, 3)
                  for r in instance.refs()}
-    problem = LpProblem(instance, objective)
+    problem = LpProblem(with_profits(instance, objective))
     point = solve_lp(problem).point
     for _ in range(3):
         cut = separate_exact(instance, point).cut

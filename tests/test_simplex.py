@@ -18,28 +18,24 @@ from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
-                      group_rows, lp_solution, make_instance, random_instance,
-                      rational_instance, reference_lp_data,
-                      reference_maximize_over_S, reference_solve_lp)
+                      group_rows, lp_solution, make_instance, profits,
+                      random_instance, rational_instance, reference_lp_data,
+                      reference_maximize_over_S, reference_solve_lp,
+                      with_profits)
 
 
-def lp_with_rows(inst, objective, rows=()):
-    """``LpProblem(inst, objective)`` with each of ``rows`` added by
+def lp_for(inst, extra_rows=()):
+    """``LpProblem(inst)`` with each of ``extra_rows`` added by
     ``with_row``, as the solver adds its cuts."""
-    problem = LpProblem(inst, objective)
-    for row in rows:
+    problem = LpProblem(inst)
+    for row in extra_rows:
         problem = problem.with_row(row)
     return problem
 
 
-def lp_for(inst, extra_rows=()):
-    return lp_with_rows(inst, {r: inst.profit(r) for r in inst.refs()},
-                        extra_rows)
-
-
 def test_single_variable_bound_binds():
-    inst = make_instance([(2,)], 21)
-    sol = solve_lp(LpProblem(inst, {VarRef(1, 1): Fraction(1)}))
+    inst = with_profits(make_instance([(2,)], 21), {VarRef(1, 1): 1})
+    sol = solve_lp(LpProblem(inst))
     assert sol.value == 1
     assert sol.point.value(VarRef(1, 1)) == 1
 
@@ -53,13 +49,13 @@ def test_zero_capacity():
 
 def test_fractional_optimum():
     inst = Instance.build([((2,), (3,))], 1)
-    sol = solve_lp(LpProblem(inst, {VarRef(1, 1): Fraction(3)}))
+    sol = solve_lp(LpProblem(inst))
     assert sol.value == Fraction(3, 2)
     assert sol.point.value(VarRef(1, 1)) == Fraction(1, 2)
 
 
 def test_zero_objective(ex_a):
-    sol = solve_lp(LpProblem(ex_a, {}))
+    sol = solve_lp(LpProblem(with_profits(ex_a, {})))
     assert sol.value == 0
 
 
@@ -71,6 +67,7 @@ def test_example_relaxation(ex_a):
     # the knapsack row is the one stored row; the rows of groups 4 and 5
     # are their spans; the duals price all three rows, then the bounds
     assert len(problem.scaled_rows) == len(problem.rows) == 1
+    assert problem.cut_rows == ()
     assert problem.spans == ((0, 1), (1, 2), (2, 3), (3, 5), (5, 7))
     assert len(sol.duals) == 3 + ex_a.dimension
     assert all(y >= 0 for y in sol.duals)
@@ -103,21 +100,72 @@ def test_forced_zero_columns(ex_a):
 
 def test_rows_must_include_knapsack(ex_a):
     # the knapsack row always comes first, and only once
-    problem = LpProblem(ex_a, ())
+    problem = LpProblem(ex_a)
     assert problem.rows == (knapsack_row(ex_a),)
-    with pytest.raises(ValidationError, match="exactly once"):
+    with pytest.raises(ValidationError, match="has this row"):
         problem.with_row(knapsack_row(ex_a))
 
 
-def test_knapsack_row_built_once_per_instance(ex_a):
-    # every LP on one instance has the same knapsack row, the pool's first
-    # member in the solver, and a problem's cut rows share it; it is the
-    # row knapsack_row builds
-    first, second = LpProblem(ex_a, {}), lp_for(ex_a)
-    assert first.rows[0] == second.rows[0]
-    assert first.with_row(LinearInequality({}, 1)).rows[0] is first.rows[0]
-    fresh = knapsack_row(ex_a)
-    assert fresh is not first.rows[0] and fresh == first.rows[0]
+def test_knapsack_row_is_implicit(ex_a):
+    # the problem stores no knapsack row: its data is Instance.units, and
+    # rows makes the row knapsack_row builds on each read, then the cut rows
+    problem = LpProblem(ex_a)
+    scale, units, capacity = ex_a.units
+    assert problem.scaled_rows == [
+        ([a for row in units for a in row], capacity, scale)]
+    assert problem.rows == (knapsack_row(ex_a),)
+    cut = LinearInequality({(4, 1): 1, (5, 1): 1}, 1)
+    assert problem.with_row(cut).rows == (knapsack_row(ex_a), cut)
+
+
+def _knapsack_forms(inst):
+    """The knapsack row of ``inst`` in equal forms: as built, its terms
+    reversed, and each value as an unreduced ``"p/q"`` string."""
+    row = knapsack_row(inst)
+    reversed_terms = LinearInequality(row.terms[::-1], row.rhs)
+    strings = LinearInequality(
+        [(tuple(ref), _unreduced(a)) for ref, a in row.terms],
+        _unreduced(row.rhs))
+    return row, reversed_terms, strings
+
+
+def _unreduced(value):
+    # "6/2" for 3: the value's numerator and denominator times 2
+    return "%d/%d" % (2 * value.numerator, 2 * value.denominator)
+
+
+def test_with_row_refuses_the_knapsack_row_in_any_form(ex_a):
+    """The knapsack row is compared in integer form: refused however it
+    is written, also after cut rows, while the row times 2 and the row
+    with its rhs raised by 1 are other rows and are taken."""
+    rng = random.Random(2718)
+    seen_rational = 0
+    for inst in [ex_a] + [rational_instance(rng) for _ in range(40)]:
+        base = LpProblem(inst)
+        grown = base.with_row(LinearInequality({}, 1))
+        row = knapsack_row(inst)
+        for form in _knapsack_forms(inst):
+            assert form == row
+            for problem in (base, grown):
+                assert problem.has_row(form)
+                with pytest.raises(ValidationError, match="has this row"):
+                    problem.with_row(form)
+        double = LinearInequality([(r, 2 * a) for r, a in row.terms],
+                                  2 * row.rhs)
+        looser = LinearInequality(row.terms, row.rhs + 1)
+        for other in (double, looser):
+            assert not base.has_row(other)
+            assert base.with_row(other).cut_rows == (other,)
+        seen_rational += any(a.denominator > 1 for _, a in row.terms)
+    assert seen_rational >= 10, seen_rational
+
+
+def test_with_row_refuses_a_cut_row_twice(ex_a):
+    cut = LinearInequality({(4, 1): 1, (5, 1): 1}, 1)
+    grown = LpProblem(ex_a).with_row(cut)
+    assert grown.has_row(LinearInequality({(5, 1): "2/2", (4, 1): 1}, 1))
+    with pytest.raises(ValidationError, match="has this row"):
+        grown.with_row(cut)
 
 
 def test_with_row_matches_building_the_rows(ex_b):
@@ -131,17 +179,12 @@ def test_with_row_matches_building_the_rows(ex_b):
     assert grown.rows == (knapsack_row(ex_b), cut)
     assert base.rows == (knapsack_row(ex_b),)
     assert (grown.costs, grown.cost_scale, grown.scaled_rows, grown.scale) == (
-        reference_lp_data(ex_b, {r: ex_b.profit(r) for r in ex_b.refs()}, (cut,)))
+        reference_lp_data(ex_b, (cut,)))
     assert verify_certificate(grown, solve_lp(grown))
-    with pytest.raises(ValidationError, match="exactly once"):
+    with pytest.raises(ValidationError, match="has this row"):
         grown.with_row(knapsack_row(ex_b))
     with pytest.raises(ValidationError, match="nonnegative"):
         grown.with_row(LinearInequality([(VarRef(1, 1), -1)], Fraction(-1, 2)))
-
-
-def test_objective_refs_checked(ex_a):
-    with pytest.raises(ValidationError):
-        LpProblem(ex_a, {VarRef(6, 1): Fraction(1)})
 
 
 def test_objective_is_exact_and_given_once(ex_a):
@@ -152,23 +195,21 @@ def test_objective_is_exact_and_given_once(ex_a):
     for objective in ({(1, 1): 0.1}, {(1, 1): "0.5"},
                       [((1, 1), 5), ((1, 1), 1)], [((1, 1), 0), ((1, 1), 5)]):
         for build in (lambda t: LinearInequality(t, 1),
-                      lambda t: LpProblem(ex_a, t),
                       lambda t: oracle.maximize_over_S(ex_a, t)):
             with pytest.raises(ValidationError):
                 build(objective)
     # a zero-valued term is dropped, but its reference is still checked
     with pytest.raises(ValidationError, match=r"x\(6,1\)"):
-        LpProblem(ex_a, {VarRef(1, 1): 1, VarRef(6, 1): 0})
+        oracle.maximize_over_S(ex_a, {VarRef(1, 1): 1, VarRef(6, 1): 0})
 
 
 def test_row_refs_checked():
     # a row's term on a variable outside the instance is refused, not
     # dropped: dropping (9,9) would solve x(1,1) <= 0 instead
     inst = make_instance([(4, 2), (3,)], 5)
-    objective = {r: inst.profit(r) for r in inst.refs()}
     row = LinearInequality({(1, 1): 1, (9, 9): 7}, 0)
     with pytest.raises(ValidationError, match=r"x\(9,9\)"):
-        LpProblem(inst, objective).with_row(row)
+        LpProblem(inst).with_row(row)
 
 
 def test_relaxation_bounds_the_oracle(small_corpus):
@@ -178,7 +219,7 @@ def test_relaxation_bounds_the_oracle(small_corpus):
         sol = solve_lp(problem)
         assert verify_certificate(problem, sol)
         assert is_lp_feasible(inst, sol.point)
-        best, _ = oracle.maximize_over_S(inst, dict(problem.objective))
+        best, _ = oracle.maximize_over_S(inst, profits(inst))
         assert sol.value >= best
 
 
@@ -187,7 +228,7 @@ def test_duals_price_the_optimum(small_corpus):
         problem = lp_for(inst)
         sol = solve_lp(problem)
         # the knapsack row's rhs, then 1 for each group row and bound
-        rhs = [problem.rows[0].rhs] + [Fraction(1)] * (len(sol.duals) - 1)
+        rhs = [inst.capacity] + [Fraction(1)] * (len(sol.duals) - 1)
         assert len(sol.duals) == (len(problem.scaled_rows)
                                   + len(group_rows(inst)) + inst.dimension)
         assert sum(y * r for y, r in zip(sol.duals, rhs)) == sol.value
@@ -264,7 +305,7 @@ def test_differential_against_brute_force():
         forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = lp_with_rows(inst, objective, rows)
+        problem = lp_for(with_profits(inst, objective), rows)
         sol = solve_lp(problem, forced)
         assert verify_certificate(problem, sol, forced)
         assert not set(sol.point.support()) & forced
@@ -303,7 +344,7 @@ def test_closed_form_matches_the_tableau_with_group_rows():
             elif roll < 0.2:
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
         forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
-        problem = LpProblem(inst, objective)
+        problem = LpProblem(with_profits(inst, objective))
         closed = solve_lp(problem, forced)
         free = [j for j, r in enumerate(problem.refs) if r not in forced]
         tableau = simplex._solve_bounded(problem, free)
@@ -537,7 +578,7 @@ def test_integer_node_lp_matches_fraction_reference():
         forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = lp_with_rows(inst, objective, rows)
+        problem = lp_for(with_profits(inst, objective), rows)
         got = solve_lp(problem, forced)
         want = reference_solve_lp(problem, forced)
         assert (got.value, got.point, got.duals, got.pivots) == (
@@ -576,15 +617,17 @@ def test_scaled_data_matches_fraction_reference():
                             if rng.random() < 0.6 else inst.profit(r))
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = chained = LpProblem(inst, objective)
+        inst = with_profits(inst, objective)
+        problem = chained = LpProblem(inst)
         for row in rows:
             grown = chained.with_row(row)
             assert grown.spans is chained.spans
             chained = grown
-        want = reference_lp_data(inst, objective, rows)
+        want = reference_lp_data(inst, rows)
         assert (chained.costs, chained.cost_scale, chained.scaled_rows,
                 chained.scale) == want
         assert len(chained.scaled_rows) == len(chained.rows)
+        assert chained.cut_rows == rows
         assert len(problem.rows) == 1  # with_row left the problem alone
         # one span per group, its columns in order, and the spans of two or
         # more columns are the group rows

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import ckp
-from ckp import simplex, solver
+from ckp import model, simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
 from ckp.cuts import FAMILIES, GeneratedCut
 from ckp.model import (
     Instance,
+    LinearInequality,
     Point,
+    VarRef,
     is_feasible,
     knapsack_row,
     profit_of,
@@ -136,7 +138,7 @@ def test_rejects_negative_capacity():
         branch_and_cut(inst)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValidationError):
         SolveConfig(families=("bogus",))
     with pytest.raises(ValidationError):
@@ -148,6 +150,22 @@ def test_config_validation():
                          ("max_cuts_per_node", False)):
         with pytest.raises(ValidationError, match="%s must be an integer" % field):
             SolveConfig(**{field: value})
+    # an explicit enumeration limit is checked as oracle.resolve_enum_limit
+    # checks it, with exact separation on or off
+    for exact in (False, True):
+        for value in (2.5, True, "10"):
+            with pytest.raises(ValidationError,
+                               match="enumeration limit must be an integer"):
+                SolveConfig(exact_fallback=exact, enum_limit=value)
+        for value in (0, -5):
+            with pytest.raises(ValidationError,
+                               match="enumeration limit must be positive, "
+                                     "got %d" % value):
+                SolveConfig(exact_fallback=exact, enum_limit=value)
+        assert SolveConfig(exact_fallback=exact, enum_limit=1).enum_limit == 1
+    # None defers to CKP_ENUM_LIMIT, read when exact separation runs
+    monkeypatch.setenv("CKP_ENUM_LIMIT", "0")
+    assert SolveConfig(exact_fallback=True).enum_limit is None
 
 
 def test_exact_separation_stops_at_the_enumeration_limit(monkeypatch):
@@ -286,6 +304,73 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
     assert updated >= 5
 
 
+def test_profit_of_matches_a_fraction_sum():
+    """The integer profit_of equals the Fraction sum of profit times value,
+    on rational data with zero and non-integer profits, for Points and for
+    node LP solutions of the closed form and the simplex, with forced
+    sets."""
+    rng = random.Random(2424)
+    seen = {"zero profit": 0, "rational profit": 0, "cut rows": 0,
+            "rational point": 0}
+    for n in range(120):
+        inst = rational_instance(rng)
+        refs = inst.refs()
+        entries = [(r, Fraction(rng.randint(0, 7), rng.randint(1, 7)))
+                   for r in refs if rng.random() < 0.6]
+        point = Point([(r, min(x, 1)) for r, x in entries])
+        forced = frozenset(r for r in refs if rng.random() < 0.2)
+        problem = simplex.LpProblem(inst)
+        if n % 2:  # a cut row, so the simplex solves, not the closed form
+            problem = problem.with_row(LinearInequality({refs[0]: 1}, 1))
+        solution = simplex.solve_lp(problem, forced)
+        for p in (point, solution, solution.point):
+            scale, xs = p.scaled
+            want = sum((inst.profit(r) * Fraction(x, scale) for r, x in xs),
+                       Fraction(0))
+            assert profit_of(inst, p) == want
+        profits = [inst.profit(r) for r in refs]
+        seen["zero profit"] += 0 in profits
+        seen["rational profit"] += any(c.denominator > 1 for c in profits)
+        seen["cut rows"] += bool(problem.cut_rows)
+        seen["rational point"] += point.scaled[0] > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_profit_of_checks_every_reference(ex_a):
+    with pytest.raises(ValidationError, match=r"x\(6,1\)"):
+        profit_of(ex_a, Point({(1, 1): 1, (6, 1): 1}))
+
+
+def test_one_solve_builds_its_lp_from_integer_data(monkeypatch, ex_b):
+    """The fixed cost of a solve: LpProblem(instance) cleans no terms and
+    scales no sparse row, and branch_and_cut builds no knapsack row, on
+    ex_b and on a corpus instance whose root adds a cut."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (model, simplex, solver):
+        for name in ("clean_terms", "knapsack_row"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    monkeypatch.setattr(Instance, "integer_row",
+                        counting("integer_row", Instance.integer_row))
+    scaled = _correlated_at_scale(79)
+    for inst in (ex_b, scaled):
+        del calls[:]
+        simplex.LpProblem(inst)
+        assert calls == []
+        report = branch_and_cut(inst)
+        assert "knapsack_row" not in calls
+    # the corpus solve adds a cut, so the pool's check ran
+    assert sum(report.cuts_per_family.values()) >= 1 and calls
+
+
 def _forged_solve_lp(problem, forced_zero=frozenset()):
     """The true node LP with its value raised by one."""
     sol = simplex.solve_lp(problem, forced_zero)
@@ -305,6 +390,49 @@ def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
     monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
     with pytest.raises(CkpError, match="incumbent"):
         branch_and_cut(ex_b)
+
+
+def _solve_with_incumbent(monkeypatch, entries):
+    """Run ``branch_and_cut`` on ex_b with every node LP replaced by the
+    point ``entries`` (x = X / D from ``(D, ((ref, X), ...))``), its
+    certificate and the loop's complementarity test passed, so that the
+    point is taken as the incumbent and only the final check sees it."""
+    scale, terms = entries
+
+    def forged(problem, forced_zero=frozenset()):
+        sol = simplex.solve_lp(problem, forced_zero)
+        return simplex.LpSolution(sol.value, (scale, terms),
+                                  sol.scaled_duals, sol.pivots)
+
+    monkeypatch.setattr(solver, "solve_lp", forged)
+    monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
+    monkeypatch.setattr(solver, "complementarity_violations",
+                        lambda *args: [])
+    return branch_and_cut(make_instance([(2,), (14, 10), (13, 9), (9, 6)],
+                                        22))
+
+
+@pytest.mark.parametrize("entries, why", [
+    ((2, ((VarRef(2, 1), 1), (VarRef(2, 2), 1))),
+     "x21 = x22 = 1/2: weight 12 of 22, two slots of group 2"),
+    ((1, ((VarRef(1, 1), 1), (VarRef(2, 1), 1), (VarRef(3, 1), 1))),
+     "one slot per group, weight 29 of 22"),
+    ((13, ((VarRef(1, 1), 13), (VarRef(2, 1), 13), (VarRef(3, 1), 7))),
+     "weight 22 + 1/13 of 22"),
+])
+def test_infeasible_incumbent_is_rejected(monkeypatch, entries, why):
+    with pytest.raises(CkpError, match="incumbent point is not feasible"):
+        _solve_with_incumbent(monkeypatch, entries)
+
+
+def test_forged_incumbent_in_S_is_taken(monkeypatch, ex_b):
+    # the control: x11 = x21 = 1 and x31 = 6/13 is ex_b's root LP point, in
+    # S and worth the root value 22, so both checks pass it
+    optimum = (13, ((VarRef(1, 1), 13), (VarRef(2, 1), 13),
+                    (VarRef(3, 1), 6)))
+    report = _solve_with_incumbent(monkeypatch, optimum)
+    assert report.value == 22 and report.point.scaled == optimum
+    assert is_feasible(ex_b, report.point)
 
 
 def test_pooled_cut_separated_again_is_rejected(monkeypatch):
