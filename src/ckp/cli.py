@@ -84,9 +84,8 @@ def _cmd_check(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     instance = _load_instance(args.instance)
     vertices = oracle.enumerate_candidate_vertices(instance, args.enumerate_limit)
-    objective = {ref: instance.profit(ref) for ref in instance.refs()}
-    value, point = oracle.maximize_over_S(instance, objective,
-                                          args.enumerate_limit)
+    value, point = vertices.maximize(
+        {ref: instance.profit(ref) for ref in instance.refs()})
     print("candidates: %d" % len(vertices), file=out)
     print("value: %s" % format_rational(value), file=out)
     print("point:", file=out)

@@ -157,9 +157,6 @@ class Instance:
     def slots(self, i: int) -> int:
         return self.group(i).size
 
-    def contains(self, ref: VarRef) -> bool:
-        return ref in self.columns
-
     def check_ref(self, ref: VarRef) -> None:
         if ref not in self.columns:
             raise ValidationError("variable out of range: %s" % (ref,))

@@ -50,7 +50,8 @@ def parse_integer(text: str) -> int:
 def require_integer(value, name: str) -> int:
     """``value`` when it is an int and not a bool; else ``ValidationError``
     naming ``name``.  The one type check of an integer argument: the
-    enumeration and solver limits and a pack3 tilt group."""
+    enumeration and solver limits, a pack3 tilt group and the partition
+    reduction's alphas and beta."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError("%s must be an integer, got %r" % (name, value))
     return value

@@ -9,27 +9,28 @@ also that of ``cuts.enumerate_maximal_switching_packs``) before the first
 pattern and gives each pattern's weight in the instance's integer units.
 Exact separation and ``ckp cuts`` pass it their cut families, and it skips
 the subtrees in which no member of them can meet its precondition; the
-oracle's own walks visit every pattern.
+oracle's one walk, :func:`enumerate_candidate_vertices`, visits every
+pattern.
 
 A non-integral vertex of the polytope has exactly one fractional component
 and makes the knapsack row tight, so for each pattern it suffices to
 consider the all-ones assignment plus the assignments with a single
 designated fractional variable completing the capacity.  The resulting
 candidate set is a superset of the vertices and a subset of the feasible
-set S, hence its convex hull equals the polytope.  So the maximum of a
-linear function over the candidates is its maximum over S, and a
-:class:`VertexSet` answers validity and face-dimension queries for any
-number of inequalities from one enumeration.  The candidates are found in
-integer units and kept once, in walk order (the origin, then per pattern
-the all-ones point and the fractional points, last item first), as one
-integer table: a denominator per candidate and a column of ints per
-variable.  An inequality is scaled by ``Instance.integer_row``, and the
-candidates' integer excesses over its rhs, summed a column at a time, test
-it.  Each distinct set of tight candidates is ranked once.
-``maximize_over_S`` scores each pattern's candidates as the walk gives
-them instead, in integers, keeping none.  Both take the first maximizer in
-walk order, so an invalid inequality has one witness, the one ``ckp
-verify`` prints.  The oracle shares no code with the node LP it checks.
+set S, hence its convex hull equals the polytope, and the maximum of a
+linear function over the candidates is its maximum over S.  The
+candidates are found in integer units and kept once, in walk order (the
+origin, then per pattern the all-ones point and the fractional points,
+last item first), as one integer table, a :class:`VertexSet`: a
+denominator per candidate and a column of ints per variable.  That table
+answers every query: a row in integers (``Instance.integer_row``) is
+summed over it a column at a time, and the first candidate of largest
+sum / den is the maximizer of ``maximize_over_S`` and the witness of an
+invalid inequality, the one ``ckp verify`` prints.  A valid inequality's
+face dimension is the affine rank of its tight candidates, each distinct
+tight set ranked once.  ``ckp oracle`` reads its candidate count and its
+maximum off one enumeration.  The oracle shares no code with the node LP
+it checks.
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ class VertexSet:
     docstring), stored once, as one integer table: candidate k is
     ``column[k] / dens[k]`` at each column of ``columns``, one tuple of
     ints per entry of ``Instance.columns``.  A :class:`Point` is made from
-    it only for a witness, or at a read of :attr:`points`.  Each affine
-    rank is kept, keyed by the byte mask of its tight candidates and its
-    cap, so a repeated tight set costs one lookup."""
+    it only for a maximizer or a witness, or at a read of :attr:`points`.
+    Each affine rank is kept, keyed by the byte mask of its tight
+    candidates and its cap, so a repeated tight set costs one lookup."""
 
     __slots__ = ("instance", "dens", "columns", "_ranks")
 
@@ -202,30 +203,49 @@ class VertexSet:
         """Every candidate as a :class:`Point`, in walk order."""
         return tuple(map(self._point, range(len(self.dens))))
 
+    def _sums(self, coeffs, top: int) -> list:
+        """Per candidate, ``den * (coeffs . x - top)`` for an integer row
+        ``coeffs`` over :attr:`Instance.columns`: from the start vector
+        ``-top * den``, summed in integers a column at a time."""
+        sums = [-top * den for den in self.dens]
+        for c, column in zip(coeffs, self.columns):
+            if c:
+                sums = [s + c * x for s, x in zip(sums, column)]
+        return sums
+
+    def _first_max(self, sums) -> int:
+        """The first candidate in walk order of largest sum / den, the
+        oracle's one tie rule."""
+        dens, best = self.dens, 0
+        for k, den in enumerate(dens):
+            if sums[k] * dens[best] > sums[best] * den:
+                best = k
+        return best
+
+    def maximize(self, objective):
+        """Exact maximum of a linear objective over S, which must not be
+        empty, and its first maximizing candidate as a :class:`Point`."""
+        instance = self.instance
+        coeffs, _, scale = instance.integer_row(clean_terms(objective, instance))
+        sums = self._sums(coeffs, 0)
+        k = self._first_max(sums)
+        return Fraction(sums[k], self.dens[k] * scale), self._point(k)
+
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
-        Each candidate's lhs is compared with the rhs once, in integers:
-        its excess is the lhs less the rhs, times the candidate's
-        denominator and the inequality's scale, summed a column at a time.
-        The maximum over the candidates is the maximum over S, since
-        conv(candidates) = conv(S); above the rhs this raises with the
-        first candidate of largest excess / den, :func:`maximize_over_S`'s
-        maximizer of the lhs, as witness.  Otherwise the result is the
+        Each candidate's excess, its lhs less the rhs times its denominator
+        and the inequality's scale, is summed once, in integers.  Above the
+        rhs this raises with the first candidate of largest excess / den,
+        the maximizer of the lhs, as witness.  Otherwise the result is the
         affine rank of the tight candidates, whose rows are read off the
         table only when that tight set is new.
         """
         instance, terms, dens = self.instance, inequality.terms, self.dens
         coeffs, top, scale = instance.integer_row(terms, inequality.rhs)
-        excess = [-top * den for den in dens]
-        for c, column in zip(coeffs, self.columns):
-            if c:
-                excess = [e + c * x for e, x in zip(excess, column)]
+        excess = self._sums(coeffs, top)
         if max(excess, default=0) > 0:
-            best = 0  # the first candidate of largest excess / den
-            for k, den in enumerate(dens):
-                if excess[k] * dens[best] > excess[best] * den:
-                    best = k
+            best = self._first_max(excess)
             den = dens[best]
             lhs = Fraction(excess[best] + top * den, den * scale)
             raise PreconditionError(
@@ -278,46 +298,15 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
-    """Exact maximum of a linear objective over S, with a maximizing point.
-
-    The best candidate vertex (see the module docstring), scored in
-    integers as :func:`walk_patterns` gives each pattern: with its cost sum
-    C and weight W in ``Instance.units``, the all-ones point is worth C if
-    W <= b, and the point whose item k takes room / a_k, room = b - W + a_k
-    in (0, a_k), is worth C - c_k + c_k * room / a_k.  Scores compare by
-    cross-multiplication, strictly, from the origin's 0, each pattern's
-    items last to first: the first pattern in walk order wins, and in it
-    the last tied item, the point Dantzig's ratio fill of it gives.  Weights
-    and capacity must be nonnegative, so that the origin is in S
-    (``ValidationError``, checked after the enumeration guard).
-    """
-    patterns = walk_patterns(instance, limit)
+    """Exact maximum of a linear objective over S, with a maximizing point:
+    :meth:`VertexSet.maximize` over a fresh enumeration.  Weights and
+    capacity must be nonnegative, so that the origin is in S
+    (``ValidationError``, checked after the enumeration guard)."""
+    vertices = enumerate_candidate_vertices(instance, limit)
     _, rows, capacity = instance.units
     if capacity < 0 or min(map(min, rows)) < 0:
         raise ValidationError("the oracle needs nonnegative weights and capacity")
-    costs, _, cost_scale = instance.integer_row(clean_terms(objective, instance))
-    data = dict(zip(instance.columns,
-                    zip((a for row in rows for a in row), costs)))
-    best = (0, 1, (), None, 0)  # the origin's: value, den, items, k, room
-    for items, total in patterns:
-        pairs = [data[ref] for ref in items]
-        whole = sum(c for _, c in pairs)
-        if total <= capacity:
-            if whole * best[1] > best[0]:
-                best = (whole, 1, items, None, 0)
-            continue
-        for k in range(len(pairs) - 1, -1, -1):
-            a, c = pairs[k]
-            room = capacity - total + a
-            if 0 < room < a:
-                value = (whole - c) * a + c * room
-                if value * best[1] > best[0] * a:
-                    best = (value, a, items, k, room)
-    num, den, items, k, room = best
-    entries = [(ref, _F1) for ref in items]
-    if k is not None:
-        entries[k] = (items[k], Fraction(room, den))
-    return Fraction(num, den * cost_scale), Point(entries)
+    return vertices.maximize(objective)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .cuts import (FAMILIES, GeneratedCut, PointSupport, build_member,
                    family_scores, is_switching)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
+from .numeric import require_integer
 from .oracle import walk_patterns
 
 
@@ -162,45 +163,27 @@ def separate_greedy(instance: Instance, point: Point,
                    families)
 
 
-@dataclass(frozen=True)
-class PartitionInput:
-    """A partition-problem instance: positive integers summing to 2*beta."""
-
-    alphas: tuple
-    beta: int
-
-    def __post_init__(self):
-        if not self.alphas:
-            raise ValidationError("alphas must be nonempty")
-        for a in self.alphas:
-            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
-                raise ValidationError("alphas must be positive integers")
-        if (not isinstance(self.beta, int) or isinstance(self.beta, bool)
-                or self.beta <= 0):
-            raise ValidationError("beta must be a positive integer")
-        if sum(self.alphas) != 2 * self.beta:
-            raise ValidationError(
-                "alphas sum to %d, expected 2*beta = %d"
-                % (sum(self.alphas), 2 * self.beta))
-
-
-def build_partition_reduction(partition, beta: Optional[int] = None):
+def build_partition_reduction(alphas, beta: int):
     """Instance + LP point whose lifted-cover separation answers partition.
 
-    Accepts a PartitionInput or ``(alphas, beta)``.  Groups 1..k are
-    singletons weighted by the alphas, group k+1 has weights (3, 1, ..., 1)
-    with beta trailing ones, the capacity is beta + 2, profits equal
-    weights.  The returned point makes the knapsack row exactly tight.
+    ``alphas`` are positive integers summing to 2 * beta, and beta >= 2
+    (``PreconditionError`` below).  Groups 1..k are singletons weighted by
+    the alphas, group k+1 has weights (3, 1, ..., 1) with beta trailing
+    ones, the capacity is beta + 2, profits equal weights.  The returned
+    point makes the knapsack row exactly tight.
     """
-    if not isinstance(partition, PartitionInput):
-        partition = PartitionInput(tuple(partition), beta)
-    elif beta is not None:
-        raise ValidationError("beta given twice")
-    k = len(partition.alphas)
-    beta = partition.beta
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValidationError("alphas must be nonempty")
+    if any(require_integer(a, "each alpha") <= 0 for a in alphas):
+        raise ValidationError("alphas must be positive integers")
+    if sum(alphas) != 2 * require_integer(beta, "beta"):  # so beta > 0
+        raise ValidationError("alphas sum to %d, expected 2*beta = %d"
+                              % (sum(alphas), 2 * beta))
     if beta < 2:
         raise PreconditionError("beta must be at least 2, got %d" % beta)
-    groups = [((a,), (a,)) for a in partition.alphas]
+    k = len(alphas)
+    groups = [((a,), (a,)) for a in alphas]
     tail = (3,) + (1,) * beta
     groups.append((tail, tail))
     instance = Instance.build(groups, beta + 2)

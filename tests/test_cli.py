@@ -198,6 +198,23 @@ def test_verify_maximizes_once(files, capsys, oracle_calls):
     assert oracle_calls == {"enumerate_candidate_vertices": 1}
 
 
+def test_oracle_queries_enumerate_once(files, capsys, oracle_calls, ex_a):
+    # ckp oracle reads its count and its maximum off one table; the
+    # library's maximum and validity check each build their own
+    code, out = run(capsys, "oracle", files["ex_a.ckp"])
+    assert code == 0
+    assert out.startswith("candidates: 105\nvalue: 21\n")
+    assert oracle_calls == {"enumerate_candidate_vertices": 1}
+    oracle_calls.clear()
+    assert oracle.maximize_over_S(ex_a, {VarRef(1, 1): 1})[0] == 1
+    assert oracle_calls == {"enumerate_candidate_vertices": 1,
+                            "maximize_over_S": 1}
+    oracle_calls.clear()
+    assert oracle.check_validity(
+        ex_a, LinearInequality({VarRef(1, 1): 1}, 1)).valid
+    assert oracle_calls["enumerate_candidate_vertices"] == 1
+
+
 def test_oracle_counts_candidates_without_points(files, capsys, monkeypatch):
     # the one Point made is the maximizer's; the count of 105 candidates
     # is read off the candidate table

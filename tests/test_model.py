@@ -103,9 +103,9 @@ def test_a_variable_is_given_once():
 
 
 def test_ref_checks(ex_a):
-    assert ex_a.contains(VarRef(4, 2))
-    assert not ex_a.contains(VarRef(4, 3))
-    assert not ex_a.contains(VarRef(6, 1))
+    assert VarRef(4, 2) in ex_a.columns
+    assert VarRef(4, 3) not in ex_a.columns
+    assert VarRef(6, 1) not in ex_a.columns
     with pytest.raises(ValidationError):
         ex_a.check_ref(VarRef(0, 1))
 

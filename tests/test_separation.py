@@ -14,7 +14,6 @@ from ckp.model import (
     weight_of,
 )
 from ckp.separation import (
-    PartitionInput,
     build_partition_reduction,
     separate_exact,
     separate_greedy,
@@ -259,27 +258,19 @@ def test_reduction_matches_subset_sum(rng):
 
 
 def test_partition_input_validation():
-    with pytest.raises(ValidationError):
-        PartitionInput((), 2)
-    with pytest.raises(ValidationError):
-        PartitionInput((1, -1, 4), 2)
-    # a bool is no integer here, though Python counts it as one
+    with pytest.raises(ValidationError, match="nonempty"):
+        build_partition_reduction((), 2)
     with pytest.raises(ValidationError, match="alphas must be positive integers"):
-        PartitionInput((True, True, 2), 2)
-    with pytest.raises(ValidationError, match="beta must be a positive integer"):
-        PartitionInput((1, 1), True)
-    with pytest.raises(ValidationError):
-        PartitionInput((1, 1), 2)  # sums to 2, needs 4
-    with pytest.raises(ValidationError):
-        build_partition_reduction(PartitionInput((1, 3), 2), beta=2)
+        build_partition_reduction((1, -1, 4), 2)
+    # a bool is no integer here, though Python counts it as one
+    with pytest.raises(ValidationError, match="each alpha must be an integer"):
+        build_partition_reduction((True, True, 2), 2)
+    with pytest.raises(ValidationError, match="beta must be an integer"):
+        build_partition_reduction((1, 1), True)
+    with pytest.raises(ValidationError, match="expected 2\\*beta = 4"):
+        build_partition_reduction((1, 1), 2)  # sums to 2, needs 4
     with pytest.raises(PreconditionError):
         build_partition_reduction((1, 1), 1)  # beta too small
-
-
-def test_reduction_accepts_partition_input():
-    inst_a, x_a = build_partition_reduction(PartitionInput((1, 1, 2), 2))
-    inst_b, x_b = build_partition_reduction((1, 1, 2), 2)
-    assert inst_a == inst_b and x_a == x_b
 
 
 # --- differential: closed-form scoring against building every member ---
