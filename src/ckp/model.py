@@ -10,13 +10,14 @@ Conventions used everywhere:
   ``numeric.parse_rational`` strings: a :class:`Group` and an
   :class:`Instance` coerce theirs, sparse ones come in through
   :func:`clean_terms` and are stored once, as sorted terms, and an
-  :class:`Instance` scales its data to integers,
+  :class:`Instance` scales its weights and profits to integers once,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
   sorted and unique, each X > 0, and x = X / D.  :class:`Point` computes
-  it once; ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
-  :func:`weight_of`, :func:`profit_of` and
+  it once, :meth:`Point.from_scaled` takes it in, checked and reduced,
+  and ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
+  :func:`weight_of`, :func:`profit_of`, :func:`is_feasible` and
   :func:`complementarity_violations` read only this form, so either kind
-  of point may be passed; the last three sum and count in integers.
+  of point may be passed; all but the first sum and count in integers.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
+from math import gcd
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import FormatError, PreconditionError, ValidationError
@@ -157,9 +159,12 @@ class Instance:
     def slots(self, i: int) -> int:
         return self.group(i).size
 
-    def check_ref(self, ref: VarRef) -> None:
-        if ref not in self.columns:
+    def check_ref(self, ref: VarRef) -> int:
+        """The column of ``ref``; outside the instance it raises."""
+        column = self.columns.get(ref)
+        if column is None:
             raise ValidationError("variable out of range: %s" % (ref,))
+        return column
 
     def weight(self, ref: VarRef) -> Fraction:
         self.check_ref(ref)
@@ -201,6 +206,15 @@ class Instance:
         rows = tuple(tuple(islice(weights, g.size)) for g in self.groups)
         return scale, rows, capacity
 
+    @cached_property
+    def profit_units(self):
+        """``(scale, costs)``: the profits in :attr:`columns` order times
+        ``scale``, the least common denominator of them all
+        (:func:`numeric.integer_form`).  Computed on first use."""
+        scale, costs = integer_form(
+            chain.from_iterable(g.profits for g in self.groups))
+        return scale, tuple(costs)
+
     def integer_row(self, terms, rhs=_F0):
         """``(coefficients, rhs, scale)``: cleaned ``terms`` and ``rhs``
         times ``scale``, the LCM of their denominators, as integers
@@ -208,13 +222,9 @@ class Instance:
         :attr:`columns`; a reference outside the instance raises."""
         scale, (rhs, *ints) = integer_form(
             chain((rhs,), (c for _, c in terms)))
-        columns = self.columns
-        dense = [0] * len(columns)
+        dense = [0] * len(self.columns)
         for (ref, _), a in zip(terms, ints):
-            j = columns.get(ref)
-            if j is None:
-                raise ValidationError("variable out of range: %s" % (ref,))
-            dense[j] = a
+            dense[self.check_ref(ref)] = a
         return dense, rhs, scale
 
     def is_normalized(self) -> bool:
@@ -256,16 +266,52 @@ class LinearInequality:
 
 
 class Point:
-    """Sparse point with entries in [0, 1] (zeros dropped)."""
+    """Sparse point with entries in [0, 1] (zeros dropped), made from its
+    Fractions or from its integer form (:meth:`from_scaled`); the other
+    form is computed on first read."""
 
-    __slots__ = ("entries", "_scaled")
+    __slots__ = ("_entries", "_scaled")
 
     def __init__(self, values=()):
-        self.entries = clean_terms(values)
-        for ref, value in self.entries:
+        self._entries = clean_terms(values)
+        for ref, value in self._entries:
             num, den = value.as_integer_ratio()  # den > 0
             if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
+
+    @classmethod
+    def from_scaled(cls, scale, entries) -> "Point":
+        """The point of an integer form (see :attr:`scaled`), checked: scale
+        an int >= 1, refs exact VarRefs strictly increasing, each X an int
+        in (0, scale].  It is divided by the gcd of scale and every X, so
+        :attr:`scaled` is what ``Point`` of the same Fractions computes."""
+        if type(scale) is not int or scale < 1:
+            raise ValidationError("not a point scale: %r" % (scale,))
+        entries, last, common = tuple(entries), (), scale  # () sorts first
+        for ref, x in entries:
+            if (type(ref) is not VarRef or type(ref.group) is not int
+                    or type(ref.slot) is not int or type(x) is not int
+                    or not 0 < x <= scale):
+                raise ValidationError("not a point entry: %r=%r/%d" % (ref, x, scale))
+            if last >= ref:
+                raise ValidationError("point refs not strictly increasing: %s" % (ref,))
+            last, common = ref, gcd(common, x)
+        if common > 1:
+            scale //= common
+            entries = tuple((ref, x // common) for ref, x in entries)
+        point = cls.__new__(cls)
+        point._scaled = scale, entries
+        return point
+
+    @property
+    def entries(self):
+        """The sorted ``(VarRef, Fraction)`` terms."""
+        try:
+            return self._entries
+        except AttributeError:
+            scale, xs = self._scaled
+            self._entries = tuple((ref, Fraction(x, scale)) for ref, x in xs)
+            return self._entries
 
     def value(self, ref: VarRef) -> Fraction:
         return next((x for r, x in self.entries if r == ref), _F0)
@@ -343,13 +389,11 @@ def weight_of(instance: Instance, point) -> Fraction:
 
 
 def profit_of(instance: Instance, point) -> Fraction:
-    """Exact profit of ``point`` (anything with an integer form ``scaled``):
-    the support's own profits times the LCM of their denominators
-    (:func:`numeric.integer_form`), summed against the integers X, every
-    reference checked."""
+    """Exact profit of ``point`` (anything with an integer form ``scaled``),
+    summed in :attr:`Instance.profit_units`, every reference checked."""
+    scale, costs = instance.profit_units
     point_scale, entries = point.scaled
-    scale, profits = integer_form(instance.profit(ref) for ref, _ in entries)
-    total = sum(c * x for c, (_, x) in zip(profits, entries))
+    total = sum(costs[instance.check_ref(ref)] * x for ref, x in entries)
     return Fraction(total, scale * point_scale)
 
 
@@ -362,14 +406,20 @@ def complementarity_violations(instance: Instance, point):
     return [i for i in sorted(seen) if seen[i] >= 2]
 
 
-def is_lp_feasible(instance: Instance, point: Point) -> bool:
-    """Bounds hold by construction; checks refs and the knapsack row."""
-    return weight_of(instance, point) <= instance.capacity
-
-
-def is_feasible(instance: Instance, point: Point) -> bool:
-    """Membership in S: LP-feasible plus at most one positive slot per group."""
-    return is_lp_feasible(instance, point) and not complementarity_violations(instance, point)
+def is_feasible(instance: Instance, point) -> bool:
+    """Membership in S of ``point`` (anything with an integer form
+    ``scaled``, refs sorted), in one integer pass: every reference checked,
+    at most one ref per group (the refs of a group are adjacent) and the
+    weight, in :attr:`Instance.units`, at most the capacity."""
+    _, rows, capacity = instance.units
+    point_scale, entries = point.scaled
+    total, last, shared = 0, None, False
+    for ref, x in entries:
+        instance.check_ref(ref)
+        shared = shared or ref.group == last
+        last = ref.group
+        total += rows[last - 1][ref.slot - 1] * x
+    return not shared and total <= capacity * point_scale
 
 
 def normalize(instance: Instance):

@@ -50,7 +50,6 @@ from .numeric import affine_rank, parse_integer, require_integer
 DEFAULT_ENUM_LIMIT = 10 ** 6
 ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
 
-_F1 = Fraction(1)
 
 
 def resolve_enum_limit(limit: Optional[int] = None) -> int:
@@ -194,9 +193,9 @@ class VertexSet:
         return len(self.dens)
 
     def _point(self, k: int) -> Point:
-        den, xs = self.dens[k], [column[k] for column in self.columns]
-        return Point((ref, _F1 if x == den else Fraction(x, den))
-                     for ref, x in zip(self.instance.columns, xs) if x)
+        return Point.from_scaled(self.dens[k], [
+            (ref, column[k]) for ref, column
+            in zip(self.instance.columns, self.columns) if column[k]])
 
     @property
     def points(self) -> tuple:

@@ -17,16 +17,16 @@ nonnegative right-hand side.
 
 :class:`LpProblem` takes its data in integers, with no Fraction round
 trip: the knapsack row is ``Instance.units``, a group row is its span of
-columns (``LpProblem.spans``), the costs are the instance's profits
-through ``numeric.integer_form``, once per problem, and each cut row goes
+columns (``LpProblem.spans``), the costs are ``Instance.profit_units``,
+scaled once per instance, and each cut row goes
 through ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it,
 each times the LCM of its own denominators.  The solver and the
 certificate check work on these integers, and so does the solution:
 :class:`LpSolution` holds the point as ``(D, ((VarRef, X), ...))`` and the
 duals as ``(Y, ints)``, which the certificate check, the separators and
 the branch-and-cut loop read as they are.  Only its value is a Fraction;
-its ``point`` and ``duals`` are made in Fractions on first read, for a
-caller that shows them.
+its ``point`` (through ``Point.from_scaled``, which keeps the integer
+form) and ``duals`` are made on first read, for a caller that shows them.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -71,7 +71,7 @@ from __future__ import annotations
 from copy import copy
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import CkpError, ValidationError
@@ -100,8 +100,8 @@ class LpProblem:
     feasible; bounds 0 <= x <= 1 are implicit and handled by the solver.
 
     Built once per problem: ``refs`` (the columns, in ``Instance.columns``
-    order), ``costs`` and ``cost_scale`` (the profits in that order through
-    ``numeric.integer_form``), ``scaled_rows`` (``(coefficients, rhs,
+    order), ``costs`` and ``cost_scale`` (``Instance.profit_units``, shared
+    with the instance), ``scaled_rows`` (``(coefficients, rhs,
     scale)`` for the knapsack row, from ``Instance.units``, then for each
     cut row, see ``Instance.integer_row``) and ``scale``, the LCM of all
     these scales.
@@ -119,8 +119,7 @@ class LpProblem:
         self.instance = instance
         self.cut_rows = ()
         self.refs = tuple(instance.columns)
-        self.cost_scale, self.costs = integer_form(
-            chain.from_iterable(g.profits for g in instance.groups))
+        self.cost_scale, self.costs = instance.profit_units
         self.scaled_rows = [(weights, capacity, weight_scale)]
         ends = tuple(accumulate(map(len, units)))
         self.spans = tuple(zip((0,) + ends, ends))
@@ -163,7 +162,7 @@ class LpSolution:
     y = ints / Y, one multiplier per problem row, then one bound multiplier
     per variable not forced to zero.  ``value`` is the optimal value and
     ``pivots`` the simplex's basis changes.  ``point`` (a
-    :class:`model.Point`, built through its checks) and ``duals``
+    :class:`model.Point`, ``Point.from_scaled(*scaled)``) and ``duals``
     (Fractions) are made on first read; equality compares value, point,
     duals and pivots.
     """
@@ -181,9 +180,7 @@ class LpSolution:
     @property
     def point(self) -> Point:
         if self._point is None:
-            scale, entries = self.scaled
-            self._point = Point([(ref, Fraction(x, scale))
-                                 for ref, x in entries])
+            self._point = Point.from_scaled(*self.scaled)
         return self._point
 
     @property

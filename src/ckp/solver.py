@@ -18,10 +18,11 @@ Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): its certificate check, the separators, the one
 complementarity test per solution and the branching masses (sums of the
 integers X) all read it.  The incumbent is kept as its node LP solution,
-and one :class:`model.Point` is made per solve, when the loop ends.  It is
-checked in integers, from its own integer form and the instance's weights
-and profits, not the LP's data: it must lie in S and earn the reported
-value.  Then it goes into the report.
+and one :class:`model.Point` is made per solve, from that form
+(``Point.from_scaled``), when the loop ends.  It is checked in integers,
+against the instance's ``units`` and ``profit_units``, not the LP's rows
+or certificate: it must lie in S and earn the reported value.  Then it
+goes into the report.
 """
 
 from __future__ import annotations

@@ -663,7 +663,8 @@ def reference_integer_row(instance, terms, rhs=0):
 
 
 def reference_lp_data(instance, rows=()):
-    """``(costs, cost_scale, scaled_rows, scale)`` of ``LpProblem(instance)``
+    """``(costs, cost_scale, scaled_rows, scale)`` of ``LpProblem(instance)``,
+    the costs a tuple, as ``Instance.profit_units`` keeps them,
     with each of ``rows`` added by ``with_row``, scaled in Fractions: the
     costs are the instance's profits, the knapsack row comes first, then
     the cut rows, and the scale is the LCM of every row's and the costs'
@@ -679,7 +680,7 @@ def reference_lp_data(instance, rows=()):
     # the LCM of the scales is the least L making every 1 / scale * L whole
     scale, _ = reference_integer_form(
         [Fraction(1, s) for s in [cost_scale] + [r[2] for r in scaled_rows]])
-    return costs, cost_scale, scaled_rows, scale
+    return tuple(costs), cost_scale, scaled_rows, scale
 
 
 @pytest.fixture

@@ -217,14 +217,21 @@ def test_oracle_queries_enumerate_once(files, capsys, oracle_calls, ex_a):
 
 def test_oracle_counts_candidates_without_points(files, capsys, monkeypatch):
     # the one Point made is the maximizer's; the count of 105 candidates
-    # is read off the candidate table
+    # is read off the candidate table.  Points are made by both
+    # constructors, from Fractions and from an integer form.
     made = Counter()
+    init, from_scaled = Point.__init__, Point.from_scaled
 
-    def counting(*args, **kwargs):
+    def counting_init(self, values=()):
         made["Point"] += 1
-        return Point(*args, **kwargs)
+        init(self, values)
 
-    monkeypatch.setattr(oracle, "Point", counting)
+    def counting_from_scaled(scale, entries):
+        made["Point"] += 1
+        return from_scaled(scale, entries)
+
+    monkeypatch.setattr(Point, "__init__", counting_init)
+    monkeypatch.setattr(Point, "from_scaled", counting_from_scaled)
     code, out = run(capsys, "oracle", files["ex_a.ckp"])
     assert code == 0
     assert out.startswith("candidates: 105\n")

@@ -13,7 +13,6 @@ from ckp.model import (
     complementarity_violations,
     evaluate,
     is_feasible,
-    is_lp_feasible,
     knapsack_row,
     normalize,
     profit_of,
@@ -108,6 +107,7 @@ def test_ref_checks(ex_a):
     assert VarRef(6, 1) not in ex_a.columns
     with pytest.raises(ValidationError):
         ex_a.check_ref(VarRef(0, 1))
+    assert [ex_a.check_ref(r) for r in ex_a.refs()] == list(range(7))
 
 
 def test_group_shape_validation():
@@ -154,6 +154,81 @@ def test_integer_forms_match_fraction_reference():
         inst.integer_row(LinearInequality({(9, 9): 1}, 0).terms)
 
 
+def test_profit_units_match_fraction_reference():
+    """``Instance.profit_units`` is the profits in column order through the
+    Fraction scaling, on rational data with zero profits."""
+    rng = random.Random(6161)
+    zeros = 0
+    for _ in range(200):
+        inst = rational_instance(rng)
+        profits = [inst.profit(r) for r in inst.refs()]
+        scale, ints = reference_integer_form(profits)
+        assert inst.profit_units == (scale, tuple(ints))
+        zeros += 0 in profits
+    assert zeros >= 20
+
+
+def _random_point(rng, inst):
+    return Point([(r, Fraction(rng.randint(0, 6), rng.randint(6, 9)))
+                  for r in inst.refs() if rng.random() < 0.6])
+
+
+def _doubled(scaled):
+    scale, entries = scaled
+    return 2 * scale, tuple((r, 2 * x) for r, x in entries)
+
+
+def test_point_from_scaled_equals_the_fraction_point():
+    """``Point.from_scaled`` of a point's integer form, in lowest terms or
+    doubled, is the Point of the same Fractions, its ``scaled`` included:
+    on random points of the rational corpus and on node LP solutions of
+    the closed form and the simplex."""
+    from ckp import simplex
+    rng = random.Random(7373)
+    seen = {"closed form": 0, "simplex": 0, "rational point": 0}
+    for n in range(120):
+        inst = rational_instance(rng)
+        point = _random_point(rng, inst)
+        problem = simplex.LpProblem(inst)
+        if n % 2:  # a cut row, so the simplex solves, not the closed form
+            problem = problem.with_row(
+                LinearInequality({inst.refs()[0]: 1}, 1))
+        solution = simplex.solve_lp(problem)
+        scale, entries = solution.scaled
+        fractions = Point([(r, Fraction(x, scale)) for r, x in entries])
+        for want, form in ((point, point.scaled),
+                           (fractions, solution.scaled)):
+            for given in (form, _doubled(form)):
+                made = Point.from_scaled(*given)
+                assert made == want and made.entries == want.entries
+                assert made.scaled == want.scaled
+                assert hash(made) == hash(want)
+        assert solution.point.scaled == fractions.scaled
+        seen["simplex" if problem.cut_rows else "closed form"] += 1
+        seen["rational point"] += point.scaled[0] > 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("scale, entries, match", [
+    (2, ((VarRef(2, 1), 1), (VarRef(1, 1), 1)), "strictly increasing"),
+    (2, ((VarRef(1, 1), 1), (VarRef(1, 1), 1)), "strictly increasing"),
+    (2, ((VarRef(1, 1), 0),), "not a point entry"),
+    (2, ((VarRef(1, 1), 3),), "not a point entry"),
+    (2, ((VarRef(1, 1), True),), "not a point entry"),
+    (2, ((VarRef(1, 1), 1.0),), "not a point entry"),
+    (0, (), "not a point scale"),
+    (0, ((VarRef(1, 1), 0),), "not a point scale"),
+    (2.0, ((VarRef(1, 1), 1),), "not a point scale"),
+    (True, ((VarRef(1, 1), 1),), "not a point scale"),
+    (2, (((1, 1), 1),), "not a point entry"),
+    (2, ((VarRef(True, 1), 1),), "not a point entry"),
+], ids=["unsorted", "duplicate", "X=0", "X>D", "bool X", "float X", "D=0",
+        "D=0 with an entry", "float D", "bool D", "pair ref", "bool group"])
+def test_point_from_scaled_rejects_a_bad_form(scale, entries, match):
+    with pytest.raises(ValidationError, match=match):
+        Point.from_scaled(scale, entries)
+
+
 def test_zero_point():
     assert Point().support() == ()
     assert profit_of(make_instance([(3,)], 2), Point()) == 0
@@ -191,13 +266,15 @@ def test_complementarity_violations(ex_a):
 
 def test_feasibility_predicates(ex_a):
     inside = Point([(VarRef(4, 1), 1), (VarRef(3, 1), 1)])
-    assert is_lp_feasible(ex_a, inside) and is_feasible(ex_a, inside)
+    assert weight_of(ex_a, inside) <= ex_a.capacity
+    assert is_feasible(ex_a, inside)
     two_slots = Point([(VarRef(4, 1), Fraction(1, 2)), (VarRef(4, 2), Fraction(1, 2))])
-    assert is_lp_feasible(ex_a, two_slots)
+    assert weight_of(ex_a, two_slots) <= ex_a.capacity
     assert not is_feasible(ex_a, two_slots)
     heavy = Point([(VarRef(1, 1), 1), (VarRef(2, 1), 1), (VarRef(3, 1), 1),
                    (VarRef(4, 1), 1)])
-    assert not is_lp_feasible(ex_a, heavy)
+    assert weight_of(ex_a, heavy) > ex_a.capacity
+    assert not is_feasible(ex_a, heavy)
 
 
 class TestNormalize:

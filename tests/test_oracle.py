@@ -548,8 +548,11 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
             return function(*args, **kwargs)
         return wrapper
 
-    for name in ("Point", "affine_rank"):
-        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "affine_rank",
+                        counting("affine_rank", oracle.affine_rank))
+    for name in ("__init__", "from_scaled"):  # both Point constructors
+        monkeypatch.setattr(oracle.Point, name,
+                            counting("Point", getattr(oracle.Point, name)))
     vertices = oracle.enumerate_candidate_vertices(ex_c)
     for inequality in _cuts_of(ex_c):
         vertices.face_dimension(inequality)

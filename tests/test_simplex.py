@@ -11,8 +11,8 @@ from ckp.model import (
     LinearInequality,
     Point,
     VarRef,
-    is_lp_feasible,
     knapsack_row,
+    weight_of,
 )
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
@@ -218,7 +218,7 @@ def test_relaxation_bounds_the_oracle(small_corpus):
         problem = lp_for(inst)
         sol = solve_lp(problem)
         assert verify_certificate(problem, sol)
-        assert is_lp_feasible(inst, sol.point)
+        assert weight_of(inst, sol.point) <= inst.capacity
         best, _ = oracle.maximize_over_S(inst, profits(inst))
         assert sol.value >= best
 
@@ -437,7 +437,7 @@ def _unchecked_point(entries):
     """A Point holding ``entries`` as given, past the constructor's [0, 1]
     check, as a forged solution might."""
     point = object.__new__(Point)
-    point.entries = tuple(entries)
+    point._entries = tuple(entries)
     return point
 
 

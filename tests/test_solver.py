@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import os
 import random
 import subprocess
@@ -276,11 +278,15 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
     separated.  An incumbent update is a node LP solution found
     complementarity-free; the corpus must have solves with several."""
     made = []
-    init = Point.__init__
+    init, from_scaled = Point.__init__, Point.from_scaled
 
     def counting_init(self, values=()):
         made.append(1)
         init(self, values)
+
+    def counting_from_scaled(scale, entries):
+        made.append(1)
+        return from_scaled(scale, entries)
 
     tested = []  # (point or solution, violated groups); kept alive for id
     violations = solver.complementarity_violations
@@ -291,6 +297,7 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
         return violated
 
     monkeypatch.setattr(Point, "__init__", counting_init)
+    monkeypatch.setattr(Point, "from_scaled", counting_from_scaled)
     monkeypatch.setattr(solver, "complementarity_violations", recording)
     rng = random.Random(8080)
     updated = 0
@@ -392,24 +399,27 @@ def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
         branch_and_cut(ex_b)
 
 
-def _solve_with_incumbent(monkeypatch, entries):
-    """Run ``branch_and_cut`` on ex_b with every node LP replaced by the
-    point ``entries`` (x = X / D from ``(D, ((ref, X), ...))``), its
+def _solve_with_incumbent(monkeypatch, entries, value=None, instance=None):
+    """Run ``branch_and_cut`` on ``instance`` (ex_b by default) with every
+    node LP replaced by the point ``entries`` (x = X / D from ``(D, ((ref,
+    X), ...))``) and its value by ``value`` (by default the LP's), its
     certificate and the loop's complementarity test passed, so that the
     point is taken as the incumbent and only the final check sees it."""
     scale, terms = entries
+    if instance is None:
+        instance = make_instance([(2,), (14, 10), (13, 9), (9, 6)], 22)
 
     def forged(problem, forced_zero=frozenset()):
         sol = simplex.solve_lp(problem, forced_zero)
-        return simplex.LpSolution(sol.value, (scale, terms),
-                                  sol.scaled_duals, sol.pivots)
+        return simplex.LpSolution(sol.value if value is None else value,
+                                  (scale, terms), sol.scaled_duals,
+                                  sol.pivots)
 
     monkeypatch.setattr(solver, "solve_lp", forged)
     monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
     monkeypatch.setattr(solver, "complementarity_violations",
                         lambda *args: [])
-    return branch_and_cut(make_instance([(2,), (14, 10), (13, 9), (9, 6)],
-                                        22))
+    return branch_and_cut(instance)
 
 
 @pytest.mark.parametrize("entries, why", [
@@ -425,14 +435,50 @@ def test_infeasible_incumbent_is_rejected(monkeypatch, entries, why):
         _solve_with_incumbent(monkeypatch, entries)
 
 
+def test_incumbent_outside_the_instance_is_rejected(monkeypatch):
+    # group 5 of the 4 of ex_b: the reference check raises, as it always has
+    with pytest.raises(ValidationError, match=r"x\(5,1\)"):
+        _solve_with_incumbent(
+            monkeypatch, (1, ((VarRef(1, 1), 1), (VarRef(5, 1), 1))))
+
+
+# ex_b with the profit of x11 at 4/3, so the profits' scale L is 3
+_THIRDS = Instance.build([((2,), (Fraction(4, 3),)), ((14, 10), (14, 10)),
+                          ((13, 9), (13, 9)), ((9, 6), (9, 6))], 22)
+_ROOT = (13, ((VarRef(1, 1), 13), (VarRef(2, 1), 13), (VarRef(3, 1), 6)))
+
+
+@pytest.mark.parametrize("instance, worth", [
+    (None, Fraction(22)), (_THIRDS, Fraction(64, 3))], ids=["L=1", "L=3"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_incumbent_profit_off_by_one_step_is_rejected(
+        monkeypatch, instance, worth, sign):
+    # the point x11 = x21 = 1, x31 = 6/13 lies in S and earns ``worth``; a
+    # reported value one step 1 / (D * L) away from it must be caught
+    scale = instance.profit_units[0] if instance else 1
+    step = Fraction(1, _ROOT[0] * scale)
+    assert _solve_with_incumbent(monkeypatch, _ROOT, worth,
+                                 instance).value == worth
+    with pytest.raises(CkpError, match="incumbent profit differs"):
+        _solve_with_incumbent(monkeypatch, _ROOT, worth + sign * step,
+                              instance)
+
+
 def test_forged_incumbent_in_S_is_taken(monkeypatch, ex_b):
     # the control: x11 = x21 = 1 and x31 = 6/13 is ex_b's root LP point, in
     # S and worth the root value 22, so both checks pass it
-    optimum = (13, ((VarRef(1, 1), 13), (VarRef(2, 1), 13),
-                    (VarRef(3, 1), 6)))
-    report = _solve_with_incumbent(monkeypatch, optimum)
-    assert report.value == 22 and report.point.scaled == optimum
+    report = _solve_with_incumbent(monkeypatch, _ROOT)
+    assert report.value == 22 and report.point.scaled == _ROOT
     assert is_feasible(ex_b, report.point)
+
+
+def test_forged_incumbent_not_in_lowest_terms_is_reduced(monkeypatch):
+    # the same point with D and every X doubled is taken, and the report's
+    # point keeps its form in lowest terms
+    scale, terms = _ROOT
+    report = _solve_with_incumbent(
+        monkeypatch, (2 * scale, tuple((r, 2 * x) for r, x in terms)))
+    assert report.value == 22 and report.point.scaled == _ROOT
 
 
 def test_pooled_cut_separated_again_is_rejected(monkeypatch):
@@ -490,6 +536,32 @@ def test_checks_survive_python_O():
         "rejected: node LP solution fails its optimality certificate",
         "rejected: incumbent profit differs from the reported value",
         "optimize: 1"], proc.stderr
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("solve-default", "c2357f1170ffb412"),
+    ("solve-exactsep", "5f1ba6e67051277a"),
+])
+def test_benchmark_solves_are_pinned(monkeypatch, name, digest):
+    """The first 64 seed-1 tasks of a solve workload of ``bench/``, built
+    from its corpus and shapes, keep their recorded value, nodes, pivots,
+    cuts per family and report point: a speedup that moves a value, a
+    tie-break or a count fails here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    corpus = importlib.import_module("corpus")
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    config = SolveConfig(exact_fallback=workload.exact_fallback)
+    rows = []
+    for groups, capacity in corpus.instance_stream(
+            random.Random(1), workload.shapes, workload.max_weight, 64):
+        report = branch_and_cut(Instance.build(groups, capacity), config)
+        rows.append((report.value, report.nodes, report.lp_pivots,
+                     sorted(report.cuts_per_family.items()),
+                     report.point.scaled))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 def _correlated_at_scale(seed):
