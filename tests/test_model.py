@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckp import simplex
 from ckp.errors import PreconditionError, ValidationError
 from ckp.model import (
     Group,
@@ -183,7 +184,6 @@ def test_point_from_scaled_equals_the_fraction_point():
     doubled, is the Point of the same Fractions, its ``scaled`` included:
     on random points of the rational corpus and on node LP solutions of
     the closed form and the simplex."""
-    from ckp import simplex
     rng = random.Random(7373)
     seen = {"closed form": 0, "simplex": 0, "rational point": 0}
     for n in range(120):
