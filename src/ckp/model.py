@@ -267,14 +267,13 @@ class LinearInequality:
 
 class Point:
     """Sparse point with entries in [0, 1] (zeros dropped), made from its
-    Fractions or from its integer form (:meth:`from_scaled`); the other
-    form is computed on first read."""
+    Fractions or from its integer form (:meth:`from_scaled`)."""
 
-    __slots__ = ("_entries", "_scaled")
+    __slots__ = ("entries", "_scaled")
 
     def __init__(self, values=()):
-        self._entries = clean_terms(values)
-        for ref, value in self._entries:
+        self.entries = clean_terms(values)
+        for ref, value in self.entries:
             num, den = value.as_integer_ratio()  # den > 0
             if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
@@ -300,18 +299,9 @@ class Point:
             scale //= common
             entries = tuple((ref, x // common) for ref, x in entries)
         point = cls.__new__(cls)
+        point.entries = tuple((ref, Fraction(x, scale)) for ref, x in entries)
         point._scaled = scale, entries
         return point
-
-    @property
-    def entries(self):
-        """The sorted ``(VarRef, Fraction)`` terms."""
-        try:
-            return self._entries
-        except AttributeError:
-            scale, xs = self._scaled
-            self._entries = tuple((ref, Fraction(x, scale)) for ref, x in xs)
-            return self._entries
 
     def value(self, ref: VarRef) -> Fraction:
         return next((x for r, x in self.entries if r == ref), _F0)
@@ -408,18 +398,10 @@ def complementarity_violations(instance: Instance, point):
 
 def is_feasible(instance: Instance, point) -> bool:
     """Membership in S of ``point`` (anything with an integer form
-    ``scaled``, refs sorted), in one integer pass: every reference checked,
-    at most one ref per group (the refs of a group are adjacent) and the
-    weight, in :attr:`Instance.units`, at most the capacity."""
-    _, rows, capacity = instance.units
-    point_scale, entries = point.scaled
-    total, last, shared = 0, None, False
-    for ref, x in entries:
-        instance.check_ref(ref)
-        shared = shared or ref.group == last
-        last = ref.group
-        total += rows[last - 1][ref.slot - 1] * x
-    return not shared and total <= capacity * point_scale
+    ``scaled``): the knapsack row, every reference checked, and at most
+    one positive slot per group."""
+    return (weight_of(instance, point) <= instance.capacity
+            and not complementarity_violations(instance, point))
 
 
 def normalize(instance: Instance):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -275,6 +276,15 @@ def test_feasibility_predicates(ex_a):
                    (VarRef(4, 1), 1)])
     assert weight_of(ex_a, heavy) > ex_a.capacity
     assert not is_feasible(ex_a, heavy)
+
+
+def test_is_feasible_finds_a_shared_group_in_unsorted_refs(ex_a):
+    """A raw integer form, refs out of order, with group 4 twice apart."""
+    form = SimpleNamespace(scaled=(2, ((VarRef(4, 1), 1), (VarRef(3, 1), 1),
+                                       (VarRef(4, 2), 1))))
+    assert weight_of(ex_a, form) <= ex_a.capacity
+    assert complementarity_violations(ex_a, form) == [4]
+    assert not is_feasible(ex_a, form)
 
 
 class TestNormalize:

@@ -437,7 +437,7 @@ def _unchecked_point(entries):
     """A Point holding ``entries`` as given, past the constructor's [0, 1]
     check, as a forged solution might."""
     point = object.__new__(Point)
-    point._entries = tuple(entries)
+    point.entries = tuple(entries)
     return point
 
 
