@@ -34,9 +34,11 @@ capacity (:attr:`Instance.units`): ``rows`` maps each group i of the item
 set to its coefficients by slot, and the coefficients and ``rhs`` are the
 cut's times scale * den.  There is one form for the three pack families,
 one for ``lcover1`` and one for ``lcover2``.  A builder tests its
-preconditions in those units and turns the form into its
-LinearInequality.  :func:`family_scores` defines which members an item
-set gives, tests their preconditions in integer units and scores each
+preconditions in those units and keeps the form as its cut's integer
+form (``LinearInequality.from_scaled``), which the oracle, the node LP's
+pool and separation's winner check read as it is.  :func:`family_scores`
+defines which members an item set gives, tests their preconditions in
+integer units and scores each
 member's form at one point, from the point's per-group support
 (:class:`PointSupport`) in its integer form X = x * D (``Point.scaled``,
 or the node LP's ``LpSolution.scaled`` as the simplex made it), as an
@@ -273,14 +275,12 @@ def _lcover2_form(rows, capacity, cover, over, special):
 
 
 def _inequality(scale, form) -> LinearInequality:
-    """The LinearInequality of an integer form: the only Fractions a
-    builder makes."""
+    """The LinearInequality that keeps an integer form (over scale * den),
+    its terms sorted as the form's groups come in item order."""
     den, rhs, coeffs = form
-    unit = scale * den
-    return LinearInequality(
-        [(VarRef(i, j), Fraction(c, unit)) for i, row in coeffs.items()
-         for j, c in enumerate(row, start=1)],
-        Fraction(rhs, unit))
+    return LinearInequality.from_scaled(scale * den, rhs, [
+        (VarRef(i, j), c) for i, row in coeffs.items()
+        for j, c in enumerate(row, start=1) if c])
 
 
 def _score(sup: PointSupport, form):

@@ -17,7 +17,11 @@ Conventions used everywhere:
   and ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
   :func:`weight_of`, :func:`profit_of`, :func:`is_feasible` and
   :func:`complementarity_violations` read only this form, so either kind
-  of point may be passed; all but the first sum and count in integers.
+  of point may be passed, and sum and count in integers,
+* an inequality's integer form is ``scaled = (U, R, ((VarRef, C),
+  ...))``, each C nonzero: coefficients C / U, rhs R / U.  It is kept as
+  a point's is, and the cut builders make it; :func:`lhs_at` and
+  :meth:`Instance.integer_row`, the one dense fill of a row, read it.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -215,15 +219,14 @@ class Instance:
             chain.from_iterable(g.profits for g in self.groups))
         return scale, tuple(costs)
 
-    def integer_row(self, terms, rhs=_F0):
-        """``(coefficients, rhs, scale)``: cleaned ``terms`` and ``rhs``
-        times ``scale``, the LCM of their denominators, as integers
-        (:func:`numeric.integer_form`), the coefficients dense over
-        :attr:`columns`; a reference outside the instance raises."""
-        scale, (rhs, *ints) = integer_form(
-            chain((rhs,), (c for _, c in terms)))
+    def integer_row(self, inequality):
+        """``(coefficients, rhs, scale)``: the integer form
+        ``inequality.scaled`` (see :class:`LinearInequality`), its
+        coefficients dense over :attr:`columns`; a reference outside the
+        instance raises."""
+        scale, rhs, terms = inequality.scaled
         dense = [0] * len(self.columns)
-        for (ref, _), a in zip(terms, ints):
+        for ref, a in terms:
             dense[self.check_ref(ref)] = a
         return dense, rhs, scale
 
@@ -238,14 +241,64 @@ class Instance:
                    for a, b in zip(row, row[1:]))
 
 
-class LinearInequality:
-    """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped)."""
+def _reduced_form(head, terms, top, what):
+    """``(head, terms)``: an integer form's leading ints and its sparse
+    terms, checked (each ref an exact VarRef of ints, the refs strictly
+    increasing, each value a nonzero int, in (0, top] unless top is None;
+    else ``ValidationError``: not ``what``) and divided by their gcd."""
+    terms, last, common = tuple(terms), (), gcd(*head)  # () sorts first
+    for ref, v in terms:
+        if (type(ref) is not VarRef or type(ref.group) is not int
+                or type(ref.slot) is not int or type(v) is not int or not v
+                or top is not None and not 0 < v <= top):
+            raise ValidationError("not %s: %r=%r" % (what, ref, v))
+        if last >= ref:
+            raise ValidationError("refs not strictly increasing: %s" % (ref,))
+        last, common = ref, gcd(common, v)
+    if common > 1:
+        head = tuple(h // common for h in head)
+        terms = tuple((ref, v // common) for ref, v in terms)
+    return head, terms
 
-    __slots__ = ("terms", "rhs")
+
+class LinearInequality:
+    """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped),
+    made from its Fractions or from its integer form (:meth:`from_scaled`)."""
+
+    __slots__ = ("terms", "rhs", "_scaled")
 
     def __init__(self, coeffs, rhs):
         self.terms = clean_terms(coeffs)
         self.rhs = _frac(rhs)
+
+    @classmethod
+    def from_scaled(cls, unit, rhs, terms) -> "LinearInequality":
+        """The inequality of an integer form (see :attr:`scaled`), checked
+        as :meth:`Point.from_scaled` checks a point's, with unit >= 1, rhs
+        an int and each coefficient a nonzero int, and reduced likewise."""
+        if type(unit) is not int or unit < 1 or type(rhs) is not int:
+            raise ValidationError("not an inequality scale and rhs: %r, %r"
+                                  % (unit, rhs))
+        (unit, rhs), terms = _reduced_form((unit, rhs), terms, None,
+                                           "an inequality term")
+        inequality = cls.__new__(cls)
+        inequality.terms = tuple((ref, Fraction(c, unit)) for ref, c in terms)
+        inequality.rhs = Fraction(rhs, unit)
+        inequality._scaled = unit, rhs, terms
+        return inequality
+
+    @property
+    def scaled(self):
+        """The integer form ``(U, R, ((VarRef, C), ...))``: the rhs and each
+        coefficient times U, the LCM of their denominators
+        (:func:`numeric.integer_form`).  Computed on first use."""
+        try:
+            return self._scaled
+        except AttributeError:
+            scale, (rhs, *cs) = integer_form(
+                chain((self.rhs,), (c for _, c in self.terms)))
+            self._scaled = scale, rhs, tuple(zip(self.support(), cs))
+            return self._scaled
 
     def coeff(self, ref: VarRef) -> Fraction:
         return next((c for r, c in self.terms if r == ref), _F0)
@@ -286,18 +339,8 @@ class Point:
         :attr:`scaled` is what ``Point`` of the same Fractions computes."""
         if type(scale) is not int or scale < 1:
             raise ValidationError("not a point scale: %r" % (scale,))
-        entries, last, common = tuple(entries), (), scale  # () sorts first
-        for ref, x in entries:
-            if (type(ref) is not VarRef or type(ref.group) is not int
-                    or type(ref.slot) is not int or type(x) is not int
-                    or not 0 < x <= scale):
-                raise ValidationError("not a point entry: %r=%r/%d" % (ref, x, scale))
-            if last >= ref:
-                raise ValidationError("point refs not strictly increasing: %s" % (ref,))
-            last, common = ref, gcd(common, x)
-        if common > 1:
-            scale //= common
-            entries = tuple((ref, x // common) for ref, x in entries)
+        (scale,), entries = _reduced_form((scale,), entries, scale,
+                                          "a point entry")
         point = cls.__new__(cls)
         point.entries = tuple((ref, Fraction(x, scale)) for ref, x in entries)
         point._scaled = scale, entries
@@ -337,9 +380,10 @@ class Evaluation(NamedTuple):
     violation: Fraction  # lhs - rhs; positive means the inequality is violated
 
 
-def evaluate(instance: Instance, inequality: LinearInequality, point: Point) -> Evaluation:
-    """Exact left-hand side and violation of ``inequality`` at ``point``."""
-    for ref in inequality.support() + point.support():
+def evaluate(instance: Instance, inequality: LinearInequality, point) -> Evaluation:
+    """Exact left-hand side and violation of ``inequality`` at ``point``
+    (anything with an integer form ``scaled``), every reference checked."""
+    for ref, _ in chain(inequality.scaled[2], point.scaled[1]):
         instance.check_ref(ref)
     lhs = lhs_at(inequality, point)
     return Evaluation(lhs, lhs - inequality.rhs)
@@ -347,16 +391,14 @@ def evaluate(instance: Instance, inequality: LinearInequality, point: Point) -> 
 
 def lhs_at(inequality: LinearInequality, point) -> Fraction:
     """Exact left-hand side of ``inequality`` at ``point`` (anything with
-    an integer form ``scaled``), references unchecked (see :func:`evaluate`
-    for the checked form)."""
-    coeffs = dict(inequality.terms)
-    scale, entries = point.scaled
-    lhs = _F0
-    for ref, x in entries:
-        c = coeffs.get(ref)
-        if c:
-            lhs += c * x
-    return lhs / scale
+    an integer form ``scaled``), summed in integers over both integer
+    forms, references unchecked (see :func:`evaluate` for the checked
+    form)."""
+    scale, _, terms = inequality.scaled
+    coeffs = dict(terms)
+    point_scale, entries = point.scaled
+    total = sum(coeffs[ref] * x for ref, x in entries if ref in coeffs)
+    return Fraction(total, scale * point_scale)
 
 
 def knapsack_row(instance: Instance) -> LinearInequality:

@@ -23,10 +23,11 @@ candidates are found in integer units and kept once, in walk order (the
 origin, then per pattern the all-ones point and the fractional points,
 last item first), as one integer table, a :class:`VertexSet`: a
 denominator per candidate and a column of ints per variable.  That table
-answers every query: a row in integers (``Instance.integer_row``) is
-summed over it a column at a time, and the first candidate of largest
-sum / den is the maximizer of ``maximize_over_S`` and the witness of an
-invalid inequality, the one ``ckp verify`` prints.  A valid inequality's
+answers every query: a row's integer form (a cut keeps its builder's),
+filled dense by ``Instance.integer_row``, is summed over it a column at
+a time, and the first candidate of largest sum / den is the maximizer of
+``maximize_over_S`` and the witness of an invalid inequality, the one
+``ckp verify`` prints.  A valid inequality's
 face dimension is the affine rank of its tight candidates, each distinct
 tight set ranked once.  ``ckp oracle`` reads its candidate count and its
 maximum off one enumeration.  The oracle shares no code with the node LP
@@ -225,7 +226,8 @@ class VertexSet:
         """Exact maximum of a linear objective over S, which must not be
         empty, and its first maximizing candidate as a :class:`Point`."""
         instance = self.instance
-        coeffs, _, scale = instance.integer_row(clean_terms(objective, instance))
+        coeffs, _, scale = instance.integer_row(
+            LinearInequality(clean_terms(objective, instance), 0))
         sums = self._sums(coeffs, 0)
         k = self._first_max(sums)
         return Fraction(sums[k], self.dens[k] * scale), self._point(k)
@@ -241,7 +243,7 @@ class VertexSet:
         table only when that tight set is new.
         """
         instance, terms, dens = self.instance, inequality.terms, self.dens
-        coeffs, top, scale = instance.integer_row(terms, inequality.rhs)
+        coeffs, top, scale = instance.integer_row(inequality)
         excess = self._sums(coeffs, top)
         if max(excess, default=0) > 0:
             best = self._first_max(excess)

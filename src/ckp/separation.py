@@ -15,9 +15,10 @@ routine over item sets, each given with its weight in integer units:
 * build one: the winner, the maximum positive violation with ties broken
   toward the lexicographically smallest provenance key (item set, then
   family, then auxiliary indices), is built by its public builder from
-  the same integer form, and its built violation at the same point
-  (``model.lhs_at`` on the integer form), the one Fraction of the
-  selection, must equal its score.
+  the same integer form, which the cut keeps (``LinearInequality.scaled``).
+  Its score becomes the one Fraction of the selection, and its built
+  violation at the same point, ``model.lhs_at`` summed in integers over
+  the cut's and the point's integer forms less the rhs, must equal it.
 
 Exact separation gives it the non-empty one-slot-per-group patterns of
 the oracle's guarded walk (:func:`oracle.walk_patterns`), which skips each
@@ -170,7 +171,8 @@ def build_partition_reduction(alphas, beta: int):
     (``PreconditionError`` below).  Groups 1..k are singletons weighted by
     the alphas, group k+1 has weights (3, 1, ..., 1) with beta trailing
     ones, the capacity is beta + 2, profits equal weights.  The returned
-    point makes the knapsack row exactly tight.
+    point, built over 6 * beta (2 * beta - 3 on each singleton, all of
+    the 3, 1/3 of each trailing one), makes the knapsack row tight.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -187,12 +189,10 @@ def build_partition_reduction(alphas, beta: int):
     tail = (3,) + (1,) * beta
     groups.append((tail, tail))
     instance = Instance.build(groups, beta + 2)
-    low = Fraction(2 * beta - 3, 6 * beta)
-    entries = [(VarRef(i, 1), low) for i in range(1, k + 1)]
-    entries.append((VarRef(k + 1, 1), Fraction(1)))
-    for j in range(2, beta + 2):
-        entries.append((VarRef(k + 1, j), Fraction(1, 3)))
-    point = Point(entries)
+    entries = [(VarRef(i, 1), 2 * beta - 3) for i in range(1, k + 1)]
+    entries.append((VarRef(k + 1, 1), 6 * beta))
+    entries += [(VarRef(k + 1, j), 2 * beta) for j in range(2, beta + 2)]
+    point = Point.from_scaled(6 * beta, entries)
     if weight_of(instance, point) != instance.capacity:
         raise CkpError("reduction point does not make the knapsack row tight")
     return instance, point

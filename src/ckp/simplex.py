@@ -18,15 +18,16 @@ nonnegative right-hand side.
 :class:`LpProblem` takes its data in integers, with no Fraction round
 trip: the knapsack row is ``Instance.units``, a group row is its span of
 columns (``LpProblem.spans``), the costs are ``Instance.profit_units``,
-scaled once per instance, and each cut row goes
-through ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it,
-each times the LCM of its own denominators.  The solver and the
-certificate check work on these integers, and so does the solution:
-:class:`LpSolution` holds the point as ``(D, ((VarRef, X), ...))`` and the
-duals as ``(Y, ints)``, which the certificate check, the separators and
-the branch-and-cut loop read as they are.  Only its value is a Fraction;
-its ``point`` (through ``Point.from_scaled``, which keeps the integer
-form) and ``duals`` are made on first read, for a caller that shows them.
+scaled once per instance, and each cut row is its own integer form
+(``LinearInequality.scaled``, which a builder's cut keeps), filled dense
+by ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it.  The
+solver and the certificate check work on these integers, and so does the
+solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
+...))`` and the duals as ``(Y, ints)``, which the certificate check, the
+separators and the branch-and-cut loop read as they are.  Only its value
+is a Fraction; its ``point`` (through ``Point.from_scaled``, which keeps
+the integer form) and ``duals`` are made on first read, for a caller that
+shows them.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -103,8 +104,8 @@ class LpProblem:
     order), ``costs`` and ``cost_scale`` (``Instance.profit_units``, shared
     with the instance), ``scaled_rows`` (``(coefficients, rhs,
     scale)`` for the knapsack row, from ``Instance.units``, then for each
-    cut row, see ``Instance.integer_row``) and ``scale``, the LCM of all
-    these scales.
+    cut row, its ``LinearInequality.scaled`` through
+    ``Instance.integer_row``) and ``scale``, the LCM of all these scales.
     """
 
     __slots__ = ("instance", "cut_rows", "refs", "costs", "cost_scale",
@@ -132,9 +133,10 @@ class LpProblem:
 
     def has_row(self, row) -> bool:
         """Whether ``row`` is the knapsack row or one of the cut rows, in
-        any equal form: its integer form (``Instance.integer_row``) is
-        compared with theirs.  A reference outside the instance raises."""
-        return self.instance.integer_row(row.terms, row.rhs) in self.scaled_rows
+        any equal form: its integer form (``row.scaled``, filled dense by
+        ``Instance.integer_row``) is compared with theirs.  A reference
+        outside the instance raises."""
+        return self.instance.integer_row(row) in self.scaled_rows
 
     def with_row(self, row) -> "LpProblem":
         """This problem plus the cut row ``row``: the scaled data is shared
@@ -144,7 +146,7 @@ class LpProblem:
         if row.rhs < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
-        scaled = self.instance.integer_row(row.terms, row.rhs)
+        scaled = self.instance.integer_row(row)
         if scaled in self.scaled_rows:
             raise ValidationError("the LP has this row already")
         new = copy(self)

@@ -393,6 +393,31 @@ def test_reduce_partition(files, capsys, tmp_path):
     assert point.value(VarRef(1, 1)) == Fraction(1, 12)
 
 
+REDUCED = {  # the files of reduce-partition, byte for byte
+    ("1,1,2", "2"): (
+        "ckp 1\nb 4\ngroup 1 a 1 c 1\ngroup 1 a 1 c 1\ngroup 1 a 2 c 2\n"
+        "group 3 a 3 1 1 c 3 1 1\n",
+        "point 1\nval 1 1 1/12\nval 2 1 1/12\nval 3 1 1/12\nval 4 1 1\n"
+        "val 4 2 1/3\nval 4 3 1/3\n"),
+    ("1,2,3", "3"): (  # 3 divides beta, so the point's form reduces by 3
+        "ckp 1\nb 5\ngroup 1 a 1 c 1\ngroup 1 a 2 c 2\ngroup 1 a 3 c 3\n"
+        "group 4 a 3 1 1 1 c 3 1 1 1\n",
+        "point 1\nval 1 1 1/6\nval 2 1 1/6\nval 3 1 1/6\nval 4 1 1\n"
+        "val 4 2 1/3\nval 4 3 1/3\nval 4 4 1/3\n"),
+}
+
+
+@pytest.mark.parametrize("alphas, beta", sorted(REDUCED))
+def test_reduce_partition_files_are_pinned(capsys, tmp_path, alphas, beta):
+    prefix = str(tmp_path / "red")
+    code, _ = run(capsys, "reduce-partition", "--alphas", alphas,
+                  "--beta", beta, "--out", prefix)
+    assert code == 0
+    assert ((tmp_path / "red.ckp").read_bytes().decode(),
+            (tmp_path / "red.point").read_bytes().decode()) == REDUCED[
+                alphas, beta]
+
+
 def test_exit_code_missing_file(files, capsys):
     code, out = run(capsys, "check", files["dir"] + "/nope.ckp")
     assert code == 1

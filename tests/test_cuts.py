@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ckp.cli import _iter_family_cuts
 from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.fileio import serialize_inequality
-from ckp.model import Instance, Point, VarRef
+from ckp.model import Instance, LinearInequality, Point, VarRef
 from ckp import cuts, oracle
 from ckp.separation import separate_exact
 
@@ -549,3 +550,32 @@ def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
     del calls[:]
     BUILDS[family](ex_a)
     assert calls, "the %s builder does not build its form" % family
+
+
+def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):
+    """Each cut that ``ckp cuts --family all`` lists keeps its integer form
+    (``LinearInequality.from_scaled``): its terms, rhs, ``scaled``,
+    equality and hash are those of the LinearInequality of its Fractions,
+    and its form given back, as it is or doubled, makes the same cut; on
+    the examples and the rational corpus, zero weights included."""
+    rng = random.Random(2727)
+    corpus = [ex_a, ex_b, ex_c] + [rational_instance(rng) for _ in range(300)]
+    seen = {family: 0 for family in cuts.FAMILIES}
+    rational = zero_weight = 0
+    for inst in corpus:
+        for cut in _iter_family_cuts(inst, cuts.FAMILIES, None):
+            made = cut.inequality
+            want = LinearInequality(made.terms, made.rhs)
+            assert (made.terms, made.rhs, made.scaled) == (
+                want.terms, want.rhs, want.scaled)
+            assert made == want and hash(made) == hash(want)
+            unit, rhs, terms = made.scaled
+            doubled = (2 * unit, 2 * rhs, tuple((r, 2 * c) for r, c in terms))
+            for form in (made.scaled, doubled):
+                again = LinearInequality.from_scaled(*form)
+                assert again == want and again.scaled == want.scaled
+            seen[cut.family] += 1
+            rational += unit > 1
+        zero_weight += any(0 in g.weights for g in inst.groups)
+    assert min(seen.values()) >= 50 and sum(seen.values()) >= 4000, seen
+    assert rational >= 1000 and zero_weight >= 50, (rational, zero_weight)

@@ -130,6 +130,31 @@ def test_one_ref_coercion():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def fraction_inequalities(source):
+    """Lines of ``LinearInequality(...)`` calls, inequalities built from
+    Fractions.  ``LinearInequality.from_scaled(...)`` is not one."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "LinearInequality"]
+
+
+def test_detector_flags_a_fraction_inequality():
+    source = ("a = LinearInequality(terms, rhs)\n"
+              "b = model.LinearInequality(\n    terms, rhs)\n"
+              "c = LinearInequality.from_scaled(unit, top, ints)\n"
+              "d: LinearInequality = c\n")
+    assert fraction_inequalities(source) == [1, 2]
+
+
+def test_cut_builders_keep_their_integer_form():
+    # a builder turns its family's integer form into the cut through
+    # LinearInequality.from_scaled, which keeps that form for the oracle,
+    # the node LP's pool and separation's winner check
+    source = (ROOT / "src" / "ckp" / "cuts.py").read_text()
+    assert fraction_inequalities(source) == []
+
+
 def simplex_imports(source):
     """Lines of imports from the ``simplex`` module, relative or absolute."""
     lines = []

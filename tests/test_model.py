@@ -16,6 +16,7 @@ from ckp.model import (
     evaluate,
     is_feasible,
     knapsack_row,
+    lhs_at as model_lhs_at,
     normalize,
     profit_of,
     validate_assumptions,
@@ -134,7 +135,8 @@ def test_point_validation():
 def test_integer_forms_match_fraction_reference():
     """``Instance.units`` and ``Instance.integer_row`` equal the Fraction
     scaling, on rational and zero weights and rows with large coprime
-    denominators; a row reference outside the instance raises."""
+    denominators, built from Fractions and from their integer form; a row
+    reference outside the instance raises."""
     rng = random.Random(5077)
     for _ in range(200):
         inst = rational_instance(rng)
@@ -148,12 +150,14 @@ def test_integer_forms_match_fraction_reference():
                   for r in inst.refs() if rng.random() < 0.6}
         row = LinearInequality(coeffs, Fraction(rng.randint(-9, 9),
                                                 rng.choice(LARGE_PRIMES)))
-        assert (inst.integer_row(row.terms, row.rhs)
+        assert (inst.integer_row(row)
                 == reference_integer_row(inst, row.terms, row.rhs))
-        assert (inst.integer_row(row.terms)
+        assert (inst.integer_row(LinearInequality(row.terms, 0))
                 == reference_integer_row(inst, row.terms))
+        assert (inst.integer_row(LinearInequality.from_scaled(*row.scaled))
+                == reference_integer_row(inst, row.terms, row.rhs))
     with pytest.raises(ValidationError, match=r"x\(9,9\)"):
-        inst.integer_row(LinearInequality({(9, 9): 1}, 0).terms)
+        inst.integer_row(LinearInequality({(9, 9): 1}, 0))
 
 
 def test_profit_units_match_fraction_reference():
@@ -228,6 +232,106 @@ def test_point_from_scaled_equals_the_fraction_point():
 def test_point_from_scaled_rejects_a_bad_form(scale, entries, match):
     with pytest.raises(ValidationError, match=match):
         Point.from_scaled(scale, entries)
+
+
+def test_inequality_from_scaled_reduces_its_form():
+    """A form given times 2 or times 6 is divided by the common gcd, down
+    to what the Fraction constructor computes, terms, rhs and hash
+    included; a form already in lowest terms is kept as given."""
+    terms = ((VarRef(1, 1), 4), (VarRef(2, 3), -6), (VarRef(5, 1), 10))
+    want = LinearInequality({(1, 1): Fraction(2, 3), (2, 3): -1,
+                             (5, 1): Fraction(5, 3)}, Fraction(7, 3))
+    assert want.scaled == (3, 7, ((VarRef(1, 1), 2), (VarRef(2, 3), -3),
+                                  (VarRef(5, 1), 5)))
+    for factor in (1, 3):
+        made = LinearInequality.from_scaled(
+            6 * factor, 14 * factor,
+            tuple((ref, c * factor) for ref, c in terms))
+        assert made == want and hash(made) == hash(want)
+        assert (made.terms, made.rhs, made.scaled) == (
+            want.terms, want.rhs, want.scaled)
+    kept = LinearInequality.from_scaled(1, 4, ((VarRef(1, 1), 2),))
+    assert kept.scaled == (1, 4, ((VarRef(1, 1), 2),))
+    assert kept.scaled == LinearInequality({(1, 1): 2}, 4).scaled
+    empty = LinearInequality.from_scaled(4, -2, ())
+    assert empty.scaled == (2, -1, ()) and empty == LinearInequality({}, "-1/2")
+
+
+@pytest.mark.parametrize("unit, rhs, terms, match", [
+    (True, 1, ((VarRef(1, 1), 1),), "scale and rhs"),
+    (0, 1, ((VarRef(1, 1), 1),), "scale and rhs"),
+    (-2, 1, ((VarRef(1, 1), 1),), "scale and rhs"),
+    (2.0, 1, ((VarRef(1, 1), 1),), "scale and rhs"),
+    (2, 1.0, ((VarRef(1, 1), 1),), "scale and rhs"),
+    (2, Fraction(1), ((VarRef(1, 1), 1),), "scale and rhs"),
+    (2, 1, ((VarRef(1, 1), 1.0),), "not an inequality term"),
+    (2, 1, ((VarRef(1, 1), Fraction(1)),), "not an inequality term"),
+    (2, 1, ((VarRef(1, 1), True),), "not an inequality term"),
+    (2, 1, ((VarRef(1, 1), 0),), "not an inequality term"),
+    (2, 1, ((VarRef(1, 1), 1), (VarRef(2, 1), 0)), "not an inequality term"),
+    (2, 1, ((VarRef(2, 1), 1), (VarRef(1, 1), 1)), "strictly increasing"),
+    (2, 1, ((VarRef(1, 1), 1), (VarRef(1, 1), 1)), "strictly increasing"),
+    (2, 1, (((1, 1), 1),), "not an inequality term"),
+    (2, 1, ((VarRef(True, 1), 1),), "not an inequality term"),
+], ids=["bool unit", "zero unit", "negative unit", "float unit", "float rhs",
+        "Fraction rhs", "float coefficient", "Fraction coefficient",
+        "bool coefficient", "zero coefficient", "zero after a term",
+        "unsorted", "repeated", "pair ref", "bool group"])
+def test_inequality_from_scaled_rejects_a_bad_form(unit, rhs, terms, match):
+    with pytest.raises(ValidationError, match=match):
+        LinearInequality.from_scaled(unit, rhs, terms)
+
+
+def _reference_lhs(inequality, point):
+    """The lhs of ``inequality`` at ``point`` as a Fraction sum over the
+    inequality's Fraction terms and the point's Fraction values."""
+    scale, xs = point.scaled
+    values = {ref: Fraction(x, scale) for ref, x in xs}
+    return sum((c * values.get(ref, 0) for ref, c in inequality.terms),
+               Fraction(0))
+
+
+def test_lhs_at_matches_a_fraction_sum():
+    """The integer lhs_at and evaluate equal the Fraction sum, on rational
+    data with zero coefficients, for inequalities built from Fractions and
+    from their integer form (as given and doubled), at Points, at
+    Point.from_scaled points and at node LP solutions of the closed form
+    and the simplex."""
+    rng = random.Random(6161)
+    seen = {"zero coefficient": 0, "rational row": 0, "rational point": 0,
+            "closed form": 0, "simplex": 0, "nonzero lhs": 0}
+    for n in range(120):
+        inst = rational_instance(rng)
+        refs = inst.refs()
+        coeffs = [(r, rng.choice((0, Fraction(rng.randint(-40, 40),
+                                               rng.randint(1, 9)))))
+                  for r in refs if rng.random() < 0.8]
+        rhs = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        row = LinearInequality(coeffs, rhs)
+        unit, top, terms = row.scaled
+        rows = (row, LinearInequality.from_scaled(unit, top, terms),
+                LinearInequality.from_scaled(
+                    2 * unit, 2 * top, tuple((r, 2 * c) for r, c in terms)))
+        point = Point([(r, Fraction(rng.randint(0, 6), rng.randint(6, 9)))
+                       for r in refs if rng.random() < 0.6])
+        problem = simplex.LpProblem(inst)
+        if n % 2:  # a cut row, so the simplex solves, not the closed form
+            problem = problem.with_row(LinearInequality({refs[0]: 1}, 1))
+        solution = simplex.solve_lp(problem)
+        points = (point, Point.from_scaled(*point.scaled), solution,
+                  solution.point)
+        for inequality in rows:
+            assert inequality == row
+            for p in points:
+                want = _reference_lhs(row, p)
+                assert model_lhs_at(inequality, p) == want
+                assert evaluate(inst, inequality, p) == (want, want - rhs)
+                seen["nonzero lhs"] += want != 0
+        seen["zero coefficient"] += any(c == 0 for _, c in coeffs)
+        seen["rational row"] += unit > 1
+        seen["rational point"] += point.scaled[0] > 1
+        seen["simplex" if problem.cut_rows else "closed form"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_zero_point():

@@ -206,6 +206,30 @@ def test_reduction_shape():
     assert complementarity_violations(inst, x) == [4]
 
 
+def _fraction_reduction_point(alphas, beta):
+    """The reduction point built in Fractions: (2 beta - 3) / (6 beta) on
+    each singleton, 1 on the 3 and 1/3 on each trailing one."""
+    k = len(alphas)
+    low = Fraction(2 * beta - 3, 6 * beta)
+    entries = [(VarRef(i, 1), low) for i in range(1, k + 1)]
+    entries.append((VarRef(k + 1, 1), Fraction(1)))
+    entries += [(VarRef(k + 1, j), Fraction(1, 3)) for j in range(2, beta + 2)]
+    return Point(entries)
+
+
+@pytest.mark.parametrize("alphas, beta", [
+    ((1, 1, 2), 2), ((1, 3), 2), ((1, 2, 3), 3), ((2, 4, 6), 6),
+    ((1,) * 9 + (3,), 6), ((5, 7, 9, 3), 12), ((4,) * 5 + (5, 7), 16),
+    ((9,) * 8, 36)])
+def test_reduction_point_equals_the_fraction_point(alphas, beta):
+    # built in its integer form over 6 beta, reduced by 3 when 3 divides beta
+    _, x = build_partition_reduction(alphas, beta)
+    want = _fraction_reduction_point(alphas, beta)
+    assert x == want and hash(x) == hash(want)
+    assert x.entries == want.entries and x.scaled == want.scaled
+    assert x.scaled[0] == (2 * beta if beta % 3 == 0 else 6 * beta)
+
+
 def test_reduction_yes_instance_separates():
     inst, x = build_partition_reduction((1, 1, 2), 2)
     r1 = separate_exact(inst, x, "lcover1")
@@ -543,5 +567,20 @@ def test_winner_checked_against_its_score(ex_c, frac_point, monkeypatch):
             yield (7 * num + den, 7 * den), key
 
     monkeypatch.setattr(cuts, "_pack_scores", skewed)
+    with pytest.raises(CkpError, match="scored"):
+        separate_exact(ex_c, frac_point, "pack1")
+
+
+def test_winner_checked_against_its_kept_form(ex_c, frac_point, monkeypatch):
+    # the check reads the built cut's own integer form: a builder whose
+    # kept form disagrees with the scored one is caught at the build
+    real = cuts._inequality
+
+    def loosened(scale, form):
+        den, rhs, coeffs = form
+        return real(scale, (den, rhs + 1, coeffs))
+
+    assert separate_exact(ex_c, frac_point, "pack1").found
+    monkeypatch.setattr(cuts, "_inequality", loosened)
     with pytest.raises(CkpError, match="scored"):
         separate_exact(ex_c, frac_point, "pack1")

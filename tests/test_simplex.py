@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ckp import cuts, simplex
+from ckp import cli, cuts, simplex
 from ckp.errors import PreconditionError, ValidationError
 from ckp.model import (
     Instance,
@@ -166,6 +166,43 @@ def test_with_row_refuses_a_cut_row_twice(ex_a):
     assert grown.has_row(LinearInequality({(5, 1): "2/2", (4, 1): 1}, 1))
     with pytest.raises(ValidationError, match="has this row"):
         grown.with_row(cut)
+
+
+def test_with_row_refuses_a_pooled_builder_cut_in_any_form(ex_a, ex_b, ex_c):
+    """A builder's cut keeps its integer form, and the pool compares that
+    form: the cut is refused when it comes back with its terms reversed,
+    as unreduced ``"6/2"`` strings or as its form doubled through
+    ``LinearInequality.from_scaled``, while the cut with its Fractions
+    doubled and the cut with its rhs raised by 1 are other rows."""
+    rng = random.Random(3131)
+    pooled = rational = 0
+    for inst in [ex_a, ex_b, ex_c] + [rational_instance(rng) for _ in range(60)]:
+        for cut in list(cli._iter_family_cuts(inst, cuts.FAMILIES, None))[:4]:
+            row = cut.inequality
+            unit, rhs, terms = row.scaled
+            grown = LpProblem(inst).with_row(row)
+            forms = (LinearInequality(row.terms[::-1], row.rhs),
+                     LinearInequality([(tuple(r), _unreduced(c))
+                                       for r, c in row.terms],
+                                      _unreduced(row.rhs)),
+                     LinearInequality.from_scaled(
+                         2 * unit, 2 * rhs,
+                         tuple((r, 2 * c) for r, c in terms)))
+            for form in forms:
+                assert form == row and grown.has_row(form)
+                with pytest.raises(ValidationError, match="has this row"):
+                    grown.with_row(form)
+            double = LinearInequality([(r, 2 * c) for r, c in row.terms],
+                                      2 * row.rhs)
+            looser = LinearInequality(row.terms, row.rhs + 1)
+            for other in (double, looser):
+                if other == row:  # the cut 0 <= 0 of an all-zero cover
+                    continue
+                assert not grown.has_row(other)
+                assert grown.with_row(other).cut_rows == (row, other)
+            pooled += 1
+            rational += unit > 1
+    assert pooled >= 150 and rational >= 50, (pooled, rational)
 
 
 def test_with_row_matches_building_the_rows(ex_b):

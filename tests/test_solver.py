@@ -350,8 +350,10 @@ def test_profit_of_checks_every_reference(ex_a):
 
 def test_one_solve_builds_its_lp_from_integer_data(monkeypatch, ex_b):
     """The fixed cost of a solve: LpProblem(instance) cleans no terms and
-    scales no sparse row, and branch_and_cut builds no knapsack row, on
-    ex_b and on a corpus instance whose root adds a cut."""
+    scales no sparse row, and branch_and_cut builds no knapsack row and
+    cleans no terms, on ex_b and on a corpus instance whose root adds a
+    cut: the cut keeps its builder's integer form, which the pool's check
+    fills dense (``Instance.integer_row``)."""
     calls = []
 
     def counting(name, real):
@@ -373,9 +375,10 @@ def test_one_solve_builds_its_lp_from_integer_data(monkeypatch, ex_b):
         simplex.LpProblem(inst)
         assert calls == []
         report = branch_and_cut(inst)
-        assert "knapsack_row" not in calls
+        assert "knapsack_row" not in calls and "clean_terms" not in calls
     # the corpus solve adds a cut, so the pool's check ran
-    assert sum(report.cuts_per_family.values()) >= 1 and calls
+    assert sum(report.cuts_per_family.values()) >= 1
+    assert "integer_row" in calls
 
 
 def _forged_solve_lp(problem, forced_zero=frozenset()):
