@@ -16,7 +16,7 @@ from ckp.model import (
     evaluate,
     is_feasible,
     knapsack_row,
-    lhs_at as model_lhs_at,
+    lhs_at,
     normalize,
     profit_of,
     validate_assumptions,
@@ -324,7 +324,7 @@ def test_lhs_at_matches_a_fraction_sum():
             assert inequality == row
             for p in points:
                 want = _reference_lhs(row, p)
-                assert model_lhs_at(inequality, p) == want
+                assert lhs_at(inequality, p) == want
                 assert evaluate(inst, inequality, p) == (want, want - rhs)
                 seen["nonzero lhs"] += want != 0
         seen["zero coefficient"] += any(c == 0 for _, c in coeffs)
