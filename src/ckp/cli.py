@@ -136,7 +136,7 @@ def _iter_family_cuts(instance, families, limit):
 
 def _cmd_cuts(args, out) -> int:
     instance = _load_instance(args.instance)
-    families = cuts_mod.FAMILIES if args.family == "all" else (args.family,)
+    families = cuts_mod.resolve_families(args.family)
     vertices = None  # enumerated once, at the first cut to verify
     first = True
     for cut in _iter_family_cuts(instance, families, args.enumerate_limit):
@@ -175,11 +175,7 @@ def _cmd_separate(args, out) -> int:
 
 def _cmd_solve(args, out) -> int:
     instance = _load_instance(args.instance)
-    if args.cuts == "none":
-        families = ()
-    else:
-        families = tuple(name.strip() for name in args.cuts.split(",") if name.strip())
-    config = solver.SolveConfig(families=families,
+    config = solver.SolveConfig(families=args.cuts,
                                 max_cuts_per_node=args.max_cuts_per_node,
                                 node_limit=args.node_limit,
                                 exact_fallback=args.exact_sep,
@@ -284,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact branch-and-cut")
     p.add_argument("instance")
-    p.add_argument("--cuts", default=",".join(cuts_mod.FAMILIES),
-                   metavar="LIST|none",
-                   help="comma-separated families (default: all) or 'none'")
+    p.add_argument("--cuts", default="all", metavar="LIST|all|none",
+                   help="comma-separated families, 'all' or 'none' "
+                        "(default: all)")
     p.add_argument("--exact-sep", action="store_true",
                    help="fall back to exact separation when greedy finds "
                         "nothing")

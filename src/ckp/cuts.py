@@ -68,6 +68,24 @@ FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 
 
+def resolve_families(choice) -> tuple:
+    """The cut families ``choice`` names, as a tuple: ``None`` or
+    ``"all"`` the five, ``"none"`` none, any other string a comma-separated
+    list of names, and a sequence its names.  An unknown name raises
+    ``ValidationError``, by name."""
+    if choice is None or choice == "all":
+        return FAMILIES
+    if choice == "none":
+        return ()
+    if isinstance(choice, str):
+        choice = [name.strip() for name in choice.split(",") if name.strip()]
+    out = tuple(choice)
+    for name in out:
+        if name not in FAMILIES:
+            raise ValidationError("unknown cut family: %r" % (name,))
+    return out
+
+
 @dataclass(frozen=True)
 class GeneratedCut:
     """A cut plus where it came from.

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cuts import (FAMILIES, GeneratedCut, PointSupport, build_member,
-                   family_scores, is_switching)
+from .cuts import (GeneratedCut, PointSupport, build_member, family_scores,
+                   is_switching, resolve_families)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
 from .numeric import require_integer
@@ -61,18 +61,6 @@ class SeparationResult:
     @property
     def found(self) -> bool:
         return self.cut is not None
-
-
-def _resolve_families(family: Union[str, Sequence[str], None]):
-    if family is None or family == "all":
-        return FAMILIES
-    if isinstance(family, str):
-        family = (family,)
-    out = tuple(family)
-    for name in out:
-        if name not in FAMILIES:
-            raise ValidationError("unknown cut family: %r" % (name,))
-    return out
 
 
 def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
@@ -122,9 +110,10 @@ def separate_exact(instance: Instance, point: Point,
 
     Every family member whose precondition holds is scored in closed form
     and counted in ``examined``; only the winner is built.  The walk skips
-    the subtrees where no member of ``family`` meets its precondition.
+    the subtrees where no member of ``family`` (read by
+    ``cuts.resolve_families``) meets its precondition.
     """
-    families = _resolve_families(family)
+    families = resolve_families(family)
     support = _require_lp_feasible(instance, point)
     return _select(instance, point, support,
                    walk_patterns(instance, limit, families), families)
@@ -141,7 +130,7 @@ def separate_greedy(instance: Instance, point: Point,
     members are scored and only the winner is built, as in exact
     separation.  Sound but not complete.
     """
-    families = _resolve_families(families)
+    families = resolve_families(families)
     support = _require_lp_feasible(instance, point)
     mass = support.mass
     units = support.units

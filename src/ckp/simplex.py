@@ -26,7 +26,7 @@ solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
 ...))`` and the duals as ``(Y, ints)``, which the certificate check, the
 separators and the branch-and-cut loop read as they are.  Only its value
 is a Fraction; its ``point`` (through ``Point.from_scaled``, which keeps
-the integer form) and ``duals`` are made on first read, for a caller that
+the integer form) and ``duals`` are made on each read, for a caller that
 shows them.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
@@ -74,6 +74,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import CkpError, ValidationError
 from .model import Instance, Point, knapsack_row
@@ -156,54 +157,32 @@ class LpProblem:
         return new
 
 
-class LpSolution:
+class LpSolution(NamedTuple):
     """An exact node LP optimum, in integer form.
 
     ``scaled`` is the point as ``(D, ((VarRef, X), ...))``: refs sorted and
-    unique, each X > 0, and x = X / D.  ``scaled_duals`` is ``(Y, ints)``:
-    y = ints / Y, one multiplier per problem row, then one bound multiplier
-    per variable not forced to zero.  ``value`` is the optimal value and
-    ``pivots`` the simplex's basis changes.  ``point`` (a
+    unique, each X > 0, and x = X / D.  ``scaled_duals`` is ``(Y, ints)``,
+    ints a tuple: y = ints / Y, one multiplier per problem row, then one
+    bound multiplier per variable not forced to zero.  ``value`` is the
+    optimal value and ``pivots`` the simplex's basis changes.  ``point`` (a
     :class:`model.Point`, ``Point.from_scaled(*scaled)``) and ``duals``
-    (Fractions) are made on first read; equality compares value, point,
-    duals and pivots.
+    (Fractions) are made on each read; equality and hashing are those of
+    the tuple of the four fields, the integer forms as they are.
     """
 
-    __slots__ = ("value", "scaled", "scaled_duals", "pivots", "_point",
-                 "_duals")
-
-    def __init__(self, value: Fraction, scaled, scaled_duals, pivots: int):
-        self.value = value
-        self.scaled = scaled
-        self.scaled_duals = scaled_duals
-        self.pivots = pivots
-        self._point = self._duals = None
+    value: Fraction
+    scaled: tuple
+    scaled_duals: tuple
+    pivots: int
 
     @property
     def point(self) -> Point:
-        if self._point is None:
-            self._point = Point.from_scaled(*self.scaled)
-        return self._point
+        return Point.from_scaled(*self.scaled)
 
     @property
     def duals(self) -> tuple:
-        if self._duals is None:
-            scale, ints = self.scaled_duals
-            self._duals = tuple(Fraction(y, scale) for y in ints)
-        return self._duals
-
-    def _key(self):
-        return self.value, self.point, self.duals, self.pivots
-
-    def __eq__(self, other):
-        return isinstance(other, LpSolution) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("LpSolution(value=%r, point=%r, duals=%r, pivots=%r)"
-                % self._key())
+        scale, ints = self.scaled_duals
+        return tuple(Fraction(y, scale) for y in ints)
 
 
 def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
@@ -275,7 +254,7 @@ def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
             bounds[start] = best
     duals += [bounds[j] for j in free]
     return LpSolution(Fraction(total * a + c * room, den),
-                      (scale, entries), (den, duals), 0)
+                      (scale, entries), (den, tuple(duals)), 0)
 
 
 def _reduced(line):
@@ -432,7 +411,7 @@ def _solve_bounded(problem: LpProblem, free) -> LpSolution:
         duals.append(max(reduced, 0))
     total = sum(costs[c] * x for c, x in enumerate(ints) if x)
     return LpSolution(Fraction(total, scale * problem.cost_scale),
-                      (scale, entries), (zden, duals), tab.pivots)
+                      (scale, entries), (zden, tuple(duals)), tab.pivots)
 
 
 def _free_columns(problem: LpProblem, forced_zero):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cuts import FAMILIES
+from .cuts import FAMILIES, resolve_families
 from .errors import (CkpError, PreconditionError, ResourceLimitError,
                      ValidationError)
 from .model import (Instance, Point, VarRef, complementarity_violations,
@@ -47,7 +47,9 @@ _F0 = Fraction(0)
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Branch-and-cut knobs; the defaults match the CLI defaults."""
+    """Branch-and-cut knobs; the defaults match the CLI defaults.
+    ``families`` takes any family choice and stores the tuple that
+    ``cuts.resolve_families`` reads from it."""
 
     families: tuple = FAMILIES
     max_cuts_per_node: int = 10
@@ -56,9 +58,8 @@ class SolveConfig:
     enum_limit: Optional[int] = None
 
     def __post_init__(self):
-        for name in self.families:
-            if name not in FAMILIES:
-                raise ValidationError("unknown cut family: %r" % (name,))
+        # frozen, so the resolved tuple is set past the dataclass guard
+        object.__setattr__(self, "families", resolve_families(self.families))
         if require_integer(self.max_cuts_per_node, "max_cuts_per_node") < 0:
             raise ValidationError("max_cuts_per_node must be nonnegative")
         # The root must always be explored: it is the only node without a

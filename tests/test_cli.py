@@ -355,6 +355,23 @@ def test_solve_without_cuts(files, capsys):
     assert "cuts-added: pack1=0 pack2=0 pack3=0 lcover1=0 lcover2=0" in out
 
 
+def test_solve_cuts_all_is_the_default(files, capsys):
+    for argv in ([files["ex_b.ckp"]], [files["corr.ckp"], "--exact-sep"]):
+        default = run(capsys, "solve", *argv)
+        assert default[0] == 0
+        assert run(capsys, "solve", *argv, "--cuts", "all") == default
+    # the last solve adds cuts, so the family choice shows in its output
+    assert "cuts-added: pack1=1 pack2=0 pack3=0 lcover1=3" in default[1]
+    assert run(capsys, "solve", *argv, "--cuts", "none") != default
+
+
+def test_solve_rejects_an_unknown_family_by_name(files, capsys):
+    code, out = run(capsys, "solve", files["ex_b.ckp"], "--cuts",
+                    "pack1,bogus")
+    assert code == 2
+    assert out == "error: unknown cut family: 'bogus'\n"
+
+
 def test_solve_rational_output(files, capsys):
     code, out = run(capsys, "solve", files["sing.ckp"])
     assert code == 0

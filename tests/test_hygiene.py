@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,57 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(library, readers=()):
+    """Top-level functions and classes of the ``library`` sources that
+    nothing references outside their own definition: no ``ast.Name``,
+    ``ast.Attribute`` or identifier string (a lookup by name) in the
+    ``library`` or ``readers`` sources.  A name listed in an ``__all__`` of
+    the library is exempt, since it is exported."""
+    def references(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                yield node.value
+
+    trees = [ast.parse(source) for source in library]
+    counts = Counter(name for tree in trees + [ast.parse(s) for s in readers]
+                     for name in references(tree))
+    definitions, exported = [], set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append(node)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                exported.update(elt.value for elt in node.value.elts)
+    return sorted(node.name for node in definitions
+                  if node.name not in exported and counts[node.name]
+                  == sum(name == node.name for name in references(node)))
+
+
+def test_detector_flags_an_unreferenced_definition():
+    library = ["def used(): pass\ndef recursive(n): return recursive(n)\n"
+               "class Exported: pass\ndef _private(): pass\n"
+               "def named(): pass\nclass Read: pass\n"
+               "__all__ = ['Exported']\n",
+               "used()\nf = getattr(module, 'named')\n"]
+    assert unreferenced_definitions(library, ["x = module.Read\n"]) == [
+        "_private", "recursive"]
+
+
+def test_no_unreferenced_definitions():
+    # a function or class of the library that neither the library nor the
+    # benchmark reads is dead code, kept only for its tests
+    library = [path.read_text() for path in LIBRARY]
+    readers = [path.read_text() for path in BENCH]
+    assert unreferenced_definitions(library, readers) == []
 
 
 def assert_lines(source):

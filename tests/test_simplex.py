@@ -550,7 +550,7 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
     # entry on it; the true optimum is x11 = 1, value 3, duals (2, 1, 0, 0,
     # 0), and each forgery replaces one part of it
     problem = _forgery_problem()
-    true = LpSolution(Fraction(3), (1, ((_X11, 1),)), (1, [2, 1, 0, 0, 0]), 0)
+    true = LpSolution(Fraction(3), (1, ((_X11, 1),)), (1, (2, 1, 0, 0, 0)), 0)
     assert verify_certificate(problem, true)
     assert true == solve_lp(problem)
     forged = LpSolution(Fraction(value), point or true.scaled,
@@ -598,14 +598,29 @@ def test_certificate_rejects_group_multiplier_moved(duals, why):
     assert not verify_certificate(problem, forged), why
 
 
+def _check_record(sol):
+    """The solution is a plain record of its four integer-form fields: it
+    hashes, rebuilds from them, keeps its duals' ints as a tuple, and makes
+    its point and Fraction duals afresh on each read."""
+    assert hash(sol) == hash(LpSolution(*sol))
+    assert LpSolution(*sol) == sol
+    scale, ints = sol.scaled_duals
+    assert type(ints) is tuple
+    assert sol.point is not sol.point and sol.duals is not sol.duals
+    for _ in range(2):
+        assert sol.point == Point.from_scaled(*sol.scaled)
+        assert sol.duals == tuple(Fraction(y, scale) for y in ints)
+
+
 def test_integer_node_lp_matches_fraction_reference():
     """Value, point, duals and pivots equal those of the Fraction node LP,
     on rational and zero weights, equal ratios, 0-3 builder cut rows and
     forced sets; the tableau alone matches its reference on one-row LPs
-    too."""
+    too.  Closed-form and simplex solutions alike are plain records
+    (:func:`_check_record`)."""
     rng = random.Random(90210)
-    seen = {"cuts": 0, "pivots": 0, "forced": 0, "zero weight": 0,
-            "tied ratio": 0}
+    seen = {"cuts": 0, "closed form": 0, "pivots": 0, "forced": 0,
+            "zero weight": 0, "tied ratio": 0}
     for _ in range(150):
         inst = rational_instance(rng)
         objective = {r: inst.profit(r) for r in inst.refs()}
@@ -621,15 +636,18 @@ def test_integer_node_lp_matches_fraction_reference():
         assert (got.value, got.point, got.duals, got.pivots) == (
             want.value, want.point, want.duals, want.pivots)
         assert verify_certificate(problem, got, forced)
+        _check_record(got)
         free = [j for j, r in enumerate(problem.refs) if r not in forced]
         got = simplex._solve_bounded(problem, free)
         want = reference_solve_bounded(
             problem, [r for r in inst.refs() if r not in forced])
         assert (got.value, got.point, got.duals, got.pivots) == (
             want.value, want.point, want.duals, want.pivots)
+        _check_record(got)
         ratios = [objective[r] / inst.weight(r) for r in inst.refs()
                   if inst.weight(r) and objective[r] > 0]
         seen["cuts"] += bool(rows)
+        seen["closed form"] += not rows
         seen["pivots"] += got.pivots > 0
         seen["forced"] += bool(forced)
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())

@@ -12,7 +12,7 @@ import pytest
 import ckp
 from ckp import model, simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
-from ckp.cuts import FAMILIES, GeneratedCut
+from ckp.cuts import FAMILIES, GeneratedCut, resolve_families
 from ckp.model import (
     Instance,
     LinearInequality,
@@ -29,6 +29,11 @@ from ckp import oracle
 
 from conftest import (correlated_instance, lp_solution, make_instance,
                       random_instance, rational_instance)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import reference  # noqa: E402  (bench/reference.py imports nothing from ckp)
 
 
 def oracle_value(inst):
@@ -132,6 +137,26 @@ def test_rejects_unnormalized():
         branch_and_cut(inst)
 
 
+@pytest.mark.parametrize("choice, want", [
+    ("pack1", ("pack1",)),
+    (["pack1"], ("pack1",)),
+    ("pack1, lcover2", ("pack1", "lcover2")),
+    (["lcover1", "pack2"], ("lcover1", "pack2")),
+    ("all", FAMILIES),
+    (None, FAMILIES),
+    ("none", ()),
+    ([], ()),
+])
+def test_config_reads_families_by_the_one_rule(choice, want):
+    # SolveConfig reads a family choice as cuts.resolve_families does, for
+    # the separators and the CLI, and stores it as a tuple, so the frozen
+    # config hashes
+    config = SolveConfig(families=choice)
+    assert config.families == want == resolve_families(choice)
+    assert type(config.families) is tuple
+    assert hash(config) == hash(SolveConfig(families=want))
+
+
 def test_rejects_negative_capacity():
     # Normalized and past the assumption checks, so the node LP must reject
     # it rather than the final incumbent check.
@@ -141,8 +166,10 @@ def test_rejects_negative_capacity():
 
 
 def test_config_validation(monkeypatch):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown cut family: 'bogus'"):
         SolveConfig(families=("bogus",))
+    with pytest.raises(ValidationError, match="unknown cut family: 'bogus'"):
+        SolveConfig(families="pack1,bogus")
     with pytest.raises(ValidationError):
         SolveConfig(node_limit=0)
     with pytest.raises(ValidationError):
@@ -541,9 +568,6 @@ def test_checks_survive_python_O():
         "optimize: 1"], proc.stderr
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
 @pytest.mark.parametrize("name, digest", [
     ("solve-default", "c2357f1170ffb412"),
     ("solve-exactsep", "5f1ba6e67051277a"),
@@ -591,10 +615,20 @@ def test_solves_at_scale_are_pinned(seed, plain, default):
     """Solves of 45-51 variables keep their recorded value, nodes and
     pivots: the closed form over 55-295 nodes without cuts, and the
     tableau, its group rows written out from their spans, where the
-    default families close the tree at the root with one cut."""
+    default families close the tree at the root with one cut.  The value
+    is the maximum over S of the benchmark's reference DP
+    (``reference.max_over_S``, which shares no code with ckp), far past
+    10^4 patterns, and each report point lies in S and earns it."""
     inst = _correlated_at_scale(seed)
+    weights = [tuple(map(int, g.weights)) for g in inst.groups]
+    profits = [tuple(map(int, g.profits)) for g in inst.groups]
+    capacity = int(inst.capacity)
+    assert reference.max_over_S(weights, profits, capacity) == plain[0]
     for config, want in ((SolveConfig(families=()), plain),
                          (SolveConfig(), default)):
         report = branch_and_cut(inst, config)
         assert (report.value, report.nodes, report.lp_pivots) == want
         assert report.proven_optimal
+        entries = [(ref.group, ref.slot, x) for ref, x in report.point.entries]
+        assert reference.point_problems(weights, profits, capacity, entries,
+                                        report.value) == []
