@@ -12,15 +12,17 @@ Conventions used everywhere:
   :func:`clean_terms` and are stored once, as sorted terms, and an
   :class:`Instance` scales its weights and profits to integers once,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
-  sorted and unique, each X > 0, and x = X / D.  :class:`Point` computes
-  it once, :meth:`Point.from_scaled` takes it in, checked and reduced,
-  and ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
+  sorted and unique, each X > 0, and x = X / D.  Every constructor of
+  :class:`Point` stores it: ``Point`` computes it from the Fractions,
+  :meth:`Point.from_scaled` takes it in, checked and reduced, and
+  ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
   :func:`weight_of`, :func:`profit_of`, :func:`is_feasible` and
   :func:`complementarity_violations` read only this form, so either kind
   of point may be passed, and sum and count in integers,
 * an inequality's integer form is ``scaled = (U, R, ((VarRef, C),
-  ...))``, each C nonzero: coefficients C / U, rhs R / U.  It is kept as
-  a point's is, and the cut builders make it; :func:`lhs_at` and
+  ...))``, each C nonzero: coefficients C / U, rhs R / U.  Every
+  constructor of :class:`LinearInequality` stores it, as a point's, and
+  the cut builders make it; :func:`lhs_at` and
   :meth:`Instance.integer_row`, the one dense fill of a row, read it.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
@@ -38,8 +40,6 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import FormatError, PreconditionError, ValidationError
 from .numeric import integer_form, parse_rational
-
-_F0 = Fraction(0)
 
 
 class VarRef(NamedTuple):
@@ -263,13 +263,20 @@ def _reduced_form(head, terms, top, what):
 
 class LinearInequality:
     """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped),
-    made from its Fractions or from its integer form (:meth:`from_scaled`)."""
+    made from its Fractions or from its integer form (:meth:`from_scaled`).
+    Either constructor stores that form as ``scaled``: ``(U, R, ((VarRef,
+    C), ...))``, the rhs and each coefficient times U, the LCM of their
+    denominators (:func:`numeric.integer_form`)."""
 
-    __slots__ = ("terms", "rhs", "_scaled")
+    __slots__ = ("terms", "rhs", "scaled")
 
     def __init__(self, coeffs, rhs):
         self.terms = clean_terms(coeffs)
         self.rhs = _frac(rhs)
+        scale, (rhs, *cs) = integer_form(
+            chain((self.rhs,), (c for _, c in self.terms)))
+        self.scaled = scale, rhs, tuple(
+            (ref, c) for (ref, _), c in zip(self.terms, cs))
 
     @classmethod
     def from_scaled(cls, unit, rhs, terms) -> "LinearInequality":
@@ -284,27 +291,8 @@ class LinearInequality:
         inequality = cls.__new__(cls)
         inequality.terms = tuple((ref, Fraction(c, unit)) for ref, c in terms)
         inequality.rhs = Fraction(rhs, unit)
-        inequality._scaled = unit, rhs, terms
+        inequality.scaled = unit, rhs, terms
         return inequality
-
-    @property
-    def scaled(self):
-        """The integer form ``(U, R, ((VarRef, C), ...))``: the rhs and each
-        coefficient times U, the LCM of their denominators
-        (:func:`numeric.integer_form`).  Computed on first use."""
-        try:
-            return self._scaled
-        except AttributeError:
-            scale, (rhs, *cs) = integer_form(
-                chain((self.rhs,), (c for _, c in self.terms)))
-            self._scaled = scale, rhs, tuple(zip(self.support(), cs))
-            return self._scaled
-
-    def coeff(self, ref: VarRef) -> Fraction:
-        return next((c for r, c in self.terms if r == ref), _F0)
-
-    def support(self):
-        return tuple(ref for ref, _ in self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, LinearInequality)
@@ -320,9 +308,12 @@ class LinearInequality:
 
 class Point:
     """Sparse point with entries in [0, 1] (zeros dropped), made from its
-    Fractions or from its integer form (:meth:`from_scaled`)."""
+    Fractions or from its integer form (:meth:`from_scaled`).  Either
+    constructor stores that form as ``scaled``: ``(D, ((VarRef, X),
+    ...))``, each entry times D, the LCM of the entries' denominators
+    (:func:`numeric.integer_form`)."""
 
-    __slots__ = ("entries", "_scaled")
+    __slots__ = ("entries", "scaled")
 
     def __init__(self, values=()):
         self.entries = clean_terms(values)
@@ -330,6 +321,9 @@ class Point:
             num, den = value.as_integer_ratio()  # den > 0
             if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
+        scale, xs = integer_form(x for _, x in self.entries)
+        self.scaled = scale, tuple(
+            (ref, x) for (ref, _), x in zip(self.entries, xs))
 
     @classmethod
     def from_scaled(cls, scale, entries) -> "Point":
@@ -343,26 +337,8 @@ class Point:
                                           "a point entry")
         point = cls.__new__(cls)
         point.entries = tuple((ref, Fraction(x, scale)) for ref, x in entries)
-        point._scaled = scale, entries
+        point.scaled = scale, entries
         return point
-
-    def value(self, ref: VarRef) -> Fraction:
-        return next((x for r, x in self.entries if r == ref), _F0)
-
-    def support(self):
-        return tuple(ref for ref, _ in self.entries)
-
-    @property
-    def scaled(self):
-        """The integer form ``(D, ((VarRef, X), ...))``: each entry times D,
-        the LCM of the entries' denominators (:func:`numeric.integer_form`).
-        Computed on first use."""
-        try:
-            return self._scaled
-        except AttributeError:
-            scale, xs = integer_form(x for _, x in self.entries)
-            self._scaled = (scale, tuple(zip(self.support(), xs)))
-            return self._scaled
 
     def __eq__(self, other):
         return isinstance(other, Point) and self.entries == other.entries

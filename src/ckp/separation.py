@@ -104,16 +104,16 @@ def _select(instance: Instance, point: Point, support, itemsets,
 
 
 def separate_exact(instance: Instance, point: Point,
-                   family: Union[str, Sequence[str], None] = "all",
+                   families: Union[str, Sequence[str], None] = "all",
                    limit: Optional[int] = None) -> SeparationResult:
     """Exhaustive separation over all one-slot-per-group item sets.
 
     Every family member whose precondition holds is scored in closed form
     and counted in ``examined``; only the winner is built.  The walk skips
-    the subtrees where no member of ``family`` (read by
+    the subtrees where no member of ``families`` (read by
     ``cuts.resolve_families``) meets its precondition.
     """
-    families = resolve_families(family)
+    families = resolve_families(families)
     support = _require_lp_feasible(instance, point)
     return _select(instance, point, support,
                    walk_patterns(instance, limit, families), families)

@@ -132,24 +132,19 @@ class LpProblem:
         """The knapsack row, made on this read, then the cut rows."""
         return (knapsack_row(self.instance),) + self.cut_rows
 
-    def has_row(self, row) -> bool:
-        """Whether ``row`` is the knapsack row or one of the cut rows, in
-        any equal form: its integer form (``row.scaled``, filled dense by
-        ``Instance.integer_row``) is compared with theirs.  A reference
-        outside the instance raises."""
-        return self.instance.integer_row(row) in self.scaled_rows
-
     def with_row(self, row) -> "LpProblem":
         """This problem plus the cut row ``row``: the scaled data is shared
-        and only the new row is checked and scaled.  A negative rhs, a
-        reference outside the instance and a row the problem has already
-        (:meth:`has_row`) raise ``ValidationError``."""
+        and only the new row is checked and filled dense
+        (``Instance.integer_row``).  A negative rhs, a reference outside the
+        instance and a row the problem has already, the knapsack row or a
+        cut row in any equal form (its dense integer form is compared with
+        theirs), raise ``ValidationError``."""
         if row.rhs < 0:
             raise ValidationError(
                 "LP needs nonnegative weights and right-hand sides")
         scaled = self.instance.integer_row(row)
         if scaled in self.scaled_rows:
-            raise ValidationError("the LP has this row already")
+            raise ValidationError("the LP has this row already in the pool")
         new = copy(self)
         new.cut_rows = self.cut_rows + (row,)
         new.scaled_rows = self.scaled_rows + [scaled]

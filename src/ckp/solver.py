@@ -166,16 +166,17 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
                     exact = False
             if not sep.found:
                 break
-            if problem.has_row(sep.cut.inequality):
+            try:
+                problem = problem.with_row(sep.cut.inequality)
+            except ValidationError as exc:
                 # The certified node LP satisfies the knapsack row and every
                 # pooled row, so a separator that calls one violated is at
                 # fault.
-                raise CkpError("separated %s cut is already in the pool"
-                               % sep.cut.family)
+                raise CkpError("separated %s cut: %s"
+                               % (sep.cut.family, exc)) from None
             pool.append(sep.cut)
             cuts_per_family[sep.cut.family] += 1
             added_here += 1
-            problem = problem.with_row(sep.cut.inequality)
 
         if value <= incumbent_value:
             continue

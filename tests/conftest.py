@@ -319,7 +319,8 @@ def reference_face_dimension(instance, inequality, limit=None):
     tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
     refs = instance.refs()
     cap = instance.dimension - 1 if inequality.terms else instance.dimension
-    vectors = (tuple(p.value(r) for r in refs) for p in tight)
+    vectors = (tuple(dict(p.entries).get(r, _F0) for r in refs)
+               for p in tight)
     return fraction_affine_rank(vectors, cap)
 
 

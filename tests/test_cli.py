@@ -407,7 +407,7 @@ def test_reduce_partition(files, capsys, tmp_path):
     point = parse_point((tmp_path / "red.point").read_text())
     assert inst.capacity == 4
     assert inst.group(4).weights == (3, 1, 1)
-    assert point.value(VarRef(1, 1)) == Fraction(1, 12)
+    assert dict(point.entries)[VarRef(1, 1)] == Fraction(1, 12)
 
 
 REDUCED = {  # the files of reduce-partition, byte for byte

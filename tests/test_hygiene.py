@@ -3,7 +3,6 @@
 import ast
 import importlib.util
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,57 +44,6 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
-
-
-def unreferenced_definitions(library, readers=()):
-    """Top-level functions and classes of the ``library`` sources that
-    nothing references outside their own definition: no ``ast.Name``,
-    ``ast.Attribute`` or identifier string (a lookup by name) in the
-    ``library`` or ``readers`` sources.  A name listed in an ``__all__`` of
-    the library is exempt, since it is exported."""
-    def references(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                yield node.value
-
-    trees = [ast.parse(source) for source in library]
-    counts = Counter(name for tree in trees + [ast.parse(s) for s in readers]
-                     for name in references(tree))
-    definitions, exported = [], set()
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append(node)
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "__all__"
-                          for t in node.targets)):
-                exported.update(elt.value for elt in node.value.elts)
-    return sorted(node.name for node in definitions
-                  if node.name not in exported and counts[node.name]
-                  == sum(name == node.name for name in references(node)))
-
-
-def test_detector_flags_an_unreferenced_definition():
-    library = ["def used(): pass\ndef recursive(n): return recursive(n)\n"
-               "class Exported: pass\ndef _private(): pass\n"
-               "def named(): pass\nclass Read: pass\n"
-               "__all__ = ['Exported']\n",
-               "used()\nf = getattr(module, 'named')\n"]
-    assert unreferenced_definitions(library, ["x = module.Read\n"]) == [
-        "_private", "recursive"]
-
-
-def test_no_unreferenced_definitions():
-    # a function or class of the library that neither the library nor the
-    # benchmark reads is dead code, kept only for its tests
-    library = [path.read_text() for path in LIBRARY]
-    readers = [path.read_text() for path in BENCH]
-    assert unreferenced_definitions(library, readers) == []
 
 
 def assert_lines(source):
@@ -249,51 +197,75 @@ def test_bench_tracer_sites_exist():
     assert missing == []
 
 
-def unread_library_names(library, readers, readme):
-    """Top-level public functions, classes and constants of the ``library``
-    sources that no ``ast.Load`` name or attribute in the ``readers``
-    sources reads and that ``readme`` does not mention.  A name listed in
-    an ``__all__`` of the library counts as read, since it is exported, and
-    so does a name spelled out as a string, which a lookup by name (such
-    as ``cuts.build_member``'s or the benchmark tracer's) reads."""
-    defined = []
-    read = set()
-    for source in library:
+def dead_names(library, readers=(), readme=""):
+    """Names of the ``library`` sources that nothing reads: top-level
+    functions and classes, of any name, and public constants, which no
+    loaded ``ast.Name`` or ``ast.Attribute`` and no identifier string (a
+    lookup by name, as ``cuts.build_member``'s or the benchmark tracer's)
+    in the ``library`` or ``readers`` sources reads outside their own
+    top-level statement.  A name listed in an ``__all__`` of the library is
+    exempt, since it is exported, and so is a constant that ``readme``
+    mentions."""
+    def reads(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif (isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, ast.Load)):
+                yield child.attr
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str)
+                  and child.value.isidentifier()):
+                yield child.value
+
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return [t.id for t in targets if isinstance(t, ast.Name)]
+        return []
+
+    read, functions, constants = set(), set(), set()
+    for index, source in enumerate(list(library) + list(readers)):
         for node in ast.parse(source).body:
+            names = defined(node)
+            read.update(name for name in reads(node) if name not in names)
+            if index >= len(library):
+                continue
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-                defined += names
-                if "__all__" in names:
-                    read.update(elt.value for elt in node.value.elts)
-    for source in readers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)  # a lookup by name, as getattr makes
-    return sorted(name for name in set(defined)
-                  if not name.startswith("_") and name not in read
-                  and not re.search(r"\b%s\b" % re.escape(name), readme))
+                functions.update(names)
+            else:
+                constants.update(n for n in names if not n.startswith("_"))
+            if "__all__" in names:
+                read.update(elt.value for elt in node.value.elts)
+    constants = {name for name in constants
+                 if not re.search(r"\b%s\b" % re.escape(name), readme)}
+    return sorted((functions | constants) - read)
 
 
 def test_detector_flags_a_test_only_name():
+    library = ["def used(): pass\ndef recursive(n): return recursive(n)\n"
+               "class Exported: pass\ndef _private(): pass\n"
+               "def named(): pass\nclass Read: pass\n"
+               "__all__ = ['Exported']\n",
+               "used()\nf = getattr(module, 'named')\n"]
+    # f is a public constant that nothing reads
+    assert dead_names(library, ["x = module.Read\n"]) == [
+        "_private", "f", "recursive"]
+    # a README mention exempts a constant but not a class
     library = ["def used(): pass\ndef unread(): pass\nclass Told: pass\n"
                "LIMIT = 3\nSPARE: int = 4\n_private = 1\nclass Exported: pass\n"
-               "class Named: pass\n",
+               "class Named: pass\nTOLD = 5\n",
                "__all__ = ['Exported']\n"]
-    readers = library + ["used()\nx.LIMIT\nSPARE = 5\ngetattr(x, 'Named')\n"]
-    assert unread_library_names(library, readers, "see `Told`") == [
-        "SPARE", "unread"]
+    readers = ["used()\nx.LIMIT\nSPARE = 5\ngetattr(x, 'Named')\n"]
+    assert dead_names(library, readers, "see `Told` and `TOLD`") == [
+        "SPARE", "Told", "unread"]
 
 
 def test_no_test_only_library_names():
-    # library code that only the tests call is deleted, not kept for them
+    # library code that only the tests read is deleted, not kept for them
     library = [path.read_text() for path in LIBRARY]
-    readers = library + [path.read_text() for path in BENCH]
+    readers = [path.read_text() for path in BENCH]
     readme = (ROOT / "README.md").read_text()
-    assert unread_library_names(library, readers, readme) == []
+    assert dead_names(library, readers, readme) == []

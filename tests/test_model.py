@@ -128,15 +128,15 @@ def test_point_validation():
     with pytest.raises(ValidationError):
         Point([(VarRef(1, 1), Fraction(-1, 2))])
     p = Point([(VarRef(1, 1), Fraction(1, 2)), (VarRef(4, 2), 1)])
-    assert p.value(VarRef(1, 1)) == Fraction(1, 2)
-    assert p.value(VarRef(2, 1)) == 0
+    assert p.entries == ((VarRef(1, 1), Fraction(1, 2)), (VarRef(4, 2), 1))
 
 
 def test_integer_forms_match_fraction_reference():
-    """``Instance.units`` and ``Instance.integer_row`` equal the Fraction
-    scaling, on rational and zero weights and rows with large coprime
-    denominators, built from Fractions and from their integer form; a row
-    reference outside the instance raises."""
+    """``Instance.units``, ``Instance.integer_row`` and the ``scaled`` that
+    every constructor of a row and a point stores equal the Fraction
+    scaling, on rational and zero weights and rows and points with large
+    coprime denominators, built from Fractions and from their integer form;
+    a row reference outside the instance raises."""
     rng = random.Random(5077)
     for _ in range(200):
         inst = rational_instance(rng)
@@ -156,6 +156,16 @@ def test_integer_forms_match_fraction_reference():
                 == reference_integer_row(inst, row.terms))
         assert (inst.integer_row(LinearInequality.from_scaled(*row.scaled))
                 == reference_integer_row(inst, row.terms, row.rhs))
+        unit, (rhs, *cs) = reference_integer_form(
+            [row.rhs] + [c for _, c in row.terms])
+        form = unit, rhs, tuple(zip([r for r, _ in row.terms], cs))
+        assert row.scaled == LinearInequality.from_scaled(*form).scaled == form
+        point = Point({r: Fraction(rng.randint(0, 7),
+                                   rng.choice((7,) + LARGE_PRIMES))
+                       for r in inst.refs() if rng.random() < 0.6})
+        scale, xs = reference_integer_form([x for _, x in point.entries])
+        form = scale, tuple(zip([r for r, _ in point.entries], xs))
+        assert point.scaled == Point.from_scaled(*form).scaled == form
     with pytest.raises(ValidationError, match=r"x\(9,9\)"):
         inst.integer_row(LinearInequality({(9, 9): 1}, 0))
 
@@ -335,14 +345,14 @@ def test_lhs_at_matches_a_fraction_sum():
 
 
 def test_zero_point():
-    assert Point().support() == ()
+    assert Point().entries == () and Point().scaled == (1, ())
     assert profit_of(make_instance([(3,)], 2), Point()) == 0
 
 
 def test_inequality_drops_zero_terms():
     q = LinearInequality([(VarRef(1, 1), 0), (VarRef(2, 1), 3)], 4)
-    assert q.support() == (VarRef(2, 1),)
-    assert q.coeff(VarRef(1, 1)) == 0
+    assert q.terms == ((VarRef(2, 1), 3),)
+    assert q.scaled == (1, 4, ((VarRef(2, 1), 3),))
 
 
 def test_evaluate(ex_a):

@@ -115,7 +115,7 @@ def test_candidates_in_walk_order(ex_a, ex_c, small_corpus):
     for inst in [ex_a, ex_c] + small_corpus:
         keys = []
         for p in oracle.enumerate_candidate_vertices(inst).points:
-            slots = dict(p.support())
+            slots = dict(ref for ref, _ in p.entries)
             fractional = [r.group for r, v in p.entries if v != 1]
             keys.append((tuple(slots.get(i, 0) for i in range(1, inst.m + 1)),
                          -fractional[0] if fractional else -inst.m - 1))
@@ -204,7 +204,9 @@ def test_integer_oracle_matches_fraction_references():
         assert len(vertices.columns) == len(refs)
         for k, (point, den) in enumerate(zip(vertices.points, vertices.dens)):
             row = [column[k] for column in vertices.columns]
-            assert [Fraction(x, den) for x in row] == [point.value(r) for r in refs]
+            values = dict(point.entries)
+            assert [Fraction(x, den) for x in row] == [values.get(r, 0)
+                                                       for r in refs]
         objective = {r: inst.profit(r) for r in refs}
         for r in refs:
             roll = rng.random()
@@ -320,7 +322,7 @@ def test_invalid_inequality_reports_witness(ex_a):
     res = oracle.check_validity(ex_a, bad)
     assert not res.valid
     assert res.max_value == 2
-    assert res.witness.value(VarRef(1, 1)) == 1
+    assert dict(res.witness.entries)[VarRef(1, 1)] == 1
 
 
 def test_validity_rejects_unknown_refs(ex_a):
