@@ -198,14 +198,14 @@ def test_bench_tracer_sites_exist():
 
 
 def dead_names(library, readers=(), readme=""):
-    """Names of the ``library`` sources that nothing reads: top-level
-    functions and classes, of any name, and public constants, which no
-    loaded ``ast.Name`` or ``ast.Attribute`` and no identifier string (a
-    lookup by name, as ``cuts.build_member``'s or the benchmark tracer's)
-    in the ``library`` or ``readers`` sources reads outside their own
-    top-level statement.  A name listed in an ``__all__`` of the library is
-    exempt, since it is exported, and so is a constant that ``readme``
-    mentions."""
+    """Names of the ``library`` sources that nothing reads, as a pair of
+    sorted lists: top-level functions and classes, of any name, and public
+    constants, which no loaded ``ast.Name`` or ``ast.Attribute`` and no
+    identifier string (a lookup by name, as ``cuts.build_member``'s or the
+    benchmark tracer's) in the ``library`` or ``readers`` sources reads
+    outside their own top-level statement.  A name listed in an ``__all__``
+    of the library is exempt, since it is exported, and so is a constant
+    that ``readme`` mentions."""
     def reads(node):
         for child in ast.walk(node):
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
@@ -241,31 +241,46 @@ def dead_names(library, readers=(), readme=""):
                 read.update(elt.value for elt in node.value.elts)
     constants = {name for name in constants
                  if not re.search(r"\b%s\b" % re.escape(name), readme)}
-    return sorted((functions | constants) - read)
+    return sorted(functions - read), sorted(constants - read)
 
 
-def test_detector_flags_a_test_only_name():
+def test_detector_flags_an_unreferenced_definition():
     library = ["def used(): pass\ndef recursive(n): return recursive(n)\n"
                "class Exported: pass\ndef _private(): pass\n"
                "def named(): pass\nclass Read: pass\n"
                "__all__ = ['Exported']\n",
                "used()\nf = getattr(module, 'named')\n"]
     # f is a public constant that nothing reads
-    assert dead_names(library, ["x = module.Read\n"]) == [
-        "_private", "f", "recursive"]
+    assert dead_names(library, ["x = module.Read\n"]) == (
+        ["_private", "recursive"], ["f"])
+
+
+def test_detector_flags_a_test_only_name():
     # a README mention exempts a constant but not a class
     library = ["def used(): pass\ndef unread(): pass\nclass Told: pass\n"
                "LIMIT = 3\nSPARE: int = 4\n_private = 1\nclass Exported: pass\n"
                "class Named: pass\nTOLD = 5\n",
                "__all__ = ['Exported']\n"]
     readers = ["used()\nx.LIMIT\nSPARE = 5\ngetattr(x, 'Named')\n"]
-    assert dead_names(library, readers, "see `Told` and `TOLD`") == [
-        "SPARE", "Told", "unread"]
+    assert dead_names(library, readers, "see `Told` and `TOLD`") == (
+        ["Told", "unread"], ["SPARE"])
+
+
+def library_dead_names():
+    """``dead_names`` of ``src/ckp``, read by itself and ``bench/``."""
+    library = [path.read_text() for path in LIBRARY]
+    readers = [path.read_text() for path in BENCH]
+    return dead_names(library, readers, (ROOT / "README.md").read_text())
+
+
+def test_no_unreferenced_definitions():
+    # a function or class of the library that neither the library nor the
+    # benchmark reads is dead code, kept only for its tests
+    definitions, _ = library_dead_names()
+    assert definitions == []
 
 
 def test_no_test_only_library_names():
-    # library code that only the tests read is deleted, not kept for them
-    library = [path.read_text() for path in LIBRARY]
-    readers = [path.read_text() for path in BENCH]
-    readme = (ROOT / "README.md").read_text()
-    assert dead_names(library, readers, readme) == []
+    # a public constant that only the tests read is deleted, not kept for them
+    _, constants = library_dead_names()
+    assert constants == []
