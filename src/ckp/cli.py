@@ -176,7 +176,6 @@ def _cmd_separate(args, out) -> int:
 def _cmd_solve(args, out) -> int:
     instance = _load_instance(args.instance)
     config = solver.SolveConfig(families=args.cuts,
-                                max_cuts_per_node=args.max_cuts_per_node,
                                 node_limit=args.node_limit,
                                 exact_fallback=args.exact_sep,
                                 enum_limit=args.enumerate_limit)
@@ -229,8 +228,7 @@ def _integer(text: str) -> int:
 def _add_limit(parser) -> None:
     parser.add_argument("--enumerate-limit", type=_integer, default=None,
                         metavar="N",
-                        help="pattern-count guard (default: CKP_ENUM_LIMIT "
-                             "env var or 10^6)")
+                        help="pattern-count guard (default: 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-sep", action="store_true",
                    help="fall back to exact separation when greedy finds "
                         "nothing")
-    p.add_argument("--max-cuts-per-node", type=_integer, default=10, metavar="N")
-    p.add_argument("--node-limit", type=_integer, default=10 ** 5, metavar="N")
+    p.add_argument("--node-limit", type=_integer,
+                   default=solver.SolveConfig.node_limit, metavar="N")
     _add_limit(p)
     p.set_defaults(func=_cmd_solve)
 

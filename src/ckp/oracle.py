@@ -36,39 +36,27 @@ it checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import not_
 from typing import Optional
 
-from .errors import (FormatError, PreconditionError, ResourceLimitError,
-                     ValidationError)
+from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, Point, VarRef, clean_terms
-from .numeric import affine_rank, parse_integer, require_integer
+from .numeric import affine_rank, require_integer
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
-ENUM_LIMIT_ENV = "CKP_ENUM_LIMIT"
-
 
 
 def resolve_enum_limit(limit: Optional[int] = None) -> int:
-    """Explicit argument, else CKP_ENUM_LIMIT, else the default 10^6.
-    A limit below 1 or not an int is rejected, wherever it comes from."""
-    source = "enumeration limit"
+    """The explicit argument, else the default 10^6.  A limit below 1 or
+    not an int is rejected."""
     if limit is None:
-        env = os.environ.get(ENUM_LIMIT_ENV)
-        if not env:
-            return DEFAULT_ENUM_LIMIT
-        try:
-            limit = parse_integer(env)
-        except FormatError:
-            raise ValidationError(
-                "%s must be an integer, got %r" % (ENUM_LIMIT_ENV, env)) from None
-        source = ENUM_LIMIT_ENV
-    if require_integer(limit, source) < 1:
-        raise ValidationError("%s must be positive, got %d" % (source, limit))
+        return DEFAULT_ENUM_LIMIT
+    if require_integer(limit, "enumeration limit") < 1:
+        raise ValidationError("enumeration limit must be positive, got %d"
+                              % limit)
     return limit
 
 

@@ -43,35 +43,33 @@ from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
 _F0 = Fraction(0)
+MAX_CUTS_PER_NODE = 10  # cuts one node's loop adds before it branches
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Branch-and-cut knobs; the defaults match the CLI defaults.
+    """Branch-and-cut knobs; ``ckp solve`` reads its defaults from here.
     ``families`` takes any family choice and stores the tuple that
-    ``cuts.resolve_families`` reads from it."""
+    ``cuts.resolve_families`` reads from it; ``enum_limit`` stores the
+    limit ``oracle.resolve_enum_limit`` reads from it."""
 
     families: tuple = FAMILIES
-    max_cuts_per_node: int = 10
     node_limit: int = 10 ** 5
     exact_fallback: bool = False
     enum_limit: Optional[int] = None
 
     def __post_init__(self):
-        # frozen, so the resolved tuple is set past the dataclass guard
+        # frozen, so the resolved values are set past the dataclass guard
         object.__setattr__(self, "families", resolve_families(self.families))
-        if require_integer(self.max_cuts_per_node, "max_cuts_per_node") < 0:
-            raise ValidationError("max_cuts_per_node must be nonnegative")
         # The root must always be explored: it is the only node without a
         # parent bound, so letting the limit stop it first would leave the
         # reported best bound baseless.
         if require_integer(self.node_limit, "node_limit") < 1:
             raise ValidationError("node_limit must be at least 1")
         # Checked here, not at exact separation's first walk: that may come
-        # mid-solve, or never without exact_fallback.  None defers to
-        # CKP_ENUM_LIMIT, read when separation runs.
-        if self.enum_limit is not None:
-            resolve_enum_limit(self.enum_limit)
+        # mid-solve, or never without exact_fallback.
+        object.__setattr__(self, "enum_limit",
+                           resolve_enum_limit(self.enum_limit))
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
                 break
             violated = complementarity_violations(instance, solution)
             if not (violated and config.families
-                    and added_here < config.max_cuts_per_node):
+                    and added_here < MAX_CUTS_PER_NODE):
                 break
             sep = separate_greedy(instance, solution, config.families)
             if not sep.found and exact:

@@ -541,8 +541,7 @@ def test_reduce_partition_integers_in_one_grammar(tmp_path, capsys, argv,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("option", ["--max-cuts-per-node", "--node-limit",
-                                    "--enumerate-limit"])
+@pytest.mark.parametrize("option", ["--node-limit", "--enumerate-limit"])
 @pytest.mark.parametrize("value", ["1_0", "+10", "\u0661\u0660", "10/1"])
 def test_solve_integer_options_in_one_grammar(files, capsys, option, value):
     code, out = run(capsys, "solve", files["ex_a.ckp"], option, value)
@@ -550,15 +549,6 @@ def test_solve_integer_options_in_one_grammar(files, capsys, option, value):
     assert "argument %s: invalid int value: %r" % (option, value) in out
     code, out = run(capsys, "solve", files["ex_a.ckp"], option, "10")
     assert code == 0
-
-
-@pytest.mark.parametrize("value", ["1_000", "+1000", "\u0661\u0660\u0660\u0660",
-                                   "1000/1"])
-def test_enum_limit_env_in_one_grammar(files, capsys, monkeypatch, value):
-    monkeypatch.setenv("CKP_ENUM_LIMIT", value)
-    code, out = run(capsys, "oracle", files["ex_a.ckp"])
-    assert code == 2
-    assert "CKP_ENUM_LIMIT must be an integer, got %r" % value in out
 
 
 def test_console_script(files):

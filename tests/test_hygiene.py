@@ -184,6 +184,30 @@ def test_oracle_shares_no_code_with_the_lp():
     assert simplex_imports(source) == []
 
 
+def environment_reads(source):
+    """Lines that read the process environment: an ``environ`` or
+    ``getenv``, as an attribute (``os.environ``) or a bare name."""
+    names = ("environ", "getenv")
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.Name) and node.id in names})
+
+
+def test_detector_flags_an_environment_read():
+    source = ("import os\nfrom os import environ, getenv\n"
+              "a = os.environ.get('A')\nb = os.getenv('B')\n"
+              "c = environ['C']\nd = getenv('D')\n"
+              "e = options.environment\n")
+    assert environment_reads(source) == [3, 4, 5, 6]
+
+
+def test_library_reads_no_environment():
+    # every limit and setting reaches the library as an argument, so a call
+    # gives the same result whatever the environment holds
+    found = {path.name: environment_reads(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp

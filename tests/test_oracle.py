@@ -585,23 +585,12 @@ def test_enum_limit_argument(ex_a):
     assert err.value.estimate == 72
 
 
-def test_enum_limit_env_override(ex_a, monkeypatch):
-    monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, "10")
-    with pytest.raises(ResourceLimitError):
-        oracle.enumerate_candidate_vertices(ex_a)
-    monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, "100")
-    oracle.enumerate_candidate_vertices(ex_a)  # fits again
-
-
 @pytest.mark.parametrize("limit", [0, -5])
-def test_enum_limit_must_be_positive(ex_a, monkeypatch, limit):
+def test_enum_limit_must_be_positive(ex_a, limit):
     with pytest.raises(ValidationError, match="must be positive"):
         oracle.resolve_enum_limit(limit)
     with pytest.raises(ValidationError):
         oracle.enumerate_candidate_vertices(ex_a, limit=limit)
-    monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, str(limit))
-    with pytest.raises(ValidationError, match=oracle.ENUM_LIMIT_ENV):
-        oracle.resolve_enum_limit(None)
 
 
 @pytest.mark.parametrize("limit", [True, 2.5, 1000.5])
@@ -610,9 +599,3 @@ def test_enum_limit_must_be_an_integer(ex_a, limit):
         oracle.resolve_enum_limit(limit)
     with pytest.raises(ValidationError, match="must be an integer"):
         oracle.enumerate_candidate_vertices(ex_a, limit=limit)
-
-
-def test_enum_limit_bad_env_value(monkeypatch):
-    monkeypatch.setenv(oracle.ENUM_LIMIT_ENV, "not-a-number")
-    with pytest.raises(ValidationError):
-        oracle.resolve_enum_limit(None)

@@ -166,20 +166,16 @@ def test_rejects_negative_capacity():
         branch_and_cut(inst)
 
 
-def test_config_validation(monkeypatch):
+def test_config_validation():
     with pytest.raises(ValidationError, match="unknown cut family: 'bogus'"):
         SolveConfig(families=("bogus",))
     with pytest.raises(ValidationError, match="unknown cut family: 'bogus'"):
         SolveConfig(families="pack1,bogus")
     with pytest.raises(ValidationError):
         SolveConfig(node_limit=0)
-    with pytest.raises(ValidationError):
-        SolveConfig(max_cuts_per_node=-1)
-    for field, value in (("node_limit", 1.5), ("node_limit", True),
-                         ("max_cuts_per_node", 2.5),
-                         ("max_cuts_per_node", False)):
-        with pytest.raises(ValidationError, match="%s must be an integer" % field):
-            SolveConfig(**{field: value})
+    for value in (1.5, True):
+        with pytest.raises(ValidationError, match="node_limit must be an integer"):
+            SolveConfig(node_limit=value)
     # an explicit enumeration limit is checked as oracle.resolve_enum_limit
     # checks it, with exact separation on or off
     for exact in (False, True):
@@ -193,9 +189,10 @@ def test_config_validation(monkeypatch):
                                      "got %d" % value):
                 SolveConfig(exact_fallback=exact, enum_limit=value)
         assert SolveConfig(exact_fallback=exact, enum_limit=1).enum_limit == 1
-    # None defers to CKP_ENUM_LIMIT, read when exact separation runs
-    monkeypatch.setenv("CKP_ENUM_LIMIT", "0")
-    assert SolveConfig(exact_fallback=True).enum_limit is None
+    # no limit stores the default, with exact separation on or off
+    assert (SolveConfig().enum_limit
+            == SolveConfig(exact_fallback=True).enum_limit
+            == oracle.DEFAULT_ENUM_LIMIT)
 
 
 def test_exact_separation_stops_at_the_enumeration_limit(monkeypatch):
