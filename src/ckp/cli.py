@@ -117,7 +117,8 @@ def _iter_family_cuts(instance, families, limit):
     first pack family; covers from the pattern walk, which skips the
     subtrees that hold no member.  The members are those
     ``cuts.family_scores`` lists, scored at the origin (which lies in S;
-    only their keys are used), each built once."""
+    only their keys are used), each built once; a cut with no terms, 0 <=
+    rhs, cuts nothing and is skipped."""
     support = cuts_mod.PointSupport(instance, Point())
     packs = None
     for family in families:
@@ -131,7 +132,9 @@ def _iter_family_cuts(instance, families, limit):
         for items, units in itemsets:
             for _, key in cuts_mod.family_scores(support, items, units,
                                                  (family,)):
-                yield cuts_mod.build_member(instance, key)
+                cut = cuts_mod.build_member(instance, key)
+                if cut.inequality.terms:
+                    yield cut
 
 
 def _cmd_cuts(args, out) -> int:

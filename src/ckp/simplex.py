@@ -3,11 +3,12 @@ form and a fraction-free bounded-variable simplex.
 
 Maximizes the instance's profit over {0 <= x <= 1, rows A x <= rhs}, where
 the rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
-group of two or more slots, and any cut rows, and the variables forced to
-zero are left out.  The group rows hold on all of S, since a point of S
-keeps at most one slot per group positive, each at most 1.  The bounds
-x <= 1 are never written as rows, nor are group rows for one-slot groups,
-whose bound is their row.
+group of two or more slots, and any cut rows, over a node's column spans
+(one ``(lo, hi)`` range per group, nested in ``LpProblem.spans``), the
+other columns held at zero.  The group rows hold on all of S, since a
+point of S keeps at most one slot per group positive, each at most 1.  The
+bounds x <= 1 are never written as rows, nor are group rows for one-slot
+groups, whose bound is their row.
 
 Every weight and every row's right-hand side must be nonnegative
 (:class:`LpProblem` checks this), so x = 0 is feasible.  Every LP the solver
@@ -33,7 +34,7 @@ shows them.
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
   Research 1979; Kellerer, Pferschy and Pisinger, *Knapsack Problems*,
   2004, ch. 11).  Per group, the upper concave hull of the origin and the
-  free slots with a positive cost gives increments (weight step, cost
+  span's slots with a positive cost gives increments (weight step, cost
   step) of falling efficiency; all groups' increments are taken by
   Dantzig's ratio rule, whole while they fit, then one part of the first
   that does not.  A group of one slot is its own increment, so with every
@@ -41,8 +42,8 @@ shows them.
   duals are closed-form: the knapsack multiplier is the critical
   efficiency (that of the first increment not taken whole), or 0 when
   everything fits; a group row's multiplier is max(0, max_j c_j - ratio *
-  a_j) over the group's free slots, and the bound multipliers are 0,
-  except on one-slot groups, whose bound multiplier is that same maximum.
+  a_j) over the group's span, and the bound multipliers are 0, except on
+  one-slot groups, whose bound multiplier is that same maximum.
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
   holds the knapsack row, the group rows and the cut rows, starting from
   the slack basis (x = 0).  The tableau is fraction-free: each row is a
@@ -57,14 +58,14 @@ shows them.
 
 The duals hold one multiplier y_r per row, in order (the knapsack row, the
 group rows in ``LpProblem.spans`` order, the cut rows), then one bound
-multiplier u_j per variable not forced to zero, in ``Instance.refs()``
+multiplier u_j per column of the spans, in ``Instance.refs()``
 order.  They certify optimality exactly: y, u >= 0, y A_j + u_j >= c_j for
 every such variable, and y . rhs + sum(u) = c . x*.
 :func:`verify_certificate` checks this in integers from the problem's
 scaled data and the solution's integer form alone, and checks that form
-too (refs sorted, unique, in the instance and not forced to zero, each X
-in (0, D]).  ``pivots`` counts the simplex's basis changes; bound flips
-are not pivots, and the closed form reports 0.
+too (refs sorted, unique, in the instance and in their group's span,
+each X in (0, D]).  ``pivots`` counts the simplex's basis changes; bound
+flips are not pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class LpSolution(NamedTuple):
     ``scaled`` is the point as ``(D, ((VarRef, X), ...))``: refs sorted and
     unique, each X > 0, and x = X / D.  ``scaled_duals`` is ``(Y, ints)``,
     ints a tuple: y = ints / Y, one multiplier per problem row, then one
-    bound multiplier per variable not forced to zero.  ``value`` is the
+    bound multiplier per column of the node's spans.  ``value`` is the
     optimal value and ``pivots`` the simplex's basis changes.  ``point`` (a
     :class:`model.Point`, ``Point.from_scaled(*scaled)``) and ``duals``
     (Fractions) are made on each read; equality and hashing are those of
@@ -180,20 +181,20 @@ class LpSolution(NamedTuple):
         return tuple(Fraction(y, scale) for y in ints)
 
 
-def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
-    """The closed form without cut rows: the multiple-choice knapsack LP."""
+def _solve_groups(problem: LpProblem, spans) -> LpSolution:
+    """The closed form without cut rows, over the columns of ``spans``."""
     weights, capacity, weight_scale = problem.scaled_rows[0]
     costs, refs = problem.costs, problem.refs
     increments = []   # (column, weight step, cost step) along each hull
-    for start, end in problem.spans:
-        # the upper concave hull of the origin and the free slots with a
+    for lo, hi in spans:
+        # the upper concave hull of the origin and the span's slots with a
         # positive cost, lightest slot first: a slot no dearer than the
         # hull's last point is dominated, and a point on or below the
         # segment from its predecessor to the new slot is dropped
         hull = [(None, 0, 0)]
-        for j in range(end - 1, start - 1, -1):
+        for j in range(hi - 1, lo - 1, -1):
             c = costs[j]
-            if c <= hull[-1][2] or refs[j] in forced_zero:
+            if c <= hull[-1][2]:
                 continue
             a = weights[j]
             while len(hull) > 1:
@@ -234,20 +235,20 @@ def _solve_groups(problem: LpProblem, free, forced_zero) -> LpSolution:
         xs[k] = part
     entries = tuple((refs[j], xs[j]) for j in sorted(xs))
     # Times the dual scale: the knapsack multiplier is the critical
-    # efficiency c / a, a group row's multiplier the most any free slot
-    # earns past the knapsack's price of its weight, and a one-slot group's
-    # bound multiplier takes that role, its group having no row.
+    # efficiency c / a, a group row's multiplier the most any slot of its
+    # span earns past the knapsack's price of its weight, and a one-slot
+    # group's bound multiplier takes that role, its group having no row.
     den = a * problem.cost_scale
     duals = [c * weight_scale]
-    bounds = [0] * len(refs)
-    for start, end in problem.spans:
-        best = max([costs[j] * a - c * weights[j] for j in range(start, end)
-                    if refs[j] not in forced_zero] + [0])
+    bounds = []
+    for (start, end), (lo, hi) in zip(problem.spans, spans):
+        best = max([costs[j] * a - c * weights[j] for j in range(lo, hi)]
+                   + [0])
         if end - start > 1:
             duals.append(best)
-        else:
-            bounds[start] = best
-    duals += [bounds[j] for j in free]
+            best = 0
+        bounds += [best] * (hi - lo)
+    duals += bounds
     return LpSolution(Fraction(total * a + c * room, den),
                       (scale, entries), (den, tuple(duals)), 0)
 
@@ -363,10 +364,11 @@ class _BoundedTableau:
             self.pivot(leaving, entering)
 
 
-def _solve_bounded(problem: LpProblem, free) -> LpSolution:
+def _solve_bounded(problem: LpProblem, spans) -> LpSolution:
     """Bounded-variable simplex over the knapsack row, a 0/1 group row per
-    span of two or more columns and the cut rows, from the slack basis, on
-    the columns ``free`` (indices into ``problem.refs``)."""
+    problem span of two or more columns and the cut rows, from the slack
+    basis, on the columns of ``spans``."""
+    free = [j for lo, hi in spans for j in range(lo, hi)]
     nvars = len(free)
     lines = [([dense[j] for j in free], rhs, scale)
              for dense, rhs, scale in problem.scaled_rows]
@@ -409,40 +411,37 @@ def _solve_bounded(problem: LpProblem, free) -> LpSolution:
                       (scale, entries), (zden, tuple(duals)), tab.pivots)
 
 
-def _free_columns(problem: LpProblem, forced_zero):
-    """Indices into ``problem.refs`` of the variables not forced to zero."""
-    if not forced_zero:
-        return range(len(problem.refs))
-    return [j for j, ref in enumerate(problem.refs) if ref not in forced_zero]
-
-
-def solve_lp(problem: LpProblem, forced_zero=frozenset()) -> LpSolution:
+def solve_lp(problem: LpProblem, *, spans=None) -> LpSolution:
     """Exact optimum of the boxed LP with its group rows, read from
-    ``problem.spans``, minus any forced-to-zero variables: the closed form
-    without cut rows, the simplex with them."""
-    free = _free_columns(problem, forced_zero)
+    ``problem.spans``, over the columns of ``spans`` (``problem.spans`` by
+    default): the closed form without cut rows, the simplex with them."""
+    if spans is None:
+        spans = problem.spans
     if not problem.cut_rows:
-        return _solve_groups(problem, free, forced_zero)
-    return _solve_bounded(problem, free)
+        return _solve_groups(problem, spans)
+    return _solve_bounded(problem, spans)
 
 
-def verify_certificate(problem: LpProblem, solution: LpSolution,
-                       forced_zero=frozenset()) -> bool:
+def verify_certificate(problem: LpProblem, solution: LpSolution, *,
+                       spans=None) -> bool:
     """Exact optimality check from the problem and the solution's integer
     form alone: a well-formed point, primal feasible, dual feasible, and
     primal value = dual value = the reported value.
 
     The point must be ``(D, ((ref, X), ...))`` with D >= 1, its refs
     strictly increasing in the instance's column order (so sorted and
-    unique), none outside the instance or forced to zero, and each X in
-    (0, D].  The duals must be ``(Y, ints)`` with Y >= 1, the right count
-    and no negative int.  The check runs in integers: the duals times Y,
-    the point times D, and each row and the objective times the problem's
-    ``scale`` L, through their scaled data or, for a group row, its span.
-    So y A_j + u_j >= c_j becomes an integer inequality times Y L, row
-    feasibility one times D, and the values compare by cross-multiplication.
+    unique), none outside the instance or its group's span in ``spans``
+    (``problem.spans`` by default), and each X in (0, D].  The duals must
+    be ``(Y, ints)`` with Y >= 1, the right count and no negative int.
+    The check runs in integers: the duals times Y, the point times D, and
+    each row and the objective times the problem's ``scale`` L, through
+    their scaled data or, for a group row, its span.  So y A_j + u_j >= c_j
+    becomes an integer inequality times Y L, row feasibility one times D,
+    and the values compare by cross-multiplication.
     """
-    free = _free_columns(problem, forced_zero)
+    if spans is None:
+        spans = problem.spans
+    free = [j for lo, hi in spans for j in range(lo, hi)]
     groups = [(start, end) for start, end in problem.spans if end - start > 1]
     nrows = len(problem.scaled_rows) + len(groups)
     dual_scale, ys = solution.scaled_duals
@@ -457,7 +456,7 @@ def verify_certificate(problem: LpProblem, solution: LpSolution,
     last = -1
     for ref, x in entries:
         j = col.get(ref)
-        if (j is None or j <= last or ref in forced_zero
+        if (j is None or j <= last or j not in range(*spans[ref.group - 1])
                 or not 0 < x <= point_scale):
             return False
         xs.append((j, x))

@@ -4,8 +4,8 @@ The node LP is the multiple-choice knapsack relaxation of the instance's
 profit: the knapsack row, one row sum_j x_ij <= 1 per group of two or more
 slots, the box, and the pooled cuts (see :mod:`ckp.simplex`).  The tree
 branches on SOS1 groups: a node whose LP point keeps two or more slots of
-some group positive splits that group's slot range in two, forcing one
-half to zero on each child.  Nodes (forced-zero sets) are explored
+some group positive splits that group's span of columns in two, one half
+per child.  Nodes (column spans, one per group) are explored
 best-bound-first by their parent's bound, FIFO on ties, while that bound
 beats the incumbent and the node limit allows; each node solves,
 certifies and separates in one loop.  Cuts live in one global pool, the
@@ -35,7 +35,7 @@ from typing import Optional
 from .cuts import FAMILIES, resolve_families
 from .errors import (CkpError, PreconditionError, ResourceLimitError,
                      ValidationError)
-from .model import (Instance, Point, VarRef, complementarity_violations,
+from .model import (Instance, Point, complementarity_violations,
                     is_feasible, profit_of)
 from .numeric import require_integer
 from .oracle import resolve_enum_limit
@@ -85,11 +85,6 @@ class SolveReport:
     exact_sep_stopped: bool = False  # exact separation hit the enum limit
 
 
-def _check_certificate(problem: LpProblem, solution, forced_zero) -> None:
-    if not verify_certificate(problem, solution, forced_zero):
-        raise CkpError("node LP solution fails its optimality certificate")
-
-
 def _check_incumbent(instance: Instance, point: Point, value: Fraction) -> None:
     if not is_feasible(instance, point):
         raise CkpError("incumbent point is not feasible")
@@ -136,18 +131,20 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     nodes = 0
     pivots = 0
     counter = 0
-    # Heap entries: (negated parent bound, insertion order, forced-zero
-    # set).  The root has no bound yet; -inf sorts it first, and exact
-    # Fractions compare correctly against it.
-    heap = [(float("-inf"), counter, frozenset())]
+    # Heap entries: (negated parent bound, insertion order, column spans).
+    # The root has no bound yet; -inf sorts it first, and exact Fractions
+    # compare correctly against it.
+    heap = [(float("-inf"), counter, problem.spans)]
     while heap and -heap[0][0] > incumbent_value and nodes < config.node_limit:
-        _, _, forced_zero = heapq.heappop(heap)
+        _, _, spans = heapq.heappop(heap)
         nodes += 1
         added_here = 0
         while True:
-            solution = solve_lp(problem, forced_zero)
+            solution = solve_lp(problem, spans=spans)
             pivots += solution.pivots
-            _check_certificate(problem, solution, forced_zero)
+            if not verify_certificate(problem, solution, spans=spans):
+                raise CkpError(
+                    "node LP solution fails its optimality certificate")
             value = solution.value
             if value <= incumbent_value:
                 break
@@ -183,15 +180,15 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             incumbent = solution
             continue
         group = _branch_group(solution, violated)
-        # the entries are sorted, so the group's first is its lowest slot
-        split = next(ref.slot for ref, _ in solution.scaled[1]
-                     if ref.group == group)
-        n = instance.slots(group)
-        low = frozenset(VarRef(group, j) for j in range(1, split + 1))
-        high = frozenset(VarRef(group, j) for j in range(split + 1, n + 1))
-        for forced in (forced_zero | low, forced_zero | high):
+        # the entries are sorted, so the group's first is its lowest: the
+        # children keep the columns after it, then those up to it
+        split = 1 + instance.columns[next(
+            ref for ref, _ in solution.scaled[1] if ref.group == group)]
+        lo, hi = spans[group - 1]
+        for half in ((split, hi), (lo, split)):
             counter += 1
-            heapq.heappush(heap, (-value, counter, forced))
+            heapq.heappush(heap, (-value, counter, spans[:group - 1] + (half,)
+                                  + spans[group:]))
 
     # Open nodes left by the node limit may still beat the incumbent.
     best_bound = max([incumbent_value] + [-entry[0] for entry in heap])

@@ -594,11 +594,36 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
     return lp_solution(value, point, duals, tab.pivots)
 
 
-def reference_solve_lp(problem, forced_zero=frozenset()):
-    """Exact optimum of the boxed LP, minus any forced-to-zero variables, in
-    Fractions.  The reference that ``simplex.solve_lp`` is checked against:
-    the same value, point, duals and pivots."""
-    refs = [r for r in problem.instance.refs() if r not in forced_zero]
+def random_spans(rng, instance, rate):
+    """Random node column spans: each column of the instance is dropped
+    with probability ``rate``, one draw per column in column order, and each
+    group keeps the range from its first to its last column not dropped,
+    empty (at the group's first column) when all are.  So the spans nest in
+    ``LpProblem(instance).spans``, as a branch-and-cut node's do."""
+    spans, start = [], 0
+    for group in instance.groups:
+        kept = [j for j in range(start, start + group.size)
+                if rng.random() >= rate]
+        spans.append((kept[0], kept[-1] + 1) if kept else (start, start))
+        start += group.size
+    return tuple(spans)
+
+
+def span_refs(problem, spans):
+    """The refs of the columns inside ``spans``, in column order: the
+    variables the node leaves free."""
+    return [problem.refs[j] for lo, hi in spans for j in range(lo, hi)]
+
+
+def reference_solve_lp(problem, *, spans=None):
+    """Exact optimum of the boxed LP over the columns of the node's
+    ``spans`` (all of them by default), in Fractions.  The reference that
+    ``simplex.solve_lp`` is checked against: the same value, point, duals
+    and pivots."""
+    refs = problem.instance.refs()
+    if spans is not None:
+        free = set(span_refs(problem, spans))
+        refs = [r for r in refs if r in free]
     if not problem.cut_rows:
         return _solve_groups(problem, refs)
     return _solve_bounded(problem, refs)

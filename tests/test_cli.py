@@ -308,6 +308,27 @@ def test_cuts_lcover_count(files, capsys):
     assert out.count("# family: lcover1") == 7
 
 
+def test_cuts_skips_cuts_with_no_terms(tmp_path, capsys):
+    # the pack {x11} of a weightless singleton builds the pack1 cut 0 <= 0,
+    # valid but cutting nothing: it is built and not listed, and the two
+    # cuts with terms are
+    path = tmp_path / "weightless.ckp"
+    path.write_text("ckp 1\nb 5\ngroup 1 a 0 c 1\ngroup 2 a 7 3 c 7 3\n")
+    inst, _ = normalize(parse_instance(path.read_text()))
+    packs = enumerate_maximal_switching_packs(inst)
+    assert (VarRef(1, 1),) in packs
+    assert cuts.pack_inequality_1(inst, (VarRef(1, 1),)).inequality.terms == ()
+    for family in ("pack1", "all"):
+        code, out = run(capsys, "cuts", str(path), "--family", family,
+                        "--verify")
+        assert code == 0
+        blocks = out.strip().split("\n\n")
+        assert all("\nterm " in block for block in blocks), out
+    assert [b.splitlines()[0] for b in out.strip().split("\n\n")
+            if "family: pack1" in b] == ["# family: pack1; items: (1,1) (2,2)",
+                                         "# family: pack1; items: (2,2)"]
+
+
 def test_cuts_none_found(files, capsys):
     code, out = run(capsys, "cuts", files["sing.ckp"], "--family", "lcover1")
     assert code == 0

@@ -21,8 +21,9 @@ from ckp.simplex import LpProblem, solve_lp
 from ckp import cuts, oracle, separation
 
 from conftest import (correlated_instance, family_cuts, iter_patterns,
-                      make_instance, random_instance, rational_instance,
-                      reference_is_maximal_switching_pack, with_profits)
+                      make_instance, random_instance, random_spans,
+                      rational_instance, reference_is_maximal_switching_pack,
+                      with_profits)
 
 
 @pytest.fixture
@@ -365,11 +366,12 @@ def reference_greedy(instance, point, families):
 
 
 def _points(rng, instance):
-    """An LP optimum with some variables forced to zero, and a random point
+    """An LP optimum over random nested node spans, and a random point
     scaled into the knapsack row."""
     objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.refs()}
-    forced = frozenset(r for r in instance.refs() if rng.random() < 0.2)
-    yield solve_lp(LpProblem(with_profits(instance, objective)), forced).point
+    spans = random_spans(rng, instance, 0.2)
+    yield solve_lp(LpProblem(with_profits(instance, objective)),
+                   spans=spans).point
     values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.refs()}
     weight = sum((instance.weight(r) * x for r, x in values.items()), Fraction(0))
     if weight > instance.capacity:

@@ -19,9 +19,9 @@ from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
                       group_rows, lp_solution, make_instance, profits,
-                      random_instance, rational_instance, reference_lp_data,
-                      reference_maximize_over_S, reference_solve_lp,
-                      with_profits)
+                      random_instance, random_spans, rational_instance,
+                      reference_lp_data, reference_maximize_over_S,
+                      reference_solve_lp, span_refs, with_profits)
 
 
 def lp_for(inst, extra_rows=()):
@@ -88,13 +88,20 @@ def test_lp_requires_the_origin_feasible(groups, capacity, extra_rows):
 
 
 def test_forced_zero_columns(ex_a):
+    # the node's spans leave out x31, x41 and x51: group 3's span is empty,
+    # and groups 4 and 5 keep their second slot
     problem = lp_for(ex_a)
-    banned = frozenset({VarRef(3, 1), VarRef(4, 1), VarRef(5, 1)})
-    sol = solve_lp(problem, forced_zero=banned)
+    spans = ((0, 1), (1, 2), (2, 2), (4, 5), (6, 7))
+    banned = {VarRef(3, 1), VarRef(4, 1), VarRef(5, 1)}
+    assert set(problem.refs) - set(span_refs(problem, spans)) == banned
+    sol = solve_lp(problem, spans=spans)
     assert not {ref for ref, _ in sol.point.entries} & banned
-    assert verify_certificate(problem, sol, forced_zero=banned)
+    assert verify_certificate(problem, sol, spans=spans)
     # remaining variables weigh 2+4+6+4 = 16 < 21, so everything packs
     assert sol.value == 16
+    # the duals price the knapsack row, the rows of groups 4 and 5 (their
+    # problem spans have two columns), then one bound per free column
+    assert len(sol.duals) == 3 + 4
 
 
 def test_rows_must_include_knapsack(ex_a):
@@ -328,19 +335,20 @@ def _group_lp_optimum(inst, objective, forced):
 
 def test_differential_against_brute_force():
     rng = random.Random(31337)
-    one_row = with_cuts = 0
+    one_row = with_cuts = empty = 0
     for _ in range(150):
         inst = rational_instance(rng)
         objective = {r: inst.profit(r) for r in inst.refs()}
         for r in inst.refs():
             if rng.random() < 0.15:
                 objective[r] = -objective[r] - 1
-        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
         problem = lp_for(with_profits(inst, objective), rows)
-        sol = solve_lp(problem, forced)
-        assert verify_certificate(problem, sol, forced)
+        forced = set(problem.refs) - set(span_refs(problem, spans))
+        sol = solve_lp(problem, spans=spans)
+        assert verify_certificate(problem, sol, spans=spans)
         assert not {ref for ref, _ in sol.point.entries} & forced
         no_cuts = _group_lp_optimum(inst, objective, forced)
         if rows:
@@ -355,17 +363,19 @@ def test_differential_against_brute_force():
             one_row += 1
             assert sol.value == no_cuts
             assert sol.pivots == 0
-    assert one_row >= 20 and with_cuts >= 20
+        empty += any(lo == hi for lo, hi in spans)
+    assert one_row >= 20 and with_cuts >= 20 and empty >= 20
 
 
 def test_closed_form_matches_the_tableau_with_group_rows():
     """Without cut rows, the closed form and the bounded simplex, which
     takes the group rows as tableau rows, give the same value, and both
     certificates verify: on rational and random data with zero weights,
-    tied ratios, singleton groups, negative costs and forced sets."""
+    tied ratios, singleton groups, negative costs and random nested node
+    spans, empty ones included."""
     rng = random.Random(4242)
     seen = {"zero weight": 0, "tied ratio": 0, "singleton": 0, "forced": 0,
-            "pivots": 0}
+            "empty span": 0, "pivots": 0}
     for n in range(200):
         inst = (rational_instance(rng) if n % 2 else
                 random_instance(rng, max_groups=4, profits="random"))
@@ -376,20 +386,20 @@ def test_closed_form_matches_the_tableau_with_group_rows():
                 objective[r] = -objective[r] - 1
             elif roll < 0.2:
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
-        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        spans = random_spans(rng, inst, 0.25)
         problem = LpProblem(with_profits(inst, objective))
-        closed = solve_lp(problem, forced)
-        free = [j for j, r in enumerate(problem.refs) if r not in forced]
-        tableau = simplex._solve_bounded(problem, free)
+        closed = solve_lp(problem, spans=spans)
+        tableau = simplex._solve_bounded(problem, spans)
         assert closed.value == tableau.value
-        assert verify_certificate(problem, closed, forced)
-        assert verify_certificate(problem, tableau, forced)
+        assert verify_certificate(problem, closed, spans=spans)
+        assert verify_certificate(problem, tableau, spans=spans)
         ratios = [objective[r] / inst.weight(r) for r in inst.refs()
                   if inst.weight(r) and objective[r] > 0]
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
         seen["tied ratio"] += len(set(ratios)) < len(ratios)
         seen["singleton"] += bool(inst.singleton_groups())
-        seen["forced"] += bool(forced)
+        seen["forced"] += spans != problem.spans
+        seen["empty span"] += any(lo == hi for lo, hi in spans)
         seen["pivots"] += tableau.pivots > 0
     assert min(seen.values()) >= 30, seen
 
@@ -456,14 +466,21 @@ def test_certificate_rejects_forged_duals(duals, why):
 
 
 def test_certificate_rejects_point_on_forced_variable():
-    problem = _forgery_problem()
-    forced = frozenset({VarRef(4, 1)})
-    sol = solve_lp(problem, forced)
-    assert verify_certificate(problem, sol, forced)
-    # x41 weighs and earns nothing, so only the forced set rules it out
-    entries = sol.point.entries + ((VarRef(4, 1), Fraction(1)),)
-    forged = lp_solution(sol.value, Point(entries), sol.duals, sol.pivots)
-    assert not verify_certificate(problem, forged, forced)
+    # group 4's slots weigh and earn nothing, so only the node's span of
+    # group 4 rules out an entry on x41 or x42: with the span empty, and
+    # with the entry left and right of a one-column span
+    for slots, span, ref in [(1, (3, 3), VarRef(4, 1)),
+                             (2, (4, 5), VarRef(4, 1)),
+                             (2, (3, 4), VarRef(4, 2))]:
+        inst = Instance.build([((1,), (3,)), ((1,), (2,)), ((2,), (1,)),
+                               ((0,) * slots, (0,) * slots)], 1)
+        problem = lp_for(inst)
+        spans = problem.spans[:3] + (span,)
+        sol = solve_lp(problem, spans=spans)
+        assert verify_certificate(problem, sol, spans=spans)
+        entries = sol.point.entries + ((ref, Fraction(1)),)
+        forged = lp_solution(sol.value, Point(entries), sol.duals, sol.pivots)
+        assert not verify_certificate(problem, forged, spans=spans), ref
 
 
 def _unchecked_point(entries):
@@ -525,7 +542,7 @@ _X11, _X41 = VarRef(1, 1), VarRef(4, 1)
     (3, (1, ((_X41, 1), (_X11, 1))), None, (), "refs out of order"),
     (3, (1, ((_X11, 1), (VarRef(4, 2), 1))), None, (), "ref outside"),
     (3, (1, ((_X11, 1), (VarRef(5, 1), 1))), None, (), "group outside"),
-    (3, (1, ((_X11, 1), (_X41, 1))), (1, [2, 1, 0, 0]), (_X41,),
+    (3, (1, ((_X11, 1), (_X41, 1))), (1, [2, 1, 0, 0]), (4,),
      "ref forced to zero"),
     (3, (0, ()), None, (), "D = 0"),
     (3, None, (1, [2, 2, 0, -1, 0]), (), "negative y"),
@@ -544,14 +561,17 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
                                                   forced, why):
     # x41 weighs and earns nothing, so only the form's own checks see an
     # entry on it; the true optimum is x11 = 1, value 3, duals (2, 1, 0, 0,
-    # 0), and each forgery replaces one part of it
+    # 0), and each forgery replaces one part of it.  ``forced`` names the
+    # groups whose span the node empties.
     problem = _forgery_problem()
+    spans = tuple((lo, lo if i in forced else hi)
+                  for i, (lo, hi) in enumerate(problem.spans, start=1))
     true = LpSolution(Fraction(3), (1, ((_X11, 1),)), (1, (2, 1, 0, 0, 0)), 0)
     assert verify_certificate(problem, true)
     assert true == solve_lp(problem)
     forged = LpSolution(Fraction(value), point or true.scaled,
                         duals or true.scaled_duals, 0)
-    assert not verify_certificate(problem, forged, frozenset(forced)), why
+    assert not verify_certificate(problem, forged, spans=spans), why
 
 
 def _group_forgery_problem():
@@ -611,32 +631,30 @@ def _check_record(sol):
 def test_integer_node_lp_matches_fraction_reference():
     """Value, point, duals and pivots equal those of the Fraction node LP,
     on rational and zero weights, equal ratios, 0-3 builder cut rows and
-    forced sets; the tableau alone matches its reference on one-row LPs
-    too.  Closed-form and simplex solutions alike are plain records
+    random nested node spans, empty ones included; the tableau alone
+    matches its reference on one-row LPs too.  Closed-form and simplex solutions alike are plain records
     (:func:`_check_record`)."""
     rng = random.Random(90210)
     seen = {"cuts": 0, "closed form": 0, "pivots": 0, "forced": 0,
-            "zero weight": 0, "tied ratio": 0}
+            "empty span": 0, "zero weight": 0, "tied ratio": 0}
     for _ in range(150):
         inst = rational_instance(rng)
         objective = {r: inst.profit(r) for r in inst.refs()}
         for r in inst.refs():
             if rng.random() < 0.15:
                 objective[r] = -objective[r] - 1
-        forced = frozenset(r for r in inst.refs() if rng.random() < 0.25)
+        spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
         problem = lp_for(with_profits(inst, objective), rows)
-        got = solve_lp(problem, forced)
-        want = reference_solve_lp(problem, forced)
+        got = solve_lp(problem, spans=spans)
+        want = reference_solve_lp(problem, spans=spans)
         assert (got.value, got.point, got.duals, got.pivots) == (
             want.value, want.point, want.duals, want.pivots)
-        assert verify_certificate(problem, got, forced)
+        assert verify_certificate(problem, got, spans=spans)
         _check_record(got)
-        free = [j for j, r in enumerate(problem.refs) if r not in forced]
-        got = simplex._solve_bounded(problem, free)
-        want = reference_solve_bounded(
-            problem, [r for r in inst.refs() if r not in forced])
+        got = simplex._solve_bounded(problem, spans)
+        want = reference_solve_bounded(problem, span_refs(problem, spans))
         assert (got.value, got.point, got.duals, got.pivots) == (
             want.value, want.point, want.duals, want.pivots)
         _check_record(got)
@@ -645,7 +663,8 @@ def test_integer_node_lp_matches_fraction_reference():
         seen["cuts"] += bool(rows)
         seen["closed form"] += not rows
         seen["pivots"] += got.pivots > 0
-        seen["forced"] += bool(forced)
+        seen["forced"] += spans != problem.spans
+        seen["empty span"] += any(lo == hi for lo, hi in spans)
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
         seen["tied ratio"] += len(set(ratios)) < len(ratios)
     assert min(seen.values()) >= 20, seen

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import importlib
 import os
 import random
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +31,7 @@ from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
 from conftest import (correlated_instance, lp_solution, make_instance,
-                      random_instance, rational_instance)
+                      random_instance, random_spans, rational_instance)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -339,8 +341,8 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
 def test_profit_of_matches_a_fraction_sum():
     """The integer profit_of equals the Fraction sum of profit times value,
     on rational data with zero and non-integer profits, for Points and for
-    node LP solutions of the closed form and the simplex, with forced
-    sets."""
+    node LP solutions of the closed form and the simplex, over random
+    nested node spans."""
     rng = random.Random(2424)
     seen = {"zero profit": 0, "rational profit": 0, "cut rows": 0,
             "rational point": 0}
@@ -350,11 +352,11 @@ def test_profit_of_matches_a_fraction_sum():
         entries = [(r, Fraction(rng.randint(0, 7), rng.randint(1, 7)))
                    for r in refs if rng.random() < 0.6]
         point = Point([(r, min(x, 1)) for r, x in entries])
-        forced = frozenset(r for r in refs if rng.random() < 0.2)
+        spans = random_spans(rng, inst, 0.2)
         problem = simplex.LpProblem(inst)
         if n % 2:  # a cut row, so the simplex solves, not the closed form
             problem = problem.with_row(LinearInequality({refs[0]: 1}, 1))
-        solution = simplex.solve_lp(problem, forced)
+        solution = simplex.solve_lp(problem, spans=spans)
         for p in (point, solution, solution.point):
             scale, xs = p.scaled
             want = sum((inst.profit(r) * Fraction(x, scale) for r, x in xs),
@@ -407,9 +409,9 @@ def test_one_solve_builds_its_lp_from_integer_data(monkeypatch, ex_b):
     assert calls.count("integer_row") == 1
 
 
-def _forged_solve_lp(problem, forced_zero=frozenset()):
+def _forged_solve_lp(problem, *, spans=None):
     """The true node LP with its value raised by one."""
-    sol = simplex.solve_lp(problem, forced_zero)
+    sol = simplex.solve_lp(problem, spans=spans)
     return lp_solution(sol.value + 1, sol.point, sol.duals, sol.pivots)
 
 
@@ -423,7 +425,8 @@ def test_wrong_incumbent_value_is_rejected(monkeypatch, ex_b):
     # With the certificate check bypassed, the forged value reaches the
     # incumbent and the final profit check must catch it.
     monkeypatch.setattr(solver, "solve_lp", _forged_solve_lp)
-    monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
+    monkeypatch.setattr(solver, "verify_certificate",
+                        lambda *args, **kwargs: True)
     with pytest.raises(CkpError, match="incumbent"):
         branch_and_cut(ex_b)
 
@@ -438,14 +441,15 @@ def _solve_with_incumbent(monkeypatch, entries, value=None, instance=None):
     if instance is None:
         instance = make_instance([(2,), (14, 10), (13, 9), (9, 6)], 22)
 
-    def forged(problem, forced_zero=frozenset()):
-        sol = simplex.solve_lp(problem, forced_zero)
+    def forged(problem, *, spans=None):
+        sol = simplex.solve_lp(problem, spans=spans)
         return simplex.LpSolution(sol.value if value is None else value,
                                   (scale, terms), sol.scaled_duals,
                                   sol.pivots)
 
     monkeypatch.setattr(solver, "solve_lp", forged)
-    monkeypatch.setattr(solver, "verify_certificate", lambda *args: True)
+    monkeypatch.setattr(solver, "verify_certificate",
+                        lambda *args, **kwargs: True)
     monkeypatch.setattr(solver, "complementarity_violations",
                         lambda *args: [])
     return branch_and_cut(instance)
@@ -533,8 +537,8 @@ from ckp import simplex, solver
 from ckp.errors import CkpError
 from ckp.model import Instance
 
-def forged(problem, forced_zero=frozenset()):
-    sol = simplex.solve_lp(problem, forced_zero)
+def forged(problem, *, spans=None):
+    sol = simplex.solve_lp(problem, spans=spans)
     return simplex.LpSolution(sol.value + 1, sol.scaled, sol.scaled_duals,
                               sol.pivots)
 
@@ -543,7 +547,7 @@ ex_b = Instance.build([((2,), (2,)), ((14, 10), (14, 10)),
                        ((13, 9), (13, 9)), ((9, 6), (9, 6))], 22)
 for bypass in (False, True):
     if bypass:
-        solver.verify_certificate = lambda *args: True
+        solver.verify_certificate = lambda *args, **kwargs: True
     try:
         solver.branch_and_cut(ex_b)
         print("accepted")
@@ -631,6 +635,80 @@ def test_solves_at_scale_are_pinned(seed, plain, default):
         entries = [(ref.group, ref.slot, x) for ref, x in report.point.entries]
         assert reference.point_problems(weights, profits, capacity, entries,
                                         report.value) == []
+
+
+# exact separation adds 21 cuts over 9 nodes here, so children carry cut
+# rows; greedy separation alone finds none
+_EXACT_CUTS = Instance.build(
+    [((6, 0), (12, 6)), ((5, 0), (11, 6)),
+     ((Fraction(17, 2), 7, 0), (Fraction(29, 2), 13, 6)),
+     ((18, 11, 0), (24, 17, 6))], Fraction(75, 4))
+
+
+def test_nodes_are_nested_column_spans(monkeypatch):
+    """A node is one column range per group: the root's are
+    ``problem.spans``, every node's nest in them and are nonempty, and
+    each pair of children splits its parent's branched span into two
+    disjoint halves that cover it, at the column after the group's first
+    positive entry.  On two correlated solves at scale and one with
+    exact separation, whose nodes carry cut rows."""
+    lps = []      # (problem, spans, solution) per node LP, in order
+    popped = []   # spans per node, in order
+    pairs = []    # [parent's last node LP, child spans...] per branching
+
+    def recording_solve(problem, *, spans=None):
+        solution = simplex.solve_lp(problem, spans=spans)
+        lps.append((problem, spans, solution))
+        return solution
+
+    def recording_push(heap, entry):
+        if not pairs or len(pairs[-1]) == 3:
+            pairs.append([lps[-1]])
+        pairs[-1].append(entry[2])
+        heapq.heappush(heap, entry)
+
+    def recording_pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry[2])
+        return entry
+
+    monkeypatch.setattr(solver, "solve_lp", recording_solve)
+    monkeypatch.setattr(solver, "heapq", SimpleNamespace(
+        heappush=recording_push, heappop=recording_pop))
+    for inst, config, cuts in ((_correlated_at_scale(11), SolveConfig(), 0),
+                               (_correlated_at_scale(55), SolveConfig(), 0),
+                               (_EXACT_CUTS, SolveConfig(exact_fallback=True),
+                                21)):
+        del lps[:], popped[:], pairs[:]
+        report = branch_and_cut(inst, config)
+        assert report.proven_optimal and report.nodes > 5
+        assert sum(report.cuts_per_family.values()) == cuts
+        assert len(popped) == report.nodes
+        root = lps[0][0].spans
+        assert popped[0] == lps[0][1] == root
+        children = set()
+        for (problem, parent, solution), high, low in pairs:
+            assert parent in popped and problem.spans == root
+            group = next(i for i, (a, b) in enumerate(zip(parent, high))
+                         if a != b)
+            assert (high[:group] == low[:group] == parent[:group]
+                    and high[group + 1:] == low[group + 1:]
+                    == parent[group + 1:])
+            (lo, hi), (split, high_end), (low_start, low_end) = (
+                parent[group], high[group], low[group])
+            assert (low_start, low_end, high_end) == (lo, split, hi)
+            assert lo < split < hi
+            assert split - 1 == min(inst.columns[ref]
+                                    for ref, _ in solution.scaled[1]
+                                    if ref.group == group + 1)
+            children |= {high, low}
+        assert set(popped[1:]) <= children
+        for problem, spans, _ in lps:
+            assert spans in popped
+            assert all(start <= lo < hi <= end for (start, end), (lo, hi)
+                       in zip(root, spans))
+        assert any(problem.cut_rows for problem, spans, _ in lps
+                   if spans != root) == bool(cuts)
 
 
 def _rational_at_scale(seed):
