@@ -19,7 +19,7 @@ import sys
 from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
 from .errors import (CkpError, FormatError, PreconditionError,
-                     ResourceLimitError, ValidationError)
+                     ResourceLimitError)
 from .model import Instance, Point, normalize, validate_assumptions
 from .numeric import format_rational, parse_integer
 
@@ -85,7 +85,7 @@ def _cmd_oracle(args, out) -> int:
     instance = _load_instance(args.instance)
     vertices = oracle.enumerate_candidate_vertices(instance, args.enumerate_limit)
     value, point = vertices.maximize(
-        {ref: instance.profit(ref) for ref in instance.refs()})
+        {ref: instance.profit(ref) for ref in instance.columns})
     print("candidates: %d" % len(vertices), file=out)
     print("value: %s" % format_rational(value), file=out)
     print("point:", file=out)
@@ -201,11 +201,8 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    try:
-        alphas = tuple(parse_integer(tok) for tok in args.alphas.split(","))
-    except FormatError:
-        raise ValidationError("alphas must be a comma-separated integer list")
-    instance, point = separation.build_partition_reduction(alphas, args.beta)
+    instance, point = separation.build_partition_reduction(args.alphas,
+                                                           args.beta)
     instance_path = args.out + ".ckp"
     point_path = args.out + ".point"
     with open(instance_path, "w", encoding="utf-8") as handle:
@@ -226,6 +223,16 @@ def _integer(text: str) -> int:
     except FormatError:
         raise argparse.ArgumentTypeError(
             "invalid int value: %r" % (text,)) from None
+
+
+def _alphas(text: str) -> tuple:
+    """The ``--alphas`` list, each item read as :func:`_integer` reads
+    one; a bad item is a usage error too."""
+    try:
+        return tuple(parse_integer(tok) for tok in text.split(","))
+    except FormatError:
+        raise argparse.ArgumentTypeError(
+            "alphas must be a comma-separated integer list") from None
 
 
 def _add_limit(parser) -> None:
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-partition",
                        help="build the partition-problem reduction instance")
-    p.add_argument("--alphas", required=True,
+    p.add_argument("--alphas", required=True, type=_alphas,
                    help="comma-separated positive integers")
     p.add_argument("--beta", required=True, type=_integer)
     p.add_argument("--out", required=True, metavar="PREFIX")

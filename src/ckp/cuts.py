@@ -71,14 +71,17 @@ FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 def resolve_families(choice) -> tuple:
     """The cut families ``choice`` names, as a tuple: ``None`` or
     ``"all"`` the five, ``"none"`` none, any other string a comma-separated
-    list of names, and a sequence its names.  An unknown name raises
-    ``ValidationError``, by name."""
+    list of names, and a sequence its names.  An unknown name, and a string
+    that names none (``""`` or ``","``, as an unset shell variable gives),
+    raise ``ValidationError``."""
     if choice is None or choice == "all":
         return FAMILIES
     if choice == "none":
         return ()
     if isinstance(choice, str):
         choice = [name.strip() for name in choice.split(",") if name.strip()]
+        if not choice:
+            raise ValidationError("no cut family named; use 'none' for none")
     out = tuple(choice)
     for name in out:
         if name not in FAMILIES:
@@ -143,15 +146,6 @@ def is_switching(tails, slack) -> bool:
                              for u in tails)
 
 
-def _sorted_units(instance: Instance):
-    """The instance's integer units (:attr:`Instance.units`), once every
-    group is known to keep its slots by non-increasing weight: the five
-    families are valid only then."""
-    if not instance.is_normalized():
-        raise PreconditionError("instance is not normalized")
-    return instance.units
-
-
 def _weighed(instance: Instance, items):
     """``(items, scale, rows, capacity, s)``: ``items`` as its sorted
     VarRef tuple, each ref through ``model.var_ref``, then the instance's
@@ -164,7 +158,7 @@ def _weighed(instance: Instance, items):
         raise ValidationError("item set repeats a group")
     for ref in items:
         instance.check_ref(ref)
-    scale, rows, capacity = _sorted_units(instance)
+    scale, rows, capacity = instance.normalized_units()
     return items, scale, rows, capacity, sum(rows[i - 1][j - 1]
                                              for i, j in items)
 
@@ -183,18 +177,17 @@ class PointSupport:
     variables; and ``mass``, sum U * X over them with U the slot's weight
     in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
     must be normalized; every reference of the point is looked up in
-    ``Instance.columns``, as the integer lists are indexed by it.  M_0 and
-    the normalized flag are cached on the instance, so only the point's
-    own work is done per support.
+    ``Instance.columns``, as the integer lists are indexed by it.  The
+    units and the normalized flag are cached on the instance, so only the
+    point's own work is done per support.
     """
 
-    __slots__ = ("m0", "scale", "units", "capacity_units", "point_scale",
+    __slots__ = ("scale", "units", "capacity_units", "point_scale",
                  "entries", "mass")
 
     def __init__(self, instance: Instance, point):
-        self.m0 = instance.singleton_groups()
-        self.scale, self.units, self.capacity_units = _sorted_units(instance)
-        units = self.units
+        self.scale, units, self.capacity_units = instance.normalized_units()
+        self.units = units
         self.point_scale, scaled = point.scaled
         columns = instance.columns
         entries = [[] for _ in units]
@@ -381,8 +374,7 @@ def pack_inequality_1(instance: Instance, pack) -> GeneratedCut:
     # point construction breaks down when M_P is all singletons (and the
     # claim is false there for packs of two or more items).
     groups = {i for i, _ in pack}
-    m0 = instance.singleton_groups()
-    facet = (bool(groups - m0) and bool(groups & m0)
+    facet = (bool(groups - instance.m0) and bool(groups & instance.m0)
              and is_maximal_switching_pack(instance, pack))
     return GeneratedCut("pack1", inequality, pack, facet_guaranteed=facet)
 
@@ -524,7 +516,7 @@ def enumerate_maximal_switching_packs(instance: Instance,
     """All maximal switching packs, as sorted tuples of last-slot items
     over group subsets, in lexicographic subset order."""
     guard_enumeration(2 ** instance.m, "subset space 2^%d" % instance.m, limit)
-    _, units, capacity = _sorted_units(instance)
+    _, units, capacity = instance.normalized_units()
     groups = range(1, instance.m + 1)
     subsets = sorted(chain.from_iterable(
         combinations(groups, k) for k in range(1, instance.m + 1)))

@@ -26,21 +26,34 @@ def _fail(lineno: int, message: str):
     raise FormatError("line %d: %s" % (lineno, message))
 
 
-def parse_instance(text: str) -> Instance:
+def _body(text: str, kind: str, what: str):
+    """The logical lines of ``text`` after its ``<kind> 1`` header; no
+    logical line at all is an empty ``what`` file."""
     lines = list(_logical_lines(text))
     if not lines:
-        raise FormatError("empty instance file")
+        raise FormatError("empty %s file" % what)
     lineno, tokens = lines[0]
-    if tokens != ["ckp", "1"]:
-        _fail(lineno, "expected header 'ckp 1'")
-    if len(lines) < 2:
-        raise FormatError("missing capacity line")
-    lineno, tokens = lines[1]
-    if len(tokens) != 2 or tokens[0] != "b":
-        _fail(lineno, "expected 'b <rational>'")
-    capacity = _value_at(lineno, tokens[1])
+    if tokens != [kind, "1"]:
+        _fail(lineno, "expected header '%s 1'" % kind)
+    return lines[1:]
+
+
+def _keyed_value(lines, keyword: str, what: str):
+    """The rational of the first of ``lines``, a ``<keyword> <rational>``
+    line; with no line left, the ``what`` line is missing."""
+    if not lines:
+        raise FormatError("missing %s line" % what)
+    lineno, tokens = lines[0]
+    if len(tokens) != 2 or tokens[0] != keyword:
+        _fail(lineno, "expected '%s <rational>'" % keyword)
+    return _value_at(lineno, tokens[1])
+
+
+def parse_instance(text: str) -> Instance:
+    lines = _body(text, "ckp", "instance")
+    capacity = _keyed_value(lines, "b", "capacity")
     groups = []
-    for lineno, tokens in lines[2:]:
+    for lineno, tokens in lines[1:]:
         if tokens[0] != "group":
             _fail(lineno, "expected a 'group' line")
         if len(tokens) < 2:
@@ -79,19 +92,9 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_inequality(text: str) -> LinearInequality:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise FormatError("empty inequality file")
-    lineno, tokens = lines[0]
-    if tokens != ["ineq", "1"]:
-        _fail(lineno, "expected header 'ineq 1'")
-    if len(lines) < 2:
-        raise FormatError("missing rhs line")
-    lineno, tokens = lines[1]
-    if len(tokens) != 2 or tokens[0] != "rhs":
-        _fail(lineno, "expected 'rhs <rational>'")
-    rhs = _value_at(lineno, tokens[1])
-    return LinearInequality(_entries(lines[2:], "term"), rhs)
+    lines = _body(text, "ineq", "inequality")
+    rhs = _keyed_value(lines, "rhs", "rhs")
+    return LinearInequality(_entries(lines[1:], "term"), rhs)
 
 
 def serialize_inequality(q: LinearInequality) -> str:
@@ -102,13 +105,7 @@ def serialize_inequality(q: LinearInequality) -> str:
 
 
 def parse_point(text: str) -> Point:
-    lines = list(_logical_lines(text))
-    if not lines:
-        raise FormatError("empty point file")
-    lineno, tokens = lines[0]
-    if tokens != ["point", "1"]:
-        _fail(lineno, "expected header 'point 1'")
-    return Point(_entries(lines[1:], "val"))
+    return Point(_entries(_body(text, "point", "point"), "val"))
 
 
 def serialize_point(point: Point) -> str:

@@ -155,14 +155,6 @@ class Instance:
     def dimension(self) -> int:
         return sum(g.size for g in self.groups)
 
-    def group(self, i: int) -> Group:
-        if not 1 <= i <= self.m:
-            raise ValidationError("group index out of range: %d" % i)
-        return self.groups[i - 1]
-
-    def slots(self, i: int) -> int:
-        return self.group(i).size
-
     def check_ref(self, ref: VarRef) -> int:
         """The column of ``ref``; outside the instance it raises."""
         column = self.columns.get(ref)
@@ -178,16 +170,9 @@ class Instance:
         self.check_ref(ref)
         return self.groups[ref.group - 1].profits[ref.slot - 1]
 
-    def refs(self):
-        """All variable references in (group, slot) order."""
-        return list(self.columns)
-
-    def singleton_groups(self) -> frozenset:
-        """M_0: indices of groups with exactly one slot."""
-        return self._singletons
-
     @cached_property
-    def _singletons(self) -> frozenset:
+    def m0(self) -> frozenset:
+        """M_0: indices of groups with exactly one slot."""
         return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
 
     @cached_property
@@ -230,15 +215,20 @@ class Instance:
             dense[self.check_ref(ref)] = a
         return dense, rhs, scale
 
-    def is_normalized(self) -> bool:
+    @cached_property
+    def normalized(self) -> bool:
         """Weights non-increasing within every group, tested on
         :attr:`units`."""
-        return self._normalized
-
-    @cached_property
-    def _normalized(self) -> bool:
         return all(a >= b for row in self.units[1]
                    for a, b in zip(row, row[1:]))
+
+    def normalized_units(self):
+        """:attr:`units`, once every group is known to keep its slots by
+        non-increasing weight, which the cut families, the assumptions and
+        the solver require; otherwise ``PreconditionError``."""
+        if not self.normalized:
+            raise PreconditionError("instance is not normalized")
+        return self.units
 
 
 def _reduced_form(head, terms, top, what):
@@ -405,7 +395,7 @@ def profit_of(instance: Instance, point) -> Fraction:
     return Fraction(total, scale * point_scale)
 
 
-def complementarity_violations(instance: Instance, point):
+def complementarity_violations(point):
     """Groups carrying two or more positive variables, ascending, at
     ``point`` (anything with an integer form ``scaled``)."""
     seen = {}
@@ -419,7 +409,7 @@ def is_feasible(instance: Instance, point) -> bool:
     ``scaled``): the knapsack row, every reference checked, and at most
     one positive slot per group."""
     return (weight_of(instance, point) <= instance.capacity
-            and not complementarity_violations(instance, point))
+            and not complementarity_violations(point))
 
 
 def normalize(instance: Instance):
@@ -473,9 +463,8 @@ def validate_assumptions(instance: Instance) -> AssumptionReport:
 
     Requires a normalized instance (non-increasing weights per group).
     """
-    if not instance.is_normalized():
-        raise PreconditionError("instance is not normalized")
-    m0 = instance.singleton_groups()
+    instance.normalized_units()  # raises unless normalized
+    m0 = instance.m0
     a1 = len(m0) < instance.m
     total_max = sum(max(g.weights) for g in instance.groups)
     a2 = total_max > instance.capacity

@@ -147,7 +147,7 @@ def separate_greedy(instance: Instance, point: Point,
     packs = [pack]
     if len(pack) >= 2:
         packs += [tuple(r for r in pack if r != single)
-                  for single in pack if single.group in support.m0]
+                  for single in pack if single.group in instance.m0]
     return _select(instance, point, support,
                    ((items, support.units_of(items)) for items in packs),
                    families)

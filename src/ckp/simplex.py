@@ -27,8 +27,7 @@ solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
 ...))`` and the duals as ``(Y, ints)``, which the certificate check, the
 separators and the branch-and-cut loop read as they are.  Only its value
 is a Fraction; its ``point`` (through ``Point.from_scaled``, which keeps
-the integer form) and ``duals`` are made on each read, for a caller that
-shows them.
+the integer form) is made on each read, for a caller that shows it.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -58,7 +57,7 @@ shows them.
 
 The duals hold one multiplier y_r per row, in order (the knapsack row, the
 group rows in ``LpProblem.spans`` order, the cut rows), then one bound
-multiplier u_j per column of the spans, in ``Instance.refs()``
+multiplier u_j per column of the spans, in ``Instance.columns``
 order.  They certify optimality exactly: y, u >= 0, y A_j + u_j >= c_j for
 every such variable, and y . rhs + sum(u) = c . x*.
 :func:`verify_certificate` checks this in integers from the problem's
@@ -161,9 +160,9 @@ class LpSolution(NamedTuple):
     ints a tuple: y = ints / Y, one multiplier per problem row, then one
     bound multiplier per column of the node's spans.  ``value`` is the
     optimal value and ``pivots`` the simplex's basis changes.  ``point`` (a
-    :class:`model.Point`, ``Point.from_scaled(*scaled)``) and ``duals``
-    (Fractions) are made on each read; equality and hashing are those of
-    the tuple of the four fields, the integer forms as they are.
+    :class:`model.Point`, ``Point.from_scaled(*scaled)``) is made on each
+    read; equality and hashing are those of the tuple of the four fields,
+    the integer forms as they are.
     """
 
     value: Fraction
@@ -174,11 +173,6 @@ class LpSolution(NamedTuple):
     @property
     def point(self) -> Point:
         return Point.from_scaled(*self.scaled)
-
-    @property
-    def duals(self) -> tuple:
-        scale, ints = self.scaled_duals
-        return tuple(Fraction(y, scale) for y in ints)
 
 
 def _solve_groups(problem: LpProblem, spans) -> LpSolution:

@@ -33,8 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cuts import FAMILIES, resolve_families
-from .errors import (CkpError, PreconditionError, ResourceLimitError,
-                     ValidationError)
+from .errors import CkpError, ResourceLimitError, ValidationError
 from .model import (Instance, Point, complementarity_violations,
                     is_feasible, profit_of)
 from .numeric import require_integer
@@ -118,8 +117,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     """
     if config is None:
         config = SolveConfig()
-    if not instance.is_normalized():
-        raise PreconditionError("instance is not normalized")
+    instance.normalized_units()  # raises unless normalized
     cuts_per_family = {name: 0 for name in FAMILIES}
     problem = LpProblem(instance)  # its cut rows are the pool's, in order
     exact = config.exact_fallback
@@ -148,7 +146,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             value = solution.value
             if value <= incumbent_value:
                 break
-            violated = complementarity_violations(instance, solution)
+            violated = complementarity_violations(solution)
             if not (violated and config.families
                     and added_here < MAX_CUTS_PER_NODE):
                 break

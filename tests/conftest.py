@@ -138,7 +138,7 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     ``pack_inequality_3`` is checked against."""
     if cut.family != "pack2":
         raise PreconditionError("tilting starts from a pack2 cut")
-    m0 = instance.singleton_groups()
+    m0 = instance.m0
     if tilt_group not in m0 or tilt_group not in {r.group for r in cut.items}:
         raise PreconditionError(
             "tilt group %d is not a singleton pack group" % tilt_group)
@@ -167,7 +167,7 @@ def reference_is_maximal_switching_pack(instance, itemset):
     if s >= b:
         return False
     for ref in itemset:
-        weights = instance.group(ref.group).weights
+        weights = instance.groups[ref.group - 1].weights
         if ref.slot != len(weights):
             return False
         if len(weights) > 1 and s - weights[-1] + weights[-2] <= b:
@@ -191,12 +191,13 @@ def family_cuts(instance: Instance, itemset, families):
     if "pack1" in families:
         yield pack_inequality_1(instance, itemset)
     if "pack2" in families or "pack3" in families:
-        m0 = instance.singleton_groups()
+        m0 = instance.m0
         groups = [ref.group for ref in itemset]
         if len([i for i in groups if i not in m0]) >= 2:
             singles = sorted(i for i in groups if i in m0)
             for pivot in itemset:
-                if pivot.group in m0 or pivot.slot != instance.slots(pivot.group):
+                if (pivot.group in m0
+                        or pivot.slot != instance.groups[pivot.group - 1].size):
                     continue
                 if "pack2" in families:
                     yield pack_inequality_2(instance, itemset, pivot)
@@ -212,7 +213,7 @@ def family_cuts(instance: Instance, itemset, families):
             yield cut
     if "lcover2" in families:
         for special in itemset:
-            if special.slot >= instance.slots(special.group):
+            if special.slot >= instance.groups[special.group - 1].size:
                 continue
             try:
                 cut = lifted_cover_inequality_2(instance, itemset, special)
@@ -317,7 +318,7 @@ def reference_face_dimension(instance, inequality, limit=None):
     candidates = reference_candidate_vertices(instance, limit)
     rhs = inequality.rhs
     tight = (p for p in candidates if lhs_at(inequality, p) == rhs)
-    refs = instance.refs()
+    refs = list(instance.columns)
     cap = instance.dimension - 1 if inequality.terms else instance.dimension
     vectors = (tuple(dict(p.entries).get(r, _F0) for r in refs)
                for p in tight)
@@ -344,6 +345,13 @@ def lp_solution(value, point, duals, pivots):
     refs = [ref for ref, _ in point.entries]
     return LpSolution(value, (scale, tuple(zip(refs, xs))),
                       integer_form(duals), pivots)
+
+
+def fraction_duals(solution):
+    """An ``LpSolution``'s duals as Fractions, y = ints / Y, from its
+    integer form ``scaled_duals = (Y, ints)``."""
+    scale, ints = solution.scaled_duals
+    return tuple(Fraction(y, scale) for y in ints)
 
 
 def fill_knapsack(items, capacity):
@@ -387,7 +395,7 @@ def fill_knapsack(items, capacity):
 def profits(instance):
     """``{ref: profit}`` over every variable of the instance: the objective
     of its LP."""
-    return {ref: instance.profit(ref) for ref in instance.refs()}
+    return {ref: instance.profit(ref) for ref in instance.columns}
 
 
 def group_rows(instance):
@@ -620,7 +628,7 @@ def reference_solve_lp(problem, *, spans=None):
     ``spans`` (all of them by default), in Fractions.  The reference that
     ``simplex.solve_lp`` is checked against: the same value, point, duals
     and pivots."""
-    refs = problem.instance.refs()
+    refs = list(problem.instance.columns)
     if spans is not None:
         free = set(span_refs(problem, spans))
         refs = [r for r in refs if r in free]
@@ -680,11 +688,11 @@ def reference_integer_form(values):
 
 def reference_integer_row(instance, terms, rhs=0):
     """``(coefficients, rhs, scale)`` of a sparse row: its Fraction
-    coefficients, dense over ``instance.refs()``, and its rhs, scaled by
+    coefficients, dense over ``instance.columns``, and its rhs, scaled by
     :func:`reference_integer_form`."""
     coeffs = dict(terms)
     scale, ints = reference_integer_form(
-        [coeffs.get(ref, _F0) for ref in instance.refs()] + [rhs])
+        [coeffs.get(ref, _F0) for ref in instance.columns] + [rhs])
     return ints[:-1], ints[-1], scale
 
 
@@ -696,7 +704,7 @@ def reference_lp_data(instance, rows=()):
     the cut rows, and the scale is the LCM of every row's and the costs'
     scales.  The group rows are not among them: their scale is 1, and the
     problem keeps them as spans."""
-    refs = instance.refs()
+    refs = list(instance.columns)
     costs, _, cost_scale = reference_integer_row(
         instance, profits(instance).items())
     knapsack = [(ref, instance.weight(ref)) for ref in refs]

@@ -153,7 +153,7 @@ def test_criterion_2(ex_b):
     p2 = cuts.pack_inequality_1(ex_b, refs((2, 2), (3, 2)))
     ok = ok and text_of(p2) == ("ineq 1\nrhs 25\nterm 2 1 14\nterm 2 2 13\n"
                                 "term 3 1 13\nterm 3 2 12\n")
-    multi = [g for g, _ in p2.items if g not in ex_b.singleton_groups()]
+    multi = [g for g, _ in p2.items if g not in ex_b.m0]
     dim = oracle.face_dimension(ex_b, p2.inequality)
     ok = ok and dim == 5 and ex_b.dimension - len(multi) == 5
     _report(2, ok, "pack1 rhs-23 cut is a facet; rhs-25 cut sits at the rank "
@@ -305,7 +305,7 @@ def test_criterion_7(corpus_cuts):
     bad = 0
     for instance, cut_list in corpus_cuts:
         d = instance.dimension
-        singles = instance.singleton_groups()
+        singles = instance.m0
         vertices = oracle.enumerate_candidate_vertices(instance)
         for cut in cut_list:
             needs_flag = cut.facet_guaranteed
@@ -342,7 +342,7 @@ def test_criterion_8():
     mismatches = 0
     for instance in instances:
         assert oracle.pattern_count(instance) <= 10 ** 4
-        objective = {r: instance.profit(r) for r in instance.refs()}
+        objective = {r: instance.profit(r) for r in instance.columns}
         best, _ = oracle.maximize_over_S(instance, objective)
         with_cuts = branch_and_cut(instance, SolveConfig())
         no_cuts = branch_and_cut(instance, SolveConfig(families=()))

@@ -393,6 +393,14 @@ def test_solve_rejects_an_unknown_family_by_name(files, capsys):
     assert out == "error: unknown cut family: 'bogus'\n"
 
 
+@pytest.mark.parametrize("choice", ["", ",", " , "])
+def test_solve_refuses_a_family_list_naming_none(files, capsys, choice):
+    # an empty list, as an unset shell variable gives, is not "none"
+    code, out = run(capsys, "solve", files["ex_b.ckp"], "--cuts", choice)
+    assert code == 2
+    assert out == "error: no cut family named; use 'none' for none\n"
+
+
 def test_solve_rational_output(files, capsys):
     code, out = run(capsys, "solve", files["sing.ckp"])
     assert code == 0
@@ -427,7 +435,7 @@ def test_reduce_partition(files, capsys, tmp_path):
     inst = parse_instance((tmp_path / "red.ckp").read_text())
     point = parse_point((tmp_path / "red.point").read_text())
     assert inst.capacity == 4
-    assert inst.group(4).weights == (3, 1, 1)
+    assert inst.groups[3].weights == (3, 1, 1)
     assert dict(point.entries)[VarRef(1, 1)] == Fraction(1, 12)
 
 
@@ -541,10 +549,12 @@ ALPHAS_BAD = "alphas must be a comma-separated integer list"
 
 
 @pytest.mark.parametrize("argv,code,message", [
-    pytest.param(["--alphas", "1_0,\u0663,1", "--beta", "7"], 2, ALPHAS_BAD,
+    pytest.param(["--alphas", "1_0,\u0663,1", "--beta", "7"], 1, ALPHAS_BAD,
                  id="alphas 1_0 and an Arabic-Indic 3"),
-    pytest.param(["--alphas", "+1,1,2", "--beta", "2"], 2, ALPHAS_BAD,
+    pytest.param(["--alphas", "+1,1,2", "--beta", "2"], 1, ALPHAS_BAD,
                  id="alphas +1"),
+    pytest.param(["--alphas", "1,0,3", "--beta", "2"], 2,
+                 "alphas must be positive integers", id="alphas 0"),
     pytest.param(["--alphas", "1,1,2", "--beta", "\u0662"], 1,
                  "argument --beta: invalid int value: '\u0662'",
                  id="beta an Arabic-Indic 2"),

@@ -229,11 +229,11 @@ def test_pack1_coefficient_growth(ex_a):
     cut = cuts.pack_inequality_1(ex_a, pack)
     slack = 21 - itemset_weight(ex_a, pack)
     coeffs = dict(cut.inequality.terms)
-    for ref in ex_a.refs():
+    for ref in ex_a.columns:
         coeff = coeffs.get(ref, 0)
         if ref.group not in {1, 3, 4, 5}:
             assert coeff == 0
-        elif ref in pack and ref.group not in ex_a.singleton_groups():
+        elif ref in pack and ref.group not in ex_a.m0:
             assert coeff == ex_a.weight(ref) + slack
         else:
             assert coeff == ex_a.weight(ref)
@@ -324,7 +324,7 @@ def test_tilting_identity(ex_c):
     packs = ex_c_packs()
     for label, pack in packs.items():
         tiltable = [r.group for r in pack
-                    if r.group in ex_c.singleton_groups()]
+                    if r.group in ex_c.m0]
         for pivot in ((3, 2), (4, 2), (5, 2)):
             base = cuts.pack_inequality_2(ex_c, pack, VarRef(*pivot))
             for i in tiltable:
@@ -339,7 +339,7 @@ def test_tilting_identity_random():
     checked = 0
     for _ in range(150):
         inst = random_instance(rng, max_groups=7, max_slots=3)
-        m0 = inst.singleton_groups()
+        m0 = inst.m0
         for pack in cuts.enumerate_maximal_switching_packs(inst):
             pivots = [ref for ref in pack if ref.group not in m0]
             if len(pivots) < 2:

@@ -29,7 +29,7 @@ def test_parse_instance():
     inst = parse_instance(EX)
     assert inst.capacity == 21
     assert inst.m == 2
-    assert inst.group(2).weights == (Fraction(10), Fraction(6))
+    assert inst.groups[1].weights == (Fraction(10), Fraction(6))
 
 
 def test_comments_and_blanks_ignored():

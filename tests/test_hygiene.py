@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -221,27 +222,30 @@ def test_bench_tracer_sites_exist():
     assert missing == []
 
 
+def reads(node, bare=True):
+    """The names ``node`` reads: each loaded ``ast.Attribute``, each
+    identifier string (a lookup by name, as ``cuts.build_member``'s or the
+    benchmark tracer's) and, with ``bare``, each loaded ``ast.Name``."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if bare:
+                yield child.id
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.ctx, ast.Load)):
+            yield child.attr
+        elif (isinstance(child, ast.Constant)
+              and isinstance(child.value, str)
+              and child.value.isidentifier()):
+            yield child.value
+
+
 def dead_names(library, readers=(), readme=""):
     """Names of the ``library`` sources that nothing reads, as a pair of
     sorted lists: top-level functions and classes, of any name, and public
-    constants, which no loaded ``ast.Name`` or ``ast.Attribute`` and no
-    identifier string (a lookup by name, as ``cuts.build_member``'s or the
-    benchmark tracer's) in the ``library`` or ``readers`` sources reads
-    outside their own top-level statement.  A name listed in an ``__all__``
-    of the library is exempt, since it is exported, and so is a constant
-    that ``readme`` mentions."""
-    def reads(node):
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                yield child.id
-            elif (isinstance(child, ast.Attribute)
-                  and isinstance(child.ctx, ast.Load)):
-                yield child.attr
-            elif (isinstance(child, ast.Constant)
-                  and isinstance(child.value, str)
-                  and child.value.isidentifier()):
-                yield child.value
-
+    constants, which no name that :func:`reads` finds in the ``library``
+    or ``readers`` sources reads outside their own top-level statement.  A
+    name listed in an ``__all__`` of the library is exempt, since it is
+    exported, and so is a constant that ``readme`` mentions."""
     def defined(node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             return [node.name]
@@ -308,3 +312,94 @@ def test_no_test_only_library_names():
     # a public constant that only the tests read is deleted, not kept for them
     _, constants = library_dead_names()
     assert constants == []
+
+
+def unread_members(library, readers=()):
+    """``Class.member`` for each method and property of a top-level class
+    of the ``library`` sources that no attribute or identifier string
+    (:func:`reads`, not bare) in the ``library`` or ``readers`` sources
+    reads outside the member's own body.  Dunder methods are exempt, since
+    Python calls them, and so are the members of a class listed in an
+    ``__all__`` of the library, since it is exported."""
+    read, own, members, exported = Counter(), Counter(), [], set()
+    for index, source in enumerate(list(library) + list(readers)):
+        tree = ast.parse(source)
+        read.update(reads(tree, bare=False))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and index < len(library)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                exported.update(elt.value for elt in node.value.elts)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                own[member.name] += list(reads(member, bare=False)).count(
+                    member.name)
+                if (index < len(library) and not
+                        (member.name.startswith("__")
+                         and member.name.endswith("__"))):
+                    members.append((node.name, member.name))
+    return sorted("%s.%s" % (cls, name) for cls, name in members
+                  if cls not in exported and read[name] == own[name])
+
+
+def test_detector_flags_an_unread_member():
+    # a local variable of the member's name does not read it
+    library = ["class Kept:\n"
+               "    def used(self): return 1\n"
+               "    def local(self): pass\n"
+               "    @property\n    def unread(self): return 2\n"
+               "    def recursive(self): return self.recursive()\n"
+               "    def named(self): pass\n"
+               "    def __eq__(self, other): return True\n"
+               "class Exported:\n    def unread(self): pass\n",
+               "__all__ = ['Exported']\nx = Kept().used()\n"]
+    readers = ["getattr(Kept(), 'named')\nlocal = 1\nprint(local)\n"]
+    assert unread_members(library, readers) == [
+        "Kept.local", "Kept.recursive", "Kept.unread"]
+
+
+def test_no_unread_members():
+    # a method or property that neither the library nor the benchmark
+    # reads is dead code, kept only for its tests, as a dead function is
+    library = [path.read_text() for path in LIBRARY]
+    readers = [path.read_text() for path in BENCH]
+    assert unread_members(library, readers) == []
+
+
+def unused_parameters(source):
+    """``(line, function, parameter)`` for each parameter of a function
+    that its body never names; ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        named = {child.id for statement in node.body
+                 for child in ast.walk(statement)
+                 if isinstance(child, ast.Name)}
+        found += [(node.lineno, node.name, a.arg) for a in params
+                  if a.arg not in named and a.arg not in ("self", "cls")]
+    return found
+
+
+def test_detector_flags_an_unused_parameter():
+    source = ("def f(instance, point, *rest, flag=None, **options):\n"
+              "    return point\n"
+              "class C:\n"
+              "    def m(self, value):\n"
+              "        def inner():\n            return value\n"
+              "        return inner\n"
+              "    @classmethod\n    def make(cls, data=None): pass\n")
+    assert unused_parameters(source) == [
+        (1, "f", "instance"), (1, "f", "flag"), (1, "f", "rest"),
+        (1, "f", "options"), (9, "make", "data")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

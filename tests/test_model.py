@@ -30,11 +30,11 @@ from conftest import (LARGE_PRIMES, make_instance, rational_instance,
 def test_build_and_lookups(ex_a):
     assert ex_a.m == 5
     assert ex_a.dimension == 7
-    assert ex_a.slots(4) == 2
+    assert ex_a.groups[3].size == 2
     assert ex_a.weight(VarRef(4, 2)) == 6
     assert ex_a.profit(VarRef(5, 1)) == 8
-    assert list(ex_a.refs())[:3] == [VarRef(1, 1), VarRef(2, 1), VarRef(3, 1)]
-    assert ex_a.singleton_groups() == frozenset({1, 2, 3})
+    assert list(ex_a.columns)[:3] == [VarRef(1, 1), VarRef(2, 1), VarRef(3, 1)]
+    assert ex_a.m0 == frozenset({1, 2, 3})
 
 
 def test_build_coerces_strings():
@@ -110,7 +110,7 @@ def test_ref_checks(ex_a):
     assert VarRef(6, 1) not in ex_a.columns
     with pytest.raises(ValidationError):
         ex_a.check_ref(VarRef(0, 1))
-    assert [ex_a.check_ref(r) for r in ex_a.refs()] == list(range(7))
+    assert [ex_a.check_ref(r) for r in ex_a.columns] == list(range(7))
 
 
 def test_group_shape_validation():
@@ -147,7 +147,7 @@ def test_integer_forms_match_fraction_reference():
             rows.append(tuple(next(flat) for _ in range(g.size)))
         assert inst.units == (scale, tuple(rows), ints[0])
         coeffs = {r: Fraction(rng.randint(-50, 50), rng.choice(LARGE_PRIMES))
-                  for r in inst.refs() if rng.random() < 0.6}
+                  for r in inst.columns if rng.random() < 0.6}
         row = LinearInequality(coeffs, Fraction(rng.randint(-9, 9),
                                                 rng.choice(LARGE_PRIMES)))
         assert (inst.integer_row(row)
@@ -162,7 +162,7 @@ def test_integer_forms_match_fraction_reference():
         assert row.scaled == LinearInequality.from_scaled(*form).scaled == form
         point = Point({r: Fraction(rng.randint(0, 7),
                                    rng.choice((7,) + LARGE_PRIMES))
-                       for r in inst.refs() if rng.random() < 0.6})
+                       for r in inst.columns if rng.random() < 0.6})
         scale, xs = reference_integer_form([x for _, x in point.entries])
         form = scale, tuple(zip([r for r, _ in point.entries], xs))
         assert point.scaled == Point.from_scaled(*form).scaled == form
@@ -177,7 +177,7 @@ def test_profit_units_match_fraction_reference():
     zeros = 0
     for _ in range(200):
         inst = rational_instance(rng)
-        profits = [inst.profit(r) for r in inst.refs()]
+        profits = [inst.profit(r) for r in inst.columns]
         scale, ints = reference_integer_form(profits)
         assert inst.profit_units == (scale, tuple(ints))
         zeros += 0 in profits
@@ -186,7 +186,7 @@ def test_profit_units_match_fraction_reference():
 
 def _random_point(rng, inst):
     return Point([(r, Fraction(rng.randint(0, 6), rng.randint(6, 9)))
-                  for r in inst.refs() if rng.random() < 0.6])
+                  for r in inst.columns if rng.random() < 0.6])
 
 
 def _doubled(scaled):
@@ -207,7 +207,7 @@ def test_point_from_scaled_equals_the_fraction_point():
         problem = simplex.LpProblem(inst)
         if n % 2:  # a cut row, so the simplex solves, not the closed form
             problem = problem.with_row(
-                LinearInequality({inst.refs()[0]: 1}, 1))
+                LinearInequality({list(inst.columns)[0]: 1}, 1))
         solution = simplex.solve_lp(problem)
         scale, entries = solution.scaled
         fractions = Point([(r, Fraction(x, scale)) for r, x in entries])
@@ -312,7 +312,7 @@ def test_lhs_at_matches_a_fraction_sum():
             "closed form": 0, "simplex": 0, "nonzero lhs": 0}
     for n in range(120):
         inst = rational_instance(rng)
-        refs = inst.refs()
+        refs = list(inst.columns)
         coeffs = [(r, rng.choice((0, Fraction(rng.randint(-40, 40),
                                                rng.randint(1, 9)))))
                   for r in refs if rng.random() < 0.8]
@@ -373,10 +373,10 @@ def test_weight_profit_helpers(ex_a):
 
 def test_complementarity_violations(ex_a):
     ok = Point([(VarRef(4, 1), 1), (VarRef(5, 2), Fraction(1, 3))])
-    assert complementarity_violations(ex_a, ok) == []
+    assert complementarity_violations(ok) == []
     bad = Point([(VarRef(4, 1), 1), (VarRef(4, 2), Fraction(1, 4)),
                  (VarRef(5, 1), 1), (VarRef(5, 2), 1)])
-    assert complementarity_violations(ex_a, bad) == [4, 5]
+    assert complementarity_violations(bad) == [4, 5]
 
 
 def test_feasibility_predicates(ex_a):
@@ -397,7 +397,7 @@ def test_is_feasible_finds_a_shared_group_in_unsorted_refs(ex_a):
     form = SimpleNamespace(scaled=(2, ((VarRef(4, 1), 1), (VarRef(3, 1), 1),
                                        (VarRef(4, 2), 1))))
     assert weight_of(ex_a, form) <= ex_a.capacity
-    assert complementarity_violations(ex_a, form) == [4]
+    assert complementarity_violations(form) == [4]
     assert not is_feasible(ex_a, form)
 
 
@@ -405,17 +405,17 @@ class TestNormalize:
     def test_sorts_within_groups(self):
         inst = Instance.build([((6, 10), (6, 10)), ((4, 4), (1, 2))], 12)
         out, perms = normalize(inst)
-        assert out.group(1).weights == (Fraction(10), Fraction(6))
+        assert out.groups[0].weights == (Fraction(10), Fraction(6))
         assert perms[0] == (2, 1)
         # equal weights fall back to profit-descending
-        assert out.group(2).profits == (Fraction(2), Fraction(1))
+        assert out.groups[1].profits == (Fraction(2), Fraction(1))
         assert perms[1] == (2, 1)
 
     def test_identity_when_already_sorted(self, ex_a):
         out, perms = normalize(ex_a)
         assert out == ex_a
         assert perms == ((1,), (1,), (1,), (1, 2), (1, 2))
-        assert out.is_normalized()
+        assert out.normalized
 
     def test_rejects_negative_data(self):
         with pytest.raises(ValidationError):

@@ -52,7 +52,7 @@ def slow_candidates(inst):
             finish(picks)
             return
         walk(i + 1, picks)  # skip group i
-        for j in range(1, inst.slots(i) + 1):
+        for j in range(1, inst.groups[i - 1].size + 1):
             walk(i + 1, picks + [VarRef(i, j)])
 
     def finish(picks):
@@ -183,7 +183,7 @@ def test_pruned_walk_keeps_every_item_set_with_a_member():
     assert any(a == 0 for inst in instances for g in inst.groups for a in g.weights)
     assert any(a.denominator > 1 for inst in instances for g in inst.groups
                for a in g.weights)
-    assert any(inst.singleton_groups() for inst in instances)
+    assert any(inst.m0 for inst in instances)
 
 
 def test_walk_prunes_nothing_on_negative_weights():
@@ -200,7 +200,7 @@ def test_integer_oracle_matches_fraction_references():
     for inst in _seeded_instances(150, 9090):
         vertices = oracle.enumerate_candidate_vertices(inst)
         assert vertices.points == reference_candidate_vertices(inst)
-        refs = inst.refs()
+        refs = list(inst.columns)
         assert len(vertices.columns) == len(refs)
         for k, (point, den) in enumerate(zip(vertices.points, vertices.dens)):
             row = [column[k] for column in vertices.columns]
@@ -238,7 +238,7 @@ WALK_CONSUMERS = {
     "enumerate_candidate_vertices": lambda inst, limit, _:
         oracle.enumerate_candidate_vertices(inst, limit),
     "maximize_over_S": lambda inst, limit, _: oracle.maximize_over_S(
-        inst, {r: inst.profit(r) for r in inst.refs()}, limit),
+        inst, {r: inst.profit(r) for r in inst.columns}, limit),
     "separate_exact": lambda inst, limit, _: separate_exact(
         inst, Point(), "all", limit),
     "ckp cuts --family lcover1": _cuts_lcover1,
@@ -294,7 +294,7 @@ def test_maximize_ignores_negative_coefficients(ex_a):
 
 def test_maximize_matches_exhaustive(small_corpus):
     for inst in small_corpus:
-        objective = {r: inst.profit(r) for r in inst.refs()}
+        objective = {r: inst.profit(r) for r in inst.columns}
         value, point = oracle.maximize_over_S(inst, objective)
         assert value == exhaustive_max(inst, objective)
         assert is_feasible(inst, point)
@@ -302,7 +302,7 @@ def test_maximize_matches_exhaustive(small_corpus):
 
 
 def test_example_a_maximum(ex_a):
-    objective = {r: ex_a.profit(r) for r in ex_a.refs()}
+    objective = {r: ex_a.profit(r) for r in ex_a.columns}
     value, point = oracle.maximize_over_S(ex_a, objective)
     assert value == 21
     assert weight_of(ex_a, point) <= 21
@@ -402,7 +402,7 @@ def _cuts_of(inst):
 def _around_the_maximum(rng, inst):
     """Random rational objectives, each with the rhs at its maximum over S
     (a valid inequality with a non-empty face), above it, and below it."""
-    refs = inst.refs()
+    refs = list(inst.columns)
     for _ in range(4):
         coeffs = {r: Fraction(rng.randint(-6, 12), rng.randint(1, 4))
                   for r in rng.sample(refs, rng.randint(1, len(refs)))}
@@ -450,7 +450,7 @@ def test_invalid_witness_is_the_first_largest_candidate():
     for n in range(40):
         inst = rational_instance(rng) if n % 2 else random_instance(rng, max_groups=4)
         vertices = oracle.enumerate_candidate_vertices(inst)
-        refs = inst.refs()
+        refs = list(inst.columns)
         inequalities = [LinearInequality([], -1)]
         for _ in range(3):
             coeffs = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -484,7 +484,7 @@ def test_one_witness_rule(tmp_path, capsys):
         instance_path.write_text(serialize_instance(inst))
         inequalities = [pinned] if inst is ex_a else []
         for _ in range(4):
-            coeffs = {r: rng.randint(-1, 2) for r in inst.refs()}
+            coeffs = {r: rng.randint(-1, 2) for r in inst.columns}
             top, _ = oracle.maximize_over_S(inst, coeffs)
             inequalities.append(LinearInequality(coeffs, top - Fraction(1, 2)))
         for inequality in inequalities:
@@ -517,7 +517,7 @@ def test_kept_ranks_answer_as_a_fresh_enumeration():
         seen["rational"] += inst.units[0] > 1
         seen["zero weight"] += any(a == 0 for row in inst.units[1] for a in row)
         vertices = oracle.enumerate_candidate_vertices(inst)
-        profits = {r: inst.profit(r) for r in inst.refs()}
+        profits = {r: inst.profit(r) for r in inst.columns}
         top, _ = oracle.maximize_over_S(inst, profits)
         bad = LinearInequality(profits, top - Fraction(1, 3))
         queries = [knapsack_row(inst), LinearInequality([], 0),

@@ -37,7 +37,7 @@ def frac_point(ex_c):
 
 def test_point_fixture_is_lp_feasible(ex_c, frac_point):
     assert weight_of(ex_c, frac_point) <= ex_c.capacity
-    assert complementarity_violations(ex_c, frac_point) == [3]
+    assert complementarity_violations(frac_point) == [3]
 
 
 def test_exact_most_violated_over_all_families(ex_c, frac_point):
@@ -170,7 +170,7 @@ def test_nothing_violated_at_feasible_points(ex_a):
 def test_feasible_points_never_separated(small_corpus):
     # the optimum over S lies in the polytope, so no valid family cuts it off
     for inst in small_corpus[:10]:
-        _, point = oracle.maximize_over_S(inst, {r: inst.profit(r) for r in inst.refs()})
+        _, point = oracle.maximize_over_S(inst, {r: inst.profit(r) for r in inst.columns})
         assert not separate_exact(inst, point).found
 
 
@@ -191,9 +191,9 @@ def test_reduction_shape():
     inst, x = build_partition_reduction((1, 1, 2), 2)
     assert inst.capacity == 4
     assert inst.m == 4
-    assert inst.group(4).weights == (3, 1, 1)
-    assert inst.group(4).profits == (3, 1, 1)
-    assert [inst.group(i).weights for i in (1, 2, 3)] == [(1,), (1,), (2,)]
+    assert inst.groups[3].weights == (3, 1, 1)
+    assert inst.groups[3].profits == (3, 1, 1)
+    assert [inst.groups[i - 1].weights for i in (1, 2, 3)] == [(1,), (1,), (2,)]
     assert x.entries == (
         (VarRef(1, 1), Fraction(1, 12)),
         (VarRef(2, 1), Fraction(1, 12)),
@@ -204,7 +204,7 @@ def test_reduction_shape():
     )
     # knapsack-tight, LP-feasible, but clearly outside S
     assert weight_of(inst, x) == inst.capacity
-    assert complementarity_violations(inst, x) == [4]
+    assert complementarity_violations(x) == [4]
 
 
 def _fraction_reduction_point(alphas, beta):
@@ -348,7 +348,7 @@ def reference_greedy(instance, point, families):
     total = Fraction(0)
     chosen = []
     for i in order:
-        last = VarRef(i, instance.slots(i))
+        last = VarRef(i, instance.groups[i - 1].size)
         if total + instance.weight(last) < b:
             chosen.append(last)
             total += instance.weight(last)
@@ -357,7 +357,7 @@ def reference_greedy(instance, point, families):
     if pack is not None and reference_is_maximal_switching_pack(instance, pack):
         packs.append(pack)
         if len(pack) >= 2:
-            for i in sorted({r.group for r in pack} & instance.singleton_groups()):
+            for i in sorted({r.group for r in pack} & instance.m0):
                 packs.append(tuple(r for r in pack if r.group != i))
     families = tuple(f for f in families if f.startswith("pack"))
     members = (cut for itemset in packs
@@ -368,11 +368,11 @@ def reference_greedy(instance, point, families):
 def _points(rng, instance):
     """An LP optimum over random nested node spans, and a random point
     scaled into the knapsack row."""
-    objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.refs()}
+    objective = {r: instance.profit(r) + rng.randint(0, 3) for r in instance.columns}
     spans = random_spans(rng, instance, 0.2)
     yield solve_lp(LpProblem(with_profits(instance, objective)),
                    spans=spans).point
-    values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.refs()}
+    values = {r: Fraction(rng.randint(0, 6), 6) for r in instance.columns}
     weight = sum((instance.weight(r) * x for r, x in values.items()), Fraction(0))
     if weight > instance.capacity:
         values = {r: x * instance.capacity / weight for r, x in values.items()}
@@ -509,7 +509,7 @@ def _coprime_point(rng, instance):
     per variable; entries are dropped, never rescaled, until the point
     meets the knapsack row."""
     entries = [(ref, Fraction(rng.randint(1, q - 1), q))
-               for ref, q in zip(instance.refs(), COPRIME)]
+               for ref, q in zip(instance.columns, COPRIME)]
     rng.shuffle(entries)
     while sum(instance.weight(r) * x for r, x in entries) > instance.capacity:
         entries.pop()
@@ -520,7 +520,7 @@ def _node_points(rng, instance):
     """LP optima of node LPs with one to three builder cut rows: each row
     is the most violated member at the previous optimum."""
     objective = {r: instance.profit(r) + rng.randint(0, 3)
-                 for r in instance.refs()}
+                 for r in instance.columns}
     problem = LpProblem(with_profits(instance, objective))
     point = solve_lp(problem).point
     for _ in range(3):

@@ -18,8 +18,8 @@ from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
-                      group_rows, lp_solution, make_instance, profits,
-                      random_instance, random_spans, rational_instance,
+                      fraction_duals, group_rows, lp_solution, make_instance,
+                      profits, random_instance, random_spans, rational_instance,
                       reference_lp_data, reference_maximize_over_S,
                       reference_solve_lp, span_refs, with_profits)
 
@@ -69,8 +69,8 @@ def test_example_relaxation(ex_a):
     assert len(problem.scaled_rows) == len(problem.rows) == 1
     assert problem.cut_rows == ()
     assert problem.spans == ((0, 1), (1, 2), (2, 3), (3, 5), (5, 7))
-    assert len(sol.duals) == 3 + ex_a.dimension
-    assert all(y >= 0 for y in sol.duals)
+    assert len(sol.scaled_duals[1]) == 3 + ex_a.dimension
+    assert all(y >= 0 for y in sol.scaled_duals[1])
 
 
 @pytest.mark.parametrize("groups, capacity, extra_rows", [
@@ -101,7 +101,7 @@ def test_forced_zero_columns(ex_a):
     assert sol.value == 16
     # the duals price the knapsack row, the rows of groups 4 and 5 (their
     # problem spans have two columns), then one bound per free column
-    assert len(sol.duals) == 3 + 4
+    assert len(sol.scaled_duals[1]) == 3 + 4
 
 
 def test_rows_must_include_knapsack(ex_a):
@@ -268,16 +268,18 @@ def test_duals_price_the_optimum(small_corpus):
         problem = lp_for(inst)
         sol = solve_lp(problem)
         # the knapsack row's rhs, then 1 for each group row and bound
-        rhs = [inst.capacity] + [Fraction(1)] * (len(sol.duals) - 1)
-        assert len(sol.duals) == (len(problem.scaled_rows)
-                                  + len(group_rows(inst)) + inst.dimension)
-        assert sum(y * r for y, r in zip(sol.duals, rhs)) == sol.value
+        duals = fraction_duals(sol)
+        rhs = [inst.capacity] + [Fraction(1)] * (len(duals) - 1)
+        assert len(duals) == (len(problem.scaled_rows)
+                              + len(group_rows(inst)) + inst.dimension)
+        assert sum(y * r for y, r in zip(duals, rhs)) == sol.value
 
 
 def test_certificate_rejects_tampering(ex_a):
     problem = lp_for(ex_a)
     sol = solve_lp(problem)
-    forged = lp_solution(sol.value + 1, sol.point, sol.duals, sol.pivots)
+    forged = LpSolution(sol.value + 1, sol.scaled, sol.scaled_duals,
+                        sol.pivots)
     assert not verify_certificate(problem, forged)
 
 
@@ -338,8 +340,8 @@ def test_differential_against_brute_force():
     one_row = with_cuts = empty = 0
     for _ in range(150):
         inst = rational_instance(rng)
-        objective = {r: inst.profit(r) for r in inst.refs()}
-        for r in inst.refs():
+        objective = {r: inst.profit(r) for r in inst.columns}
+        for r in inst.columns:
             if rng.random() < 0.15:
                 objective[r] = -objective[r] - 1
         spans = random_spans(rng, inst, 0.25)
@@ -379,8 +381,8 @@ def test_closed_form_matches_the_tableau_with_group_rows():
     for n in range(200):
         inst = (rational_instance(rng) if n % 2 else
                 random_instance(rng, max_groups=4, profits="random"))
-        objective = {r: inst.profit(r) for r in inst.refs()}
-        for r in inst.refs():
+        objective = {r: inst.profit(r) for r in inst.columns}
+        for r in inst.columns:
             roll = rng.random()
             if roll < 0.1:
                 objective[r] = -objective[r] - 1
@@ -393,11 +395,11 @@ def test_closed_form_matches_the_tableau_with_group_rows():
         assert closed.value == tableau.value
         assert verify_certificate(problem, closed, spans=spans)
         assert verify_certificate(problem, tableau, spans=spans)
-        ratios = [objective[r] / inst.weight(r) for r in inst.refs()
+        ratios = [objective[r] / inst.weight(r) for r in inst.columns
                   if inst.weight(r) and objective[r] > 0]
-        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
         seen["tied ratio"] += len(set(ratios)) < len(ratios)
-        seen["singleton"] += bool(inst.singleton_groups())
+        seen["singleton"] += bool(inst.m0)
         seen["forced"] += spans != problem.spans
         seen["empty span"] += any(lo == hi for lo, hi in spans)
         seen["pivots"] += tableau.pivots > 0
@@ -448,7 +450,7 @@ def test_closed_form_duals():
     problem = _forgery_problem()
     sol = solve_lp(problem)
     assert sol.value == 3
-    assert sol.duals == (2, 1, 0, 0, 0)
+    assert fraction_duals(sol) == (2, 1, 0, 0, 0)
     assert verify_certificate(problem, sol)
 
 
@@ -479,7 +481,8 @@ def test_certificate_rejects_point_on_forced_variable():
         sol = solve_lp(problem, spans=spans)
         assert verify_certificate(problem, sol, spans=spans)
         entries = sol.point.entries + ((ref, Fraction(1)),)
-        forged = lp_solution(sol.value, Point(entries), sol.duals, sol.pivots)
+        forged = lp_solution(sol.value, Point(entries), fraction_duals(sol),
+                             sol.pivots)
         assert not verify_certificate(problem, forged, spans=spans), ref
 
 
@@ -518,8 +521,8 @@ def test_certificate_rejects_entry_just_above_one():
     sol = solve_lp(problem)
     entries = sol.point.entries + (
         (VarRef(4, 1), 1 + Fraction(1, _LARGE_PRIME)),)
-    forged = lp_solution(sol.value, _unchecked_point(entries), sol.duals,
-                         sol.pivots)
+    forged = lp_solution(sol.value, _unchecked_point(entries),
+                         fraction_duals(sol), sol.pivots)
     assert not verify_certificate(problem, forged)
 
 
@@ -527,7 +530,8 @@ def test_certificate_rejects_value_off_by_a_tiny_fraction():
     problem = _forgery_problem()
     sol = solve_lp(problem)
     for off in (Fraction(1, _LARGE_PRIME), -Fraction(1, _LARGE_PRIME)):
-        forged = lp_solution(sol.value + off, sol.point, sol.duals, sol.pivots)
+        forged = LpSolution(sol.value + off, sol.scaled, sol.scaled_duals,
+                            sol.pivots)
         assert not verify_certificate(problem, forged)
 
 
@@ -586,7 +590,7 @@ def test_group_row_certificate_is_accepted():
     problem = _group_forgery_problem()
     sol = solve_lp(problem)
     assert sol.value == 3
-    assert sol.duals == (0, 2, 0, 0, 1)
+    assert fraction_duals(sol) == (0, 2, 0, 0, 1)
     assert verify_certificate(problem, sol)
 
 
@@ -617,15 +621,13 @@ def test_certificate_rejects_group_multiplier_moved(duals, why):
 def _check_record(sol):
     """The solution is a plain record of its four integer-form fields: it
     hashes, rebuilds from them, keeps its duals' ints as a tuple, and makes
-    its point and Fraction duals afresh on each read."""
+    its point afresh on each read."""
     assert hash(sol) == hash(LpSolution(*sol))
     assert LpSolution(*sol) == sol
-    scale, ints = sol.scaled_duals
-    assert type(ints) is tuple
-    assert sol.point is not sol.point and sol.duals is not sol.duals
+    assert type(sol.scaled_duals[1]) is tuple
+    assert sol.point is not sol.point
     for _ in range(2):
         assert sol.point == Point.from_scaled(*sol.scaled)
-        assert sol.duals == tuple(Fraction(y, scale) for y in ints)
 
 
 def test_integer_node_lp_matches_fraction_reference():
@@ -639,8 +641,8 @@ def test_integer_node_lp_matches_fraction_reference():
             "empty span": 0, "zero weight": 0, "tied ratio": 0}
     for _ in range(150):
         inst = rational_instance(rng)
-        objective = {r: inst.profit(r) for r in inst.refs()}
-        for r in inst.refs():
+        objective = {r: inst.profit(r) for r in inst.columns}
+        for r in inst.columns:
             if rng.random() < 0.15:
                 objective[r] = -objective[r] - 1
         spans = random_spans(rng, inst, 0.25)
@@ -649,23 +651,23 @@ def test_integer_node_lp_matches_fraction_reference():
         problem = lp_for(with_profits(inst, objective), rows)
         got = solve_lp(problem, spans=spans)
         want = reference_solve_lp(problem, spans=spans)
-        assert (got.value, got.point, got.duals, got.pivots) == (
-            want.value, want.point, want.duals, want.pivots)
+        assert (got.value, got.point, fraction_duals(got), got.pivots) == (
+            want.value, want.point, fraction_duals(want), want.pivots)
         assert verify_certificate(problem, got, spans=spans)
         _check_record(got)
         got = simplex._solve_bounded(problem, spans)
         want = reference_solve_bounded(problem, span_refs(problem, spans))
-        assert (got.value, got.point, got.duals, got.pivots) == (
-            want.value, want.point, want.duals, want.pivots)
+        assert (got.value, got.point, fraction_duals(got), got.pivots) == (
+            want.value, want.point, fraction_duals(want), want.pivots)
         _check_record(got)
-        ratios = [objective[r] / inst.weight(r) for r in inst.refs()
+        ratios = [objective[r] / inst.weight(r) for r in inst.columns
                   if inst.weight(r) and objective[r] > 0]
         seen["cuts"] += bool(rows)
         seen["closed form"] += not rows
         seen["pivots"] += got.pivots > 0
         seen["forced"] += spans != problem.spans
         seen["empty span"] += any(lo == hi for lo, hi in spans)
-        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
         seen["tied ratio"] += len(set(ratios)) < len(ratios)
     assert min(seen.values()) >= 20, seen
 
@@ -681,7 +683,7 @@ def test_scaled_data_matches_fraction_reference():
     for _ in range(150):
         inst = rational_instance(rng)
         objective = {}
-        for r in inst.refs():
+        for r in inst.columns:
             q = rng.choice(LARGE_PRIMES) if rng.random() < 0.3 else 1
             objective[r] = (Fraction(rng.randint(-3 * q, 5 * q), q)
                             if rng.random() < 0.6 else inst.profit(r))
@@ -709,7 +711,7 @@ def test_scaled_data_matches_fraction_reference():
                 if end - start > 1] == group_rows(inst)
         seen["cuts"] += bool(rows)
         seen["negative"] += any(c < 0 for c in objective.values())
-        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.refs())
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
         seen["large"] += problem.cost_scale > 7000
     assert min(seen.values()) >= 20, seen
 
@@ -719,8 +721,8 @@ def test_maximize_over_S_matches_fraction_fill():
     for n in range(120):
         inst = (rational_instance(rng) if n % 3 else
                 random_instance(rng, max_groups=4, profits="random"))
-        objective = {r: inst.profit(r) for r in inst.refs()}
-        for r in inst.refs():
+        objective = {r: inst.profit(r) for r in inst.columns}
+        for r in inst.columns:
             roll = rng.random()
             if roll < 0.1:
                 objective[r] = -objective[r]

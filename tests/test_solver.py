@@ -30,8 +30,8 @@ from ckp.separation import SeparationResult, SeparationStats
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
-from conftest import (correlated_instance, lp_solution, make_instance,
-                      random_instance, random_spans, rational_instance)
+from conftest import (correlated_instance, make_instance, random_instance,
+                      random_spans, rational_instance)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -40,7 +40,7 @@ import reference  # noqa: E402  (bench/reference.py imports nothing from ckp)
 
 
 def oracle_value(inst):
-    value, _ = oracle.maximize_over_S(inst, {r: inst.profit(r) for r in inst.refs()})
+    value, _ = oracle.maximize_over_S(inst, {r: inst.profit(r) for r in inst.columns})
     return value
 
 
@@ -158,6 +158,16 @@ def test_config_reads_families_by_the_one_rule(choice, want):
     assert config.families == want == resolve_families(choice)
     assert type(config.families) is tuple
     assert hash(config) == hash(SolveConfig(families=want))
+
+
+@pytest.mark.parametrize("choice", ["", ",", " , "])
+def test_a_family_list_naming_none_is_refused(choice):
+    # a string must name a family or be "none"; an empty sequence is none
+    with pytest.raises(ValidationError, match="no cut family named"):
+        resolve_families(choice)
+    with pytest.raises(ValidationError, match="no cut family named"):
+        SolveConfig(families=choice)
+    assert resolve_families(()) == ()
 
 
 def test_rejects_negative_capacity():
@@ -318,8 +328,8 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
     tested = []  # (point or solution, violated groups); kept alive for id
     violations = solver.complementarity_violations
 
-    def recording(instance, point):
-        violated = violations(instance, point)
+    def recording(point):
+        violated = violations(point)
         tested.append((point, violated))
         return violated
 
@@ -348,7 +358,7 @@ def test_profit_of_matches_a_fraction_sum():
             "rational point": 0}
     for n in range(120):
         inst = rational_instance(rng)
-        refs = inst.refs()
+        refs = list(inst.columns)
         entries = [(r, Fraction(rng.randint(0, 7), rng.randint(1, 7)))
                    for r in refs if rng.random() < 0.6]
         point = Point([(r, min(x, 1)) for r, x in entries])
@@ -412,7 +422,8 @@ def test_one_solve_builds_its_lp_from_integer_data(monkeypatch, ex_b):
 def _forged_solve_lp(problem, *, spans=None):
     """The true node LP with its value raised by one."""
     sol = simplex.solve_lp(problem, spans=spans)
-    return lp_solution(sol.value + 1, sol.point, sol.duals, sol.pivots)
+    return simplex.LpSolution(sol.value + 1, sol.scaled, sol.scaled_duals,
+                              sol.pivots)
 
 
 def test_forged_lp_solution_is_rejected(monkeypatch, ex_b):
@@ -523,7 +534,7 @@ def test_pooled_cut_separated_again_is_rejected(monkeypatch):
     inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
     def forged(instance, point, families):
         cut = GeneratedCut("pack1", knapsack_row(instance),
-                           tuple(instance.refs()[:1]))
+                           tuple(list(instance.columns)[:1]))
         return SeparationResult(cut, Fraction(1), SeparationStats(1, 1))
 
     monkeypatch.setattr(solver, "separate_greedy", forged)
