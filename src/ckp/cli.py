@@ -116,22 +116,22 @@ def _iter_family_cuts(instance, families, limit):
     packs come from the maximal switching packs, enumerated once, at the
     first pack family; covers from the pattern walk, which skips the
     subtrees that hold no member.  The members are those
-    ``cuts.family_scores`` lists, scored at the origin (which lies in S;
-    only their keys are used), each built once; a cut with no terms, 0 <=
-    rhs, cuts nothing and is skipped."""
-    support = cuts_mod.PointSupport(instance, Point())
+    ``cuts.family_members`` lists from the instance's integer units, with
+    no point read, each built once; a cut with no terms, 0 <= rhs, cuts
+    nothing and is skipped."""
+    _, rows, capacity = instance.normalized_units()
     packs = None
     for family in families:
         if family.startswith("pack"):
             if packs is None:
-                packs = [(p, support.units_of(p)) for p in
+                packs = [(p, sum(rows[i - 1][j - 1] for i, j in p)) for p in
                          cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
             itemsets = packs
         else:
             itemsets = oracle.walk_patterns(instance, limit, (family,))
         for items, units in itemsets:
-            for _, key in cuts_mod.family_scores(support, items, units,
-                                                 (family,)):
+            for key, _ in cuts_mod.family_members(rows, capacity, items, units,
+                                                  (family,)):
                 cut = cuts_mod.build_member(instance, key)
                 if cut.inequality.terms:
                     yield cut

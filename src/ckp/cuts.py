@@ -36,23 +36,23 @@ cut's times scale * den.  There is one form for the three pack families,
 one for ``lcover1`` and one for ``lcover2``.  A builder tests its
 preconditions in those units and keeps the form as its cut's integer
 form (``LinearInequality.from_scaled``), which the oracle, the node LP's
-pool and separation's winner check read as it is.  :func:`family_scores`
-defines which members an item set gives, tests their preconditions in
-integer units and scores each
-member's form at one point, from the point's per-group support
-(:class:`PointSupport`) in its integer form X = x * D (``Point.scaled``,
-or the node LP's ``LpSolution.scaled`` as the simplex made it), as an
-integer pair ``(num, den)``; :func:`build_member` builds one member from
-its provenance key.  Exact and greedy separation score every member and build
-only the winner; ``ckp cuts`` lists the members and builds each.  Both
-take their item sets from :func:`ckp.oracle.walk_patterns`, each with its
-weight in the instance's integer units, which are the units of
-:class:`PointSupport`.
+pool and separation's winner check read as it is.
+
+Which members an item set gives depends on the weights and the capacity
+alone, so the member list is instance data: :func:`family_members` reads
+an item set and its weight in the instance's integer units, tests each
+member's preconditions there and gives its provenance key and integer
+form, and reads no point.  :func:`build_member` builds one member from
+its provenance key.  Exact and greedy separation score every listed form
+at their point (``ckp.separation``) and build only the winner; ``ckp
+cuts`` lists the members and builds each.  Both take their item sets from
+:func:`ckp.oracle.walk_patterns`, each with its weight in integer units.
 :func:`is_switching` is the one maximal-switching test.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -71,9 +71,10 @@ FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 def resolve_families(choice) -> tuple:
     """The cut families ``choice`` names, as a tuple: ``None`` or
     ``"all"`` the five, ``"none"`` none, any other string a comma-separated
-    list of names, and a sequence its names.  An unknown name, and a string
-    that names none (``""`` or ``","``, as an unset shell variable gives),
-    raise ``ValidationError``."""
+    list of names, and any other iterable its names.  An unknown name, a
+    string that names none (``""`` or ``","``, as an unset shell variable
+    gives) and a choice that is neither a string nor iterable raise
+    ``ValidationError``."""
     if choice is None or choice == "all":
         return FAMILIES
     if choice == "none":
@@ -82,6 +83,9 @@ def resolve_families(choice) -> tuple:
         choice = [name.strip() for name in choice.split(",") if name.strip()]
         if not choice:
             raise ValidationError("no cut family named; use 'none' for none")
+    elif not isinstance(choice, Iterable):
+        raise ValidationError("cut families must be a string or names, got %r"
+                              % (choice,))
     out = tuple(choice)
     for name in out:
         if name not in FAMILIES:
@@ -161,49 +165,6 @@ def _weighed(instance: Instance, items):
     scale, rows, capacity = instance.normalized_units()
     return items, scale, rows, capacity, sum(rows[i - 1][j - 1]
                                              for i, j in items)
-
-
-class PointSupport:
-    """One point's positive entries, grouped for scoring the integer forms,
-    and the instance's weights, all in integer units.
-
-    Weights and the capacity come scaled by ``scale`` (see
-    :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
-    item set's weight and every precondition compare exact integers.  The
-    point is read in its integer form ``point.scaled = (D, ((ref, X),
-    ...))`` (a ``model.Point`` or a ``simplex.LpSolution``), with D as
-    ``point_scale``, so each x is the integer X = x * D.  Per group i (list
-    index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
-    variables; and ``mass``, sum U * X over them with U the slot's weight
-    in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
-    must be normalized; every reference of the point is looked up in
-    ``Instance.columns``, as the integer lists are indexed by it.  The
-    units and the normalized flag are cached on the instance, so only the
-    point's own work is done per support.
-    """
-
-    __slots__ = ("scale", "units", "capacity_units", "point_scale",
-                 "entries", "mass")
-
-    def __init__(self, instance: Instance, point):
-        self.scale, units, self.capacity_units = instance.normalized_units()
-        self.units = units
-        self.point_scale, scaled = point.scaled
-        columns = instance.columns
-        entries = [[] for _ in units]
-        mass = [0] * len(units)
-        for ref, x in scaled:
-            if ref not in columns:
-                raise ValidationError("variable out of range: %s" % (ref,))
-            i = ref.group - 1
-            entries[i].append((ref.slot, x))
-            mass[i] += units[i][ref.slot - 1] * x
-        self.entries = [tuple(e) for e in entries]
-        self.mass = mass
-
-    def units_of(self, items) -> int:
-        """The weight of an item tuple, in integer units."""
-        return sum(self.units[ref.group - 1][ref.slot - 1] for ref in items)
 
 
 def _pack_form(rows, capacity, pack, slack, pivot=None, tilt_group=None):
@@ -294,20 +255,6 @@ def _inequality(scale, form) -> LinearInequality:
         for j, c in enumerate(row, start=1) if c])
 
 
-def _score(sup: PointSupport, form):
-    """An integer form's violation at the point ``sup`` was built from, as
-    ``(num, den)`` with den > 0: lhs - rhs = num / den, summed in integers
-    over the point's support."""
-    den, rhs, coeffs = form
-    d = sup.point_scale
-    entries = sup.entries
-    lhs = -rhs * d
-    for i, row in coeffs.items():
-        for j, x in entries[i - 1]:
-            lhs += row[j - 1] * x
-    return lhs, sup.scale * den * d
-
-
 def _pack_cut(instance: Instance, pack, pivot: Optional[VarRef] = None,
               tilt_group: Optional[int] = None):
     """``(pack, inequality)``: the item set in its one form (see
@@ -337,16 +284,14 @@ def _pack_cut(instance: Instance, pack, pivot: Optional[VarRef] = None,
     return pack, _inequality(scale, form)
 
 
-def _pack_scores(sup: PointSupport, pack, slack, families):
-    """``((num, den), provenance key)`` of each member of the pack
-    ``families`` that ``pack`` (slack b - s > 0, in units) gives, in the
-    order of :func:`family_scores`.  pack2 and pack3 need two non-singleton
-    pack groups and a last-slot pivot."""
-    rows, capacity = sup.units, sup.capacity_units
+def _pack_members(rows, capacity, pack, slack, families):
+    """``(provenance key, form)`` of each member of the pack ``families``
+    that ``pack`` (slack b - s > 0, in units) gives, in the order of
+    :func:`family_members`.  pack2 and pack3 need two non-singleton pack
+    groups and a last-slot pivot."""
     rank = FAMILY_RANK
     if "pack1" in families:
-        yield (_score(sup, _pack_form(rows, capacity, pack, slack)),
-               (pack, rank["pack1"], ()))
+        yield (pack, rank["pack1"], ()), _pack_form(rows, capacity, pack, slack)
     if "pack2" not in families and "pack3" not in families:
         return
     free = [ref for ref in pack if len(rows[ref.group - 1]) > 1]
@@ -357,13 +302,12 @@ def _pack_scores(sup: PointSupport, pack, slack, families):
         if pivot.slot != len(rows[pivot.group - 1]):
             continue
         if "pack2" in families:
-            form = _pack_form(rows, capacity, pack, slack, pivot)
-            yield _score(sup, form), (pack, rank["pack2"], (pivot.group,))
+            yield ((pack, rank["pack2"], (pivot.group,)),
+                   _pack_form(rows, capacity, pack, slack, pivot))
         if "pack3" in families:
             for tilt in singles:
-                form = _pack_form(rows, capacity, pack, slack, pivot, tilt)
-                yield (_score(sup, form),
-                       (pack, rank["pack3"], (pivot.group, tilt)))
+                yield ((pack, rank["pack3"], (pivot.group, tilt)),
+                       _pack_form(rows, capacity, pack, slack, pivot, tilt))
 
 
 def pack_inequality_1(instance: Instance, pack) -> GeneratedCut:
@@ -451,47 +395,45 @@ def lifted_cover_inequality_2(instance: Instance, cover,
 
 
 def _lifts(row, slot, over) -> bool:
-    """The lifting test (see :func:`family_scores`) on one chosen ``slot``
+    """The lifting test (see :func:`family_members`) on one chosen ``slot``
     of a group with weights ``row``, for a cover with excess ``over``."""
     return slot < len(row) and row[slot - 1] - row[-1] > over
 
 
-def family_scores(sup: PointSupport, items, units, families):
-    """``((num, den), provenance key)`` of every member of ``families``
-    that the item set ``items`` (a sorted tuple of VarRefs whose weight is
-    ``units`` / ``sup.scale``) gives: the member's violation num / den,
-    den > 0, at the point ``sup`` was built from, scored on the member's
-    integer form with nothing built.
+def family_members(rows, capacity, items, units, families):
+    """``(provenance key, form)`` of every member of ``families`` that the
+    item set ``items`` (a sorted tuple of VarRefs whose weight is
+    ``units``) gives, with ``rows`` and ``capacity`` the instance's
+    integer units (:meth:`Instance.normalized_units`): the member's
+    integer form, with nothing built.
 
-    This is the library's one list of members.  In order: ``pack1`` once;
-    ``pack2`` once per non-singleton last-slot pivot and ``pack3`` once
-    per such pivot and singleton tilt group, both only when the pack has
-    two non-singleton groups; ``lcover1`` once; ``lcover2`` once per
-    in-cover item above its group's last slot.  Pack families need s < b
-    and cover families s > b, both tested in integer units.
-    :func:`_pack_scores` tests the pack2 and pack3 conditions, and
-    :func:`_lifts` the one lifting test of both cover families, in integer
-    units: a chosen item r above its group's last slot with a_r - a_last >
-    s - b.  It is lcover2's condition on the special item (rest + a_last <
-    b) and, on sorted groups, lcover1's, which its builder tests too.  A
-    member whose condition fails is not listed, so each listed member's
-    builder succeeds.
+    This is the library's one list of members, read from the instance
+    alone.  In order: ``pack1`` once; ``pack2`` once per non-singleton
+    last-slot pivot and ``pack3`` once per such pivot and singleton tilt
+    group, both only when the pack has two non-singleton groups;
+    ``lcover1`` once; ``lcover2`` once per in-cover item above its group's
+    last slot.  Pack families need s < b and cover families s > b, both
+    tested in integer units.  :func:`_pack_members` tests the pack2 and
+    pack3 conditions, and :func:`_lifts` the one lifting test of both
+    cover families, in integer units: a chosen item r above its group's
+    last slot with a_r - a_last > s - b.  It is lcover2's condition on the
+    special item (rest + a_last < b) and, on sorted groups, lcover1's,
+    which its builder tests too.  A member whose condition fails is not
+    listed, so each listed member's builder succeeds.
     """
-    rows, capacity = sup.units, sup.capacity_units
     over = units - capacity
     if over < 0:
-        yield from _pack_scores(sup, items, -over, families)
+        yield from _pack_members(rows, capacity, items, -over, families)
     elif over > 0 and ("lcover1" in families or "lcover2" in families):
         specials = [ref for ref in items
                     if _lifts(rows[ref.group - 1], ref.slot, over)]
         if specials and "lcover1" in families:
-            yield (_score(sup, _lcover1_form(rows, capacity, items, over)),
-                   (items, FAMILY_RANK["lcover1"], ()))
+            yield ((items, FAMILY_RANK["lcover1"], ()),
+                   _lcover1_form(rows, capacity, items, over))
         if "lcover2" in families:
             for special in specials:
-                form = _lcover2_form(rows, capacity, items, over, special)
-                yield (_score(sup, form),
-                       (items, FAMILY_RANK["lcover2"], (special.group,)))
+                yield ((items, FAMILY_RANK["lcover2"], (special.group,)),
+                       _lcover2_form(rows, capacity, items, over, special))
 
 
 BUILDERS = dict(zip(FAMILIES, (

@@ -84,81 +84,66 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
     VarRef tuple and its weight in :attr:`Instance.units`, in product order
     (per group "none" first, the last group fastest).  A pattern space
     (:func:`pattern_count`) above the limit raises ``ResourceLimitError``
-    at the call, before the first pattern.  The walk is depth first; each
-    step extends its parent's tuple and sum instead of re-summing.
+    at the call, before the first pattern; the patterns come from the
+    generator returned.  The walk is depth first; each step extends its
+    parent's tuple and sum instead of re-summing.
 
     With cut ``families`` (names from ``cuts.FAMILIES``) on nonnegative
     weights, the walk skips each subtree in which no member of those
-    families meets its precondition, and adds its patterns to the walk's
-    ``pruned``.  At a prefix of weight s, over = s - b never falls along
-    the subtree, and an item added once over >= 0 has u - u_last <= over,
-    so no pattern below is a pack or has a lifted-cover special item when
-    over >= 0 and no chosen item's u - u_last (its group's last slot)
-    exceeds over; with no pack family, none is a cover either when over
-    plus the heaviest weights of the undecided groups is <= 0.  A pattern
-    itself is given only when it is a pack and a pack family is asked
-    for, or a cover with a special item and a cover family is."""
+    families meets its precondition; the patterns given and the patterns
+    skipped make up the whole non-empty pattern space.  At a prefix of
+    weight s, over = s - b never falls along the subtree, and an item
+    added once over >= 0 has u - u_last <= over, so no pattern below is a
+    pack or has a lifted-cover special item when over >= 0 and no chosen
+    item's u - u_last (its group's last slot) exceeds over; with no pack
+    family, none is a cover either when over plus the heaviest weights of
+    the undecided groups is <= 0.  A pattern itself is given only when it
+    is a pack and a pack family is asked for, or a cover with a special
+    item and a cover family is."""
     estimate = pattern_count(instance)
     guard_enumeration(estimate, "pattern space %d" % estimate, limit)
-    return PatternWalk(instance, families)
+    _, rows, capacity = instance.units
+    return _patterns(rows, capacity, families)
 
 
-class PatternWalk:
-    """The patterns of :func:`walk_patterns`; ``pruned`` counts the
-    patterns skipped so far."""
-
-    __slots__ = ("rows", "prune", "pruned")
-
-    def __init__(self, instance: Instance, families):
-        _, self.rows, capacity = instance.units
-        self.prune = None
-        if families is not None and min(map(min, self.rows)) >= 0:
-            self.prune = (capacity,
-                          any(f.startswith("pack") for f in families),
-                          any(f.startswith("lcover") for f in families))
-        self.pruned = 0
-
-    def __iter__(self):
-        rows = self.rows
-        # per group, its options: "none", then each slot as (ref,), u and
-        # u - u_last
-        levels = [(((), 0, 0),) + tuple(((VarRef(i, j),), u, u - row[-1])
-                                        for j, u in enumerate(row, start=1))
-                  for i, row in enumerate(rows, start=1)]
-        m = len(levels)
-        size = [1] * (m + 1)  # the patterns of a subtree at each depth
-        reach = [0] * (m + 1)  # the heaviest weights of the undecided groups
-        for i in range(m - 1, -1, -1):
-            size[i] = size[i + 1] * (len(rows[i]) + 1)
-            reach[i] = reach[i + 1] + max(rows[i])
-        prune = self.prune
+def _patterns(rows, capacity, families):
+    """The walk of :func:`walk_patterns` over the integer weights."""
+    prune = families is not None and min(map(min, rows)) >= 0
+    if prune:
+        packs = any(f.startswith("pack") for f in families)
+        covers = any(f.startswith("lcover") for f in families)
+    # per group, its options: "none", then each slot as (ref,), u and
+    # u - u_last
+    levels = [(((), 0, 0),) + tuple(((VarRef(i, j),), u, u - row[-1])
+                                    for j, u in enumerate(row, start=1))
+              for i, row in enumerate(rows, start=1)]
+    m = len(levels)
+    reach = [0] * (m + 1)  # the heaviest weights of the undecided groups
+    for i in range(m - 1, -1, -1):
+        reach[i] = reach[i + 1] + max(rows[i])
+    stack = [(0, (), 0, 0)]  # depth, items, units, largest u - u_last
+    while stack:
+        i, items, units, margin = stack.pop()
         if prune:
-            capacity, packs, covers = prune
-        stack = [(0, (), 0, 0)]  # depth, items, units, largest u - u_last
-        while stack:
-            i, items, units, margin = stack.pop()
-            if prune:
-                over = units - capacity
-                if ((over >= 0 and (not covers or margin <= over))
-                        or (not packs and over + reach[i] <= 0)):
-                    self.pruned += size[i] - (not items)
-                    continue
-            if i + 1 < m:
-                for ext, u, gap in reversed(levels[i]):
-                    stack.append((i + 1, items + ext, units + u,
-                                  gap if gap > margin else margin))
+            over = units - capacity
+            if ((over >= 0 and (not covers or margin <= over))
+                    or (not packs and over + reach[i] <= 0)):
                 continue
-            # the last group completes each pattern, given as it is made: a
-            # pack when a pack family is asked for, a cover with a special
-            # item when a cover family is
-            for ext, u, gap in (levels[i] if items else levels[i][1:]):
-                if prune:
-                    over = units + u - capacity
-                    if not (over < 0 and packs or over > 0 and covers
-                            and max(margin, gap) > over):
-                        self.pruned += 1
-                        continue
-                yield items + ext, units + u
+        if i + 1 < m:
+            for ext, u, gap in reversed(levels[i]):
+                stack.append((i + 1, items + ext, units + u,
+                              gap if gap > margin else margin))
+            continue
+        # the last group completes each pattern, given as it is made: a
+        # pack when a pack family is asked for, a cover with a special
+        # item when a cover family is
+        for ext, u, gap in (levels[i] if items else levels[i][1:]):
+            if prune:
+                over = units + u - capacity
+                if not (over < 0 and packs or over > 0 and covers
+                        and max(margin, gap) > over):
+                    continue
+            yield items + ext, units + u
 
 
 class VertexSet:

@@ -3,15 +3,16 @@ heuristic, and the partition-problem reduction builder.
 
 Both separators take a point in integer form: a ``model.Point`` or a node
 LP's ``simplex.LpSolution``, read only through ``scaled = (D, ((ref, X),
-...))``.  They first check the point's references and its knapsack row on
-its support in integer units (:class:`cuts.PointSupport`: X = x * D, the
-weights and capacity scaled by their own LCM), then share one select
-routine over item sets, each given with its weight in integer units:
+...))``.  The members an item set gives are instance data
+(:func:`cuts.family_members`); only their scores read the point, here.
+The separators check the point's references and its knapsack row on its
+support in integer units (:class:`PointSupport`: X = x * D, the weights
+and capacity scaled by their own LCM), then share one select routine
+over item sets, each given with its weight in integer units:
 
-* score: each family member whose precondition holds gets its violation
-  as an integer pair ``(num, den)``, its integer form summed over the
-  support (:func:`cuts.family_scores`), with nothing built; scores are
-  compared by cross-multiplication;
+* score: each listed member's integer form is summed over the support
+  (:func:`_score`) into its violation as an integer pair ``(num, den)``,
+  with nothing built; scores are compared by cross-multiplication;
 * build one: the winner, the maximum positive violation with ties broken
   toward the lexicographically smallest provenance key (item set, then
   family, then auxiliary indices), is built by its public builder from
@@ -23,12 +24,13 @@ routine over item sets, each given with its weight in integer units:
 Exact separation gives it the non-empty one-slot-per-group patterns of
 the oracle's guarded walk (:func:`oracle.walk_patterns`), which skips each
 subtree where no member of the requested families meets its precondition;
-``stats.patterns`` counts the skipped patterns too, and ``stats.pruned``
-those alone.  The greedy heuristic builds one pack from last-slot items
-ordered by the point's per-group weight mass, both in integer units, keeps
-it only when it passes the integer maximal-switching test
-(:func:`cuts.is_switching`), and gives only that pack and its
-drop-one-singleton subsets.
+``stats.patterns`` is the whole non-empty pattern space and
+``stats.pruned`` that space less the patterns walked.  The greedy
+heuristic builds one pack from last-slot items ordered by the point's
+per-group weight mass, both in integer units, keeps it only when it
+passes the integer maximal-switching test (:func:`cuts.is_switching`),
+and gives only that pack and its drop-one-singleton subsets, each with
+the weight it has already summed.
 """
 
 from __future__ import annotations
@@ -37,19 +39,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cuts import (GeneratedCut, PointSupport, build_member, family_scores,
-                   is_switching, resolve_families)
+from .cuts import (GeneratedCut, build_member, family_members, is_switching,
+                   resolve_families)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_of
 from .numeric import require_integer
-from .oracle import walk_patterns
+from .oracle import pattern_count, walk_patterns
 
 
 @dataclass(frozen=True)
 class SeparationStats:
     examined: int     # candidate cuts evaluated
-    patterns: int     # non-empty patterns walked (exact), packs tried (greedy)
-    pruned: int = 0   # of the patterns, those skipped without scoring
+    patterns: int     # non-empty pattern space (exact), packs tried (greedy)
+    pruned: int = 0   # of the patterns, those the walk skipped
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,57 @@ class SeparationResult:
         return self.cut is not None
 
 
+class PointSupport:
+    """One point's positive entries, grouped for scoring the integer forms,
+    and the instance's weights, all in integer units.
+
+    Weights and the capacity come scaled by ``scale`` (see
+    :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
+    item set's weight and every precondition compare exact integers.  The
+    point is read in its integer form ``point.scaled = (D, ((ref, X),
+    ...))`` (a ``model.Point`` or a ``simplex.LpSolution``), with D as
+    ``point_scale``, so each x is the integer X = x * D.  Per group i (list
+    index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
+    variables; and ``mass``, sum U * X over them with U the slot's weight
+    in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
+    must be normalized; every reference of the point is looked up in
+    ``Instance.columns``, as the integer lists are indexed by it.
+    """
+
+    __slots__ = ("scale", "units", "capacity_units", "point_scale",
+                 "entries", "mass")
+
+    def __init__(self, instance: Instance, point):
+        self.scale, units, self.capacity_units = instance.normalized_units()
+        self.units = units
+        self.point_scale, scaled = point.scaled
+        columns = instance.columns
+        entries = [[] for _ in units]
+        mass = [0] * len(units)
+        for ref, x in scaled:
+            if ref not in columns:
+                raise ValidationError("variable out of range: %s" % (ref,))
+            i = ref.group - 1
+            entries[i].append((ref.slot, x))
+            mass[i] += units[i][ref.slot - 1] * x
+        self.entries = [tuple(e) for e in entries]
+        self.mass = mass
+
+
+def _score(sup: PointSupport, form):
+    """An integer form's violation at the point ``sup`` was built from, as
+    ``(num, den)`` with den > 0: lhs - rhs = num / den, summed in integers
+    over the point's support."""
+    den, rhs, coeffs = form
+    d = sup.point_scale
+    entries = sup.entries
+    lhs = -rhs * d
+    for i, row in coeffs.items():
+        for j, x in entries[i - 1]:
+            lhs += row[j - 1] * x
+    return lhs, sup.scale * den * d
+
+
 def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
     """The point's support in integer units (building it checks every
     reference), once the point is known to satisfy the knapsack row."""
@@ -72,22 +125,24 @@ def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
     return support
 
 
-def _select(instance: Instance, point: Point, support, itemsets,
-            families) -> SeparationResult:
+def _select(instance: Instance, point: Point, support, itemsets, families,
+            space: int) -> SeparationResult:
     """Score every member of ``families`` that each ``(items, units)`` of
-    ``itemsets`` gives and build only the winner: the highest violation,
-    if positive, ties to the smallest provenance key.  Scores are integer
-    pairs ``(num, den)``, den > 0, compared by cross-multiplication; the
-    winner's becomes the one Fraction.  Its built violation and key must
-    equal the scored ones.  The patterns a pruned walk skipped (its
-    ``pruned``) count as patterns too."""
+    ``itemsets`` gives (:func:`cuts.family_members`) and build only the
+    winner: the highest violation, if positive, ties to the smallest
+    provenance key.  Scores are integer pairs ``(num, den)``, den > 0,
+    compared by cross-multiplication; the winner's becomes the one
+    Fraction.  Its built violation and key must equal the scored ones.
+    The item sets are drawn from ``space`` ones; the rest count as pruned."""
+    rows, capacity = support.units, support.capacity_units
     best, best_den = 0, 1  # only a positive score wins
     key = cut = violation = None
-    examined = patterns = 0
+    examined = walked = 0
     for items, units in itemsets:
-        patterns += 1
-        for (num, den), k in family_scores(support, items, units, families):
+        walked += 1
+        for k, form in family_members(rows, capacity, items, units, families):
             examined += 1
+            num, den = _score(support, form)
             lead = num * best_den - best * den
             if lead > 0 or (lead == 0 and key is not None and k < key):
                 best, best_den, key = num, den, k
@@ -98,9 +153,8 @@ def _select(instance: Instance, point: Point, support, itemsets,
         if built != violation or cut.provenance_key() != key:
             raise CkpError("built %s cut has violation %s, scored %s"
                            % (cut.family, built, violation))
-    pruned = getattr(itemsets, "pruned", 0)
     return SeparationResult(cut, violation,
-                            SeparationStats(examined, patterns + pruned, pruned))
+                            SeparationStats(examined, space, space - walked))
 
 
 def separate_exact(instance: Instance, point: Point,
@@ -116,7 +170,8 @@ def separate_exact(instance: Instance, point: Point,
     families = resolve_families(families)
     support = _require_lp_feasible(instance, point)
     return _select(instance, point, support,
-                   walk_patterns(instance, limit, families), families)
+                   walk_patterns(instance, limit, families), families,
+                   pattern_count(instance) - 1)
 
 
 def separate_greedy(instance: Instance, point: Point,
@@ -142,15 +197,15 @@ def separate_greedy(instance: Instance, point: Point,
             slack -= units[i][-1]
     chosen.sort()
     if not chosen or not is_switching([units[i] for i in chosen], slack):
-        return _select(instance, point, support, (), families)
+        return _select(instance, point, support, (), families, 0)
     pack = tuple(VarRef(i + 1, len(units[i])) for i in chosen)
-    packs = [pack]
+    weight = support.capacity_units - slack
+    packs = [(pack, weight)]
     if len(pack) >= 2:
-        packs += [tuple(r for r in pack if r != single)
+        packs += [(tuple(r for r in pack if r != single),
+                   weight - units[single.group - 1][0])
                   for single in pack if single.group in instance.m0]
-    return _select(instance, point, support,
-                   ((items, support.units_of(items)) for items in packs),
-                   families)
+    return _select(instance, point, support, packs, families, len(packs))
 
 
 def build_partition_reduction(alphas, beta: int):

@@ -65,6 +65,9 @@ class SolveConfig:
         # reported best bound baseless.
         if require_integer(self.node_limit, "node_limit") < 1:
             raise ValidationError("node_limit must be at least 1")
+        if not isinstance(self.exact_fallback, bool):
+            raise ValidationError("exact_fallback must be a bool, got %r"
+                                  % (self.exact_fallback,))
         # Checked here, not at exact separation's first walk: that may come
         # mid-solve, or never without exact_fallback.
         object.__setattr__(self, "enum_limit",

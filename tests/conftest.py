@@ -185,7 +185,7 @@ def family_cuts(instance: Instance, itemset, families):
     only when the pack has two non-singleton groups; ``lcover1`` once and
     ``lcover2`` once per in-cover item above its group's last slot, each
     skipped when its lifting condition fails.  The build-every-member
-    reference that ``cuts.family_scores``, the library's member list, is
+    reference that ``cuts.family_members``, the library's member list, is
     checked against.
     """
     if "pack1" in families:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ckp
-from ckp import cuts, oracle
+from ckp import cuts, oracle, separation
 from ckp.cli import main
 from ckp.cuts import FAMILIES, enumerate_maximal_switching_packs
 from ckp.fileio import (
@@ -189,6 +189,27 @@ def test_cuts_verify_enumerates_candidates_once(files, capsys, oracle_calls):
     assert code == 0
     assert out.count("# facet: ") == 36
     assert oracle_calls == {"enumerate_candidate_vertices": 1}
+
+
+def test_cuts_lists_members_without_a_point(files, capsys, monkeypatch):
+    # which members an item set gives is instance data: listing them makes
+    # no point, no point support and no score
+    made = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("__init__", "from_scaled"):  # both Point constructors
+        monkeypatch.setattr(Point, name, counting(name, getattr(Point, name)))
+    for name in ("PointSupport", "_score"):
+        monkeypatch.setattr(separation, name,
+                            counting(name, getattr(separation, name)))
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
+    assert code == 0 and out.count("# facet: ") == 36
+    assert made == {}
 
 
 def test_verify_maximizes_once(files, capsys, oracle_calls):

@@ -547,7 +547,7 @@ def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
 
     monkeypatch.setattr(cuts, FORMS[family], counted)
     separate_exact(ex_a, Point(), family)  # scores every member, builds none
-    assert calls, "family_scores does not score %s by its form" % family
+    assert calls, "family_members does not list %s by its form" % family
     del calls[:]
     BUILDS[family](ex_a)
     assert calls, "the %s builder does not build its form" % family

@@ -209,6 +209,30 @@ def test_library_reads_no_environment():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def duck_typed_reads(source):
+    """Lines of ``getattr`` and ``hasattr`` calls, as a bare name or an
+    attribute: reads of an attribute that a value may or may not have.  A
+    lookup in ``globals()`` is not one."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("getattr", "hasattr")]
+
+
+def test_detector_flags_a_duck_typed_read():
+    source = ("a = getattr(walk, 'pruned', 0)\nb = hasattr(x, 'y')\n"
+              "c = builtins.getattr(x, 'z')\nd = globals()['name']\n"
+              "e = x.getattr\nf = x.pruned\n")
+    assert duck_typed_reads(source) == [1, 2, 3]
+
+
+def test_library_reads_no_attribute_by_duck_typing():
+    # each value the library reads has the attributes its type declares, so
+    # a read never asks whether one is there
+    found = {path.name: duck_typed_reads(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp

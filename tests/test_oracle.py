@@ -27,8 +27,8 @@ from ckp.model import (
 from ckp import oracle
 from ckp.numeric import format_rational
 from ckp.cli import main
-from ckp.cuts import (FAMILIES, PointSupport,
-                      enumerate_maximal_switching_packs, family_scores)
+from ckp.cuts import (FAMILIES, enumerate_maximal_switching_packs,
+                      family_members)
 from ckp.fileio import serialize_inequality, serialize_instance
 from ckp.separation import separate_exact
 
@@ -150,34 +150,32 @@ def test_walk_matches_product_order():
 def test_pruned_walk_keeps_every_item_set_with_a_member():
     """For every non-empty family subset, the walk for those families is
     an ordered sub-list of the full walk (same items, same units) that
-    keeps each item set ``family_scores`` lists a member of, and its
-    walked plus pruned patterns are the whole non-empty pattern space."""
+    keeps each item set ``family_members`` lists a member of, and the
+    patterns it skips are the rest of the non-empty pattern space."""
     subsets = [s for k in range(1, len(FAMILIES) + 1)
                for s in combinations(FAMILIES, k)]
     pruned = {"packs only": 0, "covers only": 0, "both": 0}
     instances = _seeded_instances(45, 7117)
     for inst in instances:
-        support = PointSupport(inst, Point())
+        _, rows, b = inst.units
         full = list(oracle.walk_patterns(inst))
-        listed = {items: {FAMILIES[key[1]] for _, key in
-                          family_scores(support, items, units, FAMILIES)}
+        assert len(full) == oracle.pattern_count(inst) - 1
+        listed = {items: {FAMILIES[key[1]] for key, _ in
+                          family_members(rows, b, items, units, FAMILIES)}
                   for items, units in full}
         for families in subsets:
-            walk = oracle.walk_patterns(inst, families=families)
-            walked = list(walk)
+            walked = list(oracle.walk_patterns(inst, families=families))
             rest = iter(full)
             assert all(pattern in rest for pattern in walked)
             assert ([p for p in walked if listed[p[0]] & set(families)]
                     == [p for p in full if listed[p[0]] & set(families)])
-            assert len(walked) + walk.pruned == oracle.pattern_count(inst) - 1
             packs = any(f.startswith("pack") for f in families)
             covers = any(f.startswith("lcover") for f in families)
             # each pattern given is a pack or a cover that a family asks for
-            b = inst.units[2]
             assert all(u < b and packs or u > b and covers for _, u in walked)
             kind = ("both" if packs and covers else
                     "packs only" if packs else "covers only")
-            pruned[kind] += walk.pruned
+            pruned[kind] += oracle.pattern_count(inst) - 1 - len(walked)
     assert min(pruned.values()) > 0, pruned
     # rational and zero weights and singleton groups are all in the corpus
     assert any(a == 0 for inst in instances for g in inst.groups for a in g.weights)
@@ -189,9 +187,9 @@ def test_pruned_walk_keeps_every_item_set_with_a_member():
 def test_walk_prunes_nothing_on_negative_weights():
     # the prune rules need weights that never lower a prefix's sum
     inst = make_instance([(5, -1), (3,), (2, 1)], 4)
-    walk = oracle.walk_patterns(inst, families=("lcover1",))
-    assert list(walk) == list(oracle.walk_patterns(inst))
-    assert walk.pruned == 0
+    walk = list(oracle.walk_patterns(inst, families=("lcover1",)))
+    assert walk == list(oracle.walk_patterns(inst))
+    assert len(walk) == oracle.pattern_count(inst) - 1
 
 
 def test_integer_oracle_matches_fraction_references():

@@ -432,7 +432,7 @@ def test_reduction_guard_raises_before_the_first_pattern(monkeypatch):
     instance, point = build_partition_reduction((2, 3, 5, 4), 7)
     count = oracle.pattern_count(instance)
     scored = []
-    monkeypatch.setattr(separation, "family_scores",
+    monkeypatch.setattr(separation, "family_members",
                         lambda *args: scored.append(args) or ())
     with pytest.raises(ResourceLimitError) as err:
         separate_exact(instance, point, ("lcover1", "lcover2"), count - 1)
@@ -462,11 +462,12 @@ def test_greedy_matches_building_every_member():
 
 
 def scores_equal_builds(instance, point):
-    """Assert that every member family_scores lists at ``point`` is the
-    member family_cuts builds, in the same order, with the built cut's
-    violation; returns the number of members."""
+    """Assert that every member family_members lists, scored at ``point``,
+    is the member family_cuts builds, in the same order, with the built
+    cut's violation; returns the number of members."""
     b = instance.capacity
-    support = cuts.PointSupport(instance, point)
+    support = separation.PointSupport(instance, point)
+    rows, capacity = support.units, support.capacity_units
     packs = tuple(f for f in cuts.FAMILIES if f.startswith("pack"))
     covers = tuple(f for f in cuts.FAMILIES if f not in packs)
     members = 0
@@ -481,17 +482,18 @@ def scores_equal_builds(instance, point):
                  for c in family_cuts(instance, tuple(refs), chosen)]
         units = s * support.scale
         assert units.denominator == 1
-        scored = [(Fraction(num, den), key) for (num, den), key
-                  in cuts.family_scores(support, refs, int(units),
-                                        cuts.FAMILIES)]
+        scored = [(Fraction(*separation._score(support, form)), key)
+                  for key, form in cuts.family_members(
+                      rows, capacity, refs, int(units), cuts.FAMILIES)]
         assert scored == built
         members += len(built)
     return members
 
 
 def test_scores_equal_built_violations():
-    """Every member family_scores lists is the member family_cuts builds,
-    in the same order, with the built cut's violation."""
+    """Every member family_members lists, scored, is the member
+    family_cuts builds, in the same order, with the built cut's
+    violation."""
     rng = random.Random(6023)
     members = 0
     for _ in range(40):
@@ -561,14 +563,14 @@ def test_large_coprime_denominators_match_building_every_member():
 
 
 def test_winner_checked_against_its_score(ex_c, frac_point, monkeypatch):
-    # a closed form that disagrees with the builder is caught at the build
-    real = cuts._pack_scores
+    # a score that disagrees with the builder is caught at the build
+    real = separation._score
 
     def skewed(*args):
-        for (num, den), key in real(*args):
-            yield (7 * num + den, 7 * den), key
+        num, den = real(*args)
+        return 7 * num + den, 7 * den
 
-    monkeypatch.setattr(cuts, "_pack_scores", skewed)
+    monkeypatch.setattr(separation, "_score", skewed)
     with pytest.raises(CkpError, match="scored"):
         separate_exact(ex_c, frac_point, "pack1")
 

@@ -26,7 +26,7 @@ from ckp.model import (
     profit_of,
     validate_assumptions,
 )
-from ckp.separation import SeparationResult, SeparationStats
+from ckp.separation import SeparationResult, SeparationStats, separate_exact
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
@@ -205,6 +205,20 @@ def test_config_validation():
     assert (SolveConfig().enum_limit
             == SolveConfig(exact_fallback=True).enum_limit
             == oracle.DEFAULT_ENUM_LIMIT)
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_config_refuses_a_non_bool_exact_fallback(value):
+    # a truthy "no" would switch exact separation on
+    with pytest.raises(ValidationError, match="exact_fallback must be a bool"):
+        SolveConfig(exact_fallback=value)
+
+
+def test_a_family_choice_neither_string_nor_iterable_is_refused(ex_c):
+    with pytest.raises(ValidationError, match="must be a string or names"):
+        SolveConfig(families=5)
+    with pytest.raises(ValidationError, match="must be a string or names"):
+        separate_exact(ex_c, Point(), families=5)
 
 
 def test_exact_separation_stops_at_the_enumeration_limit(monkeypatch):
