@@ -5,6 +5,9 @@ Conventions used everywhere:
 * groups and slots are 1-based; ``VarRef(i, j)`` is variable x_ij,
 * every group keeps its slots sorted by non-increasing weight (the
   canonical order produced by :func:`normalize`),
+* weights, profits and the capacity are nonnegative, as in the paper: an
+  :class:`Instance` refuses negative data when it is built, so the
+  origin lies in S and no other module checks the data's signs,
 * all numbers are exact ``Fraction`` values, taken in only from ints
   (not bools, most likely comparisons passed by mistake), Fractions and
   ``numeric.parse_rational`` strings: a :class:`Group` and an
@@ -132,15 +135,31 @@ class Group:
 
 @dataclass(frozen=True)
 class Instance:
-    """A complementarity knapsack instance: groups plus a capacity."""
+    """A complementarity knapsack instance: groups plus a capacity, all of
+    it nonnegative.  A negative capacity, and then the first negative
+    weight or profit, slot by slot, raise ``ValidationError`` naming it."""
 
     groups: tuple
     capacity: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "capacity", _frac(self.capacity))
+        capacity = _frac(self.capacity)
+        object.__setattr__(self, "capacity", capacity)
         if not self.groups:
             raise ValidationError("instance must contain at least one group")
+        # one pass over numerators, a fraction of a Fraction comparison's
+        # cost; only a refusal looks for the first negative, slot by slot
+        if capacity.numerator < 0:
+            raise ValidationError("negative capacity: %s" % capacity)
+        for g in self.groups:
+            for v in g.weights + g.profits:
+                if v.numerator < 0:
+                    raise ValidationError(next(
+                        "negative %s at group %d slot %d" % (what, i, j)
+                        for i, h in enumerate(self.groups, start=1)
+                        for j, pair in enumerate(zip(h.weights, h.profits), 1)
+                        for what, x in zip(("weight", "profit"), pair)
+                        if x < 0))
 
     @classmethod
     def build(cls, groups, capacity) -> "Instance":
@@ -413,26 +432,19 @@ def is_feasible(instance: Instance, point) -> bool:
 
 
 def normalize(instance: Instance):
-    """Validate signs and sort each group's slots canonically.
+    """Sort each group's slots canonically.
 
     Slots are ordered by weight descending, ties by profit descending, then
     by original position (so the result is unique and normalizing twice is
-    the identity).  Negative weights, profits, or capacity are rejected.
+    the identity).
 
     Returns ``(normalized_instance, permutations)`` where
     ``permutations[i-1][k-1]`` is the original slot now at position k of
     group i.
     """
-    if instance.capacity < 0:
-        raise ValidationError("negative capacity: %s" % instance.capacity)
     new_groups = []
     perms = []
-    for i, g in enumerate(instance.groups, start=1):
-        for j, (a, c) in enumerate(zip(g.weights, g.profits), start=1):
-            if a < 0:
-                raise ValidationError("negative weight at group %d slot %d" % (i, j))
-            if c < 0:
-                raise ValidationError("negative profit at group %d slot %d" % (i, j))
+    for g in instance.groups:
         order = sorted(range(g.size), key=lambda k: (-g.weights[k], -g.profits[k], k))
         perms.append(tuple(k + 1 for k in order))
         new_groups.append(Group(tuple(g.weights[k] for k in order),

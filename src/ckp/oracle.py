@@ -88,11 +88,11 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
     generator returned.  The walk is depth first; each step extends its
     parent's tuple and sum instead of re-summing.
 
-    With cut ``families`` (names from ``cuts.FAMILIES``) on nonnegative
-    weights, the walk skips each subtree in which no member of those
-    families meets its precondition; the patterns given and the patterns
-    skipped make up the whole non-empty pattern space.  At a prefix of
-    weight s, over = s - b never falls along the subtree, and an item
+    With cut ``families`` (names from ``cuts.FAMILIES``), the walk skips
+    each subtree in which no member of those families meets its
+    precondition; the patterns given and the patterns skipped make up the
+    whole non-empty pattern space.  At a prefix of weight s, over = s - b
+    never falls along the subtree (weights are nonnegative), and an item
     added once over >= 0 has u - u_last <= over, so no pattern below is a
     pack or has a lifted-cover special item when over >= 0 and no chosen
     item's u - u_last (its group's last slot) exceeds over; with no pack
@@ -108,7 +108,7 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
 
 def _patterns(rows, capacity, families):
     """The walk of :func:`walk_patterns` over the integer weights."""
-    prune = families is not None and min(map(min, rows)) >= 0
+    prune = families is not None
     if prune:
         packs = any(f.startswith("pack") for f in families)
         covers = any(f.startswith("lcover") for f in families)
@@ -196,8 +196,8 @@ class VertexSet:
         return best
 
     def maximize(self, objective):
-        """Exact maximum of a linear objective over S, which must not be
-        empty, and its first maximizing candidate as a :class:`Point`."""
+        """Exact maximum of a linear objective over S and its first
+        maximizing candidate as a :class:`Point`."""
         instance = self.instance
         coeffs, _, scale = instance.integer_row(
             LinearInequality(clean_terms(objective, instance), 0))
@@ -218,7 +218,7 @@ class VertexSet:
         instance, terms, dens = self.instance, inequality.terms, self.dens
         coeffs, top, scale = instance.integer_row(inequality)
         excess = self._sums(coeffs, top)
-        if max(excess, default=0) > 0:
+        if max(excess) > 0:
             best = self._first_max(excess)
             den = dens[best]
             lhs = Fraction(excess[best] + top * den, den * scale)
@@ -240,7 +240,7 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
     """The candidate vertices of the polytope (see module docstring), in
     walk order.
 
-    The origin when it fits, then per pattern of :func:`walk_patterns`, in
+    The origin, then per pattern of :func:`walk_patterns`, in
     integer units: the all-ones point when the pattern's weight fits the
     capacity, then each point whose one fractional entry room / a
     (0 < room < a) fills the capacity exactly, last item first.  Every
@@ -248,9 +248,7 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
     """
     _, rows, capacity = instance.units
     col = instance.columns
-    found = []  # (den, row) per candidate
-    if capacity >= 0:  # the origin, the empty pattern's one candidate
-        found.append((1, [0] * len(col)))
+    found = [(1, [0] * len(col))]  # (den, row) per candidate: the origin
     for items, total in walk_patterns(instance, limit):
         ones = [0] * len(col)
         for ref in items:
@@ -260,27 +258,19 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
         for ref in reversed(items):
             a = rows[ref.group - 1][ref.slot - 1]
             room = capacity - total + a
-            if 0 < room < a or a < room < 0:  # room / a strictly inside (0, 1)
+            if 0 < room < a:  # room / a strictly inside (0, 1)
                 frac = Fraction(room, a)
                 row = [x * frac.denominator for x in ones]
                 row[col[ref]] = frac.numerator
                 found.append((frac.denominator, row))
-    if not found:  # S is empty
-        return VertexSet(instance, (), ((),) * len(col))
     dens, rows = zip(*found)
     return VertexSet(instance, dens, tuple(zip(*rows)))
 
 
 def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     """Exact maximum of a linear objective over S, with a maximizing point:
-    :meth:`VertexSet.maximize` over a fresh enumeration.  Weights and
-    capacity must be nonnegative, so that the origin is in S
-    (``ValidationError``, checked after the enumeration guard)."""
-    vertices = enumerate_candidate_vertices(instance, limit)
-    _, rows, capacity = instance.units
-    if capacity < 0 or min(map(min, rows)) < 0:
-        raise ValidationError("the oracle needs nonnegative weights and capacity")
-    return vertices.maximize(objective)
+    :meth:`VertexSet.maximize` over a fresh enumeration."""
+    return enumerate_candidate_vertices(instance, limit).maximize(objective)
 
 
 @dataclass(frozen=True)

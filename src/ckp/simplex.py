@@ -10,11 +10,10 @@ point of S keeps at most one slot per group positive, each at most 1.  The
 bounds x <= 1 are never written as rows, nor are group rows for one-slot
 groups, whose bound is their row.
 
-Every weight and every row's right-hand side must be nonnegative
-(:class:`LpProblem` checks this), so x = 0 is feasible.  Every LP the solver
-builds meets this: normalized instances have nonnegative weights and
-capacity, and the origin lies in S, so every inequality valid for S has a
-nonnegative right-hand side.
+Every weight and every row's right-hand side is nonnegative, so x = 0 is
+feasible: an ``Instance`` refuses negative weights and capacity, and
+:meth:`LpProblem.with_row` a cut row with a negative right-hand side,
+which no inequality valid for S has, since the origin lies in S.
 
 :class:`LpProblem` takes its data in integers, with no Fraction round
 trip: the knapsack row is ``Instance.units``, a group row is its span of
@@ -98,8 +97,9 @@ class LpProblem:
     stores only the cut rows that :meth:`with_row` adds, as ``cut_rows``;
     ``rows`` makes the knapsack row (``model.knapsack_row``) on each read
     and puts it before them, for a caller that shows or counts them.
-    Weights and right-hand sides must be nonnegative, so that x = 0 is
-    feasible; bounds 0 <= x <= 1 are implicit and handled by the solver.
+    The instance's weights and capacity are nonnegative, and so is each
+    cut row's rhs, so x = 0 is feasible; bounds 0 <= x <= 1 are implicit
+    and handled by the solver.
 
     Built once per problem: ``refs`` (the columns, in ``Instance.columns``
     order), ``costs`` and ``cost_scale`` (``Instance.profit_units``, shared
@@ -115,9 +115,6 @@ class LpProblem:
     def __init__(self, instance: Instance):
         weight_scale, units, capacity = instance.units
         weights = [a for row in units for a in row]
-        if min(weights) < 0 or capacity < 0:
-            raise ValidationError(
-                "LP needs nonnegative weights and right-hand sides")
         self.instance = instance
         self.cut_rows = ()
         self.refs = tuple(instance.columns)
@@ -140,8 +137,7 @@ class LpProblem:
         cut row in any equal form (its dense integer form is compared with
         theirs), raise ``ValidationError``."""
         if row.rhs < 0:
-            raise ValidationError(
-                "LP needs nonnegative weights and right-hand sides")
+            raise ValidationError("a cut row needs a nonnegative rhs")
         scaled = self.instance.integer_row(row)
         if scaled in self.scaled_rows:
             raise ValidationError("the LP has this row already in the pool")

@@ -46,9 +46,10 @@ def ex_c():
 
 def with_profits(instance, objective):
     """The instance's weights and capacity with ``objective`` (a ``{ref:
-    value}`` mapping; a ref left out earns 0, and negative values are kept)
-    as its profits: the way a test gives ``LpProblem``, which maximizes its
-    instance's profit, an objective of its own."""
+    value}`` mapping; a ref left out earns 0, and a negative value is
+    refused, as in any instance) as its profits: the way a test gives
+    ``LpProblem``, which maximizes its instance's profit, an objective of
+    its own."""
     return Instance.build(
         [(g.weights, tuple(objective.get(VarRef(i, j), 0)
                            for j in range(1, g.size + 1)))

@@ -529,6 +529,21 @@ def test_repeated_lines_are_refused(files, tmp_path, capsys):
         assert "line %d: " % line in out and "given twice" in out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("ckp 1\nb -1\ngroup 1 a 2 c 1\n", "error: negative capacity: -1\n"),
+    ("ckp 1\nb 5\ngroup 1 a 1 c 1\ngroup 2 a 3 -1/2 c 1 1\n",
+     "error: negative weight at group 2 slot 2\n"),
+    ("ckp 1\nb 5\ngroup 2 a 1 3 c 1 -2\n",
+     "error: negative profit at group 1 slot 2\n"),
+], ids=["capacity", "weight", "profit"])
+def test_check_refuses_negative_data(tmp_path, capsys, text, line):
+    # the file parses and the instance it gives is refused (exit 2), its
+    # slots counted as the file gives them, before normalize sorts them
+    path = tmp_path / "negative.ckp"
+    path.write_text(text)
+    assert run(capsys, "check", str(path)) == (2, line)
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     broken = tmp_path / "broken.ckp"
     broken.write_text("ckp 2\n")

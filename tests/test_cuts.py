@@ -580,3 +580,43 @@ def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):
         zero_weight += any(0 in g.weights for g in inst.groups)
     assert min(seen.values()) >= 50 and sum(seen.values()) >= 4000, seen
     assert rational >= 1000 and zero_weight >= 50, (rational, zero_weight)
+
+
+def test_nonnegative_data_is_all_the_families_need():
+    """Every member that ``family_members`` lists over the walk of every
+    family builds through ``build_member`` and is valid for S, on 300
+    seeded instances with rational and zero weights: the nonnegative data
+    that every ``Instance`` holds is the families' one condition on signs.
+    It is why lcover2's divisor d = (b - rest - a_last) + a_t is positive:
+    b - rest - a_last = (a_special - a_last) - (s - b) > 0 by the lifting
+    test, so d > a_t >= 0."""
+    rng = random.Random(3434)
+    seen = {family: 0 for family in cuts.FAMILIES}
+    zero_weight = 0
+    for n in range(300):
+        inst = (rational_instance(rng) if n % 2 else
+                random_instance(rng, max_groups=4))
+        _, rows, b = inst.normalized_units()
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        for items, units in oracle.walk_patterns(inst, None, cuts.FAMILIES):
+            for key, form in cuts.family_members(rows, b, items, units,
+                                                 cuts.FAMILIES):
+                cut = cuts.build_member(inst, key)
+                assert vertices.face_dimension(cut.inequality) >= -1
+                seen[cut.family] += 1
+                if cut.family != "lcover2":
+                    continue
+                (special,) = key[2]
+                row = rows[special - 1]
+                # b - rest - a_last, with rest the other cover items' weight
+                gap = row[dict(items)[special] - 1] - (units - b) - row[-1]
+                den = 1
+                for i, t in items:
+                    if i != special:
+                        a_t = rows[i - 1][t - 1]
+                        assert gap + a_t > a_t >= 0
+                        den *= gap + a_t
+                assert form[0] == den
+        zero_weight += any(0 in row for row in rows)
+    assert min(seen.values()) >= 100 and sum(seen.values()) >= 10000, seen
+    assert zero_weight >= 100, zero_weight

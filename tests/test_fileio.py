@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ckp.errors import FormatError
+from ckp.errors import FormatError, ValidationError
 from ckp.fileio import (
     parse_inequality,
     parse_instance,
@@ -87,6 +87,14 @@ def test_lines_end_at_newlines_only(sep):
         parse_instance("ckp 1\r\nb 5\ngroup 1 a 1 c 1%sbad\n" % sep)
     with pytest.raises(FormatError, match="^line 2: expected 'b <rational>'"):
         parse_instance("ckp 1\nb 5%sgroup 1 a 1 c 1\nbad\n" % sep)
+
+
+def test_parsed_instance_refuses_negative_data():
+    # a well-formed file whose data is negative is refused by the Instance
+    # it builds, not as a format error
+    with pytest.raises(ValidationError,
+                       match="^negative weight at group 1 slot 1$"):
+        parse_instance("ckp 1\nb 5\ngroup 1 a -1 c 1\n")
 
 
 def test_inequality_round_trip():

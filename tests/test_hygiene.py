@@ -96,6 +96,53 @@ def test_one_integer_scaling():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def sign_checks(source):
+    """Lines of ``ValidationError(...)`` calls whose message literal
+    mentions "negative" (so "nonnegative" too): sign checks on the data,
+    outside the body of a function named ``with_row``, whose check of a
+    cut row's rhs is the node LP's own."""
+    lines = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside or node.name == "with_row"
+        elif (isinstance(node, ast.Call) and not inside
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "ValidationError"
+              and any(isinstance(leaf, ast.Constant)
+                      and isinstance(leaf.value, str)
+                      and "negative" in leaf.value.lower()
+                      for arg in node.args for leaf in ast.walk(arg))):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+def test_detector_flags_a_sign_check():
+    source = ("def f(a, b):\n"
+              "    if a < 0:\n"
+              "        raise ValidationError('a must be nonnegative')\n"
+              "    raise errors.ValidationError(\n"
+              "        'Negative b: %s' % b)\n"
+              "def with_row(row):\n"
+              "    raise ValidationError('a cut row needs a nonnegative rhs')\n"
+              "raise ValidationError('out of range: %s' % 'negative')\n"
+              "raise ValidationError('out of range')\n"
+              "raise PreconditionError('negative')\n")
+    assert sign_checks(source) == [3, 4, 8]
+
+
+def test_one_sign_rule():
+    # an Instance refuses negative weights, profits and capacity when it is
+    # built (model.py); no other module checks a sign of the data again
+    found = {path.name: sign_checks(path.read_text())
+             for path in LIBRARY if path.name != "model.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def ref_coercions(source):
     """Lines of ``VarRef(*...)`` calls, coercions of a pair to a reference,
     outside the body of a function named ``var_ref``."""

@@ -37,6 +37,27 @@ def test_build_and_lookups(ex_a):
     assert ex_a.m0 == frozenset({1, 2, 3})
 
 
+@pytest.mark.parametrize("groups, capacity, message", [
+    # negative weights: lcover1 on {(2,1), (3,1)} claimed a facet that x12 =
+    # x21 = 1, x31 = 7/9 violates, and exact separation divided by zero
+    ([((6, -2, -2), (7, 8, 8)), ((5, 1), (2, 3)), ((9, 8, -3), (8, 6, 0))],
+     10, "negative weight at group 1 slot 2"),
+    # negative profits: the assumption report gave a trivial optimum of 3
+    # where branch-and-cut proves 4
+    ([((2, 1), (-1, -3)), ((1,), (4,))], 10,
+     "negative profit at group 1 slot 1"),
+    ([((2,), (1,))], -1, "negative capacity: -1"),
+    # the capacity first, then weight before profit, slot by slot
+    ([((-2,), (-1,))], Fraction(-1, 2), "negative capacity: -1/2"),
+    ([((2, 1), (1, -1)), ((-1,), (1,))], 0, "negative profit at group 1 slot 2"),
+    ([((2, -1), (1, -1))], 0, "negative weight at group 1 slot 2"),
+], ids=["negative weights", "negative profits", "negative capacity",
+        "capacity first", "slot order", "weight before profit"])
+def test_build_refuses_negative_data(groups, capacity, message):
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        Instance.build(groups, capacity)
+
+
 def test_build_coerces_strings():
     inst = Instance.build([(("7/2", 1), ("3", 1))], "5")
     assert inst.weight(VarRef(1, 1)) == Fraction(7, 2)

@@ -184,12 +184,12 @@ def test_pruned_walk_keeps_every_item_set_with_a_member():
     assert any(inst.m0 for inst in instances)
 
 
-def test_walk_prunes_nothing_on_negative_weights():
-    # the prune rules need weights that never lower a prefix's sum
-    inst = make_instance([(5, -1), (3,), (2, 1)], 4)
-    walk = list(oracle.walk_patterns(inst, families=("lcover1",)))
-    assert walk == list(oracle.walk_patterns(inst))
-    assert len(walk) == oracle.pattern_count(inst) - 1
+def test_walk_never_meets_negative_weights():
+    # the prune rules need weights that never lower a prefix's sum, and an
+    # instance with a negative weight is refused when it is built
+    with pytest.raises(ValidationError,
+                       match="^negative weight at group 1 slot 2$"):
+        make_instance([(5, -1), (3,), (2, 1)], 4)
 
 
 def test_integer_oracle_matches_fraction_references():
@@ -337,10 +337,14 @@ def test_validity_rejects_unknown_refs(ex_a):
         inst, LinearInequality([(VarRef(1, 1), 1)], 1), limit),
 ], ids=["maximize_over_S", "check_validity"])
 def test_oracle_needs_nonnegative_data(weights, capacity, query):
-    # the origin must lie in S; the enumeration guard still comes first
-    inst = make_instance(weights, capacity)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        query(inst, None)
+    # the origin must lie in S: negative data is refused when the instance
+    # is built, so no query meets it; the same data made nonnegative is
+    # answered, and the enumeration guard still applies
+    with pytest.raises(ValidationError,
+                       match="^negative (weight at group 1 slot 2|capacity: -1)$"):
+        make_instance(weights, capacity)
+    inst = make_instance([tuple(map(abs, ws)) for ws in weights], abs(capacity))
+    assert query(inst, None)
     with pytest.raises(ResourceLimitError):
         query(inst, oracle.pattern_count(inst) - 1)
 
@@ -361,10 +365,6 @@ def test_slack_inequality_has_empty_face(ex_a):
 def test_trivial_faces(ex_a):
     assert oracle.face_dimension(ex_a, LinearInequality([], 0)) == ex_a.dimension
     assert oracle.face_dimension(ex_a, LinearInequality([], 1)) == -1
-    # over an empty S every inequality is valid and every face empty
-    empty = oracle.enumerate_candidate_vertices(make_instance([(3, 1), (2,)], -1))
-    assert len(empty) == 0 and empty.points == ()
-    assert empty.face_dimension(LinearInequality([], 0)) == -1
 
 
 def test_face_dimension_requires_validity(ex_a):

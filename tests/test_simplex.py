@@ -73,18 +73,21 @@ def test_example_relaxation(ex_a):
     assert all(y >= 0 for y in sol.scaled_duals[1])
 
 
-@pytest.mark.parametrize("groups, capacity, extra_rows", [
+@pytest.mark.parametrize("groups, capacity, extra_rows, message", [
     # x11 >= 1/2: a cut row with a negative right-hand side, which no
     # inequality valid for S has, since 0 is in S
     ([((2,), (2,)), ((3,), (3,))], 4,
-     (LinearInequality([(VarRef(1, 1), -1)], Fraction(-1, 2)),)),
-    ([((2,), (2,)), ((3,), (3,))], -1, ()),   # negative capacity
-    ([((-2,), (1,)), ((3,), (1,))], 1, ()),   # negative weight
+     (LinearInequality([(VarRef(1, 1), -1)], Fraction(-1, 2)),),
+     "nonnegative"),
+    # negative data: the instance is refused when it is built
+    ([((2,), (2,)), ((3,), (3,))], -1, (), "^negative capacity: -1$"),
+    ([((-2,), (1,)), ((3,), (1,))], 1, (),
+     "^negative weight at group 1 slot 1$"),
 ], ids=["negative-rhs-cut", "negative-capacity", "negative-weight"])
-def test_lp_requires_the_origin_feasible(groups, capacity, extra_rows):
-    inst = Instance.build(groups, capacity)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        lp_for(inst, extra_rows)
+def test_lp_requires_the_origin_feasible(groups, capacity, extra_rows,
+                                         message):
+    with pytest.raises(ValidationError, match=message):
+        lp_for(Instance.build(groups, capacity), extra_rows)
 
 
 def test_forced_zero_columns(ex_a):
@@ -343,7 +346,7 @@ def test_differential_against_brute_force():
         objective = {r: inst.profit(r) for r in inst.columns}
         for r in inst.columns:
             if rng.random() < 0.15:
-                objective[r] = -objective[r] - 1
+                objective[r] = 0
         spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
@@ -373,7 +376,7 @@ def test_closed_form_matches_the_tableau_with_group_rows():
     """Without cut rows, the closed form and the bounded simplex, which
     takes the group rows as tableau rows, give the same value, and both
     certificates verify: on rational and random data with zero weights,
-    tied ratios, singleton groups, negative costs and random nested node
+    tied ratios, singleton groups, zero costs and random nested node
     spans, empty ones included."""
     rng = random.Random(4242)
     seen = {"zero weight": 0, "tied ratio": 0, "singleton": 0, "forced": 0,
@@ -385,7 +388,7 @@ def test_closed_form_matches_the_tableau_with_group_rows():
         for r in inst.columns:
             roll = rng.random()
             if roll < 0.1:
-                objective[r] = -objective[r] - 1
+                objective[r] = 0
             elif roll < 0.2:
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
         spans = random_spans(rng, inst, 0.25)
@@ -644,7 +647,7 @@ def test_integer_node_lp_matches_fraction_reference():
         objective = {r: inst.profit(r) for r in inst.columns}
         for r in inst.columns:
             if rng.random() < 0.15:
-                objective[r] = -objective[r] - 1
+                objective[r] = 0
         spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
@@ -675,17 +678,17 @@ def test_integer_node_lp_matches_fraction_reference():
 def test_scaled_data_matches_fraction_reference():
     """costs, cost_scale, scaled_rows and scale equal the data scaled in
     Fractions, and the spans give the Fraction group rows, on rational and
-    zero weights, negative objective values, large coprime objective
+    zero weights, zero objective values, large coprime objective
     denominators and 0-3 builder cut rows, added one at a time by
     with_row, whose copies share their spans."""
     rng = random.Random(7411)
-    seen = {"cuts": 0, "negative": 0, "zero weight": 0, "large": 0}
+    seen = {"cuts": 0, "zero profit": 0, "zero weight": 0, "large": 0}
     for _ in range(150):
         inst = rational_instance(rng)
         objective = {}
         for r in inst.columns:
             q = rng.choice(LARGE_PRIMES) if rng.random() < 0.3 else 1
-            objective[r] = (Fraction(rng.randint(-3 * q, 5 * q), q)
+            objective[r] = (max(0, Fraction(rng.randint(-3 * q, 5 * q), q))
                             if rng.random() < 0.6 else inst.profit(r))
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
@@ -710,7 +713,7 @@ def test_scaled_data_matches_fraction_reference():
                 for start, end in problem.spans
                 if end - start > 1] == group_rows(inst)
         seen["cuts"] += bool(rows)
-        seen["negative"] += any(c < 0 for c in objective.values())
+        seen["zero profit"] += any(c == 0 for c in objective.values())
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
         seen["large"] += problem.cost_scale > 7000
     assert min(seen.values()) >= 20, seen

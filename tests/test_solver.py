@@ -171,11 +171,10 @@ def test_a_family_list_naming_none_is_refused(choice):
 
 
 def test_rejects_negative_capacity():
-    # Normalized and past the assumption checks, so the node LP must reject
-    # it rather than the final incumbent check.
-    inst = Instance.build([((3, 2), (3, 2)), ((4,), (4,))], -1)
-    with pytest.raises(ValidationError):
-        branch_and_cut(inst)
+    # refused when the instance is built, so neither the assumption checks
+    # nor the node LP of branch_and_cut ever meet it
+    with pytest.raises(ValidationError, match="^negative capacity: -1$"):
+        Instance.build([((3, 2), (3, 2)), ((4,), (4,))], -1)
 
 
 def test_config_validation():
