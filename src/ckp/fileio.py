@@ -7,9 +7,11 @@ serialization is bit-stable.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import FormatError
 from .model import Group, Instance, LinearInequality, Point, VarRef
-from .numeric import format_rational, parse_integer, parse_rational
+from .numeric import format_rational, parse_exact, parse_integer
 
 
 def _logical_lines(text: str):
@@ -72,22 +74,28 @@ def parse_instance(text: str) -> Instance:
     return Instance(tuple(groups), capacity)
 
 
-def _value_at(lineno, token, parse=parse_rational):
-    """``token`` read by ``parse``, its error naming the line."""
+def _value_at(lineno, token, parse=parse_exact):
+    """``token`` read by ``parse``, its error naming the line: by default
+    a rational, an int when it is integral (:func:`numeric.parse_exact`)."""
     try:
         return parse(token)
     except FormatError as exc:
         _fail(lineno, str(exc))
 
 
+def _texts(form):
+    """The canonical texts of an integer form's values, ``ints / scale``."""
+    scale, ints = form
+    if scale == 1:
+        return [str(v) for v in ints]
+    return [format_rational(Fraction(v, scale)) for v in ints]
+
+
 def serialize_instance(instance: Instance) -> str:
-    out = ["ckp 1", "b %s" % format_rational(instance.capacity)]
+    out = ["ckp 1", "b %s" % _texts(instance.capacity_form)[0]]
     for g in instance.groups:
-        parts = ["group", str(g.size), "a"]
-        parts += [format_rational(a) for a in g.weights]
-        parts.append("c")
-        parts += [format_rational(c) for c in g.profits]
-        out.append(" ".join(parts))
+        out.append(" ".join(["group", str(g.size), "a", *_texts(g.weight_form),
+                             "c", *_texts(g.profit_form)]))
     return "\n".join(out) + "\n"
 
 

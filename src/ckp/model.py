@@ -8,12 +8,18 @@ Conventions used everywhere:
 * weights, profits and the capacity are nonnegative, as in the paper: an
   :class:`Instance` refuses negative data when it is built, so the
   origin lies in S and no other module checks the data's signs,
-* all numbers are exact ``Fraction`` values, taken in only from ints
-  (not bools, most likely comparisons passed by mistake), Fractions and
-  ``numeric.parse_rational`` strings: a :class:`Group` and an
-  :class:`Instance` coerce theirs, sparse ones come in through
-  :func:`clean_terms` and are stored once, as sorted terms, and an
-  :class:`Instance` scales its weights and profits to integers once,
+* all numbers are exact rationals, taken in only from ints (not bools,
+  most likely comparisons passed by mistake), Fractions and
+  ``numeric.parse_rational`` strings; sparse ones come in through
+  :func:`clean_terms` and are stored once, as sorted Fraction terms,
+* a :class:`Group` keeps its weights and its profits, and an
+  :class:`Instance` its capacity, in integer form ``(scale, ints)``
+  (:func:`numeric.integer_form`) from construction: ints as they are, at
+  scale 1, so integral data makes no Fraction.  Their Fractions
+  (``Group.weights``, ``Group.profits``, ``Instance.capacity``) are made
+  on first read; :attr:`Instance.units` and :attr:`Instance.profit_units`
+  bring the forms to one scale (:func:`numeric.common_scale`), on
+  integral data the groups' own rows,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
   sorted and unique, each X > 0, and x = X / D.  Every constructor of
   :class:`Point` stores it: ``Point`` computes it from the Fractions,
@@ -37,12 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from math import gcd
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import FormatError, PreconditionError, ValidationError
-from .numeric import integer_form, parse_rational
+from .numeric import common_scale, integer_form, parse_rational
 
 
 class VarRef(NamedTuple):
@@ -113,58 +119,122 @@ def clean_terms(items, instance=None):
     return tuple(cleaned)
 
 
-@dataclass(frozen=True)
+def _integer_row(values) -> tuple:
+    """``(scale, ints)``: ``values``, each taken in as :func:`_frac` takes
+    it, in integer form (:func:`numeric.integer_form`), the ints a tuple.
+    A row of ints (not bools) is its own integer form, at scale 1."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            scale, ints = integer_form(map(_frac, values))
+            return scale, tuple(ints)
+    return 1, values
+
+
 class Group:
-    """One complementarity group: parallel weight and profit tuples."""
+    """One complementarity group: parallel weight and profit rows, each
+    kept from construction in its integer form ``(scale, ints)``
+    (:func:`numeric.integer_form`) as ``weight_form`` and ``profit_form``.
+    Their Fractions, ``weights`` and ``profits``, are made on first read."""
 
-    weights: tuple
-    profits: tuple
+    __slots__ = ("weight_form", "profit_form", "_weights", "_profits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(_frac, self.weights)))
-        object.__setattr__(self, "profits", tuple(map(_frac, self.profits)))
-        if len(self.weights) != len(self.profits):
+    def __init__(self, weights, profits):
+        self.weight_form = _integer_row(weights)
+        self.profit_form = _integer_row(profits)
+        self._weights = self._profits = None
+        if len(self.weight_form[1]) != len(self.profit_form[1]):
             raise ValidationError("group weight/profit lengths differ")
-        if not self.weights:
+        if not self.weight_form[1]:
             raise ValidationError("group must contain at least one slot")
+
+    @classmethod
+    def from_forms(cls, weight_form, profit_form) -> "Group":
+        """The group of two integer forms, taken as they are: each
+        ``(scale, ints)`` as :func:`numeric.integer_form` makes it, of
+        one length."""
+        group = cls.__new__(cls)
+        group.weight_form, group.profit_form = weight_form, profit_form
+        group._weights = group._profits = None
+        return group
+
+    @property
+    def weights(self) -> tuple:
+        if self._weights is None:
+            scale, ints = self.weight_form
+            self._weights = tuple(Fraction(v, scale) for v in ints)
+        return self._weights
+
+    @property
+    def profits(self) -> tuple:
+        if self._profits is None:
+            scale, ints = self.profit_form
+            self._profits = tuple(Fraction(v, scale) for v in ints)
+        return self._profits
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return len(self.weight_form[1])
+
+    def __eq__(self, other):
+        return (isinstance(other, Group)
+                and self.weight_form == other.weight_form
+                and self.profit_form == other.profit_form)
+
+    def __hash__(self):
+        return hash((self.weight_form, self.profit_form))
+
+    def __repr__(self):
+        return "Group(weights=%r, profits=%r)" % (self.weights, self.profits)
 
 
-@dataclass(frozen=True)
 class Instance:
     """A complementarity knapsack instance: groups plus a capacity, all of
     it nonnegative.  A negative capacity, and then the first negative
-    weight or profit, slot by slot, raise ``ValidationError`` naming it."""
+    weight or profit, slot by slot, raise ``ValidationError`` naming it.
+    The capacity is kept in integer form, ``capacity_form = (scale,
+    (int,))``, as a group's rows are; ``capacity`` is its Fraction."""
 
-    groups: tuple
-    capacity: Fraction
-
-    def __post_init__(self):
-        capacity = _frac(self.capacity)
-        object.__setattr__(self, "capacity", capacity)
-        if not self.groups:
+    def __init__(self, groups, capacity):
+        self.groups = groups = tuple(groups)
+        self.capacity_form = _integer_row((capacity,))
+        if not groups:
             raise ValidationError("instance must contain at least one group")
-        # one pass over numerators, a fraction of a Fraction comparison's
-        # cost; only a refusal looks for the first negative, slot by slot
-        if capacity.numerator < 0:
-            raise ValidationError("negative capacity: %s" % capacity)
-        for g in self.groups:
-            for v in g.weights + g.profits:
-                if v.numerator < 0:
-                    raise ValidationError(next(
-                        "negative %s at group %d slot %d" % (what, i, j)
-                        for i, h in enumerate(self.groups, start=1)
-                        for j, pair in enumerate(zip(h.weights, h.profits), 1)
-                        for what, x in zip(("weight", "profit"), pair)
-                        if x < 0))
+        # the signs are the integer forms' (every scale is positive); only
+        # a refusal looks for the first negative, slot by slot
+        if self.capacity_form[1][0] < 0:
+            raise ValidationError("negative capacity: %s" % self.capacity)
+        for g in groups:
+            if min(g.weight_form[1]) < 0 or min(g.profit_form[1]) < 0:
+                raise ValidationError(next(
+                    "negative %s at group %d slot %d" % (what, i, j)
+                    for i, h in enumerate(groups, start=1)
+                    for j, pair in enumerate(
+                        zip(h.weight_form[1], h.profit_form[1]), start=1)
+                    for what, x in zip(("weight", "profit"), pair)
+                    if x < 0))
 
     @classmethod
     def build(cls, groups, capacity) -> "Instance":
         """An Instance from nested ``(weights, profits)`` data."""
-        return cls(tuple(Group(*g) for g in groups), capacity)
+        return cls([Group(weights, profits) for weights, profits in groups],
+                   capacity)
+
+    def __eq__(self, other):
+        return (isinstance(other, Instance) and self.groups == other.groups
+                and self.capacity_form == other.capacity_form)
+
+    def __hash__(self):
+        return hash((self.groups, self.capacity_form))
+
+    def __repr__(self):
+        return "Instance(groups=%r, capacity=%r)" % (self.groups,
+                                                     self.capacity)
+
+    @cached_property
+    def capacity(self) -> Fraction:
+        scale, (capacity,) = self.capacity_form
+        return Fraction(capacity, scale)
 
     @property
     def m(self) -> int:
@@ -172,7 +242,7 @@ class Instance:
 
     @property
     def dimension(self) -> int:
-        return sum(g.size for g in self.groups)
+        return len(self.columns)
 
     def check_ref(self, ref: VarRef) -> int:
         """The column of ``ref``; outside the instance it raises."""
@@ -198,30 +268,29 @@ class Instance:
     def columns(self):
         """``{VarRef: column}`` in (group, slot) order, the package's one
         column index.  Computed on first use."""
-        refs = (VarRef(i, j) for i, g in enumerate(self.groups, start=1)
-                for j in range(1, g.size + 1))
-        return {ref: k for k, ref in enumerate(refs)}
+        refs = [VarRef(i, j) for i, g in enumerate(self.groups, start=1)
+                for j in range(1, g.size + 1)]
+        return dict(zip(refs, range(len(refs))))
 
     @cached_property
     def units(self):
         """``(scale, rows, capacity_units)``: each group's weights as a row
         and the capacity, times ``scale``, the least common denominator of
-        them all (:func:`numeric.integer_form`), so that every weight
-        comparison is between exact integers.  Computed on first use."""
-        scale, (capacity, *weights) = integer_form(
-            chain((self.capacity,), *(g.weights for g in self.groups)))
-        weights = iter(weights)
-        rows = tuple(tuple(islice(weights, g.size)) for g in self.groups)
-        return scale, rows, capacity
+        them all, so that every weight comparison is between exact
+        integers: the integer forms brought to one scale
+        (:func:`numeric.common_scale`), so on integral data the rows are
+        the groups' own.  Computed on first use."""
+        scale, ((capacity,), *rows) = common_scale(chain(
+            (self.capacity_form,), (g.weight_form for g in self.groups)))
+        return scale, tuple(rows), capacity
 
     @cached_property
     def profit_units(self):
         """``(scale, costs)``: the profits in :attr:`columns` order times
         ``scale``, the least common denominator of them all
-        (:func:`numeric.integer_form`).  Computed on first use."""
-        scale, costs = integer_form(
-            chain.from_iterable(g.profits for g in self.groups))
-        return scale, tuple(costs)
+        (:func:`numeric.common_scale`).  Computed on first use."""
+        scale, rows = common_scale(g.profit_form for g in self.groups)
+        return scale, tuple(chain.from_iterable(rows))
 
     def integer_row(self, inequality):
         """``(coefficients, rhs, scale)``: the integer form
@@ -393,16 +462,24 @@ def knapsack_row(instance: Instance) -> LinearInequality:
     return LinearInequality(zip(instance.columns, weights), instance.capacity)
 
 
-def weight_of(instance: Instance, point) -> Fraction:
-    """Exact weight of ``point`` (anything with an integer form ``scaled``),
-    summed in :attr:`Instance.units`, every reference checked."""
-    scale, rows, _ = instance.units
+def _weight_units(instance: Instance, point):
+    """``(total, D)``: the weight of ``point`` (anything with an integer
+    form ``scaled``, over D) is total / (D * the scale of
+    :attr:`Instance.units`); every reference checked."""
+    rows = instance.units[1]
     point_scale, entries = point.scaled
     total = 0
     for ref, x in entries:
         instance.check_ref(ref)
         total += rows[ref.group - 1][ref.slot - 1] * x
-    return Fraction(total, scale * point_scale)
+    return total, point_scale
+
+
+def weight_of(instance: Instance, point) -> Fraction:
+    """Exact weight of ``point`` (anything with an integer form ``scaled``),
+    summed in :attr:`Instance.units`, every reference checked."""
+    total, point_scale = _weight_units(instance, point)
+    return Fraction(total, instance.units[0] * point_scale)
 
 
 def profit_of(instance: Instance, point) -> Fraction:
@@ -425,9 +502,10 @@ def complementarity_violations(point):
 
 def is_feasible(instance: Instance, point) -> bool:
     """Membership in S of ``point`` (anything with an integer form
-    ``scaled``): the knapsack row, every reference checked, and at most
-    one positive slot per group."""
-    return (weight_of(instance, point) <= instance.capacity
+    ``scaled``): the knapsack row, compared in :attr:`Instance.units` with
+    every reference checked, and at most one positive slot per group."""
+    total, point_scale = _weight_units(instance, point)
+    return (total <= instance.units[2] * point_scale
             and not complementarity_violations(point))
 
 
@@ -445,11 +523,16 @@ def normalize(instance: Instance):
     new_groups = []
     perms = []
     for g in instance.groups:
-        order = sorted(range(g.size), key=lambda k: (-g.weights[k], -g.profits[k], k))
+        # one scale per row, so its ints sort as its values do
+        (weight_scale, weights), (profit_scale, profits) = (g.weight_form,
+                                                            g.profit_form)
+        order = sorted(range(g.size),
+                       key=lambda k: (-weights[k], -profits[k], k))
         perms.append(tuple(k + 1 for k in order))
-        new_groups.append(Group(tuple(g.weights[k] for k in order),
-                                tuple(g.profits[k] for k in order)))
-    return Instance(tuple(new_groups), instance.capacity), tuple(perms)
+        new_groups.append(Group.from_forms(
+            (weight_scale, tuple(weights[k] for k in order)),
+            (profit_scale, tuple(profits[k] for k in order))))
+    return Instance(new_groups, instance.capacity), tuple(perms)
 
 
 @dataclass(frozen=True)

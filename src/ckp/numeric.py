@@ -6,7 +6,8 @@ parsing canonicalizes (lowest terms, sign on the numerator).  An integer,
 in a file or an option, is the grammar without ``/q`` (:func:`parse_integer`);
 an integer argument is an int and not a bool (:func:`require_integer`).
 :func:`integer_form` is the package's one scaling of rationals to
-integers, by the LCM of their denominators.  :func:`affine_rank` is the
+integers, by the LCM of their denominators, and :func:`common_scale` its
+one combining of such forms at a common scale.  :func:`affine_rank` is the
 one rank routine.  It takes each vector in integer form, a denominator
 and an integer row, and eliminates in integers, not Fractions;
 ``oracle.VertexSet.face_dimension`` streams the rows of a set of tight
@@ -25,8 +26,9 @@ from .errors import FormatError, ValidationError
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (q > 0).  Raises FormatError on anything else."""
+def _ratio(text: str) -> Tuple[int, int]:
+    """``(p, q)`` of ``p`` or ``p/q`` (q > 0, 1 without ``/q``), not
+    reduced.  Raises FormatError on anything else."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise FormatError("not a rational: %r" % (text,))
@@ -36,7 +38,19 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError("too many digits (%d characters)" % len(text)) from None
     if den == 0:
         raise FormatError("zero denominator: %r" % (text,))
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``p`` or ``p/q`` (q > 0).  Raises FormatError on anything else."""
+    return Fraction(*_ratio(text))
+
+
+def parse_exact(text: str):
+    """The value of :func:`parse_rational`, as an int when the text has no
+    ``/q`` or a ``/1``, so integral data needs no Fraction."""
+    num, den = _ratio(text)
+    return num if den == 1 else Fraction(num, den)
 
 
 def parse_integer(text: str) -> int:
@@ -44,7 +58,7 @@ def parse_integer(text: str) -> int:
     Raises FormatError on anything else."""
     if "/" in text:
         raise FormatError("not an integer: %r" % (text,))
-    return parse_rational(text).numerator
+    return _ratio(text)[0]
 
 
 def require_integer(value, name: str) -> int:
@@ -70,6 +84,17 @@ def integer_form(values) -> Tuple[int, list]:
     ratios = [v.as_integer_ratio() for v in values]
     scale = lcm(*[q for _, q in ratios])
     return scale, [p * (scale // q) for p, q in ratios]
+
+
+def common_scale(forms) -> Tuple[int, list]:
+    """``(scale, rows)``: the integer forms ``forms``, each ``(s, ints)``
+    as :func:`integer_form` makes them, brought to one scale, the LCM of
+    theirs.  A row already at that scale is given as it is; every other
+    becomes a tuple of its ints times ``scale // s``."""
+    forms = list(forms)
+    scale = lcm(*[s for s, _ in forms])
+    return scale, [ints if s == scale else tuple(v * (scale // s) for v in ints)
+                   for s, ints in forms]
 
 
 def affine_rank(vectors: Iterable[Tuple[int, Sequence[int]]],

@@ -32,6 +32,20 @@ def test_parse_instance():
     assert inst.groups[1].weights == (Fraction(10), Fraction(6))
 
 
+def test_integral_tokens_stay_integers():
+    # an integral token, ``p`` or ``p/1``, reaches the group as an int, so
+    # the integer forms are the file's own numbers at scale 1
+    inst = parse_instance(EX.replace("10 6 c", "10/1 6 c"))
+    assert inst.capacity_form == (1, (21,))
+    assert [g.weight_form for g in inst.groups] == [(1, (2,)), (1, (10, 6))]
+    assert all(type(v) is int for g in inst.groups for v in g.weight_form[1])
+    inst = parse_instance("ckp 1\nb 9/2\ngroup 2 a 3/2 2/6 c 4/2 0\n")
+    assert inst.capacity_form == (2, (9,))
+    assert inst.groups[0].weight_form == (6, (9, 2))
+    assert inst.groups[0].profit_form == (1, (2, 0))
+    assert serialize_instance(inst) == "ckp 1\nb 9/2\ngroup 2 a 3/2 1/3 c 2 0\n"
+
+
 def test_comments_and_blanks_ignored():
     messy = "\n\n# hi\nckp 1   # header\n\nb 3\ngroup 1 a 1 c 1\n"
     assert parse_instance(messy).capacity == 3

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import chain, islice
 from types import SimpleNamespace
 
 import pytest
 
 from ckp import simplex
 from ckp.errors import PreconditionError, ValidationError
+from ckp.numeric import integer_form
 from ckp.model import (
     Group,
     Instance,
@@ -23,8 +25,9 @@ from ckp.model import (
     weight_of,
 )
 
-from conftest import (LARGE_PRIMES, make_instance, rational_instance,
-                      reference_integer_form, reference_integer_row)
+from conftest import (LARGE_PRIMES, make_instance, random_instance,
+                      rational_instance, reference_integer_form,
+                      reference_integer_row)
 
 
 def test_build_and_lookups(ex_a):
@@ -203,6 +206,75 @@ def test_profit_units_match_fraction_reference():
         assert inst.profit_units == (scale, tuple(ints))
         zeros += 0 in profits
     assert zeros >= 20
+
+
+def test_integral_instance_makes_no_fraction(monkeypatch):
+    """An instance of integer data shaped as the partition reduction's
+    (a singleton group per alpha, one group (3, 1, ..., 1) with beta ones,
+    profits equal to weights, capacity beta + 2) is built, and gives its
+    columns, units, profit units, normalization and M_0, without one
+    ``Fraction`` made."""
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    alphas, beta = (2, 3, 5, 4), 7
+    tail = (3,) + (1,) * beta
+    groups = [((a,), (a,)) for a in alphas] + [(tail, tail)]
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    inst = Instance.build(groups, beta + 2)
+    reads = (inst.columns, inst.units, inst.profit_units, inst.normalized,
+             inst.m0)
+    monkeypatch.undo()
+    assert made == []
+    assert reads[1:] == (
+        (1, ((2,), (3,), (5,), (4,), tail), beta + 2),
+        (1, alphas + tail), True, frozenset({1, 2, 3, 4}))
+    assert reads[1][1][-1] is inst.groups[-1].weight_form[1]
+
+
+def _native(values):
+    """``values`` (Fractions) as ints where integral."""
+    return tuple(v.numerator if v.denominator == 1 else v for v in values)
+
+
+def _texts(values):
+    """``values`` (Fractions) as ``p/q`` strings, not in lowest terms."""
+    return tuple("%d/%d" % (2 * v.numerator, 2 * v.denominator)
+                 for v in values)
+
+
+def test_integer_forms_are_those_of_the_fraction_views():
+    """Over seeded integral and rational instances: ``units`` and
+    ``profit_units`` are ``numeric.integer_form`` of the Fraction views,
+    ``weights`` and ``profits`` are tuples of Fractions, and a group or an
+    instance built from ints, from Fractions or from ``p/q`` strings of
+    the same values is equal and hashes equal."""
+    rng = random.Random(3541)
+    for draw in range(300):
+        inst = (random_instance if draw % 2 else rational_instance)(rng)
+        scale, (capacity, *weights) = integer_form(
+            chain((inst.capacity,), *(g.weights for g in inst.groups)))
+        flat = iter(weights)
+        rows = tuple(tuple(islice(flat, g.size)) for g in inst.groups)
+        assert inst.units == (scale, rows, capacity)
+        scale, costs = integer_form(
+            chain.from_iterable(g.profits for g in inst.groups))
+        assert inst.profit_units == (scale, tuple(costs))
+        data = [(g.weights, g.profits) for g in inst.groups]
+        for view in chain.from_iterable(data):
+            assert type(view) is tuple
+            assert all(type(v) is Fraction for v in view)
+        for convert in (_native, tuple, _texts):
+            groups = [Group(convert(w), convert(c)) for w, c in data]
+            assert groups == list(inst.groups)
+            assert list(map(hash, groups)) == list(map(hash, inst.groups))
+            other = Instance(groups, convert((inst.capacity,))[0])
+            assert other == inst and hash(other) == hash(inst)
+            assert normalize(other) == normalize(inst)
 
 
 def _random_point(rng, inst):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ckp.errors import FormatError
-from ckp.numeric import (affine_rank, format_rational, integer_form,
-                         parse_integer, parse_rational)
+from ckp.numeric import (affine_rank, common_scale, format_rational,
+                         integer_form, parse_exact, parse_integer,
+                         parse_rational)
 
 from conftest import (LARGE_PRIMES, fraction_affine_rank,
                       reference_integer_form)
@@ -47,6 +48,36 @@ class TestParseInteger:
     def test_rejects_garbage(self, bad):
         with pytest.raises(FormatError):
             parse_integer(bad)
+
+
+def test_parse_exact():
+    # parse_rational's value, an int when integral as written
+    for text, value in (("5", 5), (" -30 ", -30), ("7/1", 7), ("0/3", 0),
+                        ("7/2", Fraction(7, 2)), ("-10/4", Fraction(-5, 2)),
+                        ("4/2", 2)):
+        assert parse_exact(text) == parse_rational(text) == value
+        assert type(parse_exact(text)) is (int if "/" not in text
+                                           or text.endswith("/1") else Fraction)
+    for bad in ("", "1.5", "1/0", "+2", "\u0663"):
+        with pytest.raises(FormatError):
+            parse_exact(bad)
+
+
+def test_common_scale_matches_one_integer_form():
+    """Integer forms brought to one scale equal the integer form of all
+    their values at once; a row already at that scale is passed through."""
+    rng = random.Random(6263)
+    for _ in range(300):
+        rows = [[Fraction(rng.randint(0, 40), rng.choice((1, 1, 2, 3, 7)))
+                 for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 4))]
+        forms = [(s, tuple(ints)) for s, ints in map(integer_form, rows)]
+        scale, ints = integer_form([v for row in rows for v in row])
+        got_scale, got = common_scale(iter(forms))
+        assert got_scale == scale
+        assert [v for row in got for v in row] == ints
+        for (s, row), new in zip(forms, got):
+            assert type(new) is tuple and (new is row) == (s == scale)
 
 
 def test_format_rational():

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from ckp import cli, oracle, separation, solver
-from ckp.fileio import serialize_inequality, serialize_instance
+from ckp.fileio import parse_instance, serialize_inequality, serialize_instance
 from ckp.model import Instance, LinearInequality, Point, VarRef
 
 def same(*rows):
@@ -53,6 +53,21 @@ print("exit", cli.main(["cuts", path, "--family", "all", "--verify"]))
 # the candidate table in walk order, and the witness it names
 print(oracle.enumerate_candidate_vertices(ex_c).points)
 print("exit", cli.main(["oracle", path]))
+
+# the rational path: a solve on rational data, and an instance read from
+# p/q strings, with its integer forms
+rational = Instance.build([((Fraction(39, 2), Fraction(28, 5), 5),
+                            (Fraction(41, 2), Fraction(33, 5), 6)),
+                           ((Fraction(28, 3), 1, 0), ("31/3", 2, 1))],
+                          Fraction(173, 24))
+report = solver.branch_and_cut(rational, solver.SolveConfig(exact_fallback=True))
+print(report.value, report.best_bound, report.nodes, report.lp_pivots,
+      sorted(report.cuts_per_family.items()), report.point)
+parsed = parse_instance("ckp 1\nb 346/48\ngroup 3 a 39/2 28/5 10/2 c 41/2 33/5 6\n"
+                        "group 3 a 28/3 1/1 0 c 31/3 2 1\n")
+print(parsed == rational, hash(parsed) == hash(rational), parsed.units,
+      parsed.profit_units, parsed.capacity, parsed.groups[0].weights)
+print(serialize_instance(parsed), end="")
 bad = os.path.join(sys.argv[1], "bad.ineq")
 with open(bad, "w", encoding="utf-8") as handle:
     handle.write(serialize_inequality(
@@ -82,4 +97,5 @@ def test_python310_matches_current_interpreter(tmp_path):
     expected = run(sys.executable, SCRIPT, str(tmp_path))
     assert "exit 0" in expected and "family: lcover1" in expected
     assert "valid: no" in expected and "candidates: 149" in expected
+    assert "43/5 43/5 3 " in expected and "\nTrue True (120, " in expected
     assert run(python310, SCRIPT, str(tmp_path)) == expected
