@@ -64,8 +64,8 @@ def _facet_text(cut, vertices) -> str:
 def _cmd_check(args, out) -> int:
     with open(args.instance, "r", encoding="utf-8") as handle:
         parsed = fileio.parse_instance(handle.read())
-    instance, perms = normalize(parsed)
-    already = all(perm == tuple(range(1, len(perm) + 1)) for perm in perms)
+    instance, _ = normalize(parsed)
+    already = instance is parsed
     report = validate_assumptions(instance)
     print("groups: %d" % instance.m, file=out)
     print("variables: %d" % instance.dimension, file=out)
@@ -133,7 +133,7 @@ def _iter_family_cuts(instance, families, limit):
             for key, _ in cuts_mod.family_members(rows, capacity, items, units,
                                                   (family,)):
                 cut = cuts_mod.build_member(instance, key)
-                if cut.inequality.terms:
+                if cut.inequality.scaled[2]:
                     yield cut
 
 

@@ -106,9 +106,11 @@ def parse_inequality(text: str) -> LinearInequality:
 
 
 def serialize_inequality(q: LinearInequality) -> str:
-    out = ["ineq 1", "rhs %s" % format_rational(q.rhs)]
-    for ref, value in q.terms:
-        out.append("term %d %d %s" % (ref.group, ref.slot, format_rational(value)))
+    scale, rhs, terms = q.scaled
+    rhs, *texts = _texts((scale, (rhs, *(c for _, c in terms))))
+    out = ["ineq 1", "rhs %s" % rhs]
+    out += ["term %d %d %s" % (ref.group, ref.slot, text)
+            for (ref, _), text in zip(terms, texts)]
     return "\n".join(out) + "\n"
 
 
@@ -117,9 +119,11 @@ def parse_point(text: str) -> Point:
 
 
 def serialize_point(point: Point) -> str:
+    scale, entries = point.scaled
+    texts = _texts((scale, [x for _, x in entries]))
     out = ["point 1"]
-    for ref, value in point.entries:
-        out.append("val %d %d %s" % (ref.group, ref.slot, format_rational(value)))
+    out += ["val %d %d %s" % (ref.group, ref.slot, text)
+            for (ref, _), text in zip(entries, texts)]
     return "\n".join(out) + "\n"
 
 

@@ -11,28 +11,29 @@ Conventions used everywhere:
 * all numbers are exact rationals, taken in only from ints (not bools,
   most likely comparisons passed by mistake), Fractions and
   ``numeric.parse_rational`` strings; sparse ones come in through
-  :func:`clean_terms` and are stored once, as sorted Fraction terms,
-* a :class:`Group` keeps its weights and its profits, and an
-  :class:`Instance` its capacity, in integer form ``(scale, ints)``
-  (:func:`numeric.integer_form`) from construction: ints as they are, at
-  scale 1, so integral data makes no Fraction.  Their Fractions
-  (``Group.weights``, ``Group.profits``, ``Instance.capacity``) are made
-  on first read; :attr:`Instance.units` and :attr:`Instance.profit_units`
-  bring the forms to one scale (:func:`numeric.common_scale`), on
-  integral data the groups' own rows,
+  :func:`clean_terms`, as sorted Fraction terms,
+* every value is stored once, in integer form (:func:`numeric.integer_form`),
+  and each Fraction of it is a view, made on each read.  A :class:`Group`
+  keeps its weights and profits, and an :class:`Instance` its capacity, as
+  ``(scale, ints)``: ints as they are, at scale 1, so integral data makes
+  no Fraction; :attr:`Instance.units` and :attr:`Instance.profit_units`
+  bring the forms to one scale (:func:`numeric.common_scale`),
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
-  sorted and unique, each X > 0, and x = X / D.  Every constructor of
-  :class:`Point` stores it: ``Point`` computes it from the Fractions,
+  sorted and unique, each X > 0, and x = X / D.  It is all that a
+  :class:`Point` stores: ``Point`` computes it from the Fractions,
   :meth:`Point.from_scaled` takes it in, checked and reduced, and
   ``simplex.LpSolution`` is built in it.  :func:`lhs_at`,
-  :func:`weight_of`, :func:`profit_of`, :func:`is_feasible` and
+  :func:`weight_units`, :func:`profit_of`, :func:`is_feasible` and
   :func:`complementarity_violations` read only this form, so either kind
   of point may be passed, and sum and count in integers,
 * an inequality's integer form is ``scaled = (U, R, ((VarRef, C),
-  ...))``, each C nonzero: coefficients C / U, rhs R / U.  Every
-  constructor of :class:`LinearInequality` stores it, as a point's, and
-  the cut builders make it; :func:`lhs_at` and
-  :meth:`Instance.integer_row`, the one dense fill of a row, read it.
+  ...))``, each C nonzero: coefficients C / U, rhs R / U.  It is all that
+  a :class:`LinearInequality` stores, as for a point, and the cut
+  builders make it; :func:`lhs_at` and :meth:`Instance.integer_row`, the
+  one dense fill of a row, read it,
+* both forms are canonical, their scale and ints of gcd 1 (``from_scaled``
+  reduces what it takes in), so equality and hashing, which read the
+  form, are equality by value.
 
 The feasible set S consists of points with 0 <= x <= 1, total weight at
 most the capacity, and at most one positive variable per group.
@@ -135,14 +136,13 @@ class Group:
     """One complementarity group: parallel weight and profit rows, each
     kept from construction in its integer form ``(scale, ints)``
     (:func:`numeric.integer_form`) as ``weight_form`` and ``profit_form``.
-    Their Fractions, ``weights`` and ``profits``, are made on first read."""
+    Their Fractions, ``weights`` and ``profits``, are made on each read."""
 
-    __slots__ = ("weight_form", "profit_form", "_weights", "_profits")
+    __slots__ = ("weight_form", "profit_form")
 
     def __init__(self, weights, profits):
         self.weight_form = _integer_row(weights)
         self.profit_form = _integer_row(profits)
-        self._weights = self._profits = None
         if len(self.weight_form[1]) != len(self.profit_form[1]):
             raise ValidationError("group weight/profit lengths differ")
         if not self.weight_form[1]:
@@ -155,22 +155,17 @@ class Group:
         one length."""
         group = cls.__new__(cls)
         group.weight_form, group.profit_form = weight_form, profit_form
-        group._weights = group._profits = None
         return group
 
     @property
     def weights(self) -> tuple:
-        if self._weights is None:
-            scale, ints = self.weight_form
-            self._weights = tuple(Fraction(v, scale) for v in ints)
-        return self._weights
+        scale, ints = self.weight_form
+        return tuple(Fraction(v, scale) for v in ints)
 
     @property
     def profits(self) -> tuple:
-        if self._profits is None:
-            scale, ints = self.profit_form
-            self._profits = tuple(Fraction(v, scale) for v in ints)
-        return self._profits
+        scale, ints = self.profit_form
+        return tuple(Fraction(v, scale) for v in ints)
 
     @property
     def size(self) -> int:
@@ -231,7 +226,7 @@ class Instance:
         return "Instance(groups=%r, capacity=%r)" % (self.groups,
                                                      self.capacity)
 
-    @cached_property
+    @property
     def capacity(self) -> Fraction:
         scale, (capacity,) = self.capacity_form
         return Fraction(capacity, scale)
@@ -253,11 +248,13 @@ class Instance:
 
     def weight(self, ref: VarRef) -> Fraction:
         self.check_ref(ref)
-        return self.groups[ref.group - 1].weights[ref.slot - 1]
+        scale, ints = self.groups[ref.group - 1].weight_form
+        return Fraction(ints[ref.slot - 1], scale)
 
     def profit(self, ref: VarRef) -> Fraction:
         self.check_ref(ref)
-        return self.groups[ref.group - 1].profits[ref.slot - 1]
+        scale, ints = self.groups[ref.group - 1].profit_form
+        return Fraction(ints[ref.slot - 1], scale)
 
     @cached_property
     def m0(self) -> frozenset:
@@ -342,19 +339,19 @@ def _reduced_form(head, terms, top, what):
 class LinearInequality:
     """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped),
     made from its Fractions or from its integer form (:meth:`from_scaled`).
-    Either constructor stores that form as ``scaled``: ``(U, R, ((VarRef,
-    C), ...))``, the rhs and each coefficient times U, the LCM of their
-    denominators (:func:`numeric.integer_form`)."""
+    Either constructor stores only that form, as ``scaled``: ``(U, R,
+    ((VarRef, C), ...))``, the rhs and each coefficient times U, the LCM
+    of their denominators (:func:`numeric.integer_form`).  ``terms`` and
+    ``rhs``, its Fractions, are made on each read."""
 
-    __slots__ = ("terms", "rhs", "scaled")
+    __slots__ = ("scaled",)
 
     def __init__(self, coeffs, rhs):
-        self.terms = clean_terms(coeffs)
-        self.rhs = _frac(rhs)
+        terms = clean_terms(coeffs)
         scale, (rhs, *cs) = integer_form(
-            chain((self.rhs,), (c for _, c in self.terms)))
+            chain((_frac(rhs),), (c for _, c in terms)))
         self.scaled = scale, rhs, tuple(
-            (ref, c) for (ref, _), c in zip(self.terms, cs))
+            (ref, c) for (ref, _), c in zip(terms, cs))
 
     @classmethod
     def from_scaled(cls, unit, rhs, terms) -> "LinearInequality":
@@ -367,17 +364,25 @@ class LinearInequality:
         (unit, rhs), terms = _reduced_form((unit, rhs), terms, None,
                                            "an inequality term")
         inequality = cls.__new__(cls)
-        inequality.terms = tuple((ref, Fraction(c, unit)) for ref, c in terms)
-        inequality.rhs = Fraction(rhs, unit)
         inequality.scaled = unit, rhs, terms
         return inequality
 
+    @property
+    def terms(self) -> tuple:
+        unit, _, terms = self.scaled
+        return tuple((ref, Fraction(c, unit)) for ref, c in terms)
+
+    @property
+    def rhs(self) -> Fraction:
+        unit, rhs, _ = self.scaled
+        return Fraction(rhs, unit)
+
     def __eq__(self, other):
         return (isinstance(other, LinearInequality)
-                and self.terms == other.terms and self.rhs == other.rhs)
+                and self.scaled == other.scaled)
 
     def __hash__(self):
-        return hash((self.terms, self.rhs))
+        return hash(self.scaled)
 
     def __repr__(self):
         body = " + ".join("%s*%s" % (v, r) for r, v in self.terms) or "0"
@@ -387,21 +392,21 @@ class LinearInequality:
 class Point:
     """Sparse point with entries in [0, 1] (zeros dropped), made from its
     Fractions or from its integer form (:meth:`from_scaled`).  Either
-    constructor stores that form as ``scaled``: ``(D, ((VarRef, X),
+    constructor stores only that form, as ``scaled``: ``(D, ((VarRef, X),
     ...))``, each entry times D, the LCM of the entries' denominators
-    (:func:`numeric.integer_form`)."""
+    (:func:`numeric.integer_form`).  ``entries`` are made on each read."""
 
-    __slots__ = ("entries", "scaled")
+    __slots__ = ("scaled",)
 
     def __init__(self, values=()):
-        self.entries = clean_terms(values)
-        for ref, value in self.entries:
+        entries = clean_terms(values)
+        for ref, value in entries:
             num, den = value.as_integer_ratio()  # den > 0
             if num < 0 or num > den:
                 raise ValidationError("point entry out of [0,1]: %s=%s" % (ref, value))
-        scale, xs = integer_form(x for _, x in self.entries)
+        scale, xs = integer_form(x for _, x in entries)
         self.scaled = scale, tuple(
-            (ref, x) for (ref, _), x in zip(self.entries, xs))
+            (ref, x) for (ref, _), x in zip(entries, xs))
 
     @classmethod
     def from_scaled(cls, scale, entries) -> "Point":
@@ -414,15 +419,19 @@ class Point:
         (scale,), entries = _reduced_form((scale,), entries, scale,
                                           "a point entry")
         point = cls.__new__(cls)
-        point.entries = tuple((ref, Fraction(x, scale)) for ref, x in entries)
         point.scaled = scale, entries
         return point
 
+    @property
+    def entries(self) -> tuple:
+        scale, entries = self.scaled
+        return tuple((ref, Fraction(x, scale)) for ref, x in entries)
+
     def __eq__(self, other):
-        return isinstance(other, Point) and self.entries == other.entries
+        return isinstance(other, Point) and self.scaled == other.scaled
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.scaled)
 
     def __repr__(self):
         body = ", ".join("%s=%s" % (r, v) for r, v in self.entries) or "0"
@@ -457,12 +466,15 @@ def lhs_at(inequality: LinearInequality, point) -> Fraction:
 
 def knapsack_row(instance: Instance) -> LinearInequality:
     """The defining constraint  sum a_ij x_ij <= b, on the references of
-    ``Instance.columns``."""
-    weights = chain.from_iterable(g.weights for g in instance.groups)
-    return LinearInequality(zip(instance.columns, weights), instance.capacity)
+    ``Instance.columns``, from :attr:`Instance.units`, zero weights
+    dropped."""
+    scale, rows, capacity = instance.units
+    return LinearInequality.from_scaled(scale, capacity, [
+        (ref, a) for ref, a in zip(instance.columns, chain.from_iterable(rows))
+        if a])
 
 
-def _weight_units(instance: Instance, point):
+def weight_units(instance: Instance, point):
     """``(total, D)``: the weight of ``point`` (anything with an integer
     form ``scaled``, over D) is total / (D * the scale of
     :attr:`Instance.units`); every reference checked."""
@@ -473,13 +485,6 @@ def _weight_units(instance: Instance, point):
         instance.check_ref(ref)
         total += rows[ref.group - 1][ref.slot - 1] * x
     return total, point_scale
-
-
-def weight_of(instance: Instance, point) -> Fraction:
-    """Exact weight of ``point`` (anything with an integer form ``scaled``),
-    summed in :attr:`Instance.units`, every reference checked."""
-    total, point_scale = _weight_units(instance, point)
-    return Fraction(total, instance.units[0] * point_scale)
 
 
 def profit_of(instance: Instance, point) -> Fraction:
@@ -504,7 +509,7 @@ def is_feasible(instance: Instance, point) -> bool:
     """Membership in S of ``point`` (anything with an integer form
     ``scaled``): the knapsack row, compared in :attr:`Instance.units` with
     every reference checked, and at most one positive slot per group."""
-    total, point_scale = _weight_units(instance, point)
+    total, point_scale = weight_units(instance, point)
     return (total <= instance.units[2] * point_scale
             and not complementarity_violations(point))
 
@@ -518,7 +523,8 @@ def normalize(instance: Instance):
 
     Returns ``(normalized_instance, permutations)`` where
     ``permutations[i-1][k-1]`` is the original slot now at position k of
-    group i.
+    group i.  When no group's order changes, ``normalized_instance`` is
+    ``instance`` itself.
     """
     new_groups = []
     perms = []
@@ -532,6 +538,8 @@ def normalize(instance: Instance):
         new_groups.append(Group.from_forms(
             (weight_scale, tuple(weights[k] for k in order)),
             (profit_scale, tuple(profits[k] for k in order))))
+    if all(perm == tuple(range(1, len(perm) + 1)) for perm in perms):
+        return instance, tuple(perms)
     return Instance(new_groups, instance.capacity), tuple(perms)
 
 
@@ -558,20 +566,15 @@ def validate_assumptions(instance: Instance) -> AssumptionReport:
 
     Requires a normalized instance (non-increasing weights per group).
     """
-    instance.normalized_units()  # raises unless normalized
+    _, rows, capacity = instance.normalized_units()  # raises unless normalized
     m0 = instance.m0
     a1 = len(m0) < instance.m
-    total_max = sum(max(g.weights) for g in instance.groups)
-    a2 = total_max > instance.capacity
-    trivial_value = None
-    trivial_point = None
-    if not a2:
-        entries = []
-        value = Fraction(0)
-        for i, g in enumerate(instance.groups, start=1):
-            best = max(range(g.size), key=lambda k: (g.profits[k], -k))
-            entries.append((VarRef(i, best + 1), Fraction(1)))
-            value += g.profits[best]
-        trivial_point = Point(entries)
-        trivial_value = value
-    return AssumptionReport(m0, a1, a2, trivial_value, trivial_point)
+    a2 = sum(map(max, rows)) > capacity
+    if a2:
+        return AssumptionReport(m0, a1, a2)
+    entries = []
+    for i, g in enumerate(instance.groups, start=1):
+        profits = g.profit_form[1]  # each group's first slot of most profit
+        entries.append((VarRef(i, profits.index(max(profits)) + 1), 1))
+    point = Point.from_scaled(1, entries)
+    return AssumptionReport(m0, a1, a2, profit_of(instance, point), point)

@@ -215,7 +215,7 @@ class VertexSet:
         affine rank of the tight candidates, whose rows are read off the
         table only when that tight set is new.
         """
-        instance, terms, dens = self.instance, inequality.terms, self.dens
+        instance, terms, dens = self.instance, inequality.scaled[2], self.dens
         coeffs, top, scale = instance.integer_row(inequality)
         excess = self._sums(coeffs, top)
         if max(excess) > 0:

@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 from .cuts import (GeneratedCut, build_member, family_members, is_switching,
                    resolve_families)
 from .errors import CkpError, PreconditionError, ValidationError
-from .model import Instance, Point, VarRef, lhs_at, weight_of
+from .model import Instance, Point, VarRef, lhs_at, weight_units
 from .numeric import require_integer
 from .oracle import pattern_count, walk_patterns
 
@@ -237,6 +237,7 @@ def build_partition_reduction(alphas, beta: int):
     entries.append((VarRef(k + 1, 1), 6 * beta))
     entries += [(VarRef(k + 1, j), 2 * beta) for j in range(2, beta + 2)]
     point = Point.from_scaled(6 * beta, entries)
-    if weight_of(instance, point) != instance.capacity:
+    total, den = weight_units(instance, point)
+    if total != instance.units[2] * den:
         raise CkpError("reduction point does not make the knapsack row tight")
     return instance, point

@@ -136,7 +136,7 @@ class LpProblem:
         instance and a row the problem has already, the knapsack row or a
         cut row in any equal form (its dense integer form is compared with
         theirs), raise ``ValidationError``."""
-        if row.rhs < 0:
+        if row.scaled[1] < 0:
             raise ValidationError("a cut row needs a nonnegative rhs")
         scaled = self.instance.integer_row(row)
         if scaled in self.scaled_rows:

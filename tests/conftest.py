@@ -12,7 +12,8 @@ from ckp import cuts, oracle
 from ckp.cuts import (lifted_cover_inequality_1, lifted_cover_inequality_2,
                       pack_inequality_1, pack_inequality_2, pack_inequality_3)
 from ckp.errors import CkpError, PreconditionError, ResourceLimitError
-from ckp.model import Instance, LinearInequality, Point, VarRef, lhs_at
+from ckp.model import (Instance, LinearInequality, Point, VarRef, lhs_at,
+                       weight_units)
 from ckp.numeric import integer_form
 from ckp.simplex import LpProblem, LpSolution
 
@@ -123,6 +124,13 @@ def correlated_instance(rng):
     heaviest = sum(g[0][0] for g in groups)
     capacity = heaviest * Fraction(rng.randint(1, 11), 12)
     return Instance.build(groups, capacity)
+
+
+def weight_of(instance: Instance, point) -> Fraction:
+    """Exact weight of ``point`` (anything with an integer form ``scaled``),
+    summed in :attr:`Instance.units`, every reference checked."""
+    total, point_scale = weight_units(instance, point)
+    return Fraction(total, instance.units[0] * point_scale)
 
 
 def itemset_weight(instance, itemset):

@@ -14,12 +14,13 @@ import pytest
 
 from ckp.errors import PreconditionError
 from ckp.fileio import serialize_inequality
-from ckp.model import VarRef, is_feasible, weight_of
+from ckp.model import VarRef, is_feasible
 from ckp.separation import build_partition_reduction, separate_exact
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import cuts, oracle
 
-from conftest import is_cover, is_pack, random_instance, tilt_pack_inequality
+from conftest import (is_cover, is_pack, random_instance, tilt_pack_inequality,
+                      weight_of)
 
 CORPUS_SEED = 20240819   # criteria 6, 7, 9: 200 instances
 SOLVE_SEED = 20240820    # criterion 8: 100 instances

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import chain, islice
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
 from ckp import simplex
 from ckp.errors import PreconditionError, ValidationError
+from ckp.fileio import serialize_inequality
 from ckp.numeric import integer_form
 from ckp.model import (
     Group,
@@ -22,12 +24,12 @@ from ckp.model import (
     normalize,
     profit_of,
     validate_assumptions,
-    weight_of,
 )
+from ckp.separation import build_partition_reduction
 
 from conftest import (LARGE_PRIMES, make_instance, random_instance,
                       rational_instance, reference_integer_form,
-                      reference_integer_row)
+                      reference_integer_row, weight_of)
 
 
 def test_build_and_lookups(ex_a):
@@ -213,7 +215,9 @@ def test_integral_instance_makes_no_fraction(monkeypatch):
     (a singleton group per alpha, one group (3, 1, ..., 1) with beta ones,
     profits equal to weights, capacity beta + 2) is built, and gives its
     columns, units, profit units, normalization and M_0, without one
-    ``Fraction`` made."""
+    ``Fraction`` made.  Nor does the partition reduction itself, a point
+    or a cut made from its integer form, the knapsack row, or printing a
+    cut of scale 1."""
     made = []
     original = Fraction.__new__
 
@@ -228,12 +232,22 @@ def test_integral_instance_makes_no_fraction(monkeypatch):
     inst = Instance.build(groups, beta + 2)
     reads = (inst.columns, inst.units, inst.profit_units, inst.normalized,
              inst.m0)
+    reduction, point = build_partition_reduction(alphas, beta)
+    again = Point.from_scaled(*point.scaled)
+    row = knapsack_row(inst)
+    cut = LinearInequality.from_scaled(
+        2, 6, ((VarRef(1, 1), 2), (VarRef(5, 2), 4)))
+    texts = serialize_inequality(cut), serialize_inequality(row)
     monkeypatch.undo()
     assert made == []
     assert reads[1:] == (
         (1, ((2,), (3,), (5,), (4,), tail), beta + 2),
         (1, alphas + tail), True, frozenset({1, 2, 3, 4}))
     assert reads[1][1][-1] is inst.groups[-1].weight_form[1]
+    assert reduction == inst and again == point and again.scaled[0] == 42
+    assert row.scaled == (1, beta + 2, tuple(zip(inst.columns, alphas + tail)))
+    assert texts[0] == "ineq 1\nrhs 3\nterm 1 1 1\nterm 5 2 2\n"
+    assert texts[1].startswith("ineq 1\nrhs 9\nterm 1 1 2\nterm 2 1 3\n")
 
 
 def _native(values):
@@ -275,6 +289,47 @@ def test_integer_forms_are_those_of_the_fraction_views():
             other = Instance(groups, convert((inst.capacity,))[0])
             assert other == inst and hash(other) == hash(inst)
             assert normalize(other) == normalize(inst)
+
+
+def test_one_stored_form_is_equality_by_value():
+    """Over 300 seeded draws of the integral and the rational corpus'
+    values: a Point or LinearInequality of Fractions equals, and hashes
+    as, the one ``from_scaled`` makes of its integer form times a random
+    k >= 1.  That form is all either stores, its scale and ints have gcd
+    1, and the views give back the Fractions given, zeros dropped.  The
+    knapsack row, made from ``Instance.units``, equals the inequality of
+    the instance's Fraction weights and capacity."""
+    rng = random.Random(3707)
+    rational = 0
+    for n in range(300):
+        inst = (random_instance if n % 2 else rational_instance)(rng)
+        values = [v for g in inst.groups for v in g.weights + g.profits]
+        top = max(values) + 1
+        xs = [(r, rng.choice(values) / top) for r in inst.columns]
+        cs = [(r, rng.choice((1, -1)) * rng.choice(values))
+              for r in inst.columns]
+        k = rng.randint(1, 40)
+        point, q = Point(xs), LinearInequality(cs, inst.capacity)
+        (scale, entries), (unit, rhs, terms) = point.scaled, q.scaled
+        assert gcd(scale, *(x for _, x in entries)) == 1
+        assert gcd(unit, rhs, *(c for _, c in terms)) == 1
+        made = Point.from_scaled(k * scale, [(r, k * x) for r, x in entries])
+        made_q = LinearInequality.from_scaled(
+            k * unit, k * rhs, [(r, k * c) for r, c in terms])
+        assert made == point and hash(made) == hash(point)
+        assert made_q == q and hash(made_q) == hash(q)
+        assert made.entries == point.entries == tuple(
+            (r, x) for r, x in xs if x)
+        assert made_q.terms == q.terms == tuple((r, c) for r, c in cs if c)
+        assert made_q.rhs == q.rhs == inst.capacity
+        assert knapsack_row(inst) == LinearInequality(
+            zip(inst.columns, chain.from_iterable(g.weights
+                                                  for g in inst.groups)),
+            inst.capacity)
+        rational += scale > 1 and unit > 1
+    assert rational >= 100
+    assert Point.__slots__ == LinearInequality.__slots__ == ("scaled",)
+    assert Group.__slots__ == ("weight_form", "profit_form")
 
 
 def _random_point(rng, inst):
@@ -509,6 +564,17 @@ class TestNormalize:
         assert out == ex_a
         assert perms == ((1,), (1,), (1,), (1, 2), (1, 2))
         assert out.normalized
+
+    def test_sorted_data_is_returned_as_it_is(self, ex_a):
+        """On sorted data ``normalize`` returns the instance itself, so a
+        sorted file is built once; unsorted data is rebuilt."""
+        rng = random.Random(4141)
+        for inst in [ex_a] + [random_instance(rng) for _ in range(20)] + [
+                rational_instance(rng) for _ in range(20)]:
+            assert normalize(inst)[0] is inst
+        unsorted = Instance.build([((6, 10), (6, 10))], 12)
+        out, perms = normalize(unsorted)
+        assert out is not unsorted and perms == ((2, 1),)
 
     def test_rejects_negative_data(self):
         with pytest.raises(ValidationError):

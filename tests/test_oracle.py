@@ -22,7 +22,6 @@ from ckp.model import (
     lhs_at,
     normalize,
     profit_of,
-    weight_of,
 )
 from ckp import oracle
 from ckp.numeric import format_rational
@@ -35,7 +34,7 @@ from ckp.separation import separate_exact
 from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
                       random_instance, rational_instance,
                       reference_candidate_vertices, reference_face_dimension,
-                      reference_maximize_over_S)
+                      reference_maximize_over_S, weight_of)
 
 
 # --- independent enumeration (recursion instead of itertools, own dedup) ---

@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from ckp import cli, oracle, separation, solver
+from ckp import cli, cuts, oracle, separation, solver
 from ckp.fileio import parse_instance, serialize_inequality, serialize_instance
 from ckp.model import Instance, LinearInequality, Point, VarRef
 
@@ -44,6 +44,21 @@ for result in (separation.separate_greedy(ex_c, point),
                separation.separate_exact(ex_c, point)):
     print(result.violation, result.stats.examined, result.stats.patterns,
           result.cut.describe(), result.cut.inequality)
+
+# one stored form: a point and a cut of scale above 1, each from its
+# Fractions and from its integer form times 3, and the cut as written
+scale, xs = point.scaled
+tripled = Point.from_scaled(3 * scale, [(ref, 3 * x) for ref, x in xs])
+cut = cuts.pack_inequality_2(ex_c, [(1, 1), (2, 1), (3, 2), (4, 2), (5, 2)],
+                             (3, 2)).inequality
+unit, rhs, terms = cut.scaled
+rebuilt = LinearInequality(cut.terms, cut.rhs)
+again = LinearInequality.from_scaled(3 * unit, 3 * rhs,
+                                     [(ref, 3 * c) for ref, c in terms])
+print(point == tripled, hash(point) == hash(tripled), tripled.entries,
+      rebuilt == cut == again, hash(rebuilt) == hash(cut) == hash(again),
+      cut.scaled)
+print(serialize_inequality(again), end="")
 
 path = os.path.join(sys.argv[1], "ex_c.ckp")
 with open(path, "w", encoding="utf-8") as handle:
@@ -98,4 +113,6 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "exit 0" in expected and "family: lcover1" in expected
     assert "valid: no" in expected and "candidates: 149" in expected
     assert "43/5 43/5 3 " in expected and "\nTrue True (120, " in expected
+    assert "True True ((" in expected and "True True (3, 114, " in expected
+    assert "term 3 1 35/3\n" in expected
     assert run(python310, SCRIPT, str(tmp_path)) == expected

@@ -10,7 +10,6 @@ from ckp.model import (
     VarRef,
     complementarity_violations,
     lhs_at,
-    weight_of,
 )
 from ckp.separation import (
     build_partition_reduction,
@@ -23,7 +22,7 @@ from ckp import cuts, oracle, separation
 from conftest import (correlated_instance, family_cuts, iter_patterns,
                       make_instance, random_instance, random_spans,
                       rational_instance, reference_is_maximal_switching_pack,
-                      with_profits)
+                      weight_of, with_profits)
 
 
 @pytest.fixture

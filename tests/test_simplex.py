@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from ckp.model import (
     Point,
     VarRef,
     knapsack_row,
-    weight_of,
 )
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp import oracle
@@ -21,7 +21,8 @@ from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
                       fraction_duals, group_rows, lp_solution, make_instance,
                       profits, random_instance, random_spans, rational_instance,
                       reference_lp_data, reference_maximize_over_S,
-                      reference_solve_lp, span_refs, with_profits)
+                      reference_solve_lp, span_refs, weight_of,
+                      with_profits)
 
 
 def lp_for(inst, extra_rows=()):
@@ -490,11 +491,9 @@ def test_certificate_rejects_point_on_forced_variable():
 
 
 def _unchecked_point(entries):
-    """A Point holding ``entries`` as given, past the constructor's [0, 1]
-    check, as a forged solution might."""
-    point = object.__new__(Point)
-    point.entries = tuple(entries)
-    return point
+    """An object holding ``entries`` as given, past ``Point``'s [0, 1]
+    check, as a forged solution might: all ``lp_solution`` reads."""
+    return SimpleNamespace(entries=tuple(entries))
 
 
 _LARGE_PRIME = 2 ** 61 - 1
