@@ -117,8 +117,9 @@ def _iter_family_cuts(instance, families, limit):
     first pack family; covers from the pattern walk, which skips the
     subtrees that hold no member.  The members are those
     ``cuts.family_members`` lists from the instance's integer units, with
-    no point read, each built once; a cut with no terms, 0 <= rhs, cuts
-    nothing and is skipped."""
+    no point read, each made from its listed form by ``cuts._member_cut``,
+    so its form is made once; a cut with no terms, 0 <= rhs, cuts nothing
+    and is skipped."""
     _, rows, capacity = instance.normalized_units()
     packs = None
     for family in families:
@@ -130,9 +131,9 @@ def _iter_family_cuts(instance, families, limit):
         else:
             itemsets = oracle.walk_patterns(instance, limit, (family,))
         for items, units in itemsets:
-            for key, _ in cuts_mod.family_members(rows, capacity, items, units,
-                                                  (family,)):
-                cut = cuts_mod.build_member(instance, key)
+            for key, form in cuts_mod.family_members(rows, capacity, items,
+                                                     units, (family,)):
+                cut = cuts_mod._member_cut(instance, key, form)
                 if cut.inequality.scaled[2]:
                     yield cut
 

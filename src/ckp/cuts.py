@@ -25,8 +25,9 @@ so all three have one integer form.
 
 Each generator checks its mathematical preconditions, among them that
 every group keeps its slots by non-increasing weight, and raises
-PreconditionError when they fail; ``facet_guaranteed`` is set exactly when
-the relevant theorem's sufficient condition holds on the instance.
+PreconditionError when they fail.  The facet rules live once, in
+:func:`_member_cut`: ``facet_guaranteed`` is set exactly when the
+relevant theorem's sufficient condition holds on the instance.
 
 Each family's inequality is written once, as an integer form ``(den,
 rhs, rows)`` over the instance's integer units of the weights and
@@ -34,18 +35,19 @@ capacity (:attr:`Instance.units`): ``rows`` maps each group i of the item
 set to its coefficients by slot, and the coefficients and ``rhs`` are the
 cut's times scale * den.  There is one form for the three pack families,
 one for ``lcover1`` and one for ``lcover2``.  A builder tests its
-preconditions in those units and keeps the form as its cut's integer
-form (``LinearInequality.from_scaled``), which the oracle, the node LP's
-pool and separation's winner check read as it is.
+preconditions in those units and ends in :func:`_member_cut`, which keeps
+the form as its cut's integer form (``LinearInequality.from_scaled``),
+read as it is by the oracle, the node LP's pool and separation's check.
 
 Which members an item set gives depends on the weights and the capacity
 alone, so the member list is instance data: :func:`family_members` reads
 an item set and its weight in the instance's integer units, tests each
 member's preconditions there and gives its provenance key and integer
 form, and reads no point.  :func:`build_member` builds one member from
-its provenance key.  Exact and greedy separation score every listed form
-at their point (``ckp.separation``) and build only the winner; ``ckp
-cuts`` lists the members and builds each.  Both take their item sets from
+its key through its public builder.  Exact and greedy separation score
+every listed form at their point (``ckp.separation``) and build only the
+winner that way; ``ckp cuts`` makes each listed member's cut from its
+listed form (:func:`_member_cut`).  Both take their item sets from
 :func:`ckp.oracle.walk_patterns`, each with its weight in integer units.
 :func:`is_switching` is the one maximal-switching test.
 """
@@ -255,15 +257,15 @@ def _inequality(scale, form) -> LinearInequality:
         for j, c in enumerate(row, start=1) if c])
 
 
-def _pack_cut(instance: Instance, pack, pivot: Optional[VarRef] = None,
-              tilt_group: Optional[int] = None):
-    """``(pack, inequality)``: the item set in its one form (see
-    :func:`_weighed`) and its pack cut of :func:`_pack_form`, the
-    preconditions checked in integer units."""
+def _pack_cut(instance: Instance, family: str, pack, pivot=None,
+              tilt_group=None) -> GeneratedCut:
+    """The ``family`` cut of ``pack`` (see :func:`_weighed`) of
+    :func:`_pack_form`, the preconditions checked in integer units."""
     pack, scale, rows, capacity, s = _weighed(instance, pack)
     if s >= capacity:
         raise PreconditionError("not a pack: weight %s >= capacity %s"
                                 % (Fraction(s, scale), instance.capacity))
+    aux = ()
     if pivot is not None:
         free = [i for i, _ in pack if len(rows[i - 1]) > 1]  # M_P - M_0
         if len(free) < 2:
@@ -280,8 +282,9 @@ def _pack_cut(instance: Instance, pack, pivot: Optional[VarRef] = None,
                                        or tilt_group in free):
             raise PreconditionError(
                 "tilt group %d is not a singleton pack group" % tilt_group)
+        aux = (pivot.group,) + (() if tilt_group is None else (tilt_group,))
     form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt_group)
-    return pack, _inequality(scale, form)
+    return _member_cut(instance, (pack, FAMILY_RANK[family], aux), form)
 
 
 def _pack_members(rows, capacity, pack, slack, families):
@@ -313,24 +316,13 @@ def _pack_members(rows, capacity, pack, slack, families):
 def pack_inequality_1(instance: Instance, pack) -> GeneratedCut:
     """Pack cut: weights on all variables of pack groups, extra (b-s) on
     non-singleton pack items."""
-    pack, inequality = _pack_cut(instance, pack)
-    # The theorem's facet statement needs a non-singleton pack group: its
-    # point construction breaks down when M_P is all singletons (and the
-    # claim is false there for packs of two or more items).
-    groups = {i for i, _ in pack}
-    facet = (bool(groups - instance.m0) and bool(groups & instance.m0)
-             and is_maximal_switching_pack(instance, pack))
-    return GeneratedCut("pack1", inequality, pack, facet_guaranteed=facet)
+    return _pack_cut(instance, "pack1", pack)
 
 
 def pack_inequality_2(instance: Instance, pack, pivot) -> GeneratedCut:
     """Pack cut pivoting on a non-singleton last-slot item: the pivot group's
     lighter slots get scaled-up coefficients."""
-    pivot = var_ref(pivot)
-    pack, inequality = _pack_cut(instance, pack, pivot)
-    facet = is_maximal_switching_pack(instance, pack)
-    return GeneratedCut("pack2", inequality, pack,
-                        facet_guaranteed=facet, pivot=pivot)
+    return _pack_cut(instance, "pack2", pack, var_ref(pivot))
 
 
 def pack_inequality_3(instance: Instance, pack, pivot,
@@ -338,13 +330,8 @@ def pack_inequality_3(instance: Instance, pack, pivot,
     """The pack2 cut tilted toward a singleton pack group: its variable's
     coefficient shrinks while the other non-singleton pack items and the
     right-hand side slack grow by the same factor."""
-    pivot = var_ref(pivot)
-    tilt_group = require_integer(tilt_group, "tilt group")
-    pack, inequality = _pack_cut(instance, pack, pivot, tilt_group)
-    remainder = [ref for ref in pack if ref.group != tilt_group]
-    facet = is_maximal_switching_pack(instance, remainder)
-    return GeneratedCut("pack3", inequality, pack,
-                        facet_guaranteed=facet, pivot=pivot, tilt_group=tilt_group)
+    return _pack_cut(instance, "pack3", pack, var_ref(pivot),
+                     require_integer(tilt_group, "tilt group"))
 
 
 def _cover_units(instance: Instance, cover):
@@ -359,14 +346,12 @@ def _cover_units(instance: Instance, cover):
 
 def lifted_cover_inequality_1(instance: Instance, cover) -> GeneratedCut:
     """Lifted cover cut from a cover choosing slot r_i per group."""
-    cover, scale, rows, capacity, over = _cover_units(instance, cover)
+    cover, _, rows, capacity, over = _cover_units(instance, cover)
     if not any(_lifts(rows[i - 1], r, over) for i, r in cover):
         raise PreconditionError("lifting condition violated: no slot below any "
                                 "chosen item keeps the rest under capacity")
-    form = _lcover1_form(rows, capacity, cover, over)
-    facet = all(ref.slot == 1 for ref in cover)
-    return GeneratedCut("lcover1", _inequality(scale, form), cover,
-                        facet_guaranteed=facet)
+    return _member_cut(instance, (cover, FAMILY_RANK["lcover1"], ()),
+                       _lcover1_form(rows, capacity, cover, over))
 
 
 def lifted_cover_inequality_2(instance: Instance, cover,
@@ -387,11 +372,36 @@ def lifted_cover_inequality_2(instance: Instance, cover,
         raise PreconditionError(
             "lifting condition violated: %s + %s >= %s"
             % (Fraction(rest, scale), Fraction(row[-1], scale), instance.capacity))
-    form = _lcover2_form(rows, capacity, cover, over, special)
-    facet = all(ref.slot == len(rows[ref.group - 1])
-                for ref in cover if ref.group != special.group)
-    return GeneratedCut("lcover2", _inequality(scale, form), cover,
-                        facet_guaranteed=facet, special=special)
+    return _member_cut(instance, (cover, FAMILY_RANK["lcover2"], (special.group,)),
+                       _lcover2_form(rows, capacity, cover, over, special))
+
+
+def _member_cut(instance: Instance, key, form) -> GeneratedCut:
+    """The cut of the member with provenance ``key`` and integer ``form``,
+    as :func:`family_members` lists them: the one place each family's
+    facet rule is written.  The public builders end here once their
+    checks pass, and ``ckp cuts`` calls it on each listed member."""
+    items, rank, aux = key
+    family = FAMILIES[rank]
+    scale, rows, _ = instance.units
+    # the pivot (pack2, pack3) or special item (lcover2), by its group
+    ref = VarRef(aux[0], dict(items)[aux[0]]) if aux else None
+    tilt = aux[1] if family == "pack3" else None
+    if family == "lcover1":
+        facet = all(j == 1 for _, j in items)
+    elif family == "lcover2":
+        facet = all(j == len(rows[i - 1]) for i, j in items if i != ref.group)
+    else:  # pack3 asks it of the pack without its tilt item
+        facet = is_maximal_switching_pack(
+            instance, [r for r in items if r.group != tilt])
+    if family == "pack1":
+        # the facet statement needs a non-singleton pack group; with M_P all
+        # singletons it is false for packs of two or more items
+        groups = {i for i, _ in items}
+        facet = facet and bool(groups - instance.m0) and bool(groups & instance.m0)
+    return GeneratedCut(family, _inequality(scale, form), items, facet,
+                        ref if family.startswith("pack") else None, tilt,
+                        ref if family == "lcover2" else None)
 
 
 def _lifts(row, slot, over) -> bool:

@@ -7,11 +7,9 @@ serialization is bit-stable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import FormatError
 from .model import Group, Instance, LinearInequality, Point, VarRef
-from .numeric import format_rational, parse_exact, parse_integer
+from .numeric import format_ratio, parse_exact, parse_integer
 
 
 def _logical_lines(text: str):
@@ -84,11 +82,12 @@ def _value_at(lineno, token, parse=parse_exact):
 
 
 def _texts(form):
-    """The canonical texts of an integer form's values, ``ints / scale``."""
+    """The canonical texts of an integer form's values, ``ints / scale``,
+    each reduced by :func:`numeric.format_ratio` with no Fraction made."""
     scale, ints = form
     if scale == 1:
         return [str(v) for v in ints]
-    return [format_rational(Fraction(v, scale)) for v in ints]
+    return [format_ratio(v, scale) for v in ints]
 
 
 def serialize_instance(instance: Instance) -> str:

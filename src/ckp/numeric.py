@@ -73,9 +73,15 @@ def require_integer(value, name: str) -> int:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: ``p`` for integers, else ``p/q`` in lowest terms."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return format_ratio(*value.as_integer_ratio())
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The canonical text form of num / den (den > 0), reduced by their
+    gcd, with no Fraction made: the package's one ``p``/``p/q`` rule."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 def integer_form(values) -> Tuple[int, list]:

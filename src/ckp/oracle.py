@@ -18,20 +18,20 @@ consider the all-ones assignment plus the assignments with a single
 designated fractional variable completing the capacity.  The resulting
 candidate set is a superset of the vertices and a subset of the feasible
 set S, hence its convex hull equals the polytope, and the maximum of a
-linear function over the candidates is its maximum over S.  The
-candidates are found in integer units and kept once, in walk order (the
-origin, then per pattern the all-ones point and the fractional points,
-last item first), as one integer table, a :class:`VertexSet`: a
-denominator per candidate and a column of ints per variable.  That table
-answers every query: a row's integer form (a cut keeps its builder's),
-filled dense by ``Instance.integer_row``, is summed over it a column at
-a time, and the first candidate of largest sum / den is the maximizer of
-``maximize_over_S`` and the witness of an invalid inequality, the one
-``ckp verify`` prints.  A valid inequality's
-face dimension is the affine rank of its tight candidates, each distinct
-tight set ranked once.  ``ckp oracle`` reads its candidate count and its
-maximum off one enumeration.  The oracle shares no code with the node LP
-it checks.
+linear function over the candidates is its maximum over S.  The candidates
+are found in integer units, each fractional entry reduced by a gcd, and
+kept once, in walk order (the origin, then per pattern the all-ones point
+and the fractional points, last item first), as one integer table, a
+:class:`VertexSet`: a denominator per candidate and a column of ints per
+variable.  That table answers every query: a row's integer form (a cut
+keeps its builder's), filled dense by ``Instance.integer_row``, is summed
+over it a column at a time, and the first candidate of largest sum / den
+is the maximizer of ``maximize_over_S`` and the witness of an invalid
+inequality, the one ``ckp verify`` prints.  A valid inequality's face
+dimension is the affine rank of its tight candidates, kept under the
+inequality's integer form, so each distinct inequality is summed and
+ranked once.  ``ckp oracle`` reads its candidate count and its maximum off
+one enumeration.  The oracle shares no code with the node LP it checks.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import not_
 from typing import Optional
 
@@ -152,8 +153,8 @@ class VertexSet:
     ``column[k] / dens[k]`` at each column of ``columns``, one tuple of
     ints per entry of ``Instance.columns``.  A :class:`Point` is made from
     it only for a maximizer or a witness, or at a read of :attr:`points`.
-    Each affine rank is kept, keyed by the byte mask of its tight
-    candidates and its cap, so a repeated tight set costs one lookup."""
+    Each valid inequality's face dimension is kept, keyed by its integer
+    form ``scaled``, which is canonical and fixes the rank's cap."""
 
     __slots__ = ("instance", "dens", "columns", "_ranks")
 
@@ -211,11 +212,15 @@ class VertexSet:
         Each candidate's excess, its lhs less the rhs times its denominator
         and the inequality's scale, is summed once, in integers.  Above the
         rhs this raises with the first candidate of largest excess / den,
-        the maximizer of the lhs, as witness.  Otherwise the result is the
-        affine rank of the tight candidates, whose rows are read off the
-        table only when that tight set is new.
+        the maximizer of the lhs, as witness, and keeps nothing.  Otherwise
+        the result is the affine rank of the tight candidates, kept under
+        the inequality's form, so a repeated inequality costs one lookup.
         """
-        instance, terms, dens = self.instance, inequality.scaled[2], self.dens
+        key = inequality.scaled
+        rank = self._ranks.get(key)
+        if rank is not None:
+            return rank
+        instance, dens = self.instance, self.dens
         coeffs, top, scale = instance.integer_row(inequality)
         excess = self._sums(coeffs, top)
         if max(excess) > 0:
@@ -225,14 +230,11 @@ class VertexSet:
             raise PreconditionError(
                 "inequality is not valid (max %s > rhs %s)"
                 % (lhs, inequality.rhs), witness=self._point(best))
-        cap = instance.dimension - 1 if terms else instance.dimension
-        tight = bytes(map(not_, excess))  # 1 at each tight candidate
-        rank = self._ranks.get((tight, cap))
-        if rank is None:
-            columns = self.columns
-            rank = self._ranks[tight, cap] = affine_rank(
-                ((dens[k], [column[k] for column in columns])
-                 for k in compress(range(len(dens)), tight)), cap)
+        cap = instance.dimension - 1 if key[2] else instance.dimension
+        columns = self.columns
+        rank = self._ranks[key] = affine_rank(
+            ((dens[k], [column[k] for column in columns])
+             for k in compress(range(len(dens)), map(not_, excess))), cap)
         return rank
 
 
@@ -259,10 +261,11 @@ def enumerate_candidate_vertices(instance: Instance, limit: Optional[int] = None
             a = rows[ref.group - 1][ref.slot - 1]
             room = capacity - total + a
             if 0 < room < a:  # room / a strictly inside (0, 1)
-                frac = Fraction(room, a)
-                row = [x * frac.denominator for x in ones]
-                row[col[ref]] = frac.numerator
-                found.append((frac.denominator, row))
+                common = gcd(room, a)
+                den = a // common
+                row = [x * den for x in ones]
+                row[col[ref]] = room // common
+                found.append((den, row))
     dens, rows = zip(*found)
     return VertexSet(instance, dens, tuple(zip(*rows)))
 

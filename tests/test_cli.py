@@ -292,12 +292,28 @@ def test_cuts_enumerates_packs_once(files, capsys, monkeypatch, family, calls):
         assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
 
 
-def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built):
+def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built,
+                                                   monkeypatch):
+    # the listing makes each member's integer form once and builds its cut
+    # from that form (cuts._member_cut), not again through a public builder
+    made = Counter()
+
+    def counting(name, function):
+        def wrapper(*args):
+            made[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in ("_pack_form", "_lcover1_form", "_lcover2_form", "_member_cut"):
+        monkeypatch.setattr(cuts, name, counting(name, getattr(cuts, name)))
     code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
     assert code == 0
-    assert sum(built.values()) == out.count("# family:") == 36
-    assert built["pack_inequality_3"] == out.count("# family: pack3") > 0
-    assert built.raised == {}  # no member is tried and then skipped
+    forms = made["_pack_form"] + made["_lcover1_form"] + made["_lcover2_form"]
+    assert forms == out.count("# family:") == 36
+    assert made["_pack_form"] == out.count("# family: pack") > 0
+    assert made["_lcover2_form"] == out.count("# family: lcover2") > 0
+    # every member built is printed: none is tried and then skipped
+    assert made["_member_cut"] == 36 and not built
 
 
 def test_cuts_listing_matches_building_every_member(tmp_path, capsys):

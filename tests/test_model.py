@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ckp import simplex
+from ckp import oracle, simplex
 from ckp.errors import PreconditionError, ValidationError
-from ckp.fileio import serialize_inequality
+from ckp.fileio import serialize_inequality, serialize_point
 from ckp.numeric import integer_form
 from ckp.model import (
     Group,
@@ -248,6 +248,36 @@ def test_integral_instance_makes_no_fraction(monkeypatch):
     assert row.scaled == (1, beta + 2, tuple(zip(inst.columns, alphas + tail)))
     assert texts[0] == "ineq 1\nrhs 3\nterm 1 1 1\nterm 5 2 2\n"
     assert texts[1].startswith("ineq 1\nrhs 9\nterm 1 1 2\nterm 2 1 3\n")
+
+
+def test_fractional_candidates_and_rational_texts_make_no_fraction(
+        monkeypatch):
+    """The oracle reduces each fractional candidate room / a by a gcd, and
+    a cut of scale 3 and a rational point print through
+    ``numeric.format_ratio``: neither makes a ``Fraction``.  Each
+    candidate's form is in lowest terms, as a Fraction's would be."""
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    inst = make_instance([(6, 4), (9, 3), (2,)], 10)
+    cut = LinearInequality.from_scaled(
+        3, 7, ((VarRef(1, 1), 2), (VarRef(2, 2), 3), (VarRef(3, 1), -4)))
+    point = Point.from_scaled(6, ((VarRef(1, 1), 3), (VarRef(2, 1), 2)))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    vertices = oracle.enumerate_candidate_vertices(inst)
+    texts = serialize_inequality(cut), serialize_point(point)
+    monkeypatch.undo()
+    assert made == []
+    assert sum(den > 1 for den in vertices.dens) >= 5
+    for k, den in enumerate(vertices.dens):
+        assert gcd(den, *(column[k] for column in vertices.columns)) == 1
+    assert texts == ("ineq 1\nrhs 7/3\nterm 1 1 2/3\nterm 2 2 1\n"
+                     "term 3 1 -4/3\n",
+                     "point 1\nval 1 1 1/2\nval 2 1 1/3\n")
 
 
 def _native(values):

@@ -537,8 +537,10 @@ def test_kept_ranks_answer_as_a_fresh_enumeration():
 
 def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
         ex_c, monkeypatch):
-    """Enumerating and answering valid cuts makes no Point; a tight set
-    asked about again is answered without a second affine rank."""
+    """Enumerating and answering valid cuts makes no Point.  Each distinct
+    inequality form is summed and ranked once: asked about again, it runs
+    neither ``_sums`` nor ``affine_rank``.  On this corpus the distinct
+    forms are also the distinct tight sets."""
     made = Counter()
 
     def counting(name, function):
@@ -549,6 +551,8 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
 
     monkeypatch.setattr(oracle, "affine_rank",
                         counting("affine_rank", oracle.affine_rank))
+    monkeypatch.setattr(oracle.VertexSet, "_sums",
+                        counting("_sums", oracle.VertexSet._sums))
     for name in ("__init__", "from_scaled"):  # both Point constructors
         monkeypatch.setattr(oracle.Point, name,
                             counting("Point", getattr(oracle.Point, name)))
@@ -556,18 +560,23 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
     for inequality in _cuts_of(ex_c):
         vertices.face_dimension(inequality)
     assert made["Point"] == 0
-    queries = tight_sets = ranks = 0
+    queries = forms = tight_sets = ranks = 0
     for inst in _seeded_instances(30, 2727):
         vertices = oracle.enumerate_candidate_vertices(inst)
         cuts = list(_cuts_of(inst))
+        distinct = len({c.scaled for c in cuts})
         made.clear()
-        for inequality in cuts:
-            vertices.face_dimension(inequality)
+        answers = [vertices.face_dimension(c) for c in cuts]
+        assert made["_sums"] == made["affine_rank"] == distinct
         queries += len(cuts)
+        forms += distinct
         ranks += made["affine_rank"]
+        made.clear()
+        assert [vertices.face_dimension(c) for c in cuts] == answers
+        assert made == {}  # every repeat is one lookup
         tight_sets += len({tuple(lhs_at(c, p) == c.rhs for p in vertices.points)
                            for c in cuts})
-    assert ranks == tight_sets < queries
+    assert ranks == forms == tight_sets < queries
 
 
 # --- enumeration guard ---

@@ -83,6 +83,11 @@ parsed = parse_instance("ckp 1\nb 346/48\ngroup 3 a 39/2 28/5 10/2 c 41/2 33/5 6
 print(parsed == rational, hash(parsed) == hash(rational), parsed.units,
       parsed.profit_units, parsed.capacity, parsed.groups[0].weights)
 print(serialize_instance(parsed), end="")
+# its cuts, verified, through a p/q file: gcd-reduced candidates and p/q text
+rational_path = os.path.join(sys.argv[1], "rational.ckp")
+with open(rational_path, "w", encoding="utf-8") as handle:
+    handle.write(serialize_instance(rational))
+print("exit", cli.main(["cuts", rational_path, "--family", "all", "--verify"]))
 bad = os.path.join(sys.argv[1], "bad.ineq")
 with open(bad, "w", encoding="utf-8") as handle:
     handle.write(serialize_inequality(
@@ -115,4 +120,5 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "43/5 43/5 3 " in expected and "\nTrue True (120, " in expected
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
+    assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut
     assert run(python310, SCRIPT, str(tmp_path)) == expected
