@@ -13,6 +13,7 @@ Submodules:
 * ``cli``        — the ``ckp`` command
 """
 
+from .cuts import is_maximal_switching_pack
 from .errors import (CkpError, FormatError, PreconditionError,
                      ResourceLimitError, ValidationError)
 from .model import (AssumptionReport, Group, Instance, LinearInequality,
@@ -26,6 +27,6 @@ __all__ = [
     "AssumptionReport", "CkpError", "FormatError", "Group", "Instance",
     "LinearInequality", "Point", "PreconditionError",
     "ResourceLimitError", "ValidationError", "VarRef", "evaluate",
-    "format_rational", "knapsack_row", "normalize", "parse_rational",
-    "validate_assumptions", "__version__",
+    "format_rational", "is_maximal_switching_pack", "knapsack_row",
+    "normalize", "parse_rational", "validate_assumptions", "__version__",
 ]

@@ -138,9 +138,16 @@ class GeneratedCut:
 def is_maximal_switching_pack(instance: Instance, items) -> bool:
     """Last-slot pack whose every non-singleton swap overshoots the
     capacity; ``items`` as the builders take them."""
-    items, _, rows, capacity, s = _weighed(instance, items)
+    items, _, rows, capacity, _ = _weighed(instance, items)
+    return _maximal_switching(rows, capacity, items)
+
+
+def _maximal_switching(rows, capacity, items) -> bool:
+    """:func:`is_maximal_switching_pack` of canonical ``items``, with
+    ``rows`` and ``capacity`` the instance's integer units."""
     return (all(j == len(rows[i - 1]) for i, j in items)
-            and is_switching([rows[i - 1] for i, _ in items], capacity - s))
+            and is_switching([rows[i - 1] for i, _ in items], capacity
+                             - sum(rows[i - 1][j - 1] for i, j in items)))
 
 
 def is_switching(tails, slack) -> bool:
@@ -383,7 +390,7 @@ def _member_cut(instance: Instance, key, form) -> GeneratedCut:
     checks pass, and ``ckp cuts`` calls it on each listed member."""
     items, rank, aux = key
     family = FAMILIES[rank]
-    scale, rows, _ = instance.units
+    scale, rows, capacity = instance.units
     # the pivot (pack2, pack3) or special item (lcover2), by its group
     ref = VarRef(aux[0], dict(items)[aux[0]]) if aux else None
     tilt = aux[1] if family == "pack3" else None
@@ -392,8 +399,8 @@ def _member_cut(instance: Instance, key, form) -> GeneratedCut:
     elif family == "lcover2":
         facet = all(j == len(rows[i - 1]) for i, j in items if i != ref.group)
     else:  # pack3 asks it of the pack without its tilt item
-        facet = is_maximal_switching_pack(
-            instance, [r for r in items if r.group != tilt])
+        facet = _maximal_switching(
+            rows, capacity, [r for r in items if r.group != tilt])
     if family == "pack1":
         # the facet statement needs a non-singleton pack group; with M_P all
         # singletons it is false for packs of two or more items

@@ -17,7 +17,8 @@ Conventions used everywhere:
   keeps its weights and profits, and an :class:`Instance` its capacity, as
   ``(scale, ints)``: ints as they are, at scale 1, so integral data makes
   no Fraction; :attr:`Instance.units` and :attr:`Instance.profit_units`
-  bring the forms to one scale (:func:`numeric.common_scale`),
+  bring the forms to one scale (:func:`numeric.common_scale`), made with
+  the instance's other facts in one pass at the first read of any of them,
 * a point's integer form is ``scaled = (D, ((VarRef, X), ...))``: refs
   sorted and unique, each X > 0, and x = X / D.  It is all that a
   :class:`Point` stores: ``Point`` computes it from the Fractions,
@@ -46,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
+from operator import ge
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import FormatError, PreconditionError, ValidationError
@@ -188,7 +190,17 @@ class Instance:
     it nonnegative.  A negative capacity, and then the first negative
     weight or profit, slot by slot, raise ``ValidationError`` naming it.
     The capacity is kept in integer form, ``capacity_form = (scale,
-    (int,))``, as a group's rows are; ``capacity`` is its Fraction."""
+    (int,))``, as a group's rows are; ``capacity`` is its Fraction.
+
+    Its four facts are made together, in one pass over the groups, at the
+    first read of any of them, and are plain attributes after it:
+    ``columns``, ``{VarRef: column}`` in (group, slot) order, the package's
+    one column index; ``units``, ``(scale, rows, capacity_units)``, the
+    weights by group and the capacity brought to one integer scale, the
+    least common denominator of them all (:func:`numeric.common_scale`, so
+    on integral data the rows are the groups' own); ``profit_units``,
+    ``(scale, costs)``, the profits in ``columns`` order likewise; and
+    ``normalized``, weights non-increasing within every group."""
 
     def __init__(self, groups, capacity):
         self.groups = groups = tuple(groups)
@@ -261,33 +273,27 @@ class Instance:
         """M_0: indices of groups with exactly one slot."""
         return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
 
-    @cached_property
-    def columns(self):
-        """``{VarRef: column}`` in (group, slot) order, the package's one
-        column index.  Computed on first use."""
-        refs = [VarRef(i, j) for i, g in enumerate(self.groups, start=1)
-                for j in range(1, g.size + 1)]
-        return dict(zip(refs, range(len(refs))))
-
-    @cached_property
-    def units(self):
-        """``(scale, rows, capacity_units)``: each group's weights as a row
-        and the capacity, times ``scale``, the least common denominator of
-        them all, so that every weight comparison is between exact
-        integers: the integer forms brought to one scale
-        (:func:`numeric.common_scale`), so on integral data the rows are
-        the groups' own.  Computed on first use."""
-        scale, ((capacity,), *rows) = common_scale(chain(
-            (self.capacity_form,), (g.weight_form for g in self.groups)))
-        return scale, tuple(rows), capacity
-
-    @cached_property
-    def profit_units(self):
-        """``(scale, costs)``: the profits in :attr:`columns` order times
-        ``scale``, the least common denominator of them all
-        (:func:`numeric.common_scale`).  Computed on first use."""
-        scale, rows = common_scale(g.profit_form for g in self.groups)
-        return scale, tuple(chain.from_iterable(rows))
+    def __getattr__(self, name):
+        # reached only before the facts are attributes: make all four; the
+        # refs through tuple.__new__, not VarRef's Python-level constructor
+        if name not in ("columns", "units", "profit_units", "normalized"):
+            raise AttributeError("'Instance' object has no attribute %r" % name)
+        new, refs, normalized = tuple.__new__, [], True
+        weights, profits = [self.capacity_form], []
+        for i, g in enumerate(self.groups, start=1):
+            weights.append(g.weight_form)
+            profits.append(g.profit_form)
+            row = g.weight_form[1]
+            for j in range(1, len(row) + 1):
+                refs.append(new(VarRef, (i, j)))
+            normalized = normalized and all(map(ge, row, row[1:]))
+        scale, ((capacity,), *rows) = common_scale(weights)
+        self.columns = dict(zip(refs, range(len(refs))))
+        self.units = scale, tuple(rows), capacity
+        scale, rows = common_scale(profits)
+        self.profit_units = scale, tuple(chain.from_iterable(rows))
+        self.normalized = normalized
+        return self.__dict__[name]
 
     def integer_row(self, inequality):
         """``(coefficients, rhs, scale)``: the integer form
@@ -299,13 +305,6 @@ class Instance:
         for ref, a in terms:
             dense[self.check_ref(ref)] = a
         return dense, rhs, scale
-
-    @cached_property
-    def normalized(self) -> bool:
-        """Weights non-increasing within every group, tested on
-        :attr:`units`."""
-        return all(a >= b for row in self.units[1]
-                   for a, b in zip(row, row[1:]))
 
     def normalized_units(self):
         """:attr:`units`, once every group is known to keep its slots by

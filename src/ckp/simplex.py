@@ -35,13 +35,13 @@ the integer form) is made on each read, for a caller that shows it.
   span's slots with a positive cost gives increments (weight step, cost
   step) of falling efficiency; all groups' increments are taken by
   Dantzig's ratio rule, whole while they fit, then one part of the first
-  that does not.  A group of one slot is its own increment, so with every
-  group a singleton this is Dantzig's rule on the slots.  The
-  duals are closed-form: the knapsack multiplier is the critical
-  efficiency (that of the first increment not taken whole), or 0 when
-  everything fits; a group row's multiplier is max(0, max_j c_j - ratio *
-  a_j) over the group's span, and the bound multipliers are 0, except on
-  one-slot groups, whose bound multiplier is that same maximum.
+  that does not.  A one-column span (of a one-slot group, or a node's) is
+  its own increment, with no hull; with every group a singleton this is
+  Dantzig's rule on the slots.  The duals are closed-form: the knapsack
+  multiplier is the critical efficiency (the first increment's not taken
+  whole), or 0 when all fits; a group row's multiplier is max(0, max_j c_j
+  - ratio * a_j) over the group's span, and the bound multipliers are 0,
+  except on one-slot groups, whose bound multiplier is that maximum.
 * **With cut rows.**  A bounded-variable simplex runs on a tableau that
   holds the knapsack row, the group rows and the cut rows, starting from
   the slack basis (x = 0).  The tableau is fraction-free: each row is a
@@ -73,6 +73,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import CkpError, ValidationError
@@ -178,42 +179,42 @@ def _solve_groups(problem: LpProblem, spans) -> LpSolution:
     increments = []   # (column, weight step, cost step) along each hull
     for lo, hi in spans:
         # the upper concave hull of the origin and the span's slots with a
-        # positive cost, lightest slot first: a slot no dearer than the
-        # hull's last point is dominated, and a point on or below the
-        # segment from its predecessor to the new slot is dropped
-        hull = [(None, 0, 0)]
+        # positive cost, lightest slot first, kept as its steps, which end
+        # at (a0, c0): a slot no dearer than that point is dominated, and
+        # a point on or below the segment from its predecessor to the new
+        # slot is dropped.  A one-column span is its own increment.
+        base, a0, c0 = len(increments), 0, 0
         for j in range(hi - 1, lo - 1, -1):
             c = costs[j]
-            if c <= hull[-1][2]:
+            if c <= c0:
                 continue
             a = weights[j]
-            while len(hull) > 1:
-                _, a1, c1 = hull[-1]
-                _, a0, c0 = hull[-2]
-                if (c1 - c0) * (a - a1) > (c - c1) * (a1 - a0):
+            while len(increments) > base:
+                _, step, gain = increments[-1]
+                if gain * (a - a0) > (c - c0) * step:
                     break
-                hull.pop()
-            hull.append((j, a, c))
-        increments += [(j, a1 - a0, c1 - c0) for (_, a0, c0), (j, a1, c1)
-                       in zip(hull, hull[1:])]
+                increments.pop()
+                a0 -= step
+                c0 -= gain
+            increments.append((j, a - a0, c - c0))
+            a0, c0 = a, c
     # Dantzig's ratio rule: take the increments whole, by efficiency, while
     # they fit; the first that does not is the critical one, (k, a, c), and
     # gets the room left.  When all fit, it is (None, 1, 0) with no room.
+    # Each group sits at the end of its last whole increment, x = 1 (``at``
+    # maps it there); the critical one moves its group room / a on, times D.
     increments.sort(key=cmp_to_key(_ratio_cmp))
-    total, whole, room = 0, [], capacity
+    total, at, room = 0, {}, capacity
     k, a, c = None, 1, 0
     for j, step, gain in increments:
         if step > room:
             k, a, c = j, step, gain
             break
-        whole.append(j)
+        at[refs[j].group] = j
         total += gain
         room -= step
     else:
         room = 0
-    # Each group sits at the end of its last whole increment, x = 1; the
-    # critical increment moves its group room / a of the way on, times D.
-    at = {refs[j].group: j for j in whole}
     g = gcd(a, room)
     scale = a // g
     xs = dict.fromkeys(at.values(), scale)
@@ -232,8 +233,11 @@ def _solve_groups(problem: LpProblem, spans) -> LpSolution:
     duals = [c * weight_scale]
     bounds = []
     for (start, end), (lo, hi) in zip(problem.spans, spans):
-        best = max([costs[j] * a - c * weights[j] for j in range(lo, hi)]
-                   + [0])
+        best = 0
+        for j in range(lo, hi):
+            earns = costs[j] * a - c * weights[j]
+            if earns > best:
+                best = earns
         if end - start > 1:
             duals.append(best)
             best = 0
@@ -431,53 +435,54 @@ def verify_certificate(problem: LpProblem, solution: LpSolution, *,
     """
     if spans is None:
         spans = problem.spans
-    free = [j for lo, hi in spans for j in range(lo, hi)]
-    groups = [(start, end) for start, end in problem.spans if end - start > 1]
-    nrows = len(problem.scaled_rows) + len(groups)
+    ngroups = sum(end - start > 1 for start, end in problem.spans)
+    nrows = len(problem.scaled_rows) + ngroups
     dual_scale, ys = solution.scaled_duals
-    if dual_scale < 1 or len(ys) != nrows + len(free) or min(ys) < 0:
+    nfree = sum(hi - lo for lo, hi in spans)
+    if dual_scale < 1 or len(ys) != nrows + nfree or min(ys) < 0:
         return False
     point_scale, entries = solution.scaled
     if point_scale < 1:
         return False
     col = problem.instance.columns
-    xs = []
     point = [0] * len(problem.refs)   # X per column
-    last = -1
+    last, group, mass = -1, 0, 0      # mass: the sum of X over ``group``
     for ref, x in entries:
         j = col.get(ref)
-        if (j is None or j <= last or j not in range(*spans[ref.group - 1])
-                or not 0 < x <= point_scale):
+        if (j is None or j <= last or not 0 < x <= point_scale
+                or not spans[ref.group - 1][0] <= j < spans[ref.group - 1][1]):
             return False
-        xs.append((j, x))
+        mass = mass + x if ref.group == group else x
+        if mass > point_scale:  # the group row (x <= 1 for one slot)
+            return False
         point[j] = x
-        last = j
+        last, group = j, ref.group
     scale = problem.scale
-    priced = [0] * len(problem.refs)  # (y A_j) * Y * L
+    priced = [0] * len(problem.refs)  # (y A_j) * Y * L, stored rows only
     dual_value = 0                    # (y . rhs + sum(u)) * Y * L
-    for (start, end), y in zip(groups, ys[1:]):
-        if sum(point[start:end]) > point_scale:
-            return False
-        y *= scale
-        dual_value += y
-        priced[start:end] = [p + y for p in priced[start:end]]
     for (dense, rhs, row_scale), y in zip(problem.scaled_rows,
-                                          ys[:1] + ys[1 + len(groups):]):
-        if sum(dense[j] * x for j, x in xs) > rhs * point_scale:
+                                          ys[:1] + ys[1 + ngroups:]):
+        if sum(map(mul, dense, point)) > rhs * point_scale:
             return False
         if y:
             y *= scale // row_scale
             dual_value += y * rhs
             priced = [p + y * a for p, a in zip(priced, dense)]
+    # span by span: the group row's multiplier (a one-slot group has none)
+    # prices each free column of its span along with the column's bound
     costs = problem.costs
     cost_factor = scale // problem.cost_scale * dual_scale
-    for j, u in zip(free, ys[nrows:]):
-        if u:
-            u *= scale
-            dual_value += u
-        if priced[j] + u < costs[j] * cost_factor:
-            return False
-    primal_value = sum(costs[j] * x for j, x in xs)
+    group_ys, bounds = iter(ys[1:]), iter(ys[nrows:])
+    for (start, end), (lo, hi) in zip(problem.spans, spans):
+        y = next(group_ys) * scale if end - start > 1 else 0
+        dual_value += y
+        for j, u in zip(range(lo, hi), bounds):
+            if u:
+                u *= scale
+                dual_value += u
+            if priced[j] + y + u < costs[j] * cost_factor:
+                return False
+    primal_value = sum(map(mul, costs, point))
     num, den = solution.value.as_integer_ratio()
     return (primal_value * den == num * problem.cost_scale * point_scale
             and dual_value * den == num * dual_scale * scale)

@@ -165,6 +165,24 @@ def test_cuts_all_families_verify_golden(files, capsys):
     assert out == (GOLDEN / "cuts_ex_c_all_verify.txt").read_text()
 
 
+def test_cuts_verify_validates_no_item_set_again(files, capsys, monkeypatch):
+    """Each listed pack member's facet rule reads its canonical items as
+    they are: the listing validates no item set again through
+    ``cuts._weighed``, and its output is the golden one."""
+    calls = Counter()
+    weighed = cuts._weighed
+
+    def counting(*args):
+        calls["_weighed"] += 1
+        return weighed(*args)
+
+    monkeypatch.setattr(cuts, "_weighed", counting)
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all",
+                    "--verify")
+    assert code == 0 and calls == {}
+    assert out == (GOLDEN / "cuts_ex_c_all_verify.txt").read_text()
+
+
 @pytest.fixture
 def oracle_calls(monkeypatch):
     """Calls of the oracle's enumeration and exact maximization, counted

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import chain, islice
@@ -208,6 +210,58 @@ def test_profit_units_match_fraction_reference():
         assert inst.profit_units == (scale, tuple(ints))
         zeros += 0 in profits
     assert zeros >= 20
+
+
+FACTS = ("columns", "units", "profit_units", "normalized")
+
+
+def fraction_facts(inst):
+    """The four facts of ``inst``, made from its Fractions and read off no
+    fact: the references in (group, slot) order, the weights and capacity
+    and the profits each through the Fraction scaling, and the weights'
+    order within each group."""
+    refs = [VarRef(i, j) for i, g in enumerate(inst.groups, start=1)
+            for j in range(1, g.size + 1)]
+    scale, ints = reference_integer_form(
+        [inst.capacity] + [a for g in inst.groups for a in g.weights])
+    rows, flat = [], iter(ints[1:])
+    for g in inst.groups:
+        rows.append(tuple(next(flat) for _ in range(g.size)))
+    profit_scale, costs = reference_integer_form(
+        [c for g in inst.groups for c in g.profits])
+    return {"columns": dict(zip(refs, range(len(refs)))),
+            "units": (scale, tuple(rows), ints[0]),
+            "profit_units": (profit_scale, tuple(costs)),
+            "normalized": all(a >= b for g in inst.groups
+                              for a, b in zip(g.weights, g.weights[1:]))}
+
+
+def test_first_read_of_any_fact_makes_all_four():
+    """Reading any one of an instance's facts first makes all four, equal
+    to their Fraction references, as plain attributes; a deep copy and a
+    pickle round trip, made before and after that read, are equal
+    instances with equal facts."""
+    rng = random.Random(3909)
+    for k in range(160):
+        inst = (rational_instance(rng) if k % 2
+                else random_instance(rng, profits="random"))
+        expected = fraction_facts(inst)
+        before = copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))
+        assert not vars(inst).keys() & set(FACTS)
+        getattr(inst, FACTS[k % 4])
+        assert {name: vars(inst)[name] for name in FACTS} == expected
+        assert all(type(ref) is VarRef for ref in inst.columns)
+        after = copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))
+        for other in before + after:
+            assert other == inst
+            assert {name: getattr(other, name) for name in FACTS} == expected
+    unsorted = Instance.build([((1, 2), (1, 1)), ((3,), (3,))], 3)
+    assert unsorted.units == (1, ((1, 2), (3,)), 3)
+    assert vars(unsorted)["normalized"] is False
+    with pytest.raises(PreconditionError, match="instance is not normalized"):
+        unsorted.normalized_units()
+    with pytest.raises(AttributeError, match="no attribute 'unit'"):
+        unsorted.unit
 
 
 def test_integral_instance_makes_no_fraction(monkeypatch):

@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = r"""
 import os
+import pickle
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,17 @@ instance = Instance.build([((3,), (5,)), ((17, 11, 4), (19, 12, 6)),
 report = solver.branch_and_cut(instance, solver.SolveConfig(exact_fallback=True))
 print(report.value, report.best_bound, report.nodes, report.lp_pivots,
       sorted(report.cuts_per_family.items()), report.point)
+
+# an instance's facts, made in one pass at the first read of any: a fresh
+# rational instance reads its columns first, then pickled copies made
+# before and after that read give its other facts
+fresh = Instance.build([((Fraction(7, 2), 2), (Fraction(5, 3), 1)),
+                        ((Fraction(9, 4),), ("1/6",))], Fraction(11, 3))
+before = pickle.dumps(fresh)
+print(list(fresh.columns.items()))
+for data in (before, pickle.dumps(fresh)):
+    copied = pickle.loads(data)
+    print(copied == fresh, copied.units, copied.profit_units, copied.normalized)
 
 ex_c = Instance.build(same((1,), (6,), (14, 10), (13, 9), (12, 8)), 36)
 point = Point([(VarRef(1, 1), 1), (VarRef(2, 1), 1),
@@ -121,4 +133,8 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
     assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut
+    # the pickled copies, made before and after the first read, agree
+    assert expected.count("]\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6, 1))"
+                          " True\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6,"
+                          " 1)) True\n") == 1
     assert run(python310, SCRIPT, str(tmp_path)) == expected

@@ -620,6 +620,45 @@ def test_certificate_rejects_group_multiplier_moved(duals, why):
     assert not verify_certificate(problem, forged), why
 
 
+def test_certificate_rejects_each_mutation_on_nested_spans():
+    """From the certified closed-form solution over random nested node
+    spans, on rational and integral data, each of these is rejected:
+    lowering one positive group-row multiplier, or one positive bound
+    multiplier, by one unit of the duals' integer form, and moving one
+    point entry to its group's column just outside its node span."""
+    rng = random.Random(3939)
+    seen = {"group row": 0, "bound": 0, "moved": 0}
+    for n in range(200):
+        inst = (rational_instance(rng) if n % 2 else
+                random_instance(rng, max_groups=4, profits="random"))
+        spans = random_spans(rng, inst, 0.25)
+        problem = LpProblem(inst)
+        sol = solve_lp(problem, spans=spans)
+        assert verify_certificate(problem, sol, spans=spans)
+        dual_scale, ys = sol.scaled_duals
+        ngroups = sum(end - start > 1 for start, end in problem.spans)
+        for r, y in enumerate(ys):
+            if r == 0 or not y:  # the knapsack multiplier is not mutated
+                continue
+            lowered = ys[:r] + (y - 1,) + ys[r + 1:]
+            forged = sol._replace(scaled_duals=(dual_scale, lowered))
+            assert not verify_certificate(problem, forged, spans=spans), r
+            seen["group row" if r <= ngroups else "bound"] += 1
+        point_scale, entries = sol.scaled
+        for k, (ref, x) in enumerate(entries):
+            start, end = problem.spans[ref.group - 1]
+            lo, hi = spans[ref.group - 1]
+            for j in (lo - 1, hi):
+                if start <= j < end:
+                    moved = sorted(entries[:k] + ((problem.refs[j], x),)
+                                   + entries[k + 1:])
+                    forged = sol._replace(scaled=(point_scale, tuple(moved)))
+                    assert not verify_certificate(problem, forged,
+                                                  spans=spans), (ref, j)
+                    seen["moved"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def _check_record(sol):
     """The solution is a plain record of its four integer-form fields: it
     hashes, rebuilds from them, keeps its duals' ints as a tuple, and makes
