@@ -111,39 +111,13 @@ def _cmd_verify(args, out) -> int:
     return 0
 
 
-def _iter_family_cuts(instance, families, limit):
-    """All theorem-backed cuts of each family in turn, deterministic order:
-    packs come from the maximal switching packs, enumerated once, at the
-    first pack family; covers from the pattern walk, which skips the
-    subtrees that hold no member.  The members are those
-    ``cuts.family_members`` lists from the instance's integer units, with
-    no point read, each made from its listed form by ``cuts._member_cut``,
-    so its form is made once; a cut with no terms, 0 <= rhs, cuts nothing
-    and is skipped."""
-    _, rows, capacity = instance.normalized_units()
-    packs = None
-    for family in families:
-        if family.startswith("pack"):
-            if packs is None:
-                packs = [(p, sum(rows[i - 1][j - 1] for i, j in p)) for p in
-                         cuts_mod.enumerate_maximal_switching_packs(instance, limit)]
-            itemsets = packs
-        else:
-            itemsets = oracle.walk_patterns(instance, limit, (family,))
-        for items, units in itemsets:
-            for key, form in cuts_mod.family_members(rows, capacity, items,
-                                                     units, (family,)):
-                cut = cuts_mod._member_cut(instance, key, form)
-                if cut.inequality.scaled[2]:
-                    yield cut
-
-
 def _cmd_cuts(args, out) -> int:
     instance = _load_instance(args.instance)
     families = cuts_mod.resolve_families(args.family)
     vertices = None  # enumerated once, at the first cut to verify
     first = True
-    for cut in _iter_family_cuts(instance, families, args.enumerate_limit):
+    for cut in cuts_mod.theorem_cuts(instance, families,
+                                     args.enumerate_limit):
         if not first:
             print(file=out)
         first = False

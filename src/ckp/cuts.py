@@ -46,10 +46,14 @@ member's preconditions there and gives its provenance key and integer
 form, and reads no point.  :func:`build_member` builds one member from
 its key through its public builder.  Exact and greedy separation score
 every listed form at their point (``ckp.separation``) and build only the
-winner that way; ``ckp cuts`` makes each listed member's cut from its
-listed form (:func:`_member_cut`).  Both take their item sets from
-:func:`ckp.oracle.walk_patterns`, each with its weight in integer units.
-:func:`is_switching` is the one maximal-switching test.
+winner that way.  :func:`theorem_cuts`, the listing of ``ckp cuts``,
+makes each listed member's cut from its listed form (:func:`_member_cut`):
+the pack families' over the maximal switching packs, the cover families'
+over :func:`ckp.oracle.walk_patterns`, which exact separation walks too.
+A cut keeps the key it was listed under (:class:`GeneratedCut`): its
+family and item set are read off the key, and so are its pivot, tilt
+group or special item, by their groups.  :func:`is_switching` is the
+one maximal-switching test.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from typing import Optional
 from .errors import PreconditionError, ValidationError
 from .model import Instance, LinearInequality, VarRef, var_ref
 from .numeric import require_integer
-from .oracle import guard_enumeration
+from .oracle import guard_enumeration, walk_patterns
 
 FAMILIES = ("pack1", "pack2", "pack3", "lcover1", "lcover2")
 FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
@@ -97,41 +101,36 @@ def resolve_families(choice) -> tuple:
 
 @dataclass(frozen=True)
 class GeneratedCut:
-    """A cut plus where it came from.
+    """A cut under the key it was listed as (:func:`family_members`):
+    ``(items, family rank, aux)``, its item set's sorted VarRef tuple, its
+    family's index in ``FAMILIES`` and its auxiliary groups, which are the
+    pivot item's group (pack2), that and the singleton group the cut was
+    tilted toward (pack3) or the in-cover item lifted over its group
+    (lcover2).  Keys order cuts: item set, then family, then aux."""
 
-    ``pivot`` is the distinguished last-slot item (pack2/pack3),
-    ``tilt_group`` the singleton group a pack3 cut was tilted toward, and
-    ``special`` the in-cover item lifted over its group (lcover2).
-    """
-
-    family: str
+    key: tuple
     inequality: LinearInequality
-    items: tuple  # the item set, its sorted VarRef tuple
-    facet_guaranteed: bool = False
-    pivot: Optional[VarRef] = None
-    tilt_group: Optional[int] = None
-    special: Optional[VarRef] = None
+    facet_guaranteed: bool
 
-    def provenance_key(self):
-        """Deterministic sort key: item set, family, auxiliary indices."""
-        aux = ()
-        if self.family == "pack2":
-            aux = (self.pivot.group,)
-        elif self.family == "pack3":
-            aux = (self.pivot.group, self.tilt_group)
-        elif self.family == "lcover2":
-            aux = (self.special.group,)
-        return (self.items, FAMILY_RANK[self.family], aux)
+    @property
+    def family(self) -> str:
+        return FAMILIES[self.key[1]]
+
+    @property
+    def items(self) -> tuple:
+        return self.key[0]
 
     def describe(self) -> str:
-        parts = ["family: %s" % self.family,
-                 "items: " + " ".join("(%d,%d)" % ref for ref in self.items)]
-        if self.pivot is not None:
-            parts.append("pivot: (%d,%d)" % self.pivot)
-        if self.tilt_group is not None:
-            parts.append("tilt-group: %d" % self.tilt_group)
-        if self.special is not None:
-            parts.append("special: (%d,%d)" % self.special)
+        items, _, aux = self.key
+        family = self.family
+        parts = ["family: %s" % family,
+                 "items: " + " ".join("(%d,%d)" % ref for ref in items)]
+        if aux:  # the pivot or special item, by its group
+            parts.append("%s: (%d,%d)" % (
+                "special" if family == "lcover2" else "pivot",
+                aux[0], dict(items)[aux[0]]))
+        if aux[1:]:
+            parts.append("tilt-group: %d" % aux[1])
         return "; ".join(parts)
 
 
@@ -176,7 +175,7 @@ def _weighed(instance: Instance, items):
                                              for i, j in items)
 
 
-def _pack_form(rows, capacity, pack, slack, pivot=None, tilt_group=None):
+def _pack_form(rows, capacity, pack, slack, pivot=None, tilt=None):
     """The pack cut, optionally pivoted (pack2) and then tilted (pack3),
     for a pack whose slack b - s > 0 is ``slack``, as an integer form (see
     the module docstring).
@@ -194,15 +193,15 @@ def _pack_form(rows, capacity, pack, slack, pivot=None, tilt_group=None):
         a_pivot = rows[pivot.group - 1][-1]
         den = a_pivot + slack
         grown = slack * den
-        if tilt_group is not None:
-            grown += slack * rows[tilt_group - 1][0]
+        if tilt is not None:
+            grown += slack * rows[tilt - 1][0]
     coeffs = {}
     receivers = 0
     for i, j in pack:
         row = rows[i - 1]
         if pivot is not None and i == pivot.group:
             row = [a_pivot * max(a, den) for a in row]
-        elif i == tilt_group:
+        elif i == tilt:
             row = [a_pivot * row[0]]
         else:
             row = [a * den for a in row]
@@ -265,7 +264,7 @@ def _inequality(scale, form) -> LinearInequality:
 
 
 def _pack_cut(instance: Instance, family: str, pack, pivot=None,
-              tilt_group=None) -> GeneratedCut:
+              tilt=None) -> GeneratedCut:
     """The ``family`` cut of ``pack`` (see :func:`_weighed`) of
     :func:`_pack_form`, the preconditions checked in integer units."""
     pack, scale, rows, capacity, s = _weighed(instance, pack)
@@ -285,12 +284,11 @@ def _pack_cut(instance: Instance, family: str, pack, pivot=None,
         if pivot.slot != len(rows[pivot.group - 1]):
             raise PreconditionError(
                 "pivot %s is not its group's last slot" % (pivot,))
-        if tilt_group is not None and ((tilt_group, 1) not in pack
-                                       or tilt_group in free):
+        if tilt is not None and ((tilt, 1) not in pack or tilt in free):
             raise PreconditionError(
-                "tilt group %d is not a singleton pack group" % tilt_group)
-        aux = (pivot.group,) + (() if tilt_group is None else (tilt_group,))
-    form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt_group)
+                "tilt group %d is not a singleton pack group" % tilt)
+        aux = (pivot.group,) + (() if tilt is None else (tilt,))
+    form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt)
     return _member_cut(instance, (pack, FAMILY_RANK[family], aux), form)
 
 
@@ -333,12 +331,12 @@ def pack_inequality_2(instance: Instance, pack, pivot) -> GeneratedCut:
 
 
 def pack_inequality_3(instance: Instance, pack, pivot,
-                      tilt_group: int) -> GeneratedCut:
-    """The pack2 cut tilted toward a singleton pack group: its variable's
-    coefficient shrinks while the other non-singleton pack items and the
-    right-hand side slack grow by the same factor."""
+                      tilt: int) -> GeneratedCut:
+    """The pack2 cut tilted toward the singleton pack group ``tilt``: its
+    variable's coefficient shrinks while the other non-singleton pack
+    items and the right-hand side slack grow by the same factor."""
     return _pack_cut(instance, "pack3", pack, var_ref(pivot),
-                     require_integer(tilt_group, "tilt group"))
+                     require_integer(tilt, "tilt group"))
 
 
 def _cover_units(instance: Instance, cover):
@@ -387,28 +385,23 @@ def _member_cut(instance: Instance, key, form) -> GeneratedCut:
     """The cut of the member with provenance ``key`` and integer ``form``,
     as :func:`family_members` lists them: the one place each family's
     facet rule is written.  The public builders end here once their
-    checks pass, and ``ckp cuts`` calls it on each listed member."""
+    checks pass, and :func:`theorem_cuts` calls it on each listed member."""
     items, rank, aux = key
     family = FAMILIES[rank]
     scale, rows, capacity = instance.units
-    # the pivot (pack2, pack3) or special item (lcover2), by its group
-    ref = VarRef(aux[0], dict(items)[aux[0]]) if aux else None
-    tilt = aux[1] if family == "pack3" else None
     if family == "lcover1":
         facet = all(j == 1 for _, j in items)
-    elif family == "lcover2":
-        facet = all(j == len(rows[i - 1]) for i, j in items if i != ref.group)
-    else:  # pack3 asks it of the pack without its tilt item
+    elif family == "lcover2":  # aux: the special item's group
+        facet = all(j == len(rows[i - 1]) for i, j in items if i not in aux)
+    else:  # pack3 asks it of the pack without its tilt group, aux[1]
         facet = _maximal_switching(
-            rows, capacity, [r for r in items if r.group != tilt])
+            rows, capacity, [r for r in items if r.group not in aux[1:]])
     if family == "pack1":
         # the facet statement needs a non-singleton pack group; with M_P all
         # singletons it is false for packs of two or more items
         groups = {i for i, _ in items}
         facet = facet and bool(groups - instance.m0) and bool(groups & instance.m0)
-    return GeneratedCut(family, _inequality(scale, form), items, facet,
-                        ref if family.startswith("pack") else None, tilt,
-                        ref if family == "lcover2" else None)
+    return GeneratedCut(key, _inequality(scale, form), facet)
 
 
 def _lifts(row, slot, over) -> bool:
@@ -485,3 +478,30 @@ def enumerate_maximal_switching_packs(instance: Instance,
         if is_switching(tails, capacity - sum(u[-1] for u in tails)):
             out.append(tuple(VarRef(i, len(u)) for i, u in zip(subset, tails)))
     return out
+
+
+def theorem_cuts(instance, families, limit):
+    """All theorem-backed cuts of each family in turn, deterministic order:
+    packs come from the maximal switching packs, enumerated once, at the
+    first pack family; covers from the pattern walk, which skips the
+    subtrees that hold no member.  The members are those
+    :func:`family_members` lists from the instance's integer units, with
+    no point read, each made from its listed form by :func:`_member_cut`,
+    so its form is made once; a cut with no terms, 0 <= rhs, cuts nothing
+    and is skipped.  This is the listing of ``ckp cuts``."""
+    _, rows, capacity = instance.normalized_units()
+    packs = None
+    for family in families:
+        if family.startswith("pack"):
+            if packs is None:
+                packs = [(p, sum(rows[i - 1][j - 1] for i, j in p)) for p in
+                         enumerate_maximal_switching_packs(instance, limit)]
+            itemsets = packs
+        else:
+            itemsets = walk_patterns(instance, limit, (family,))
+        for items, units in itemsets:
+            for key, form in family_members(rows, capacity, items, units,
+                                            (family,)):
+                cut = _member_cut(instance, key, form)
+                if cut.inequality.scaled[2]:
+                    yield cut

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import ge
@@ -192,15 +191,16 @@ class Instance:
     The capacity is kept in integer form, ``capacity_form = (scale,
     (int,))``, as a group's rows are; ``capacity`` is its Fraction.
 
-    Its four facts are made together, in one pass over the groups, at the
+    Its five facts are made together, in one pass over the groups, at the
     first read of any of them, and are plain attributes after it:
     ``columns``, ``{VarRef: column}`` in (group, slot) order, the package's
     one column index; ``units``, ``(scale, rows, capacity_units)``, the
     weights by group and the capacity brought to one integer scale, the
     least common denominator of them all (:func:`numeric.common_scale`, so
     on integral data the rows are the groups' own); ``profit_units``,
-    ``(scale, costs)``, the profits in ``columns`` order likewise; and
-    ``normalized``, weights non-increasing within every group."""
+    ``(scale, costs)``, the profits in ``columns`` order likewise;
+    ``normalized``, weights non-increasing within every group; and ``m0``,
+    M_0, the frozenset of the indices of the groups with one slot."""
 
     def __init__(self, groups, capacity):
         self.groups = groups = tuple(groups)
@@ -268,17 +268,13 @@ class Instance:
         scale, ints = self.groups[ref.group - 1].profit_form
         return Fraction(ints[ref.slot - 1], scale)
 
-    @cached_property
-    def m0(self) -> frozenset:
-        """M_0: indices of groups with exactly one slot."""
-        return frozenset(i for i, g in enumerate(self.groups, start=1) if g.size == 1)
-
     def __getattr__(self, name):
-        # reached only before the facts are attributes: make all four; the
+        # reached only before the facts are attributes: make all five; the
         # refs through tuple.__new__, not VarRef's Python-level constructor
-        if name not in ("columns", "units", "profit_units", "normalized"):
+        if name not in ("columns", "units", "profit_units", "normalized",
+                        "m0"):
             raise AttributeError("'Instance' object has no attribute %r" % name)
-        new, refs, normalized = tuple.__new__, [], True
+        new, refs, singles, normalized = tuple.__new__, [], [], True
         weights, profits = [self.capacity_form], []
         for i, g in enumerate(self.groups, start=1):
             weights.append(g.weight_form)
@@ -286,6 +282,8 @@ class Instance:
             row = g.weight_form[1]
             for j in range(1, len(row) + 1):
                 refs.append(new(VarRef, (i, j)))
+            if len(row) == 1:
+                singles.append(i)
             normalized = normalized and all(map(ge, row, row[1:]))
         scale, ((capacity,), *rows) = common_scale(weights)
         self.columns = dict(zip(refs, range(len(refs))))
@@ -293,6 +291,7 @@ class Instance:
         scale, rows = common_scale(profits)
         self.profit_units = scale, tuple(chain.from_iterable(rows))
         self.normalized = normalized
+        self.m0 = frozenset(singles)
         return self.__dict__[name]
 
     def integer_row(self, inequality):

@@ -150,9 +150,10 @@ def _select(instance: Instance, point: Point, support, itemsets, families,
         violation = Fraction(best, best_den)
         cut = build_member(instance, key)
         built = lhs_at(cut.inequality, point) - cut.inequality.rhs
-        if built != violation or cut.provenance_key() != key:
-            raise CkpError("built %s cut has violation %s, scored %s"
-                           % (cut.family, built, violation))
+        if built != violation or cut.key != key:
+            raise CkpError("built %s cut has violation %s and key %s, scored"
+                           " %s and %s" % (cut.family, built, cut.key,
+                                           violation, key))
     return SeparationResult(cut, violation,
                             SeparationStats(examined, space, space - walked))
 

@@ -154,13 +154,14 @@ def tilt_pack_inequality(instance, cut, tilt_group):
     b = instance.capacity
     s = itemset_weight(instance, cut.items)
     slack = b - s
-    denom = instance.weight(cut.pivot) + slack
+    group = cut.key[2][0]  # the pivot's
+    denom = instance.weight(VarRef(group, dict(cut.items)[group])) + slack
     tilt_ref = VarRef(tilt_group, 1)
     factor = instance.weight(tilt_ref) / denom
     coeffs = dict(cut.inequality.terms)
     coeffs[tilt_ref] = coeffs.get(tilt_ref, Fraction(0)) - slack * factor
     for ref in cut.items:
-        if ref.group not in m0 and ref.group != cut.pivot.group:
+        if ref.group not in m0 and ref.group != group:
             coeffs[ref] += slack * factor
     free = [r.group for r in cut.items if r.group not in m0]
     rhs = cut.inequality.rhs + (len(free) - 2) * slack * factor

@@ -216,7 +216,7 @@ def test_criterion_4(ex_c):
     p1 = ex_c_packs()["P1"]
     ok = True
     for pivot, expected in PACK3_EXPECTED.items():
-        tilted = cuts.pack_inequality_3(ex_c, p1, VarRef(*pivot), tilt_group=1)
+        tilted = cuts.pack_inequality_3(ex_c, p1, VarRef(*pivot), tilt=1)
         ok = ok and text_of(tilted) == expected
         ok = ok and oracle.face_dimension(ex_c, tilted.inequality) == 7
         base = cuts.pack_inequality_2(ex_c, p1, VarRef(*pivot))

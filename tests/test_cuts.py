@@ -8,12 +8,14 @@ oracle before being frozen here.
 import dataclasses
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ckp.cli import _iter_family_cuts
 from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.fileio import serialize_inequality
 from ckp.model import Instance, LinearInequality, Point, VarRef
@@ -272,7 +274,9 @@ def test_pack2_frozen_cuts(ex_c):
         cut = cuts.pack_inequality_2(ex_c, packs[label], VarRef(*pivot))
         assert text_of(cut) == expected
         assert cut.facet_guaranteed
-        assert cut.pivot == VarRef(*pivot)
+        # the pivot is the pack's item in the group the key's aux names
+        assert cut.key == (packs[label], cuts.FAMILY_RANK["pack2"], (pivot[0],))
+        assert VarRef(*pivot) in cut.items
         assert oracle.face_dimension(ex_c, cut.inequality) == 7  # d-1
 
 
@@ -293,7 +297,8 @@ def test_pack2_preconditions(ex_c, ex_a):
 
 def test_pack2_accepts_tuple_pivot(ex_c):
     cut = cuts.pack_inequality_2(ex_c, ex_c_packs()["P1"], (3, 2))
-    assert cut.pivot == VarRef(3, 2)
+    assert cut.key == (ex_c_packs()["P1"], cuts.FAMILY_RANK["pack2"], (3,))
+    assert VarRef(3, 2) in cut.items
 
 
 # --- third pack family and the tilting identity ---
@@ -312,8 +317,9 @@ PACK3_EXPECTED = {
 def test_pack3_frozen_cuts(ex_c):
     p1 = ex_c_packs()["P1"]
     for pivot, expected in PACK3_EXPECTED.items():
-        cut = cuts.pack_inequality_3(ex_c, p1, VarRef(*pivot), tilt_group=1)
+        cut = cuts.pack_inequality_3(ex_c, p1, VarRef(*pivot), tilt=1)
         assert text_of(cut) == expected
+        assert cut.key == (p1, cuts.FAMILY_RANK["pack3"], (pivot[0], 1))
         assert cut.facet_guaranteed
         assert oracle.face_dimension(ex_c, cut.inequality) == 7
     # the 420/11 right-hand side is the documented 38 + 2/11
@@ -359,9 +365,9 @@ def test_tilting_identity_random():
 def test_pack3_preconditions(ex_c):
     p1 = ex_c_packs()["P1"]
     with pytest.raises(PreconditionError):  # tilt group not a singleton
-        cuts.pack_inequality_3(ex_c, p1, VarRef(3, 2), tilt_group=4)
+        cuts.pack_inequality_3(ex_c, p1, VarRef(3, 2), tilt=4)
     with pytest.raises(PreconditionError):  # tilt group not in the pack
-        cuts.pack_inequality_3(ex_c, ex_c_packs()["P2"], VarRef(3, 2), tilt_group=1)
+        cuts.pack_inequality_3(ex_c, ex_c_packs()["P2"], VarRef(3, 2), tilt=1)
     base = cuts.pack_inequality_1(ex_c, p1)
     with pytest.raises(PreconditionError):  # tilting starts from a pivot cut
         tilt_pack_inequality(ex_c, base, 1)
@@ -403,7 +409,9 @@ def test_lcover2_frozen(ex_a):
     assert text_of(cut) == ("ineq 1\nrhs 21\nterm 3 1 8\nterm 4 1 10\n"
                             "term 4 2 9\nterm 5 1 32/7\nterm 5 2 4\n")
     assert cut.facet_guaranteed
-    assert cut.special == VarRef(4, 1)
+    # the special item is the cover's item in the group the key's aux names
+    assert cut.key == (cover, cuts.FAMILY_RANK["lcover2"], (4,))
+    assert VarRef(4, 1) in cut.items
     assert oracle.face_dimension(ex_a, cut.inequality) == 6
 
 
@@ -507,6 +515,22 @@ def test_describe(ex_c):
                               "pivot: (3,2)")
 
 
+def test_readme_python_api_prints_its_comments():
+    # the README's Python API block reads a cut's items and facet flag; run
+    # it and hold each print to the output its comment gives
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("#", 1)[1].strip().split("  ")[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    assert comments == ["x(1,1) x(3,1) x(4,2) x(5,2)", "22", "True", "6",
+                        "21 True"]
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == comments
+
+
 def test_provenance_keys_order_families(ex_c):
     p1 = ex_c_packs()["P1"]
     generated = [
@@ -514,7 +538,8 @@ def test_provenance_keys_order_families(ex_c):
         cuts.pack_inequality_2(ex_c, p1, VarRef(3, 2)),
         cuts.pack_inequality_3(ex_c, p1, VarRef(3, 2), 1),
     ]
-    keys = [c.provenance_key() for c in generated]
+    keys = [c.key for c in generated]
+    assert keys == [(p1, 0, ()), (p1, 1, (3,)), (p1, 2, (3, 1))]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -566,7 +591,7 @@ def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):
     seen = {family: 0 for family in cuts.FAMILIES}
     rational = zero_weight = 0
     for inst in corpus:
-        for cut in _iter_family_cuts(inst, cuts.FAMILIES, None):
+        for cut in cuts.theorem_cuts(inst, cuts.FAMILIES, None):
             made = cut.inequality
             want = LinearInequality(made.terms, made.rhs)
             assert (made.terms, made.rhs, made.scaled) == (

@@ -212,14 +212,14 @@ def test_profit_units_match_fraction_reference():
     assert zeros >= 20
 
 
-FACTS = ("columns", "units", "profit_units", "normalized")
+FACTS = ("columns", "units", "profit_units", "normalized", "m0")
 
 
 def fraction_facts(inst):
-    """The four facts of ``inst``, made from its Fractions and read off no
+    """The five facts of ``inst``, made from its Fractions and read off no
     fact: the references in (group, slot) order, the weights and capacity
-    and the profits each through the Fraction scaling, and the weights'
-    order within each group."""
+    and the profits each through the Fraction scaling, the weights' order
+    within each group and the indices of the one-slot groups."""
     refs = [VarRef(i, j) for i, g in enumerate(inst.groups, start=1)
             for j in range(1, g.size + 1)]
     scale, ints = reference_integer_form(
@@ -233,11 +233,13 @@ def fraction_facts(inst):
             "units": (scale, tuple(rows), ints[0]),
             "profit_units": (profit_scale, tuple(costs)),
             "normalized": all(a >= b for g in inst.groups
-                              for a, b in zip(g.weights, g.weights[1:]))}
+                              for a, b in zip(g.weights, g.weights[1:])),
+            "m0": frozenset(i for i, g in enumerate(inst.groups, start=1)
+                            if len(g.weights) == 1)}
 
 
-def test_first_read_of_any_fact_makes_all_four():
-    """Reading any one of an instance's facts first makes all four, equal
+def test_first_read_of_any_fact_makes_all_five():
+    """Reading any one of an instance's facts first makes all five, equal
     to their Fraction references, as plain attributes; a deep copy and a
     pickle round trip, made before and after that read, are equal
     instances with equal facts."""
@@ -248,7 +250,7 @@ def test_first_read_of_any_fact_makes_all_four():
         expected = fraction_facts(inst)
         before = copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))
         assert not vars(inst).keys() & set(FACTS)
-        getattr(inst, FACTS[k % 4])
+        getattr(inst, FACTS[k % 5])
         assert {name: vars(inst)[name] for name in FACTS} == expected
         assert all(type(ref) is VarRef for ref in inst.columns)
         after = copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))

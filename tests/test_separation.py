@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ def test_exact_single_family(ex_c, frac_point):
     r = separate_exact(ex_c, frac_point, "pack2")
     assert r.found and r.violation == 2
     assert r.cut.family == "pack2"
-    assert r.cut.pivot == VarRef(4, 2)
+    assert r.cut.key[1:] == (cuts.FAMILY_RANK["pack2"], (4,))  # pivot (4,2)
     assert r.cut.items == (VarRef(1, 1), VarRef(2, 1),
                                  VarRef(3, 2), VarRef(4, 2))
     assert r.stats.examined == 75
@@ -309,7 +310,7 @@ def build_every_member(point, members):
         if violation > 0 and (
                 best is None or violation > best[1]
                 or (violation == best[1]
-                    and cut.provenance_key() < best[0].provenance_key())):
+                    and cut.key < best[0].key)):
             best = (cut, violation)
     cut, violation = best or (None, None)
     return cut, violation, examined
@@ -477,7 +478,7 @@ def scores_equal_builds(instance, point):
         s = sum((instance.weight(ref) for ref in refs), Fraction(0))
         chosen = packs if s < b else covers if s > b else ()
         built = [(lhs_at(c.inequality, point) - c.inequality.rhs,
-                  c.provenance_key())
+                  c.key)
                  for c in family_cuts(instance, tuple(refs), chosen)]
         units = s * support.scale
         assert units.denominator == 1
@@ -587,3 +588,19 @@ def test_winner_checked_against_its_kept_form(ex_c, frac_point, monkeypatch):
     monkeypatch.setattr(cuts, "_inequality", loosened)
     with pytest.raises(CkpError, match="scored"):
         separate_exact(ex_c, frac_point, "pack1")
+
+
+def test_winner_checked_against_its_key(ex_c, frac_point, monkeypatch):
+    # a builder that gives the scored cut under another key is caught at the
+    # build, though the cut and so its violation are the scored ones
+    found = separate_exact(ex_c, frac_point, "pack2")
+    items, rank, aux = found.cut.key
+    assert aux == (4,) and VarRef(3, 2) in items  # group 3 can pivot too
+    real = separation.build_member
+
+    def rekeyed(instance, key):
+        return dataclasses.replace(real(instance, key), key=(items, rank, (3,)))
+
+    monkeypatch.setattr(separation, "build_member", rekeyed)
+    with pytest.raises(CkpError, match="scored"):
+        separate_exact(ex_c, frac_point, "pack2")

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ckp import cli, cuts, simplex
+from ckp import cuts, simplex
 from ckp.errors import PreconditionError, ValidationError
 from ckp.model import (
     Instance,
@@ -185,7 +185,7 @@ def test_with_row_refuses_a_pooled_builder_cut_in_any_form(ex_a, ex_b, ex_c):
     rng = random.Random(3131)
     pooled = rational = 0
     for inst in [ex_a, ex_b, ex_c] + [rational_instance(rng) for _ in range(60)]:
-        for cut in list(cli._iter_family_cuts(inst, cuts.FAMILIES, None))[:4]:
+        for cut in list(cuts.theorem_cuts(inst, cuts.FAMILIES, None))[:4]:
             row = cut.inequality
             unit, rhs, terms = row.scaled
             grown = LpProblem(inst).with_row(row)

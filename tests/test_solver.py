@@ -15,7 +15,7 @@ import pytest
 import ckp
 from ckp import model, simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
-from ckp.cuts import FAMILIES, GeneratedCut, resolve_families
+from ckp.cuts import FAMILIES, FAMILY_RANK, GeneratedCut, resolve_families
 from ckp.model import (
     Instance,
     LinearInequality,
@@ -546,8 +546,8 @@ def test_pooled_cut_separated_again_is_rejected(monkeypatch):
     # group 1 and the separator runs.
     inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
     def forged(instance, point, families):
-        cut = GeneratedCut("pack1", knapsack_row(instance),
-                           tuple(list(instance.columns)[:1]))
+        key = (tuple(list(instance.columns)[:1]), FAMILY_RANK["pack1"], ())
+        cut = GeneratedCut(key, knapsack_row(instance), False)
         return SeparationResult(cut, Fraction(1), SeparationStats(1, 1))
 
     monkeypatch.setattr(solver, "separate_greedy", forged)
