@@ -103,9 +103,9 @@ def resolve_families(choice) -> tuple:
 class GeneratedCut:
     """A cut under the key it was listed as (:func:`family_members`):
     ``(items, family rank, aux)``, its item set's sorted VarRef tuple, its
-    family's index in ``FAMILIES`` and its auxiliary groups, which are the
-    pivot item's group (pack2), that and the singleton group the cut was
-    tilted toward (pack3) or the in-cover item lifted over its group
+    family's index in ``FAMILIES`` and its auxiliary groups: the pivot
+    item's group (pack2), that and the singleton group the cut was tilted
+    toward (pack3), or the group of the in-cover item lifted over it
     (lcover2).  Keys order cuts: item set, then family, then aux."""
 
     key: tuple
