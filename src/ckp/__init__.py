@@ -17,7 +17,7 @@ from .cuts import is_maximal_switching_pack
 from .errors import (CkpError, FormatError, PreconditionError,
                      ResourceLimitError, ValidationError)
 from .model import (AssumptionReport, Group, Instance, LinearInequality,
-                    Point, VarRef, evaluate, knapsack_row, normalize,
+                    Point, VarRef, knapsack_row, normalize,
                     validate_assumptions)
 from .numeric import format_rational, parse_rational
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionReport", "CkpError", "FormatError", "Group", "Instance",
     "LinearInequality", "Point", "PreconditionError",
-    "ResourceLimitError", "ValidationError", "VarRef", "evaluate",
-    "format_rational", "is_maximal_switching_pack", "knapsack_row",
-    "normalize", "parse_rational", "validate_assumptions", "__version__",
+    "ResourceLimitError", "ValidationError", "VarRef", "format_rational",
+    "is_maximal_switching_pack", "knapsack_row", "normalize",
+    "parse_rational", "validate_assumptions", "__version__",
 ]

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fall back to exact separation when greedy finds "
                         "nothing")
     p.add_argument("--node-limit", type=_integer,
-                   default=solver.SolveConfig.node_limit, metavar="N")
+                   default=solver.NODE_LIMIT, metavar="N")
     _add_limit(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -59,11 +59,10 @@ one maximal-switching test.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
 from .model import Instance, LinearInequality, VarRef, var_ref
@@ -99,8 +98,7 @@ def resolve_families(choice) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class GeneratedCut:
+class GeneratedCut(NamedTuple):
     """A cut under the key it was listed as (:func:`family_members`):
     ``(items, family rank, aux)``, its item set's sorted VarRef tuple, its
     family's index in ``FAMILIES`` and its auxiliary groups: the pivot
@@ -372,8 +370,8 @@ def lifted_cover_inequality_2(instance: Instance, cover,
     row = rows[special.group - 1]
     if special.slot >= len(row):
         raise PreconditionError("special item must sit above its group's last slot")
-    rest = capacity + over - row[special.slot - 1]
-    if rest + row[-1] >= capacity:
+    if not _lifts(row, special.slot, over):
+        rest = capacity + over - row[special.slot - 1]
         raise PreconditionError(
             "lifting condition violated: %s + %s >= %s"
             % (Fraction(rest, scale), Fraction(row[-1], scale), instance.capacity))

@@ -42,7 +42,6 @@ most the capacity, and at most one positive variable per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -436,25 +435,10 @@ class Point:
         return "<point %s>" % body
 
 
-class Evaluation(NamedTuple):
-    lhs: Fraction
-    violation: Fraction  # lhs - rhs; positive means the inequality is violated
-
-
-def evaluate(instance: Instance, inequality: LinearInequality, point) -> Evaluation:
-    """Exact left-hand side and violation of ``inequality`` at ``point``
-    (anything with an integer form ``scaled``), every reference checked."""
-    for ref, _ in chain(inequality.scaled[2], point.scaled[1]):
-        instance.check_ref(ref)
-    lhs = lhs_at(inequality, point)
-    return Evaluation(lhs, lhs - inequality.rhs)
-
-
 def lhs_at(inequality: LinearInequality, point) -> Fraction:
     """Exact left-hand side of ``inequality`` at ``point`` (anything with
     an integer form ``scaled``), summed in integers over both integer
-    forms, references unchecked (see :func:`evaluate` for the checked
-    form)."""
+    forms, references unchecked."""
     scale, _, terms = inequality.scaled
     coeffs = dict(terms)
     point_scale, entries = point.scaled
@@ -541,8 +525,7 @@ def normalize(instance: Instance):
     return Instance(new_groups, instance.capacity), tuple(perms)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Which standing assumptions hold, plus the trivial answer when one fails.
 
     * ``assumption1``: some group has two or more slots (M != M_0),

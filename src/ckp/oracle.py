@@ -36,12 +36,11 @@ one enumeration.  The oracle shares no code with the node LP it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import not_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
 from .model import Instance, LinearInequality, Point, VarRef, clean_terms
@@ -276,8 +275,7 @@ def maximize_over_S(instance: Instance, objective, limit: Optional[int] = None):
     return enumerate_candidate_vertices(instance, limit).maximize(objective)
 
 
-@dataclass(frozen=True)
-class ValidityResult:
+class ValidityResult(NamedTuple):
     valid: bool
     max_value: Fraction
     witness: Optional[Point]  # a feasible point beating the rhs, when invalid

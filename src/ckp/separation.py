@@ -35,9 +35,8 @@ the weight it has already summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .cuts import (GeneratedCut, build_member, family_members, is_switching,
                    resolve_families)
@@ -47,15 +46,13 @@ from .numeric import require_integer
 from .oracle import pattern_count, walk_patterns
 
 
-@dataclass(frozen=True)
-class SeparationStats:
+class SeparationStats(NamedTuple):
     examined: int     # candidate cuts evaluated
     patterns: int     # non-empty pattern space (exact), packs tried (greedy)
     pruned: int = 0   # of the patterns, those the walk skipped
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(NamedTuple):
     cut: Optional[GeneratedCut]
     violation: Optional[Fraction]
     stats: SeparationStats
@@ -78,8 +75,8 @@ class PointSupport:
     index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
     variables; and ``mass``, sum U * X over them with U the slot's weight
     in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
-    must be normalized; every reference of the point is looked up in
-    ``Instance.columns``, as the integer lists are indexed by it.
+    must be normalized; every reference of the point is checked
+    (:meth:`Instance.check_ref`), as the integer lists are indexed by it.
     """
 
     __slots__ = ("scale", "units", "capacity_units", "point_scale",
@@ -89,12 +86,10 @@ class PointSupport:
         self.scale, units, self.capacity_units = instance.normalized_units()
         self.units = units
         self.point_scale, scaled = point.scaled
-        columns = instance.columns
         entries = [[] for _ in units]
         mass = [0] * len(units)
         for ref, x in scaled:
-            if ref not in columns:
-                raise ValidationError("variable out of range: %s" % (ref,))
+            instance.check_ref(ref)
             i = ref.group - 1
             entries[i].append((ref.slot, x))
             mass[i] += units[i][ref.slot - 1] * x

@@ -28,9 +28,9 @@ goes into the report.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cuts import FAMILIES, resolve_families
 from .errors import CkpError, ResourceLimitError, ValidationError
@@ -43,39 +43,42 @@ from .simplex import LpProblem, solve_lp, verify_certificate
 
 _F0 = Fraction(0)
 MAX_CUTS_PER_NODE = 10  # cuts one node's loop adds before it branches
+NODE_LIMIT = 10 ** 5  # SolveConfig's and ckp solve's default node limit
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(namedtuple("SolveConfig",
+                             "families node_limit exact_fallback enum_limit")):
     """Branch-and-cut knobs; ``ckp solve`` reads its defaults from here.
     ``families`` takes any family choice and stores the tuple that
     ``cuts.resolve_families`` reads from it; ``enum_limit`` stores the
-    limit ``oracle.resolve_enum_limit`` reads from it."""
+    limit ``oracle.resolve_enum_limit`` reads from it.  Every config is
+    made and checked by ``_make``: a call, ``_replace`` and unpickling."""
 
-    families: tuple = FAMILIES
-    node_limit: int = 10 ** 5
-    exact_fallback: bool = False
-    enum_limit: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        # frozen, so the resolved values are set past the dataclass guard
-        object.__setattr__(self, "families", resolve_families(self.families))
+    def __new__(cls, families=FAMILIES, node_limit=NODE_LIMIT,
+                exact_fallback=False, enum_limit=None):
+        return cls._make((families, node_limit, exact_fallback, enum_limit))
+
+    @classmethod
+    def _make(cls, iterable):
+        families, node_limit, exact_fallback, enum_limit = iterable
+        families = resolve_families(families)
         # The root must always be explored: it is the only node without a
         # parent bound, so letting the limit stop it first would leave the
         # reported best bound baseless.
-        if require_integer(self.node_limit, "node_limit") < 1:
+        if require_integer(node_limit, "node_limit") < 1:
             raise ValidationError("node_limit must be at least 1")
-        if not isinstance(self.exact_fallback, bool):
+        if not isinstance(exact_fallback, bool):
             raise ValidationError("exact_fallback must be a bool, got %r"
-                                  % (self.exact_fallback,))
+                                  % (exact_fallback,))
         # Checked here, not at exact separation's first walk: that may come
         # mid-solve, or never without exact_fallback.
-        object.__setattr__(self, "enum_limit",
-                           resolve_enum_limit(self.enum_limit))
+        return super()._make((families, node_limit, exact_fallback,
+                              resolve_enum_limit(enum_limit)))
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     value: Fraction
     point: Point
     nodes: int
@@ -83,7 +86,7 @@ class SolveReport:
     lp_pivots: int
     proven_optimal: bool
     best_bound: Fraction
-    cut_pool: tuple = field(default=(), repr=False)
+    cut_pool: tuple
     exact_sep_stopped: bool = False  # exact separation hit the enum limit
 
 

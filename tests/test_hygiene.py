@@ -346,6 +346,45 @@ def test_bench_tracer_sites_exist():
     assert missing == []
 
 
+def dataclass_records(source):
+    """Lines that write a record as a dataclass: each import of
+    ``dataclasses`` and each ``@dataclass`` decorator, bare, as an
+    attribute or called."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names
+                      if alias.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                if (getattr(decorator, "id", getattr(decorator, "attr", None))
+                        == "dataclass"):
+                    found.append(decorator.lineno)
+    return sorted(found)
+
+
+def test_detector_flags_a_dataclass_record():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n"
+              "from typing import NamedTuple\n"
+              "@dataclass\nclass A:\n    x: int\n"
+              "@dataclass(frozen=True)\nclass B:\n    x: int = field()\n"
+              "@dataclasses.dataclass\nclass C:\n    x: int\n"
+              "class D(NamedTuple):\n    x: int\n"
+              "@property\ndef dataclass_like(): pass\n")
+    assert dataclass_records(source) == [1, 2, 4, 7, 10]
+
+
+def test_one_record_idiom():
+    # a record of the library is a named tuple, so none pays for the
+    # dataclasses import or a generated class body
+    found = {path.name: dataclass_records(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def reads(node, bare=True):
     """The names ``node`` reads: each loaded ``ast.Attribute``, each
     identifier string (a lookup by name, as ``cuts.build_member``'s or the

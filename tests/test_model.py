@@ -19,7 +19,6 @@ from ckp.model import (
     Point,
     VarRef,
     complementarity_violations,
-    evaluate,
     is_feasible,
     knapsack_row,
     lhs_at,
@@ -536,11 +535,11 @@ def _reference_lhs(inequality, point):
 
 
 def test_lhs_at_matches_a_fraction_sum():
-    """The integer lhs_at and evaluate equal the Fraction sum, on rational
-    data with zero coefficients, for inequalities built from Fractions and
-    from their integer form (as given and doubled), at Points, at
-    Point.from_scaled points and at node LP solutions of the closed form
-    and the simplex."""
+    """The integer lhs_at equals the Fraction sum, and less the rhs the
+    violation, on rational data with zero coefficients, for inequalities
+    built from Fractions and from their integer form (as given and
+    doubled), at Points, at Point.from_scaled points and at node LP
+    solutions of the closed form and the simplex."""
     rng = random.Random(6161)
     seen = {"zero coefficient": 0, "rational row": 0, "rational point": 0,
             "closed form": 0, "simplex": 0, "nonzero lhs": 0}
@@ -569,7 +568,7 @@ def test_lhs_at_matches_a_fraction_sum():
             for p in points:
                 want = _reference_lhs(row, p)
                 assert lhs_at(inequality, p) == want
-                assert evaluate(inst, inequality, p) == (want, want - rhs)
+                assert lhs_at(inequality, p) - inequality.rhs == want - rhs
                 seen["nonzero lhs"] += want != 0
         seen["zero coefficient"] += any(c == 0 for _, c in coeffs)
         seen["rational row"] += unit > 1
@@ -589,14 +588,11 @@ def test_inequality_drops_zero_terms():
     assert q.scaled == (1, 4, ((VarRef(2, 1), 3),))
 
 
-def test_evaluate(ex_a):
+def test_lhs_at_of_the_knapsack_row(ex_a):
     q = knapsack_row(ex_a)
     p = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1)])
-    ev = evaluate(ex_a, q, p)
-    assert ev.lhs == 18
-    assert ev.violation == Fraction(-3)
-    with pytest.raises(ValidationError):
-        evaluate(ex_a, LinearInequality([(VarRef(9, 1), 1)], 0), p)
+    assert lhs_at(q, p) == 18
+    assert lhs_at(q, p) - q.rhs == Fraction(-3)
 
 
 def test_weight_profit_helpers(ex_a):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -599,7 +598,7 @@ def test_winner_checked_against_its_key(ex_c, frac_point, monkeypatch):
     real = separation.build_member
 
     def rekeyed(instance, key):
-        return dataclasses.replace(real(instance, key), key=(items, rank, (3,)))
+        return real(instance, key)._replace(key=(items, rank, (3,)))
 
     monkeypatch.setattr(separation, "build_member", rekeyed)
     with pytest.raises(CkpError, match="scored"):

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import heapq
 import importlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +17,8 @@ import pytest
 import ckp
 from ckp import model, simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
-from ckp.cuts import FAMILIES, FAMILY_RANK, GeneratedCut, resolve_families
+from ckp.cuts import (FAMILIES, FAMILY_RANK, GeneratedCut, pack_inequality_1,
+                      resolve_families)
 from ckp.model import (
     Instance,
     LinearInequality,
@@ -211,6 +214,53 @@ def test_config_refuses_a_non_bool_exact_fallback(value):
     # a truthy "no" would switch exact separation on
     with pytest.raises(ValidationError, match="exact_fallback must be a bool"):
         SolveConfig(exact_fallback=value)
+
+
+def test_records_refuse_attribute_assignment(ex_a):
+    # each record of the library is a value: no field is reassigned and no
+    # attribute is added
+    cut = pack_inequality_1(ex_a, [(1, 1), (3, 1), (4, 2), (5, 2)])
+    sep = separate_exact(ex_a, Point())
+    records = [(cut, "facet_guaranteed"), (validate_assumptions(ex_a), "m0"),
+               (oracle.check_validity(ex_a, cut.inequality), "valid"),
+               (sep, "cut"), (sep.stats, "examined"),
+               (SolveConfig(), "node_limit"), (branch_and_cut(ex_a), "value")]
+    assert sorted(type(record).__name__ for record, _ in records) == [
+        "AssumptionReport", "GeneratedCut", "SeparationResult",
+        "SeparationStats", "SolveConfig", "SolveReport", "ValidityResult"]
+    for record, name in records:
+        value = getattr(record, name)
+        for attribute in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attribute, None)
+        assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"node_limit": 0}, "node_limit must be at least 1"),
+    ({"exact_fallback": 1}, "exact_fallback must be a bool, got 1"),
+    ({"families": "bogus"}, "unknown cut family: 'bogus'"),
+])
+def test_a_replaced_config_is_checked(change, match):
+    # _replace makes its config through the same checks as a call
+    with pytest.raises(ValidationError, match=match):
+        SolveConfig()._replace(**change)
+
+
+def test_a_replaced_config_resolves_its_families():
+    config = SolveConfig()._replace(families="pack1")
+    assert config.families == ("pack1",)
+    assert config == SolveConfig(families="pack1")
+    assert config.node_limit == SolveConfig().node_limit == solver.NODE_LIMIT
+
+
+def test_a_config_survives_pickle_and_copy():
+    for config in (SolveConfig(),
+                   SolveConfig(families="pack1,lcover2", node_limit=7,
+                               exact_fallback=True, enum_limit=50)):
+        for again in (pickle.loads(pickle.dumps(config)), copy.copy(config),
+                      copy.deepcopy(config)):
+            assert again == config and type(again) is SolveConfig
 
 
 def test_a_family_choice_neither_string_nor_iterable_is_refused(ex_c):
