@@ -30,14 +30,19 @@ PreconditionError when they fail.  The facet rules live once, in
 relevant theorem's sufficient condition holds on the instance.
 
 Each family's inequality is written once, as an integer form ``(den,
-rhs, rows)`` over the instance's integer units of the weights and
-capacity (:attr:`Instance.units`): ``rows`` maps each group i of the item
-set to its coefficients by slot, and the coefficients and ``rhs`` are the
-cut's times scale * den.  There is one form for the three pack families,
-one for ``lcover1`` and one for ``lcover2``.  A builder tests its
-preconditions in those units and ends in :func:`_member_cut`, which keeps
-the form as its cut's integer form (``LinearInequality.from_scaled``),
-read as it is by the oracle, the node LP's pool and separation's check.
+rhs, rules)`` over the instance's integer units of the weights and
+capacity (:attr:`Instance.units`): ``rules`` maps each group i of the item
+set to one fixed-size rule ``(k, lo, hi, k2, at, bump)``, which gives slot
+j of weight a_j (non-increasing in j) min(k * max(a_j, lo), hi, k2 * a_j)
+plus ``bump`` at slot ``at`` (``hi`` and ``k2`` None when absent), and the
+coefficients and ``rhs`` are the cut's times scale * den.  One
+:func:`rule_sum` evaluates a rule: over a group's slots for a builder, over
+the point's entries alone for a score.  There is one form for the three
+pack families, one for ``lcover1`` and one for ``lcover2``.  A builder
+tests its preconditions in those units and ends in :func:`_member_cut`,
+which keeps the form as its cut's integer form
+(``LinearInequality.from_scaled``), read as it is by the oracle, the node
+LP's pool and separation's check.
 
 Which members an item set gives depends on the weights and the capacity
 alone, so the member list is instance data: :func:`family_members` reads
@@ -193,35 +198,27 @@ def _pack_form(rows, capacity, pack, slack, pivot=None, tilt=None):
         grown = slack * den
         if tilt is not None:
             grown += slack * rows[tilt - 1][0]
-    coeffs = {}
+    rules = {}
     receivers = 0
     for i, j in pack:
-        row = rows[i - 1]
         if pivot is not None and i == pivot.group:
-            row = [a_pivot * max(a, den) for a in row]
+            rules[i] = (a_pivot, den, None, None, 0, 0)
         elif i == tilt:
-            row = [a_pivot * row[0]]
-        else:
-            row = [a * den for a in row]
-            if len(row) > 1:
-                row[j - 1] += grown
-                receivers += 1
-        coeffs[i] = row
-    return den, capacity * den + (receivers - 1) * grown, coeffs
+            rules[i] = (a_pivot, 0, None, None, 0, 0)
+        else:  # the row times den, and grown on a receiver's item
+            free = len(rows[i - 1]) > 1
+            rules[i] = (den, 0, None, None, j, grown if free else 0)
+            receivers += free
+    return den, capacity * den + (receivers - 1) * grown, rules
 
 
 def _lcover1_form(rows, capacity, cover, over):
     """The lcover1 cut for a cover whose excess s - b > 0 is ``over``:
     each cover group keeps a_r on the slots above its chosen slot r and
     max(a, a_r - over) from r on, where a_r - over is b minus the other
-    chosen items' weight."""
-    coeffs = {}
-    for i, r in cover:
-        row = rows[i - 1]
-        a_r = row[r - 1]
-        coeffs[i] = [a_r if j < r else max(a, a_r - over)
-                     for j, a in enumerate(row, start=1)]
-    return 1, capacity, coeffs
+    chosen items' weight; on sorted weights, min(max(a, a_r - over), a_r)."""
+    return 1, capacity, {i: (1, rows[i - 1][r - 1] - over, rows[i - 1][r - 1],
+                             None, 0, 0) for i, r in cover}
 
 
 def _lcover2_form(rows, capacity, cover, over, special):
@@ -232,33 +229,49 @@ def _lcover2_form(rows, capacity, cover, over, special):
     max(a, b - rest), where b - rest = a_special - over.  Each other cover
     group, chosen slot t, gets a_t * max(1, a / d) on its slots j <= t,
     with d = b - (rest - a_t) - a_last > 0, and its weights after t; den
-    is the product of the groups' d.
+    is the product of the groups' d.  The lifting condition gives b - rest
+    > a_last, so d > a_t, and on sorted weights the two pieces are one
+    min(a_t * max(a, d) / d, a), the first piece the smaller for a >= a_t.
     """
     a_last = rows[special.group - 1][-1]
     floor = rows[special.group - 1][special.slot - 1] - over  # b - rest
     dens = {i: floor + rows[i - 1][t - 1] - a_last
             for i, t in cover if i != special.group}
     den = prod(dens.values())
-    coeffs = {}
-    for i, t in cover:
-        row = rows[i - 1]
-        if i == special.group:
-            coeffs[i] = [max(a, floor) * den for a in row]
-            continue
-        d = dens[i]
-        lifted = row[t - 1] * (den // d)  # a_t * den / d
-        coeffs[i] = [lifted * max(a, d) if j <= t else a * den
-                     for j, a in enumerate(row, start=1)]
-    return den, capacity * den, coeffs
+    return den, capacity * den, {  # off the special, k = a_t * den / d
+        i: (den, floor, None, None, 0, 0) if i == special.group else
+        (rows[i - 1][t - 1] * (den // dens[i]), dens[i], None, den, 0, 0)
+        for i, t in cover}
 
 
-def _inequality(scale, form) -> LinearInequality:
+def rule_sum(rule, row, entries, mass) -> int:
+    """The one evaluation of a rule (see the module docstring): sum c_j * X
+    over a group's ``entries`` ``(j, X)``, with ``row`` its weights in
+    integer units and ``mass`` = sum row[j - 1] * X; the row times k (lo 0,
+    no cap) is k * mass, plus its bump."""
+    k, lo, hi, k2, at, bump = rule
+    plain = not lo and hi is None and k2 is None
+    total = k * mass if plain else 0
+    for j, x in entries:
+        if not plain:
+            a = row[j - 1]
+            c = k * (a if a > lo else lo)
+            c = c if hi is None or c < hi else hi
+            c = c if k2 is None or c < k2 * a else k2 * a
+            total += c * x
+        if j == at:
+            total += bump * x
+    return total
+
+
+def _inequality(scale, rows, form) -> LinearInequality:
     """The LinearInequality that keeps an integer form (over scale * den),
-    its terms sorted as the form's groups come in item order."""
-    den, rhs, coeffs = form
+    each rule expanded over its group's ``rows``, in the form's order."""
+    den, rhs, rules = form
     return LinearInequality.from_scaled(scale * den, rhs, [
-        (VarRef(i, j), c) for i, row in coeffs.items()
-        for j, c in enumerate(row, start=1) if c])
+        (VarRef(i, j), c) for i, rule in rules.items()
+        for j, a in enumerate(rows[i - 1], start=1)
+        if (c := rule_sum(rule, rows[i - 1], ((j, 1),), a))])
 
 
 def _pack_cut(instance: Instance, family: str, pack, pivot=None,
@@ -399,7 +412,7 @@ def _member_cut(instance: Instance, key, form) -> GeneratedCut:
         # singletons it is false for packs of two or more items
         groups = {i for i, _ in items}
         facet = facet and bool(groups - instance.m0) and bool(groups & instance.m0)
-    return GeneratedCut(key, _inequality(scale, form), facet)
+    return GeneratedCut(key, _inequality(scale, rows, form), facet)
 
 
 def _lifts(row, slot, over) -> bool:

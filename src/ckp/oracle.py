@@ -121,18 +121,21 @@ def _patterns(rows, capacity, families):
     reach = [0] * (m + 1)  # the heaviest weights of the undecided groups
     for i in range(m - 1, -1, -1):
         reach[i] = reach[i + 1] + max(rows[i])
-    stack = [(0, (), 0, 0)]  # depth, items, units, largest u - u_last
+
+    def dead(depth, units, margin):  # the prune rule at a prefix
+        over = units - capacity
+        return ((over >= 0 and (not covers or margin <= over))
+                or (not packs and over + reach[depth] <= 0))
+
+    # depth, items, units, largest u - u_last: each tested before its push
+    stack = [] if prune and dead(0, 0, 0) else [(0, (), 0, 0)]
     while stack:
         i, items, units, margin = stack.pop()
-        if prune:
-            over = units - capacity
-            if ((over >= 0 and (not covers or margin <= over))
-                    or (not packs and over + reach[i] <= 0)):
-                continue
         if i + 1 < m:
             for ext, u, gap in reversed(levels[i]):
-                stack.append((i + 1, items + ext, units + u,
-                              gap if gap > margin else margin))
+                gap = gap if gap > margin else margin
+                if not (prune and dead(i + 1, units + u, gap)):
+                    stack.append((i + 1, items + ext, units + u, gap))
             continue
         # the last group completes each pattern, given as it is made: a
         # pack when a pack family is asked for, a cover with a special

@@ -10,9 +10,9 @@ support in integer units (:class:`PointSupport`: X = x * D, the weights
 and capacity scaled by their own LCM), then share one select routine
 over item sets, each given with its weight in integer units:
 
-* score: each listed member's integer form is summed over the support
-  (:func:`_score`) into its violation as an integer pair ``(num, den)``,
-  with nothing built; scores are compared by cross-multiplication;
+* score: each listed member's integer form is summed, each group's rule
+  over the point's entries in it alone (:func:`_score`), into its violation
+  as an integer pair ``(num, den)``; scores compare by cross-multiplying;
 * build one: the winner, the maximum positive violation with ties broken
   toward the lexicographically smallest provenance key (item set, then
   family, then auxiliary indices), is built by its public builder from
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cuts import (GeneratedCut, build_member, family_members, is_switching,
-                   resolve_families)
+                   resolve_families, rule_sum)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_units
 from .numeric import require_integer
@@ -47,7 +47,7 @@ from .oracle import pattern_count, walk_patterns
 
 
 class SeparationStats(NamedTuple):
-    examined: int     # candidate cuts evaluated
+    examined: int     # members scored
     patterns: int     # non-empty pattern space (exact), packs tried (greedy)
     pruned: int = 0   # of the patterns, those the walk skipped
 
@@ -99,15 +99,14 @@ class PointSupport:
 
 def _score(sup: PointSupport, form):
     """An integer form's violation at the point ``sup`` was built from, as
-    ``(num, den)`` with den > 0: lhs - rhs = num / den, summed in integers
-    over the point's support."""
-    den, rhs, coeffs = form
+    ``(num, den)`` with den > 0: lhs - rhs = num / den, each group's rule
+    summed over the point's entries in it (:func:`cuts.rule_sum`)."""
+    den, rhs, rules = form
     d = sup.point_scale
-    entries = sup.entries
+    units, entries, mass = sup.units, sup.entries, sup.mass
     lhs = -rhs * d
-    for i, row in coeffs.items():
-        for j, x in entries[i - 1]:
-            lhs += row[j - 1] * x
+    for i, rule in rules.items():
+        lhs += rule_sum(rule, units[i - 1], entries[i - 1], mass[i - 1])
     return lhs, sup.scale * den * d
 
 

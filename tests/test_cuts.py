@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.fileio import serialize_inequality
 from ckp.model import Instance, LinearInequality, Point, VarRef
-from ckp import cuts, oracle
+from ckp import cuts, oracle, separation
 from ckp.separation import separate_exact
 
 from conftest import (is_cover, is_pack, itemset_weight, iter_patterns,
@@ -562,21 +562,34 @@ BUILDS = {
 
 @pytest.mark.parametrize("family", cuts.FAMILIES)
 def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
-    # each family's coefficients are written once, in its integer form: the
-    # public builder and the separator's scores must both come from it
-    calls = []
-    real = getattr(cuts, FORMS[family])
+    # each family's coefficients are written once, in its integer form, and
+    # evaluated once, by cuts.rule_sum: the public builder and the
+    # separator's scores must both come from the form, and each group's
+    # coefficients from that one evaluation, a score's once per group and
+    # a build's once per slot
+    forms, sums = [], []
+    real, evaluate = getattr(cuts, FORMS[family]), cuts.rule_sum
 
     def counted(*args):
-        calls.append(args)
-        return real(*args)
+        forms.append(real(*args))
+        return forms[-1]
+
+    def summed(*args):
+        sums.append(args)
+        return evaluate(*args)
 
     monkeypatch.setattr(cuts, FORMS[family], counted)
+    for module in (cuts, separation):
+        monkeypatch.setattr(module, "rule_sum", summed)
     separate_exact(ex_a, Point(), family)  # scores every member, builds none
-    assert calls, "family_members does not list %s by its form" % family
-    del calls[:]
+    assert forms, "family_members does not list %s by its form" % family
+    assert len(sums) == sum(len(rules) for _, _, rules in forms)
+    del forms[:], sums[:]
     BUILDS[family](ex_a)
-    assert calls, "the %s builder does not build its form" % family
+    assert forms, "the %s builder does not build its form" % family
+    (_, _, rules), = forms
+    _, rows, _ = ex_a.units
+    assert len(sums) == sum(len(rows[i - 1]) for i in rules) > 0
 
 
 def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):

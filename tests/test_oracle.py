@@ -154,7 +154,10 @@ def test_pruned_walk_keeps_every_item_set_with_a_member():
     subsets = [s for k in range(1, len(FAMILIES) + 1)
                for s in combinations(FAMILIES, k)]
     pruned = {"packs only": 0, "covers only": 0, "both": 0}
-    instances = _seeded_instances(45, 7117)
+    # the last two test the root before the walk: nothing is a member at
+    # capacity 0, and nothing but a pack at zero weights
+    instances = _seeded_instances(45, 7117) + [
+        make_instance([(3, 1), (2,)], 0), make_instance([(0, 0), (0,)], 3)]
     for inst in instances:
         _, rows, b = inst.units
         full = list(oracle.walk_patterns(inst))

@@ -402,20 +402,27 @@ def test_exact_matches_building_every_member():
 
 
 def test_exact_matches_building_every_member_on_reductions():
-    """Yes and no partition answers: the walk skips patterns, and exact
-    separation still gives the cut, violation, members and patterns of
-    building every member."""
+    """Yes and no partition answers, on short rows and on the benchmark's
+    shapes (5 to 7 alphas of 1 to 8, so the last group has up to 29
+    slots): the walk skips patterns, and exact separation still gives the
+    cut, violation, members and patterns of building every member."""
     rng = random.Random(6022)
-    found = 0
-    answers = set()
-    for _ in range(12):
-        alphas = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+    cases = []
+    for fewest, most, top in [(2, 5, 6)] * 12 + [(5, 7, 8)] * 12:
+        alphas = [rng.randint(1, top) for _ in range(rng.randint(fewest, most))]
         if sum(alphas) % 2:
             alphas[0] += 1
         if sum(alphas) < 4:
             alphas[0] += 4
+        cases.append(alphas)
+    cases += [[8] * 7, [8, 8, 8, 8, 8, 7, 1]]  # the longest rows, no and yes
+    found = 0
+    answers = set()
+    longest = 0
+    for alphas in cases:
         beta = sum(alphas) // 2
         instance, point = build_partition_reduction(tuple(alphas), beta)
+        longest = max(longest, instance.groups[-1].size)
         answer = has_balanced_subset(alphas, beta)
         answers.add(answer)
         for family in ("lcover1", "lcover2", "all"):
@@ -424,7 +431,26 @@ def test_exact_matches_building_every_member_on_reductions():
             if family == "lcover1":
                 assert r.found == answer
             found += r.found
-    assert found >= 5 and answers == {True, False}
+    assert found >= 5 and answers == {True, False} and longest == 29
+
+
+def test_reduction_forms_hold_one_rule_per_group():
+    """Every form that ``family_members`` lists on a reduction with beta =
+    30, whose last group has 31 slots, holds one rule per group of its
+    item set, all of one size: a form that copies a group's row, one entry
+    per slot, fails."""
+    instance, _ = build_partition_reduction((8,) * 7 + (4,), 30)
+    _, rows, b = instance.units
+    sizes = set()
+    long_rows = 0
+    for items, units in oracle.walk_patterns(instance, None, cuts.FAMILIES):
+        for _, (_, _, rules) in cuts.family_members(rows, b, items, units,
+                                                    cuts.FAMILIES):
+            assert list(rules) == [i for i, _ in items]
+            sizes.update(map(len, rules.values()))
+            long_rows += instance.m in rules
+    assert len(rows[-1]) == 31 and long_rows > 100
+    assert len(sizes) == 1 and sizes.pop() < len(rows[-1])
 
 
 def test_reduction_guard_raises_before_the_first_pattern(monkeypatch):
@@ -579,9 +605,9 @@ def test_winner_checked_against_its_kept_form(ex_c, frac_point, monkeypatch):
     # kept form disagrees with the scored one is caught at the build
     real = cuts._inequality
 
-    def loosened(scale, form):
-        den, rhs, coeffs = form
-        return real(scale, (den, rhs + 1, coeffs))
+    def loosened(scale, rows, form):
+        den, rhs, rules = form
+        return real(scale, rows, (den, rhs + 1, rules))
 
     assert separate_exact(ex_c, frac_point, "pack1").found
     monkeypatch.setattr(cuts, "_inequality", loosened)
