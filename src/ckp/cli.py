@@ -46,19 +46,17 @@ def _print_point(point: Point, out) -> None:
               file=out)
 
 
-def _print_cut(cut, out, facet_text: str) -> None:
-    print("# %s" % cut.describe(), file=out)
-    print("# facet: %s" % facet_text, file=out)
-    out.write(fileio.serialize_inequality(cut.inequality))
-
-
-def _facet_text(cut, vertices) -> str:
-    """The builder's facet flag, or with candidate ``vertices`` the oracle's
-    verdict."""
+def _print_cut(cut, out, vertices=None) -> None:
+    """The cut's block; its facet line is the builder's flag, or with
+    candidate ``vertices`` the oracle's verdict."""
     if vertices is None:
-        return "yes" if cut.facet_guaranteed else "unknown"
-    dim = vertices.face_dimension(cut.inequality)
-    return "yes" if dim == vertices.instance.dimension - 1 else "no"
+        facet = "yes" if cut.facet_guaranteed else "unknown"
+    else:
+        dim = vertices.face_dimension(cut.inequality)
+        facet = "yes" if dim == vertices.instance.dimension - 1 else "no"
+    print("# %s" % cut.describe(), file=out)
+    print("# facet: %s" % facet, file=out)
+    out.write(fileio.serialize_inequality(cut.inequality))
 
 
 def _cmd_check(args, out) -> int:
@@ -124,7 +122,7 @@ def _cmd_cuts(args, out) -> int:
         if args.verify and vertices is None:
             vertices = oracle.enumerate_candidate_vertices(
                 instance, args.enumerate_limit)
-        _print_cut(cut, out, _facet_text(cut, vertices))
+        _print_cut(cut, out, vertices)
     if first:
         print("# no cuts", file=out)
     return 0
@@ -146,8 +144,7 @@ def _cmd_separate(args, out) -> int:
     print("outcome: found", file=out)
     print("violation: %s" % format_rational(result.violation), file=out)
     print("examined: %d" % result.stats.examined, file=out)
-    _print_cut(result.cut, out,
-               "yes" if result.cut.facet_guaranteed else "unknown")
+    _print_cut(result.cut, out)
     return 0
 
 

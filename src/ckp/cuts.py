@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, combinations
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -477,17 +476,21 @@ def build_member(instance: Instance, key) -> GeneratedCut:
 def enumerate_maximal_switching_packs(instance: Instance,
                                       limit: Optional[int] = None):
     """All maximal switching packs, as sorted tuples of last-slot items
-    over group subsets, in lexicographic subset order."""
+    over group subsets, in lexicographic subset order: a depth-first walk
+    that extends a subset only by later groups whose last slot leaves slack
+    b - s > 0, since no superset of a subset without slack is a pack.  The
+    guard counts all 2^m subsets."""
     guard_enumeration(2 ** instance.m, "subset space 2^%d" % instance.m, limit)
     _, units, capacity = instance.normalized_units()
-    groups = range(1, instance.m + 1)
-    subsets = sorted(chain.from_iterable(
-        combinations(groups, k) for k in range(1, instance.m + 1)))
-    out = []
-    for subset in subsets:
+    out, stack = [], [((), capacity)]  # (subset, slack); children last-first
+    while stack:
+        subset, slack = stack.pop()
         tails = [units[i - 1] for i in subset]
-        if is_switching(tails, capacity - sum(u[-1] for u in tails)):
+        if subset and is_switching(tails, slack):
             out.append(tuple(VarRef(i, len(u)) for i, u in zip(subset, tails)))
+        for i in range(instance.m, subset[-1] if subset else 0, -1):
+            if slack > units[i - 1][-1]:
+                stack.append((subset + (i,), slack - units[i - 1][-1]))
     return out
 
 

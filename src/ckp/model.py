@@ -61,13 +61,10 @@ class VarRef(NamedTuple):
 
 
 def _frac(value) -> Fraction:
-    # Exact type and int tests first: isinstance on Fraction, an ABC, is slow.
-    if type(value) is Fraction:
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         try:
             return parse_rational(value)
@@ -104,13 +101,10 @@ def clean_terms(items, instance=None):
     refs = []
     cleaned = []
     for ref, value in (items.items() if isinstance(items, Mapping) else items):
-        if (type(ref) is not VarRef or type(ref.group) is not int
-                or type(ref.slot) is not int):  # the hot case needs no call
-            ref = var_ref(ref)
+        ref = var_ref(ref)
         if instance is not None:
             instance.check_ref(ref)
-        if type(value) is not Fraction:  # the hot case needs no call
-            value = _frac(value)
+        value = _frac(value)
         refs.append(ref)
         if value:
             cleaned.append((ref, value))
@@ -522,7 +516,9 @@ def normalize(instance: Instance):
             (profit_scale, tuple(profits[k] for k in order))))
     if all(perm == tuple(range(1, len(perm) + 1)) for perm in perms):
         return instance, tuple(perms)
-    return Instance(new_groups, instance.capacity), tuple(perms)
+    scale, (capacity,) = instance.capacity_form
+    return (Instance(new_groups, capacity if scale == 1 else instance.capacity),
+            tuple(perms))
 
 
 class AssumptionReport(NamedTuple):

@@ -98,13 +98,16 @@ def _check_incumbent(instance: Instance, point: Point, value: Fraction) -> None:
 
 
 def _branch_group(solution, violated):
-    """Group with >= 2 positive slots maximizing its value mass, tie: index;
-    the masses are sums of the LP point's integers X, over one D."""
-    mass = dict.fromkeys(violated, 0)
+    """``(group, ref)``: the group with >= 2 positive slots maximizing its
+    value mass, tie: index, and its first positive slot; the masses are
+    sums of the LP point's integers X, over one D."""
+    mass, first = dict.fromkeys(violated, 0), {}
     for ref, x in solution.scaled[1]:
         if ref.group in mass:
             mass[ref.group] += x
-    return max(violated, key=lambda i: (mass[i], -i))
+            first.setdefault(ref.group, ref)
+    group = max(violated, key=lambda i: (mass[i], -i))
+    return group, first[group]
 
 
 def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> SolveReport:
@@ -183,11 +186,10 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             incumbent_value = value
             incumbent = solution
             continue
-        group = _branch_group(solution, violated)
+        group, ref = _branch_group(solution, violated)
         # the entries are sorted, so the group's first is its lowest: the
         # children keep the columns after it, then those up to it
-        split = 1 + instance.columns[next(
-            ref for ref, _ in solution.scaled[1] if ref.group == group)]
+        split = 1 + instance.columns[ref]
         lo, hi = spans[group - 1]
         for half in ((split, hi), (lo, split)):
             counter += 1

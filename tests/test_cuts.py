@@ -10,6 +10,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,65 @@ def test_msp_enumeration_guarded(ex_a):
     assert str(err.value) == "subset space 2^5 exceeds enumeration limit 31"
     assert err.value.estimate == 32
     assert len(cuts.enumerate_maximal_switching_packs(ex_a, limit=32)) == 12
+
+
+def test_pack_walk_lists_the_definition():
+    """The subset walk lists what the definition lists, in its order: every
+    group subset in lexicographic order, kept when its last-slot items pass
+    ``is_switching``.  Seeded instances of 1-10 groups with zero weights,
+    a zero capacity, a random one, and one equal to some subset's
+    last-slot weight (slack 0)."""
+    rng = random.Random(4409)
+    listed = 0
+    for n in range(600):
+        m = rng.randint(1, 10)
+        rows = [sorted((rng.choice((0, rng.randint(1, 20)))
+                        for _ in range(rng.randint(1, 3))), reverse=True)
+                for _ in range(m)]
+        subsets = sorted(chain.from_iterable(
+            combinations(range(1, m + 1), k) for k in range(1, m + 1)))
+        capacity = (0, rng.randint(0, 60),
+                    sum(rows[i - 1][-1] for i in rng.choice(subsets)))[n % 3]
+        inst = Instance.build([(r, [1] * len(r)) for r in rows], capacity)
+        expected = [
+            tuple(VarRef(i, len(rows[i - 1])) for i in subset)
+            for subset in subsets
+            if cuts.is_switching([rows[i - 1] for i in subset], capacity
+                                 - sum(rows[i - 1][-1] for i in subset))]
+        assert cuts.enumerate_maximal_switching_packs(inst) == expected
+        listed += len(expected)
+    assert listed > 2000
+
+
+def test_pack_walk_skips_subsets_without_slack(monkeypatch):
+    """19 two-slot groups whose last slots leave slack 1 in three of them
+    and none in the other sixteen: of the 2^19 - 1 subsets, all inside the
+    guard, the walk tests the three singletons with slack and lists them."""
+    tested, is_switching = [], cuts.is_switching
+
+    def counted(tails, slack):
+        tested.append(slack)
+        return is_switching(tails, slack)
+
+    monkeypatch.setattr(cuts, "is_switching", counted)
+    inst = Instance.build([((11, 9), (1, 1))] * 3
+                          + [((30, 10), (1, 1))] * 16, 10)
+    assert cuts.enumerate_maximal_switching_packs(inst) == [
+        (VarRef(1, 2),), (VarRef(2, 2),), (VarRef(3, 2),)]
+    assert tested == [1, 1, 1]
+
+
+def test_pack_walk_guard_raises_before_any_subset(monkeypatch):
+    """A subset space one over the limit raises before any subset is
+    tested."""
+    tested = []
+    monkeypatch.setattr(cuts, "is_switching",
+                        lambda tails, slack: tested.append(slack))
+    inst = Instance.build([((11, 9), (1, 1))] * 19, 10)
+    with pytest.raises(ResourceLimitError) as err:
+        cuts.enumerate_maximal_switching_packs(inst, limit=2 ** 19 - 1)
+    assert err.value.estimate == 2 ** 19
+    assert tested == []
 
 
 def test_msp_test_matches_fractions():

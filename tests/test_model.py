@@ -271,8 +271,8 @@ def test_integral_instance_makes_no_fraction(monkeypatch):
     profits equal to weights, capacity beta + 2) is built, and gives its
     columns, units, profit units, normalization and M_0, without one
     ``Fraction`` made.  Nor does the partition reduction itself, a point
-    or a cut made from its integer form, the knapsack row, or printing a
-    cut of scale 1."""
+    or a cut made from its integer form, the knapsack row, printing a cut
+    of scale 1, or normalizing an integral instance whose slots move."""
     made = []
     original = Fraction.__new__
 
@@ -293,8 +293,12 @@ def test_integral_instance_makes_no_fraction(monkeypatch):
     cut = LinearInequality.from_scaled(
         2, 6, ((VarRef(1, 1), 2), (VarRef(5, 2), 4)))
     texts = serialize_inequality(cut), serialize_inequality(row)
+    unsorted = Instance.build([((1, 5), (1, 5)), ((3,), (3,))], 4)
+    resorted, perms = normalize(unsorted)
     monkeypatch.undo()
     assert made == []
+    assert perms == ((2, 1), (1,)) and resorted.capacity_form == (1, (4,))
+    assert resorted.groups[0].weight_form == (1, (5, 1))
     assert reads[1:] == (
         (1, ((2,), (3,), (5,), (4,), tail), beta + 2),
         (1, alphas + tail), True, frozenset({1, 2, 3, 4}))
