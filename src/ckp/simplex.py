@@ -23,10 +23,10 @@ scaled once per instance, and each cut row is its own integer form
 by ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it.  The
 solver and the certificate check work on these integers, and so does the
 solution: :class:`LpSolution` holds the point as ``(D, ((VarRef, X),
-...))`` and the duals as ``(Y, ints)``, which the certificate check, the
-separators and the branch-and-cut loop read as they are.  Only its value
-is a Fraction; its ``point`` (through ``Point.from_scaled``, which keeps
-the integer form) is made on each read, for a caller that shows it.
+...))`` and the duals as ``(Y, ints)``, which the separators, the
+branch-and-cut loop and the certificate check read as they are.  Only its
+value is a Fraction; its ``point`` (through ``Point.from_scaled``, which
+keeps the integer form) is made on each read, for a caller that shows it.
 
 * **No cut rows.**  The LP is the relaxation of the multiple-choice
   knapsack problem, solved greedily (Sinha and Zoltners, Operations
@@ -57,13 +57,11 @@ the integer form) is made on each read, for a caller that shows it.
 The duals hold one multiplier y_r per row, in order (the knapsack row, the
 group rows in ``LpProblem.spans`` order, the cut rows), then one bound
 multiplier u_j per column of the spans, in ``Instance.columns``
-order.  They certify optimality exactly: y, u >= 0, y A_j + u_j >= c_j for
-every such variable, and y . rhs + sum(u) = c . x*.
-:func:`verify_certificate` checks this in integers from the problem's
-scaled data and the solution's integer form alone, and checks that form
-too (refs sorted, unique, in the instance and in their group's span,
-each X in (0, D]).  ``pivots`` counts the simplex's basis changes; bound
-flips are not pivots, and the closed form reports 0.
+order.  They bound the node LP by its value: y, u >= 0, y A_j + u_j >= c_j
+for every such variable, and y . rhs + sum(u) = the value, which
+:func:`verify_certificate` checks in integers without reading the point.
+``pivots`` counts the simplex's basis changes; bound flips are not
+pivots, and the closed form reports 0.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
 from typing import NamedTuple
 
 from .errors import CkpError, ValidationError
@@ -418,20 +415,12 @@ def solve_lp(problem: LpProblem, *, spans=None) -> LpSolution:
 
 def verify_certificate(problem: LpProblem, solution: LpSolution, *,
                        spans=None) -> bool:
-    """Exact optimality check from the problem and the solution's integer
-    form alone: a well-formed point, primal feasible, dual feasible, and
-    primal value = dual value = the reported value.
-
-    The point must be ``(D, ((ref, X), ...))`` with D >= 1, its refs
-    strictly increasing in the instance's column order (so sorted and
-    unique), none outside the instance or its group's span in ``spans``
-    (``problem.spans`` by default), and each X in (0, D].  The duals must
-    be ``(Y, ints)`` with Y >= 1, the right count and no negative int.
-    The check runs in integers: the duals times Y, the point times D, and
-    each row and the objective times the problem's ``scale`` L, through
-    their scaled data or, for a group row, its span.  So y A_j + u_j >= c_j
-    becomes an integer inequality times Y L, row feasibility one times D,
-    and the values compare by cross-multiplication.
+    """Weak-duality check of ``solution.value``, in integers, from the
+    problem's scaled data and the duals ``(Y, ints)`` alone, not the point:
+    Y >= 1, the right count, no negative int, y A_j + u_j >= c_j on each
+    column of ``spans`` (``problem.spans`` by default), and y . rhs +
+    sum(u) = the value.  Each side is compared times Y and the problem's
+    ``scale`` L, a group row read from its span.
     """
     if spans is None:
         spans = problem.spans
@@ -441,29 +430,11 @@ def verify_certificate(problem: LpProblem, solution: LpSolution, *,
     nfree = sum(hi - lo for lo, hi in spans)
     if dual_scale < 1 or len(ys) != nrows + nfree or min(ys) < 0:
         return False
-    point_scale, entries = solution.scaled
-    if point_scale < 1:
-        return False
-    col = problem.instance.columns
-    point = [0] * len(problem.refs)   # X per column
-    last, group, mass = -1, 0, 0      # mass: the sum of X over ``group``
-    for ref, x in entries:
-        j = col.get(ref)
-        if (j is None or j <= last or not 0 < x <= point_scale
-                or not spans[ref.group - 1][0] <= j < spans[ref.group - 1][1]):
-            return False
-        mass = mass + x if ref.group == group else x
-        if mass > point_scale:  # the group row (x <= 1 for one slot)
-            return False
-        point[j] = x
-        last, group = j, ref.group
     scale = problem.scale
     priced = [0] * len(problem.refs)  # (y A_j) * Y * L, stored rows only
     dual_value = 0                    # (y . rhs + sum(u)) * Y * L
     for (dense, rhs, row_scale), y in zip(problem.scaled_rows,
                                           ys[:1] + ys[1 + ngroups:]):
-        if sum(map(mul, dense, point)) > rhs * point_scale:
-            return False
         if y:
             y *= scale // row_scale
             dual_value += y * rhs
@@ -482,7 +453,5 @@ def verify_certificate(problem: LpProblem, solution: LpSolution, *,
                 dual_value += u
             if priced[j] + y + u < costs[j] * cost_factor:
                 return False
-    primal_value = sum(map(mul, costs, point))
     num, den = solution.value.as_integer_ratio()
-    return (primal_value * den == num * problem.cost_scale * point_scale
-            and dual_value * den == num * dual_scale * scale)
+    return dual_value * den == num * dual_scale * scale

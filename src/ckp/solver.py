@@ -15,14 +15,14 @@ exactly, so a best bound (the incumbent or an open node's bound) equal to
 the incumbent is a proof.
 
 Each node LP solution stays in the simplex's integer form
-(``LpSolution.scaled``): its certificate check, the separators, the one
-complementarity test per solution and the branching masses (sums of the
-integers X) all read it.  The incumbent is kept as its node LP solution,
-and one :class:`model.Point` is made per solve, from that form
-(``Point.from_scaled``), when the loop ends.  It is checked in integers,
-against the instance's ``units`` and ``profit_units``, not the LP's rows
-or certificate: it must lie in S and earn the reported value.  Then it
-goes into the report.
+(``LpSolution.scaled``): the separators, the one complementarity test per
+solution and the branching masses (sums of the integers X) all read it,
+and its certificate check reads only its duals.  The incumbent is kept as
+its node LP solution, and one :class:`model.Point` is made per solve,
+from that form (``Point.from_scaled``), when the loop ends.  It is
+checked in integers, against the instance's ``units`` and
+``profit_units``: it must lie in S and earn the reported value.
+:class:`SolveReport` says why that makes the report a proof.
 """
 
 from __future__ import annotations
@@ -79,6 +79,13 @@ class SolveConfig(namedtuple("SolveConfig",
 
 
 class SolveReport(NamedTuple):
+    """A solve's outcome.  ``proven_optimal`` (``best_bound == value``)
+    rests on three checks: each node's bound is certified by its LP duals
+    (``simplex.verify_certificate``); each branching split falls strictly
+    inside the node's span, so the children partition their parent; and
+    ``point`` lies in S and earns ``value``.  That last check, made once at
+    the end, covers every prune: the incumbent value only rises."""
+
     value: Fraction
     point: Point
     nodes: int
@@ -171,9 +178,9 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             try:
                 problem = problem.with_row(sep.cut.inequality)
             except ValidationError as exc:
-                # The certified node LP satisfies the knapsack row and every
-                # pooled row, so a separator that calls one violated is at
-                # fault.
+                # A cut equal to the knapsack row or a pooled row is an
+                # error: the node LP's point satisfies them, so the LP's
+                # point or the separator is at fault.
                 raise CkpError("separated %s cut: %s"
                                % (sep.cut.family, exc)) from None
             pool.append(sep.cut)
@@ -187,10 +194,13 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             incumbent = solution
             continue
         group, ref = _branch_group(solution, violated)
-        # the entries are sorted, so the group's first is its lowest: the
-        # children keep the columns after it, then those up to it
-        split = 1 + instance.columns[ref]
+        # the children partition the node only if the split (after the
+        # group's first positive slot) falls strictly inside its span
+        split = 1 + instance.check_ref(ref)
         lo, hi = spans[group - 1]
+        if not lo < split < hi:
+            raise CkpError("node LP point splits group %d after %s, outside "
+                           "the node's span" % (group, ref))
         for half in ((split, hi), (lo, split)):
             counter += 1
             heapq.heappush(heap, (-value, counter, spans[:group - 1] + (half,)

@@ -8,7 +8,7 @@ from operator import itemgetter
 
 import pytest
 
-from ckp import cuts, oracle
+from ckp import cuts, oracle, solver
 from ckp.cuts import (lifted_cover_inequality_1, lifted_cover_inequality_2,
                       pack_inequality_1, pack_inequality_2, pack_inequality_3)
 from ckp.errors import CkpError, PreconditionError, ResourceLimitError
@@ -355,6 +355,24 @@ def lp_solution(value, point, duals, pivots):
     refs = [ref for ref, _ in point.entries]
     return LpSolution(value, (scale, tuple(zip(refs, xs))),
                       integer_form(duals), pivots)
+
+
+def forged_solve(instance, forge, config=None):
+    """``branch_and_cut`` with each node LP solution passed through
+    ``forge(solution, problem, spans)``, which returns it or a forgery:
+    the report, or the ``CkpError`` that the solve raised."""
+    real = solver.solve_lp
+
+    def forging(problem, *, spans=None):
+        return forge(real(problem, spans=spans), problem, spans)
+
+    solver.solve_lp = forging
+    try:
+        return solver.branch_and_cut(instance, config)
+    except CkpError as exc:
+        return exc
+    finally:
+        solver.solve_lp = real
 
 
 def fraction_duals(solution):

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
 from ckp import cuts, simplex
-from ckp.errors import PreconditionError, ValidationError
+from ckp.errors import CkpError, PreconditionError, ValidationError
 from ckp.model import (
     Instance,
     LinearInequality,
@@ -15,14 +14,15 @@ from ckp.model import (
     knapsack_row,
 )
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
+from ckp.solver import SolveConfig
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
-                      fraction_duals, group_rows, lp_solution, make_instance,
-                      profits, random_instance, random_spans, rational_instance,
-                      reference_lp_data, reference_maximize_over_S,
-                      reference_solve_lp, span_refs, weight_of,
-                      with_profits)
+                      forged_solve, fraction_duals, group_rows, lp_solution,
+                      make_instance, profits, random_instance, random_spans,
+                      rational_instance, reference_lp_data,
+                      reference_maximize_over_S, reference_solve_lp,
+                      span_refs, weight_of, with_profits)
 
 
 def lp_for(inst, extra_rows=()):
@@ -471,31 +471,6 @@ def test_certificate_rejects_forged_duals(duals, why):
     assert not verify_certificate(problem, forged), why
 
 
-def test_certificate_rejects_point_on_forced_variable():
-    # group 4's slots weigh and earn nothing, so only the node's span of
-    # group 4 rules out an entry on x41 or x42: with the span empty, and
-    # with the entry left and right of a one-column span
-    for slots, span, ref in [(1, (3, 3), VarRef(4, 1)),
-                             (2, (4, 5), VarRef(4, 1)),
-                             (2, (3, 4), VarRef(4, 2))]:
-        inst = Instance.build([((1,), (3,)), ((1,), (2,)), ((2,), (1,)),
-                               ((0,) * slots, (0,) * slots)], 1)
-        problem = lp_for(inst)
-        spans = problem.spans[:3] + (span,)
-        sol = solve_lp(problem, spans=spans)
-        assert verify_certificate(problem, sol, spans=spans)
-        entries = sol.point.entries + ((ref, Fraction(1)),)
-        forged = lp_solution(sol.value, Point(entries), fraction_duals(sol),
-                             sol.pivots)
-        assert not verify_certificate(problem, forged, spans=spans), ref
-
-
-def _unchecked_point(entries):
-    """An object holding ``entries`` as given, past ``Point``'s [0, 1]
-    check, as a forged solution might: all ``lp_solution`` reads."""
-    return SimpleNamespace(entries=tuple(entries))
-
-
 _LARGE_PRIME = 2 ** 61 - 1
 
 
@@ -515,17 +490,6 @@ def test_certificate_handles_dual_denominators_foreign_to_the_data():
                           tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
                           sol.pivots)
     assert verify_certificate(problem, shifted)
-
-
-def test_certificate_rejects_entry_just_above_one():
-    # x41 weighs and earns nothing, so only the bound x <= 1 rules it out
-    problem = _forgery_problem()
-    sol = solve_lp(problem)
-    entries = sol.point.entries + (
-        (VarRef(4, 1), 1 + Fraction(1, _LARGE_PRIME)),)
-    forged = lp_solution(sol.value, _unchecked_point(entries),
-                         fraction_duals(sol), sol.pivots)
-    assert not verify_certificate(problem, forged)
 
 
 def test_certificate_rejects_value_off_by_a_tiny_fraction():
@@ -565,10 +529,14 @@ _X11, _X41 = VarRef(1, 1), VarRef(4, 1)
 ])
 def test_certificate_rejects_forged_integer_forms(value, point, duals,
                                                   forced, why):
-    # x41 weighs and earns nothing, so only the form's own checks see an
-    # entry on it; the true optimum is x11 = 1, value 3, duals (2, 1, 0, 0,
-    # 0), and each forgery replaces one part of it.  ``forced`` names the
-    # groups whose span the node empties.
+    # x41 weighs and earns nothing; the true optimum is x11 = 1, value 3,
+    # duals (2, 1, 0, 0, 0), and each forgery replaces one part of it.
+    # ``forced`` names the groups whose span the node empties, whose true
+    # duals the forgery then keeps.  The certificate reads only the duals
+    # and the value, and rejects each forgery of them.  It does not read
+    # the point: a forged point, with the node's true duals and value,
+    # passes it, and the solve that meets it at its root must raise a
+    # ``CkpError`` or report the true optimum.
     problem = _forgery_problem()
     spans = tuple((lo, lo if i in forced else hi)
                   for i, (lo, hi) in enumerate(problem.spans, start=1))
@@ -577,7 +545,31 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
     assert true == solve_lp(problem)
     forged = LpSolution(Fraction(value), point or true.scaled,
                         duals or true.scaled_duals, 0)
-    assert not verify_certificate(problem, forged, spans=spans), why
+    if not (point and value == 3 and (duals is None or forced)):
+        assert not verify_certificate(problem, forged, spans=spans), why
+        return
+    assert verify_certificate(problem, forged, spans=spans), why
+    at_root = []
+
+    def forge(sol, lp, node_spans):
+        if at_root:
+            return sol
+        at_root.append(sol)
+        return sol._replace(scaled=point)
+
+    for config in (SolveConfig(families=()), SolveConfig()):
+        del at_root[:]
+        got = forged_solve(problem.instance, forge, config)
+        assert at_root == [true], why
+        assert isinstance(got, CkpError) or (
+            got.value == 3 and got.proven_optimal), why
+
+
+def test_certificate_reads_only_the_duals_and_the_value():
+    # the point is checked where the solver uses it, not here
+    problem = _forgery_problem()
+    sol = solve_lp(problem)
+    assert verify_certificate(problem, sol._replace(scaled=None))
 
 
 def _group_forgery_problem():
@@ -594,17 +586,6 @@ def test_group_row_certificate_is_accepted():
     assert sol.value == 3
     assert fraction_duals(sol) == (0, 2, 0, 0, 1)
     assert verify_certificate(problem, sol)
-
-
-def test_certificate_rejects_point_breaking_only_the_group_row():
-    # x11 = x12 = x21 = 1 weighs 1 and earns 4, and the duals, x12's bound
-    # multiplier raised to 1, price it at 4 and stay dual feasible: only
-    # the group row x11 + x12 <= 1 rules it out
-    problem = _group_forgery_problem()
-    forged = LpSolution(Fraction(4), (1, ((VarRef(1, 1), 1), (VarRef(1, 2), 1),
-                                          (VarRef(2, 1), 1))),
-                        (1, [0, 2, 0, 1, 1]), 0)
-    assert not verify_certificate(problem, forged)
 
 
 @pytest.mark.parametrize("duals, why", [
@@ -624,10 +605,9 @@ def test_certificate_rejects_each_mutation_on_nested_spans():
     """From the certified closed-form solution over random nested node
     spans, on rational and integral data, each of these is rejected:
     lowering one positive group-row multiplier, or one positive bound
-    multiplier, by one unit of the duals' integer form, and moving one
-    point entry to its group's column just outside its node span."""
+    multiplier, by one unit of the duals' integer form."""
     rng = random.Random(3939)
-    seen = {"group row": 0, "bound": 0, "moved": 0}
+    seen = {"group row": 0, "bound": 0}
     for n in range(200):
         inst = (rational_instance(rng) if n % 2 else
                 random_instance(rng, max_groups=4, profits="random"))
@@ -644,18 +624,6 @@ def test_certificate_rejects_each_mutation_on_nested_spans():
             forged = sol._replace(scaled_duals=(dual_scale, lowered))
             assert not verify_certificate(problem, forged, spans=spans), r
             seen["group row" if r <= ngroups else "bound"] += 1
-        point_scale, entries = sol.scaled
-        for k, (ref, x) in enumerate(entries):
-            start, end = problem.spans[ref.group - 1]
-            lo, hi = spans[ref.group - 1]
-            for j in (lo - 1, hi):
-                if start <= j < end:
-                    moved = sorted(entries[:k] + ((problem.refs[j], x),)
-                                   + entries[k + 1:])
-                    forged = sol._replace(scaled=(point_scale, tuple(moved)))
-                    assert not verify_certificate(problem, forged,
-                                                  spans=spans), (ref, j)
-                    seen["moved"] += 1
     assert min(seen.values()) >= 30, seen
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import heapq
 import importlib
+import inspect
 import os
 import pickle
 import random
@@ -33,8 +34,8 @@ from ckp.separation import SeparationResult, SeparationStats, separate_exact
 from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
-from conftest import (correlated_instance, make_instance, random_instance,
-                      random_spans, rational_instance)
+from conftest import (correlated_instance, forged_solve, make_instance,
+                      random_instance, random_spans, rational_instance)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -549,6 +550,152 @@ def test_incumbent_outside_the_instance_is_rejected(monkeypatch):
             monkeypatch, (1, ((VarRef(1, 1), 1), (VarRef(5, 1), 1))))
 
 
+def _forge_point(kind, solution, problem, spans, rng):
+    """The node LP solution with its point forged as ``kind`` says, its
+    duals and value kept; None where the kind does not apply."""
+    d, entries = solution.scaled
+    refs, groups = problem.refs, problem.spans
+    taken = {ref for ref, _ in entries}
+    if kind == "D = 0":
+        return solution._replace(scaled=(0, entries))
+    if kind == "refs out of order":
+        choices = [entries[::-1]] if len(entries) > 1 else []
+    elif kind in ("X = 0", "X < 0"):
+        choices = [entries + ((ref, -1 if kind == "X < 0" else 0),)
+                   for ref in refs if ref not in taken]
+    elif kind == "ref outside":  # the slot past group 1's last
+        choices = [entries + ((VarRef(1, groups[0][1] + 1), d),)]
+    elif kind == "group outside":
+        choices = [entries + ((VarRef(len(groups) + 1, 1), d),)]
+    elif kind == "ref repeated":
+        choices = [entries + (entry,) for entry in entries]
+    elif kind == "group row broken":  # a second slot of a group, whole
+        choices = [entries + ((refs[j], d),) for ref in taken
+                   for j in range(*spans[ref.group - 1])
+                   if refs[j] not in taken]
+    else:  # one entry raised past D, dropped, or moved out of its span
+        choices = []
+        for k, (ref, x) in enumerate(entries):
+            start, end = groups[ref.group - 1]
+            lo, hi = spans[ref.group - 1]
+            news = {"X > D": [((ref, d + 1),)], "short of the value": [()],
+                    "moved outside the span": [((refs[j], x),)
+                                               for j in (lo - 1, hi)
+                                               if start <= j < end]}[kind]
+            choices += [entries[:k] + new + entries[k + 1:] for new in news]
+    if not choices:
+        return None
+    forged = rng.choice(choices)
+    if kind != "refs out of order":
+        forged = tuple(sorted(forged))
+    return solution._replace(scaled=(d, forged))
+
+
+_POINT_FORGERIES = ("X = 0", "X < 0", "X > D", "ref repeated",
+                    "refs out of order", "ref outside", "group outside",
+                    "moved outside the span", "D = 0", "short of the value",
+                    "group row broken")
+
+
+def test_forged_node_points_are_refused_or_change_nothing():
+    """The certificate reads only the duals and the value, so a node LP
+    point forged with its true duals and value passes it.  The point is
+    checked where it is used: at a random node of seeded solves, rational
+    and integral, with and without cuts, each kind of forgery makes the
+    solve raise a ``CkpError`` or report the unforged value, best bound and
+    proof, with a point of S that earns the value.  Every kind occurs at
+    least 20 times, and some are harmless (a point of S that earns the
+    certified value is a true incumbent)."""
+    rng = random.Random(4545)
+    applied = dict.fromkeys(_POINT_FORGERIES, 0)
+    outcomes = {"raised": 0, "same": 0}
+    for n in range(100):
+        inst = (rational_instance(rng) if n % 2 else
+                random_instance(rng, max_groups=4, profits="random"))
+        for config in (SolveConfig(families=()), SolveConfig()):
+            calls = []
+            true = forged_solve(inst, lambda sol, problem, spans:
+                                calls.append(1) or sol, config)
+            for kind in _POINT_FORGERIES:
+                at, count, done = rng.randrange(len(calls)), [0], []
+
+                def forge(sol, problem, spans):
+                    count[0] += 1
+                    if count[0] <= at or done:
+                        return sol
+                    forged = _forge_point(kind, sol, problem, spans, rng)
+                    if forged is None:
+                        return sol
+                    done.append(1)
+                    assert simplex.verify_certificate(problem, forged,
+                                                      spans=spans)
+                    return forged
+
+                got = forged_solve(inst, forge, config)
+                if not done:
+                    continue
+                applied[kind] += 1
+                if isinstance(got, CkpError):
+                    outcomes["raised"] += 1
+                else:
+                    outcomes["same"] += 1
+                    assert ((got.value, got.best_bound, got.proven_optimal)
+                            == (true.value, true.best_bound,
+                                true.proven_optimal)), (n, kind)
+                    assert is_feasible(inst, got.point), (n, kind)
+                    assert profit_of(inst, got.point) == got.value, (n, kind)
+    assert min(applied.values()) >= 20, applied
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+# strongly correlated (profit = weight + 5): the root LP point splits group
+# 1, and without cuts the root branches on it
+_SPLITS_GROUP_1 = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))],
+                                 20)
+
+
+def _repeat_the_parents_split(sol, problem, spans):
+    """At a child whose span of a group starts after the group's first
+    column, the LP point with that group's entries replaced by the slot
+    just left of the span, the parent's split, and the span's first slot,
+    both whole; the duals and the value kept."""
+    for (start, _), (lo, _) in zip(problem.spans, spans):
+        if lo > start:
+            d, entries = sol.scaled
+            left = problem.refs[lo - 1]
+            kept = tuple(e for e in entries if e[0].group != left.group)
+            return sol._replace(scaled=(d, tuple(sorted(
+                kept + ((left, d), (problem.refs[lo], d))))))
+    return sol
+
+
+def _add_group_3(sol, problem, spans):
+    """The LP point with two slots of group 3 whole."""
+    d, entries = sol.scaled
+    return sol._replace(scaled=(d, entries + ((VarRef(3, 1), d),
+                                              (VarRef(3, 2), d))))
+
+
+@pytest.mark.parametrize("forge, error", [
+    # the child keeping x12 is solved first; its forged point branches on
+    # x11 again, which would give it a child equal to itself
+    (_repeat_the_parents_split, CkpError("node LP point splits group 1 "
+                                         "after x(1,1), outside the node's "
+                                         "span")),
+    # two slots of group 3 of 2 carry the most mass, so the root branches
+    # on the group: the split's ref is checked before its span is read
+    (_add_group_3, ValidationError("variable out of range: x(3,1)")),
+], ids=["parent's split repeated", "group outside"])
+def test_split_outside_the_node_span_is_refused(forge, error):
+    def checked(sol, problem, spans):
+        forged = forge(sol, problem, spans)
+        assert simplex.verify_certificate(problem, forged, spans=spans)
+        return forged
+
+    got = forged_solve(_SPLITS_GROUP_1, checked, SolveConfig(families=()))
+    assert (type(got), str(got)) == (type(error), str(error))
+
+
 # ex_b with the profit of x11 at 4/3, so the profits' scale L is 3
 _THIRDS = Instance.build([((2,), (Fraction(4, 3),)), ((14, 10), (14, 10)),
                           ((13, 9), (13, 9)), ((9, 6), (9, 6))], 22)
@@ -589,11 +736,11 @@ def test_forged_incumbent_not_in_lowest_terms_is_reduced(monkeypatch):
 
 
 def test_pooled_cut_separated_again_is_rejected(monkeypatch):
-    # Every pooled row holds at the certified node LP point, so a separator
-    # that returns one as violated is at fault and must not end the loop
-    # quietly.  The knapsack row is pooled from the start.  The instance is
-    # strongly correlated (profit = weight + 5), so its root LP point splits
-    # group 1 and the separator runs.
+    # Every pooled row holds at the node LP point, so a separator that
+    # returns one as violated is at fault, or the LP is, and must not end
+    # the loop quietly.  The knapsack row is pooled from the start.  The
+    # instance is strongly correlated (profit = weight + 5), so its root LP
+    # point splits group 1 and the separator runs.
     inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
     def forged(instance, point, families):
         key = (tuple(list(instance.columns)[:1]), FAMILY_RANK["pack1"], ())
@@ -627,6 +774,20 @@ for bypass in (False, True):
         print("accepted")
     except CkpError as exc:
         print("rejected:", exc)
+solver.verify_certificate = simplex.verify_certificate
+""" + inspect.getsource(_repeat_the_parents_split) + """
+def split_forged(problem, *, spans=None):
+    sol = simplex.solve_lp(problem, spans=spans)
+    return _repeat_the_parents_split(sol, problem, spans)
+
+solver.solve_lp = split_forged
+try:
+    solver.branch_and_cut(
+        Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20),
+        solver.SolveConfig(families=()))
+    print("accepted")
+except CkpError as exc:
+    print("rejected:", exc)
 print("optimize:", sys.flags.optimize)
 """
 
@@ -642,6 +803,8 @@ def test_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "rejected: node LP solution fails its optimality certificate",
         "rejected: incumbent profit differs from the reported value",
+        "rejected: node LP point splits group 1 after x(1,1), outside the "
+        "node's span",
         "optimize: 1"], proc.stderr
 
 
