@@ -471,6 +471,52 @@ def test_certificate_rejects_forged_duals(duals, why):
     assert not verify_certificate(problem, forged), why
 
 
+def test_certificate_rejects_point_on_forced_variable():
+    # Strongly correlated data (profit = weight + 5): the root branches on
+    # group 1, so its descendants' spans force columns of it to zero.  At
+    # each node LP in turn, an entry of a group is moved onto the column
+    # just left, or just right, of the node's span of the group.  The
+    # certificate does not read the point, so the forgery, with the node's
+    # true duals and value, passes it; the solve that meets it must raise a
+    # ``CkpError`` or report the unforged value, best bound and proof.
+    inst = Instance.build([((14, 10), (19, 15)), ((13, 9), (18, 14))], 20)
+    moved = 0
+    for config in (SolveConfig(families=()), SolveConfig()):
+        calls = []
+        true = forged_solve(inst, lambda sol, problem, spans:
+                            calls.append(1) or sol, config)
+        for at, side in product(range(len(calls)), (0, 1)):
+            count, done = [0], []
+
+            def forge(sol, problem, spans):
+                count[0] += 1
+                if count[0] != at + 1:
+                    return sol
+                d, entries = sol.scaled
+                for k, (ref, x) in enumerate(entries):
+                    start, end = problem.spans[ref.group - 1]
+                    lo, hi = spans[ref.group - 1]
+                    j = (lo - 1, hi)[side]
+                    if start <= j < end:
+                        forged = sol._replace(scaled=(d, tuple(sorted(
+                            entries[:k] + ((problem.refs[j], x),)
+                            + entries[k + 1:]))))
+                        assert verify_certificate(problem, forged,
+                                                  spans=spans)
+                        done.append(problem.refs[j])
+                        return forged
+                return sol
+
+            got = forged_solve(inst, forge, config)
+            if not done:
+                continue
+            moved += 1
+            assert isinstance(got, CkpError) or (
+                (got.value, got.best_bound, got.proven_optimal)
+                == (true.value, true.best_bound, true.proven_optimal)), done
+    assert moved >= 4, moved
+
+
 _LARGE_PRIME = 2 ** 61 - 1
 
 
@@ -490,6 +536,26 @@ def test_certificate_handles_dual_denominators_foreign_to_the_data():
                           tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
                           sol.pivots)
     assert verify_certificate(problem, shifted)
+
+
+def test_certificate_rejects_entry_just_above_one():
+    # x41 weighs and earns nothing, so only the bound x <= 1 rules out an
+    # entry on it a hair above one.  The certificate does not read the
+    # point, so the forgery, with the root's true duals and value, passes
+    # it; the solve that meets it at its root must raise a ``CkpError`` or
+    # report the true optimum.
+    problem = _forgery_problem()
+    d, entries = solve_lp(problem).scaled
+    p = _LARGE_PRIME
+    point = (d * p, tuple((ref, x * p) for ref, x in entries)
+             + ((VarRef(4, 1), d * p + d),))
+    forged = solve_lp(problem)._replace(scaled=point)
+    assert verify_certificate(problem, forged)
+    for root, got in _solves_with_root_forged(
+            problem.instance, lambda sol: sol._replace(scaled=point)):
+        assert root.value == 3
+        assert isinstance(got, CkpError) or (
+            got.value == 3 and got.proven_optimal)
 
 
 def test_certificate_rejects_value_off_by_a_tiny_fraction():
@@ -549,20 +615,30 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
         assert not verify_certificate(problem, forged, spans=spans), why
         return
     assert verify_certificate(problem, forged, spans=spans), why
-    at_root = []
-
-    def forge(sol, lp, node_spans):
-        if at_root:
-            return sol
-        at_root.append(sol)
-        return sol._replace(scaled=point)
-
-    for config in (SolveConfig(families=()), SolveConfig()):
-        del at_root[:]
-        got = forged_solve(problem.instance, forge, config)
-        assert at_root == [true], why
+    for root, got in _solves_with_root_forged(
+            problem.instance, lambda sol: sol._replace(scaled=point)):
+        assert root == true, why
         assert isinstance(got, CkpError) or (
             got.value == 3 and got.proven_optimal), why
+
+
+def _solves_with_root_forged(instance, forge):
+    """For a solve without cuts and one with them, the true root LP
+    solution and the outcome (report or ``CkpError``) of the solve whose
+    root LP solution is replaced by ``forge(solution)``."""
+    outcomes = []
+    for config in (SolveConfig(families=()), SolveConfig()):
+        at_root = []
+
+        def at_the_root(sol, lp, spans):
+            if at_root:
+                return sol
+            at_root.append(sol)
+            return forge(sol)
+
+        got = forged_solve(instance, at_the_root, config)
+        outcomes.append((at_root[0], got))
+    return outcomes
 
 
 def test_certificate_reads_only_the_duals_and_the_value():
@@ -586,6 +662,25 @@ def test_group_row_certificate_is_accepted():
     assert sol.value == 3
     assert fraction_duals(sol) == (0, 2, 0, 0, 1)
     assert verify_certificate(problem, sol)
+
+
+def test_certificate_rejects_point_breaking_only_the_group_row():
+    # x11 = x12 = x21 = 1 weighs 1 and earns 4, and the duals, x12's bound
+    # multiplier raised to 1, price it at 4 and stay dual feasible: only
+    # the group row x11 + x12 <= 1 rules it out.  The certificate reads the
+    # duals alone, and they bound the LP by 4, which weak duality allows;
+    # the solve that meets the point at its root must raise a ``CkpError``
+    # or report the true optimum, 3, as proven.
+    problem = _group_forgery_problem()
+    forged = LpSolution(Fraction(4), (1, ((VarRef(1, 1), 1), (VarRef(1, 2), 1),
+                                          (VarRef(2, 1), 1))),
+                        (1, [0, 2, 0, 1, 1]), 0)
+    assert verify_certificate(problem, forged)
+    for root, got in _solves_with_root_forged(problem.instance,
+                                              lambda sol: forged):
+        assert root.value == 3
+        assert isinstance(got, CkpError) or (
+            got.value == 3 and got.proven_optimal)
 
 
 @pytest.mark.parametrize("duals, why", [
