@@ -9,7 +9,7 @@ Submodules:
 * ``cuts``       — covers/packs, the five cut families, members per item set
 * ``separation`` — exact and greedy separation, partition reduction
 * ``simplex``    — exact rational LP
-* ``solver``     — branch-and-cut with SOS1 branching
+* ``solver``     — cut-and-branch (cuts at the root) with SOS1 branching
 * ``cli``        — the ``ckp`` command
 """
 

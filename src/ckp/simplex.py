@@ -3,12 +3,12 @@ form and a fraction-free bounded-variable simplex.
 
 Maximizes the instance's profit over {0 <= x <= 1, rows A x <= rhs}, where
 the rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
-group of two or more slots, and any cut rows, over a node's column spans
-(one ``(lo, hi)`` range per group, nested in ``LpProblem.spans``), the
-other columns held at zero.  The group rows hold on all of S, since a
-point of S keeps at most one slot per group positive, each at most 1.  The
-bounds x <= 1 are never written as rows, nor are group rows for one-slot
-groups, whose bound is their row.
+group of two or more slots, and any cut rows (the root's only), over a
+node's column spans (one ``(lo, hi)`` range per group, nested in
+``LpProblem.spans``, the root's), the other columns held at zero.  The
+group rows hold on all of S, since a point of S keeps at most one slot
+per group positive, each at most 1.  The bounds x <= 1 are never written
+as rows, nor are group rows for one-slot groups, whose bound is their row.
 
 Every weight and every row's right-hand side is nonnegative, so x = 0 is
 feasible: an ``Instance`` refuses negative weights and capacity, and
@@ -42,17 +42,18 @@ keeps the integer form) is made on each read, for a caller that shows it.
   whole), or 0 when all fits; a group row's multiplier is max(0, max_j c_j
   - ratio * a_j) over the group's span, and the bound multipliers are 0,
   except on one-slot groups, whose bound multiplier is that maximum.
-* **With cut rows.**  A bounded-variable simplex runs on a tableau that
-  holds the knapsack row, the group rows and the cut rows, starting from
-  the slack basis (x = 0).  The tableau is fraction-free: each row is a
-  list of integers whose denominator is its basic variable's entry, and
-  after a pivot every changed row is divided by its gcd.  Upper bounds are
-  handled by bound flips: a variable at its upper bound is complemented
-  (x' = 1 - x), so every nonbasic variable sits at zero.  Bland's rule
-  (smallest eligible index, both for entering and leaving, the entering
-  variable's own bound flip included) guarantees termination; ratio tests
-  compare by cross-multiplication.  The bound multipliers are the
-  positive reduced costs.
+* **With cut rows** (the root only).  A bounded-variable simplex runs on a
+  tableau that holds the knapsack row, the group rows and the cut rows,
+  over every column, starting from the slack basis (x = 0).  The tableau
+  is fraction-free: each row is a list of integers whose denominator is
+  its basic variable's entry, and after a pivot every changed row is
+  divided by its gcd.  Upper bounds are handled by bound flips: a
+  variable at its upper bound is complemented (x' = 1 - x), so every
+  nonbasic variable sits at zero.  Bland's rule (smallest eligible index,
+  both for entering and leaving, the entering variable's own bound flip
+  included) guarantees termination; ratio tests compare by
+  cross-multiplication.  The bound multipliers are the positive reduced
+  costs.
 
 The duals hold one multiplier y_r per row, in order (the knapsack row, the
 group rows in ``LpProblem.spans`` order, the cut rows), then one bound
@@ -355,26 +356,25 @@ class _BoundedTableau:
             self.pivot(leaving, entering)
 
 
-def _solve_bounded(problem: LpProblem, spans) -> LpSolution:
+def _solve_bounded(problem: LpProblem) -> LpSolution:
     """Bounded-variable simplex over the knapsack row, a 0/1 group row per
-    problem span of two or more columns and the cut rows, from the slack
-    basis, on the columns of ``spans``."""
-    free = [j for lo, hi in spans for j in range(lo, hi)]
-    nvars = len(free)
-    lines = [([dense[j] for j in free], rhs, scale)
-             for dense, rhs, scale in problem.scaled_rows]
-    lines[1:1] = [([int(start <= j < end) for j in free], 1, 1)
-                  for start, end in problem.spans if end - start > 1]
+    span of two or more columns and the cut rows, from the slack basis, on
+    every column."""
+    nvars = len(problem.refs)
+    lines = problem.scaled_rows[:1] + [
+        ([int(start <= j < end) for j in range(nvars)], 1, 1)
+        for start, end in problem.spans if end - start > 1
+    ] + problem.scaled_rows[1:]
     nrows = len(lines)
     # columns: structural vars, slacks, rhs; the slack of row r carries the
     # row's scale, so the row's denominator sits at its basic column
     matrix = []
-    for r, (line, rhs, scale) in enumerate(lines):
-        line += [0] * nrows + [rhs]
+    for r, (dense, rhs, scale) in enumerate(lines):
+        line = [*dense] + [0] * nrows + [rhs]
         line[nvars + r] = scale
         matrix.append(line)
-    costs = [problem.costs[j] for j in free]
-    tab = _BoundedTableau(matrix, costs + [0] * nrows, problem.cost_scale,
+    costs = problem.costs
+    tab = _BoundedTableau(matrix, costs + (0,) * nrows, problem.cost_scale,
                           nvars)
     tab.run()
 
@@ -388,8 +388,7 @@ def _solve_bounded(problem: LpProblem, spans) -> LpSolution:
                 num = den - num
             xs[bcol] = Fraction(num, den)
     scale, ints = integer_form(xs)
-    refs = problem.refs
-    entries = tuple((refs[j], x) for j, x in zip(free, ints) if x)
+    entries = tuple((ref, x) for ref, x in zip(problem.refs, ints) if x)
     zrow, zden = tab.zrow, tab.zden
     # Multiplier of row r is the negated reduced cost of its slack; the
     # bound multipliers are the positive reduced costs.
@@ -410,7 +409,9 @@ def solve_lp(problem: LpProblem, *, spans=None) -> LpSolution:
         spans = problem.spans
     if not problem.cut_rows:
         return _solve_groups(problem, spans)
-    return _solve_bounded(problem, spans)
+    if spans != problem.spans:
+        raise ValidationError("cut rows are solved at the root's spans only")
+    return _solve_bounded(problem)
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution, *,

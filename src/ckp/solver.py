@@ -1,18 +1,19 @@
-"""Exact branch-and-cut over the complementarity feasible set S.
+"""Exact cut-and-branch over the complementarity feasible set S.
 
 The node LP is the multiple-choice knapsack relaxation of the instance's
 profit: the knapsack row, one row sum_j x_ij <= 1 per group of two or more
-slots, the box, and the pooled cuts (see :mod:`ckp.simplex`).  The tree
-branches on SOS1 groups: a node whose LP point keeps two or more slots of
-some group positive splits that group's span of columns in two, one half
-per child.  Nodes (column spans, one per group) are explored
-best-bound-first by their parent's bound, FIFO on ties, while that bound
-beats the incumbent and the node limit allows; each node solves,
-certifies and separates in one loop.  Cuts live in one global pool, the
-node LP's cut rows (all five families are valid for S itself, not just a
-subtree), and a cut separated twice is an error.  Every LP is solved
-exactly, so a best bound (the incumbent or an open node's bound) equal to
-the incumbent is a proof.
+slots and the box (see :mod:`ckp.simplex`).  The tree branches on SOS1
+groups: a node whose LP point keeps two or more slots of some group
+positive splits that group's span of columns in two, one half per child.
+Nodes (column spans, one per group) are explored best-bound-first by their
+parent's bound, FIFO on ties, while that bound beats the incumbent and the
+node limit allows.  Only the root separates, adding one pooled cut row per
+round (a cut separated twice is an error); every other node solves the
+cut-free LP over its spans.  A child's bound is the smaller of its LP value
+and its parent's bound, both certified bounds on its part of S, since all
+five families are valid for S itself.  Every LP is solved exactly, so a
+best bound (the incumbent or an open node's bound) equal to the incumbent
+is a proof.
 
 Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): the separators, the one complementarity test per
@@ -42,7 +43,7 @@ from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
 _F0 = Fraction(0)
-MAX_CUTS_PER_NODE = 10  # cuts one node's loop adds before it branches
+MAX_ROOT_CUTS = 10  # cuts the root's loop adds before it branches
 NODE_LIMIT = 10 ** 5  # SolveConfig's and ckp solve's default node limit
 
 
@@ -80,11 +81,12 @@ class SolveConfig(namedtuple("SolveConfig",
 
 class SolveReport(NamedTuple):
     """A solve's outcome.  ``proven_optimal`` (``best_bound == value``)
-    rests on three checks: each node's bound is certified by its LP duals
-    (``simplex.verify_certificate``); each branching split falls strictly
-    inside the node's span, so the children partition their parent; and
-    ``point`` lies in S and earns ``value``.  That last check, made once at
-    the end, covers every prune: the incumbent value only rises."""
+    rests on three checks: each node LP's value is certified by its duals
+    (``simplex.verify_certificate``), and a child's bound is the smaller of
+    its value and its parent's; each split falls strictly inside the
+    node's span, so the children partition their parent; and ``point`` lies
+    in S and earns ``value``.  That last check, made once at the end,
+    covers every prune: the incumbent value only rises."""
 
     value: Fraction
     point: Point
@@ -135,36 +137,33 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
         config = SolveConfig()
     instance.normalized_units()  # raises unless normalized
     cuts_per_family = {name: 0 for name in FAMILIES}
-    problem = LpProblem(instance)  # its cut rows are the pool's, in order
+    problem = plain = LpProblem(instance)  # the root's alone gains cut rows
     exact = config.exact_fallback
-
-    pool = []            # GeneratedCut, in addition order
+    pool = []  # GeneratedCut, in addition order
 
     incumbent_value = _F0
     incumbent = None  # the LpSolution of the incumbent; None is the origin
     nodes = 0
     pivots = 0
     counter = 0
-    # Heap entries: (negated parent bound, insertion order, column spans).
-    # The root has no bound yet; -inf sorts it first, and exact Fractions
-    # compare correctly against it.
+    # Heap entries: (negated bound, insertion order, column spans).  The
+    # root has none: -inf sorts it first, and every Fraction is below inf.
     heap = [(float("-inf"), counter, problem.spans)]
     while heap and -heap[0][0] > incumbent_value and nodes < config.node_limit:
-        _, _, spans = heapq.heappop(heap)
+        bound, _, spans = heapq.heappop(heap)
         nodes += 1
-        added_here = 0
         while True:
             solution = solve_lp(problem, spans=spans)
             pivots += solution.pivots
             if not verify_certificate(problem, solution, spans=spans):
                 raise CkpError(
                     "node LP solution fails its optimality certificate")
-            value = solution.value
+            value = min(solution.value, -bound)
             if value <= incumbent_value:
                 break
             violated = complementarity_violations(solution)
-            if not (violated and config.families
-                    and added_here < MAX_CUTS_PER_NODE):
+            if not (violated and nodes == 1 and config.families
+                    and len(pool) < MAX_ROOT_CUTS):
                 break
             sep = separate_greedy(instance, solution, config.families)
             if not sep.found and exact:
@@ -185,7 +184,7 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
                                % (sep.cut.family, exc)) from None
             pool.append(sep.cut)
             cuts_per_family[sep.cut.family] += 1
-            added_here += 1
+        problem = plain
 
         if value <= incumbent_value:
             continue

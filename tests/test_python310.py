@@ -129,7 +129,7 @@ def test_python310_matches_current_interpreter(tmp_path):
     expected = run(sys.executable, SCRIPT, str(tmp_path))
     assert "exit 0" in expected and "family: lcover1" in expected
     assert "valid: no" in expected and "candidates: 149" in expected
-    assert "43/5 43/5 3 " in expected and "\nTrue True (120, " in expected
+    assert "43/5 43/5 5 69 " in expected and "\nTrue True (120, " in expected
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
     assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut

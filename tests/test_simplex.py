@@ -108,6 +108,24 @@ def test_forced_zero_columns(ex_a):
     assert len(sol.scaled_duals[1]) == 3 + 4
 
 
+def test_cut_rows_are_solved_at_the_root_spans_only(ex_a):
+    # cut rows meet only the root: a problem with one is refused at a
+    # node's spans, narrowed or with an empty span, which the cut-free
+    # problem solves, and solved at the root's spans, given or by default
+    plain = lp_for(ex_a)
+    problem = lp_for(ex_a, [LinearInequality({VarRef(4, 1): 1,
+                                              VarRef(5, 1): 1}, 1)])
+    for spans in (((0, 1), (1, 2), (2, 3), (3, 4), (5, 7)),
+                  ((0, 1), (1, 2), (2, 2), (4, 5), (6, 7))):
+        assert verify_certificate(plain, solve_lp(plain, spans=spans),
+                                  spans=spans)
+        with pytest.raises(ValidationError, match="root's spans only"):
+            solve_lp(problem, spans=spans)
+    sol = solve_lp(problem, spans=tuple(problem.spans))
+    assert sol == solve_lp(problem) and sol.pivots > 0
+    assert verify_certificate(problem, sol)
+
+
 def test_rows_must_include_knapsack(ex_a):
     # the knapsack row always comes first, and only once
     problem = LpProblem(ex_a)
@@ -351,34 +369,39 @@ def test_differential_against_brute_force():
         spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = lp_for(with_profits(inst, objective), rows)
-        forced = set(problem.refs) - set(span_refs(problem, spans))
-        sol = solve_lp(problem, spans=spans)
-        assert verify_certificate(problem, sol, spans=spans)
+        plain = lp_for(with_profits(inst, objective))
+        # a node's spans take the cut-free LP: the closed form
+        forced = set(plain.refs) - set(span_refs(plain, spans))
+        sol = solve_lp(plain, spans=spans)
+        assert verify_certificate(plain, sol, spans=spans)
         assert not {ref for ref, _ in sol.point.entries} & forced
-        no_cuts = _group_lp_optimum(inst, objective, forced)
+        assert sol.value == _group_lp_optimum(inst, objective, forced)
+        assert sol.pivots == 0
         if rows:
             with_cuts += 1
-            # Valid cuts keep every point of S: the LP lies between the
-            # maximum over S (forced variables priced out) and the LP
-            # without cut rows.
-            priced = {r: (-1 if r in forced else c) for r, c in objective.items()}
-            best, _ = oracle.maximize_over_S(inst, priced)
-            assert best <= sol.value <= no_cuts
+            # Cut rows meet only the root.  Valid cuts keep every point of
+            # S: the LP lies between the maximum over S and the LP without
+            # cut rows.
+            problem = lp_for(plain.instance, rows)
+            sol = solve_lp(problem)
+            assert verify_certificate(problem, sol)
+            best, _ = oracle.maximize_over_S(inst, objective)
+            assert best <= sol.value <= _group_lp_optimum(inst, objective,
+                                                          set())
         else:
             one_row += 1
-            assert sol.value == no_cuts
-            assert sol.pivots == 0
         empty += any(lo == hi for lo, hi in spans)
     assert one_row >= 20 and with_cuts >= 20 and empty >= 20
 
 
 def test_closed_form_matches_the_tableau_with_group_rows():
     """Without cut rows, the closed form and the bounded simplex, which
-    takes the group rows as tableau rows, give the same value, and both
-    certificates verify: on rational and random data with zero weights,
-    tied ratios, singleton groups, zero costs and random nested node
-    spans, empty ones included."""
+    takes the group rows as tableau rows, give the same value at the root,
+    and both certificates verify: on rational and random data with zero
+    weights, tied ratios, singleton groups and zero costs.  At random
+    nested node spans, empty ones included, where only the closed form
+    solves, its value is its Fraction reference's and its certificate
+    verifies."""
     rng = random.Random(4242)
     seen = {"zero weight": 0, "tied ratio": 0, "singleton": 0, "forced": 0,
             "empty span": 0, "pivots": 0}
@@ -394,11 +417,14 @@ def test_closed_form_matches_the_tableau_with_group_rows():
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
         spans = random_spans(rng, inst, 0.25)
         problem = LpProblem(with_profits(inst, objective))
-        closed = solve_lp(problem, spans=spans)
-        tableau = simplex._solve_bounded(problem, spans)
+        closed = solve_lp(problem)
+        tableau = simplex._solve_bounded(problem)
         assert closed.value == tableau.value
-        assert verify_certificate(problem, closed, spans=spans)
-        assert verify_certificate(problem, tableau, spans=spans)
+        assert verify_certificate(problem, closed)
+        assert verify_certificate(problem, tableau)
+        node = solve_lp(problem, spans=spans)
+        assert node.value == reference_solve_lp(problem, spans=spans).value
+        assert verify_certificate(problem, node, spans=spans)
         ratios = [objective[r] / inst.weight(r) for r in inst.columns
                   if inst.weight(r) and objective[r] > 0]
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
@@ -736,10 +762,11 @@ def _check_record(sol):
 
 def test_integer_node_lp_matches_fraction_reference():
     """Value, point, duals and pivots equal those of the Fraction node LP,
-    on rational and zero weights, equal ratios, 0-3 builder cut rows and
-    random nested node spans, empty ones included; the tableau alone
-    matches its reference on one-row LPs too.  Closed-form and simplex solutions alike are plain records
-    (:func:`_check_record`)."""
+    on rational and zero weights and equal ratios: without cut rows at
+    random nested node spans, empty ones included, and with 0-3 builder
+    cut rows at the root's spans; the tableau alone matches its reference
+    on one-row LPs too.  Closed-form and simplex solutions alike are
+    plain records (:func:`_check_record`)."""
     rng = random.Random(90210)
     seen = {"cuts": 0, "closed form": 0, "pivots": 0, "forced": 0,
             "empty span": 0, "zero weight": 0, "tied ratio": 0}
@@ -752,15 +779,19 @@ def test_integer_node_lp_matches_fraction_reference():
         spans = random_spans(rng, inst, 0.25)
         pool = _builder_cuts(inst)
         rows = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
-        problem = lp_for(with_profits(inst, objective), rows)
-        got = solve_lp(problem, spans=spans)
-        want = reference_solve_lp(problem, spans=spans)
-        assert (got.value, got.point, fraction_duals(got), got.pivots) == (
-            want.value, want.point, fraction_duals(want), want.pivots)
-        assert verify_certificate(problem, got, spans=spans)
-        _check_record(got)
-        got = simplex._solve_bounded(problem, spans)
-        want = reference_solve_bounded(problem, span_refs(problem, spans))
+        plain = lp_for(with_profits(inst, objective))
+        problem = lp_for(plain.instance, rows)
+        # a node's spans take the cut-free LP; cut rows meet only the root
+        for lp, at in ((plain, spans), (problem, problem.spans)):
+            got = solve_lp(lp, spans=at)
+            want = reference_solve_lp(lp, spans=at)
+            assert (got.value, got.point, fraction_duals(got),
+                    got.pivots) == (want.value, want.point,
+                                    fraction_duals(want), want.pivots)
+            assert verify_certificate(lp, got, spans=at)
+            _check_record(got)
+        got = simplex._solve_bounded(problem)
+        want = reference_solve_bounded(problem, problem.refs)
         assert (got.value, got.point, fraction_duals(got), got.pivots) == (
             want.value, want.point, fraction_duals(want), want.pivots)
         _check_record(got)
@@ -769,7 +800,7 @@ def test_integer_node_lp_matches_fraction_reference():
         seen["cuts"] += bool(rows)
         seen["closed form"] += not rows
         seen["pivots"] += got.pivots > 0
-        seen["forced"] += spans != problem.spans
+        seen["forced"] += spans != plain.spans
         seen["empty span"] += any(lo == hi for lo, hi in spans)
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
         seen["tied ratio"] += len(set(ratios)) < len(ratios)

@@ -318,6 +318,38 @@ def test_node_limit_reports_honest_bounds(rng):
     assert limited.value <= full.value <= limited.best_bound
 
 
+def test_best_bound_never_rises_with_the_node_limit():
+    """A child's bound is the smaller of its cut-free LP value and its
+    parent's bound, so the best bound never rises as the node limit grows.
+    On a rational instance whose root adds 8 cuts, the children's cut-free
+    values (221/24 at node 2) sit above the root's cut bound, which stays
+    the best bound through node 4; and on seeded instances with and
+    without exact separation, at every limit until the tree closes."""
+    rational = Instance.build([((Fraction(39, 2), Fraction(28, 5), 5),
+                                (Fraction(41, 2), Fraction(33, 5), 6)),
+                               ((Fraction(28, 3), 1, 0), ("31/3", 2, 1))],
+                              Fraction(173, 24))
+    config = SolveConfig(exact_fallback=True)
+    assert [branch_and_cut(rational, config._replace(node_limit=n)).best_bound
+            for n in range(1, 6)] == [
+                Fraction(90379761193, 10288743192)] * 4 + [Fraction(43, 5)]
+    rng = random.Random(4646)
+    cut_and_branched = 0
+    for n in range(24):
+        inst = rational_instance(rng) if n % 2 else correlated_instance(rng)
+        for config in (SolveConfig(), SolveConfig(exact_fallback=True)):
+            full = branch_and_cut(inst, config)
+            reports = [branch_and_cut(inst, config._replace(node_limit=limit))
+                       for limit in range(1, full.nodes + 1)]
+            assert all(report.value <= full.value <= report.best_bound
+                       for report in reports)
+            bounds = [report.best_bound for report in reports]
+            assert bounds == sorted(bounds, reverse=True)
+            assert bounds[-1] == full.value == full.best_bound
+            cut_and_branched += full.cut_pool != () and full.nodes > 1
+    assert cut_and_branched >= 5, cut_and_branched
+
+
 def test_cut_pool_members_are_valid(rng):
     seen = 0
     for _ in range(40):
@@ -415,8 +447,8 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
 def test_profit_of_matches_a_fraction_sum():
     """The integer profit_of equals the Fraction sum of profit times value,
     on rational data with zero and non-integer profits, for Points and for
-    node LP solutions of the closed form and the simplex, over random
-    nested node spans."""
+    node LP solutions of the closed form, over random nested node spans,
+    and of the simplex, over the root's."""
     rng = random.Random(2424)
     seen = {"zero profit": 0, "rational profit": 0, "cut rows": 0,
             "rational point": 0}
@@ -428,8 +460,9 @@ def test_profit_of_matches_a_fraction_sum():
         point = Point([(r, min(x, 1)) for r, x in entries])
         spans = random_spans(rng, inst, 0.2)
         problem = simplex.LpProblem(inst)
-        if n % 2:  # a cut row, so the simplex solves, not the closed form
+        if n % 2:  # a cut row, so the simplex solves, at the root's spans
             problem = problem.with_row(LinearInequality({refs[0]: 1}, 1))
+            spans = problem.spans
         solution = simplex.solve_lp(problem, spans=spans)
         for p in (point, solution, solution.point):
             scale, xs = p.scaled
@@ -874,8 +907,8 @@ def test_solves_at_scale_are_pinned(seed, plain, default):
                                         report.value) == []
 
 
-# exact separation adds 21 cuts over 9 nodes here, so children carry cut
-# rows; greedy separation alone finds none
+# exact separation adds 5 cuts at the root here, whose 34 descendants solve
+# the cut-free LP; greedy separation alone finds none
 _EXACT_CUTS = Instance.build(
     [((6, 0), (12, 6)), ((5, 0), (11, 6)),
      ((Fraction(17, 2), 7, 0), (Fraction(29, 2), 13, 6)),
@@ -888,7 +921,8 @@ def test_nodes_are_nested_column_spans(monkeypatch):
     each pair of children splits its parent's branched span into two
     disjoint halves that cover it, at the column after the group's first
     positive entry.  On two correlated solves at scale and one with
-    exact separation, whose nodes carry cut rows."""
+    exact separation, whose root LPs carry cut rows and no other node's
+    does."""
     lps = []      # (problem, spans, solution) per node LP, in order
     popped = []   # spans per node, in order
     pairs = []    # [parent's last node LP, child spans...] per branching
@@ -915,7 +949,7 @@ def test_nodes_are_nested_column_spans(monkeypatch):
     for inst, config, cuts in ((_correlated_at_scale(11), SolveConfig(), 0),
                                (_correlated_at_scale(55), SolveConfig(), 0),
                                (_EXACT_CUTS, SolveConfig(exact_fallback=True),
-                                21)):
+                                5)):
         del lps[:], popped[:], pairs[:]
         report = branch_and_cut(inst, config)
         assert report.proven_optimal and report.nodes > 5
@@ -944,8 +978,9 @@ def test_nodes_are_nested_column_spans(monkeypatch):
             assert spans in popped
             assert all(start <= lo < hi <= end for (start, end), (lo, hi)
                        in zip(root, spans))
-        assert any(problem.cut_rows for problem, spans, _ in lps
-                   if spans != root) == bool(cuts)
+        assert any(problem.cut_rows for problem, _, _ in lps) == bool(cuts)
+        assert not any(problem.cut_rows for problem, spans, _ in lps
+                       if spans != root)
 
 
 def _rational_at_scale(seed):
