@@ -1,14 +1,14 @@
 """Exact node LP on integer-scaled data: the multiple-choice knapsack closed
-form and a fraction-free bounded-variable simplex.
+form and a fraction-free simplex.
 
-Maximizes the instance's profit over {0 <= x <= 1, rows A x <= rhs}, where
-the rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
-group of two or more slots, and any cut rows (the root's only), over a
-node's column spans (one ``(lo, hi)`` range per group, nested in
+Maximizes the instance's profit over {x >= 0, rows A x <= rhs}, where the
+rows are the instance's knapsack row, one group row sum_j x_ij <= 1 per
+group, one-slot groups included, and any cut rows (the root's only), over
+a node's column spans (one ``(lo, hi)`` range per group, nested in
 ``LpProblem.spans``, the root's), the other columns held at zero.  The
 group rows hold on all of S, since a point of S keeps at most one slot
-per group positive, each at most 1.  The bounds x <= 1 are never written
-as rows, nor are group rows for one-slot groups, whose bound is their row.
+per group positive, each at most 1; with x >= 0 they imply x <= 1, so
+the LP has no bounds beside them.
 
 Every weight and every row's right-hand side is nonnegative, so x = 0 is
 feasible: an ``Instance`` refuses negative weights and capacity, and
@@ -39,30 +39,23 @@ keeps the integer form) is made on each read, for a caller that shows it.
   its own increment, with no hull; with every group a singleton this is
   Dantzig's rule on the slots.  The duals are closed-form: the knapsack
   multiplier is the critical efficiency (the first increment's not taken
-  whole), or 0 when all fits; a group row's multiplier is max(0, max_j c_j
-  - ratio * a_j) over the group's span, and the bound multipliers are 0,
-  except on one-slot groups, whose bound multiplier is that maximum.
-* **With cut rows** (the root only).  A bounded-variable simplex runs on a
-  tableau that holds the knapsack row, the group rows and the cut rows,
-  over every column, starting from the slack basis (x = 0).  The tableau
-  is fraction-free: each row is a list of integers whose denominator is
-  its basic variable's entry, and after a pivot every changed row is
-  divided by its gcd.  Upper bounds are handled by bound flips: a
-  variable at its upper bound is complemented (x' = 1 - x), so every
-  nonbasic variable sits at zero.  Bland's rule (smallest eligible index,
-  both for entering and leaving, the entering variable's own bound flip
-  included) guarantees termination; ratio tests compare by
-  cross-multiplication.  The bound multipliers are the positive reduced
-  costs.
+  whole), or 0 when all fits, and a group row's multiplier is max(0,
+  max_j c_j - ratio * a_j) over the group's span.
+* **With cut rows** (the root only).  The simplex runs on a tableau that
+  holds the knapsack row, the group rows and the cut rows, over every
+  column, starting from the slack basis (x = 0).  The tableau is
+  fraction-free: each row is a list of integers whose denominator is its
+  basic variable's entry, and after a pivot every changed row is divided
+  by its gcd.  Bland's rule (smallest eligible index, both for entering
+  and leaving) guarantees termination (Bland, Mathematics of Operations
+  Research 1977); ratio tests compare by cross-multiplication.
 
-The duals hold one multiplier y_r per row, in order (the knapsack row, the
-group rows in ``LpProblem.spans`` order, the cut rows), then one bound
-multiplier u_j per column of the spans, in ``Instance.columns``
-order.  They bound the node LP by its value: y, u >= 0, y A_j + u_j >= c_j
-for every such variable, and y . rhs + sum(u) = the value, which
-:func:`verify_certificate` checks in integers without reading the point.
-``pivots`` counts the simplex's basis changes; bound flips are not
-pivots, and the closed form reports 0.
+The duals hold one multiplier y_r per row, in order: the knapsack row, the
+group rows in ``LpProblem.spans`` order, the cut rows.  They bound the
+node LP by its value: y >= 0, y A_j >= c_j for every column of the
+node's spans, and y . rhs = the value, which :func:`verify_certificate`
+checks in integers without reading the point.  ``pivots`` counts the
+simplex's basis changes; the closed form reports 0.
 """
 
 from __future__ import annotations
@@ -92,13 +85,12 @@ class LpProblem:
     objective is the instance's profits, so the problem takes no terms to
     clean.  The knapsack row is implicit, as ``Instance.units``, and so are
     the group rows, as ``spans`` (each group's ``(start, end)`` columns,
-    whose sum is at most 1 when the group has two or more).  The problem
-    stores only the cut rows that :meth:`with_row` adds, as ``cut_rows``;
-    ``rows`` makes the knapsack row (``model.knapsack_row``) on each read
-    and puts it before them, for a caller that shows or counts them.
-    The instance's weights and capacity are nonnegative, and so is each
-    cut row's rhs, so x = 0 is feasible; bounds 0 <= x <= 1 are implicit
-    and handled by the solver.
+    whose sum is at most 1).  The problem stores only the cut rows that
+    :meth:`with_row` adds, as ``cut_rows``; ``rows`` makes the knapsack
+    row (``model.knapsack_row``) on each read and puts it before them, for
+    a caller that shows or counts them.  The instance's weights and
+    capacity are nonnegative, and so is each cut row's rhs, so x = 0 is
+    feasible; x >= 0 is implicit.
 
     Built once per problem: ``refs`` (the columns, in ``Instance.columns``
     order), ``costs`` and ``cost_scale`` (``Instance.profit_units``, shared
@@ -152,12 +144,13 @@ class LpSolution(NamedTuple):
 
     ``scaled`` is the point as ``(D, ((VarRef, X), ...))``: refs sorted and
     unique, each X > 0, and x = X / D.  ``scaled_duals`` is ``(Y, ints)``,
-    ints a tuple: y = ints / Y, one multiplier per problem row, then one
-    bound multiplier per column of the node's spans.  ``value`` is the
-    optimal value and ``pivots`` the simplex's basis changes.  ``point`` (a
-    :class:`model.Point`, ``Point.from_scaled(*scaled)``) is made on each
-    read; equality and hashing are those of the tuple of the four fields,
-    the integer forms as they are.
+    ints a tuple: y = ints / Y, one multiplier per row, 1 + m + k in all
+    (the knapsack row, the m group rows, the k cut rows), whatever the
+    node's spans.  ``value`` is the optimal value and ``pivots`` the
+    simplex's basis changes.  ``point`` (a :class:`model.Point`,
+    ``Point.from_scaled(*scaled)``) is made on each read; equality and
+    hashing are those of the tuple of the four fields, the integer forms
+    as they are.
     """
 
     value: Fraction
@@ -224,23 +217,17 @@ def _solve_groups(problem: LpProblem, spans) -> LpSolution:
         xs[k] = part
     entries = tuple((refs[j], xs[j]) for j in sorted(xs))
     # Times the dual scale: the knapsack multiplier is the critical
-    # efficiency c / a, a group row's multiplier the most any slot of its
-    # span earns past the knapsack's price of its weight, and a one-slot
-    # group's bound multiplier takes that role, its group having no row.
+    # efficiency c / a, and a group row's multiplier the most any slot of
+    # its span earns past the knapsack's price of its weight.
     den = a * problem.cost_scale
     duals = [c * weight_scale]
-    bounds = []
-    for (start, end), (lo, hi) in zip(problem.spans, spans):
+    for lo, hi in spans:
         best = 0
         for j in range(lo, hi):
             earns = costs[j] * a - c * weights[j]
             if earns > best:
                 best = earns
-        if end - start > 1:
-            duals.append(best)
-            best = 0
-        bounds += [best] * (hi - lo)
-    duals += bounds
+        duals.append(best)
     return LpSolution(Fraction(total * a + c * room, den),
                       (scale, entries), (den, tuple(duals)), 0)
 
@@ -251,208 +238,119 @@ def _reduced(line):
     return [x // divisor for x in line] if divisor > 1 else line
 
 
-class _BoundedTableau:
-    """Fraction-free simplex tableau with implicit bounds 0 <= x_j <= 1 on
-    the first ``nbounded`` columns and Bland's rule.
+def _solve_tableau(problem: LpProblem) -> LpSolution:
+    """Bland's simplex over the knapsack row, a 0/1 group row per span and
+    the cut rows, from the slack basis, on every column.
 
     Row r is a list of integers N whose positive denominator is the entry
     of its basic variable b: it reads ``x_b + sum(N[c] / N[b] * x_c) =
-    N[-1] / N[b]``.  The reduced costs are ``zrow[c] / zden`` with zden > 0.
-    ``flipped[c]`` records that column c stands for 1 - x_c.  The start is
-    the slack basis: the slack of row r is column ``nbounded + r``, and the
-    slacks cost nothing, so the reduced costs start as the costs.
+    N[-1] / N[b]``.  The reduced costs are ``zrow[c] / zden`` with zden >
+    0.  The slack of row r is column ``nvars + r`` and carries the row's
+    scale, so the row's denominator sits at its basic column; the slacks
+    cost nothing, so the reduced costs start as the costs.
     """
-
-    def __init__(self, matrix, cost, cost_scale, nbounded):
-        self.matrix = matrix
-        self.basis = list(range(nbounded, nbounded + len(matrix)))
-        self.nbounded = nbounded
-        self.flipped = [False] * nbounded
-        self.zrow = list(cost) + [0]
-        self.zden = cost_scale
-        self.pivots = 0
-
-    def pivot(self, row, col):
-        """Make ``col`` basic in ``row``; its entry there must be positive.
-
-        The pivot row keeps its integers (its new denominator is the
-        entry at ``col``); every other row with an entry at ``col`` is
-        cross-multiplied with it and divided by its gcd.
-        """
-        m = self.matrix
-        prow = m[row]
-        p = prow[col]
-        for r, other in enumerate(m):
-            factor = other[col]
-            if r != row and factor:
-                m[r] = _reduced([x * p - factor * y
-                                 for x, y in zip(other, prow)])
-        factor = self.zrow[col]
-        if factor:
-            *self.zrow, self.zden = _reduced(
-                [x * p - factor * y for x, y in zip(self.zrow, prow)]
-                + [self.zden * p])
-        self.basis[row] = col
-        self.pivots += 1
-
-    def flip_column(self, col):
-        """Complement nonbasic x_col, moving it to the bound it was not at."""
-        for line in self.matrix:
-            t = line[col]
-            if t:
-                line[-1] -= t
-                line[col] = -t
-        self.zrow[col] = -self.zrow[col]
-        self.flipped[col] = not self.flipped[col]
-
-    def flip_row(self, row):
-        """Complement the basic variable of ``row``."""
-        bcol = self.basis[row]
-        den = self.matrix[row][bcol]
-        line = [-t for t in self.matrix[row]]
-        line[bcol] = den
-        line[-1] += den
-        self.matrix[row] = line
-        self.flipped[bcol] = not self.flipped[bcol]
-
-    def run(self):
-        """Maximize: Bland iterations until no reduced cost is positive."""
-        m = self.matrix
-        basis = self.basis
-        nbounded = self.nbounded
-        ncols = len(self.zrow) - 1
-        while True:
-            zrow = self.zrow
-            entering = next((c for c in range(ncols) if zrow[c] > 0), None)
-            if entering is None:
-                return
-            # Candidates: the entering variable's own bound (step 1), a
-            # basic variable falling to 0 or a bounded one rising to 1.
-            # A step is num / den with den > 0.
-            if entering < nbounded:
-                num, den, leaving, leaving_col = 1, 1, None, entering
-            else:
-                num = den = leaving = leaving_col = None
-            for r, line in enumerate(m):
-                a = line[entering]
-                if a > 0:
-                    step_num, step_den = line[-1], a
-                elif a < 0 and basis[r] < nbounded:
-                    step_num, step_den = line[basis[r]] - line[-1], -a
-                else:
-                    continue
-                if num is None or step_num * den < num * step_den or (
-                        step_num * den == num * step_den
-                        and basis[r] < leaving_col):
-                    num, den, leaving, leaving_col = (step_num, step_den, r,
-                                                      basis[r])
-            if num is None:
-                raise CkpError("LP is unbounded")
-            if leaving is None:
-                self.flip_column(entering)
-                continue
-            if m[leaving][entering] < 0:
-                self.flip_row(leaving)
-            self.pivot(leaving, entering)
-
-
-def _solve_bounded(problem: LpProblem) -> LpSolution:
-    """Bounded-variable simplex over the knapsack row, a 0/1 group row per
-    span of two or more columns and the cut rows, from the slack basis, on
-    every column."""
     nvars = len(problem.refs)
     lines = problem.scaled_rows[:1] + [
         ([int(start <= j < end) for j in range(nvars)], 1, 1)
-        for start, end in problem.spans if end - start > 1
+        for start, end in problem.spans
     ] + problem.scaled_rows[1:]
     nrows = len(lines)
-    # columns: structural vars, slacks, rhs; the slack of row r carries the
-    # row's scale, so the row's denominator sits at its basic column
     matrix = []
     for r, (dense, rhs, scale) in enumerate(lines):
         line = [*dense] + [0] * nrows + [rhs]
         line[nvars + r] = scale
         matrix.append(line)
+    basis = list(range(nvars, nvars + nrows))
     costs = problem.costs
-    tab = _BoundedTableau(matrix, costs + (0,) * nrows, problem.cost_scale,
-                          nvars)
-    tab.run()
+    zrow, zden = list(costs) + [0] * (nrows + 1), problem.cost_scale
+    pivots = 0
+    while True:
+        entering = next((c for c in range(nvars + nrows) if zrow[c] > 0),
+                        None)
+        if entering is None:
+            break
+        # the least step rhs / entry over the positive entries, ties to the
+        # smallest basic index
+        leaving = None
+        for r, line in enumerate(matrix):
+            a = line[entering]
+            if a > 0 and (leaving is None or line[-1] * p < step * a or (
+                    line[-1] * p == step * a and basis[r] < basis[leaving])):
+                leaving, step, p = r, line[-1], a
+        if leaving is None:
+            raise CkpError("LP is unbounded")
+        # the pivot row keeps its integers (its new denominator is p); every
+        # other row with an entry at ``entering`` is cross-multiplied with
+        # it and divided by its gcd
+        prow = matrix[leaving]
+        for r, other in enumerate(matrix):
+            factor = other[entering]
+            if r != leaving and factor:
+                matrix[r] = _reduced([x * p - factor * y
+                                      for x, y in zip(other, prow)])
+        factor = zrow[entering]
+        *zrow, zden = _reduced([x * p - factor * y
+                                for x, y in zip(zrow, prow)] + [zden * p])
+        basis[leaving] = entering
+        pivots += 1
 
-    # x_c is 1 when column c is flipped and nonbasic, and a basic column's
-    # value is its row's rhs over its entry, complemented when flipped
-    xs = [int(f) for f in tab.flipped]
-    for line, bcol in zip(tab.matrix, tab.basis):
+    # a basic column's value is its row's rhs over its entry
+    xs = [0] * nvars
+    for line, bcol in zip(matrix, basis):
         if bcol < nvars:
-            num, den = line[-1], line[bcol]
-            if tab.flipped[bcol]:
-                num = den - num
-            xs[bcol] = Fraction(num, den)
+            xs[bcol] = Fraction(line[-1], line[bcol])
     scale, ints = integer_form(xs)
     entries = tuple((ref, x) for ref, x in zip(problem.refs, ints) if x)
-    zrow, zden = tab.zrow, tab.zden
-    # Multiplier of row r is the negated reduced cost of its slack; the
-    # bound multipliers are the positive reduced costs.
-    duals = [-zrow[nvars + r] for r in range(nrows)]
-    for c in range(nvars):
-        reduced = -zrow[c] if tab.flipped[c] else zrow[c]
-        duals.append(max(reduced, 0))
+    # Multiplier of row r is the negated reduced cost of its slack.
+    duals = tuple(-zrow[nvars + r] for r in range(nrows))
     total = sum(costs[c] * x for c, x in enumerate(ints) if x)
     return LpSolution(Fraction(total, scale * problem.cost_scale),
-                      (scale, entries), (zden, tuple(duals)), tab.pivots)
+                      (scale, entries), (zden, duals), pivots)
 
 
-def solve_lp(problem: LpProblem, *, spans=None) -> LpSolution:
-    """Exact optimum of the boxed LP with its group rows, read from
-    ``problem.spans``, over the columns of ``spans`` (``problem.spans`` by
-    default): the closed form without cut rows, the simplex with them."""
-    if spans is None:
-        spans = problem.spans
+def solve_lp(problem: LpProblem, *, spans) -> LpSolution:
+    """Exact optimum of the node LP over the columns of ``spans``: the
+    closed form without cut rows, the simplex with them, at the root's
+    spans (``problem.spans``) only."""
     if not problem.cut_rows:
         return _solve_groups(problem, spans)
     if spans != problem.spans:
         raise ValidationError("cut rows are solved at the root's spans only")
-    return _solve_bounded(problem)
+    return _solve_tableau(problem)
 
 
 def verify_certificate(problem: LpProblem, solution: LpSolution, *,
-                       spans=None) -> bool:
+                       spans) -> bool:
     """Weak-duality check of ``solution.value``, in integers, from the
     problem's scaled data and the duals ``(Y, ints)`` alone, not the point:
-    Y >= 1, the right count, no negative int, y A_j + u_j >= c_j on each
-    column of ``spans`` (``problem.spans`` by default), and y . rhs +
-    sum(u) = the value.  Each side is compared times Y and the problem's
+    Y >= 1, one int per row (the knapsack row, the group rows, the cut
+    rows), no negative int, y A_j >= c_j on each column of ``spans``, and
+    y . rhs = the value.  Each side is compared times Y and the problem's
     ``scale`` L, a group row read from its span.
     """
-    if spans is None:
-        spans = problem.spans
-    ngroups = sum(end - start > 1 for start, end in problem.spans)
-    nrows = len(problem.scaled_rows) + ngroups
+    ngroups = len(problem.spans)
     dual_scale, ys = solution.scaled_duals
-    nfree = sum(hi - lo for lo, hi in spans)
-    if dual_scale < 1 or len(ys) != nrows + nfree or min(ys) < 0:
+    if (dual_scale < 1 or len(ys) != len(problem.scaled_rows) + ngroups
+            or min(ys) < 0):
         return False
     scale = problem.scale
     priced = [0] * len(problem.refs)  # (y A_j) * Y * L, stored rows only
-    dual_value = 0                    # (y . rhs + sum(u)) * Y * L
+    dual_value = 0                    # (y . rhs) * Y * L
     for (dense, rhs, row_scale), y in zip(problem.scaled_rows,
                                           ys[:1] + ys[1 + ngroups:]):
         if y:
             y *= scale // row_scale
             dual_value += y * rhs
             priced = [p + y * a for p, a in zip(priced, dense)]
-    # span by span: the group row's multiplier (a one-slot group has none)
-    # prices each free column of its span along with the column's bound
+    # span by span: the group row's multiplier prices each free column of
+    # its span
     costs = problem.costs
     cost_factor = scale // problem.cost_scale * dual_scale
-    group_ys, bounds = iter(ys[1:]), iter(ys[nrows:])
-    for (start, end), (lo, hi) in zip(problem.spans, spans):
-        y = next(group_ys) * scale if end - start > 1 else 0
+    for (lo, hi), y in zip(spans, ys[1:1 + ngroups]):
+        y *= scale
         dual_value += y
-        for j, u in zip(range(lo, hi), bounds):
-            if u:
-                u *= scale
-                dual_value += u
-            if priced[j] + y + u < costs[j] * cost_factor:
+        for j in range(lo, hi):
+            if priced[j] + y < costs[j] * cost_factor:
                 return False
     num, den = solution.value.as_integer_ratio()
     return dual_value * den == num * dual_scale * scale

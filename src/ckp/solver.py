@@ -1,10 +1,10 @@
 """Exact cut-and-branch over the complementarity feasible set S.
 
 The node LP is the multiple-choice knapsack relaxation of the instance's
-profit: the knapsack row, one row sum_j x_ij <= 1 per group of two or more
-slots and the box (see :mod:`ckp.simplex`).  The tree branches on SOS1
-groups: a node whose LP point keeps two or more slots of some group
-positive splits that group's span of columns in two, one half per child.
+profit: the knapsack row and one row sum_j x_ij <= 1 per group, over x >= 0
+(see :mod:`ckp.simplex`).  The tree branches on SOS1 groups: a node whose
+LP point keeps two or more slots of some group positive splits that
+group's span of columns in two, one half per child.
 Nodes (column spans, one per group) are explored best-bound-first by their
 parent's bound, FIFO on ties, while that bound beats the incumbent and the
 node limit allows.  Only the root separates, adding one pooled cut row per

@@ -363,7 +363,7 @@ def forged_solve(instance, forge, config=None):
     the report, or the ``CkpError`` that the solve raised."""
     real = solver.solve_lp
 
-    def forging(problem, *, spans=None):
+    def forging(problem, *, spans):
         return forge(real(problem, spans=spans), problem, spans)
 
     solver.solve_lp = forging
@@ -427,10 +427,10 @@ def profits(instance):
 
 
 def group_rows(instance):
-    """The rows sum_j x_ij <= 1 of the groups with two or more slots, in
-    group order, as ``(terms, rhs)``."""
+    """The rows sum_j x_ij <= 1 of every group, one-slot groups included,
+    in group order, as ``(terms, rhs)``."""
     return [([(VarRef(i, j), _F1) for j in range(1, g.size + 1)], _F1)
-            for i, g in enumerate(instance.groups, start=1) if g.size > 1]
+            for i, g in enumerate(instance.groups, start=1)]
 
 
 def _above(p, q, r):
@@ -447,8 +447,8 @@ def _solve_groups(problem: LpProblem, refs) -> LpSolution:
     in Fractions: per group, the upper concave hull of the origin and the
     free slots with a positive profit, lightest first; the hull steps,
     group by group, filled by :func:`fill_knapsack` above; the critical
-    ratio prices the knapsack row, and each group row (or a one-slot
-    group's bound) the most any free slot earns past that price."""
+    ratio prices the knapsack row, and each group row the most any of its
+    free slots earns past that price."""
     instance = problem.instance
     objective = profits(instance)
     free = set(refs)
@@ -476,117 +476,23 @@ def _solve_groups(problem: LpProblem, refs) -> LpSolution:
                 x[start] = 1 - t
             x[end] = t
     y = _F0 if ratio is None else ratio
-    rows, bounds = [], []
-    for i, g in enumerate(instance.groups, start=1):
-        earned = [objective.get(VarRef(i, j), _F0) - y * a
-                  for j, a in enumerate(g.weights, start=1)
-                  if VarRef(i, j) in free]
-        best = max(earned + [_F0])
-        if g.size > 1:
-            rows.append(best)
-            bounds += [_F0] * len(earned)
-        else:
-            bounds += [best] * len(earned)
-    return lp_solution(value, Point(x), (y, *rows, *bounds), 0)
+    rows = [max([objective.get(VarRef(i, j), _F0) - y * a
+                 for j, a in enumerate(g.weights, start=1)
+                 if VarRef(i, j) in free] + [_F0])
+            for i, g in enumerate(instance.groups, start=1)]
+    return lp_solution(value, Point(x), (y, *rows), 0)
 
 
-class _BoundedTableau:
-    """Simplex tableau over Fractions with implicit bounds 0 <= x_j <= 1 on
-    the first ``nbounded`` columns and Bland's rule.
+def _solve_tableau(problem: LpProblem, refs) -> LpSolution:
+    """Simplex over Fractions by Bland's rule, on the knapsack row, the
+    group rows and the cut rows, over the columns ``refs``, from the slack
+    basis.
 
     Each row reads ``basic + sum(T[c] * x_c) = rhs`` (rhs in the last
-    column), ``zrow`` holds the reduced costs, and ``flipped[c]`` records
-    that column c stands for 1 - x_c.  The start is the slack basis: the
-    slack of row r is column ``nbounded + r``, and the slacks cost nothing,
-    so the reduced costs start as the costs.
+    column) and ``zrow`` holds the reduced costs.  The slack of row r is
+    column ``nvars + r``, and the slacks cost nothing, so the reduced costs
+    start as the costs.
     """
-
-    def __init__(self, matrix, cost, nbounded):
-        self.matrix = matrix
-        self.basis = list(range(nbounded, nbounded + len(matrix)))
-        self.nbounded = nbounded
-        self.flipped = [False] * nbounded
-        self.zrow = list(cost) + [_F0]
-        self.pivots = 0
-
-    def pivot(self, row, col):
-        m = self.matrix
-        prow = m[row]
-        inv = prow[col]
-        if inv != 1:
-            m[row] = prow = [entry / inv if entry else entry for entry in prow]
-        for r, other in enumerate(m):
-            factor = other[col]
-            if r != row and factor:
-                m[r] = [entry - factor * p if p else entry
-                        for entry, p in zip(other, prow)]
-        factor = self.zrow[col]
-        if factor:
-            self.zrow = [z - factor * p if p else z
-                         for z, p in zip(self.zrow, prow)]
-        self.basis[row] = col
-        self.pivots += 1
-
-    def flip_column(self, col):
-        """Complement nonbasic x_col, moving it to the bound it was not at."""
-        for line in self.matrix:
-            t = line[col]
-            if t:
-                line[-1] -= t
-                line[col] = -t
-        self.zrow[col] = -self.zrow[col]
-        self.flipped[col] = not self.flipped[col]
-
-    def flip_row(self, row):
-        """Complement the basic variable of ``row``."""
-        bcol = self.basis[row]
-        line = [-t if t else t for t in self.matrix[row]]
-        line[bcol] = _F1
-        line[-1] += 1
-        self.matrix[row] = line
-        self.flipped[bcol] = not self.flipped[bcol]
-
-    def run(self):
-        """Maximize: Bland iterations until no reduced cost is positive."""
-        m = self.matrix
-        basis = self.basis
-        nbounded = self.nbounded
-        ncols = len(self.zrow) - 1
-        while True:
-            zrow = self.zrow
-            entering = next((c for c in range(ncols) if zrow[c] > 0), None)
-            if entering is None:
-                return
-            # Candidates: the entering variable's own bound (step 1), a
-            # basic variable falling to 0 or a bounded one rising to 1.
-            if entering < nbounded:
-                best, leaving, leaving_col = _F1, None, entering
-            else:
-                best = leaving = leaving_col = None
-            for r, line in enumerate(m):
-                a = line[entering]
-                if a > 0:
-                    step = line[-1] / a
-                elif a < 0 and basis[r] < nbounded:
-                    step = (line[-1] - 1) / a
-                else:
-                    continue
-                if best is None or step < best or (
-                        step == best and basis[r] < leaving_col):
-                    best, leaving, leaving_col = step, r, basis[r]
-            if best is None:
-                raise CkpError("LP is unbounded")
-            if leaving is None:
-                self.flip_column(entering)
-                continue
-            if m[leaving][entering] < 0:
-                self.flip_row(leaving)
-            self.pivot(leaving, entering)
-
-
-def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
-    """Bounded-variable simplex over the knapsack row, the group rows and
-    the cut rows, from the slack basis."""
     col_of = {ref: idx for idx, ref in enumerate(refs)}
     nvars = len(refs)
     knapsack, *cuts = problem.rows
@@ -605,29 +511,46 @@ def _solve_bounded(problem: LpProblem, refs) -> LpSolution:
         line[-1] = rhs
         matrix.append(line)
     objective = profits(problem.instance)
-    cost = [objective[ref] for ref in refs] + [_F0] * nrows
-    tab = _BoundedTableau(matrix, cost, nvars)
-    tab.run()
+    zrow = [objective[ref] for ref in refs] + [_F0] * (nrows + 1)
+    basis = list(range(nvars, nvars + nrows))
+    pivots = 0
+    while True:
+        entering = next((c for c in range(nvars + nrows) if zrow[c] > 0),
+                        None)
+        if entering is None:
+            break
+        # the least step rhs / entry, ties to the smallest basic index
+        best = leaving = None
+        for r, line in enumerate(matrix):
+            a = line[entering]
+            if a > 0:
+                step = line[-1] / a
+                if best is None or step < best or (
+                        step == best and basis[r] < basis[leaving]):
+                    best, leaving = step, r
+        if leaving is None:
+            raise CkpError("LP is unbounded")
+        inv = matrix[leaving][entering]
+        prow = [entry / inv if entry else entry for entry in matrix[leaving]]
+        matrix[leaving] = prow
+        for r, other in enumerate(matrix):
+            factor = other[entering]
+            if r != leaving and factor:
+                matrix[r] = [entry - factor * p if p else entry
+                             for entry, p in zip(other, prow)]
+        factor = zrow[entering]
+        zrow = [z - factor * p if p else z for z, p in zip(zrow, prow)]
+        basis[leaving] = entering
+        pivots += 1
 
     xs = [_F0] * nvars
-    for r, bcol in enumerate(tab.basis):
+    for r, bcol in enumerate(basis):
         if bcol < nvars:
-            xs[bcol] = tab.matrix[r][-1]
-    zrow = tab.zrow
-    value = _F0
-    bounds = []
-    for c, ref in enumerate(refs):
-        reduced = zrow[c]
-        if tab.flipped[c]:
-            xs[c] = 1 - xs[c]
-            reduced = -reduced
-        bounds.append(reduced if reduced > 0 else _F0)
-        if xs[c]:
-            value += objective[ref] * xs[c]
-    point = Point(zip(refs, xs))
+            xs[bcol] = matrix[r][-1]
+    value = sum((objective[ref] * x for ref, x in zip(refs, xs)), _F0)
     # Multiplier of row r is the negated reduced cost of its slack.
-    duals = tuple(-zrow[nvars + r] for r in range(nrows)) + tuple(bounds)
-    return lp_solution(value, point, duals, tab.pivots)
+    duals = tuple(-zrow[nvars + r] for r in range(nrows))
+    return lp_solution(value, Point(zip(refs, xs)), duals, pivots)
 
 
 def random_spans(rng, instance, rate):
@@ -651,18 +574,14 @@ def span_refs(problem, spans):
     return [problem.refs[j] for lo, hi in spans for j in range(lo, hi)]
 
 
-def reference_solve_lp(problem, *, spans=None):
-    """Exact optimum of the boxed LP over the columns of the node's
-    ``spans`` (all of them by default), in Fractions.  The reference that
-    ``simplex.solve_lp`` is checked against: the same value, point, duals
-    and pivots."""
-    refs = list(problem.instance.columns)
-    if spans is not None:
-        free = set(span_refs(problem, spans))
-        refs = [r for r in refs if r in free]
+def reference_solve_lp(problem, *, spans):
+    """Exact optimum of the node LP over the columns of the node's
+    ``spans``, in Fractions.  The reference that ``simplex.solve_lp`` is
+    checked against: the same value, point, duals and pivots."""
+    refs = span_refs(problem, spans)
     if not problem.cut_rows:
         return _solve_groups(problem, refs)
-    return _solve_bounded(problem, refs)
+    return _solve_tableau(problem, refs)
 
 
 def reference_maximize_over_S(instance, objective, limit=None):

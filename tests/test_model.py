@@ -445,7 +445,7 @@ def test_point_from_scaled_equals_the_fraction_point():
         if n % 2:  # a cut row, so the simplex solves, not the closed form
             problem = problem.with_row(
                 LinearInequality({list(inst.columns)[0]: 1}, 1))
-        solution = simplex.solve_lp(problem)
+        solution = simplex.solve_lp(problem, spans=problem.spans)
         scale, entries = solution.scaled
         fractions = Point([(r, Fraction(x, scale)) for r, x in entries])
         for want, form in ((point, point.scaled),
@@ -564,7 +564,7 @@ def test_lhs_at_matches_a_fraction_sum():
         problem = simplex.LpProblem(inst)
         if n % 2:  # a cut row, so the simplex solves, not the closed form
             problem = problem.with_row(LinearInequality({refs[0]: 1}, 1))
-        solution = simplex.solve_lp(problem)
+        solution = simplex.solve_lp(problem, spans=problem.spans)
         points = (point, Point.from_scaled(*point.scaled), solution,
                   solution.point)
         for inequality in rows:

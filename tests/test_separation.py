@@ -177,7 +177,7 @@ def test_greedy_dominated_by_exact(small_corpus):
     """Whatever the heuristic separates, exhaustive separation matches or beats."""
     for inst in small_corpus:
         problem = LpProblem(inst)
-        sol = solve_lp(problem)
+        sol = solve_lp(problem, spans=problem.spans)
         g = separate_greedy(inst, sol.point)
         if g.found:
             e = separate_exact(inst, sol.point)
@@ -549,13 +549,13 @@ def _node_points(rng, instance):
     objective = {r: instance.profit(r) + rng.randint(0, 3)
                  for r in instance.columns}
     problem = LpProblem(with_profits(instance, objective))
-    point = solve_lp(problem).point
+    point = solve_lp(problem, spans=problem.spans).point
     for _ in range(3):
         cut = separate_exact(instance, point).cut
         if cut is None:
             return
         problem = problem.with_row(cut.inequality)
-        point = solve_lp(problem).point
+        point = solve_lp(problem, spans=problem.spans).point
         yield point
 
 

@@ -17,7 +17,7 @@ from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
 from ckp.solver import SolveConfig
 from ckp import oracle
 
-from conftest import (LARGE_PRIMES, _solve_bounded as reference_solve_bounded,
+from conftest import (LARGE_PRIMES, _solve_tableau as reference_solve_tableau,
                       forged_solve, fraction_duals, group_rows, lp_solution,
                       make_instance, profits, random_instance, random_spans,
                       rational_instance, reference_lp_data,
@@ -36,41 +36,44 @@ def lp_for(inst, extra_rows=()):
 
 def test_single_variable_bound_binds():
     inst = with_profits(make_instance([(2,)], 21), {VarRef(1, 1): 1})
-    sol = solve_lp(LpProblem(inst))
+    problem = LpProblem(inst)
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 1
     assert sol.point.entries == ((VarRef(1, 1), 1),)
 
 
 def test_zero_capacity():
-    inst = make_instance([(2,)], 0)
-    sol = solve_lp(lp_for(inst))
+    problem = lp_for(make_instance([(2,)], 0))
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 0
     assert sol.point.entries == ()
 
 
 def test_fractional_optimum():
-    inst = Instance.build([((2,), (3,))], 1)
-    sol = solve_lp(LpProblem(inst))
+    problem = LpProblem(Instance.build([((2,), (3,))], 1))
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == Fraction(3, 2)
     assert sol.point.entries == ((VarRef(1, 1), Fraction(1, 2)),)
 
 
 def test_zero_objective(ex_a):
-    sol = solve_lp(LpProblem(with_profits(ex_a, {})))
+    problem = LpProblem(with_profits(ex_a, {}))
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 0
 
 
 def test_example_relaxation(ex_a):
     problem = lp_for(ex_a)
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 21
-    assert verify_certificate(problem, sol)
-    # the knapsack row is the one stored row; the rows of groups 4 and 5
-    # are their spans; the duals price all three rows, then the bounds
+    assert verify_certificate(problem, sol, spans=problem.spans)
+    # the knapsack row is the one stored row; the rows of the five groups,
+    # the three one-slot groups too, are their spans; the duals price all
+    # six rows
     assert len(problem.scaled_rows) == len(problem.rows) == 1
     assert problem.cut_rows == ()
     assert problem.spans == ((0, 1), (1, 2), (2, 3), (3, 5), (5, 7))
-    assert len(sol.scaled_duals[1]) == 3 + ex_a.dimension
+    assert len(sol.scaled_duals[1]) == 1 + 5
     assert all(y >= 0 for y in sol.scaled_duals[1])
 
 
@@ -103,15 +106,15 @@ def test_forced_zero_columns(ex_a):
     assert verify_certificate(problem, sol, spans=spans)
     # remaining variables weigh 2+4+6+4 = 16 < 21, so everything packs
     assert sol.value == 16
-    # the duals price the knapsack row, the rows of groups 4 and 5 (their
-    # problem spans have two columns), then one bound per free column
-    assert len(sol.scaled_duals[1]) == 3 + 4
+    # the duals price the knapsack row and the five group rows, group 3's
+    # too, whose span the node empties: one per row, whatever the spans
+    assert len(sol.scaled_duals[1]) == 1 + 5
 
 
 def test_cut_rows_are_solved_at_the_root_spans_only(ex_a):
     # cut rows meet only the root: a problem with one is refused at a
     # node's spans, narrowed or with an empty span, which the cut-free
-    # problem solves, and solved at the root's spans, given or by default
+    # problem solves, and solved at the root's spans
     plain = lp_for(ex_a)
     problem = lp_for(ex_a, [LinearInequality({VarRef(4, 1): 1,
                                               VarRef(5, 1): 1}, 1)])
@@ -121,9 +124,9 @@ def test_cut_rows_are_solved_at_the_root_spans_only(ex_a):
                                   spans=spans)
         with pytest.raises(ValidationError, match="root's spans only"):
             solve_lp(problem, spans=spans)
-    sol = solve_lp(problem, spans=tuple(problem.spans))
-    assert sol == solve_lp(problem) and sol.pivots > 0
-    assert verify_certificate(problem, sol)
+    sol = solve_lp(problem, spans=problem.spans)
+    assert sol.pivots > 0
+    assert verify_certificate(problem, sol, spans=problem.spans)
 
 
 def test_rows_must_include_knapsack(ex_a):
@@ -242,7 +245,8 @@ def test_with_row_matches_building_the_rows(ex_b):
     assert base.rows == (knapsack_row(ex_b),)
     assert (grown.costs, grown.cost_scale, grown.scaled_rows, grown.scale) == (
         reference_lp_data(ex_b, (cut,)))
-    assert verify_certificate(grown, solve_lp(grown))
+    assert verify_certificate(grown, solve_lp(grown, spans=grown.spans),
+                              spans=grown.spans)
     with pytest.raises(ValidationError, match="has this row"):
         grown.with_row(knapsack_row(ex_b))
     with pytest.raises(ValidationError, match="nonnegative"):
@@ -278,8 +282,8 @@ def test_relaxation_bounds_the_oracle(small_corpus):
     """LP value >= best value over S, with equality iff the LP point is in S."""
     for inst in small_corpus:
         problem = lp_for(inst)
-        sol = solve_lp(problem)
-        assert verify_certificate(problem, sol)
+        sol = solve_lp(problem, spans=problem.spans)
+        assert verify_certificate(problem, sol, spans=problem.spans)
         assert weight_of(inst, sol.point) <= inst.capacity
         best, _ = oracle.maximize_over_S(inst, profits(inst))
         assert sol.value >= best
@@ -288,21 +292,20 @@ def test_relaxation_bounds_the_oracle(small_corpus):
 def test_duals_price_the_optimum(small_corpus):
     for inst in small_corpus[:8]:
         problem = lp_for(inst)
-        sol = solve_lp(problem)
-        # the knapsack row's rhs, then 1 for each group row and bound
+        sol = solve_lp(problem, spans=problem.spans)
+        # the knapsack row's rhs, then 1 for each group row
         duals = fraction_duals(sol)
         rhs = [inst.capacity] + [Fraction(1)] * (len(duals) - 1)
-        assert len(duals) == (len(problem.scaled_rows)
-                              + len(group_rows(inst)) + inst.dimension)
+        assert len(duals) == len(problem.scaled_rows) + len(group_rows(inst))
         assert sum(y * r for y, r in zip(duals, rhs)) == sol.value
 
 
 def test_certificate_rejects_tampering(ex_a):
     problem = lp_for(ex_a)
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     forged = LpSolution(sol.value + 1, sol.scaled, sol.scaled_duals,
                         sol.pivots)
-    assert not verify_certificate(problem, forged)
+    assert not verify_certificate(problem, forged, spans=problem.spans)
 
 
 # --- differential checks against brute force, and certificate forgeries ----
@@ -323,9 +326,9 @@ def _builder_cuts(inst):
 
 
 def _group_lp_optimum(inst, objective, forced):
-    """Max of the objective over the knapsack row, the group rows, the box
+    """Max of the objective over the knapsack row, the group rows, x >= 0
     and x_forced = 0, by enumerating the vertices that can be optimal.  The
-    box and group rows make a product of simplices, one per group, whose
+    group rows and x >= 0 make a product of simplices, one per group, whose
     vertices put each group at zero or at one free slot whole; the knapsack
     row adds the points where one group moves along an edge of its simplex
     until the row binds."""
@@ -383,8 +386,8 @@ def test_differential_against_brute_force():
             # S: the LP lies between the maximum over S and the LP without
             # cut rows.
             problem = lp_for(plain.instance, rows)
-            sol = solve_lp(problem)
-            assert verify_certificate(problem, sol)
+            sol = solve_lp(problem, spans=problem.spans)
+            assert verify_certificate(problem, sol, spans=problem.spans)
             best, _ = oracle.maximize_over_S(inst, objective)
             assert best <= sol.value <= _group_lp_optimum(inst, objective,
                                                           set())
@@ -394,17 +397,35 @@ def test_differential_against_brute_force():
     assert one_row >= 20 and with_cuts >= 20 and empty >= 20
 
 
+def _per_column_layout(problem, spans, scaled_duals):
+    """Cut-free duals ``(Y, ints)`` in a bounded-variable LP's layout: the
+    knapsack multiplier, the rows of the groups of two or more slots, then
+    one bound multiplier per column of ``spans``, a one-slot group's row
+    multiplier moved onto its column's bound.  A valid certificate of the
+    boxed LP, but not one per row."""
+    scale, (knapsack, *groups) = scaled_duals
+    sizes = [end - start for start, end in problem.spans]
+    rows = [y for y, size in zip(groups, sizes) if size > 1]
+    bounds = [0 if size > 1 else y
+              for y, size, (lo, hi) in zip(groups, sizes, spans)
+              for _ in range(lo, hi)]
+    return scale, (knapsack, *rows, *bounds)
+
+
 def test_closed_form_matches_the_tableau_with_group_rows():
-    """Without cut rows, the closed form and the bounded simplex, which
-    takes the group rows as tableau rows, give the same value at the root,
-    and both certificates verify: on rational and random data with zero
-    weights, tied ratios, singleton groups and zero costs.  At random
-    nested node spans, empty ones included, where only the closed form
-    solves, its value is its Fraction reference's and its certificate
-    verifies."""
+    """Without cut rows, the closed form and the simplex, which takes the
+    group rows as tableau rows, give the same value at the root, and both
+    certificates verify: on rational and random data with zero weights,
+    tied ratios, singleton groups and zero costs; so does the simplex with
+    a redundant cut row x <= 1.  At random nested node spans, empty ones
+    included, where only the closed form solves, its value is its Fraction
+    reference's and its certificate verifies.  The duals are one per row,
+    1 + m + k of them, at the root and at every node's spans, and the
+    certificate refuses them in the per-column layout of a boxed LP
+    whenever the spans make that length differ."""
     rng = random.Random(4242)
     seen = {"zero weight": 0, "tied ratio": 0, "singleton": 0, "forced": 0,
-            "empty span": 0, "pivots": 0}
+            "empty span": 0, "pivots": 0, "per-column layout": 0}
     for n in range(200):
         inst = (rational_instance(rng) if n % 2 else
                 random_instance(rng, max_groups=4, profits="random"))
@@ -417,14 +438,27 @@ def test_closed_form_matches_the_tableau_with_group_rows():
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
         spans = random_spans(rng, inst, 0.25)
         problem = LpProblem(with_profits(inst, objective))
-        closed = solve_lp(problem)
-        tableau = simplex._solve_bounded(problem)
-        assert closed.value == tableau.value
-        assert verify_certificate(problem, closed)
-        assert verify_certificate(problem, tableau)
+        grown = problem.with_row(LinearInequality({problem.refs[0]: 1}, 1))
+        m = len(inst.groups)
+        closed = solve_lp(problem, spans=problem.spans)
+        tableau = simplex._solve_tableau(problem)
+        cut = solve_lp(grown, spans=grown.spans)
+        assert closed.value == tableau.value == cut.value
+        assert verify_certificate(problem, closed, spans=problem.spans)
+        assert verify_certificate(problem, tableau, spans=problem.spans)
+        assert verify_certificate(grown, cut, spans=grown.spans)
         node = solve_lp(problem, spans=spans)
         assert node.value == reference_solve_lp(problem, spans=spans).value
         assert verify_certificate(problem, node, spans=spans)
+        lengths = [len(sol.scaled_duals[1])
+                   for sol in (closed, tableau, node, cut)]
+        assert lengths == [1 + m, 1 + m, 1 + m, 2 + m]
+        for at, sol in ((problem.spans, closed), (spans, node)):
+            old = _per_column_layout(problem, at, sol.scaled_duals)
+            if len(old[1]) != 1 + m:
+                assert not verify_certificate(problem, sol._replace(
+                    scaled_duals=old), spans=at)
+                seen["per-column layout"] += 1
         ratios = [objective[r] / inst.weight(r) for r in inst.columns
                   if inst.weight(r) and objective[r] > 0]
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
@@ -469,8 +503,8 @@ def test_group_row_facets():
 
 def _forgery_problem():
     # ratios 3, 2, 1/2 and a weightless, profitless x41; capacity 1, so the
-    # closed form takes x11 whole, the critical ratio is 2, and the bound
-    # multipliers are (1, 0, 0, 0).
+    # closed form takes x11 whole, the critical ratio is 2, and the four
+    # one-slot groups' row multipliers are (1, 0, 0, 0).
     inst = Instance.build([((1,), (3,)), ((1,), (2,)), ((2,), (1,)),
                            ((0,), (0,))], 1)
     return lp_for(inst)
@@ -478,23 +512,24 @@ def _forgery_problem():
 
 def test_closed_form_duals():
     problem = _forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 3
     assert fraction_duals(sol) == (2, 1, 0, 0, 0)
-    assert verify_certificate(problem, sol)
+    assert verify_certificate(problem, sol, spans=problem.spans)
 
 
 @pytest.mark.parametrize("duals, why", [
-    ((2, 2, 0, -1, 0), "negative bound multiplier, all else balanced"),
+    ((2, 2, 0, -1, 0), "negative row multiplier, sum kept"),
     ((2, 1, 0, 0), "duals tuple one bound short"),
-    ((2, 0, 0, 1, 0), "bound multiplier of x11 lowered, sum kept"),
+    ((2, 0, 0, 1, 0), "x11's group row lowered, sum kept"),
 ])
 def test_certificate_rejects_forged_duals(duals, why):
+    # every group is one slot, so each group row is its slot's bound
     problem = _forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     forged = lp_solution(sol.value, sol.point,
                          tuple(Fraction(y) for y in duals), sol.pivots)
-    assert not verify_certificate(problem, forged), why
+    assert not verify_certificate(problem, forged, spans=problem.spans), why
 
 
 def test_certificate_rejects_point_on_forced_variable():
@@ -549,34 +584,35 @@ _LARGE_PRIME = 2 ** 61 - 1
 def test_certificate_handles_dual_denominators_foreign_to_the_data():
     # The data are integers (every scale is 1), and the duals carry a
     # denominator coprime to all of them.  Lowering y below the critical
-    # ratio and raising u11 to keep the sum leaves x21 underpriced; the
-    # shift the other way is a valid, degenerate certificate.
+    # ratio and raising the row multiplier of x11's group to keep the sum
+    # leaves x21 underpriced; the shift the other way is a valid,
+    # degenerate certificate.
     problem = _forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     eps = Fraction(1, _LARGE_PRIME)
     forged = lp_solution(sol.value, sol.point,
                          tuple(map(Fraction, (2 - eps, 1 + eps, 0, 0, 0))),
                          sol.pivots)
-    assert not verify_certificate(problem, forged)
+    assert not verify_certificate(problem, forged, spans=problem.spans)
     shifted = lp_solution(sol.value, sol.point,
                           tuple(map(Fraction, (2 + eps, 1 - eps, 0, 0, 0))),
                           sol.pivots)
-    assert verify_certificate(problem, shifted)
+    assert verify_certificate(problem, shifted, spans=problem.spans)
 
 
 def test_certificate_rejects_entry_just_above_one():
-    # x41 weighs and earns nothing, so only the bound x <= 1 rules out an
-    # entry on it a hair above one.  The certificate does not read the
+    # x41 weighs and earns nothing, so only its group row x41 <= 1 rules out
+    # an entry on it a hair above one.  The certificate does not read the
     # point, so the forgery, with the root's true duals and value, passes
     # it; the solve that meets it at its root must raise a ``CkpError`` or
     # report the true optimum.
     problem = _forgery_problem()
-    d, entries = solve_lp(problem).scaled
+    d, entries = solve_lp(problem, spans=problem.spans).scaled
     p = _LARGE_PRIME
     point = (d * p, tuple((ref, x * p) for ref, x in entries)
              + ((VarRef(4, 1), d * p + d),))
-    forged = solve_lp(problem)._replace(scaled=point)
-    assert verify_certificate(problem, forged)
+    forged = solve_lp(problem, spans=problem.spans)._replace(scaled=point)
+    assert verify_certificate(problem, forged, spans=problem.spans)
     for root, got in _solves_with_root_forged(
             problem.instance, lambda sol: sol._replace(scaled=point)):
         assert root.value == 3
@@ -586,11 +622,11 @@ def test_certificate_rejects_entry_just_above_one():
 
 def test_certificate_rejects_value_off_by_a_tiny_fraction():
     problem = _forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     for off in (Fraction(1, _LARGE_PRIME), -Fraction(1, _LARGE_PRIME)):
         forged = LpSolution(sol.value + off, sol.scaled, sol.scaled_duals,
                             sol.pivots)
-        assert not verify_certificate(problem, forged)
+        assert not verify_certificate(problem, forged, spans=problem.spans)
 
 
 _X11, _X41 = VarRef(1, 1), VarRef(4, 1)
@@ -604,7 +640,7 @@ _X11, _X41 = VarRef(1, 1), VarRef(4, 1)
     (3, (1, ((_X41, 1), (_X11, 1))), None, (), "refs out of order"),
     (3, (1, ((_X11, 1), (VarRef(4, 2), 1))), None, (), "ref outside"),
     (3, (1, ((_X11, 1), (VarRef(5, 1), 1))), None, (), "group outside"),
-    (3, (1, ((_X11, 1), (_X41, 1))), (1, [2, 1, 0, 0]), (4,),
+    (3, (1, ((_X11, 1), (_X41, 1))), (1, [2, 1, 0, 0, 0]), (4,),
      "ref forced to zero"),
     (3, (0, ()), None, (), "D = 0"),
     (3, None, (1, [2, 2, 0, -1, 0]), (), "negative y"),
@@ -623,8 +659,9 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
                                                   forced, why):
     # x41 weighs and earns nothing; the true optimum is x11 = 1, value 3,
     # duals (2, 1, 0, 0, 0), and each forgery replaces one part of it.
-    # ``forced`` names the groups whose span the node empties, whose true
-    # duals the forgery then keeps.  The certificate reads only the duals
+    # ``forced`` names the groups whose span the node empties; the node's
+    # true duals are still one per row, the emptied group's 0, and the
+    # forgery keeps them.  The certificate reads only the duals
     # and the value, and rejects each forgery of them.  It does not read
     # the point: a forged point, with the node's true duals and value,
     # passes it, and the solve that meets it at its root must raise a
@@ -633,8 +670,8 @@ def test_certificate_rejects_forged_integer_forms(value, point, duals,
     spans = tuple((lo, lo if i in forced else hi)
                   for i, (lo, hi) in enumerate(problem.spans, start=1))
     true = LpSolution(Fraction(3), (1, ((_X11, 1),)), (1, (2, 1, 0, 0, 0)), 0)
-    assert verify_certificate(problem, true)
-    assert true == solve_lp(problem)
+    assert verify_certificate(problem, true, spans=problem.spans)
+    assert true == solve_lp(problem, spans=problem.spans)
     forged = LpSolution(Fraction(value), point or true.scaled,
                         duals or true.scaled_duals, 0)
     if not (point and value == 3 and (duals is None or forced)):
@@ -670,38 +707,39 @@ def _solves_with_root_forged(instance, forge):
 def test_certificate_reads_only_the_duals_and_the_value():
     # the point is checked where the solver uses it, not here
     problem = _forgery_problem()
-    sol = solve_lp(problem)
-    assert verify_certificate(problem, sol._replace(scaled=None))
+    sol = solve_lp(problem, spans=problem.spans)
+    assert verify_certificate(problem, sol._replace(scaled=None),
+                              spans=problem.spans)
 
 
 def _group_forgery_problem():
     # x11 and x12 weigh nothing and earn 2 and 1, and x21 fills the
     # capacity, so the closed form takes x11 and x21 whole: the knapsack
-    # multiplier is 0, the group row's is 2 and x21's bound multiplier 1.
+    # multiplier is 0, group 1's row multiplier 2 and group 2's 1.
     inst = Instance.build([((0, 0), (2, 1)), ((1,), (1,))], 1)
     return lp_for(inst)
 
 
 def test_group_row_certificate_is_accepted():
     problem = _group_forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     assert sol.value == 3
-    assert fraction_duals(sol) == (0, 2, 0, 0, 1)
-    assert verify_certificate(problem, sol)
+    assert fraction_duals(sol) == (0, 2, 1)
+    assert verify_certificate(problem, sol, spans=problem.spans)
 
 
 def test_certificate_rejects_point_breaking_only_the_group_row():
-    # x11 = x12 = x21 = 1 weighs 1 and earns 4, and the duals, x12's bound
-    # multiplier raised to 1, price it at 4 and stay dual feasible: only
-    # the group row x11 + x12 <= 1 rules it out.  The certificate reads the
-    # duals alone, and they bound the LP by 4, which weak duality allows;
+    # x11 = x12 = x21 = 1 weighs 1 and earns 4, and the duals, group 1's
+    # row multiplier raised to 3, price it at 4 and stay dual feasible:
+    # only the group row x11 + x12 <= 1 rules it out.  The certificate reads
+    # the duals alone, and they bound the LP by 4, which weak duality allows;
     # the solve that meets the point at its root must raise a ``CkpError``
     # or report the true optimum, 3, as proven.
     problem = _group_forgery_problem()
     forged = LpSolution(Fraction(4), (1, ((VarRef(1, 1), 1), (VarRef(1, 2), 1),
                                           (VarRef(2, 1), 1))),
-                        (1, [0, 2, 0, 1, 1]), 0)
-    assert verify_certificate(problem, forged)
+                        (1, [0, 3, 1]), 0)
+    assert verify_certificate(problem, forged, spans=problem.spans)
     for root, got in _solves_with_root_forged(problem.instance,
                                               lambda sol: forged):
         assert root.value == 3
@@ -710,25 +748,28 @@ def test_certificate_rejects_point_breaking_only_the_group_row():
 
 
 @pytest.mark.parametrize("duals, why", [
-    ((0, 1, 0, 1, 1), "group multiplier moved to x12's bound: x11 priced 1"),
-    ((0, 3, 0, 0, 0), "x21's bound moved to the group row, which skips x21"),
+    ((0, 1, 2), "from group 1 to group 2"),
+    ((0, 3, 0), "x21's bound moved to the group row, which skips x21"),
 ])
 def test_certificate_rejects_group_multiplier_moved(duals, why):
-    # each shift keeps the dual value at 3 but leaves one slot underpriced
+    # each shift keeps the dual value at 3 but leaves one slot underpriced,
+    # x11 at 1 or x21 at 0; x21's bound is the row x21 <= 1 of its one-slot
+    # group
     problem = _group_forgery_problem()
-    sol = solve_lp(problem)
+    sol = solve_lp(problem, spans=problem.spans)
     forged = lp_solution(sol.value, sol.point, tuple(map(Fraction, duals)),
                          sol.pivots)
-    assert not verify_certificate(problem, forged), why
+    assert not verify_certificate(problem, forged, spans=problem.spans), why
 
 
 def test_certificate_rejects_each_mutation_on_nested_spans():
     """From the certified closed-form solution over random nested node
     spans, on rational and integral data, each of these is rejected:
-    lowering one positive group-row multiplier, or one positive bound
-    multiplier, by one unit of the duals' integer form."""
+    lowering one positive group-row multiplier, of a group of two or more
+    slots or of a one-slot group, by one unit of the duals' integer
+    form."""
     rng = random.Random(3939)
-    seen = {"group row": 0, "bound": 0}
+    seen = {"group row": 0, "one-slot group row": 0}
     for n in range(200):
         inst = (rational_instance(rng) if n % 2 else
                 random_instance(rng, max_groups=4, profits="random"))
@@ -737,14 +778,14 @@ def test_certificate_rejects_each_mutation_on_nested_spans():
         sol = solve_lp(problem, spans=spans)
         assert verify_certificate(problem, sol, spans=spans)
         dual_scale, ys = sol.scaled_duals
-        ngroups = sum(end - start > 1 for start, end in problem.spans)
         for r, y in enumerate(ys):
             if r == 0 or not y:  # the knapsack multiplier is not mutated
                 continue
             lowered = ys[:r] + (y - 1,) + ys[r + 1:]
             forged = sol._replace(scaled_duals=(dual_scale, lowered))
             assert not verify_certificate(problem, forged, spans=spans), r
-            seen["group row" if r <= ngroups else "bound"] += 1
+            seen["group row" if inst.groups[r - 1].size > 1
+                 else "one-slot group row"] += 1
     assert min(seen.values()) >= 30, seen
 
 
@@ -765,7 +806,7 @@ def test_integer_node_lp_matches_fraction_reference():
     on rational and zero weights and equal ratios: without cut rows at
     random nested node spans, empty ones included, and with 0-3 builder
     cut rows at the root's spans; the tableau alone matches its reference
-    on one-row LPs too.  Closed-form and simplex solutions alike are
+    on cut-free LPs too.  Closed-form and simplex solutions alike are
     plain records (:func:`_check_record`)."""
     rng = random.Random(90210)
     seen = {"cuts": 0, "closed form": 0, "pivots": 0, "forced": 0,
@@ -790,8 +831,8 @@ def test_integer_node_lp_matches_fraction_reference():
                                     fraction_duals(want), want.pivots)
             assert verify_certificate(lp, got, spans=at)
             _check_record(got)
-        got = simplex._solve_bounded(problem)
-        want = reference_solve_bounded(problem, problem.refs)
+        got = simplex._solve_tableau(problem)
+        want = reference_solve_tableau(problem, problem.refs)
         assert (got.value, got.point, fraction_duals(got), got.pivots) == (
             want.value, want.point, fraction_duals(want), want.pivots)
         _check_record(got)
@@ -836,14 +877,13 @@ def test_scaled_data_matches_fraction_reference():
         assert len(chained.scaled_rows) == len(chained.rows)
         assert chained.cut_rows == rows
         assert len(problem.rows) == 1  # with_row left the problem alone
-        # one span per group, its columns in order, and the spans of two or
-        # more columns are the group rows
+        # one span per group, its columns in order, and the spans are the
+        # group rows
         assert [problem.refs[start:end] for start, end in problem.spans] == [
             tuple(VarRef(i, j) for j in range(1, g.size + 1))
             for i, g in enumerate(inst.groups, start=1)]
         assert [([(ref, 1) for ref in problem.refs[start:end]], 1)
-                for start, end in problem.spans
-                if end - start > 1] == group_rows(inst)
+                for start, end in problem.spans] == group_rows(inst)
         seen["cuts"] += bool(rows)
         seen["zero profit"] += any(c == 0 for c in objective.values())
         seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
