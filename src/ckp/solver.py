@@ -15,6 +15,14 @@ five families are valid for S itself.  Every LP is solved exactly, so a
 best bound (the incumbent or an open node's bound) equal to the incumbent
 is a proof.
 
+The loop compares bounds in integers: it reads each node LP's value once
+as its pair (num, den) (``as_integer_ratio``), and that pair, its ``min``
+with the parent's bound, the incumbent value and every open node's bound
+are integer pairs, compared by cross-multiplication alone.  It makes a
+Fraction in two places only: the heap key, -bound, at most once per branched
+node and shared by its two children, and the report's value and best
+bound.
+
 Each node LP solution stays in the simplex's integer form
 (``LpSolution.scaled``): the separators, the one complementarity test per
 solution and the branching masses (sums of the integers X) all read it,
@@ -22,7 +30,7 @@ and its certificate check reads only its duals.  The incumbent is kept as
 its node LP solution, and one :class:`model.Point` is made per solve,
 from that form (``Point.from_scaled``), when the loop ends.  It is
 checked in integers, against the instance's ``units`` and
-``profit_units``: it must lie in S and earn the reported value.
+``profit_units``: it must lie in S and earn the incumbent value's pair.
 :class:`SolveReport` says why that makes the report a proof.
 """
 
@@ -35,14 +43,12 @@ from typing import NamedTuple, Optional
 
 from .cuts import FAMILIES, resolve_families
 from .errors import CkpError, ResourceLimitError, ValidationError
-from .model import (Instance, Point, complementarity_violations,
-                    is_feasible, profit_of)
+from .model import Instance, Point, complementarity_violations, is_feasible
 from .numeric import require_integer
 from .oracle import resolve_enum_limit
 from .separation import separate_exact, separate_greedy
 from .simplex import LpProblem, solve_lp, verify_certificate
 
-_F0 = Fraction(0)
 MAX_ROOT_CUTS = 10  # cuts the root's loop adds before it branches
 NODE_LIMIT = 10 ** 5  # SolveConfig's and ckp solve's default node limit
 
@@ -99,10 +105,16 @@ class SolveReport(NamedTuple):
     exact_sep_stopped: bool = False  # exact separation hit the enum limit
 
 
-def _check_incumbent(instance: Instance, point: Point, value: Fraction) -> None:
+def _check_incumbent(instance: Instance, point: Point, num: int,
+                     den: int) -> None:
+    """``point`` lies in S and earns num / den, its profit summed in
+    :attr:`Instance.profit_units` and compared by cross-multiplication."""
     if not is_feasible(instance, point):
         raise CkpError("incumbent point is not feasible")
-    if profit_of(instance, point) != value:
+    scale, costs = instance.profit_units
+    point_scale, entries = point.scaled
+    total = sum(costs[instance.check_ref(ref)] * x for ref, x in entries)
+    if total * den != num * scale * point_scale:
         raise CkpError("incumbent profit differs from the reported value")
 
 
@@ -141,16 +153,22 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
     exact = config.exact_fallback
     pool = []  # GeneratedCut, in addition order
 
-    incumbent_value = _F0
+    inc_num, inc_den = 0, 1  # the incumbent value as an integer pair
     incumbent = None  # the LpSolution of the incumbent; None is the origin
     nodes = 0
     pivots = 0
     counter = 0
-    # Heap entries: (negated bound, insertion order, column spans).  The
-    # root has none: -inf sorts it first, and every Fraction is below inf.
-    heap = [(float("-inf"), counter, problem.spans)]
-    while heap and -heap[0][0] > incumbent_value and nodes < config.node_limit:
-        bound, _, spans = heapq.heappop(heap)
+    # Heap entries: (key, insertion order, column spans, bound), the bound
+    # the parent's as an integer pair (num, den) and the key the Fraction
+    # -num / den, made once per parent; the unique order keeps the bound
+    # from being compared.  The root has no parent: its key -inf sorts it
+    # first, and its bound (1, 0) is above every pair of den > 0.
+    heap = [(float("-inf"), counter, problem.spans, (1, 0))]
+    while heap and nodes < config.node_limit:
+        bound_num, bound_den = heap[0][3]
+        if bound_num * inc_den <= inc_num * bound_den:
+            break
+        key, _, spans, bound = heapq.heappop(heap)
         nodes += 1
         while True:
             solution = solve_lp(problem, spans=spans)
@@ -158,8 +176,11 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             if not verify_certificate(problem, solution, spans=spans):
                 raise CkpError(
                     "node LP solution fails its optimality certificate")
-            value = min(solution.value, -bound)
-            if value <= incumbent_value:
+            num, den = solution.value.as_integer_ratio()
+            if num * bound_den > bound_num * den:
+                num, den = bound  # the parent's bound is the lower
+            pruned = num * inc_den <= inc_num * den
+            if pruned:
                 break
             violated = complementarity_violations(solution)
             if not (violated and nodes == 1 and config.families
@@ -186,10 +207,10 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
             cuts_per_family[sep.cut.family] += 1
         problem = plain
 
-        if value <= incumbent_value:
+        if pruned:
             continue
         if not violated:
-            incumbent_value = value
+            inc_num, inc_den = num, den
             incumbent = solution
             continue
         group, ref = _branch_group(solution, violated)
@@ -200,16 +221,23 @@ def branch_and_cut(instance: Instance, config: Optional[SolveConfig] = None) -> 
         if not lo < split < hi:
             raise CkpError("node LP point splits group %d after %s, outside "
                            "the node's span" % (group, ref))
+        if (num, den) != bound:
+            key, bound = -solution.value, (num, den)
         for half in ((split, hi), (lo, split)):
             counter += 1
-            heapq.heappush(heap, (-value, counter, spans[:group - 1] + (half,)
-                                  + spans[group:]))
+            heapq.heappush(heap, (key, counter, spans[:group - 1] + (half,)
+                                  + spans[group:], bound))
 
-    # Open nodes left by the node limit may still beat the incumbent.
-    best_bound = max([incumbent_value] + [-entry[0] for entry in heap])
+    # Open nodes left by the node limit may still beat the incumbent; the
+    # heap's first entry holds the largest open bound.
     point = Point() if incumbent is None else incumbent.point
-    _check_incumbent(instance, point, incumbent_value)
-    return SolveReport(incumbent_value, point, nodes,
-                       cuts_per_family, pivots, best_bound == incumbent_value,
+    _check_incumbent(instance, point, inc_num, inc_den)
+    value = best_bound = Fraction(inc_num, inc_den)
+    if heap:
+        num, den = heap[0][3]
+        if num * inc_den > inc_num * den:
+            best_bound = Fraction(num, den)
+    return SolveReport(value, point, nodes,
+                       cuts_per_family, pivots, best_bound == value,
                        best_bound, tuple(pool),
                        exact_sep_stopped=config.exact_fallback and not exact)

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -308,14 +308,38 @@ def find_branching_instance(rng, config=None):
             return inst, rep
 
 
-def test_node_limit_reports_honest_bounds(rng):
-    inst, full = find_branching_instance(rng)
-    limited = branch_and_cut(inst, SolveConfig(node_limit=1))
-    assert not limited.proven_optimal
-    assert limited.nodes == 1
-    # the incumbent is feasible and the bound brackets the true optimum
-    assert is_feasible(inst, limited.point)
-    assert limited.value <= full.value <= limited.best_bound
+def test_node_limit_reports_honest_bounds(rng, monkeypatch):
+    """Stopped after one node, a solve reports an incumbent in S, a value
+    at most the optimum and a best bound at least it: the largest open
+    bound, which is the root's last LP value when the root branches.  Both
+    are Fractions in lowest terms.  An instance whose profits are all zero
+    closes at the root with the origin, worth Fraction(0), proven."""
+    values = []
+
+    def recording(problem, *, spans):
+        solution = simplex.solve_lp(problem, spans=spans)
+        values.append(solution.value)
+        return solution
+
+    zero = Instance.build([((3, 2), (0, 0)), ((4,), (0,))], 5)
+    for inst, full in (find_branching_instance(rng),
+                       (zero, branch_and_cut(zero))):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "solve_lp", recording)
+            limited = branch_and_cut(inst, SolveConfig(node_limit=1))
+        assert limited.nodes == 1
+        for bound in (limited.value, limited.best_bound):
+            assert type(bound) is Fraction
+            assert gcd(bound.numerator, bound.denominator) == 1
+        # the incumbent is feasible and the bound brackets the true optimum
+        assert is_feasible(inst, limited.point)
+        assert limited.value <= full.value <= limited.best_bound
+        if inst is zero:
+            assert limited.value == limited.best_bound == values[-1] == 0
+            assert limited.point == Point() and limited.proven_optimal
+        else:
+            assert not limited.proven_optimal
+            assert limited.best_bound == values[-1] > limited.value
 
 
 def test_best_bound_never_rises_with_the_node_limit():
@@ -349,6 +373,21 @@ def test_best_bound_never_rises_with_the_node_limit():
             cut_and_branched += full.cut_pool != () and full.nodes > 1
     assert cut_and_branched >= 5, cut_and_branched
 
+
+def test_a_node_tying_the_incumbent_is_pruned():
+    """Ties keep the first incumbent.  The root (LP value 14/3) splits
+    group 2 after its first slot, and both children carry its bound, so
+    the upper half (slots 2-3), pushed first, is popped first and its LP
+    point x11 = 1/2, x23 = 1 becomes the incumbent at 9/2.  The lower
+    half's LP point x21 = 3/4 lies in S and earns 9/2 as well: a bound
+    equal to the incumbent prunes it, so the report keeps the first."""
+    inst = Instance.build([((4,), (5,)), ((4, 2, 1), (6, 3, 2))], 3)
+    for config in (SolveConfig(families=()), SolveConfig()):
+        report = branch_and_cut(inst, config)
+        assert (report.value, report.nodes, report.proven_optimal) == (
+            Fraction(9, 2), 3, True)
+        assert report.point.scaled == (2, ((VarRef(1, 1), 1),
+                                           (VarRef(2, 3), 2)))
 
 def test_cut_pool_members_are_valid(rng):
     seen = 0
@@ -442,6 +481,46 @@ def test_points_are_made_for_incumbents_and_the_report(monkeypatch, families):
         assert len(made) == 1
         updated += updates >= 2
     assert updated >= 5
+
+
+def test_node_loop_makes_no_fraction_per_bound(monkeypatch):
+    """The node loop keeps its bounds, the incumbent value and the open
+    nodes' bounds as integer pairs: a solve without cuts makes at most one
+    Fraction per node LP (its value), one per branched node (the heap key
+    its two children share) and two for the report (its value and best
+    bound), however many bounds it compares, pushes and pops.  The corpus
+    must hold solves of 5 or more nodes."""
+    made, lps, branched = [], [], []
+    new, solve, branch = Fraction.__new__, solver.solve_lp, solver._branch_group
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counting_solve(problem, *, spans):
+        lps.append(spans)
+        return solve(problem, spans=spans)
+
+    def counting_branch(solution, violated):
+        branched.append(violated)
+        return branch(solution, violated)
+
+    rng = random.Random(4800)
+    instances = [rational_instance(rng) if n % 2 else correlated_instance(rng)
+                 for n in range(60)]
+    config = SolveConfig(families=())
+    monkeypatch.setattr(solver, "solve_lp", counting_solve)
+    monkeypatch.setattr(solver, "_branch_group", counting_branch)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    deep = 0
+    for inst in instances:
+        del made[:], lps[:], branched[:]
+        report = branch_and_cut(inst, config)
+        assert report.nodes == len(lps)
+        assert len(made) <= len(lps) + len(branched) + 2, (
+            report.nodes, len(branched), len(made))
+        deep += report.nodes >= 5
+    assert deep >= 5, deep
 
 
 def test_profit_of_matches_a_fraction_sum():
