@@ -26,7 +26,7 @@ so all three have one integer form.
 Each generator checks its mathematical preconditions, among them that
 every group keeps its slots by non-increasing weight, and raises
 PreconditionError when they fail.  The facet rules live once, in
-:func:`_member_cut`: ``facet_guaranteed`` is set exactly when the
+:func:`member_cut`: ``facet_guaranteed`` is set exactly when the
 relevant theorem's sufficient condition holds on the instance.
 
 Each family's inequality is written once, as an integer form ``(den,
@@ -39,7 +39,7 @@ coefficients and ``rhs`` are the cut's times scale * den.  One
 :func:`rule_sum` evaluates a rule: over a group's slots for a builder, over
 the point's entries alone for a score.  There is one form for the three
 pack families, one for ``lcover1`` and one for ``lcover2``.  A builder
-tests its preconditions in those units and ends in :func:`_member_cut`,
+tests its preconditions in those units and ends in :func:`member_cut`,
 which keeps the form as its cut's integer form
 (``LinearInequality.from_scaled``), read as it is by the oracle, the node
 LP's pool and separation's check.
@@ -48,13 +48,14 @@ Which members an item set gives depends on the weights and the capacity
 alone, so the member list is instance data: :func:`family_members` reads
 an item set and its weight in the instance's integer units, tests each
 member's preconditions there and gives its provenance key and integer
-form, and reads no point.  :func:`build_member` builds one member from
-its key through its public builder.  Exact and greedy separation score
-every listed form at their point (``ckp.separation``) and build only the
-winner that way.  :func:`theorem_cuts`, the listing of ``ckp cuts``,
-makes each listed member's cut from its listed form (:func:`_member_cut`):
-the pack families' over the maximal switching packs, the cover families'
-over :func:`ckp.oracle.walk_patterns`, which exact separation walks too.
+form, and reads no point.  :func:`member_cut` makes a listed member's
+cut from its key and form, so a form is never made twice.  Exact and
+greedy separation score every listed form at their point
+(``ckp.separation``) and make only the winner's cut.
+:func:`theorem_cuts`, the listing of ``ckp cuts``, makes every listed
+member's cut: the pack families' over the maximal switching packs, the
+cover families' over :func:`ckp.oracle.walk_patterns`, which exact
+separation walks too.
 A cut keeps the key it was listed under (:class:`GeneratedCut`): its
 family and item set are read off the key, and so are its pivot, tilt
 group or special item, by their groups.  :func:`is_switching` is the
@@ -299,7 +300,7 @@ def _pack_cut(instance: Instance, family: str, pack, pivot=None,
                 "tilt group %d is not a singleton pack group" % tilt)
         aux = (pivot.group,) + (() if tilt is None else (tilt,))
     form = _pack_form(rows, capacity, pack, capacity - s, pivot, tilt)
-    return _member_cut(instance, (pack, FAMILY_RANK[family], aux), form)
+    return member_cut(instance, (pack, FAMILY_RANK[family], aux), form)
 
 
 def _pack_members(rows, capacity, pack, slack, families):
@@ -365,8 +366,8 @@ def lifted_cover_inequality_1(instance: Instance, cover) -> GeneratedCut:
     if not any(_lifts(rows[i - 1], r, over) for i, r in cover):
         raise PreconditionError("lifting condition violated: no slot below any "
                                 "chosen item keeps the rest under capacity")
-    return _member_cut(instance, (cover, FAMILY_RANK["lcover1"], ()),
-                       _lcover1_form(rows, capacity, cover, over))
+    return member_cut(instance, (cover, FAMILY_RANK["lcover1"], ()),
+                      _lcover1_form(rows, capacity, cover, over))
 
 
 def lifted_cover_inequality_2(instance: Instance, cover,
@@ -387,15 +388,16 @@ def lifted_cover_inequality_2(instance: Instance, cover,
         raise PreconditionError(
             "lifting condition violated: %s + %s >= %s"
             % (Fraction(rest, scale), Fraction(row[-1], scale), instance.capacity))
-    return _member_cut(instance, (cover, FAMILY_RANK["lcover2"], (special.group,)),
-                       _lcover2_form(rows, capacity, cover, over, special))
+    return member_cut(instance, (cover, FAMILY_RANK["lcover2"], (special.group,)),
+                      _lcover2_form(rows, capacity, cover, over, special))
 
 
-def _member_cut(instance: Instance, key, form) -> GeneratedCut:
+def member_cut(instance: Instance, key, form) -> GeneratedCut:
     """The cut of the member with provenance ``key`` and integer ``form``,
-    as :func:`family_members` lists them: the one place each family's
-    facet rule is written.  The public builders end here once their
-    checks pass, and :func:`theorem_cuts` calls it on each listed member."""
+    as :func:`family_members` lists them: the one place a cut is made and
+    each family's facet rule is written.  The public builders end here
+    once their checks pass, :func:`theorem_cuts` calls it on each listed
+    member and separation on its winner."""
     items, rank, aux = key
     family = FAMILIES[rank]
     scale, rows, capacity = instance.units
@@ -456,23 +458,6 @@ def family_members(rows, capacity, items, units, families):
                        _lcover2_form(rows, capacity, items, over, special))
 
 
-BUILDERS = dict(zip(FAMILIES, (
-    "pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
-    "lifted_cover_inequality_1", "lifted_cover_inequality_2")))
-
-
-def build_member(instance: Instance, key) -> GeneratedCut:
-    """The cut whose provenance key is ``key``, built by its family's public
-    builder from the key's item tuple.  The builder is looked up by its
-    module name at each call, so a wrapper set on this module (as the
-    benchmark's tracer sets one) sees every build."""
-    items, rank, aux = key
-    args = ()
-    if aux:  # the pivot or special item, by its group, then any tilt group
-        args = ((aux[0], dict(items).get(aux[0])),) + aux[1:]
-    return globals()[BUILDERS[FAMILIES[rank]]](instance, items, *args)
-
-
 def enumerate_maximal_switching_packs(instance: Instance,
                                       limit: Optional[int] = None):
     """All maximal switching packs, as sorted tuples of last-slot items
@@ -500,7 +485,7 @@ def theorem_cuts(instance, families, limit):
     first pack family; covers from the pattern walk, which skips the
     subtrees that hold no member.  The members are those
     :func:`family_members` lists from the instance's integer units, with
-    no point read, each made from its listed form by :func:`_member_cut`,
+    no point read, each made from its listed form by :func:`member_cut`,
     so its form is made once; a cut with no terms, 0 <= rhs, cuts nothing
     and is skipped.  This is the listing of ``ckp cuts``."""
     _, rows, capacity = instance.normalized_units()
@@ -516,6 +501,6 @@ def theorem_cuts(instance, families, limit):
         for items, units in itemsets:
             for key, form in family_members(rows, capacity, items, units,
                                             (family,)):
-                cut = _member_cut(instance, key, form)
+                cut = member_cut(instance, key, form)
                 if cut.inequality.scaled[2]:
                     yield cut

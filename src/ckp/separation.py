@@ -15,11 +15,12 @@ over item sets, each given with its weight in integer units:
   as an integer pair ``(num, den)``; scores compare by cross-multiplying;
 * build one: the winner, the maximum positive violation with ties broken
   toward the lexicographically smallest provenance key (item set, then
-  family, then auxiliary indices), is built by its public builder from
-  the same integer form, which the cut keeps (``LinearInequality.scaled``).
-  Its score becomes the one Fraction of the selection, and its built
-  violation at the same point, ``model.lhs_at`` summed in integers over
-  the cut's and the point's integer forms less the rhs, must equal it.
+  family, then auxiliary indices), is built from the key and integer form
+  it was scored under (:func:`cuts.member_cut`), which the cut keeps
+  (``LinearInequality.scaled``).  Its score becomes the one Fraction of
+  the selection, and its built violation at the same point,
+  ``model.lhs_at`` summed in integers over the cut's and the point's
+  integer forms less the rhs, must equal it.
 
 Exact separation gives it the non-empty one-slot-per-group patterns of
 the oracle's guarded walk (:func:`oracle.walk_patterns`), which skips each
@@ -38,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .cuts import (GeneratedCut, build_member, family_members, is_switching,
+from .cuts import (GeneratedCut, family_members, is_switching, member_cut,
                    resolve_families, rule_sum)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_units
@@ -123,14 +124,15 @@ def _select(instance: Instance, point: Point, support, itemsets, families,
             space: int) -> SeparationResult:
     """Score every member of ``families`` that each ``(items, units)`` of
     ``itemsets`` gives (:func:`cuts.family_members`) and build only the
-    winner: the highest violation, if positive, ties to the smallest
-    provenance key.  Scores are integer pairs ``(num, den)``, den > 0,
-    compared by cross-multiplication; the winner's becomes the one
-    Fraction.  Its built violation and key must equal the scored ones.
-    The item sets are drawn from ``space`` ones; the rest count as pruned."""
+    winner, from the key and form it was scored under
+    (:func:`cuts.member_cut`): the highest violation, if positive, ties to
+    the smallest provenance key.  Scores are integer pairs ``(num, den)``,
+    den > 0, compared by cross-multiplication; the winner's becomes the
+    one Fraction, and its built violation must equal it.  The item sets
+    are drawn from ``space`` ones; the rest count as pruned."""
     rows, capacity = support.units, support.capacity_units
     best, best_den = 0, 1  # only a positive score wins
-    key = cut = violation = None
+    key = best_form = cut = violation = None
     examined = walked = 0
     for items, units in itemsets:
         walked += 1
@@ -139,15 +141,14 @@ def _select(instance: Instance, point: Point, support, itemsets, families,
             num, den = _score(support, form)
             lead = num * best_den - best * den
             if lead > 0 or (lead == 0 and key is not None and k < key):
-                best, best_den, key = num, den, k
+                best, best_den, key, best_form = num, den, k, form
     if key is not None:
         violation = Fraction(best, best_den)
-        cut = build_member(instance, key)
+        cut = member_cut(instance, key, best_form)
         built = lhs_at(cut.inequality, point) - cut.inequality.rhs
-        if built != violation or cut.key != key:
-            raise CkpError("built %s cut has violation %s and key %s, scored"
-                           " %s and %s" % (cut.family, built, cut.key,
-                                           violation, key))
+        if built != violation:
+            raise CkpError("built %s cut has violation %s, scored %s"
+                           % (cut.family, built, violation))
     return SeparationResult(cut, violation,
                             SeparationStats(examined, space, space - walked))
 

@@ -679,11 +679,27 @@ CUT_BUILDERS = ("pack_inequality_1", "pack_inequality_2", "pack_inequality_3",
                 "lifted_cover_inequality_1", "lifted_cover_inequality_2")
 
 
+def build_member(instance, key):
+    """The cut whose provenance key is ``key``, built by its family's public
+    builder from the key's item tuple: the reference that a listed member's
+    cut, made by ``cuts.member_cut`` from its form, is compared against.
+    The builder is looked up by its ``ckp.cuts`` name, so the ``built``
+    fixture counts these calls."""
+    items, rank, aux = key
+    args = ()
+    if aux:  # the pivot or special item, by its group, then any tilt group
+        args = ((aux[0], dict(items).get(aux[0])),) + aux[1:]
+    return getattr(cuts, CUT_BUILDERS[rank])(instance, items, *args)
+
+
 @pytest.fixture
 def built(monkeypatch):
-    """Successful calls per cut builder, counted through ``ckp.cuts``' module
-    names (where the benchmark's tracer wraps them as ``cuts.build``); the
-    calls that raised are counted per builder in ``built.raised``."""
+    """Successful calls per public cut builder, counted through ``ckp.cuts``'
+    module names (where the benchmark's tracer wraps them as
+    ``cuts.build``); the calls that raised are counted per builder in
+    ``built.raised``.  Separation and ``ckp cuts`` call none of them: they
+    make each cut from its listed form through ``cuts.member_cut``, so
+    only a direct call counts."""
     counts = Counter()
     counts.raised = Counter()
 

@@ -313,7 +313,7 @@ def test_cuts_enumerates_packs_once(files, capsys, monkeypatch, family, calls):
 def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built,
                                                    monkeypatch):
     # the listing makes each member's integer form once and builds its cut
-    # from that form (cuts._member_cut), not again through a public builder
+    # from that form (cuts.member_cut), not again through a public builder
     made = Counter()
 
     def counting(name, function):
@@ -322,7 +322,7 @@ def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built,
             return function(*args)
         return wrapper
 
-    for name in ("_pack_form", "_lcover1_form", "_lcover2_form", "_member_cut"):
+    for name in ("_pack_form", "_lcover1_form", "_lcover2_form", "member_cut"):
         monkeypatch.setattr(cuts, name, counting(name, getattr(cuts, name)))
     code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all")
     assert code == 0
@@ -331,7 +331,7 @@ def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built,
     assert made["_pack_form"] == out.count("# family: pack") > 0
     assert made["_lcover2_form"] == out.count("# family: lcover2") > 0
     # every member built is printed: none is tried and then skipped
-    assert made["_member_cut"] == 36 and not built
+    assert made["member_cut"] == 36 and not built
 
 
 def test_cuts_listing_matches_building_every_member(tmp_path, capsys):

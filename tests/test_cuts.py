@@ -22,9 +22,10 @@ from ckp.model import Instance, LinearInequality, Point, VarRef
 from ckp import cuts, oracle, separation
 from ckp.separation import separate_exact
 
-from conftest import (is_cover, is_pack, itemset_weight, iter_patterns,
-                      make_instance, random_instance, rational_instance,
-                      reference_is_maximal_switching_pack, tilt_pack_inequality)
+from conftest import (build_member, is_cover, is_pack, itemset_weight,
+                      iter_patterns, make_instance, random_instance,
+                      rational_instance, reference_is_maximal_switching_pack,
+                      tilt_pack_inequality)
 
 
 def refs(*pairs):
@@ -683,7 +684,7 @@ def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):
 
 def test_member_cut_equals_its_public_builder():
     """Every member that ``family_members`` lists over the walk of every
-    family, made by ``cuts._member_cut`` from its listed form, equals the
+    family, made by ``cuts.member_cut`` from its listed form, equals the
     cut its public builder makes (``build_member``, the reference) in
     every field, on 300 seeded integral and rational instances; each
     family's facet rule is seen to hold and to fail."""
@@ -697,8 +698,8 @@ def test_member_cut_equals_its_public_builder():
         for items, units in oracle.walk_patterns(inst, None, cuts.FAMILIES):
             for key, form in cuts.family_members(rows, b, items, units,
                                                  cuts.FAMILIES):
-                cut = cuts._member_cut(inst, key, form)
-                want = cuts.build_member(inst, key)
+                cut = cuts.member_cut(inst, key, form)
+                want = build_member(inst, key)
                 assert ([getattr(cut, f) for f in fields]
                         == [getattr(want, f) for f in fields])
                 assert type(cut.facet_guaranteed) is bool
@@ -708,9 +709,10 @@ def test_member_cut_equals_its_public_builder():
 
 def test_nonnegative_data_is_all_the_families_need():
     """Every member that ``family_members`` lists over the walk of every
-    family builds through ``build_member`` and is valid for S, on 300
-    seeded instances with rational and zero weights: the nonnegative data
-    that every ``Instance`` holds is the families' one condition on signs.
+    family builds through its public builder (``build_member``) and is
+    valid for S, on 300 seeded instances with rational and zero weights:
+    the nonnegative data that every ``Instance`` holds is the families'
+    one condition on signs.
     It is why lcover2's divisor d = (b - rest - a_last) + a_t is positive:
     b - rest - a_last = (a_special - a_last) - (s - b) > 0 by the lifting
     test, so d > a_t >= 0."""
@@ -725,7 +727,7 @@ def test_nonnegative_data_is_all_the_families_need():
         for items, units in oracle.walk_patterns(inst, None, cuts.FAMILIES):
             for key, form in cuts.family_members(rows, b, items, units,
                                                  cuts.FAMILIES):
-                cut = cuts.build_member(inst, key)
+                cut = build_member(inst, key)
                 assert vertices.face_dimension(cut.inequality) >= -1
                 seen[cut.family] += 1
                 if cut.family != "lcover2":

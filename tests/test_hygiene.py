@@ -269,12 +269,12 @@ def test_detector_flags_a_private_read():
               "from .model import _integer_row, Point\n"
               "from ckp.numeric import _parse\nfrom ckp import fileio\n"
               "import ckp.simplex as lp\nimport os\n"
-              "a = cuts_mod._member_cut(k, f)\nb = oracle.walk_patterns\n"
+              "a = cuts_mod._pack_form(k, f)\nb = oracle.walk_patterns\n"
               "c = oracle.__name__\nd = os._exit\ne = lp._solve_groups\n"
               "f = self._own\ng = fileio._token\n")
     assert private_reads(source) == [
         (2, "model", "_integer_row"), (3, "numeric", "_parse"),
-        (7, "cuts", "_member_cut"), (11, "simplex", "_solve_groups"),
+        (7, "cuts", "_pack_form"), (11, "simplex", "_solve_groups"),
         (13, "fileio", "_token")]
 
 
@@ -333,6 +333,31 @@ def test_library_reads_no_attribute_by_duck_typing():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def namespace_reads(source):
+    """Lines of ``globals()``, ``locals()`` and ``vars()`` calls, as a bare
+    name or an attribute: reads of a namespace, where a value is looked up
+    by its name as a string."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("globals", "locals", "vars"))
+
+
+def test_detector_flags_a_namespace_read():
+    source = ("a = globals()['build']\nb = locals()\nc = vars(obj)\n"
+              "d = builtins.globals()\ne = x.globals\nf = getattr(m, 'g')\n"
+              "g = globals\n")
+    assert namespace_reads(source) == [1, 2, 3, 4]
+
+
+def test_library_looks_nothing_up_by_name():
+    # each call the library makes names its function in the source, so the
+    # reader sees what runs, and a wrapper set on a module attribute sees
+    # only the calls made through that attribute
+    found = {path.name: namespace_reads(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp
@@ -387,8 +412,8 @@ def test_one_record_idiom():
 
 def reads(node, bare=True):
     """The names ``node`` reads: each loaded ``ast.Attribute``, each
-    identifier string (a lookup by name, as ``cuts.build_member``'s or the
-    benchmark tracer's) and, with ``bare``, each loaded ``ast.Name``."""
+    identifier string (a lookup by name, as the benchmark tracer's) and,
+    with ``bare``, each loaded ``ast.Name``."""
     for child in ast.walk(node):
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
             if bare:

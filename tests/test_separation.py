@@ -63,20 +63,41 @@ def test_exact_single_family(ex_c, frac_point):
     assert r.cut.items == (VarRef(1, 1), VarRef(2, 1), VarRef(3, 2))
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """The keys ``cuts.member_cut`` is called with, at its two lookup sites:
+    the ``cuts`` module (the public builders and ``theorem_cuts``) and
+    ``separation``, which imports it."""
+    keys = []
+    real = cuts.member_cut
+
+    def counting(instance, key, form):
+        keys.append(key)
+        return real(instance, key, form)
+
+    monkeypatch.setattr(cuts, "member_cut", counting)
+    monkeypatch.setattr(separation, "member_cut", counting)
+    return keys
+
+
 @pytest.mark.parametrize("family, examined", [("all", 245), ("pack2", 75)])
-def test_examined_counts_every_built_cut(ex_c, frac_point, built, family,
-                                         examined):
+def test_examined_counts_every_built_cut(ex_c, frac_point, built, made,
+                                         family, examined):
     # every member is scored and counted; only the winner is built, once,
-    # through the public builder names
-    r = separate_exact(ex_c, frac_point, family)
-    assert r.stats.examined == examined
-    assert built == {cuts.BUILDERS[r.cut.family]: 1}
+    # from the form it was scored under, and no public builder runs
+    exact = separate_exact(ex_c, frac_point, family)
+    assert exact.stats.examined == examined
+    greedy = separate_greedy(ex_c, frac_point, family)
+    assert greedy.found
+    assert made == [exact.cut.key, greedy.cut.key] and not built
 
 
-def test_nothing_built_when_nothing_is_violated(ex_a, built):
+def test_nothing_built_when_nothing_is_violated(ex_a, built, made):
     r = separate_exact(ex_a, Point([]))
     assert not r.found and r.stats.examined > 0
-    assert sum(built.values()) == 0
+    r = separate_greedy(ex_a, Point([]))
+    assert not r.found and r.stats.examined > 0
+    assert made == [] and sum(built.values()) == 0
 
 
 def test_patterns_counted(ex_c, frac_point):
@@ -613,19 +634,3 @@ def test_winner_checked_against_its_kept_form(ex_c, frac_point, monkeypatch):
     monkeypatch.setattr(cuts, "_inequality", loosened)
     with pytest.raises(CkpError, match="scored"):
         separate_exact(ex_c, frac_point, "pack1")
-
-
-def test_winner_checked_against_its_key(ex_c, frac_point, monkeypatch):
-    # a builder that gives the scored cut under another key is caught at the
-    # build, though the cut and so its violation are the scored ones
-    found = separate_exact(ex_c, frac_point, "pack2")
-    items, rank, aux = found.cut.key
-    assert aux == (4,) and VarRef(3, 2) in items  # group 3 can pivot too
-    real = separation.build_member
-
-    def rekeyed(instance, key):
-        return real(instance, key)._replace(key=(items, rank, (3,)))
-
-    monkeypatch.setattr(separation, "build_member", rekeyed)
-    with pytest.raises(CkpError, match="scored"):
-        separate_exact(ex_c, frac_point, "pack2")
