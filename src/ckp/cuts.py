@@ -36,11 +36,11 @@ set to one fixed-size rule ``(k, lo, hi, k2, at, bump)``, which gives slot
 j of weight a_j (non-increasing in j) min(k * max(a_j, lo), hi, k2 * a_j)
 plus ``bump`` at slot ``at`` (``hi`` and ``k2`` None when absent), and the
 coefficients and ``rhs`` are the cut's times scale * den.  One
-:func:`rule_sum` evaluates a rule: over a group's slots for a builder, over
-the point's entries alone for a score.  There is one form for the three
-pack families, one for ``lcover1`` and one for ``lcover2``.  A builder
-tests its preconditions in those units and ends in :func:`member_cut`,
-which keeps the form as its cut's integer form
+:func:`rule_terms` evaluates a rule, once per group: over all the group's
+slots for a builder, over the point's entries alone for a score.  There
+is one form for the three pack families, one for ``lcover1`` and one for
+``lcover2``.  A builder tests its preconditions in those units and ends
+in :func:`member_cut`, which keeps the form as its cut's integer form
 (``LinearInequality.from_scaled``), read as it is by the oracle, the node
 LP's pool and separation's check.
 
@@ -53,9 +53,9 @@ cut from its key and form, so a form is never made twice.  Exact and
 greedy separation score every listed form at their point
 (``ckp.separation``) and make only the winner's cut.
 :func:`theorem_cuts`, the listing of ``ckp cuts``, makes every listed
-member's cut: the pack families' over the maximal switching packs, the
-cover families' over :func:`ckp.oracle.walk_patterns`, which exact
-separation walks too.
+member's cut: the pack families' over the maximal switching packs,
+enumerated once, the cover families' over one walk of
+:func:`ckp.oracle.walk_patterns`, which exact separation walks too.
 A cut keeps the key it was listed under (:class:`GeneratedCut`): its
 family and item set are read off the key, and so are its pivot, tilt
 group or special item, by their groups.  :func:`is_switching` is the
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import repeat
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -244,34 +245,35 @@ def _lcover2_form(rows, capacity, cover, over, special):
         for i, t in cover}
 
 
-def rule_sum(rule, row, entries, mass) -> int:
-    """The one evaluation of a rule (see the module docstring): sum c_j * X
-    over a group's ``entries`` ``(j, X)``, with ``row`` its weights in
-    integer units and ``mass`` = sum row[j - 1] * X; the row times k (lo 0,
-    no cap) is k * mass, plus its bump."""
+def rule_terms(rule, row, entries) -> list:
+    """The one evaluation of a rule (see the module docstring): c_j * X
+    for each entry ``(j, X)`` of a group whose weights in integer units
+    are ``row``, in the entries' order.  A score sums it over the point's
+    entries in the group; a builder reads each slot's c_j, with X = 1."""
     k, lo, hi, k2, at, bump = rule
-    plain = not lo and hi is None and k2 is None
-    total = k * mass if plain else 0
+    out = []
     for j, x in entries:
-        if not plain:
-            a = row[j - 1]
-            c = k * (a if a > lo else lo)
-            c = c if hi is None or c < hi else hi
-            c = c if k2 is None or c < k2 * a else k2 * a
-            total += c * x
-        if j == at:
-            total += bump * x
-    return total
+        a = row[j - 1]
+        c = k * (a if a > lo else lo)
+        if hi is not None and c > hi:
+            c = hi
+        if k2 is not None and c > k2 * a:
+            c = k2 * a
+        out.append((c + bump if j == at else c) * x)
+    return out
 
 
 def _inequality(scale, rows, form) -> LinearInequality:
     """The LinearInequality that keeps an integer form (over scale * den),
-    each rule expanded over its group's ``rows``, in the form's order."""
+    each rule evaluated once, over all its group's slots with X = 1, in
+    the form's order; the refs through tuple.__new__, not VarRef's
+    Python-level constructor."""
     den, rhs, rules = form
+    new = tuple.__new__
     return LinearInequality.from_scaled(scale * den, rhs, [
-        (VarRef(i, j), c) for i, rule in rules.items()
-        for j, a in enumerate(rows[i - 1], start=1)
-        if (c := rule_sum(rule, rows[i - 1], ((j, 1),), a))])
+        (new(VarRef, (i, j)), c) for i, rule in rules.items()
+        for j, c in enumerate(rule_terms(rule, rows[i - 1], enumerate(
+            repeat(1, len(rows[i - 1])), start=1)), start=1) if c])
 
 
 def _pack_cut(instance: Instance, family: str, pack, pivot=None,
@@ -483,21 +485,27 @@ def theorem_cuts(instance, families, limit):
     """All theorem-backed cuts of each family in turn, deterministic order:
     packs come from the maximal switching packs, enumerated once, at the
     first pack family; covers from the pattern walk, which skips the
-    subtrees that hold no member.  The members are those
+    subtrees that hold no member, walked once, at the first cover family,
+    and kept for a later one (the walk's prune reads only that some cover
+    family is asked, so both would walk alike).  The members are those
     :func:`family_members` lists from the instance's integer units, with
     no point read, each made from its listed form by :func:`member_cut`,
     so its form is made once; a cut with no terms, 0 <= rhs, cuts nothing
     and is skipped.  This is the listing of ``ckp cuts``."""
     _, rows, capacity = instance.normalized_units()
-    packs = None
-    for family in families:
+    packs = covers = None
+    for n, family in enumerate(families):
         if family.startswith("pack"):
             if packs is None:
                 packs = [(p, sum(rows[i - 1][j - 1] for i, j in p)) for p in
                          enumerate_maximal_switching_packs(instance, limit)]
             itemsets = packs
         else:
-            itemsets = walk_patterns(instance, limit, (family,))
+            if covers is None:  # kept only for a later cover family
+                covers = walk_patterns(instance, limit, (family,))
+                if any(f.startswith("lcover") for f in families[n + 1:]):
+                    covers = list(covers)
+            itemsets = covers
         for items, units in itemsets:
             for key, form in family_members(rows, capacity, items, units,
                                             (family,)):

@@ -8,10 +8,12 @@ an integer argument is an int and not a bool (:func:`require_integer`).
 :func:`integer_form` is the package's one scaling of rationals to
 integers, by the LCM of their denominators, and :func:`common_scale` its
 one combining of such forms at a common scale.  :func:`affine_rank` is the
-one rank routine.  It takes each vector in integer form, a denominator
-and an integer row, and eliminates in integers, not Fractions;
-``oracle.VertexSet.face_dimension`` streams the rows of a set of tight
-candidate vertices into it with a cap, once per distinct set.
+one rank routine.  It reads points in the layout of the oracle's
+candidate table, a denominator per point and a column of ints per
+coordinate, takes the rows it is given of each column as one short
+integer column and eliminates those in integers, not Fractions;
+``oracle.VertexSet.face_dimension`` gives it the tight candidates' rows
+with a cap, once per distinct inequality.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Optional, Sequence, Tuple
 
 from .errors import FormatError, ValidationError
 
@@ -103,40 +106,55 @@ def common_scale(forms) -> Tuple[int, list]:
                    for s, ints in forms]
 
 
-def affine_rank(vectors: Iterable[Tuple[int, Sequence[int]]],
-                cap: Optional[int] = None) -> int:
-    """Dimension of the affine hull of ``vectors`` (-1 for none).
+def affine_rank(dens: Sequence[int], columns: Sequence[Sequence[int]],
+                rows: Sequence[int], cap: Optional[int] = None) -> int:
+    """Dimension of the affine hull of the points ``rows`` of an integer
+    table (-1 for none): point k is ``column[k] / dens[k]`` at each column
+    of ``columns``, with every den a positive int.
 
-    Each vector comes in integer form, as a pair ``(den, row)`` with den a
-    positive int and ``row`` an equal-length sequence of ints: the vector
-    is row / den.  The vectors are consumed one at a time by incremental
-    elimination against the first, fraction-free: a vector's difference
-    from the first, times both dens, is an integer row that spans the same
-    line as the difference.  That row is reduced against the echelon rows
-    by integer cross-multiplication, each step divided by the row's gcd.
-    With ``cap`` the scan stops as soon as the rank reaches it, pulling no
-    further vector, and the result is ``min(rank, cap)``.
+    The dimension is the rank of the homogenized rows ``(dens[k],
+    column[k], ...)`` less one, and the rank is taken over the table's
+    columns: each column's entries at the rows, gathered by one
+    ``itemgetter``, is reduced against the echelon columns kept so far by
+    integer cross-multiplication, each step divided by the column's gcd,
+    with no Fraction.  The dens come first, so their pivot is the first
+    row.  Each echelon column's pivot position names one row, and those
+    rows are affinely independent points.
+
+    The result is ``min(dimension, cap)``, with ``cap`` the column count
+    when not given, the largest dimension there is.  The rank is taken
+    over the first 2 * (cap + 1) rows, then twice as many, until it
+    reaches cap + 1 or every row is in; the elimination stops at the
+    column that brings it there.
     """
-    base = None
-    basis = []  # insertion-ordered echelon rows of ints, with pivot columns
-    for den, ints in vectors:
-        if base is None:
-            base, base_den = ints, den
-        else:
-            row = [x * base_den - y * den for x, y in zip(ints, base)]
-            for pivot_col, basis_row in basis:
-                factor = row[pivot_col]
+    if not rows:
+        return -1
+    target = len(columns) + 1 if cap is None else cap + 1
+    budget = 2 * target
+    while True:
+        take = rows[:budget]
+        if len(take) == 1 or target == 1:  # the dens alone reach the rank
+            return 0
+        get = itemgetter(*take)
+        basis = [(0, get(dens))]  # (pivot position, column); dens > 0
+        for column in map(get, columns):
+            if not any(column):
+                continue
+            for pivot_at, echelon in basis:
+                factor = column[pivot_at]
                 if factor:
-                    pivot = basis_row[pivot_col]
-                    row = [pivot * x - factor * y
-                           for x, y in zip(row, basis_row)]
-                    divisor = gcd(*row)
+                    pivot = echelon[pivot_at]
+                    column = [pivot * x - factor * y
+                              for x, y in zip(column, echelon)]
+                    divisor = gcd(*column)
                     if divisor > 1:
-                        row = [x // divisor for x in row]
-            for col, x in enumerate(row):
+                        column = [x // divisor for x in column]
+            for at, x in enumerate(column):
                 if x:
-                    basis.append((col, row))
+                    basis.append((at, column))
                     break
-        if cap is not None and len(basis) >= cap:
-            break
-    return -1 if base is None else len(basis)
+            if len(basis) == target:
+                return target - 1
+        if len(take) == len(rows):
+            return len(basis) - 1
+        budget *= 2

@@ -23,12 +23,15 @@ are found in integer units, each fractional entry reduced by a gcd, and
 kept once, in walk order (the origin, then per pattern the all-ones point
 and the fractional points, last item first), as one integer table, a
 :class:`VertexSet`: a denominator per candidate and a column of ints per
-variable.  That table answers every query: a row's integer form (a cut
-keeps its builder's), filled dense by ``Instance.integer_row``, is summed
-over it a column at a time, and the first candidate of largest sum / den
-is the maximizer of ``maximize_over_S`` and the witness of an invalid
-inequality, the one ``ckp verify`` prints.  A valid inequality's face
-dimension is the affine rank of its tight candidates, kept under the
+variable.  That table answers every query: a row's sparse integer form
+(a cut keeps its builder's), each ref checked by ``Instance.check_ref``,
+is summed over it a column at a time, and the first candidate of largest
+sum / den is the maximizer of ``maximize_over_S`` and the witness of an
+invalid inequality, the one ``ckp verify`` prints.  A valid inequality's
+face dimension is the affine rank of its tight candidates, taken over
+the table's own layout: ``numeric.affine_rank`` gathers the tight entries
+of the dens and of each column as short integer columns and eliminates
+those, the first 2 * (cap + 1) tight rows first.  It is kept under the
 inequality's integer form, so each distinct inequality is summed and
 ranked once.  ``ckp oracle`` reads its candidate count and its maximum off
 one enumeration.  The oracle shares no code with the node LP it checks.
@@ -179,14 +182,15 @@ class VertexSet:
         """Every candidate as a :class:`Point`, in walk order."""
         return tuple(map(self._point, range(len(self.dens))))
 
-    def _sums(self, coeffs, top: int) -> list:
-        """Per candidate, ``den * (coeffs . x - top)`` for an integer row
-        ``coeffs`` over :attr:`Instance.columns`: from the start vector
-        ``-top * den``, summed in integers a column at a time."""
+    def _sums(self, terms, top: int) -> list:
+        """Per candidate, ``den * (lhs - top)`` for the sparse integer
+        ``terms`` ``(ref, c)`` of a row (each ref checked by
+        ``Instance.check_ref``): from the start vector ``-top * den``,
+        summed in integers a column at a time."""
+        columns, check = self.columns, self.instance.check_ref
         sums = [-top * den for den in self.dens]
-        for c, column in zip(coeffs, self.columns):
-            if c:
-                sums = [s + c * x for s, x in zip(sums, column)]
+        for ref, c in terms:
+            sums = [s + c * x for s, x in zip(sums, columns[check(ref)])]
         return sums
 
     def _first_max(self, sums) -> int:
@@ -201,10 +205,9 @@ class VertexSet:
     def maximize(self, objective):
         """Exact maximum of a linear objective over S and its first
         maximizing candidate as a :class:`Point`."""
-        instance = self.instance
-        coeffs, _, scale = instance.integer_row(
-            LinearInequality(clean_terms(objective, instance), 0))
-        sums = self._sums(coeffs, 0)
+        scale, _, terms = LinearInequality(
+            clean_terms(objective, self.instance), 0).scaled
+        sums = self._sums(terms, 0)
         k = self._first_max(sums)
         return Fraction(sums[k], self.dens[k] * scale), self._point(k)
 
@@ -212,31 +215,32 @@ class VertexSet:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
         Each candidate's excess, its lhs less the rhs times its denominator
-        and the inequality's scale, is summed once, in integers.  Above the
-        rhs this raises with the first candidate of largest excess / den,
-        the maximizer of the lhs, as witness, and keeps nothing.  Otherwise
-        the result is the affine rank of the tight candidates, kept under
-        the inequality's form, so a repeated inequality costs one lookup.
+        and the inequality's scale, is summed once, in integers, from the
+        form's sparse terms.  Above the rhs this raises with the first
+        candidate of largest excess / den, the maximizer of the lhs, as
+        witness, and keeps nothing.  Otherwise the result is the affine
+        rank of the tight candidates (:func:`numeric.affine_rank` over
+        the table's columns at the tight rows), capped at d - 1, or d for
+        an inequality without terms, and kept under the inequality's form,
+        so a repeated inequality costs one lookup.
         """
         key = inequality.scaled
         rank = self._ranks.get(key)
         if rank is not None:
             return rank
-        instance, dens = self.instance, self.dens
-        coeffs, top, scale = instance.integer_row(inequality)
-        excess = self._sums(coeffs, top)
+        scale, top, terms = key
+        excess = self._sums(terms, top)
         if max(excess) > 0:
             best = self._first_max(excess)
-            den = dens[best]
+            den = self.dens[best]
             lhs = Fraction(excess[best] + top * den, den * scale)
             raise PreconditionError(
                 "inequality is not valid (max %s > rhs %s)"
                 % (lhs, inequality.rhs), witness=self._point(best))
-        cap = instance.dimension - 1 if key[2] else instance.dimension
-        columns = self.columns
-        rank = self._ranks[key] = affine_rank(
-            ((dens[k], [column[k] for column in columns])
-             for k in compress(range(len(dens)), map(not_, excess))), cap)
+        cap = self.instance.dimension - (1 if terms else 0)
+        tight = list(compress(range(len(excess)), map(not_, excess)))
+        rank = self._ranks[key] = affine_rank(self.dens, self.columns,
+                                              tight, cap)
         return rank
 
 

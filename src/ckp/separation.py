@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cuts import (GeneratedCut, family_members, is_switching, member_cut,
-                   resolve_families, rule_sum)
+                   resolve_families, rule_terms)
 from .errors import CkpError, PreconditionError, ValidationError
 from .model import Instance, Point, VarRef, lhs_at, weight_units
 from .numeric import require_integer
@@ -101,13 +101,13 @@ class PointSupport:
 def _score(sup: PointSupport, form):
     """An integer form's violation at the point ``sup`` was built from, as
     ``(num, den)`` with den > 0: lhs - rhs = num / den, each group's rule
-    summed over the point's entries in it (:func:`cuts.rule_sum`)."""
+    summed over the point's entries in it (:func:`cuts.rule_terms`)."""
     den, rhs, rules = form
     d = sup.point_scale
-    units, entries, mass = sup.units, sup.entries, sup.mass
+    units, entries = sup.units, sup.entries
     lhs = -rhs * d
     for i, rule in rules.items():
-        lhs += rule_sum(rule, units[i - 1], entries[i - 1], mass[i - 1])
+        lhs += sum(rule_terms(rule, units[i - 1], entries[i - 1]))
     return lhs, sup.scale * den * d
 
 

@@ -310,6 +310,25 @@ def test_cuts_enumerates_packs_once(files, capsys, monkeypatch, family, calls):
         assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
 
 
+@pytest.mark.parametrize("family, calls", [("all", 1), ("lcover2", 1),
+                                           ("pack1", 0)])
+def test_cuts_walks_the_covers_once(files, capsys, monkeypatch, family, calls):
+    # the two cover families list from one pattern walk, made at the first
+    # of them; the walk's prune reads only that some cover family is asked
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return oracle.walk_patterns(*args, **kwargs)
+
+    monkeypatch.setattr(cuts, "walk_patterns", counting)
+    code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", family)
+    assert code == 0
+    assert len(counted) == calls
+    if family == "all":
+        assert out == (GOLDEN / "cuts_ex_c_all.txt").read_text()
+
+
 def test_cuts_listing_builds_each_printed_cut_once(files, capsys, built,
                                                    monkeypatch):
     # the listing makes each member's integer form once and builds its cut

@@ -604,6 +604,21 @@ def test_provenance_keys_order_families(ex_c):
     assert len(set(keys)) == len(keys)
 
 
+def test_theorem_cuts_list_each_cover_family_from_one_walk(ex_a, ex_c):
+    """Each cover family named lists what it lists alone, in the order
+    named, a family named twice twice, from the one walk kept at the
+    first cover family."""
+    for inst in (ex_a, ex_c):
+        alone = {f: list(cuts.theorem_cuts(inst, (f,), None))
+                 for f in ("lcover1", "lcover2")}
+        assert alone["lcover1"] and alone["lcover2"]
+        for families in [("lcover1", "lcover2"), ("lcover2", "lcover1"),
+                         ("lcover1", "lcover1"), ("lcover2", "pack1", "lcover2")]:
+            expected = [cut for f in families for cut in (
+                alone.get(f) or list(cuts.theorem_cuts(inst, (f,), None)))]
+            assert list(cuts.theorem_cuts(inst, families, None)) == expected
+
+
 # --- one definition per family ---
 
 FORMS = {"pack1": "_pack_form", "pack2": "_pack_form", "pack3": "_pack_form",
@@ -624,12 +639,12 @@ BUILDS = {
 @pytest.mark.parametrize("family", cuts.FAMILIES)
 def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
     # each family's coefficients are written once, in its integer form, and
-    # evaluated once, by cuts.rule_sum: the public builder and the
+    # evaluated once, by cuts.rule_terms: the public builder and the
     # separator's scores must both come from the form, and each group's
-    # coefficients from that one evaluation, a score's once per group and
-    # a build's once per slot
+    # coefficients from that one evaluation, once per group for a score
+    # and for a build alike
     forms, sums = [], []
-    real, evaluate = getattr(cuts, FORMS[family]), cuts.rule_sum
+    real, evaluate = getattr(cuts, FORMS[family]), cuts.rule_terms
 
     def counted(*args):
         forms.append(real(*args))
@@ -641,7 +656,7 @@ def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
 
     monkeypatch.setattr(cuts, FORMS[family], counted)
     for module in (cuts, separation):
-        monkeypatch.setattr(module, "rule_sum", summed)
+        monkeypatch.setattr(module, "rule_terms", summed)
     separate_exact(ex_a, Point(), family)  # scores every member, builds none
     assert forms, "family_members does not list %s by its form" % family
     assert len(sums) == sum(len(rules) for _, _, rules in forms)
@@ -649,8 +664,7 @@ def test_builder_and_scores_share_one_form(family, ex_a, monkeypatch):
     BUILDS[family](ex_a)
     assert forms, "the %s builder does not build its form" % family
     (_, _, rules), = forms
-    _, rows, _ = ex_a.units
-    assert len(sums) == sum(len(rows[i - 1]) for i in rules) > 0
+    assert len(sums) == len(rules) > 0
 
 
 def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):

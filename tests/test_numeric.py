@@ -91,12 +91,16 @@ def test_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
-def forms(vectors):
-    """Each Fraction vector in the integer form ``affine_rank`` takes:
-    ``(den, row)``, den the LCM of its denominators, pulled lazily."""
-    for vec in vectors:
-        den = lcm(*(x.denominator for x in vec))
-        yield den, [x.numerator * (den // x.denominator) for x in vec]
+def table(vectors, width=None):
+    """Fraction vectors as the integer table ``affine_rank`` reads:
+    ``(dens, columns, rows)``, a den per vector (the LCM of its
+    denominators), a tuple of ints per coordinate and every row."""
+    vectors = [list(v) for v in vectors]
+    dens = [lcm(*(x.denominator for x in v)) for v in vectors]
+    width = len(vectors[0]) if vectors else width or 0
+    columns = [tuple(v[c].numerator * (d // v[c].denominator)
+                     for v, d in zip(vectors, dens)) for c in range(width)]
+    return dens, columns, range(len(dens))
 
 
 def test_integer_form_matches_fraction_reference():
@@ -120,12 +124,12 @@ def test_affine_rank_small():
     one = Fraction(1)
     zero = Fraction(0)
     origin = [zero, zero]
-    assert affine_rank(forms([origin])) == 0
-    assert affine_rank(forms([origin, [zero, zero]])) == 0
-    assert affine_rank(forms([origin, [one, zero], [zero, one]])) == 2
+    assert affine_rank(*table([origin])) == 0
+    assert affine_rank(*table([origin, [zero, zero]])) == 0
+    assert affine_rank(*table([origin, [one, zero], [zero, one]])) == 2
     # second row is a multiple of the first
-    assert affine_rank(forms([origin, [one, Fraction(2)],
-                              [Fraction(3), Fraction(6)]])) == 1
+    assert affine_rank(*table([origin, [one, Fraction(2)],
+                               [Fraction(3), Fraction(6)]])) == 1
 
 
 def test_affine_rank_rectangular():
@@ -134,43 +138,83 @@ def test_affine_rank_rectangular():
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    assert affine_rank(forms([[Fraction(0)] * 3] + rows)) == 2
+    assert affine_rank(*table([[Fraction(0)] * 3] + rows)) == 2
+
+
+class _Recorded(list):
+    """A list that records each slice taken of it and each item pulled
+    from it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.log.append(index.stop)
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for k, item in enumerate(super().__iter__()):
+            self.log.append(k)
+            yield item
 
 
 def test_affine_rank_cap_stops_pulling():
-    """The scan stops at the vector that brings the rank to the cap."""
-    pulled = []
+    """With a cap, the rank is taken over the first 2 * (cap + 1) rows,
+    and the elimination stops at the column that brings it to cap + 1:
+    no later column is gathered."""
+    points = [[Fraction(k), Fraction(k * k), Fraction(k ** 3)]
+              for k in range(12)]
+    dens, columns, rows = table(points)
+    sliced, pulled = [], []
+    got = affine_rank(dens, _Recorded(columns, pulled),
+                      _Recorded(rows, sliced), cap=1)
+    assert got == 1
+    assert sliced == [4]  # 2 * (cap + 1) rows, enough for rank 2
+    assert pulled == [0]  # the first column brings it there
+    assert affine_rank(*table(points), cap=2) == 2
+    assert affine_rank(*table([[Fraction(1)]]), cap=0) == 0
+    assert affine_rank(*table(points), cap=0) == 0
+    assert affine_rank(*table([], width=3), cap=3) == -1
 
-    def vectors():
-        for k in range(6):
-            pulled.append(k)
-            if len(pulled) > 4:  # one past the vector that reaches cap 2
-                raise AssertionError("pulled a vector past the cap")
-            yield [Fraction(k), Fraction(k * k)]
 
-    assert affine_rank(forms(vectors()), cap=2) == 2
-    assert affine_rank(forms(iter([[Fraction(1)]])), cap=0) == 0
-    assert affine_rank(forms(iter([])), cap=3) == -1
+def test_affine_rank_budget_doubles_until_every_row_is_in():
+    """Points on a line never reach cap 2, so the rows taken double, 6,
+    12, 24, until every one of the 20 is in."""
+    points = [[Fraction(k), Fraction(2 * k), Fraction(-k, 3)]
+              for k in range(20)]
+    dens, columns, rows = table(points)
+    sliced = []
+    assert affine_rank(dens, columns, _Recorded(rows, sliced), cap=2) == 1
+    assert sliced == [6, 12, 24]
+    # a point off the line among the last rows is found after doubling
+    points[17] = [Fraction(1), Fraction(0), Fraction(0)]
+    dens, columns, rows = table(points)
+    del sliced[:]
+    assert affine_rank(dens, columns, _Recorded(rows, sliced), cap=2) == 2
+    assert sliced == [6, 12, 24]
+    assert affine_rank(*table(points)) == fraction_affine_rank(points) == 2
 
 
 def test_affine_rank_basics():
-    assert affine_rank(forms([])) == -1
+    assert affine_rank(*table([])) == -1
     p = [Fraction(1), Fraction(2)]
-    assert affine_rank(forms([p])) == 0
+    assert affine_rank(*table([p])) == 0
     q = [Fraction(3), Fraction(2)]
-    assert affine_rank(forms([p, q])) == 1
+    assert affine_rank(*table([p, q])) == 1
     # three collinear points still span a line
     r = [Fraction(5), Fraction(2)]
-    assert affine_rank(forms([p, q, r])) == 1
+    assert affine_rank(*table([p, q, r])) == 1
     s = [Fraction(1), Fraction(7)]
-    assert affine_rank(forms([p, q, s])) == 2
+    assert affine_rank(*table([p, q, s])) == 2
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=6))
 def test_affine_rank_translation_invariant(pts):
     pts = [[Fraction(x) for x in p] for p in pts]
     shifted = [[x + 17 for x in p] for p in pts]
-    assert affine_rank(forms(pts)) == affine_rank(forms(shifted))
+    assert affine_rank(*table(pts)) == affine_rank(*table(shifted))
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 9))
@@ -197,4 +241,5 @@ def _low_rank_points(draw):
 
 @given(_low_rank_points(), st.one_of(st.none(), st.integers(0, 5)))
 def test_affine_rank_matches_fraction_elimination(points, cap):
-    assert affine_rank(forms(points), cap) == fraction_affine_rank(points, cap)
+    assert (affine_rank(*table(points), cap)
+            == fraction_affine_rank(points, cap))

@@ -31,8 +31,9 @@ from ckp.cuts import (FAMILIES, enumerate_maximal_switching_packs,
 from ckp.fileio import serialize_inequality, serialize_instance
 from ckp.separation import separate_exact
 
-from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
-                      random_instance, rational_instance,
+from conftest import (family_cuts, fraction_affine_rank, itemset_weight,
+                      iter_patterns, make_instance, random_instance,
+                      rational_instance,
                       reference_candidate_vertices, reference_face_dimension,
                       reference_maximize_over_S, weight_of)
 
@@ -535,6 +536,54 @@ def test_kept_ranks_answer_as_a_fresh_enumeration():
             assert vertices._ranks == kept
             values = [lhs_at(bad, p) for p in vertices.points]
             assert err.value.witness == vertices.points[values.index(max(values))]
+    assert min(seen.values()) > 0, seen
+
+
+def test_face_dimension_is_the_fraction_rank_of_the_tight_candidates():
+    """The face dimension equals ``fraction_affine_rank`` of the tight
+    candidates as Fraction vectors, capped at d - 1 (d with no terms), on
+    rational and zero-weight draws: the empty inequalities (every
+    candidate tight, or none), rhs 0 (the origin tight), x <= 1 (a face
+    of lower dimension, so its tight set is often longer than
+    2 * (cap + 1) and the rows taken double until every one is in), the
+    family cuts and rows at, above and below a maximum.  An invalid
+    inequality raises with the first candidate of largest lhs as witness,
+    as before, and keeps no rank."""
+    rng = random.Random(5050)
+    seen = Counter()
+    for inst in _seeded_instances(24, 5151):
+        seen["rational"] += inst.units[0] > 1
+        seen["zero weight"] += any(a == 0 for row in inst.units[1] for a in row)
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        points, refs = vertices.points, list(inst.columns)
+        vectors = [[dict(p.entries).get(r, Fraction(0)) for r in refs]
+                   for p in points]
+        queries = [LinearInequality([], 0), LinearInequality([], 1),
+                   knapsack_row(inst)]
+        for ref in refs:
+            queries += [LinearInequality({ref: -1}, 0),
+                        LinearInequality({ref: 1}, 1)]
+        queries += list(_cuts_of(inst)) + list(_around_the_maximum(rng, inst))
+        for inequality in queries:
+            values = [lhs_at(inequality, p) for p in points]
+            if max(values) > inequality.rhs:
+                kept = dict(vertices._ranks)
+                with pytest.raises(PreconditionError) as err:
+                    vertices.face_dimension(inequality)
+                assert err.value.witness == points[values.index(max(values))]
+                assert str(err.value) == (
+                    "inequality is not valid (max %s > rhs %s)"
+                    % (max(values), inequality.rhs))
+                assert vertices._ranks == kept
+                seen["invalid"] += 1
+                continue
+            tight = [v for v, x in zip(vectors, values) if x == inequality.rhs]
+            cap = len(refs) - 1 if inequality.terms else len(refs)
+            expected = fraction_affine_rank(tight, cap)
+            assert vertices.face_dimension(inequality) == expected
+            seen["origin tight"] += inequality.rhs == 0 and values[0] == 0
+            seen["empty"] += not tight
+            seen["doubled"] += len(tight) > 2 * (cap + 1) and expected < cap
     assert min(seen.values()) > 0, seen
 
 
