@@ -46,14 +46,21 @@ def _print_point(point: Point, out) -> None:
               file=out)
 
 
+def _facet(dim: int, vertices) -> str:
+    """The facet verdict of a face of dimension ``dim``: a facet is a
+    non-empty face of dimension dim conv(S) - 1, and conv(S) need not be
+    d-dimensional.  When conv(S) is the origin alone (b = 0, every weight
+    positive), it has no facet: the empty face is not one."""
+    return "yes" if dim == vertices.hull_dimension - 1 >= 0 else "no"
+
+
 def _print_cut(cut, out, vertices=None) -> None:
     """The cut's block; its facet line is the builder's flag, or with
-    candidate ``vertices`` the oracle's verdict."""
+    candidate ``vertices`` the oracle's verdict (:func:`_facet`)."""
     if vertices is None:
         facet = "yes" if cut.facet_guaranteed else "unknown"
     else:
-        dim = vertices.face_dimension(cut.inequality)
-        facet = "yes" if dim == vertices.instance.dimension - 1 else "no"
+        facet = _facet(vertices.face_dimension(cut.inequality), vertices)
     print("# %s" % cut.describe(), file=out)
     print("# facet: %s" % facet, file=out)
     out.write(fileio.serialize_inequality(cut.inequality))
@@ -104,8 +111,7 @@ def _cmd_verify(args, out) -> int:
         return 0
     print("valid: yes", file=out)
     print("face-dim: %d" % dim, file=out)
-    print("facet: %s" % ("yes" if dim == instance.dimension - 1 else "no"),
-          file=out)
+    print("facet: %s" % _facet(dim, vertices), file=out)
     return 0
 
 

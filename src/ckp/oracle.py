@@ -23,26 +23,32 @@ are found in integer units, each fractional entry reduced by a gcd, and
 kept once, in walk order (the origin, then per pattern the all-ones point
 and the fractional points, last item first), as one integer table, a
 :class:`VertexSet`: a denominator per candidate and a column of ints per
-variable.  That table answers every query: a row's sparse integer form
-(a cut keeps its builder's), each ref checked by ``Instance.check_ref``,
-is summed over it a column at a time, and the first candidate of largest
-sum / den is the maximizer of ``maximize_over_S`` and the witness of an
-invalid inequality, the one ``ckp verify`` prints.  A valid inequality's
-face dimension is the affine rank of its tight candidates, taken over
-the table's own layout: ``numeric.affine_rank`` gathers the tight entries
-of the dens and of each column as short integer columns and eliminates
-those, the first 2 * (cap + 1) tight rows first.  It is kept under the
-inequality's integer form, so each distinct inequality is summed and
-ranked once.  ``ckp oracle`` reads its candidate count and its maximum off
-one enumeration.  The oracle shares no code with the node LP it checks.
+variable, every entry in [0, den] since every candidate lies in [0, 1]^d.
+
+A face-dimension query runs on packed lanes, SIMD within a register
+(Fisher and Dietz, LCPC 1998): the dens and each column are packed once,
+lazily, as one Python int with one w-bit lane per candidate, and a row's
+sparse integer form (a cut keeps its builder's) costs one big-int
+multiply-add per term.  Lane k holds B + den_k * (lhs_k - rhs), with
+B = 2^(w-1) - 1 and w the narrowest multiple of 32 that holds separate
+bounds on every lane's positive and negative parts, so no lane carries
+or borrows, for negative coefficients and a negative rhs too.  Lanes are
+little-endian 32-bit limbs, the same layout on every platform.  The row
+is valid when no lane's high bit is set; its tight candidates are the
+lanes equal to B, and its face dimension is their affine rank, taken by
+``numeric.affine_rank`` over the table's columns at those rows, and kept
+under the row's form.  The maximum of ``maximize_over_S`` and the
+witness of an invalid row, the first candidate of largest sum / den,
+keep the exact per-candidate sums.  ``ckp oracle`` reads its candidate
+count and its maximum off one enumeration.  The oracle shares no code
+with the node LP it checks.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from itertools import compress
 from math import gcd
-from operator import not_
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -152,21 +158,49 @@ def _patterns(rows, capacity, families):
             yield items + ext, units + u
 
 
+def _lane_width(positive: int, negative: int) -> int:
+    """The narrowest lane width w, a multiple of 32, whose lanes B + e
+    (B = 2^(w-1) - 1) hold every excess e in [-negative, positive]:
+    positive <= 2^(w-1) and negative <= B."""
+    bits = max((positive - 1).bit_length(), negative.bit_length()) + 1
+    return -(-bits // 32) * 32
+
+
+def _pack(values, size: int) -> int:
+    """The ints ``values``, each in [0, 2^(8 size)), as one int with one
+    ``size``-byte lane each, lane k at bits 8 size k and up: each lane is
+    written by ``struct`` in C as its 32-bit limbs, low limb first, with
+    standard sizes and little-endian order on every platform."""
+    if size > 4:
+        values = [v >> shift & 0xFFFFFFFF for v in values
+                  for shift in range(0, 8 * size, 32)]
+    return int.from_bytes(struct.pack("<%dI" % len(values), *values),
+                          "little")
+
+
 class VertexSet:
     """The candidate vertices of one instance in walk order (see the module
     docstring), stored once, as one integer table: candidate k is
     ``column[k] / dens[k]`` at each column of ``columns``, one tuple of
-    ints per entry of ``Instance.columns``.  A :class:`Point` is made from
-    it only for a maximizer or a witness, or at a read of :attr:`points`.
-    Each valid inequality's face dimension is kept, keyed by its integer
-    form ``scaled``, which is canonical and fixes the rank's cap."""
+    ints per entry of ``Instance.columns``, each entry in [0, dens[k]].
+    A :class:`Point` is made from it only for a maximizer or a witness, or
+    at a read of :attr:`points`.
 
-    __slots__ = ("instance", "dens", "columns", "_ranks")
+    Its lanes (module docstring) are packed per width at first use; the
+    exact :meth:`_sums` stay only for :meth:`maximize` and an invalid
+    row's witness.  Each valid inequality's face dimension is kept, keyed
+    by its integer form ``scaled``, which is canonical and fixes the
+    rank's cap."""
+
+    __slots__ = ("instance", "dens", "columns", "_den_max", "_packs",
+                 "_ranks")
 
     def __init__(self, instance: Instance, dens: tuple, columns: tuple):
         self.instance = instance
         self.dens = dens
         self.columns = columns
+        self._den_max = max(dens)  # bounds every entry of the table
+        self._packs = {}
         self._ranks = {}
 
     def __len__(self):
@@ -181,6 +215,17 @@ class VertexSet:
     def points(self) -> tuple:
         """Every candidate as a :class:`Point`, in walk order."""
         return tuple(map(self._point, range(len(self.dens))))
+
+    @property
+    def hull_dimension(self) -> int:
+        """dim conv(S): d when the capacity is positive (then each t e_ij,
+        t = min(1, b / a_ij) or 1 when a_ij = 0, lies in S), else the
+        number of zero weights, since with b = 0 and no weight negative S
+        is the points supported on the zero-weight slots, each slot's unit
+        vector among them."""
+        _, rows, capacity = self.instance.units
+        return (self.instance.dimension if capacity > 0
+                else sum(row.count(0) for row in rows))
 
     def _sums(self, terms, top: int) -> list:
         """Per candidate, ``den * (lhs - top)`` for the sparse integer
@@ -202,6 +247,52 @@ class VertexSet:
                 best = k
         return best
 
+    def _tight(self, terms, top: int):
+        """The candidates, in walk order, at which the row of sparse integer
+        ``terms`` (each ref checked by ``Instance.check_ref``) and rhs
+        ``top`` is tight, or None when it is violated at one: B - top *
+        dens plus each term's coefficient times its packed column, at the
+        width :func:`_lane_width` gives for the bounds P and N on every
+        candidate's excess, then one AND with the high bits and one read
+        of the lanes equal to B."""
+        positive, negative = (-top, 0) if top < 0 else (0, top)
+        for _, c in terms:
+            if c > 0:
+                positive += c
+            else:
+                negative -= c
+        # the largest den bounds every entry; max(positive, 1) keeps the
+        # dens themselves inside a lane
+        width = _lane_width(self._den_max * max(positive, 1),
+                            self._den_max * negative)
+        size, count = width // 8, len(self.dens)
+        pack = self._packs.get(width)
+        if pack is None:
+            ones = _pack([1] * count, size)
+            high = ones << (width - 1)
+            pack = self._packs[width] = (_pack(self.dens, size), high - ones,
+                                         high, [None] * len(self.columns))
+        dens, base, high, packed = pack
+        total = base - top * dens
+        check = self.instance.check_ref
+        for ref, c in terms:
+            at = check(ref)
+            column = packed[at]
+            if column is None:
+                column = packed[at] = _pack(self.columns[at], size)
+            total += c * column
+        if total & high:
+            return None
+        # every match is lane-aligned: B's bytes are 0xff but its top one,
+        # 0x7f, and no lane's top byte is 0xff
+        data = total.to_bytes(size * count, "little")
+        key = ((1 << (width - 1)) - 1).to_bytes(size, "little")
+        found, at = [], data.find(key)
+        while at >= 0:
+            found.append(at // size)
+            at = data.find(key, at + size)
+        return found
+
     def maximize(self, objective):
         """Exact maximum of a linear objective over S and its first
         maximizing candidate as a :class:`Point`."""
@@ -214,9 +305,10 @@ class VertexSet:
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
-        Each candidate's excess, its lhs less the rhs times its denominator
-        and the inequality's scale, is summed once, in integers, from the
-        form's sparse terms.  Above the rhs this raises with the first
+        The inequality's integer form is checked on the lanes
+        (:meth:`_tight`).  Violated, the exact excess of each candidate,
+        its lhs less the rhs times its denominator and the inequality's
+        scale, is summed (:meth:`_sums`) and this raises with the first
         candidate of largest excess / den, the maximizer of the lhs, as
         witness, and keeps nothing.  Otherwise the result is the affine
         rank of the tight candidates (:func:`numeric.affine_rank` over
@@ -229,8 +321,9 @@ class VertexSet:
         if rank is not None:
             return rank
         scale, top, terms = key
-        excess = self._sums(terms, top)
-        if max(excess) > 0:
+        tight = self._tight(terms, top)
+        if tight is None:
+            excess = self._sums(terms, top)
             best = self._first_max(excess)
             den = self.dens[best]
             lhs = Fraction(excess[best] + top * den, den * scale)
@@ -238,7 +331,6 @@ class VertexSet:
                 "inequality is not valid (max %s > rhs %s)"
                 % (lhs, inequality.rhs), witness=self._point(best))
         cap = self.instance.dimension - (1 if terms else 0)
-        tight = list(compress(range(len(excess)), map(not_, excess)))
         rank = self._ranks[key] = affine_rank(self.dens, self.columns,
                                               tight, cap)
         return rank

@@ -119,6 +119,36 @@ def test_verify_invalid_with_witness(files, capsys):
     assert out == "valid: no\nwitness:\nval 1 1 1\n"
 
 
+FLAT = "b 0\ngroup 1 a 0 c 1\ngroup 1 a 5 c 1"
+POINT = "b 0\ngroup 1 a 3 c 1\ngroup 1 a 5 c 1"
+FULL = "b 1\ngroup 1 a 0 c 1\ngroup 1 a 5 c 1"
+
+
+@pytest.mark.parametrize("data, inequality, expected", [
+    # b = 0: conv(S) = {(t, 0) : 0 <= t <= 1} has dimension 1 in d = 2
+    (FLAT, "rhs 1\nterm 1 1 1", "face-dim: 0\nfacet: yes"),
+    (FLAT, "rhs 0\nterm 2 1 1", "face-dim: 1\nfacet: no"),  # all of conv(S)
+    # b = 0 and every weight positive: conv(S) = {0}, which has no facet
+    (POINT, "rhs 1\nterm 1 1 1", "face-dim: -1\nfacet: no"),
+    (POINT, "rhs 0\nterm 1 1 1", "face-dim: 0\nfacet: no"),
+    # b > 0: conv(S) is full-dimensional, zero weight or not
+    (FULL, "rhs 1\nterm 1 1 1", "face-dim: 1\nfacet: yes"),
+    (FULL, "rhs 1/5\nterm 2 1 1", "face-dim: 1\nfacet: yes"),
+    (FULL, "rhs 1\nterm 2 1 1", "face-dim: -1\nfacet: no"),
+], ids=["flat-facet", "flat-all", "point-empty", "point-all", "full-facet",
+        "full-zero-weight-facet", "full-empty"])
+def test_facet_verdict_is_measured_against_dim_conv_S(tmp_path, capsys, data,
+                                                       inequality, expected):
+    """A facet is a non-empty face of dimension dim conv(S) - 1, and
+    conv(S) is d-dimensional only when b > 0 or every weight is 0."""
+    instance, row = tmp_path / "flat.ckp", tmp_path / "row.ineq"
+    instance.write_text("ckp 1\n%s\n" % data)
+    row.write_text("ineq 1\n%s\n" % inequality)
+    code, out = run(capsys, "verify", str(instance), str(row))
+    assert code == 0
+    assert out == "valid: yes\n%s\n" % expected
+
+
 def test_oracle(files, capsys):
     code, out = run(capsys, "oracle", files["ex_a.ckp"])
     assert code == 0

@@ -6,9 +6,11 @@ the two are required to agree on the fixed examples and a random corpus.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,9 @@ from conftest import (family_cuts, fraction_affine_rank, itemset_weight,
                       rational_instance,
                       reference_candidate_vertices, reference_face_dimension,
                       reference_maximize_over_S, weight_of)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import reference  # noqa: E402  (bench/reference.py imports nothing from ckp)
 
 
 # --- independent enumeration (recursion instead of itertools, own dedup) ---
@@ -590,9 +595,9 @@ def test_face_dimension_is_the_fraction_rank_of_the_tight_candidates():
 def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
         ex_c, monkeypatch):
     """Enumerating and answering valid cuts makes no Point.  Each distinct
-    inequality form is summed and ranked once: asked about again, it runs
-    neither ``_sums`` nor ``affine_rank``.  On this corpus the distinct
-    forms are also the distinct tight sets."""
+    inequality form is summed on the lanes and ranked once: asked about
+    again, it runs neither ``_tight`` nor ``affine_rank``.  On this corpus
+    the distinct forms are also the distinct tight sets."""
     made = Counter()
 
     def counting(name, function):
@@ -603,8 +608,8 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
 
     monkeypatch.setattr(oracle, "affine_rank",
                         counting("affine_rank", oracle.affine_rank))
-    monkeypatch.setattr(oracle.VertexSet, "_sums",
-                        counting("_sums", oracle.VertexSet._sums))
+    monkeypatch.setattr(oracle.VertexSet, "_tight",
+                        counting("_tight", oracle.VertexSet._tight))
     for name in ("__init__", "from_scaled"):  # both Point constructors
         monkeypatch.setattr(oracle.Point, name,
                             counting("Point", getattr(oracle.Point, name)))
@@ -619,7 +624,7 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
         distinct = len({c.scaled for c in cuts})
         made.clear()
         answers = [vertices.face_dimension(c) for c in cuts]
-        assert made["_sums"] == made["affine_rank"] == distinct
+        assert made["_tight"] == made["affine_rank"] == distinct
         queries += len(cuts)
         forms += distinct
         ranks += made["affine_rank"]
@@ -629,6 +634,151 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
         tight_sets += len({tuple(lhs_at(c, p) == c.rhs for p in vertices.points)
                            for c in cuts})
     assert ranks == forms == tight_sets < queries
+
+
+def test_hull_dimension_is_the_rank_of_every_candidate():
+    """``VertexSet.hull_dimension`` is dim conv(S), the Fraction affine
+    rank of every candidate: d when b > 0 or every weight is 0, lower
+    when b = 0 and a weight is positive."""
+    rng = random.Random(3434)
+    flat = [make_instance([(0,), (4, 0), (6, 3)], 0),
+            make_instance([(0,), (0, 0)], 0),
+            make_instance([(2, 1), (3,)], 0)]
+    seen = Counter()
+    for inst in flat + _seeded_instances(20, 3535):
+        vertices = oracle.enumerate_candidate_vertices(inst)
+        refs = list(inst.columns)
+        expected = fraction_affine_rank(
+            [dict(p.entries).get(r, Fraction(0)) for r in refs]
+            for p in vertices.points)
+        assert vertices.hull_dimension == expected
+        seen["full" if expected == inst.dimension else "flat"] += 1
+    assert seen["flat"] >= 2 and seen["full"] > 10, seen
+
+
+# --- packed lanes against the per-candidate sums ---
+
+def _edge_rows(vertices, width):
+    """Rows ``(terms, top)`` whose lane bound sits just under (or at) and
+    just over the limit of ``width``, each with the width it needs, at a
+    ref where the candidate of largest den D is at 1, so a lane reaches
+    the bound: c x <= 0 with D c at most 2^(w-1) (the positive part), and
+    c x <= c, -c x <= 0 and -c x <= -1 (a negative rhs) with D c at most
+    2^(w-1) - 1 (the negative part), then each with c + 1.  Empty without
+    such a ref."""
+    top = max(vertices.dens)
+    k = vertices.dens.index(top)
+    at = next((at for at, column in enumerate(vertices.columns)
+               if column[k] == top), None)
+    if at is None:
+        return []
+    ref, half = list(vertices.instance.columns)[at], 1 << (width - 1)
+    rows = []
+    for c, need in ((half // top, width), (half // top + 1, width + 32)):
+        rows.append(((((ref, c),), 0), need))
+    for c, need in (((half - 1) // top, width),
+                    ((half - 1) // top + 1, width + 32)):
+        rows += [((((ref, c),), c), need), ((((ref, -c),), 0), need),
+                 ((((ref, -c),), -1), need)]
+    return rows
+
+
+def _lane_rows(rng, inst, vertices, width):
+    """The empty rows with rhs 0 and 1 (every candidate tight, or none),
+    random rows of scale 1 with coefficients up to about 2^(w-2) / D,
+    negative ones among them, each with its rhs at its maximum over the
+    candidates (a valid row with a non-empty face), one above, one below
+    and one negative; then the edge rows of ``width``."""
+    refs = list(inst.columns)
+    big = max(1, (1 << (width - 2)) // (max(vertices.dens) * len(refs)))
+    rows = [((), 0), ((), 1)]
+    for _ in range(3):
+        terms = tuple(sorted(
+            (r, rng.choice((-1, 1, 1)) * rng.randint(1, big))
+            for r in rng.sample(refs, rng.randint(1, len(refs)))))
+        coeffs = dict(terms)
+        top = max(Fraction(sum(coeffs.get(r, 0) * x for r, x in p.entries))
+                  for p in vertices.points)
+        bound = top.numerator // top.denominator  # at the maximum or below
+        rows += [(terms, bound), (terms, bound + 1), (terms, bound - 1),
+                 (terms, -rng.randint(1, big))]
+    return rows + [row for row, _ in _edge_rows(vertices, width)]
+
+
+@pytest.mark.parametrize("forced", [None, 32, 64, 96, 192])
+def test_lanes_answer_as_the_per_candidate_sums(monkeypatch, forced):
+    """On rational and zero-weight draws, the lanes give the validity
+    verdict and the tight set of the exact per-candidate sums (``_sums``),
+    and the face dimension and witness follow: the face dimension is
+    ``fraction_affine_rank`` of the tight candidates and
+    ``reference.face_dimension`` over the instance's integer units, each
+    capped as the oracle caps it, and an invalid row's witness is the
+    first candidate of largest lhs.  Rows have negative coefficients and
+    negative rhs, and bounds just under and just over each width's limit.
+    With ``forced`` the width is at least that, so lanes of 32, 64, 96
+    and 192 bits all run; without, the width is the narrowest the bound
+    allows, and the edge rows land on each side of it."""
+    natural = oracle._lane_width
+    if forced is not None:
+        monkeypatch.setattr(oracle, "_lane_width",
+                            lambda p, n: max(forced, natural(p, n)))
+    widths = (32, 64, 96) if forced is None else (forced,)
+    rng = random.Random(7171 + (forced or 0))
+    seen = Counter()
+    # the last instance has a den above 2^40, wider than any row's lane
+    # bound would need for the empty row
+    huge = make_instance([((1 << 40) + 1,), (3,)], 1 << 39)
+    for inst in _seeded_instances(12, 7272) + [huge]:
+        seen["rational"] += inst.units[0] > 1
+        seen["zero weight"] += any(a == 0 for row in inst.units[1] for a in row)
+        refs = list(inst.columns)
+        _, rows_units, capacity = inst.units
+        weights = [tuple(row) for row in rows_units]
+        points = reference.candidate_points(weights, capacity)
+        for width in widths:
+            vertices = oracle.enumerate_candidate_vertices(inst)
+            candidates = vertices.points
+            vectors = [[dict(p.entries).get(r, Fraction(0)) for r in refs]
+                       for p in candidates]
+            edges = dict(_edge_rows(vertices, width))
+            for terms, top in _lane_rows(rng, inst, vertices, width):
+                inequality = LinearInequality.from_scaled(1, top, terms)
+                assert inequality.scaled == (1, top, terms)
+                excess = vertices._sums(terms, top)
+                tight = vertices._tight(terms, top)
+                values = [lhs_at(inequality, p) for p in candidates]
+                if max(excess) > 0:
+                    assert tight is None
+                    with pytest.raises(PreconditionError) as err:
+                        vertices.face_dimension(inequality)
+                    assert err.value.witness == candidates[
+                        values.index(max(values))]
+                    seen["invalid"] += 1
+                    seen["negative rhs"] += top < 0
+                else:
+                    assert tight == [k for k, e in enumerate(excess) if not e]
+                    assert tight == [k for k, x in enumerate(values)
+                                     if x == top]
+                    cap = inst.dimension - (1 if terms else 0)
+                    expected = fraction_affine_rank(
+                        [vectors[k] for k in tight], cap)
+                    assert vertices.face_dimension(inequality) == expected
+                    assert expected == min(cap, reference.face_dimension(
+                        weights, points, dict(terms), Fraction(top)))
+                    seen["valid"] += 1
+                    seen["negative coefficient"] += any(c < 0
+                                                        for _, c in terms)
+                if forced is None and (terms, top) in edges:
+                    # a fresh table packs only the width this row needs
+                    fresh = oracle.enumerate_candidate_vertices(inst)
+                    fresh._tight(terms, top)
+                    assert set(fresh._packs) == {edges[terms, top]}
+                    seen["edge %d" % edges[terms, top]] += 1
+            if forced is not None and inst is not huge:
+                assert min(vertices._packs) == forced  # the forced width ran
+    assert min(seen.values()) > 0, seen
+    if forced is None:  # edge rows on each side of 32, 64 and 96
+        assert {"edge 32", "edge 64", "edge 96", "edge 128"} <= set(seen)
 
 
 # --- enumeration guard ---

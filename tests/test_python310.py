@@ -105,6 +105,27 @@ with open(bad, "w", encoding="utf-8") as handle:
     handle.write(serialize_inequality(
         LinearInequality({VarRef(4, 1): 1, VarRef(5, 1): 1}, 1)))
 print("exit", cli.main(["verify", path, bad]))
+
+# packed lanes: rows with negative coefficients, one valid and one whose
+# negative rhs the origin breaks, and a cut listing on weights near 10^7,
+# whose lanes are 64, 96 and 128 bits wide
+for terms, rhs in (({VarRef(1, 1): 1, VarRef(2, 1): -1, VarRef(3, 2): 3}, 4),
+                   ({VarRef(3, 1): -2, VarRef(4, 1): -1}, -1)):
+    with open(bad, "w", encoding="utf-8") as handle:
+        handle.write(serialize_inequality(LinearInequality(terms, rhs)))
+    print("exit", cli.main(["verify", path, bad]))
+E = 10 ** 6
+wide = Instance.build(same((E + 1,), (6 * E + 1,), (14 * E + 3, 10 * E + 7),
+                           (13 * E + 1, 9 * E), (12 * E + 5, 8 * E + 3)),
+                      36 * E + 11)
+wide_path = os.path.join(sys.argv[1], "wide.ckp")
+with open(wide_path, "w", encoding="utf-8") as handle:
+    handle.write(serialize_instance(wide))
+print("exit", cli.main(["cuts", wide_path, "--family", "all", "--verify"]))
+vertices = oracle.enumerate_candidate_vertices(wide)
+for cut in cuts.theorem_cuts(wide, cuts.FAMILIES, None):
+    vertices.face_dimension(cut.inequality)
+print(sorted(vertices._packs))
 """
 
 
@@ -133,6 +154,7 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
     assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut
+    assert expected.endswith("exit 0\n[64, 96, 128]\n")  # three widths
     # the pickled copies, made before and after the first read, agree
     assert expected.count("]\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6, 1))"
                           " True\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6,"
