@@ -463,13 +463,19 @@ def weight_units(instance: Instance, point):
     return total, point_scale
 
 
-def profit_of(instance: Instance, point) -> Fraction:
-    """Exact profit of ``point`` (anything with an integer form ``scaled``),
-    summed in :attr:`Instance.profit_units`, every reference checked."""
+def profit_units_at(instance: Instance, point):
+    """``(total, den)``: the profit of ``point`` (anything with an integer
+    form ``scaled``) is total / den, summed in :attr:`Instance.profit_units`
+    with every reference checked."""
     scale, costs = instance.profit_units
     point_scale, entries = point.scaled
-    total = sum(costs[instance.check_ref(ref)] * x for ref, x in entries)
-    return Fraction(total, scale * point_scale)
+    return (sum(costs[instance.check_ref(ref)] * x for ref, x in entries),
+            scale * point_scale)
+
+
+def profit_of(instance: Instance, point) -> Fraction:
+    """Exact profit of ``point``: :func:`profit_units_at` as a Fraction."""
+    return Fraction(*profit_units_at(instance, point))
 
 
 def complementarity_violations(point):

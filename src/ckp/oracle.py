@@ -25,21 +25,23 @@ and the fractional points, last item first), as one integer table, a
 :class:`VertexSet`: a denominator per candidate and a column of ints per
 variable, every entry in [0, den] since every candidate lies in [0, 1]^d.
 
-A face-dimension query runs on packed lanes, SIMD within a register
-(Fisher and Dietz, LCPC 1998): the dens and each column are packed once,
-lazily, as one Python int with one w-bit lane per candidate, and a row's
-sparse integer form (a cut keeps its builder's) costs one big-int
-multiply-add per term.  Lane k holds B + den_k * (lhs_k - rhs), with
-B = 2^(w-1) - 1 and w the narrowest multiple of 32 that holds separate
-bounds on every lane's positive and negative parts, so no lane carries
-or borrows, for negative coefficients and a negative rhs too.  Lanes are
-little-endian 32-bit limbs, the same layout on every platform.  The row
-is valid when no lane's high bit is set; its tight candidates are the
-lanes equal to B, and its face dimension is their affine rank, taken by
-``numeric.affine_rank`` over the table's columns at those rows, and kept
-under the row's form.  The maximum of ``maximize_over_S`` and the
-witness of an invalid row, the first candidate of largest sum / den,
-keep the exact per-candidate sums.  ``ckp oracle`` reads its candidate
+Every query runs on packed lanes, SIMD within a register (Fisher and
+Dietz, LCPC 1998): the dens and each column are packed once, lazily, as
+one Python int with one w-bit lane per candidate, and a row's sparse
+integer form (a cut keeps its builder's, an objective has rhs 0) costs one
+big-int multiply-add per term.  Lane k holds B + den_k * (lhs_k - rhs),
+with B = 2^(w-1) - 1 and w the narrowest multiple of 32 that holds
+separate bounds on every lane's positive and negative parts, so no lane
+carries or borrows, for negative coefficients and a negative rhs too.
+Lanes are little-endian 32-bit limbs, the same layout on every platform.
+A query sums its row once and reads those lanes, as bytes, in one of two
+ways.  The row is valid when no lane's high bit is set; its tight
+candidates are the lanes equal to B, and its face dimension is their
+affine rank, taken by ``numeric.affine_rank`` over the table's columns at
+those rows, and kept under the row's form.  The maximum of
+``maximize_over_S`` and the witness of an invalid row, the first
+candidate of largest excess / den, read each lane less B, the exact
+excess, since the width bounds it.  ``ckp oracle`` reads its candidate
 count and its maximum off one enumeration.  The oracle shares no code
 with the node LP it checks.
 """
@@ -186,11 +188,11 @@ class VertexSet:
     A :class:`Point` is made from it only for a maximizer or a witness, or
     at a read of :attr:`points`.
 
-    Its lanes (module docstring) are packed per width at first use; the
-    exact :meth:`_sums` stay only for :meth:`maximize` and an invalid
-    row's witness.  Each valid inequality's face dimension is kept, keyed
-    by its integer form ``scaled``, which is canonical and fixes the
-    rank's cap."""
+    Its lanes (module docstring) are packed per width at first use, and
+    each query sums its row on them once (:meth:`_lanes`), read as the
+    tight set or as exact excesses.  Each valid inequality's face
+    dimension is kept, keyed by its integer form ``scaled``, which is
+    canonical and fixes the rank's cap."""
 
     __slots__ = ("instance", "dens", "columns", "_den_max", "_packs",
                  "_ranks")
@@ -227,34 +229,26 @@ class VertexSet:
         return (self.instance.dimension if capacity > 0
                 else sum(row.count(0) for row in rows))
 
-    def _sums(self, terms, top: int) -> list:
-        """Per candidate, ``den * (lhs - top)`` for the sparse integer
-        ``terms`` ``(ref, c)`` of a row (each ref checked by
-        ``Instance.check_ref``): from the start vector ``-top * den``,
-        summed in integers a column at a time."""
-        columns, check = self.columns, self.instance.check_ref
-        sums = [-top * den for den in self.dens]
-        for ref, c in terms:
-            sums = [s + c * x for s, x in zip(sums, columns[check(ref)])]
-        return sums
-
-    def _first_max(self, sums) -> int:
-        """The first candidate in walk order of largest sum / den, the
+    def _first_max(self, data: bytes, size: int):
+        """``(k, e)``: the first candidate k in walk order of largest e /
+        den, e its lane of :meth:`_lanes` less B, the exact excess; the
         oracle's one tie rule."""
+        bias = (1 << (8 * size - 1)) - 1
+        excess = [int.from_bytes(data[at:at + size], "little") - bias
+                  for at in range(0, len(data), size)]
         dens, best = self.dens, 0
         for k, den in enumerate(dens):
-            if sums[k] * dens[best] > sums[best] * den:
+            if excess[k] * dens[best] > excess[best] * den:
                 best = k
-        return best
+        return best, excess[best]
 
-    def _tight(self, terms, top: int):
-        """The candidates, in walk order, at which the row of sparse integer
-        ``terms`` (each ref checked by ``Instance.check_ref``) and rhs
-        ``top`` is tight, or None when it is violated at one: B - top *
-        dens plus each term's coefficient times its packed column, at the
+    def _lanes(self, terms, top: int):
+        """``(data, size)``: the lanes of the row of sparse integer ``terms``
+        (each ref checked by ``Instance.check_ref``) and rhs ``top`` as
+        little-endian bytes, ``size`` bytes a lane: B - top * dens plus
+        each term's coefficient times its packed column, summed once at the
         width :func:`_lane_width` gives for the bounds P and N on every
-        candidate's excess, then one AND with the high bits and one read
-        of the lanes equal to B."""
+        candidate's excess."""
         positive, negative = (-top, 0) if top < 0 else (0, top)
         for _, c in terms:
             if c > 0:
@@ -269,11 +263,11 @@ class VertexSet:
         pack = self._packs.get(width)
         if pack is None:
             ones = _pack([1] * count, size)
-            high = ones << (width - 1)
-            pack = self._packs[width] = (_pack(self.dens, size), high - ones,
-                                         high, [None] * len(self.columns))
-        dens, base, high, packed = pack
-        total = base - top * dens
+            pack = self._packs[width] = (_pack(self.dens, size),
+                                         (ones << (width - 1)) - ones,
+                                         [None] * len(self.columns))
+        dens, total, packed = pack
+        total -= top * dens
         check = self.instance.check_ref
         for ref, c in terms:
             at = check(ref)
@@ -281,55 +275,49 @@ class VertexSet:
             if column is None:
                 column = packed[at] = _pack(self.columns[at], size)
             total += c * column
-        if total & high:
-            return None
-        # every match is lane-aligned: B's bytes are 0xff but its top one,
-        # 0x7f, and no lane's top byte is 0xff
-        data = total.to_bytes(size * count, "little")
-        key = ((1 << (width - 1)) - 1).to_bytes(size, "little")
-        found, at = [], data.find(key)
-        while at >= 0:
-            found.append(at // size)
-            at = data.find(key, at + size)
-        return found
+        return total.to_bytes(size * count, "little"), size
 
     def maximize(self, objective):
         """Exact maximum of a linear objective over S and its first
         maximizing candidate as a :class:`Point`."""
         scale, _, terms = LinearInequality(
             clean_terms(objective, self.instance), 0).scaled
-        sums = self._sums(terms, 0)
-        k = self._first_max(sums)
-        return Fraction(sums[k], self.dens[k] * scale), self._point(k)
+        k, excess = self._first_max(*self._lanes(terms, 0))
+        return Fraction(excess, self.dens[k] * scale), self._point(k)
 
     def face_dimension(self, inequality: LinearInequality) -> int:
         """Dimension of the face the (valid) inequality induces; -1 if empty.
 
-        The inequality's integer form is checked on the lanes
-        (:meth:`_tight`).  Violated, the exact excess of each candidate,
-        its lhs less the rhs times its denominator and the inequality's
-        scale, is summed (:meth:`_sums`) and this raises with the first
-        candidate of largest excess / den, the maximizer of the lhs, as
-        witness, and keeps nothing.  Otherwise the result is the affine
-        rank of the tight candidates (:func:`numeric.affine_rank` over
-        the table's columns at the tight rows), capped at d - 1, or d for
-        an inequality without terms, and kept under the inequality's form,
-        so a repeated inequality costs one lookup.
+        The inequality's integer form is summed once, on the lanes
+        (:meth:`_lanes`).  Violated, when a lane's high bit is set, this
+        raises with the first candidate of largest excess / den, the
+        maximizer of the lhs, as witness, and keeps nothing.  Otherwise
+        the result is the affine rank of the tight candidates, the lanes
+        equal to B (:func:`numeric.affine_rank` over the table's columns
+        at the tight rows), capped at d - 1, or d for an inequality
+        without terms, and kept under the inequality's form, so a
+        repeated inequality costs one lookup.
         """
         key = inequality.scaled
         rank = self._ranks.get(key)
         if rank is not None:
             return rank
         scale, top, terms = key
-        tight = self._tight(terms, top)
-        if tight is None:
-            excess = self._sums(terms, top)
-            best = self._first_max(excess)
+        data, size = self._lanes(terms, top)
+        if not data[size - 1::size].isascii():  # a lane's top byte >= 0x80
+            best, excess = self._first_max(data, size)
             den = self.dens[best]
-            lhs = Fraction(excess[best] + top * den, den * scale)
+            lhs = Fraction(excess + top * den, den * scale)
             raise PreconditionError(
                 "inequality is not valid (max %s > rhs %s)"
                 % (lhs, inequality.rhs), witness=self._point(best))
+        # every match is lane-aligned: B's bytes are 0xff but its top one,
+        # 0x7f, and no lane's top byte is 0xff
+        bias = ((1 << (8 * size - 1)) - 1).to_bytes(size, "little")
+        tight, at = [], data.find(bias)
+        while at >= 0:
+            tight.append(at // size)
+            at = data.find(bias, at + size)
         cap = self.instance.dimension - (1 if terms else 0)
         rank = self._ranks[key] = affine_rank(self.dens, self.columns,
                                               tight, cap)

@@ -43,7 +43,8 @@ from typing import NamedTuple, Optional
 
 from .cuts import FAMILIES, resolve_families
 from .errors import CkpError, ResourceLimitError, ValidationError
-from .model import Instance, Point, complementarity_violations, is_feasible
+from .model import (Instance, Point, complementarity_violations, is_feasible,
+                    profit_units_at)
 from .numeric import require_integer
 from .oracle import resolve_enum_limit
 from .separation import separate_exact, separate_greedy
@@ -108,13 +109,12 @@ class SolveReport(NamedTuple):
 def _check_incumbent(instance: Instance, point: Point, num: int,
                      den: int) -> None:
     """``point`` lies in S and earns num / den, its profit summed in
-    :attr:`Instance.profit_units` and compared by cross-multiplication."""
+    :attr:`Instance.profit_units` (``model.profit_units_at``) and compared
+    by cross-multiplication."""
     if not is_feasible(instance, point):
         raise CkpError("incumbent point is not feasible")
-    scale, costs = instance.profit_units
-    point_scale, entries = point.scaled
-    total = sum(costs[instance.check_ref(ref)] * x for ref, x in entries)
-    if total * den != num * scale * point_scale:
+    total, profit_den = profit_units_at(instance, point)
+    if total * den != num * profit_den:
         raise CkpError("incumbent profit differs from the reported value")
 
 

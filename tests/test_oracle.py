@@ -26,7 +26,7 @@ from ckp.model import (
     profit_of,
 )
 from ckp import oracle
-from ckp.numeric import format_rational
+from ckp.numeric import affine_rank, format_rational
 from ckp.cli import main
 from ckp.cuts import (FAMILIES, enumerate_maximal_switching_packs,
                       family_members)
@@ -596,8 +596,10 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
         ex_c, monkeypatch):
     """Enumerating and answering valid cuts makes no Point.  Each distinct
     inequality form is summed on the lanes and ranked once: asked about
-    again, it runs neither ``_tight`` nor ``affine_rank``.  On this corpus
-    the distinct forms are also the distinct tight sets."""
+    again, it runs neither ``_lanes`` nor ``affine_rank``.  An invalid
+    row, its witness included, and a maximum each sum their row on the
+    lanes once too, and rank nothing.  On this corpus the distinct forms
+    are also the distinct tight sets."""
     made = Counter()
 
     def counting(name, function):
@@ -608,8 +610,8 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
 
     monkeypatch.setattr(oracle, "affine_rank",
                         counting("affine_rank", oracle.affine_rank))
-    monkeypatch.setattr(oracle.VertexSet, "_tight",
-                        counting("_tight", oracle.VertexSet._tight))
+    monkeypatch.setattr(oracle.VertexSet, "_lanes",
+                        counting("_lanes", oracle.VertexSet._lanes))
     for name in ("__init__", "from_scaled"):  # both Point constructors
         monkeypatch.setattr(oracle.Point, name,
                             counting("Point", getattr(oracle.Point, name)))
@@ -617,23 +619,38 @@ def test_face_dimension_makes_no_point_and_ranks_each_tight_set_once(
     for inequality in _cuts_of(ex_c):
         vertices.face_dimension(inequality)
     assert made["Point"] == 0
-    queries = forms = tight_sets = ranks = 0
+    queries = forms = tight_sets = ranks = invalid = 0
     for inst in _seeded_instances(30, 2727):
         vertices = oracle.enumerate_candidate_vertices(inst)
         cuts = list(_cuts_of(inst))
         distinct = len({c.scaled for c in cuts})
         made.clear()
         answers = [vertices.face_dimension(c) for c in cuts]
-        assert made["_tight"] == made["affine_rank"] == distinct
+        assert made["_lanes"] == made["affine_rank"] == distinct
         queries += len(cuts)
         forms += distinct
         ranks += made["affine_rank"]
         made.clear()
         assert [vertices.face_dimension(c) for c in cuts] == answers
         assert made == {}  # every repeat is one lookup
+        for cut, answer in zip(cuts, answers):
+            if answer < 0:
+                continue
+            # the face is non-empty, so the max is the rhs: one below it
+            # is violated, and its witness comes off the same lane sum
+            made.clear()
+            with pytest.raises(PreconditionError):
+                vertices.face_dimension(LinearInequality(cut.terms,
+                                                         cut.rhs - 1))
+            assert made["_lanes"] == 1 and made["affine_rank"] == 0
+            made.clear()
+            assert vertices.maximize(dict(cut.terms))[0] == cut.rhs
+            assert made["_lanes"] == 1 and made["affine_rank"] == 0
+            invalid += 1
         tight_sets += len({tuple(lhs_at(c, p) == c.rhs for p in vertices.points)
                            for c in cuts})
     assert ranks == forms == tight_sets < queries
+    assert invalid > 0
 
 
 def test_hull_dimension_is_the_rank_of_every_candidate():
@@ -707,21 +724,31 @@ def _lane_rows(rng, inst, vertices, width):
 
 @pytest.mark.parametrize("forced", [None, 32, 64, 96, 192])
 def test_lanes_answer_as_the_per_candidate_sums(monkeypatch, forced):
-    """On rational and zero-weight draws, the lanes give the validity
-    verdict and the tight set of the exact per-candidate sums (``_sums``),
+    """On rational and zero-weight draws, each lane less B is the exact
+    excess den * (lhs - rhs) of its candidate, taken with ``lhs_at`` in
+    Fractions, and the validity verdict, the tight set (the rows ranked)
     and the face dimension and witness follow: the face dimension is
     ``fraction_affine_rank`` of the tight candidates and
     ``reference.face_dimension`` over the instance's integer units, each
     capped as the oracle caps it, and an invalid row's witness is the
-    first candidate of largest lhs.  Rows have negative coefficients and
-    negative rhs, and bounds just under and just over each width's limit.
-    With ``forced`` the width is at least that, so lanes of 32, 64, 96
-    and 192 bits all run; without, the width is the narrowest the bound
-    allows, and the edge rows land on each side of it."""
+    first candidate of largest lhs.  ``maximize`` on each row's terms
+    gives the largest lhs and its first candidate.  Rows have negative
+    coefficients and negative rhs, and bounds just under and just over
+    each width's limit.  With ``forced`` the width is at least that, so
+    lanes of 32, 64, 96 and 192 bits all run; without, the width is the
+    narrowest the bound allows, and the edge rows land on each side of
+    it."""
     natural = oracle._lane_width
     if forced is not None:
         monkeypatch.setattr(oracle, "_lane_width",
                             lambda p, n: max(forced, natural(p, n)))
+    ranked = []
+
+    def recording(dens, columns, rows, cap):
+        ranked.append(rows)
+        return affine_rank(dens, columns, rows, cap)
+
+    monkeypatch.setattr(oracle, "affine_rank", recording)
     widths = (32, 64, 96) if forced is None else (forced,)
     rng = random.Random(7171 + (forced or 0))
     seen = Counter()
@@ -744,25 +771,30 @@ def test_lanes_answer_as_the_per_candidate_sums(monkeypatch, forced):
             for terms, top in _lane_rows(rng, inst, vertices, width):
                 inequality = LinearInequality.from_scaled(1, top, terms)
                 assert inequality.scaled == (1, top, terms)
-                excess = vertices._sums(terms, top)
-                tight = vertices._tight(terms, top)
                 values = [lhs_at(inequality, p) for p in candidates]
-                if max(excess) > 0:
-                    assert tight is None
+                data, size = vertices._lanes(terms, top)
+                bias = (1 << (8 * size - 1)) - 1  # B
+                assert [int.from_bytes(data[at:at + size], "little") - bias
+                        for at in range(0, len(data), size)] == [
+                    den * (x - top) for den, x in zip(vertices.dens, values)]
+                first = values.index(max(values))
+                assert vertices.maximize(dict(terms)) == (values[first],
+                                                          candidates[first])
+                ranked.clear()
+                if values[first] > top:
                     with pytest.raises(PreconditionError) as err:
                         vertices.face_dimension(inequality)
-                    assert err.value.witness == candidates[
-                        values.index(max(values))]
+                    assert err.value.witness == candidates[first]
+                    assert ranked == []
                     seen["invalid"] += 1
                     seen["negative rhs"] += top < 0
                 else:
-                    assert tight == [k for k, e in enumerate(excess) if not e]
-                    assert tight == [k for k, x in enumerate(values)
-                                     if x == top]
                     cap = inst.dimension - (1 if terms else 0)
+                    tight = [k for k, x in enumerate(values) if x == top]
                     expected = fraction_affine_rank(
                         [vectors[k] for k in tight], cap)
                     assert vertices.face_dimension(inequality) == expected
+                    assert ranked == [tight]
                     assert expected == min(cap, reference.face_dimension(
                         weights, points, dict(terms), Fraction(top)))
                     seen["valid"] += 1
@@ -771,7 +803,7 @@ def test_lanes_answer_as_the_per_candidate_sums(monkeypatch, forced):
                 if forced is None and (terms, top) in edges:
                     # a fresh table packs only the width this row needs
                     fresh = oracle.enumerate_candidate_vertices(inst)
-                    fresh._tight(terms, top)
+                    assert 8 * fresh._lanes(terms, top)[1] == edges[terms, top]
                     assert set(fresh._packs) == {edges[terms, top]}
                     seen["edge %d" % edges[terms, top]] += 1
             if forced is not None and inst is not huge:

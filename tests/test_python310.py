@@ -126,6 +126,15 @@ vertices = oracle.enumerate_candidate_vertices(wide)
 for cut in cuts.theorem_cuts(wide, cuts.FAMILIES, None):
     vertices.face_dimension(cut.inequality)
 print(sorted(vertices._packs))
+# the lanes read as exact excesses: the maximum of ``ckp oracle`` on 64-bit
+# lanes, and the witness of an invalid row, a negative coefficient among
+# its terms, on 96-bit lanes
+print("exit", cli.main(["oracle", wide_path]))
+with open(bad, "w", encoding="utf-8") as handle:
+    handle.write(serialize_inequality(LinearInequality(
+        {VarRef(2, 1): -(6 * E * E + 1), VarRef(3, 1): 14 * E * E + 3,
+         VarRef(4, 1): 13 * E * E + 1}, 20 * E * E)))
+print("exit", cli.main(["verify", wide_path, bad]))
 """
 
 
@@ -154,7 +163,11 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
     assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut
-    assert expected.endswith("exit 0\n[64, 96, 128]\n")  # three widths
+    assert "exit 0\n[64, 96, 128]\n" in expected  # three widths
+    assert expected.endswith(  # the maximum and the witness off the lanes
+        "candidates: 154\nvalue: 36000011\npoint:\nval 3 1 1\nval 4 1 1\n"
+        "val 5 1 9000007/12000005\nexit 0\nvalid: no\nwitness:\n"
+        "val 3 1 1\nval 4 1 1\nexit 0\n")
     # the pickled copies, made before and after the first read, agree
     assert expected.count("]\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6, 1))"
                           " True\nTrue (12, ((42, 24), (27,)), 44) (6, (10, 6,"
