@@ -54,16 +54,18 @@ def _facet(dim: int, vertices) -> str:
     return "yes" if dim == vertices.hull_dimension - 1 >= 0 else "no"
 
 
-def _print_cut(cut, out, vertices=None) -> None:
-    """The cut's block; its facet line is the builder's flag, or with
-    candidate ``vertices`` the oracle's verdict (:func:`_facet`)."""
+def _print_cut(cut, out, vertices=None, text=None) -> None:
+    """The cut's block, in one write; its facet line is the builder's
+    flag, or with candidate ``vertices`` the oracle's verdict
+    (:func:`_facet`).  ``text`` is the inequality's serialization when the
+    caller has it already."""
     if vertices is None:
         facet = "yes" if cut.facet_guaranteed else "unknown"
     else:
         facet = _facet(vertices.face_dimension(cut.inequality), vertices)
-    print("# %s" % cut.describe(), file=out)
-    print("# facet: %s" % facet, file=out)
-    out.write(fileio.serialize_inequality(cut.inequality))
+    if text is None:
+        text = fileio.serialize_inequality(cut.inequality)
+    out.write("# %s\n# facet: %s\n%s" % (cut.describe(), facet, text))
 
 
 def _cmd_check(args, out) -> int:
@@ -119,16 +121,21 @@ def _cmd_cuts(args, out) -> int:
     instance = _load_instance(args.instance)
     families = cuts_mod.resolve_families(args.family)
     vertices = None  # enumerated once, at the first cut to verify
+    texts = {}  # integer form -> text, so a repeat is not serialized again
     first = True
     for cut in cuts_mod.theorem_cuts(instance, families,
                                      args.enumerate_limit):
         if not first:
-            print(file=out)
+            out.write("\n")
         first = False
         if args.verify and vertices is None:
             vertices = oracle.enumerate_candidate_vertices(
                 instance, args.enumerate_limit)
-        _print_cut(cut, out, vertices)
+        form = cut.inequality.scaled
+        text = texts.get(form)
+        if text is None:
+            text = texts[form] = fileio.serialize_inequality(cut.inequality)
+        _print_cut(cut, out, vertices, text)
     if first:
         print("# no cuts", file=out)
     return 0

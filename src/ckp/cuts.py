@@ -40,9 +40,10 @@ coefficients and ``rhs`` are the cut's times scale * den.  One
 slots for a builder, over the point's entries alone for a score.  There
 is one form for the three pack families, one for ``lcover1`` and one for
 ``lcover2``.  A builder tests its preconditions in those units and ends
-in :func:`member_cut`, which keeps the form as its cut's integer form
-(``LinearInequality.from_scaled``), read as it is by the oracle, the node
-LP's pool and separation's check.
+in :func:`member_cut`, which keeps the form as its cut's integer form,
+read as it is by the oracle, the node LP's pool and separation's check.
+Made here of the instance's ints and VarRefs, it needs none of the checks
+of ``LinearInequality.from_scaled``: ``from_scaled_unchecked`` takes it.
 
 Which members an item set gives depends on the weights and the capacity
 alone, so the member list is instance data: :func:`family_members` reads
@@ -265,12 +266,12 @@ def rule_terms(rule, row, entries) -> list:
 
 def _inequality(scale, rows, form) -> LinearInequality:
     """The LinearInequality that keeps an integer form (over scale * den),
-    each rule evaluated once, over all its group's slots with X = 1, in
-    the form's order; the refs through tuple.__new__, not VarRef's
-    Python-level constructor."""
+    taken in unchecked (see the module docstring), each rule evaluated
+    once, over all its group's slots with X = 1, in the form's order; the
+    refs through tuple.__new__, not VarRef's Python-level constructor."""
     den, rhs, rules = form
     new = tuple.__new__
-    return LinearInequality.from_scaled(scale * den, rhs, [
+    return LinearInequality.from_scaled_unchecked(scale * den, rhs, [
         (new(VarRef, (i, j)), c) for i, rule in rules.items()
         for j, c in enumerate(rule_terms(rule, rows[i - 1], enumerate(
             repeat(1, len(rows[i - 1])), start=1)), start=1) if c])
@@ -469,12 +470,14 @@ def enumerate_maximal_switching_packs(instance: Instance,
     guard counts all 2^m subsets."""
     guard_enumeration(2 ** instance.m, "subset space 2^%d" % instance.m, limit)
     _, units, capacity = instance.normalized_units()
+    new = tuple.__new__  # the refs not through VarRef's Python constructor
     out, stack = [], [((), capacity)]  # (subset, slack); children last-first
     while stack:
         subset, slack = stack.pop()
         tails = [units[i - 1] for i in subset]
         if subset and is_switching(tails, slack):
-            out.append(tuple(VarRef(i, len(u)) for i, u in zip(subset, tails)))
+            out.append(tuple(new(VarRef, (i, len(u)))
+                             for i, u in zip(subset, tails)))
         for i in range(instance.m, subset[-1] if subset else 0, -1):
             if slack > units[i - 1][-1]:
                 stack.append((subset + (i,), slack - units[i - 1][-1]))

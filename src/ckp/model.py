@@ -29,9 +29,10 @@ Conventions used everywhere:
   of point may be passed, and sum and count in integers,
 * an inequality's integer form is ``scaled = (U, R, ((VarRef, C),
   ...))``, each C nonzero: coefficients C / U, rhs R / U.  It is all that
-  a :class:`LinearInequality` stores, as for a point, and the cut
-  builders make it; :func:`lhs_at` and :meth:`Instance.integer_row`, the
-  one dense fill of a row, read it,
+  a :class:`LinearInequality` stores, as for a point.  The cut builders
+  make it and take it in unchecked (``from_scaled_unchecked``), every
+  other caller through the checks of ``from_scaled``; :func:`lhs_at` and
+  :meth:`Instance.integer_row`, the one dense fill of a row, read it,
 * both forms are canonical, their scale and ints of gcd 1 (``from_scaled``
   reduces what it takes in), so equality and hashing, which read the
   form, are equality by value.
@@ -307,12 +308,12 @@ class Instance:
         return self.units
 
 
-def _reduced_form(head, terms, top, what):
-    """``(head, terms)``: an integer form's leading ints and its sparse
-    terms, checked (each ref an exact VarRef of ints, the refs strictly
-    increasing, each value a nonzero int, in (0, top] unless top is None;
-    else ``ValidationError``: not ``what``) and divided by their gcd."""
-    terms, last, common = tuple(terms), (), gcd(*head)  # () sorts first
+def _checked_terms(terms, top, what) -> tuple:
+    """An integer form's sparse terms as a tuple, checked: each ref an
+    exact VarRef of ints, the refs strictly increasing, each value a
+    nonzero int, in (0, top] unless top is None; else ``ValidationError``:
+    not ``what``."""
+    terms, last = tuple(terms), ()  # () sorts first
     for ref, v in terms:
         if (type(ref) is not VarRef or type(ref.group) is not int
                 or type(ref.slot) is not int or type(v) is not int or not v
@@ -320,17 +321,24 @@ def _reduced_form(head, terms, top, what):
             raise ValidationError("not %s: %r=%r" % (what, ref, v))
         if last >= ref:
             raise ValidationError("refs not strictly increasing: %s" % (ref,))
-        last, common = ref, gcd(common, v)
+        last = ref
+    return terms
+
+
+def _divided(head, terms):
+    """``(head, terms)``, an integer form's ints, divided by their gcd."""
+    common = gcd(*head, *[v for _, v in terms])
     if common > 1:
-        head = tuple(h // common for h in head)
-        terms = tuple((ref, v // common) for ref, v in terms)
-    return head, terms
+        head = tuple([h // common for h in head])
+        terms = [(ref, v // common) for ref, v in terms]
+    return head, tuple(terms)
 
 
 class LinearInequality:
     """Sparse inequality  sum coeffs[ref] * x[ref] <= rhs  (zeros dropped),
-    made from its Fractions or from its integer form (:meth:`from_scaled`).
-    Either constructor stores only that form, as ``scaled``: ``(U, R,
+    made from its Fractions or from its integer form (:meth:`from_scaled`,
+    or :meth:`from_scaled_unchecked` for a cut builder's).  Each
+    constructor stores only that form, as ``scaled``: ``(U, R,
     ((VarRef, C), ...))``, the rhs and each coefficient times U, the LCM
     of their denominators (:func:`numeric.integer_form`).  ``terms`` and
     ``rhs``, its Fractions, are made on each read."""
@@ -348,12 +356,20 @@ class LinearInequality:
     def from_scaled(cls, unit, rhs, terms) -> "LinearInequality":
         """The inequality of an integer form (see :attr:`scaled`), checked
         as :meth:`Point.from_scaled` checks a point's, with unit >= 1, rhs
-        an int and each coefficient a nonzero int, and reduced likewise."""
+        an int and each coefficient a nonzero int, then reduced by
+        :meth:`from_scaled_unchecked`."""
         if type(unit) is not int or unit < 1 or type(rhs) is not int:
             raise ValidationError("not an inequality scale and rhs: %r, %r"
                                   % (unit, rhs))
-        (unit, rhs), terms = _reduced_form((unit, rhs), terms, None,
-                                           "an inequality term")
+        return cls.from_scaled_unchecked(
+            unit, rhs, _checked_terms(terms, None, "an inequality term"))
+
+    @classmethod
+    def from_scaled_unchecked(cls, unit, rhs, terms) -> "LinearInequality":
+        """The inequality of a form :meth:`from_scaled` accepts, unchecked:
+        only reduced, for the cut builders, whose forms are made of the
+        instance's own ints and VarRefs."""
+        (unit, rhs), terms = _divided((unit, rhs), terms)
         inequality = cls.__new__(cls)
         inequality.scaled = unit, rhs, terms
         return inequality
@@ -407,8 +423,8 @@ class Point:
         :attr:`scaled` is what ``Point`` of the same Fractions computes."""
         if type(scale) is not int or scale < 1:
             raise ValidationError("not a point scale: %r" % (scale,))
-        (scale,), entries = _reduced_form((scale,), entries, scale,
-                                          "a point entry")
+        (scale,), entries = _divided(
+            (scale,), _checked_terms(entries, scale, "a point entry"))
         point = cls.__new__(cls)
         point.scaled = scale, entries
         return point

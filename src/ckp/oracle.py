@@ -124,8 +124,9 @@ def _patterns(rows, capacity, families):
         packs = any(f.startswith("pack") for f in families)
         covers = any(f.startswith("lcover") for f in families)
     # per group, its options: "none", then each slot as (ref,), u and
-    # u - u_last
-    levels = [(((), 0, 0),) + tuple(((VarRef(i, j),), u, u - row[-1])
+    # u - u_last; the refs through tuple.__new__, not VarRef's constructor
+    new = tuple.__new__
+    levels = [(((), 0, 0),) + tuple(((new(VarRef, (i, j)),), u, u - row[-1])
                                     for j, u in enumerate(row, start=1))
               for i, row in enumerate(rows, start=1)]
     m = len(levels)

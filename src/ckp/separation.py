@@ -194,7 +194,8 @@ def separate_greedy(instance: Instance, point: Point,
     chosen.sort()
     if not chosen or not is_switching([units[i] for i in chosen], slack):
         return _select(instance, point, support, (), families, 0)
-    pack = tuple(VarRef(i + 1, len(units[i])) for i in chosen)
+    new = tuple.__new__  # the refs not through VarRef's Python constructor
+    pack = tuple(new(VarRef, (i + 1, len(units[i]))) for i in chosen)
     weight = support.capacity_units - slack
     packs = [(pack, weight)]
     if len(pack) >= 2:
@@ -229,9 +230,11 @@ def build_partition_reduction(alphas, beta: int):
     tail = (3,) + (1,) * beta
     groups.append((tail, tail))
     instance = Instance.build(groups, beta + 2)
-    entries = [(VarRef(i, 1), 2 * beta - 3) for i in range(1, k + 1)]
-    entries.append((VarRef(k + 1, 1), 6 * beta))
-    entries += [(VarRef(k + 1, j), 2 * beta) for j in range(2, beta + 2)]
+    new = tuple.__new__  # the refs not through VarRef's Python constructor
+    entries = [(new(VarRef, (i, 1)), 2 * beta - 3) for i in range(1, k + 1)]
+    entries.append((new(VarRef, (k + 1, 1)), 6 * beta))
+    entries += [(new(VarRef, (k + 1, j)), 2 * beta)
+                for j in range(2, beta + 2)]
     point = Point.from_scaled(6 * beta, entries)
     total, den = weight_units(instance, point)
     if total != instance.units[2] * den:

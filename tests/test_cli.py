@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ckp
-from ckp import cuts, oracle, separation
+from ckp import cuts, fileio, oracle, separation
 from ckp.cli import main
 from ckp.cuts import FAMILIES, enumerate_maximal_switching_packs
 from ckp.fileio import (
@@ -211,6 +211,59 @@ def test_cuts_verify_validates_no_item_set_again(files, capsys, monkeypatch):
                     "--verify")
     assert code == 0 and calls == {}
     assert out == (GOLDEN / "cuts_ex_c_all_verify.txt").read_text()
+
+
+def test_cuts_serializes_each_distinct_inequality_once(files, capsys,
+                                                      monkeypatch, tmp_path):
+    """``ckp cuts`` serializes each distinct inequality it lists once, with
+    or without ``--verify``, and writes a repeat from that text: on ex_c,
+    whose 36 cuts are distinct, the output is the golden one; on seeded
+    instances where members repeat an inequality, each block ends in its
+    cut's serialization, in listing order."""
+    texts = []
+    serialize = fileio.serialize_inequality
+
+    def counting(inequality):
+        texts.append(inequality.scaled)
+        return serialize(inequality)
+
+    def listed(path):
+        inst, _ = normalize(parse_instance(Path(path).read_text()))
+        return list(cuts.theorem_cuts(inst, FAMILIES, None))
+
+    for flags, golden in (((), "cuts_ex_c_all.txt"),
+                          (("--verify",), "cuts_ex_c_all_verify.txt")):
+        monkeypatch.setattr(fileio, "serialize_inequality", counting)
+        code, out = run(capsys, "cuts", files["ex_c.ckp"], "--family", "all",
+                        *flags)
+        monkeypatch.undo()
+        assert code == 0 and out == (GOLDEN / golden).read_text()
+        assert len(texts) == len(set(texts)) == 36
+        del texts[:]
+    rng, repeating = random.Random(11), 0
+    while repeating < 4:
+        path = tmp_path / "repeats.ckp"
+        path.write_text(serialize_instance(random_instance(rng, max_groups=4)))
+        made = listed(path)
+        distinct = {cut.inequality.scaled for cut in made}
+        if len(distinct) == len(made):
+            continue
+        repeating += 1
+        for flags in ((), ("--verify",)):
+            monkeypatch.setattr(fileio, "serialize_inequality", counting)
+            code, out = run(capsys, "cuts", str(path), "--family", "all",
+                            *flags)
+            monkeypatch.undo()
+            assert code == 0 and len(texts) == len(distinct)
+            assert set(texts) == distinct
+            blocks = out[:-1].split("\n\n")  # each block ends in a newline
+            assert len(blocks) == len(made)
+            for block, cut in zip(blocks, made):
+                header, facet, text = block.split("\n", 2)
+                assert header == "# " + cut.describe()
+                assert facet.startswith("# facet: ")
+                assert text + "\n" == serialize(cut.inequality)
+            del texts[:]
 
 
 @pytest.fixture

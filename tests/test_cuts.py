@@ -696,6 +696,45 @@ def test_builders_keep_the_form_of_the_fraction_inequality(ex_a, ex_b, ex_c):
     assert rational >= 1000 and zero_weight >= 50, (rational, zero_weight)
 
 
+def test_unchecked_constructor_agrees_with_the_checked_one(ex_a, ex_b, ex_c,
+                                                           monkeypatch):
+    """``LinearInequality.from_scaled_unchecked``, the cut builders'
+    constructor, makes from each form a builder hands it, as handed in and
+    doubled, the inequality ``from_scaled`` makes after its checks: the
+    LinearInequality of the cut's Fractions, in lowest terms.  Over every
+    member ``theorem_cuts`` lists on the examples and the rational corpus,
+    zero weights included."""
+    rng = random.Random(2727)
+    corpus = [ex_a, ex_b, ex_c] + [rational_instance(rng) for _ in range(300)]
+    unchecked = LinearInequality.from_scaled_unchecked
+    handed = []
+
+    def recording(unit, rhs, terms):
+        handed.append((unit, rhs, tuple(terms)))
+        return unchecked(unit, rhs, terms)
+
+    monkeypatch.setattr(LinearInequality, "from_scaled_unchecked", recording)
+    listed = [cut for inst in corpus
+              for cut in cuts.theorem_cuts(inst, cuts.FAMILIES, None)]
+    monkeypatch.undo()
+    # each listed cut came from one handed-in form; a cut with no terms is
+    # built and not listed
+    handed = [form for form in handed if form[2]]
+    assert len(handed) == len(listed)
+    reduced = 0
+    for cut, (unit, rhs, terms) in zip(listed, handed):
+        want = LinearInequality(cut.inequality.terms, cut.inequality.rhs)
+        doubled = (2 * unit, 2 * rhs, [(r, 2 * c) for r, c in terms])
+        for form in ((unit, rhs, terms), doubled):
+            made = unchecked(*form)
+            assert made.scaled == LinearInequality.from_scaled(*form).scaled
+            assert made.scaled == want.scaled == cut.inequality.scaled
+            assert made == want and hash(made) == hash(want)
+            assert type(made.scaled[2]) is tuple
+        reduced += want.scaled[0] != unit
+    assert len(listed) >= 5000 and reduced >= 3000, (len(listed), reduced)
+
+
 def test_member_cut_equals_its_public_builder():
     """Every member that ``family_members`` lists over the walk of every
     family, made by ``cuts.member_cut`` from its listed form, equals the

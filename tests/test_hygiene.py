@@ -197,10 +197,49 @@ def test_detector_flags_a_fraction_inequality():
 
 def test_cut_builders_keep_their_integer_form():
     # a builder turns its family's integer form into the cut through
-    # LinearInequality.from_scaled, which keeps that form for the oracle,
-    # the node LP's pool and separation's winner check
+    # LinearInequality.from_scaled_unchecked, which keeps that form for the
+    # oracle, the node LP's pool and separation's winner check
     source = (ROOT / "src" / "ckp" / "cuts.py").read_text()
     assert fraction_inequalities(source) == []
+
+
+def unchecked_inequalities(source):
+    """Lines of ``from_scaled_unchecked(...)`` calls, inequalities made from
+    an integer form without its checks, outside the body of a function
+    named ``from_scaled`` (which checks the form, then calls it)."""
+    lines = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside or node.name == "from_scaled"
+        elif (isinstance(node, ast.Call) and not inside
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "from_scaled_unchecked"):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_detector_flags_an_unchecked_inequality():
+    source = ("def from_scaled(cls, u, r, t):\n"
+              "    return cls.from_scaled_unchecked(u, r, t)\n"
+              "a = LinearInequality.from_scaled_unchecked(u, r, t)\n"
+              "def parse(text):\n    return from_scaled_unchecked(\n"
+              "        1, 0, ())\n"
+              "b = LinearInequality.from_scaled(u, r, t)\n")
+    assert unchecked_inequalities(source) == [3, 5]
+
+
+def test_only_the_cut_builders_skip_the_form_checks():
+    # the cut builders make their forms from the instance's ints and VarRefs
+    # and take them in unchecked; every other module, where parsed or user
+    # data may reach a form, goes through from_scaled's checks
+    found = {path.name: unchecked_inequalities(path.read_text())
+             for path in LIBRARY if path.name != "cuts.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def simplex_imports(source):

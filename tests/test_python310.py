@@ -76,6 +76,13 @@ path = os.path.join(sys.argv[1], "ex_c.ckp")
 with open(path, "w", encoding="utf-8") as handle:
     handle.write(serialize_instance(ex_c))
 print("exit", cli.main(["cuts", path, "--family", "all", "--verify"]))
+# members that repeat an inequality, each repeat written from the text of
+# its first: an lcover1 cut repeats the pack1 cut and each lcover2 cut an
+# lcover1 cut
+repeats_path = os.path.join(sys.argv[1], "repeats.ckp")
+with open(repeats_path, "w", encoding="utf-8") as handle:
+    handle.write(serialize_instance(Instance.build(same((3, 1), (16, 7)), 13)))
+print("exit", cli.main(["cuts", repeats_path, "--family", "all", "--verify"]))
 
 # the candidate table in walk order, and the witness it names
 print(oracle.enumerate_candidate_vertices(ex_c).points)
@@ -163,6 +170,8 @@ def test_python310_matches_current_interpreter(tmp_path):
     assert "True True ((" in expected and "True True (3, 114, " in expected
     assert "term 3 1 35/3\n" in expected
     assert "term 1 1 13104/865\n" in expected  # a rational lcover2 cut
+    assert ("special: (2,1)\n# facet: yes\nineq 1\nrhs 13\nterm 2 1 16\n"
+            "term 2 2 13\n") in expected  # a repeat, from its first text
     assert "exit 0\n[64, 96, 128]\n" in expected  # three widths
     assert expected.endswith(  # the maximum and the witness off the lanes
         "candidates: 154\nvalue: 36000011\npoint:\nval 3 1 1\nval 4 1 1\n"
