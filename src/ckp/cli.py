@@ -310,10 +310,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args, sys.stdout)
-    except FormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
+        # every file is UTF-8 (see ``fileio``): a bad byte is a format error
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -10,10 +10,10 @@ integers, by the LCM of their denominators, and :func:`common_scale` its
 one combining of such forms at a common scale.  :func:`affine_rank` is the
 one rank routine.  It reads points in the layout of the oracle's
 candidate table, a denominator per point and a column of ints per
-coordinate, takes the rows it is given of each column as one short
-integer column and eliminates those in integers, not Fractions;
-``oracle.VertexSet.face_dimension`` gives it the tight candidates' rows
-with a cap, once per distinct inequality.
+coordinate, gathers the rows it is given of each column once, as one
+integer column, and eliminates those in integers, not Fractions, in one
+pass; ``oracle.VertexSet.face_dimension`` gives it the tight candidates'
+rows with a cap, once per distinct inequality.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def affine_rank(dens: Sequence[int], columns: Sequence[Sequence[int]],
 
     The dimension is the rank of the homogenized rows ``(dens[k],
     column[k], ...)`` less one, and the rank is taken over the table's
-    columns: each column's entries at the rows, gathered by one
+    columns: each column's entries at the rows, gathered once by one
     ``itemgetter``, is reduced against the echelon columns kept so far by
     integer cross-multiplication, each step divided by the column's gcd,
     with no Fraction.  The dens come first, so their pivot is the first
@@ -122,39 +122,32 @@ def affine_rank(dens: Sequence[int], columns: Sequence[Sequence[int]],
     rows are affinely independent points.
 
     The result is ``min(dimension, cap)``, with ``cap`` the column count
-    when not given, the largest dimension there is.  The rank is taken
-    over the first 2 * (cap + 1) rows, then twice as many, until it
-    reaches cap + 1 or every row is in; the elimination stops at the
-    column that brings it there.
+    when not given, the largest dimension there is; the elimination stops
+    at the column that brings the rank to cap + 1.
     """
     if not rows:
         return -1
     target = len(columns) + 1 if cap is None else cap + 1
-    budget = 2 * target
-    while True:
-        take = rows[:budget]
-        if len(take) == 1 or target == 1:  # the dens alone reach the rank
-            return 0
-        get = itemgetter(*take)
-        basis = [(0, get(dens))]  # (pivot position, column); dens > 0
-        for column in map(get, columns):
-            if not any(column):
-                continue
-            for pivot_at, echelon in basis:
-                factor = column[pivot_at]
-                if factor:
-                    pivot = echelon[pivot_at]
-                    column = [pivot * x - factor * y
-                              for x, y in zip(column, echelon)]
-                    divisor = gcd(*column)
-                    if divisor > 1:
-                        column = [x // divisor for x in column]
-            for at, x in enumerate(column):
-                if x:
-                    basis.append((at, column))
-                    break
-            if len(basis) == target:
-                return target - 1
-        if len(take) == len(rows):
-            return len(basis) - 1
-        budget *= 2
+    if len(rows) == 1 or target == 1:  # the dens alone reach the rank
+        return 0
+    get = itemgetter(*rows)
+    basis = [(0, get(dens))]  # (pivot position, column); dens > 0
+    for column in map(get, columns):
+        if not any(column):
+            continue
+        for pivot_at, echelon in basis:
+            factor = column[pivot_at]
+            if factor:
+                pivot = echelon[pivot_at]
+                column = [pivot * x - factor * y
+                          for x, y in zip(column, echelon)]
+                divisor = gcd(*column)
+                if divisor > 1:
+                    column = [x // divisor for x in column]
+        for at, x in enumerate(column):
+            if x:
+                basis.append((at, column))
+                break
+        if len(basis) == target:
+            return target - 1
+    return len(basis) - 1

@@ -687,6 +687,68 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", ["instance", "inequality", "point"])
+def test_a_file_not_in_utf8_is_a_format_error(files, tmp_path, capsys, kind):
+    """Every format is UTF-8: a byte that does not decode is a format
+    error, exit 1 with one ``error:`` line, whichever file carries it."""
+    bad = tmp_path / "bad"
+    bad.write_bytes({"instance": b"ckp 1\nb 5\ngroup 1 a 3 c \xff\n",
+                     "inequality": b"ineq 1\nrhs 3\nterm 1 1 \xc3\n",
+                     "point": b"point 1\nval 1 1 \x80\n"}[kind])
+    argv = {"instance": ("check", str(bad)),
+            "inequality": ("verify", files["ex_a.ckp"], str(bad)),
+            "point": ("separate", files["ex_c.ckp"], str(bad), "--exact",
+                      "--family", "all")}[kind]
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _mutated(rng, data: bytes) -> bytes:
+    """``data`` with one seeded byte flipped, inserted or deleted; a new
+    byte is any of 0x00-0xff, so about half of them are not ASCII."""
+    at = rng.randrange(len(data))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+    if kind == 1:
+        return data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    return data[:at] + data[at + 1:]
+
+
+def test_byte_mutations_of_the_fixtures_never_escape_main(files, tmp_path,
+                                                          capsys):
+    """Seeded one-byte mutations of the fixture files, run in process
+    through every command that reads them: each run returns an exit code
+    of the contract, and no exception escapes ``main``."""
+    rng = random.Random(5501)
+    commands = {
+        "ckp": lambda path: [("check", path), ("oracle", path),
+                             ("verify", path, files["p1b.ineq"]),
+                             ("cuts", path, "--family", "all", "--verify"),
+                             ("separate", path, files["frac.point"],
+                              "--exact", "--family", "all"),
+                             ("solve", path)],
+        "ineq": lambda path: [("verify", files["ex_a.ckp"], path)],
+        "point": lambda path: [("separate", files["ex_c.ckp"], path,
+                                "--exact", "--family", "all")],
+    }
+    sources = ("ex_a.ckp", "ex_b.ckp", "ex_c.ckp", "sing.ckp", "p1b.ineq",
+               "p2b.ineq", "frac.point")
+    mutant = tmp_path / "mutant"
+    codes = Counter()
+    for _ in range(500):
+        name = rng.choice(sources)
+        mutant.write_bytes(_mutated(rng, Path(files[name]).read_bytes()))
+        for argv in commands[name.rsplit(".", 1)[1]](str(mutant)):
+            code = main(list(argv))
+            assert type(code) is int and code in (0, 1, 2, 3), argv
+            codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] and codes[1]  # some mutants still parse, some do not
+
+
 def test_exit_code_resource_limit(files, capsys):
     code, out = run(capsys, "oracle", files["ex_a.ckp"],
                     "--enumerate-limit", "5")

@@ -142,17 +142,11 @@ def test_affine_rank_rectangular():
 
 
 class _Recorded(list):
-    """A list that records each slice taken of it and each item pulled
-    from it."""
+    """A list that records the index of each item pulled from it."""
 
     def __init__(self, items, log):
         super().__init__(items)
         self.log = log
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            self.log.append(index.stop)
-        return super().__getitem__(index)
 
     def __iter__(self):
         for k, item in enumerate(super().__iter__()):
@@ -161,17 +155,14 @@ class _Recorded(list):
 
 
 def test_affine_rank_cap_stops_pulling():
-    """With a cap, the rank is taken over the first 2 * (cap + 1) rows,
-    and the elimination stops at the column that brings it to cap + 1:
-    no later column is gathered."""
+    """With a cap, the elimination stops at the column that brings the
+    rank to cap + 1: no later column is gathered."""
     points = [[Fraction(k), Fraction(k * k), Fraction(k ** 3)]
               for k in range(12)]
     dens, columns, rows = table(points)
-    sliced, pulled = [], []
-    got = affine_rank(dens, _Recorded(columns, pulled),
-                      _Recorded(rows, sliced), cap=1)
+    pulled = []
+    got = affine_rank(dens, _Recorded(columns, pulled), rows, cap=1)
     assert got == 1
-    assert sliced == [4]  # 2 * (cap + 1) rows, enough for rank 2
     assert pulled == [0]  # the first column brings it there
     assert affine_rank(*table(points), cap=2) == 2
     assert affine_rank(*table([[Fraction(1)]]), cap=0) == 0
@@ -179,21 +170,22 @@ def test_affine_rank_cap_stops_pulling():
     assert affine_rank(*table([], width=3), cap=3) == -1
 
 
-def test_affine_rank_budget_doubles_until_every_row_is_in():
-    """Points on a line never reach cap 2, so the rows taken double, 6,
-    12, 24, until every one of the 20 is in."""
+def test_affine_rank_one_elimination_over_every_row():
+    """Points on a line never reach cap 2, and one off the line at row 17
+    of 20 does: either way the rows are gathered once, every one of them,
+    and each column at most once."""
     points = [[Fraction(k), Fraction(2 * k), Fraction(-k, 3)]
               for k in range(20)]
-    dens, columns, rows = table(points)
-    sliced = []
-    assert affine_rank(dens, columns, _Recorded(rows, sliced), cap=2) == 1
-    assert sliced == [6, 12, 24]
-    # a point off the line among the last rows is found after doubling
-    points[17] = [Fraction(1), Fraction(0), Fraction(0)]
-    dens, columns, rows = table(points)
-    del sliced[:]
-    assert affine_rank(dens, columns, _Recorded(rows, sliced), cap=2) == 2
-    assert sliced == [6, 12, 24]
+    for off_line in (False, True):
+        if off_line:
+            points[17] = [Fraction(1), Fraction(0), Fraction(0)]
+        dens, columns, rows = table(points)
+        pulled, iterated = [], []
+        got = affine_rank(dens, _Recorded(columns, pulled),
+                          _Recorded(rows, iterated), cap=2)
+        assert got == (2 if off_line else 1)
+        assert iterated == list(range(20))
+        assert len(set(pulled)) == len(pulled)
     assert affine_rank(*table(points)) == fraction_affine_rank(points) == 2
 
 

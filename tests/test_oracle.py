@@ -29,7 +29,7 @@ from ckp import oracle
 from ckp.numeric import affine_rank, format_rational
 from ckp.cli import main
 from ckp.cuts import (FAMILIES, enumerate_maximal_switching_packs,
-                      family_members)
+                      family_members, resolve_families, theorem_cuts)
 from ckp.fileio import serialize_inequality, serialize_instance
 from ckp.separation import separate_exact
 
@@ -447,6 +447,48 @@ def test_face_dimension_matches_reference_on_seeded_corpora():
     assert {0, -1, -2, "empty"} <= faces  # full, facets, lower faces, empty
 
 
+def test_long_tight_sets_match_the_reference(monkeypatch):
+    """On a seeded 5-group x 3-slot instance (over a thousand candidates),
+    the knapsack row, every ``x_ij >= 0`` and ``x_ij <= 1`` row and every
+    theorem cut of ``--family all`` have the face dimension of
+    ``reference.face_dimension``, capped at d - 1.  Many of their tight
+    sets are longer than 2 * (cap + 1) rows, with ranks at and below the
+    cap."""
+    rng = random.Random(5502)
+    inst = make_instance([sorted((rng.randint(1, 20) for _ in range(3)),
+                                 reverse=True) for _ in range(5)], 70)
+    assert normalize(inst)[0] is inst
+    vertices = oracle.enumerate_candidate_vertices(inst)
+    assert len(vertices) > 1000
+    _, units, capacity = inst.units
+    weights = [tuple(row) for row in units]
+    points = reference.candidate_points(weights, capacity)
+    most = inst.dimension - 1  # the cap of a row with terms
+    seen = Counter()
+
+    def recording(dens, columns, rows, cap):
+        rank = affine_rank(dens, columns, rows, cap)
+        if len(rows) > 2 * (cap + 1):
+            seen["long at the cap" if rank == cap else "long below it"] += 1
+        return rank
+
+    monkeypatch.setattr(oracle, "affine_rank", recording)
+    queries = [knapsack_row(inst)]
+    for ref in inst.columns:
+        queries += [LinearInequality({ref: -1}, 0),
+                    LinearInequality({ref: 1}, 1)]
+    queries += [cut.inequality for cut in theorem_cuts(
+        inst, resolve_families("all"), None)]
+    expected = {}
+    for inequality in queries:
+        key = inequality.scaled
+        if key not in expected:
+            expected[key] = min(most, reference.face_dimension(
+                weights, points, dict(inequality.terms), inequality.rhs))
+        assert vertices.face_dimension(inequality) == expected[key]
+    assert len(queries) > 100 and min(seen.values()) > 10, seen
+
+
 def test_invalid_witness_is_the_first_largest_candidate():
     """The witness is the first candidate (in walk order) of largest
     lhs, and the message names that lhs: the lhs of every candidate,
@@ -549,11 +591,11 @@ def test_face_dimension_is_the_fraction_rank_of_the_tight_candidates():
     candidates as Fraction vectors, capped at d - 1 (d with no terms), on
     rational and zero-weight draws: the empty inequalities (every
     candidate tight, or none), rhs 0 (the origin tight), x <= 1 (a face
-    of lower dimension, so its tight set is often longer than
-    2 * (cap + 1) and the rows taken double until every one is in), the
-    family cuts and rows at, above and below a maximum.  An invalid
-    inequality raises with the first candidate of largest lhs as witness,
-    as before, and keeps no rank."""
+    of lower dimension, whose tight set is often longer than
+    2 * (cap + 1) rows with a rank below the cap), the family cuts and
+    rows at, above and below a maximum.  An invalid inequality raises
+    with the first candidate of largest lhs as witness, as before, and
+    keeps no rank."""
     rng = random.Random(5050)
     seen = Counter()
     for inst in _seeded_instances(24, 5151):
@@ -588,7 +630,8 @@ def test_face_dimension_is_the_fraction_rank_of_the_tight_candidates():
             assert vertices.face_dimension(inequality) == expected
             seen["origin tight"] += inequality.rhs == 0 and values[0] == 0
             seen["empty"] += not tight
-            seen["doubled"] += len(tight) > 2 * (cap + 1) and expected < cap
+            seen["long below the cap"] += (len(tight) > 2 * (cap + 1)
+                                           and expected < cap)
     assert min(seen.values()) > 0, seen
 
 
