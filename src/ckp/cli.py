@@ -33,10 +33,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read(path: str, parse):
+    """``parse`` of the text of the file at ``path``.  Every format is
+    UTF-8 (see ``fileio``), so a byte that does not decode is a format
+    error too; either is a ``FormatError`` that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError("%s: %s" % (path, exc)) from None
+
+
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        parsed = fileio.parse_instance(handle.read())
-    normalized, _ = normalize(parsed)
+    normalized, _ = normalize(_read(path, fileio.parse_instance))
     return normalized
 
 
@@ -69,8 +78,7 @@ def _print_cut(cut, out, vertices=None, text=None) -> None:
 
 
 def _cmd_check(args, out) -> int:
-    with open(args.instance, "r", encoding="utf-8") as handle:
-        parsed = fileio.parse_instance(handle.read())
+    parsed = _read(args.instance, fileio.parse_instance)
     instance, _ = normalize(parsed)
     already = instance is parsed
     report = validate_assumptions(instance)
@@ -102,8 +110,7 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     instance = _load_instance(args.instance)
-    with open(args.inequality, "r", encoding="utf-8") as handle:
-        inequality = fileio.parse_inequality(handle.read())
+    inequality = _read(args.inequality, fileio.parse_inequality)
     vertices = oracle.enumerate_candidate_vertices(instance, args.enumerate_limit)
     try:
         dim = vertices.face_dimension(inequality)
@@ -143,8 +150,7 @@ def _cmd_cuts(args, out) -> int:
 
 def _cmd_separate(args, out) -> int:
     instance = _load_instance(args.instance)
-    with open(args.point, "r", encoding="utf-8") as handle:
-        point = fileio.parse_point(handle.read())
+    point = _read(args.point, fileio.parse_point)
     if args.greedy:
         result = separation.separate_greedy(instance, point, args.family)
     else:
@@ -310,8 +316,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args, sys.stdout)
-    except (FormatError, OSError, UnicodeDecodeError) as exc:
-        # every file is UTF-8 (see ``fileio``): a bad byte is a format error
+    except (FormatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -400,7 +400,12 @@ def member_cut(instance: Instance, key, form) -> GeneratedCut:
     as :func:`family_members` lists them: the one place a cut is made and
     each family's facet rule is written.  The public builders end here
     once their checks pass, :func:`theorem_cuts` calls it on each listed
-    member and separation on its winner."""
+    member and separation on its winner.
+
+    A pack with an item of weight 0 gets no flag: the pack families' facet
+    conditions are not shown for one, and they fail on some (a weightless
+    singleton pack item has coefficient 0, yet it meets pack1's M_0
+    clause), while the oracle still decides such a cut's face."""
     items, rank, aux = key
     family = FAMILIES[rank]
     scale, rows, capacity = instance.units
@@ -409,8 +414,9 @@ def member_cut(instance: Instance, key, form) -> GeneratedCut:
     elif family == "lcover2":  # aux: the special item's group
         facet = all(j == len(rows[i - 1]) for i, j in items if i not in aux)
     else:  # pack3 asks it of the pack without its tilt group, aux[1]
-        facet = _maximal_switching(
-            rows, capacity, [r for r in items if r.group not in aux[1:]])
+        facet = all(rows[i - 1][j - 1] for i, j in items) and (
+            _maximal_switching(rows, capacity,
+                               [r for r in items if r.group not in aux[1:]]))
     if family == "pack1":
         # the facet statement needs a non-singleton pack group; with M_P all
         # singletons it is false for packs of two or more items

@@ -37,10 +37,11 @@ keeps the integer form) is made on each read, for a caller that shows it.
   Dantzig's ratio rule, whole while they fit, then one part of the first
   that does not.  A one-column span (of a one-slot group, or a node's) is
   its own increment, with no hull; with every group a singleton this is
-  Dantzig's rule on the slots.  The duals are closed-form: the knapsack
-  multiplier is the critical efficiency (the first increment's not taken
-  whole), or 0 when all fits, and a group row's multiplier is max(0,
-  max_j c_j - ratio * a_j) over the group's span.
+  Dantzig's rule on the slots.  The duals are read off the hulls: the
+  knapsack multiplier is the critical efficiency (the first increment's
+  not taken whole), or 0 when all fits, and a group row's multiplier is
+  c_j - ratio * a_j at the end j of its last whole increment, or 0 when
+  it took none, which is max(0, max_j c_j - ratio * a_j) over its span.
 * **With cut rows** (the root only).  The simplex runs on a tableau that
   holds the knapsack row, the group rows and the cut rows, over every
   column, starting from the slack basis (x = 0).  The tableau is
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 from copy import copy
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple
@@ -70,11 +70,6 @@ from typing import NamedTuple
 from .errors import CkpError, ValidationError
 from .model import Instance, Point, knapsack_row
 from .numeric import integer_form
-
-
-def _ratio_cmp(s, t):
-    # Negative when c_s/a_s > c_t/a_t; a weight of zero ranks as infinite.
-    return t[2] * s[1] - s[2] * t[1]
 
 
 class LpProblem:
@@ -194,7 +189,11 @@ def _solve_groups(problem: LpProblem, spans) -> LpSolution:
     # gets the room left.  When all fit, it is (None, 1, 0) with no room.
     # Each group sits at the end of its last whole increment, x = 1 (``at``
     # maps it there); the critical one moves its group room / a on, times D.
-    increments.sort(key=cmp_to_key(_ratio_cmp))
+    # By floor(W^2 c / a), W the heaviest weight: ratios of steps up to W
+    # differ by 1 / W^2 or more, so ties stay tied; weightless steps first.
+    square = max(weights) ** 2
+    increments.sort(key=lambda t: -(square * t[2] // t[1]) if t[1]
+                    else float("-inf"))
     total, at, room = 0, {}, capacity
     k, a, c = None, 1, 0
     for j, step, gain in increments:
@@ -217,17 +216,14 @@ def _solve_groups(problem: LpProblem, spans) -> LpSolution:
         xs[k] = part
     entries = tuple((refs[j], xs[j]) for j in sorted(xs))
     # Times the dual scale: the knapsack multiplier is the critical
-    # efficiency c / a, and a group row's multiplier the most any slot of
-    # its span earns past the knapsack's price of its weight.
+    # efficiency c / a, and a group row's multiplier what the end of its
+    # last whole increment earns past that price of its weight: the steps
+    # up to it are no less efficient, the next no more, so none earns more.
     den = a * problem.cost_scale
     duals = [c * weight_scale]
-    for lo, hi in spans:
-        best = 0
-        for j in range(lo, hi):
-            earns = costs[j] * a - c * weights[j]
-            if earns > best:
-                best = earns
-        duals.append(best)
+    for i in range(1, len(spans) + 1):
+        j = at.get(i)
+        duals.append(0 if j is None else costs[j] * a - c * weights[j])
     return LpSolution(Fraction(total * a + c * room, den),
                       (scale, entries), (den, tuple(duals)), 0)
 

@@ -3,7 +3,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -551,6 +553,87 @@ def _solve_tableau(problem: LpProblem, refs) -> LpSolution:
     # Multiplier of row r is the negated reduced cost of its slack.
     duals = tuple(-zrow[nvars + r] for r in range(nrows))
     return lp_solution(value, Point(zip(refs, xs)), duals, pivots)
+
+
+# --- the integer closed form by comparator and column scan --------------------
+# ``simplex._solve_groups`` once ordered the hull steps with the comparator
+# below and found each group multiplier by scanning its span's columns.
+# Both are kept here, their bodies unchanged, as the reference that the
+# integer sort key and the multipliers read off the hull are checked
+# against: the same value, point, duals and pivots.
+
+def _ratio_cmp(s, t):
+    # Negative when c_s/a_s > c_t/a_t; a weight of zero ranks as infinite.
+    return t[2] * s[1] - s[2] * t[1]
+
+
+def comparator_solve_groups(problem: LpProblem, spans) -> LpSolution:
+    """The closed form without cut rows, over the columns of ``spans``."""
+    weights, capacity, weight_scale = problem.scaled_rows[0]
+    costs, refs = problem.costs, problem.refs
+    increments = []   # (column, weight step, cost step) along each hull
+    for lo, hi in spans:
+        # the upper concave hull of the origin and the span's slots with a
+        # positive cost, lightest slot first, kept as its steps, which end
+        # at (a0, c0): a slot no dearer than that point is dominated, and
+        # a point on or below the segment from its predecessor to the new
+        # slot is dropped.  A one-column span is its own increment.
+        base, a0, c0 = len(increments), 0, 0
+        for j in range(hi - 1, lo - 1, -1):
+            c = costs[j]
+            if c <= c0:
+                continue
+            a = weights[j]
+            while len(increments) > base:
+                _, step, gain = increments[-1]
+                if gain * (a - a0) > (c - c0) * step:
+                    break
+                increments.pop()
+                a0 -= step
+                c0 -= gain
+            increments.append((j, a - a0, c - c0))
+            a0, c0 = a, c
+    # Dantzig's ratio rule: take the increments whole, by efficiency, while
+    # they fit; the first that does not is the critical one, (k, a, c), and
+    # gets the room left.  When all fit, it is (None, 1, 0) with no room.
+    # Each group sits at the end of its last whole increment, x = 1 (``at``
+    # maps it there); the critical one moves its group room / a on, times D.
+    increments.sort(key=cmp_to_key(_ratio_cmp))
+    total, at, room = 0, {}, capacity
+    k, a, c = None, 1, 0
+    for j, step, gain in increments:
+        if step > room:
+            k, a, c = j, step, gain
+            break
+        at[refs[j].group] = j
+        total += gain
+        room -= step
+    else:
+        room = 0
+    g = gcd(a, room)
+    scale = a // g
+    xs = dict.fromkeys(at.values(), scale)
+    if room > 0:
+        part = room // g
+        j = at.get(refs[k].group)
+        if j is not None:
+            xs[j] = scale - part
+        xs[k] = part
+    entries = tuple((refs[j], xs[j]) for j in sorted(xs))
+    # Times the dual scale: the knapsack multiplier is the critical
+    # efficiency c / a, and a group row's multiplier the most any slot of
+    # its span earns past the knapsack's price of its weight.
+    den = a * problem.cost_scale
+    duals = [c * weight_scale]
+    for lo, hi in spans:
+        best = 0
+        for j in range(lo, hi):
+            earns = costs[j] * a - c * weights[j]
+            if earns > best:
+                best = earns
+        duals.append(best)
+    return LpSolution(Fraction(total * a + c * room, den),
+                      (scale, entries), (den, tuple(duals)), 0)
 
 
 def random_spans(rng, instance, rate):

@@ -687,22 +687,49 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 1
 
 
+def _bad_file_argv(files, kind, bad):
+    """A command that reads ``bad`` as a file of ``kind`` after any
+    fixture file it needs."""
+    return {"instance": ("check", bad),
+            "inequality": ("verify", files["ex_a.ckp"], bad),
+            "point": ("separate", files["ex_c.ckp"], bad, "--exact",
+                      "--family", "all")}[kind]
+
+
 @pytest.mark.parametrize("kind", ["instance", "inequality", "point"])
 def test_a_file_not_in_utf8_is_a_format_error(files, tmp_path, capsys, kind):
     """Every format is UTF-8: a byte that does not decode is a format
-    error, exit 1 with one ``error:`` line, whichever file carries it."""
+    error, exit 1 with one ``error:`` line that names the file, whichever
+    file carries it."""
     bad = tmp_path / "bad"
     bad.write_bytes({"instance": b"ckp 1\nb 5\ngroup 1 a 3 c \xff\n",
                      "inequality": b"ineq 1\nrhs 3\nterm 1 1 \xc3\n",
                      "point": b"point 1\nval 1 1 \x80\n"}[kind])
-    argv = {"instance": ("check", str(bad)),
-            "inequality": ("verify", files["ex_a.ckp"], str(bad)),
-            "point": ("separate", files["ex_c.ckp"], str(bad), "--exact",
-                      "--family", "all")}[kind]
-    assert main(list(argv)) == 1
+    assert main(list(_bad_file_argv(files, kind, str(bad)))) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: %s: 'utf-8' codec can't decode "
+                                   % bad)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("instance", "ckp 1\nb x\n", "line 2: not a rational: 'x'"),
+    ("inequality", "ineq 1\nrhs 3\nterm 1 1\n",
+     "line 3: expected 'term <i> <j> <rational>'"),
+    ("point", "point 2\n", "line 1: expected header 'point 1'"),
+], ids=["instance", "inequality", "point"])
+def test_a_parse_error_names_its_file_and_line(files, tmp_path, capsys, kind,
+                                               text, line):
+    """A format error names the file it is in before its line, so with two
+    input files the user sees which one is at fault."""
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    assert main(list(_bad_file_argv(files, kind, str(bad)))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: %s" % (bad, line))
+    assert captured.err.count("\n") == 1
 
 
 def _mutated(rng, data: bytes) -> bytes:

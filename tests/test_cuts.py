@@ -799,3 +799,46 @@ def test_nonnegative_data_is_all_the_families_need():
         zero_weight += any(0 in row for row in rows)
     assert min(seen.values()) >= 100 and sum(seen.values()) >= 10000, seen
     assert zero_weight >= 100, zero_weight
+
+
+def test_a_weightless_pack_item_withholds_the_facet_flag():
+    """The smallest wrong flag found: pack (1,1) (2,2) (3,2), whose
+    singleton (1,1) weighs 0 and has coefficient 0, met pack1's facet
+    conditions, yet its cut has face dimension 3 where dim conv(S) = d =
+    5.  A pack with a weightless item gets no flag."""
+    inst = Instance.build([((0,), (1,)), ((3, 1), (1, 1)), ((3, 1), (1, 1))],
+                          3)
+    cut = cuts.pack_inequality_1(inst, refs((1, 1), (2, 2), (3, 2)))
+    assert text_of(cut) == ("ineq 1\nrhs 4\nterm 2 1 3\nterm 2 2 2\n"
+                            "term 3 1 3\nterm 3 2 2\n")
+    vertices = oracle.enumerate_candidate_vertices(inst)
+    assert (vertices.face_dimension(cut.inequality), vertices.hull_dimension,
+            inst.dimension) == (3, 5, 5)
+    assert not cut.facet_guaranteed
+
+
+def test_every_facet_flag_on_zero_weights_is_a_facet():
+    """Over 3,000 seeded draws of 2-4 groups of 1-3 slots, each weight 0
+    with probability 2/3 and otherwise 1-9, profits 0-9 and b 1-12, every
+    theorem cut of every family that carries a facet flag is a facet: its
+    face has dimension dim conv(S) - 1."""
+    rng = random.Random(2026)
+    flagged = Counter()
+    for _ in range(3000):
+        groups = []
+        for _ in range(rng.randint(2, 4)):
+            weights = sorted((0 if rng.random() < 2 / 3 else rng.randint(1, 9)
+                              for _ in range(rng.randint(1, 3))), reverse=True)
+            groups.append((tuple(weights),
+                           tuple(rng.randint(0, 9) for _ in weights)))
+        inst = Instance.build(groups, rng.randint(1, 12))
+        vertices = None
+        for cut in cuts.theorem_cuts(inst, cuts.FAMILIES, None):
+            if cut.facet_guaranteed:
+                if vertices is None:
+                    vertices = oracle.enumerate_candidate_vertices(inst)
+                assert (vertices.face_dimension(cut.inequality)
+                        == vertices.hull_dimension - 1), (inst, cut.describe())
+                flagged[cut.family] += 1
+    assert flagged["pack1"] >= 10 and flagged["pack2"] >= 1, flagged
+    assert min(flagged["lcover1"], flagged["lcover2"]) >= 1000, flagged

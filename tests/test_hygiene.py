@@ -397,6 +397,38 @@ def test_library_looks_nothing_up_by_name():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def comparator_sorts(source):
+    """Lines that name ``cmp_to_key``: as a bare name, an attribute
+    (``functools.cmp_to_key``) or an import, aliased or not.  A sort by a
+    comparator makes a Python call per comparison, where an exact key
+    sorts the same."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == "cmp_to_key"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "cmp_to_key"
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == "cmp_to_key" for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_flags_a_comparator_sort():
+    source = ("from functools import cmp_to_key\nimport functools\n"
+              "a.sort(key=cmp_to_key(f))\n"
+              "b = sorted(c, key=functools.cmp_to_key(g))\n"
+              "from functools import cmp_to_key as order\n"
+              "d.sort(key=itemgetter(0))\ne = 'cmp_to_key'\n")
+    assert comparator_sorts(source) == [1, 3, 4, 5]
+
+
+def test_library_sorts_by_key():
+    # every order the library sorts by has an exact key, which Python
+    # computes once per item instead of calling a comparator per comparison
+    found = {path.name: comparator_sorts(path.read_text()) for path in LIBRARY}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_bench_tracer_sites_exist():
     # the benchmark's tracer wraps these (module, attribute) sites by name,
     # so each must stay a module attribute of ckp

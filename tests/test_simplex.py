@@ -1,10 +1,13 @@
+import importlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from ckp import cuts, simplex
+from ckp import cuts, simplex, solver
 from ckp.errors import CkpError, PreconditionError, ValidationError
 from ckp.model import (
     Instance,
@@ -14,15 +17,18 @@ from ckp.model import (
     knapsack_row,
 )
 from ckp.simplex import LpProblem, LpSolution, solve_lp, verify_certificate
-from ckp.solver import SolveConfig
+from ckp.solver import SolveConfig, branch_and_cut
 from ckp import oracle
 
 from conftest import (LARGE_PRIMES, _solve_tableau as reference_solve_tableau,
+                      comparator_solve_groups, correlated_instance,
                       forged_solve, fraction_duals, group_rows, lp_solution,
                       make_instance, profits, random_instance, random_spans,
                       rational_instance, reference_lp_data,
                       reference_maximize_over_S, reference_solve_lp,
                       span_refs, weight_of, with_profits)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def lp_for(inst, extra_rows=()):
@@ -905,3 +911,96 @@ def test_maximize_over_S_matches_fraction_fill():
                 objective[r] = inst.weight(r) * 2  # ties the ratio at 2
         assert (oracle.maximize_over_S(inst, objective)
                 == reference_maximize_over_S(inst, objective))
+
+
+def test_closed_form_matches_the_comparator_on_the_solve_corpora(monkeypatch):
+    """Every cut-free node LP that ``branch_and_cut`` solves over the
+    seed-1 corpora of ``bench/``'s two solve workloads, as many tasks as a
+    benchmark run of ``run_seconds`` measures, equals the comparator
+    closed form (``conftest.comparator_solve_groups``) in every field:
+    value, point, duals and pivots."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    corpus = importlib.import_module("corpus")
+    workloads = importlib.import_module("workloads")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    real, lps = solver.solve_lp, []
+
+    def recording(problem, *, spans):
+        if not problem.cut_rows:
+            lps.append((problem, spans))
+        return real(problem, spans=spans)
+
+    monkeypatch.setattr(solver, "solve_lp", recording)
+    for name in ("solve-default", "solve-exactsep"):
+        workload = workloads.WORKLOADS[name]
+        config = SolveConfig(exact_fallback=workload.exact_fallback)
+        for groups, capacity in corpus.instance_stream(
+                random.Random(1), workload.shapes, workload.max_weight,
+                workload.tasks(seconds)):
+            branch_and_cut(Instance.build(groups, capacity), config)
+    assert len(lps) >= 2000
+    for problem, spans in lps:
+        assert solve_lp(problem, spans=spans) == comparator_solve_groups(
+            problem, spans)
+
+
+def test_closed_form_matches_the_comparator_on_random_data():
+    """The closed form equals the comparator closed form in every field,
+    at the root's spans and at random nested node spans, empty ones
+    included: on rational and strongly correlated instances with zero
+    weights, b = 0, zero profits and ratios tied within and across
+    groups."""
+    rng = random.Random(5602)
+    seen = {"zero weight": 0, "weightless profit": 0, "b = 0": 0,
+            "rational": 0, "tied ratio": 0, "empty span": 0}
+    for n in range(900):
+        inst = correlated_instance(rng) if n % 3 == 0 else rational_instance(rng)
+        objective = {}
+        for r in inst.columns:
+            roll = rng.random()
+            objective[r] = (0 if roll < 0.15 else inst.weight(r) * 2
+                            if roll < 0.35 else inst.profit(r))
+        problem = LpProblem(with_profits(inst, objective))
+        spans = random_spans(rng, inst, 0.25)
+        for at in (problem.spans, spans):
+            assert solve_lp(problem, spans=at) == comparator_solve_groups(
+                problem, at)
+        ratios = [objective[r] / inst.weight(r) for r in inst.columns
+                  if inst.weight(r) and objective[r] > 0]
+        seen["zero weight"] += any(inst.weight(r) == 0 for r in inst.columns)
+        seen["weightless profit"] += any(
+            inst.weight(r) == 0 and objective[r] > 0 for r in inst.columns)
+        seen["b = 0"] += inst.capacity == 0
+        seen["rational"] += problem.scaled_rows[0][2] > 1
+        seen["tied ratio"] += len(set(ratios)) < len(ratios)
+        seen["empty span"] += any(lo == hi for lo, hi in spans)
+    assert min(seen.values()) >= 40, seen
+
+
+# Group 1's ratio 333331/999994 and group 2's 333332/999997 are adjacent
+# fractions (their cross products differ by 1) that floor(W r) does not
+# tell apart at W = 10^6, group 3's heavy slot; group 4's hull step from
+# its weightless slot ties group 2's ratio; groups 3 and 4 each have a
+# weightless slot with a positive profit.
+_NEAR_TIES = [((999994,), (333331,)), ((999997,), (333332,)),
+              ((10 ** 6, 0), (400000, 2)), ((999997, 0), (333333, 1))]
+
+
+@pytest.mark.parametrize("capacity", [
+    0, 1, 999994, 999997, 10 ** 6, 1999991, 1999994, 2999994, 4 * 10 ** 6])
+def test_closed_form_keeps_near_ties_apart(capacity):
+    """On adjacent fractions at W = 10^6, ratios tied across groups and two
+    groups with weightless positive-profit slots, the closed form equals
+    the comparator closed form in every field at every capacity, at the
+    root and at every node's spans that drops one slot: the integer key
+    orders the steps as the exact ratios do, ties kept in group order and
+    weightless steps first."""
+    problem = LpProblem(Instance.build(_NEAR_TIES, capacity))
+    nodes = [problem.spans] + [
+        problem.spans[:i] + ((lo + 1, hi),) + problem.spans[i + 1:]
+        for i, (lo, hi) in enumerate(problem.spans) if hi - lo > 1] + [
+        problem.spans[:i] + ((lo, hi - 1),) + problem.spans[i + 1:]
+        for i, (lo, hi) in enumerate(problem.spans)]
+    for spans in nodes:
+        assert solve_lp(problem, spans=spans) == comparator_solve_groups(
+            problem, spans)
