@@ -72,7 +72,7 @@ from math import prod
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
-from .model import Instance, LinearInequality, VarRef, var_ref
+from .model import Instance, LinearInequality, var_ref
 from .numeric import require_integer
 from .oracle import guard_enumeration, walk_patterns
 
@@ -264,17 +264,18 @@ def rule_terms(rule, row, entries) -> list:
     return out
 
 
-def _inequality(scale, rows, form) -> LinearInequality:
+def _inequality(layout, scale, rows, form) -> LinearInequality:
     """The LinearInequality that keeps an integer form (over scale * den),
     taken in unchecked (see the module docstring), each rule evaluated
     once, over all its group's slots with X = 1, in the form's order; the
-    refs through tuple.__new__, not VarRef's Python-level constructor."""
+    refs read off the instance's ``layout``."""
     den, rhs, rules = form
-    new = tuple.__new__
+    refs, spans = layout.refs, layout.spans
     return LinearInequality.from_scaled_unchecked(scale * den, rhs, [
-        (new(VarRef, (i, j)), c) for i, rule in rules.items()
-        for j, c in enumerate(rule_terms(rule, rows[i - 1], enumerate(
-            repeat(1, len(rows[i - 1])), start=1)), start=1) if c])
+        (ref, c) for i, rule in rules.items()
+        for ref, c in zip(refs[slice(*spans[i - 1])], rule_terms(
+            rule, rows[i - 1], enumerate(repeat(1, len(rows[i - 1])),
+                                         start=1))) if c])
 
 
 def _pack_cut(instance: Instance, family: str, pack, pivot=None,
@@ -422,7 +423,8 @@ def member_cut(instance: Instance, key, form) -> GeneratedCut:
         # singletons it is false for packs of two or more items
         groups = {i for i, _ in items}
         facet = facet and bool(groups - instance.m0) and bool(groups & instance.m0)
-    return GeneratedCut(key, _inequality(scale, rows, form), facet)
+    return GeneratedCut(key, _inequality(instance.layout, scale, rows,
+                                         form), facet)
 
 
 def _lifts(row, slot, over) -> bool:
@@ -476,14 +478,13 @@ def enumerate_maximal_switching_packs(instance: Instance,
     guard counts all 2^m subsets."""
     guard_enumeration(2 ** instance.m, "subset space 2^%d" % instance.m, limit)
     _, units, capacity = instance.normalized_units()
-    new = tuple.__new__  # the refs not through VarRef's Python constructor
+    refs, spans = instance.layout.refs, instance.layout.spans
     out, stack = [], [((), capacity)]  # (subset, slack); children last-first
     while stack:
         subset, slack = stack.pop()
         tails = [units[i - 1] for i in subset]
         if subset and is_switching(tails, slack):
-            out.append(tuple(new(VarRef, (i, len(u)))
-                             for i, u in zip(subset, tails)))
+            out.append(tuple(refs[spans[i - 1][1] - 1] for i in subset))
         for i in range(instance.m, subset[-1] if subset else 0, -1):
             if slack > units[i - 1][-1]:
                 stack.append((subset + (i,), slack - units[i - 1][-1]))

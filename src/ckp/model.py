@@ -43,10 +43,12 @@ most the capacity, and at most one positive variable per group.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import ge
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import FormatError, PreconditionError, ValidationError
@@ -178,6 +180,47 @@ class Group:
         return "Group(weights=%r, profits=%r)" % (self.weights, self.profits)
 
 
+class Layout(NamedTuple):
+    """What the group sizes alone decide, one record per size tuple, which
+    every instance of those sizes shares (:attr:`Instance.layout`):
+    ``columns``, the read-only ``{VarRef: column}`` index in (group, slot)
+    order; ``refs``, the VarRefs in that order; ``spans``, each group's
+    ``(start, end)`` columns; and ``m0``, M_0, the frozenset of the
+    indices of the one-slot groups."""
+
+    columns: Mapping
+    refs: tuple
+    spans: tuple
+    m0: frozenset
+
+
+# size tuple -> Layout, oldest first; each step on it is one call, so a
+# race between threads can at worst make a record twice or drop one more
+_LAYOUTS = OrderedDict()
+_LAYOUT_LIMIT = 256
+
+
+def _layout(sizes) -> Layout:
+    """The :class:`Layout` of the group ``sizes``, made and kept in
+    ``_LAYOUTS``, the oldest dropped past ``_LAYOUT_LIMIT`` records; the
+    refs through ``tuple.__new__``, not VarRef's Python-level constructor,
+    here and nowhere else."""
+    new, refs, spans, singles = tuple.__new__, [], [], []
+    for i, size in enumerate(sizes, start=1):
+        start = len(refs)
+        for j in range(1, size + 1):
+            refs.append(new(VarRef, (i, j)))
+        spans.append((start, len(refs)))
+        if size == 1:
+            singles.append(i)
+    layout = new(Layout, (MappingProxyType(dict(zip(refs, range(len(refs))))),
+                          tuple(refs), tuple(spans), frozenset(singles)))
+    if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+        _LAYOUTS.popitem(last=False)
+    _LAYOUTS[sizes] = layout
+    return layout
+
+
 class Instance:
     """A complementarity knapsack instance: groups plus a capacity, all of
     it nonnegative.  A negative capacity, and then the first negative
@@ -188,13 +231,18 @@ class Instance:
     Its five facts are made together, in one pass over the groups, at the
     first read of any of them, and are plain attributes after it:
     ``columns``, ``{VarRef: column}`` in (group, slot) order, the package's
-    one column index; ``units``, ``(scale, rows, capacity_units)``, the
-    weights by group and the capacity brought to one integer scale, the
-    least common denominator of them all (:func:`numeric.common_scale`, so
-    on integral data the rows are the groups' own); ``profit_units``,
-    ``(scale, costs)``, the profits in ``columns`` order likewise;
-    ``normalized``, weights non-increasing within every group; and ``m0``,
-    M_0, the frozenset of the indices of the groups with one slot."""
+    one column index, read-only; ``units``, ``(scale, rows,
+    capacity_units)``, the weights by group and the capacity brought to one
+    integer scale, the least common denominator of them all
+    (:func:`numeric.common_scale`, so on integral data the rows are the
+    groups' own); ``profit_units``, ``(scale, costs)``, the profits in
+    ``columns`` order likewise; ``normalized``, weights non-increasing
+    within every group; and ``m0``, M_0, the frozenset of the indices of
+    the groups with one slot.  ``columns`` and ``m0`` depend on the group
+    sizes alone and are read off ``layout``, the :class:`Layout` that every
+    instance of those sizes shares; the pass makes the other three.  A copy
+    or a pickle is made from the groups and the capacity alone, and makes
+    its facts at its own first read."""
 
     def __init__(self, groups, capacity):
         self.groups = groups = tuple(groups)
@@ -247,10 +295,10 @@ class Instance:
 
     def check_ref(self, ref: VarRef) -> int:
         """The column of ``ref``; outside the instance it raises."""
-        column = self.columns.get(ref)
-        if column is None:
-            raise ValidationError("variable out of range: %s" % (ref,))
-        return column
+        try:
+            return self.columns[ref]
+        except KeyError:
+            raise ValidationError("variable out of range: %s" % (ref,)) from None
 
     def weight(self, ref: VarRef) -> Fraction:
         self.check_ref(ref)
@@ -262,30 +310,33 @@ class Instance:
         scale, ints = self.groups[ref.group - 1].profit_form
         return Fraction(ints[ref.slot - 1], scale)
 
+    def __reduce__(self):
+        # by value: the shared, read-only column index is not copied
+        scale, (capacity,) = self.capacity_form
+        return Instance, (self.groups,
+                          capacity if scale == 1 else self.capacity)
+
     def __getattr__(self, name):
-        # reached only before the facts are attributes: make all five; the
-        # refs through tuple.__new__, not VarRef's Python-level constructor
+        # reached only before the facts are attributes: make all five, the
+        # shape's read off its shared Layout
         if name not in ("columns", "units", "profit_units", "normalized",
-                        "m0"):
+                        "m0", "layout"):
             raise AttributeError("'Instance' object has no attribute %r" % name)
-        new, refs, singles, normalized = tuple.__new__, [], [], True
-        weights, profits = [self.capacity_form], []
-        for i, g in enumerate(self.groups, start=1):
+        weights, profits, normalized = [self.capacity_form], [], True
+        for g in self.groups:
             weights.append(g.weight_form)
             profits.append(g.profit_form)
             row = g.weight_form[1]
-            for j in range(1, len(row) + 1):
-                refs.append(new(VarRef, (i, j)))
-            if len(row) == 1:
-                singles.append(i)
             normalized = normalized and all(map(ge, row, row[1:]))
         scale, ((capacity,), *rows) = common_scale(weights)
-        self.columns = dict(zip(refs, range(len(refs))))
+        sizes = tuple(map(len, rows))
+        self.layout = layout = _LAYOUTS.get(sizes) or _layout(sizes)
+        self.columns = layout.columns
         self.units = scale, tuple(rows), capacity
         scale, rows = common_scale(profits)
         self.profit_units = scale, tuple(chain.from_iterable(rows))
         self.normalized = normalized
-        self.m0 = frozenset(singles)
+        self.m0 = layout.m0
         return self.__dict__[name]
 
     def integer_row(self, inequality):

@@ -54,7 +54,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .model import Instance, LinearInequality, Point, VarRef, clean_terms
+from .model import Instance, LinearInequality, Point, clean_terms
 from .numeric import affine_rank, require_integer
 
 DEFAULT_ENUM_LIMIT = 10 ** 6
@@ -114,21 +114,22 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
     estimate = pattern_count(instance)
     guard_enumeration(estimate, "pattern space %d" % estimate, limit)
     _, rows, capacity = instance.units
-    return _patterns(rows, capacity, families)
+    return _patterns(instance.layout, rows, capacity, families)
 
 
-def _patterns(rows, capacity, families):
-    """The walk of :func:`walk_patterns` over the integer weights."""
+def _patterns(layout, rows, capacity, families):
+    """The walk of :func:`walk_patterns` over the integer weights, its refs
+    read off the instance's ``layout``."""
     prune = families is not None
     if prune:
         packs = any(f.startswith("pack") for f in families)
         covers = any(f.startswith("lcover") for f in families)
     # per group, its options: "none", then each slot as (ref,), u and
-    # u - u_last; the refs through tuple.__new__, not VarRef's constructor
-    new = tuple.__new__
-    levels = [(((), 0, 0),) + tuple(((new(VarRef, (i, j)),), u, u - row[-1])
-                                    for j, u in enumerate(row, start=1))
-              for i, row in enumerate(rows, start=1)]
+    # u - u_last
+    refs = layout.refs
+    levels = [(((), 0, 0),) + tuple(((ref,), u, u - row[-1])
+                                    for ref, u in zip(refs[lo:hi], row))
+              for (lo, hi), row in zip(layout.spans, rows)]
     m = len(levels)
     reach = [0] * (m + 1)  # the heaviest weights of the undecided groups
     for i in range(m - 1, -1, -1):

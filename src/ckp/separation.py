@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .cuts import (GeneratedCut, family_members, is_switching, member_cut,
                    resolve_families, rule_terms)
 from .errors import CkpError, PreconditionError, ValidationError
-from .model import Instance, Point, VarRef, lhs_at, weight_units
+from .model import Instance, Point, lhs_at, weight_units
 from .numeric import require_integer
 from .oracle import pattern_count, walk_patterns
 
@@ -194,8 +194,8 @@ def separate_greedy(instance: Instance, point: Point,
     chosen.sort()
     if not chosen or not is_switching([units[i] for i in chosen], slack):
         return _select(instance, point, support, (), families, 0)
-    new = tuple.__new__  # the refs not through VarRef's Python constructor
-    pack = tuple(new(VarRef, (i + 1, len(units[i]))) for i in chosen)
+    refs, spans = instance.layout.refs, instance.layout.spans
+    pack = tuple(refs[spans[i][1] - 1] for i in chosen)  # last slots
     weight = support.capacity_units - slack
     packs = [(pack, weight)]
     if len(pack) >= 2:
@@ -230,11 +230,10 @@ def build_partition_reduction(alphas, beta: int):
     tail = (3,) + (1,) * beta
     groups.append((tail, tail))
     instance = Instance.build(groups, beta + 2)
-    new = tuple.__new__  # the refs not through VarRef's Python constructor
-    entries = [(new(VarRef, (i, 1)), 2 * beta - 3) for i in range(1, k + 1)]
-    entries.append((new(VarRef, (k + 1, 1)), 6 * beta))
-    entries += [(new(VarRef, (k + 1, j)), 2 * beta)
-                for j in range(2, beta + 2)]
+    refs = instance.layout.refs  # the k singletons', then group k + 1's
+    entries = [(ref, 2 * beta - 3) for ref in refs[:k]]
+    entries.append((refs[k], 6 * beta))
+    entries += [(ref, 2 * beta) for ref in refs[k + 1:]]
     point = Point.from_scaled(6 * beta, entries)
     total, den = weight_units(instance, point)
     if total != instance.units[2] * den:

@@ -17,8 +17,10 @@ which no inequality valid for S has, since the origin lies in S.
 
 :class:`LpProblem` takes its data in integers, with no Fraction round
 trip: the knapsack row is ``Instance.units``, a group row is its span of
-columns (``LpProblem.spans``), the costs are ``Instance.profit_units``,
-scaled once per instance, and each cut row is its own integer form
+columns (``LpProblem.spans``, read with the column refs off
+``Instance.layout``, made once per tuple of group sizes and shared by
+every instance of it), the costs are ``Instance.profit_units``, scaled
+once per instance, and each cut row is its own integer form
 (``LinearInequality.scaled``, which a builder's cut keeps), filled dense
 by ``Instance.integer_row`` as :meth:`LpProblem.with_row` adds it.  The
 solver and the certificate check work on these integers, and so does the
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 from copy import copy
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -87,12 +88,14 @@ class LpProblem:
     capacity are nonnegative, and so is each cut row's rhs, so x = 0 is
     feasible; x >= 0 is implicit.
 
-    Built once per problem: ``refs`` (the columns, in ``Instance.columns``
-    order), ``costs`` and ``cost_scale`` (``Instance.profit_units``, shared
-    with the instance), ``scaled_rows`` (``(coefficients, rhs,
-    scale)`` for the knapsack row, from ``Instance.units``, then for each
-    cut row, its ``LinearInequality.scaled`` through
-    ``Instance.integer_row``) and ``scale``, the LCM of all these scales.
+    Shared with every instance of the group sizes: ``refs`` (the columns,
+    in ``Instance.columns`` order) and ``spans``, read off
+    ``Instance.layout``.  Shared with the instance: ``costs`` and
+    ``cost_scale`` (``Instance.profit_units``).  Built once per problem:
+    ``scaled_rows`` (``(coefficients, rhs, scale)`` for the knapsack row,
+    from ``Instance.units``, then for each cut row, its
+    ``LinearInequality.scaled`` through ``Instance.integer_row``) and
+    ``scale``, the LCM of all these scales.
     """
 
     __slots__ = ("instance", "cut_rows", "refs", "costs", "cost_scale",
@@ -103,11 +106,10 @@ class LpProblem:
         weights = [a for row in units for a in row]
         self.instance = instance
         self.cut_rows = ()
-        self.refs = tuple(instance.columns)
+        layout = instance.layout
+        self.refs, self.spans = layout.refs, layout.spans
         self.cost_scale, self.costs = instance.profit_units
         self.scaled_rows = [(weights, capacity, weight_scale)]
-        ends = tuple(accumulate(map(len, units)))
-        self.spans = tuple(zip((0,) + ends, ends))
         self.scale = lcm(self.cost_scale, weight_scale)
 
     @property

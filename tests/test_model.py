@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ckp import oracle, simplex
+from ckp import model, oracle, simplex
 from ckp.errors import PreconditionError, ValidationError
 from ckp.fileio import serialize_inequality, serialize_point
 from ckp.numeric import integer_form
@@ -263,6 +263,70 @@ def test_first_read_of_any_fact_makes_all_five():
         unsorted.normalized_units()
     with pytest.raises(AttributeError, match="no attribute 'unit'"):
         unsorted.unit
+
+
+def test_one_layout_per_tuple_of_group_sizes():
+    """Instances of one tuple of group sizes share one Layout, whatever
+    their data, and so does ``normalize``'s output of an unsorted one;
+    other sizes get their own.  The shared column index is read-only, and
+    a deep copy or a pickle round trip, made once the facts are read, is
+    an equal instance that reads the same record."""
+    a = Instance.build([((5, 3), (4, 1)), ((7,), (2,)), ((0, 0), (1, 0))], 6)
+    b = Instance.build([((Fraction(9, 2), 1), (1, 1)), ((2,), ("1/3",)),
+                        ((4, 1), (4, 1))], 3)
+    assert a.layout is b.layout
+    assert a.columns is b.columns and a.m0 is b.m0
+    layout = a.layout
+    assert layout.refs == tuple(a.columns) == (
+        VarRef(1, 1), VarRef(1, 2), VarRef(2, 1), VarRef(3, 1), VarRef(3, 2))
+    assert all(type(ref) is VarRef for ref in layout.refs)
+    assert layout.spans == simplex.LpProblem(b).spans == ((0, 2), (2, 3),
+                                                          (3, 5))
+    assert simplex.LpProblem(a).refs is layout.refs
+    assert layout.m0 == frozenset({2})
+    unsorted = Instance.build([((1, 3), (1, 1)), ((2,), (2,)),
+                               ((0, 1), (1, 1))], 3)
+    normalized, _ = normalize(unsorted)
+    assert normalized is not unsorted and normalized.normalized
+    assert normalized.layout is unsorted.layout is layout
+    for other in (Instance.build([((5,), (4,)), ((7, 1), (2, 1)),
+                                  ((1, 0), (1, 0))], 6),
+                  Instance.build([((5, 3), (4, 1)), ((7,), (2,))], 6)):
+        assert other.layout is not layout
+        assert other.columns != a.columns
+    with pytest.raises(TypeError):
+        a.columns[VarRef(4, 1)] = 5
+    with pytest.raises(TypeError):
+        del a.columns[VarRef(1, 1)]
+    assert len(b.columns) == 5
+    for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+                   pickle.loads(pickle.dumps(b))):
+        assert "columns" not in vars(copied)
+        assert copied in (a, b) and copied.layout is layout
+        assert copied.units in (a.units, b.units)
+
+
+def test_layout_cache_stays_at_its_bound():
+    # more distinct tuples of group sizes than the bound: the oldest
+    # records are dropped, and an instance keeps the record it read
+    limit = model._LAYOUT_LIMIT
+    shapes = [tuple(1 + (k >> bit & 1) for bit in range(10))
+              for k in range(limit + 20)]
+    first = Instance.build([((1,) * size, (1,) * size)
+                            for size in shapes[0]], 5)
+    kept = first.layout
+    for sizes in shapes[1:]:
+        inst = Instance.build([((1,) * size, (1,) * size) for size in sizes],
+                              5)
+        assert inst.layout.spans[-1][1] == sum(sizes)
+        assert len(model._LAYOUTS) <= limit
+    assert len(model._LAYOUTS) == limit
+    assert shapes[0] not in model._LAYOUTS and shapes[-1] in model._LAYOUTS
+    assert first.layout is kept
+    again = Instance.build([((2,) * size, (1,) * size)
+                            for size in shapes[0]], 5)
+    assert again.layout == kept and again.layout is not kept
+    assert len(model._LAYOUTS) == limit
 
 
 def test_integral_instance_makes_no_fraction(monkeypatch):

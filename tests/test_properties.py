@@ -1,0 +1,68 @@
+"""Derandomized property tests across the exact paths, on instances drawn
+by one Hypothesis strategy: up to 4 groups of up to 3 slots, rational data
+p/q with q <= 3, zero weights and profits, ties, one-slot groups and a
+capacity of 0 among them.  ``derandomize=True`` and a fixed
+``max_examples`` keep every run on the same draws."""
+
+import copy
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ckp import model
+from ckp.model import Instance, normalize
+from ckp.oracle import enumerate_candidate_vertices
+from ckp.solver import SolveConfig, branch_and_cut
+
+RATIONALS = st.builds(Fraction, st.integers(0, 9), st.integers(1, 3))
+
+
+@st.composite
+def instances(draw):
+    """A normalized CKP instance of the module docstring's kind, with its
+    slots drawn in any order and sorted by ``normalize``."""
+    groups = [draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1,
+                            max_size=3))
+              for _ in range(draw(st.integers(1, 4)))]
+    heaviest = int(sum(max(a for a, _ in g) for g in groups))
+    capacity = draw(st.one_of(st.builds(
+        Fraction, st.integers(1, 3 * heaviest + 3), st.integers(1, 3)),
+        st.just(0)))
+    unsorted = Instance.build([(tuple(a for a, _ in g), tuple(c for _, c in g))
+                               for g in groups], capacity)
+    return normalize(unsorted)[0]
+
+
+CONFIGS = (SolveConfig(), SolveConfig(families=()),
+           SolveConfig(exact_fallback=True))
+
+
+def _solves(instance):
+    reports = [branch_and_cut(instance, config) for config in CONFIGS]
+    for report in reports:
+        assert report.proven_optimal
+    return reports
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(instances())
+def test_solve_equals_the_oracle_on_a_fresh_and_a_shared_layout(instance):
+    # first on a fresh shape, its Layout made by this solve; then on an
+    # equal instance that reads the Layout another instance of the shape
+    # (its slots reversed, then normalized) made
+    sizes = tuple(g.size for g in instance.groups)
+    model._LAYOUTS.pop(sizes, None)
+    fresh = _solves(instance)
+    assert instance.layout is model._LAYOUTS[sizes]
+    objective = [(ref, instance.profit(ref)) for ref in instance.columns]
+    best, _ = enumerate_candidate_vertices(instance).maximize(objective)
+    assert [report.value for report in fresh] == [best] * len(CONFIGS)
+
+    model._LAYOUTS.pop(sizes)
+    filler, _ = normalize(Instance(
+        [model.Group(g.weights[::-1], g.profits[::-1])
+         for g in instance.groups], instance.capacity + 1))
+    shared = filler.layout
+    again = copy.deepcopy(instance)
+    assert again.layout is shared is not instance.layout
+    assert _solves(again) == fresh

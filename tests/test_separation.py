@@ -626,9 +626,9 @@ def test_winner_checked_against_its_kept_form(ex_c, frac_point, monkeypatch):
     # kept form disagrees with the scored one is caught at the build
     real = cuts._inequality
 
-    def loosened(scale, rows, form):
+    def loosened(layout, scale, rows, form):
         den, rhs, rules = form
-        return real(scale, rows, (den, rhs + 1, rules))
+        return real(layout, scale, rows, (den, rhs + 1, rules))
 
     assert separate_exact(ex_c, frac_point, "pack1").found
     monkeypatch.setattr(cuts, "_inequality", loosened)
