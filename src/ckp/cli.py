@@ -232,7 +232,10 @@ def _add_limit(parser) -> None:
                         help="pattern-count guard (default: 10^6)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first :func:`main` call (not at import) and
+    reused after; parsing leaves no state in it."""
     parser = _Parser(prog="ckp",
                      description="Exact cuts, oracles, separation, and "
                                  "branch-and-cut for the complementarity "
@@ -298,13 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=_cmd_reduce)
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built at the first :func:`main` call (not at import) and
-    reused after; parsing leaves no state in it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

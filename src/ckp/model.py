@@ -43,8 +43,8 @@ most the capacity, and at most one positive variable per group.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import ge
@@ -194,31 +194,19 @@ class Layout(NamedTuple):
     m0: frozenset
 
 
-# size tuple -> Layout, oldest first; each step on it is one call, so a
-# race between threads can at worst make a record twice or drop one more
-_LAYOUTS = OrderedDict()
-_LAYOUT_LIMIT = 256
-
-
+@lru_cache(maxsize=256)
 def _layout(sizes) -> Layout:
-    """The :class:`Layout` of the group ``sizes``, made and kept in
-    ``_LAYOUTS``, the oldest dropped past ``_LAYOUT_LIMIT`` records; the
-    refs through ``tuple.__new__``, not VarRef's Python-level constructor,
-    here and nowhere else."""
-    new, refs, spans, singles = tuple.__new__, [], [], []
+    """The :class:`Layout` of the group ``sizes``, kept for the 256 most
+    recently used size tuples."""
+    refs, spans, singles = [], [], []
     for i, size in enumerate(sizes, start=1):
         start = len(refs)
-        for j in range(1, size + 1):
-            refs.append(new(VarRef, (i, j)))
+        refs.extend(VarRef(i, j) for j in range(1, size + 1))
         spans.append((start, len(refs)))
         if size == 1:
             singles.append(i)
-    layout = new(Layout, (MappingProxyType(dict(zip(refs, range(len(refs))))),
-                          tuple(refs), tuple(spans), frozenset(singles)))
-    if len(_LAYOUTS) >= _LAYOUT_LIMIT:
-        _LAYOUTS.popitem(last=False)
-    _LAYOUTS[sizes] = layout
-    return layout
+    return Layout(MappingProxyType(dict(zip(refs, range(len(refs))))),
+                  tuple(refs), tuple(spans), frozenset(singles))
 
 
 class Instance:
@@ -330,7 +318,7 @@ class Instance:
             normalized = normalized and all(map(ge, row, row[1:]))
         scale, ((capacity,), *rows) = common_scale(weights)
         sizes = tuple(map(len, rows))
-        self.layout = layout = _LAYOUTS.get(sizes) or _layout(sizes)
+        self.layout = layout = _layout(sizes)
         self.columns = layout.columns
         self.units = scale, tuple(rows), capacity
         scale, rows = common_scale(profits)

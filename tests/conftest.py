@@ -9,6 +9,7 @@ from math import gcd
 from operator import itemgetter
 
 import pytest
+from hypothesis import settings
 
 from ckp import cuts, oracle, solver
 from ckp.cuts import (lifted_cover_inequality_1, lifted_cover_inequality_2,
@@ -18,6 +19,10 @@ from ckp.model import (Instance, LinearInequality, Point, VarRef, lhs_at,
                        weight_units)
 from ckp.numeric import integer_form
 from ckp.simplex import LpProblem, LpSolution
+
+# Hypothesis's built-in "ci" profile (derandomized, no deadline), which it
+# loads by itself on CI: every run of a @given test draws the same cases
+settings.load_profile("ci")
 
 
 def make_instance(weights_by_group, capacity):

@@ -181,8 +181,7 @@ def test_one_ref_coercion():
 def ref_constructions(source):
     """Lines that make a VarRef through ``tuple.__new__``: a call of
     ``tuple.__new__``, or of a name bound to it (``new = tuple.__new__``,
-    unpacked assignments included), whose first argument is ``VarRef``,
-    outside the body of a function named ``_layout``."""
+    unpacked assignments included), whose first argument is ``VarRef``."""
     def is_new(node):
         return (isinstance(node, ast.Attribute) and node.attr == "__new__"
                 and getattr(node.value, "id", None) == "tuple")
@@ -198,22 +197,12 @@ def ref_constructions(source):
                          and isinstance(node.value, ast.Tuple) else ())
                 aliases.update(t.id for t, v in pairs
                                if isinstance(t, ast.Name) and is_new(v))
-    lines = []
-
-    def visit(node, inside):
-        if isinstance(node, ast.FunctionDef):
-            inside = inside or node.name == "_layout"
-        elif (isinstance(node, ast.Call) and not inside and node.args
-              and getattr(node.args[0], "id",
-                          getattr(node.args[0], "attr", None)) == "VarRef"
-              and (is_new(node.func) or getattr(node.func, "id", None)
-                   in aliases)):
-            lines.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
-
-    visit(tree, False)
-    return sorted(lines)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and getattr(node.args[0], "id",
+                    getattr(node.args[0], "attr", None)) == "VarRef"
+        and (is_new(node.func) or getattr(node.func, "id", None) in aliases))
 
 
 def test_detector_flags_a_ref_construction():
@@ -225,12 +214,13 @@ def test_detector_flags_a_ref_construction():
               "b = tuple.__new__(model.VarRef, pair)\n"
               "c = VarRef(1, 2)\nd = tuple.__new__(Point, ())\n"
               "e = isinstance(ref, VarRef)\nf = other(VarRef, (1, 1))\n")
-    assert ref_constructions(source) == [4, 7, 8]
+    assert ref_constructions(source) == [3, 4, 7, 8]
 
 
 def test_refs_are_made_once_per_layout():
     # the refs of an instance's columns are made once per tuple of group
-    # sizes, by model._layout, and read off Instance.layout everywhere else
+    # sizes, by model._layout's plain VarRef(i, j) calls, and read off
+    # Instance.layout everywhere else; no tuple.__new__ makes one
     found = {path.name: ref_constructions(path.read_text())
              for path in LIBRARY}
     assert {name: lines for name, lines in found.items() if lines} == {}

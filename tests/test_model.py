@@ -307,26 +307,30 @@ def test_one_layout_per_tuple_of_group_sizes():
 
 
 def test_layout_cache_stays_at_its_bound():
-    # more distinct tuples of group sizes than the bound: the oldest
-    # records are dropped, and an instance keeps the record it read
-    limit = model._LAYOUT_LIMIT
+    # more distinct tuples of group sizes than the bound: the least recently
+    # used records are dropped, and an instance keeps the record it read
+    model._layout.cache_clear()
+    limit = model._layout.cache_info().maxsize
+    assert limit == 256
     shapes = [tuple(1 + (k >> bit & 1) for bit in range(10))
               for k in range(limit + 20)]
-    first = Instance.build([((1,) * size, (1,) * size)
-                            for size in shapes[0]], 5)
+
+    def build(sizes, weight=1):
+        return Instance.build([((weight,) * size, (1,) * size)
+                               for size in sizes], 5)
+
+    first = build(shapes[0])
     kept = first.layout
     for sizes in shapes[1:]:
-        inst = Instance.build([((1,) * size, (1,) * size) for size in sizes],
-                              5)
+        inst = build(sizes)
         assert inst.layout.spans[-1][1] == sum(sizes)
-        assert len(model._LAYOUTS) <= limit
-    assert len(model._LAYOUTS) == limit
-    assert shapes[0] not in model._LAYOUTS and shapes[-1] in model._LAYOUTS
+        assert model._layout.cache_info().currsize <= limit
+    assert model._layout.cache_info().currsize == limit
+    assert build(shapes[-1], 2).layout is inst.layout
     assert first.layout is kept
-    again = Instance.build([((2,) * size, (1,) * size)
-                            for size in shapes[0]], 5)
+    again = build(shapes[0], 2)
     assert again.layout == kept and again.layout is not kept
-    assert len(model._LAYOUTS) == limit
+    assert model._layout.cache_info().currsize == limit
 
 
 def test_integral_instance_makes_no_fraction(monkeypatch):

@@ -9,19 +9,22 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ckp import model
+from ckp import cuts, model
 from ckp.model import Instance, normalize
 from ckp.oracle import enumerate_candidate_vertices
 from ckp.solver import SolveConfig, branch_and_cut
 
 RATIONALS = st.builds(Fraction, st.integers(0, 9), st.integers(1, 3))
+# weight 0 half the time
+MOSTLY_WEIGHTLESS = st.one_of(st.just(Fraction(0)), RATIONALS)
 
 
 @st.composite
-def instances(draw):
-    """A normalized CKP instance of the module docstring's kind, with its
-    slots drawn in any order and sorted by ``normalize``."""
-    groups = [draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1,
+def instances(draw, weights=RATIONALS):
+    """A normalized CKP instance of the module docstring's kind, its
+    weights drawn from ``weights``, with its slots drawn in any order and
+    sorted by ``normalize``."""
+    groups = [draw(st.lists(st.tuples(weights, RATIONALS), min_size=1,
                             max_size=3))
               for _ in range(draw(st.integers(1, 4)))]
     heaviest = int(sum(max(a for a, _ in g) for g in groups))
@@ -51,14 +54,14 @@ def test_solve_equals_the_oracle_on_a_fresh_and_a_shared_layout(instance):
     # equal instance that reads the Layout another instance of the shape
     # (its slots reversed, then normalized) made
     sizes = tuple(g.size for g in instance.groups)
-    model._LAYOUTS.pop(sizes, None)
+    model._layout.cache_clear()
     fresh = _solves(instance)
-    assert instance.layout is model._LAYOUTS[sizes]
+    assert instance.layout is model._layout(sizes)
     objective = [(ref, instance.profit(ref)) for ref in instance.columns]
     best, _ = enumerate_candidate_vertices(instance).maximize(objective)
     assert [report.value for report in fresh] == [best] * len(CONFIGS)
 
-    model._LAYOUTS.pop(sizes)
+    model._layout.cache_clear()
     filler, _ = normalize(Instance(
         [model.Group(g.weights[::-1], g.profits[::-1])
          for g in instance.groups], instance.capacity + 1))
@@ -66,3 +69,22 @@ def test_solve_equals_the_oracle_on_a_fresh_and_a_shared_layout(instance):
     again = copy.deepcopy(instance)
     assert again.layout is shared is not instance.layout
     assert _solves(again) == fresh
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(instances(MOSTLY_WEIGHTLESS))
+def test_theorem_cuts_are_valid_and_each_flag_is_a_facet(instance):
+    # every listed cut of every family is valid (face_dimension raises on a
+    # violated one) and every facet flag holds against the hull's dimension
+    vertices = enumerate_candidate_vertices(instance)
+    hull = vertices.hull_dimension
+    for cut in cuts.theorem_cuts(instance, cuts.FAMILIES, None):
+        dimension = vertices.face_dimension(cut.inequality)
+        if cut.facet_guaranteed:
+            assert dimension == hull - 1 >= 0, cut.describe()
+
+
+def test_every_property_test_draws_the_same_cases():
+    # conftest.py loads Hypothesis's "ci" profile, so the @given tests that
+    # set nothing themselves are derandomized off CI as well as on it
+    assert settings().derandomize and settings().deadline is None
