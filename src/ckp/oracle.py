@@ -110,10 +110,16 @@ def walk_patterns(instance: Instance, limit: Optional[int] = None,
     family, none is a cover either when over plus the heaviest weights of
     the undecided groups is <= 0.  A pattern itself is given only when it
     is a pack and a pack family is asked for, or a cover with a special
-    item and a cover family is."""
+    item and a cover family is.  Without a pack family the walk scans the
+    last group only up to its first slot whose excess units + u - b is
+    <= 0: a group's weights are non-increasing, so no lighter slot closes
+    a cover.  The window needs that order, so a walk with ``families``
+    raises ``PreconditionError`` on an instance that is not normalized
+    (:meth:`Instance.normalized_units`); the unpruned walk takes any."""
     estimate = pattern_count(instance)
     guard_enumeration(estimate, "pattern space %d" % estimate, limit)
-    _, rows, capacity = instance.units
+    _, rows, capacity = (instance.units if families is None
+                         else instance.normalized_units())
     return _patterns(instance.layout, rows, capacity, families)
 
 
@@ -152,12 +158,15 @@ def _patterns(layout, rows, capacity, families):
             continue
         # the last group completes each pattern, given as it is made: a
         # pack when a pack family is asked for, a cover with a special
-        # item when a cover family is
+        # item when a cover family is; with no pack family, the first slot
+        # (not "none") at excess <= 0 ends the scan
         for ext, u, gap in (levels[i] if items else levels[i][1:]):
             if prune:
                 over = units + u - capacity
                 if not (over < 0 and packs or over > 0 and covers
                         and max(margin, gap) > over):
+                    if over <= 0 and ext and not packs:
+                        break
                     continue
             yield items + ext, units + u
 

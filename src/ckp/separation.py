@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .cuts import (GeneratedCut, family_members, is_switching, member_cut,
                    resolve_families, rule_terms)
 from .errors import CkpError, PreconditionError, ValidationError
-from .model import Instance, Point, lhs_at, weight_units
+from .model import Group, Instance, Point, lhs_at, weight_units
 from .numeric import require_integer
 from .oracle import pattern_count, walk_patterns
 
@@ -76,8 +76,9 @@ class PointSupport:
     index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
     variables; and ``mass``, sum U * X over them with U the slot's weight
     in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
-    must be normalized; every reference of the point is checked
-    (:meth:`Instance.check_ref`), as the integer lists are indexed by it.
+    must be normalized; every reference of the point is checked, as the
+    integer lists are indexed by it: one lookup in :attr:`Instance.columns`
+    each, and :meth:`Instance.check_ref` raises on a miss.
     """
 
     __slots__ = ("scale", "units", "capacity_units", "point_scale",
@@ -89,8 +90,10 @@ class PointSupport:
         self.point_scale, scaled = point.scaled
         entries = [[] for _ in units]
         mass = [0] * len(units)
+        columns = instance.columns
         for ref, x in scaled:
-            instance.check_ref(ref)
+            if ref not in columns:
+                instance.check_ref(ref)
             i = ref.group - 1
             entries[i].append((ref.slot, x))
             mass[i] += units[i][ref.slot - 1] * x
@@ -226,10 +229,10 @@ def build_partition_reduction(alphas, beta: int):
     if beta < 2:
         raise PreconditionError("beta must be at least 2, got %d" % beta)
     k = len(alphas)
-    groups = [((a,), (a,)) for a in alphas]
-    tail = (3,) + (1,) * beta
-    groups.append((tail, tail))
-    instance = Instance.build(groups, beta + 2)
+    groups = [Group.from_forms((1, (a,)), (1, (a,))) for a in alphas]
+    tail = (1, (3,) + (1,) * beta)
+    groups.append(Group.from_forms(tail, tail))
+    instance = Instance(groups, beta + 2)
     refs = instance.layout.refs  # the k singletons', then group k + 1's
     entries = [(ref, 2 * beta - 3) for ref in refs[:k]]
     entries.append((refs[k], 6 * beta))

@@ -192,6 +192,18 @@ def test_pruned_walk_keeps_every_item_set_with_a_member():
     assert any(inst.m0 for inst in instances)
 
 
+def test_pruned_walk_needs_sorted_groups():
+    # the cover window stops at a group's first light slot, which is sound
+    # only on non-increasing weights; the unpruned walk takes any order
+    unsorted = make_instance([(1, 4), (2,)], 3)
+    for families in (("lcover1",), FAMILIES, ()):
+        with pytest.raises(PreconditionError,
+                           match="^instance is not normalized$"):
+            oracle.walk_patterns(unsorted, families=families)
+    assert [units for _, units in oracle.walk_patterns(unsorted)] == [
+        2, 1, 3, 4, 6]
+
+
 def test_walk_never_meets_negative_weights():
     # the prune rules need weights that never lower a prefix's sum, and an
     # instance with a negative weight is refused when it is built

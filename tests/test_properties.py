@@ -1,8 +1,9 @@
 """Derandomized property tests across the exact paths, on instances drawn
-by one Hypothesis strategy: up to 4 groups of up to 3 slots, rational data
-p/q with q <= 3, zero weights and profits, ties, one-slot groups and a
-capacity of 0 among them.  ``derandomize=True`` and a fixed
-``max_examples`` keep every run on the same draws."""
+by one Hypothesis strategy: up to 4 groups of up to 3 slots (5 for
+separation), rational data p/q with q <= 3, zero weights and profits,
+ties, one-slot groups and a capacity of 0 among them.
+``derandomize=True`` and a fixed ``max_examples`` keep every run on the
+same draws."""
 
 import copy
 from fractions import Fraction
@@ -10,8 +11,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ckp import cuts, model
-from ckp.model import Instance, normalize
-from ckp.oracle import enumerate_candidate_vertices
+from ckp.model import Instance, lhs_at, normalize
+from ckp.oracle import enumerate_candidate_vertices, walk_patterns
+from ckp.separation import separate_exact
+from ckp.simplex import LpProblem, solve_lp
 from ckp.solver import SolveConfig, branch_and_cut
 
 RATIONALS = st.builds(Fraction, st.integers(0, 9), st.integers(1, 3))
@@ -20,12 +23,12 @@ MOSTLY_WEIGHTLESS = st.one_of(st.just(Fraction(0)), RATIONALS)
 
 
 @st.composite
-def instances(draw, weights=RATIONALS):
+def instances(draw, weights=RATIONALS, max_slots=3):
     """A normalized CKP instance of the module docstring's kind, its
-    weights drawn from ``weights``, with its slots drawn in any order and
-    sorted by ``normalize``."""
+    weights drawn from ``weights`` and its groups of up to ``max_slots``
+    slots, with its slots drawn in any order and sorted by ``normalize``."""
     groups = [draw(st.lists(st.tuples(weights, RATIONALS), min_size=1,
-                            max_size=3))
+                            max_size=max_slots))
               for _ in range(draw(st.integers(1, 4)))]
     heaviest = int(sum(max(a for a, _ in g) for g in groups))
     capacity = draw(st.one_of(st.builds(
@@ -82,6 +85,36 @@ def test_theorem_cuts_are_valid_and_each_flag_is_a_facet(instance):
         dimension = vertices.face_dimension(cut.inequality)
         if cut.facet_guaranteed:
             assert dimension == hull - 1 >= 0, cut.describe()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(instances(max_slots=5))
+def test_exact_separation_is_the_best_member_over_the_unpruned_walk(instance):
+    # at the root LP point, every member that the unpruned walk lists is
+    # built and evaluated; exact separation, whose walk prunes, must give
+    # the most violated, ties to the smallest key, and score them all
+    problem = LpProblem(instance)
+    point = solve_lp(problem, spans=problem.spans)
+    _, rows, b = instance.units
+    built = []
+    for items, units in walk_patterns(instance):
+        for key, form in cuts.family_members(rows, b, items, units,
+                                             cuts.FAMILIES):
+            inequality = cuts.member_cut(instance, key, form).inequality
+            built.append((key, lhs_at(inequality, point) - inequality.rhs))
+    # the cover families alone walk with the last group's window
+    for families in (cuts.FAMILIES, ("lcover1", "lcover2")):
+        members = [(key, violation) for key, violation in built
+                   if cuts.FAMILIES[key[1]] in families]
+        result = separate_exact(instance, point, families)
+        assert result.stats.examined == len(members)
+        top = max((violation for _, violation in members), default=0)
+        if top > 0:
+            assert result.violation == top
+            assert result.cut.key == min(key for key, violation in members
+                                         if violation == top)
+        else:
+            assert not result.found
 
 
 def test_every_property_test_draws_the_same_cases():

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,9 @@ from conftest import (correlated_instance, family_cuts, iter_patterns,
                       make_instance, random_instance, random_spans,
                       rational_instance, reference_is_maximal_switching_pack,
                       weight_of, with_profits)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import reference  # noqa: E402  (bench/reference.py imports nothing from ckp)
 
 
 @pytest.fixture
@@ -453,6 +458,38 @@ def test_exact_matches_building_every_member_on_reductions():
                 assert r.found == answer
             found += r.found
     assert found >= 5 and answers == {True, False} and longest == 29
+
+
+def test_reduction_cover_separation_answers_partition():
+    """Seeded partitions of 2 to 8 alphas in 1 to 8, even sums of at least
+    4, and the longest row, eight 8s (a last group of 33 slots): the lcover
+    families separate the reduction's point exactly on yes answers, by an
+    lcover1 cut at violation 1/2, and score every member listed over the
+    unpruned walk."""
+    rng = random.Random(5911)
+    cases = [[8] * 8]
+    while len(cases) < 40:
+        alphas = [rng.randint(1, 8) for _ in range(rng.randint(2, 8))]
+        if sum(alphas) % 2 == 0 and sum(alphas) >= 4:
+            cases.append(alphas)
+    covers = ("lcover1", "lcover2")
+    answers = set()
+    longest = 0
+    for alphas in cases:
+        beta = sum(alphas) // 2
+        instance, point = build_partition_reduction(tuple(alphas), beta)
+        _, rows, b = instance.units
+        longest = max(longest, len(rows[-1]))
+        answer = reference.has_partition(alphas, beta)
+        answers.add(answer)
+        r = separate_exact(instance, point, covers)
+        assert r.found == answer, alphas
+        if answer:
+            assert r.cut.family == "lcover1" and r.violation == Fraction(1, 2)
+        assert r.stats.examined == sum(
+            len(list(cuts.family_members(rows, b, items, units, covers)))
+            for items, units in oracle.walk_patterns(instance))
+    assert answers == {True, False} and longest == 33
 
 
 def test_reduction_forms_hold_one_rule_per_group():
