@@ -24,15 +24,6 @@ from .model import Instance, Point, normalize, validate_assumptions
 from .numeric import format_rational, parse_integer
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _read(path: str, parse):
     """``parse`` of the text of the file at ``path``.  Every format is
     UTF-8 (see ``fileio``), so a byte that does not decode is a format
@@ -236,13 +227,13 @@ def _add_limit(parser) -> None:
 def _parser() -> argparse.ArgumentParser:
     """The parser, built at the first :func:`main` call (not at import) and
     reused after; parsing leaves no state in it."""
-    parser = _Parser(prog="ckp",
-                     description="Exact cuts, oracles, separation, and "
-                                 "branch-and-cut for the complementarity "
-                                 "knapsack problem.")
+    parser = argparse.ArgumentParser(
+        prog="ckp", description="Exact cuts, oracles, separation, and "
+                                "branch-and-cut for the complementarity "
+                                "knapsack problem.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[], help="report standing assumptions")
+    p = sub.add_parser("check", help="report standing assumptions")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_check)
 
@@ -307,9 +298,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse signals usage problems (and --help) by exiting; keep the
-        # documented return-code contract instead of letting it propagate.
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse has printed the usage error (exit 2) or the --help text
+        # (exit 0) and exits; a usage error returns 1, --help 0
+        return 1 if exc.code else 0
     try:
         return args.func(args, sys.stdout)
     except (FormatError, OSError) as exc:

@@ -76,9 +76,11 @@ class PointSupport:
     index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
     variables; and ``mass``, sum U * X over them with U the slot's weight
     in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
-    must be normalized; every reference of the point is checked, as the
-    integer lists are indexed by it: one lookup in :attr:`Instance.columns`
-    each, and :meth:`Instance.check_ref` raises on a miss.
+    must be normalized.  Building the support refuses a separation point
+    twice over: a reference outside the instance, as the integer lists are
+    indexed by it (one lookup in :attr:`Instance.columns` each, and
+    :meth:`Instance.check_ref` raises on a miss), and a point over the
+    knapsack row, sum W_i > b (``PreconditionError``).
     """
 
     __slots__ = ("scale", "units", "capacity_units", "point_scale",
@@ -99,6 +101,8 @@ class PointSupport:
             mass[i] += units[i][ref.slot - 1] * x
         self.entries = [tuple(e) for e in entries]
         self.mass = mass
+        if sum(mass) > self.capacity_units * self.point_scale:
+            raise PreconditionError("point violates the knapsack row")
 
 
 def _score(sup: PointSupport, form):
@@ -112,15 +116,6 @@ def _score(sup: PointSupport, form):
     for i, rule in rules.items():
         lhs += sum(rule_terms(rule, units[i - 1], entries[i - 1]))
     return lhs, sup.scale * den * d
-
-
-def _require_lp_feasible(instance: Instance, point: Point) -> PointSupport:
-    """The point's support in integer units (building it checks every
-    reference), once the point is known to satisfy the knapsack row."""
-    support = PointSupport(instance, point)
-    if sum(support.mass) > support.capacity_units * support.point_scale:
-        raise PreconditionError("point violates the knapsack row")
-    return support
 
 
 def _select(instance: Instance, point: Point, support, itemsets, families,
@@ -167,7 +162,7 @@ def separate_exact(instance: Instance, point: Point,
     ``cuts.resolve_families``) meets its precondition.
     """
     families = resolve_families(families)
-    support = _require_lp_feasible(instance, point)
+    support = PointSupport(instance, point)
     return _select(instance, point, support,
                    walk_patterns(instance, limit, families), families,
                    pattern_count(instance) - 1)
@@ -185,7 +180,7 @@ def separate_greedy(instance: Instance, point: Point,
     separation.  Sound but not complete.
     """
     families = resolve_families(families)
-    support = _require_lp_feasible(instance, point)
+    support = PointSupport(instance, point)
     mass = support.mass
     units = support.units
     slack = support.capacity_units  # b less the pack's weight, in units

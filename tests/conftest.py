@@ -9,7 +9,7 @@ from math import gcd
 from operator import itemgetter
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from ckp import cuts, oracle, solver
 from ckp.cuts import (lifted_cover_inequality_1, lifted_cover_inequality_2,
@@ -23,6 +23,11 @@ from ckp.simplex import LpProblem, LpSolution
 # Hypothesis's built-in "ci" profile (derandomized, no deadline), which it
 # loads by itself on CI: every run of a @given test draws the same cases
 settings.load_profile("ci")
+# "ci" without the shrink phase, which tests/test_mutants.py passes to its
+# runs as --hypothesis-profile (applied after the line above): the same
+# draws, and a failing one is reported as drawn, unshrunk
+settings.register_profile("mutants", settings.get_profile("ci"),
+                          phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def make_instance(weights_by_group, capacity):

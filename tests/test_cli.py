@@ -631,6 +631,63 @@ def test_exit_code_usage(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["frobnicate"],
+     "usage: ckp [-h] {check,oracle,verify,cuts,separate,solve,"
+     "reduce-partition} ...\n"
+     "ckp: error: argument command: invalid choice: 'frobnicate' (choose "
+     "from 'check', 'oracle', 'verify', 'cuts', 'separate', 'solve', "
+     "'reduce-partition')\n"),
+    (["cuts", "x.ckp"],
+     "usage: ckp cuts [-h] --family {pack1,pack2,pack3,lcover1,lcover2,all}\n"
+     "                [--verify] [--enumerate-limit N]\n"
+     "                instance\n"
+     "ckp cuts: error: the following arguments are required: --family\n"),
+], ids=["top-level", "subcommand"])
+def test_usage_error_text(capsys, monkeypatch, argv, err):
+    # argparse's own usage line, then its "prog: error:" line, on stderr
+    # only; main returns 1 for its exit 2.  COLUMNS fixes the usage wrap
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+HELP = """\
+usage: ckp [-h] {check,oracle,verify,cuts,separate,solve,reduce-partition} ...
+
+Exact cuts, oracles, separation, and branch-and-cut for the complementarity
+knapsack problem.
+
+positional arguments:
+  {check,oracle,verify,cuts,separate,solve,reduce-partition}
+    check               report standing assumptions
+    oracle              enumerate candidate vertices and maximize the profits
+                        over S
+    verify              check an inequality's validity, face dimension, and
+                        facet status
+    cuts                generate cuts of a family
+    separate            find a violated cut at a point
+    solve               exact branch-and-cut
+    reduce-partition    build the partition-problem reduction instance
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_help_exits_zero(capsys, monkeypatch):
+    # the help goes to stdout, and argparse's exit 0 after it returns 0
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (HELP, "")
+    assert main(["cuts", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ckp cuts [-h]")
+    assert captured.err == ""
+
+
 def test_normalizes_on_load(files, tmp_path, capsys):
     # files are normalized on the way in, so slot order in them is free
     unnorm = tmp_path / "u.ckp"

@@ -6,7 +6,9 @@ ties, one-slot groups and a capacity of 0 among them.
 same draws."""
 
 import copy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,9 @@ from ckp.oracle import enumerate_candidate_vertices, walk_patterns
 from ckp.separation import separate_exact
 from ckp.simplex import LpProblem, solve_lp
 from ckp.solver import SolveConfig, branch_and_cut
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import reference  # noqa: E402  (bench/reference.py imports nothing from ckp)
 
 RATIONALS = st.builds(Fraction, st.integers(0, 9), st.integers(1, 3))
 # weight 0 half the time
@@ -115,6 +120,25 @@ def test_exact_separation_is_the_best_member_over_the_unpruned_walk(instance):
                                          if violation == top)
         else:
             assert not result.found
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(instances(MOSTLY_WEIGHTLESS))
+def test_face_dimensions_equal_the_reference(instance):
+    # the reference reads S off the weights and capacity in integer units
+    # (both times the scale, which leaves S as it is); the hull's dimension
+    # is its face of no terms, and the dimension ckp verify prints for each
+    # listed cut and for the knapsack row is its face of that row
+    _, weights, capacity = instance.units
+    points = reference.candidate_points(weights, capacity)
+    vertices = enumerate_candidate_vertices(instance)
+    assert vertices.hull_dimension == reference.face_dimension(
+        weights, points, {}, 0)
+    queries = [cut.inequality for cut in cuts.theorem_cuts(
+        instance, cuts.FAMILIES, None)]
+    for inequality in queries + [model.knapsack_row(instance)]:
+        assert vertices.face_dimension(inequality) == reference.face_dimension(
+            weights, points, dict(inequality.terms), inequality.rhs)
 
 
 def test_every_property_test_draws_the_same_cases():

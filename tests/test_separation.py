@@ -126,7 +126,8 @@ def test_exact_rejects_unknown_family(ex_c, frac_point):
 
 def test_exact_rejects_knapsack_violation(ex_c):
     heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^point violates the knapsack row$"):
         separate_exact(ex_c, heavy)
 
 
@@ -153,8 +154,18 @@ def test_unsorted_groups_rejected(separate):
 
 def test_greedy_rejects_knapsack_violation(ex_c):
     heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^point violates the knapsack row$"):
         separate_greedy(ex_c, heavy)
+
+
+def test_support_refuses_a_point_over_the_knapsack_row(ex_c):
+    # the support that reads the point makes the refusal itself; the
+    # separators, which build it first, raise the same error (tests above)
+    heavy = Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)])
+    with pytest.raises(PreconditionError,
+                       match="^point violates the knapsack row$"):
+        separation.PointSupport(ex_c, heavy)
 
 
 @pytest.mark.parametrize("separate", [separate_exact, separate_greedy])
