@@ -32,17 +32,23 @@ per-group weight mass, both in integer units, keeps it only when it
 passes the integer maximal-switching test (:func:`cuts.is_switching`),
 and gives only that pack and its drop-one-singleton subsets, each with
 the weight it has already summed.
+
+Both separators and the reduction builder take the support from
+:func:`_support`, which keeps the last one made, read-only, for the same
+instance and point objects: a reduction's point, or a node LP point
+separated greedily and then exactly, is read once.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .cuts import (GeneratedCut, family_members, is_switching, member_cut,
                    resolve_families, rule_terms)
 from .errors import CkpError, PreconditionError, ValidationError
-from .model import Group, Instance, Point, lhs_at, weight_units
+from .model import Group, Instance, Point, lhs_at
 from .numeric import require_integer
 from .oracle import pattern_count, walk_patterns
 
@@ -63,16 +69,18 @@ class SeparationResult(NamedTuple):
         return self.cut is not None
 
 
-class PointSupport:
+class PointSupport(namedtuple("PointSupport", "scale units capacity_units "
+                                "point_scale entries mass")):
     """One point's positive entries, grouped for scoring the integer forms,
-    and the instance's weights, all in integer units.
+    and the instance's weights, all in integer units; read-only, as one
+    support is shared (:func:`_support`).
 
     Weights and the capacity come scaled by ``scale`` (see
     :attr:`Instance.units`) as ``units`` and ``capacity_units``, so that an
     item set's weight and every precondition compare exact integers.  The
     point is read in its integer form ``point.scaled = (D, ((ref, X),
     ...))`` (a ``model.Point`` or a ``simplex.LpSolution``), with D as
-    ``point_scale``, so each x is the integer X = x * D.  Per group i (list
+    ``point_scale``, so each x is the integer X = x * D.  Per group i (tuple
     index i - 1): ``entries`` as ``(slot, X)`` for the point's positive
     variables; and ``mass``, sum U * X over them with U the slot's weight
     in units, which is W_i = sum_j a_ij x_ij times scale * D.  The instance
@@ -83,13 +91,11 @@ class PointSupport:
     knapsack row, sum W_i > b (``PreconditionError``).
     """
 
-    __slots__ = ("scale", "units", "capacity_units", "point_scale",
-                 "entries", "mass")
+    __slots__ = ()
 
-    def __init__(self, instance: Instance, point):
-        self.scale, units, self.capacity_units = instance.normalized_units()
-        self.units = units
-        self.point_scale, scaled = point.scaled
+    def __new__(cls, instance: Instance, point):
+        scale, units, capacity_units = instance.normalized_units()
+        point_scale, scaled = point.scaled
         entries = [[] for _ in units]
         mass = [0] * len(units)
         columns = instance.columns
@@ -99,10 +105,25 @@ class PointSupport:
             i = ref.group - 1
             entries[i].append((ref.slot, x))
             mass[i] += units[i][ref.slot - 1] * x
-        self.entries = [tuple(e) for e in entries]
-        self.mass = mass
-        if sum(mass) > self.capacity_units * self.point_scale:
+        if sum(mass) > capacity_units * point_scale:
             raise PreconditionError("point violates the knapsack row")
+        return tuple.__new__(cls, (scale, units, capacity_units, point_scale,
+                                   tuple(map(tuple, entries)), tuple(mass)))
+
+
+_held = (None, None, None)  # the last support made: (instance, point, it)
+
+
+def _support(instance: Instance, point) -> PointSupport:
+    """``PointSupport(instance, point)``, kept for the next call at the
+    same two objects until another pair's is made; a refused point is not
+    kept.  Keyed by identity, as hashing an Instance costs more than a
+    support; holding both objects keeps their ids from being reused."""
+    global _held
+    held = _held
+    if held[0] is not instance or held[1] is not point:
+        held = _held = instance, point, PointSupport(instance, point)
+    return held[2]
 
 
 def _score(sup: PointSupport, form):
@@ -162,7 +183,7 @@ def separate_exact(instance: Instance, point: Point,
     ``cuts.resolve_families``) meets its precondition.
     """
     families = resolve_families(families)
-    support = PointSupport(instance, point)
+    support = _support(instance, point)
     return _select(instance, point, support,
                    walk_patterns(instance, limit, families), families,
                    pattern_count(instance) - 1)
@@ -180,7 +201,7 @@ def separate_greedy(instance: Instance, point: Point,
     separation.  Sound but not complete.
     """
     families = resolve_families(families)
-    support = PointSupport(instance, point)
+    support = _support(instance, point)
     mass = support.mass
     units = support.units
     slack = support.capacity_units  # b less the pack's weight, in units
@@ -211,7 +232,8 @@ def build_partition_reduction(alphas, beta: int):
     the alphas, group k+1 has weights (3, 1, ..., 1) with beta trailing
     ones, the capacity is beta + 2, profits equal weights.  The returned
     point, built over 6 * beta (2 * beta - 3 on each singleton, all of
-    the 3, 1/3 of each trailing one), makes the knapsack row tight.
+    the 3, 1/3 of each trailing one), makes the knapsack row tight, as
+    checked on its support (:func:`_support`), which the separators reuse.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -233,7 +255,7 @@ def build_partition_reduction(alphas, beta: int):
     entries.append((refs[k], 6 * beta))
     entries += [(ref, 2 * beta) for ref in refs[k + 1:]]
     point = Point.from_scaled(6 * beta, entries)
-    total, den = weight_units(instance, point)
-    if total != instance.units[2] * den:
+    support = _support(instance, point)
+    if sum(support.mass) != support.capacity_units * support.point_scale:
         raise CkpError("reduction point does not make the knapsack row tight")
     return instance, point

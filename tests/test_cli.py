@@ -820,15 +820,18 @@ def test_byte_mutations_of_the_fixtures_never_escape_main(files, tmp_path,
     }
     sources = ("ex_a.ckp", "ex_b.ckp", "ex_c.ckp", "sing.ckp", "p1b.ineq",
                "p2b.ineq", "frac.point")
-    mutant = tmp_path / "mutant"
     codes = Counter()
-    for _ in range(500):
+    for n in range(500):
         name = rng.choice(sources)
+        # a new file each time, removed at once: on some disks truncating
+        # a file, or removing it once written back, takes milliseconds
+        mutant = tmp_path / ("mutant%d" % n)
         mutant.write_bytes(_mutated(rng, Path(files[name]).read_bytes()))
         for argv in commands[name.rsplit(".", 1)[1]](str(mutant)):
             code = main(list(argv))
             assert type(code) is int and code in (0, 1, 2, 3), argv
             codes[code] += 1
+        mutant.unlink()
     capsys.readouterr()
     assert codes[0] and codes[1]  # some mutants still parse, some do not
 

@@ -10,7 +10,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from ckp.errors import PreconditionError, ResourceLimitError, ValidationError
 from ckp.fileio import serialize_inequality
-from ckp.model import Instance, LinearInequality, Point, VarRef
+from ckp.model import Group, Instance, LinearInequality, Point, VarRef
 from ckp import cuts, oracle, separation
 from ckp.separation import separate_exact
 
@@ -842,3 +842,31 @@ def test_every_facet_flag_on_zero_weights_is_a_facet():
                 flagged[cut.family] += 1
     assert flagged["pack1"] >= 10 and flagged["pack2"] >= 1, flagged
     assert min(flagged["lcover1"], flagged["lcover2"]) >= 1000, flagged
+
+
+def test_every_theorem_cut_of_a_small_scope_is_valid_and_each_flag_a_facet():
+    """The whole scope (W, G, K) = (3, 4, 2): one to four groups, taken as
+    a multiset, each a multiset of one or two integer weights in 0..3 by
+    non-increasing weight, at every capacity from 0 to the heaviest
+    selection; every profit is 1, as conv(S) does not read profits.  Every
+    theorem cut of every family is valid (``face_dimension`` raises on a
+    violated one), and every facet flag marks a facet: its face has
+    dimension ``hull_dimension`` - 1."""
+    rows = [weights[::-1] for size in (1, 2)
+            for weights in combinations_with_replacement(range(4), size)]
+    instances = 0
+    for m in range(1, 5):
+        for shape in combinations_with_replacement(rows, m):
+            groups = [Group(weights, (1,) * len(weights)) for weights in shape]
+            for capacity in range(sum(weights[0] for weights in shape) + 1):
+                inst = Instance(groups, capacity)
+                assert inst.normalized
+                vertices = oracle.enumerate_candidate_vertices(inst)
+                hull = vertices.hull_dimension
+                for cut in cuts.theorem_cuts(inst, cuts.FAMILIES, None):
+                    dimension = vertices.face_dimension(cut.inequality)
+                    if cut.facet_guaranteed:
+                        assert dimension == hull - 1 >= 0, (inst,
+                                                            cut.describe())
+                instances += 1
+    assert instances == 24275

@@ -537,10 +537,13 @@ def test_one_witness_rule(tmp_path, capsys):
     rng = random.Random(4545)
     ex_a = make_instance([(2,), (4,), (8,), (10, 6), (8, 4)], 21)
     pinned = LinearInequality({VarRef(4, 1): 1, VarRef(5, 1): 1}, 1)
-    instance_path, inequality_path = tmp_path / "inst.ckp", tmp_path / "bad.ineq"
     checked = tied = 0
-    for inst in [ex_a] + [normalize(i)[0] for i in _seeded_instances(30, 6161)]:
+    for n, inst in enumerate(
+            [ex_a] + [normalize(i)[0] for i in _seeded_instances(30, 6161)]):
         vertices = oracle.enumerate_candidate_vertices(inst)
+        # new files each time, each removed at once (see the byte mutations
+        # test of test_cli.py)
+        instance_path = tmp_path / ("inst%d.ckp" % n)
         instance_path.write_text(serialize_instance(inst))
         inequalities = [pinned] if inst is ex_a else []
         for _ in range(4):
@@ -554,14 +557,17 @@ def test_one_witness_rule(tmp_path, capsys):
             assert err.value.witness == witness
             if inequality is pinned:
                 assert witness == Point({VarRef(4, 1): 1, VarRef(5, 1): 1})
+            inequality_path = tmp_path / ("bad%d.ineq" % checked)
             inequality_path.write_text(serialize_inequality(inequality))
             assert main(["verify", str(instance_path), str(inequality_path)]) == 0
             assert capsys.readouterr().out == "valid: no\nwitness:\n" + "".join(
                 "val %d %d %s\n" % (r.group, r.slot, format_rational(x))
                 for r, x in witness.entries)
+            inequality_path.unlink()
             values = [lhs_at(inequality, p) for p in vertices.points]
             tied += values.count(max(values)) > 1
             checked += 1
+        instance_path.unlink()
     assert checked == 4 * 33 + 1 and tied > checked // 3, (checked, tied)
 
 

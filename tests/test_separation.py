@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from ckp.errors import (CkpError, PreconditionError, ResourceLimitError,
                         ValidationError)
 from ckp.model import (
+    Instance,
     Point,
     VarRef,
     complementarity_violations,
@@ -330,6 +332,168 @@ def test_partition_input_validation():
         build_partition_reduction((1, 1), 2)  # sums to 2, needs 4
     with pytest.raises(PreconditionError):
         build_partition_reduction((1, 1), 1)  # beta too small
+
+
+# --- one support per point: the identity memo ---
+
+def _counting_supports(monkeypatch):
+    """Count the PointSupports made from here on."""
+    made = []
+    real = separation.PointSupport
+
+    def counting(instance, point):
+        made.append((instance, point))
+        return real(instance, point)
+
+    monkeypatch.setattr(separation, "PointSupport", counting)
+    return made
+
+
+def _fresh(call, *args):
+    """``call(*args)`` with the memo reset: every support made anew."""
+    separation._held = (None, None, None)
+    return call(*args)
+
+
+def test_one_support_per_partition_task(monkeypatch):
+    # a sep-partition task builds the reduction, separates its point
+    # exactly with the two cover families, then greedily; fresh objects
+    # each, so the memo holds none of them at the start
+    made = _counting_supports(monkeypatch)
+    for n, alphas in enumerate([(2, 3, 5, 4), (1, 1, 2), (1, 3)], start=1):
+        instance, point = build_partition_reduction(alphas, sum(alphas) // 2)
+        separate_exact(instance, point, ("lcover1", "lcover2"))
+        separate_greedy(instance, point)
+        assert made == made[:n - 1] + [(instance, point)]
+
+
+def test_one_support_per_lp_solution_separated_twice(monkeypatch):
+    # a root round: greedy, then exact at the same LpSolution, each as it
+    # is with the memo reset
+    rng = random.Random(6162)
+    found = 0
+    for _ in range(8):
+        instance = correlated_instance(rng)
+        problem = LpProblem(instance)
+        solution = solve_lp(problem, spans=problem.spans)
+        greedy = _fresh(separate_greedy, instance, solution)
+        exact = _fresh(separate_exact, instance, solution)
+        with monkeypatch.context() as patch:
+            made = _counting_supports(patch)
+            assert _fresh(separate_greedy, instance, solution) == greedy
+            assert separate_exact(instance, solution) == exact
+        assert made == [(instance, solution)]
+        found += exact.found
+    assert found
+
+
+def test_kept_supports_give_the_results_of_fresh_ones():
+    """Separations run in turn, each at the pair before it or at a new
+    one, give the cut, violation and stats of a call made with the memo
+    reset: distinct points of one instance, a copy equal to one of them
+    but another object, and one point object at two instances."""
+    rng = random.Random(6161)
+    calls = []
+    for n in range(24):
+        instance = rational_instance(rng) if n % 2 else random_instance(rng)
+        roomier = Instance(instance.groups, instance.capacity + 1)
+        first, second = _points(rng, instance)
+        copy = Point.from_scaled(*first.scaled)
+        assert copy == first and copy is not first
+        for pair in [(instance, first), (instance, second), (instance, copy),
+                     (roomier, first), (instance, first)]:
+            calls += [(separate_greedy, pair, "all"),
+                      (separate_exact, pair, "all"),
+                      (separate_exact, pair, ("lcover1", "lcover2"))]
+
+    def run(separate, pair, families):
+        r = separate(*pair, families)
+        return r.cut, r.violation, r.stats
+
+    fresh = [_fresh(run, *call) for call in calls]
+    assert [run(*call) for call in calls] == fresh
+    # the pairs differ in what they separate, so a wrong support shows
+    assert len({result[1:] for result in fresh}) > len(calls) // 4
+
+
+def test_threads_separating_their_own_points_get_their_own_supports():
+    """Threads, more than the cores, each separate their own pairs in a
+    loop under a short switch interval; every result is the one a single
+    thread got, so no thread reads a support another one kept."""
+    rng = random.Random(6163)
+    pairs = []
+    for _ in range(8):
+        instance = random_instance(rng)
+        pairs += [(instance, point) for point in _points(rng, instance)]
+    expected = [separate_greedy(*pair) for pair in pairs]
+    wrong = []
+
+    def work(offset):
+        for k in range(2000):
+            n = (offset + k) % len(pairs)
+            try:
+                if separate_greedy(*pairs[n]) != expected[n]:
+                    wrong.append(n)
+            except Exception as exc:  # kept for the assertion below
+                wrong.append(exc)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not wrong
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (Point([(VarRef(3, 1), 1), (VarRef(4, 1), 1), (VarRef(5, 1), 1)]),
+     PreconditionError, "^point violates the knapsack row$"),
+    (Point([(VarRef(3, 1), Fraction(1, 2)), (VarRef(6, 1), Fraction(1, 3))]),
+     ValidationError, "^variable out of range: x\\(6,1\\)$"),
+], ids=["over the knapsack row", "ref outside"])
+def test_refused_point_is_never_kept(ex_c, frac_point, monkeypatch, bad,
+                                     error, message):
+    # each call at a refused point tries a support again and raises the
+    # same error; the support kept before it stays kept
+    separate_greedy(ex_c, frac_point)
+    kept = separation._held
+    made = _counting_supports(monkeypatch)
+    for n in range(1, 4):
+        for separate in (separate_greedy, separate_exact):
+            with pytest.raises(error, match=message):
+                separate(ex_c, bad)
+        assert made == [(ex_c, bad)] * 2 * n and separation._held is kept
+    separate_exact(ex_c, frac_point)
+    assert made == [(ex_c, bad)] * 6
+
+
+def test_support_is_read_only(ex_c, frac_point):
+    support = separation.PointSupport(ex_c, frac_point)
+    assert type(support.entries) is tuple and type(support.mass) is tuple
+    assert all(type(group) is tuple for group in support.entries)
+    with pytest.raises(AttributeError):
+        support.mass = ()
+
+
+def test_reduction_refuses_a_point_that_is_not_tight(monkeypatch):
+    # the tightness check reads the support; a point built one trailing
+    # entry short is under the knapsack row
+    class Short(Point):
+        __slots__ = ()
+
+        @classmethod
+        def from_scaled(cls, scale, entries):
+            return Point.from_scaled(scale, entries[:-1])
+
+    monkeypatch.setattr(separation, "Point", Short)
+    with pytest.raises(CkpError, match="^reduction point does not make the "
+                       "knapsack row tight$"):
+        build_partition_reduction((1, 1, 2), 2)
 
 
 # --- differential: closed-form scoring against building every member ---
