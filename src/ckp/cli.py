@@ -20,7 +20,7 @@ from . import cuts as cuts_mod
 from . import fileio, oracle, separation, solver
 from .errors import (CkpError, FormatError, PreconditionError,
                      ResourceLimitError)
-from .model import Instance, Point, normalize, validate_assumptions
+from .model import Instance, normalize, validate_assumptions
 from .numeric import format_rational, parse_integer
 
 
@@ -38,12 +38,6 @@ def _read(path: str, parse):
 def _load_instance(path: str) -> Instance:
     normalized, _ = normalize(_read(path, fileio.parse_instance))
     return normalized
-
-
-def _print_point(point: Point, out) -> None:
-    for ref, value in point.entries:
-        print("val %d %d %s" % (ref.group, ref.slot, format_rational(value)),
-              file=out)
 
 
 def _facet(dim: int, vertices) -> str:
@@ -82,8 +76,8 @@ def _cmd_check(args, out) -> int:
     print("assumption2: %s" % ("holds" if report.assumption2 else "fails"), file=out)
     if not report.assumption2:
         print("trivial-value: %s" % format_rational(report.trivial_value), file=out)
-        print("trivial-point:", file=out)
-        _print_point(report.trivial_point, out)
+        out.write("trivial-point:\n"
+                  + fileio.point_lines(report.trivial_point))
     return 0
 
 
@@ -94,8 +88,7 @@ def _cmd_oracle(args, out) -> int:
         {ref: instance.profit(ref) for ref in instance.columns})
     print("candidates: %d" % len(vertices), file=out)
     print("value: %s" % format_rational(value), file=out)
-    print("point:", file=out)
-    _print_point(point, out)
+    out.write("point:\n" + fileio.point_lines(point))
     return 0
 
 
@@ -106,8 +99,7 @@ def _cmd_verify(args, out) -> int:
     try:
         dim = vertices.face_dimension(inequality)
     except PreconditionError as exc:
-        print("valid: no\nwitness:", file=out)
-        _print_point(exc.witness, out)
+        out.write("valid: no\nwitness:\n" + fileio.point_lines(exc.witness))
         return 0
     print("valid: yes", file=out)
     print("face-dim: %d" % dim, file=out)
@@ -177,8 +169,7 @@ def _cmd_solve(args, out) -> int:
     if report.exact_sep_stopped:
         print("exact-sep: stopped, pattern space over the enumeration limit",
               file=out)
-    print("point:", file=out)
-    _print_point(report.point, out)
+    out.write("point:\n" + fileio.point_lines(report.point))
     return 0 if report.proven_optimal else 3
 
 

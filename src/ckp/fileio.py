@@ -117,13 +117,18 @@ def parse_point(text: str) -> Point:
     return Point(_entries(_body(text, "point", "point"), "val"))
 
 
-def serialize_point(point: Point) -> str:
+def point_lines(point: Point) -> str:
+    """The ``val <i> <j> <rational>`` lines of ``point``, each ending in a
+    newline, from its integer form: the body of :func:`serialize_point`,
+    and what ``ckp`` prints under a point's label."""
     scale, entries = point.scaled
     texts = _texts((scale, [x for _, x in entries]))
-    out = ["point 1"]
-    out += ["val %d %d %s" % (ref.group, ref.slot, text)
-            for (ref, _), text in zip(entries, texts)]
-    return "\n".join(out) + "\n"
+    return "".join("val %d %d %s\n" % (ref.group, ref.slot, text)
+                   for (ref, _), text in zip(entries, texts))
+
+
+def serialize_point(point: Point) -> str:
+    return "point 1\n" + point_lines(point)
 
 
 def _entries(lines, keyword):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ckp
-from ckp import cuts, fileio, oracle, separation
+from ckp import cuts, fileio, oracle, separation, solver
 from ckp.cli import main
 from ckp.cuts import FAMILIES, enumerate_maximal_switching_packs
 from ckp.fileio import (
@@ -27,15 +27,18 @@ from ckp.fileio import (
     serialize_instance,
     serialize_point,
 )
-from ckp.model import Instance, LinearInequality, Point, VarRef, normalize
+from ckp.model import (Instance, LinearInequality, Point, VarRef, normalize,
+                       validate_assumptions)
 
 from conftest import (family_cuts, itemset_weight, iter_patterns, make_instance,
                       random_instance)
 
 
-@pytest.fixture
-def files(tmp_path):
-    """Write the shared fixture files once per test."""
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Write the shared fixture files once per module; no test writes
+    into their directory."""
+    tmp_path = tmp_path_factory.mktemp("files")
     paths = {}
 
     def save(name, text):
@@ -581,6 +584,47 @@ def test_solve_exact_sep_stopped_at_the_limit(files, capsys):
             in out)
     code, out = run(capsys, "solve", files["corr.ckp"], "--exact-sep")
     assert code == 0 and "exact-sep" not in out
+
+
+def test_printed_points_are_the_point_file_body(tmp_path, capsys,
+                                                monkeypatch):
+    """``ckp solve`` and ``ckp check`` print their point with the point
+    file's writer, from its integer form: on integral instances whose
+    groups all fit (a one-node solve; assumption 2 fails), a run makes as
+    many Fractions at 200 groups as at 20, and its ``val`` lines are the
+    body of ``serialize_point``."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    for m in (20, 200):
+        # the second slot is lighter, and some groups profit more from it
+        instance = Instance.build(
+            [((3 + i % 5, 1 + i % 2), (2 + i % 7, 1 + 3 * (i % 3)))
+             for i in range(m)], 7 * m)
+        path = tmp_path / ("fit%d.ckp" % m)
+        path.write_text(serialize_instance(instance))
+        solved = solver.branch_and_cut(instance, solver.SolveConfig())
+        trivial = validate_assumptions(instance).trivial_point
+        for command, label, point in (("solve", "point:", solved.point),
+                                      ("check", "trivial-point:", trivial)):
+            made[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(counted))
+                code, out = run(capsys, command, str(path))
+            assert code == 0
+            assert ("nodes: 1\n" if command == "solve"
+                    else "assumption2: fails\n") in out
+            assert out.split(label + "\n")[1] == serialize_point(
+                point)[len("point 1\n"):]
+            assert out.count("\nval ") == m
+            counts[command, m] = made[0]
+    for command in ("solve", "check"):
+        assert counts[command, 20] == counts[command, 200], counts
 
 
 def test_reduce_partition(files, capsys, tmp_path):

@@ -844,18 +844,19 @@ def test_every_facet_flag_on_zero_weights_is_a_facet():
     assert min(flagged["lcover1"], flagged["lcover2"]) >= 1000, flagged
 
 
-def test_every_theorem_cut_of_a_small_scope_is_valid_and_each_flag_a_facet():
-    """The whole scope (W, G, K) = (3, 4, 2): one to four groups, taken as
-    a multiset, each a multiset of one or two integer weights in 0..3 by
+def _walk_scope(top, most_groups, most_slots):
+    """Check the whole scope (W, G, K) = (``top``, ``most_groups``,
+    ``most_slots``) and return its instance count: one to G groups, taken
+    as a multiset, each a multiset of one to K integer weights in 0..W by
     non-increasing weight, at every capacity from 0 to the heaviest
     selection; every profit is 1, as conv(S) does not read profits.  Every
     theorem cut of every family is valid (``face_dimension`` raises on a
     violated one), and every facet flag marks a facet: its face has
     dimension ``hull_dimension`` - 1."""
-    rows = [weights[::-1] for size in (1, 2)
-            for weights in combinations_with_replacement(range(4), size)]
+    rows = [weights[::-1] for size in range(1, most_slots + 1)
+            for weights in combinations_with_replacement(range(top + 1), size)]
     instances = 0
-    for m in range(1, 5):
+    for m in range(1, most_groups + 1):
         for shape in combinations_with_replacement(rows, m):
             groups = [Group(weights, (1,) * len(weights)) for weights in shape]
             for capacity in range(sum(weights[0] for weights in shape) + 1):
@@ -869,4 +870,16 @@ def test_every_theorem_cut_of_a_small_scope_is_valid_and_each_flag_a_facet():
                         assert dimension == hull - 1 >= 0, (inst,
                                                             cut.describe())
                 instances += 1
-    assert instances == 24275
+    return instances
+
+
+def test_every_theorem_cut_of_a_small_scope_is_valid_and_each_flag_a_facet():
+    """The scope (3, 4, 2), in a few seconds (:func:`_walk_scope`)."""
+    assert _walk_scope(3, 4, 2) == 24275
+
+
+@pytest.mark.large_scope
+def test_every_theorem_cut_of_a_large_scope_is_valid_and_each_flag_a_facet():
+    """The scope (4, 3, 3), about a minute (:func:`_walk_scope`); plain
+    ``pytest`` deselects it, ``pytest -m large_scope`` runs it."""
+    assert _walk_scope(4, 3, 3) == 287070

@@ -21,6 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PROPERTIES = "tests/test_properties.py::"
 SEPARATION = "tests/test_separation.py::"
+SIMPLEX = "tests/test_simplex.py::"
+SOLVER = "tests/test_solver.py::"
 
 MUTANTS = [
     # the layout keyed without the last group's size
@@ -56,6 +58,16 @@ MUTANTS = [
         "if held[0] is not instance:",
         SEPARATION + "test_kept_supports_give_the_results_of_fresh_ones",
         id="memo-key"),
+    # the certificate's sign test letting a negative multiplier through
+    pytest.param(
+        "simplex.py", "or min(ys) < 0):", "or min(ys) < -1):",
+        SIMPLEX + "test_certificate_rejects_forged_duals",
+        id="certificate-sign"),
+    # the incumbent's profit check made dead
+    pytest.param(
+        "solver.py", "if total * den != num * profit_den:", "if False:",
+        SOLVER + "test_wrong_incumbent_value_is_rejected",
+        id="incumbent-profit"),
 ]
 
 
